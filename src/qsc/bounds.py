@@ -13,14 +13,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import config
 from .errors import HypothesisUnmet, NonHermitianInput
-from .levelshift import LevelShiftContext, make_context, self_energy
-from .linalg import Operator, Subspace, hermitian_eig, operator_norm
+from .levelshift import make_context, self_energy, self_energy_grid
+from .linalg import (
+    Operator,
+    SpectralDecomposition,
+    Subspace,
+    hermitian_eig,
+    operator_norm,
+)
 from .models import KET_DOWN, KET_UP, KET_C, KET_L, KET_R, ClockModel, GroverModel
 from .cooling import (
     CoolingSetup,
@@ -70,7 +77,11 @@ class CheckResult:
 @dataclass(frozen=True)
 class BoundInstance:
     """A random instance for the window-based checks: a Hamiltonian, a
-    perturbation, the spectral window, and the protecting gap."""
+    perturbation, the spectral window, and the protecting gap.
+
+    H + V and the eigendecompositions of H and H + V are computed once per
+    instance and shared by every checker that reads them.
+    """
 
     h: Operator
     v: Operator
@@ -78,9 +89,17 @@ class BoundInstance:
     gap: float
     seed: int
 
-    @property
+    @cached_property
     def h_tilde(self) -> Operator:
         return self.h + self.v
+
+    @cached_property
+    def h_eig(self) -> SpectralDecomposition:
+        return hermitian_eig(self.h)
+
+    @cached_property
+    def h_tilde_eig(self) -> SpectralDecomposition:
+        return hermitian_eig(self.h_tilde)
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +107,12 @@ class BoundInstance:
 # ---------------------------------------------------------------------------
 
 def _require_hermitian(*ops: Operator):
+    atol = config.HERMITICITY_ATOL
     for op in ops:
         m = op.matrix
-        if np.max(np.abs(m - m.conj().T)) > config.HERMITICITY_ATOL * (
-            1 + np.linalg.norm(m, 2)
-        ):
+        dev = np.max(np.abs(m - m.conj().T))
+        # 1 + |m| >= 1: the norm is needed only when the unscaled test fails
+        if dev > atol and dev > atol * (1 + np.linalg.norm(m, 2)):
             raise NonHermitianInput("checker requires Hermitian input")
 
 
@@ -190,41 +210,38 @@ def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
 # Window-based checkers
 # ---------------------------------------------------------------------------
 
-def _window_subspaces(h: Operator, lo: float, hi: float):
-    sd = hermitian_eig(h)
+def _window_subspaces(sd: SpectralDecomposition, lo: float, hi: float):
+    """Eigenvectors with eigenvalue strictly inside (lo, hi), and the mask."""
     mask = (sd.eigenvalues > lo) & (sd.eigenvalues < hi)
-    inside = sd.eigenvectors[:, mask]
-    outside = sd.eigenvectors[:, ~mask]
-    return sd, inside, outside, mask
+    return sd.eigenvectors[:, mask], mask
 
 
-def _sigma_grid_bound(ctx: LevelShiftContext, v: Operator, h_eff, lo: float,
-                      hi: float, points: int = 64) -> float:
-    worst = 0.0
-    for z in np.linspace(lo, hi, points):
-        sig = self_energy(ctx, v, float(z), mode="closed")
-        worst = max(worst, float(np.linalg.norm(sig.matrix - h_eff.matrix, 2)))
-    return worst
+def _sigma_grid_bound(sigma_at, h_eff, lo: float, hi: float, points: int = 64) -> float:
+    """max over an evenly spaced z grid on [lo, hi] of |Sigma_P(z) - H_eff|,
+    each Hermitian 2-norm read off one batched eigvalsh."""
+    diffs = sigma_at(np.linspace(lo, hi, points)) - h_eff.matrix
+    return float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
 
 
 def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64):
     """Self-energy at the window center, with a self-consistent closeness
     radius gamma: gamma bounds |Sigma_P(z) - H_eff| over [c-gamma, d+gamma]."""
     lam_lo, lam_hi = inst.window
-    sd, inside, _, mask = _window_subspaces(inst.h, lam_lo, lam_hi)
+    inside, mask = _window_subspaces(inst.h_eig, lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("window contains no eigenvalues of H")
     p = Subspace(inst.h.dim, inside)
     ctx = make_context(inst.h, p, inst.gap, operator_norm(inst.v))
-    z0 = float(np.mean(sd.eigenvalues[mask]))
+    z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
     h_eff = self_energy(ctx, inst.v, z0, mode="closed")
+    sigma_at = self_energy_grid(ctx, inst.v)
     spec = np.linalg.eigvalsh(h_eff.matrix)
     c, d = float(spec[0]), float(spec[-1])
-    gamma = max(1e-15, _sigma_grid_bound(ctx, inst.v, h_eff, c, d, grid_points))
+    gamma = max(1e-15, _sigma_grid_bound(sigma_at, h_eff, c, d, grid_points))
     for _ in range(8):
         if c - gamma <= lam_lo or d + gamma >= lam_hi:
             raise HypothesisUnmet("closeness interval escapes the window")
-        new = _sigma_grid_bound(ctx, inst.v, h_eff, c - gamma, d + gamma, grid_points)
+        new = _sigma_grid_bound(sigma_at, h_eff, c - gamma, d + gamma, grid_points)
         new *= 1.0 + 1e-6  # strict inequality headroom
         if new <= gamma * (1 + 1e-9):
             gamma = max(gamma, new)
@@ -236,7 +253,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
 def _theorem1_hypotheses(inst: BoundInstance):
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    evals = np.linalg.eigvalsh(inst.h.matrix)
+    evals = inst.h_eig.eigenvalues
     for edge in (lam_lo, lam_hi):
         if np.any((evals >= edge - gap / 2) & (evals <= edge + gap / 2)):
             raise HypothesisUnmet("H has eigenvalues inside a window collar")
@@ -251,7 +268,7 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     _theorem1_hypotheses(inst)
     ctx, h_eff, gamma, (c, d) = _effective_hamiltonian_with_gamma(inst)
     lam_lo, lam_hi = inst.window
-    _, tilde_inside, _, _ = _window_subspaces(inst.h_tilde, lam_lo, lam_hi)
+    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
     eff_vals = np.sort(np.linalg.eigvalsh(h_eff.matrix))
     tilde_vals = np.sort(
         np.linalg.eigvalsh(
@@ -278,15 +295,15 @@ def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
     window subspace up to (2|H - H~|/Delta)^2, in both directions."""
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    evals = np.linalg.eigvalsh(inst.h.matrix)
+    evals = inst.h_eig.eigenvalues
     in_win = (evals >= lam_lo + gap / 2) & (evals <= lam_hi - gap / 2)
     out_win = (evals <= lam_lo - gap / 2) | (evals >= lam_hi + gap / 2)
     if not np.any(in_win):
         raise HypothesisUnmet("no spectrum in the inner window")
     if not np.all(in_win | out_win):
         raise HypothesisUnmet("spectrum found inside a window collar")
-    sd, inside, _, _ = _window_subspaces(inst.h, lam_lo, lam_hi)
-    _, tilde_inside, _, _ = _window_subspaces(inst.h_tilde, lam_lo, lam_hi)
+    inside, _ = _window_subspaces(inst.h_eig, lam_lo, lam_hi)
+    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
     bound = 1.0 - (2 * operator_norm(inst.v) / gap) ** 2
     p = inside @ inside.conj().T
     p_tilde = tilde_inside @ tilde_inside.conj().T
@@ -335,7 +352,7 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     p_prime_small = eff_vecs[:, -1:]
     p_prime = (ctx.p.basis @ p_prime_small) @ (ctx.p.basis @ p_prime_small).conj().T
     lam_lo, lam_hi = inst.window
-    _, tilde_inside, _, _ = _window_subspaces(inst.h_tilde, lam_lo, lam_hi)
+    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
     tvals, tvecs = np.linalg.eigh(
         tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
     )
@@ -368,7 +385,8 @@ def _band_windows(evals: np.ndarray, gap: float):
 def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    sd, inside, _, mask = _window_subspaces(inst.h, lam_lo, lam_hi)
+    sd = inst.h_eig
+    inside, mask = _window_subspaces(sd, lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("no spectrum in the window")
     in_vals = sd.eigenvalues[mask]
@@ -383,7 +401,7 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     bound = 1.0 - n_bands * (2 * norm_v / gap) ** 2
     # perturbed band subspaces from per-band windows
     tilde_cols = []
-    sd_t = hermitian_eig(inst.h_tilde)
+    sd_t = inst.h_tilde_eig
     for band in bands:
         blo, bhi = band[0] - gap / 2, band[-1] + gap / 2
         m = (sd_t.eigenvalues > blo) & (sd_t.eigenvalues < bhi)

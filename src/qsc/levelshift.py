@@ -5,10 +5,16 @@ The central object is the self-energy of a near-resonant subspace P:
 
     Sigma_P(z) = P H P + P V P + P V Q (z - Q(H+V)Q)^{-1} Q V P
 
-evaluated at real z away from the complement's spectrum.  For the cooling
-protocols, P is the two-dimensional span of the addressed band state with
-the bath down and the ground state with the bath up; equalizing the
-diagonal of Sigma_P at z = omega_B fixes the corrected bath detuning.
+evaluated at real z away from the complement's spectrum.  `self_energy`
+evaluates it at one z with a linear solve (the reference path);
+`self_energy_grid` diagonalizes Q(H+V)Q once and returns an evaluator for a
+whole array of z.  When P is the whole space there is no complement and
+Sigma_P(z) = P(H+V)P.
+
+For the cooling protocols, P is the two-dimensional span of the addressed
+band state with the bath down and the ground state with the bath up;
+equalizing the diagonal of Sigma_P at z = omega_B fixes the corrected bath
+detuning.
 """
 
 from __future__ import annotations
@@ -41,12 +47,17 @@ __all__ = [
     "make_context",
     "green_function",
     "self_energy",
+    "self_energy_grid",
     "g_sums",
     "solve_detuning",
     "effective_grover_hamiltonian",
     "qutrit_truncation_check",
     "QutritTruncationReport",
 ]
+
+
+# Largest resolvent condition number a closed-form self-energy accepts.
+MAX_RESOLVENT_COND = 1e14
 
 
 @dataclass(frozen=True)
@@ -79,7 +90,9 @@ def make_context(h: Operator, p: Subspace, gap: float, omega0: float) -> LevelSh
     if p.rank + q.rank != dim:
         raise DimensionMismatch("P and Q do not fill the space")
     cross = p.basis.conj().T @ h.matrix @ q.basis
-    if cross.size and np.max(np.abs(cross)) > config.PROJECTOR_ATOL * (1 + operator_norm(h)):
+    dev = np.max(np.abs(cross)) if cross.size else 0.0
+    # 1 + |H| >= 1: the norm is needed only when the unscaled test fails
+    if dev > config.PROJECTOR_ATOL and dev > config.PROJECTOR_ATOL * (1 + operator_norm(h)):
         raise ValueError("H is not block-diagonal across P and Q")
     spec_p = np.linalg.eigvalsh(p.restrict(h)) if p.rank else np.array([])
     spec_q = np.linalg.eigvalsh(q.restrict(h)) if q.rank else np.array([])
@@ -116,21 +129,15 @@ class EffectiveHamiltonian:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if np.max(np.abs(m - m.conj().T)) > 100 * config.HERMITICITY_ATOL * (
-            1 + np.linalg.norm(m, 2)
-        ):
+        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        atol = 100 * config.HERMITICITY_ATOL
+        # 1 + |m| >= 1: the norm is needed only when the unscaled test fails
+        if dev > atol and dev > atol * (1 + np.linalg.norm(m, 2)):
             raise ValueError("effective Hamiltonian is not Hermitian at real z")
         object.__setattr__(self, "matrix", m)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
-
-    def embed(self, dim: int) -> Operator:
-        """The effective Hamiltonian as a full-space operator (zero on Q)."""
-        full = self.basis @ self.matrix @ self.basis.conj().T
-        if full.shape[0] != dim:
-            raise DimensionMismatch("embed dimension mismatch")
-        return Operator(full, hermitian=True)
 
 
 def self_energy(
@@ -150,16 +157,17 @@ def self_energy(
     hp = bp.conj().T @ ctx.h.matrix @ bp
     vpp = bp.conj().T @ v.matrix @ bp
     if mode == "closed":
-        vpq = bp.conj().T @ v.matrix @ bq
-        m = z * np.eye(bq.shape[1]) - bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
-        try:
-            cond = np.linalg.cond(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SingularResolvent(str(exc)) from exc
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularResolvent(f"resolvent condition number {cond:.3e}")
-        core = vpq @ np.linalg.solve(m, vpq.conj().T)
-        sigma = hp + vpp + core
+        sigma = hp + vpp
+        if bq.shape[1]:  # an empty complement has no resolvent
+            vpq = bp.conj().T @ v.matrix @ bq
+            m = z * np.eye(bq.shape[1]) - bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
+            try:
+                cond = np.linalg.cond(m)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+                raise SingularResolvent(str(exc)) from exc
+            if not np.isfinite(cond) or cond > MAX_RESOLVENT_COND:
+                raise SingularResolvent(f"resolvent condition number {cond:.3e}")
+            sigma = sigma + vpq @ np.linalg.solve(m, vpq.conj().T)
         sigma = (sigma + sigma.conj().T) / 2
         return EffectiveHamiltonian(sigma, bp, z, None)
     if mode != "series":
@@ -176,6 +184,43 @@ def self_energy(
     sigma = bp.conj().T @ sigma_full @ bp + hp + vpp
     sigma = (sigma + sigma.conj().T) / 2
     return EffectiveHamiltonian(sigma, bp, z, order)
+
+
+def self_energy_grid(ctx: LevelShiftContext, v: Operator):
+    """Closed-form self-energy of P for a whole array of real z.
+
+    Diagonalizes Q(H+V)Q = U diag(w) U^dagger once and returns `sigma_at`,
+    which maps an array of z to the stack of P-basis matrices
+
+        Sigma_P(z) = P(H+V)P + C diag(1/(z - w)) C^dagger,   C = PVQ U,
+
+    symmetrized as in `self_energy`.  A z whose resolvent has condition
+    number max|z - w| / min|z - w| above MAX_RESOLVENT_COND (or non-finite)
+    raises SingularResolvent, the criterion `self_energy` applies with an SVD.
+    """
+    bp, bq = ctx.p.basis, ctx.q.basis
+    base = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
+    if bq.shape[1]:
+        w, u = np.linalg.eigh(bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq)
+        c = (bp.conj().T @ v.matrix @ bq) @ u
+
+    def sigma_at(zs) -> np.ndarray:
+        zs = np.asarray(zs, dtype=float).reshape(-1)
+        sigma = np.broadcast_to(base, (zs.size,) + base.shape)
+        if bq.shape[1]:
+            dist = np.abs(zs[:, None] - w)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = dist.max(axis=1) / dist.min(axis=1)
+            bad = ~(cond <= MAX_RESOLVENT_COND)  # also catches nan
+            if np.any(bad):
+                k = int(np.argmax(bad))
+                raise SingularResolvent(
+                    f"resolvent condition number {cond[k]:.3e} at z={zs[k]}"
+                )
+            sigma = sigma + np.einsum("ik,zk,jk->zij", c, 1.0 / (zs[:, None] - w), c.conj())
+        return (sigma + sigma.conj().transpose(0, 2, 1)) / 2
+
+    return sigma_at
 
 
 def g_sums(xs, omegas, omega_b: float, j: int, z: float, gap: float | None = None):

@@ -3,8 +3,9 @@
 Each oracle computes a quantity by a route disjoint from the production
 path it checks: eigenvalues by inertia bisection on the characteristic
 polynomial's root counts, operator norms by power iteration, partial
-traces by raw index summation, and matrix exponentials via scipy's Pade
-implementation.
+traces by raw index summation, matrix exponentials via scipy's Pade
+implementation, and the bounds lab's closeness radius by one linear solve
+and one SVD norm per grid point.
 """
 
 import numpy as np
@@ -143,3 +144,40 @@ def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):
         if fid > best[0]:
             best = (fid, wb)
     return best[1], grid[1] - grid[0]
+
+
+def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
+    """The closeness radius gamma of a window instance, computed one z at a
+    time: a closed-form `self_energy` (condition check and linear solve) and
+    an SVD 2-norm per grid point, with the same self-consistent sweeps as
+    the bounds lab."""
+    from qsc.errors import HypothesisUnmet
+    from qsc.levelshift import make_context, self_energy
+    from qsc.linalg import Subspace, operator_norm
+
+    lam_lo, lam_hi = inst.window
+    w, vecs = np.linalg.eigh(inst.h.matrix)
+    mask = (w > lam_lo) & (w < lam_hi)
+    ctx = make_context(inst.h, Subspace(inst.h.dim, vecs[:, mask]), inst.gap,
+                       operator_norm(inst.v))
+    h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])), mode="closed")
+
+    def grid_bound(lo, hi):
+        worst = 0.0
+        for z in np.linspace(lo, hi, grid_points):
+            sig = self_energy(ctx, inst.v, float(z), mode="closed")
+            worst = max(worst, float(np.linalg.norm(sig.matrix - h_eff.matrix, 2)))
+        return worst
+
+    spec = np.linalg.eigvalsh(h_eff.matrix)
+    c, d = float(spec[0]), float(spec[-1])
+    gamma = max(1e-15, grid_bound(c, d))
+    for _ in range(8):
+        if c - gamma <= lam_lo or d + gamma >= lam_hi:
+            raise HypothesisUnmet("closeness interval escapes the window")
+        new = grid_bound(c - gamma, d + gamma) * (1.0 + 1e-6)
+        if new <= gamma * (1 + 1e-9):
+            gamma = max(gamma, new)
+            break
+        gamma = new
+    return float(gamma)

@@ -4,11 +4,13 @@ protocol residual-scaling report."""
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from qsc.errors import HypothesisUnmet
+from qsc import bounds, config
+from qsc.errors import HypothesisUnmet, NonHermitianInput
 from qsc.linalg import Operator, operator_norm
 from qsc.models import (
     ClockModel,
@@ -30,10 +32,12 @@ from qsc.bounds import (
     dump_violation,
     make_multiband_instance,
     make_windowed_instance,
+    replay_instance,
     run_suite,
 )
 
 from conftest import random_hermitian
+from oracles import closeness_radius_pointwise
 
 
 class TestWeyl:
@@ -50,6 +54,20 @@ class TestWeyl:
         assert res.passed
         assert res.details["norm_diff"] == pytest.approx(0.1)
         assert min(res.margins) == pytest.approx(0.0, abs=1e-12)
+
+    def test_hermiticity_gate_scales_with_norm(self):
+        # |m| ~ 10: a deviation above atol but inside atol * (1 + |m|) is
+        # accepted, one above the scaled tolerance is refused
+        atol = config.HERMITICITY_ATOL
+
+        def skewed(dev):
+            m = np.diag([10.0, 0.0]).astype(complex)
+            m[0, 1] = dev
+            return Operator(m)
+
+        assert check_weyl(skewed(5 * atol), skewed(5 * atol)).passed
+        with pytest.raises(NonHermitianInput):
+            check_weyl(skewed(20 * atol), skewed(20 * atol))
 
 
 class TestSylvester:
@@ -121,6 +139,36 @@ class TestSpectralCorrespondence:
         assert res.passed
         assert min(res.margins) >= -1e-12
 
+    def test_full_window_empty_complement(self):
+        # every eigenvalue of H lies in the window, so P is the whole space
+        # and Sigma_P(z) = P(H+V)P has no resolvent part
+        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex), hermitian=True)
+        v = Operator(random_hermitian(np.random.default_rng(9), 3), hermitian=True)
+        v = (0.05 / operator_norm(v)) * v
+        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=1.0, seed=0)
+        res = check_spectral_correspondence(inst)
+        assert res.passed
+        assert len(res.margins) == 3
+        payload = {
+            "suite": "spectral_correspondence",
+            "h": [[[float(x.real), float(x.imag)] for x in row] for row in h.matrix],
+            "v": [[[float(x.real), float(x.imag)] for x in row] for row in v.matrix],
+            "window": [-1.0, 1.0], "gap": 1.0,
+        }
+        assert replay_instance(json.loads(json.dumps(payload))).passed
+
+    @pytest.mark.parametrize("make_instance", [
+        lambda seed: make_windowed_instance(seed),
+        lambda seed: make_windowed_instance(seed, dim=16, p_rank=4, v_scale=0.6),
+        lambda seed: make_multiband_instance(seed),
+    ], ids=["windowed", "windowed-strong", "multiband"])
+    def test_gamma_matches_pointwise_reference(self, make_instance):
+        for k in range(8):
+            inst = make_instance(5000 + k)
+            _, _, gamma, _ = bounds._effective_hamiltonian_with_gamma(inst)
+            ref = closeness_radius_pointwise(inst)
+            assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
+
     def test_collar_gate(self):
         inst = make_windowed_instance(seed=6)
         lam_lo, _ = inst.window
@@ -142,6 +190,89 @@ class TestSpectralCorrespondence:
                 BoundInstance(h=inst.h, v=big_v, window=inst.window,
                               gap=inst.gap, seed=7)
             )
+
+
+class CountingLinalg:
+    """Counts the numpy.linalg calls a check makes, with their shapes, and
+    which operators `bounds` eigendecomposes."""
+
+    def __init__(self, monkeypatch):
+        self.calls: dict[str, list] = {}
+        for name in ("solve", "cond", "svd", "eigh", "eigvalsh"):
+            self._count(monkeypatch, np.linalg, name, name)
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                self.calls.setdefault("norm2", []).append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        eig = bounds.hermitian_eig
+
+        def counting_eig(op):
+            self.calls.setdefault("hermitian_eig", []).append(op)
+            return eig(op)
+
+        monkeypatch.setattr(bounds, "hermitian_eig", counting_eig)
+
+    def _count(self, monkeypatch, owner, attr, key):
+        fn = getattr(owner, attr)
+
+        def counted(a, *args, **kwargs):
+            self.calls.setdefault(key, []).append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    def count(self, key) -> int:
+        return len(self.calls.get(key, []))
+
+    def sizes(self, key) -> Counter:
+        return Counter(shape[-1] for shape in self.calls.get(key, []))
+
+
+class TestCountedWork:
+    """Work per instance is counted, not timed: the closeness-radius grid
+    costs one eigendecomposition of Q(H+V)Q and one batched eigvalsh per
+    sweep, and no solve, condition number or SVD norm per grid point."""
+
+    def test_spectral_correspondence_counts(self, monkeypatch):
+        inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
+        counts = CountingLinalg(monkeypatch)
+        assert check_spectral_correspondence(inst).passed
+        assert counts.count("solve") == 1   # H_eff at the window center
+        assert counts.count("cond") == 1    # its reference resolvent check
+        assert counts.count("svd") == 0
+        assert counts.count("norm2") <= 1   # at most the H + V Operator check
+        assert counts.sizes("eigh")[9] == 1  # Q(H+V)Q, once
+        eigs = counts.calls["hermitian_eig"]
+        assert len(eigs) == 2
+        assert {id(op) for op in eigs} == {id(inst.h), id(inst.h_tilde)}
+        batched = [s for s in counts.calls["eigvalsh"] if len(s) == 3]
+        assert 2 <= len(batched) <= 9 and all(s == (64, 3, 3) for s in batched)
+
+    def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
+        per_grid = {}
+        for points in (8, 64):
+            inst = make_windowed_instance(seed=22)
+            counts = CountingLinalg(monkeypatch)
+            bounds._effective_hamiltonian_with_gamma(inst, grid_points=points)
+            per_grid[points] = {key: counts.count(key)
+                                for key in ("solve", "cond", "svd", "norm2", "eigh")}
+            monkeypatch.undo()
+        assert per_grid[8] == per_grid[64]
+        assert per_grid[64]["solve"] == 1
+
+    def test_corollaries_share_one_eigendecomposition_each(self, monkeypatch):
+        inst = make_multiband_instance(seed=23)  # dim 14, P rank 6, Q rank 8
+        counts = CountingLinalg(monkeypatch)
+        check_corollaries(inst)
+        eigs = counts.calls["hermitian_eig"]
+        assert len(eigs) == 2
+        assert {id(op) for op in eigs} == {id(inst.h), id(inst.h_tilde)}
+        assert counts.sizes("eigh")[8] == 1
+        assert counts.count("solve") == 1
 
 
 class TestSubspaceOverlap:

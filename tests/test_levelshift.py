@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from qsc.errors import PoleTooClose
+from qsc import config
+from qsc.errors import PoleTooClose, SingularResolvent
 from qsc.levelshift import (
+    EffectiveHamiltonian,
     effective_grover_hamiltonian,
     g_sums,
     green_function,
     make_context,
     qutrit_truncation_check,
     self_energy,
+    self_energy_grid,
     solve_detuning,
 )
 from qsc.linalg import Operator, StateVector, Subspace, hermitian_eig, operator_norm
@@ -27,9 +30,11 @@ from qsc.models import (
     overlap_coefficients,
     parse_circuit,
 )
-from qsc.bounds import make_windowed_instance
+from qsc.bounds import make_multiband_instance, make_windowed_instance
 
 from oracles import detuning_scan_oracle
+
+from conftest import random_hermitian
 
 
 def two_level_context(omega1=1.0, omega0=0.05):
@@ -215,6 +220,112 @@ class TestSelfEnergy:
                 assert diff <= abs(z - z0) * factor * (1 + 1e-6) + 1e-12
                 checked += 1
         assert checked == 200
+
+
+def window_context(inst):
+    """The bounds lab's context for a window instance, and its P spectrum."""
+    sd = hermitian_eig(inst.h)
+    lam_lo, lam_hi = inst.window
+    mask = (sd.eigenvalues > lam_lo) & (sd.eigenvalues < lam_hi)
+    p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
+    return make_context(inst.h, p, inst.gap, operator_norm(inst.v)), sd.eigenvalues[mask]
+
+
+def diagonal_context():
+    """H = diag(0, 2, 3) with P = span(e0) and a V coupling P to Q only, so
+    Q(H+V)Q = diag(2, 3) exactly."""
+    h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex), hermitian=True)
+    vm = np.zeros((3, 3), dtype=complex)
+    vm[0, 1] = vm[1, 0] = 0.1
+    vm[0, 2] = vm[2, 0] = 0.2
+    p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+    return make_context(h, p, 1.5, 0.25), Operator(vm, hermitian=True)
+
+
+class TestSelfEnergyGrid:
+    @pytest.mark.parametrize("make_instance", [
+        lambda seed: make_windowed_instance(seed, dim=12, p_rank=3, v_scale=0.5),
+        lambda seed: make_multiband_instance(seed),
+    ], ids=["windowed", "multiband"])
+    def test_matches_pointwise_self_energy(self, make_instance):
+        worst = 0.0
+        for k in range(10):
+            inst = make_instance(4000 + k)
+            ctx, p_vals = window_context(inst)
+            lam_lo, lam_hi = inst.window
+            zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
+            assert lam_lo < zs[0] and zs[-1] < lam_hi
+            stack = self_energy_grid(ctx, inst.v)(zs)
+            assert stack.shape == (64, ctx.p.rank, ctx.p.rank)
+            for z, sigma in zip(zs, stack):
+                ref = self_energy(ctx, inst.v, float(z), mode="closed").matrix
+                err = np.linalg.norm(sigma - ref, 2) / np.linalg.norm(ref, 2)
+                worst = max(worst, err)
+                assert np.array_equal(sigma, sigma.conj().T)
+        assert worst <= 1e-12
+
+    def test_z_on_complement_eigenvalue_raises_on_both_paths(self):
+        ctx, v = diagonal_context()
+        for z in (2.0, 3.0):
+            with pytest.raises(SingularResolvent):
+                self_energy(ctx, v, z, mode="closed")
+            with pytest.raises(SingularResolvent):
+                self_energy_grid(ctx, v)([0.5, z, 1.0])
+        # away from Spec(Q(H+V)Q) both paths give the same number
+        sigma = self_energy_grid(ctx, v)([0.5])[0]
+        assert sigma[0, 0].real == pytest.approx(0.01 / (0.5 - 2) + 0.04 / (0.5 - 3), abs=1e-15)
+        assert sigma == pytest.approx(self_energy(ctx, v, 0.5).matrix, abs=1e-15)
+
+    def test_empty_complement_is_the_compressed_hamiltonian(self):
+        # P spans the whole space: no resolvent, Sigma_P(z) = P(H+V)P
+        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex), hermitian=True)
+        v = Operator(random_hermitian(np.random.default_rng(5), 3), hermitian=True)
+        v = (0.05 / operator_norm(v)) * v
+        ctx = make_context(h, Subspace(3, np.eye(3, dtype=complex)), 1.0, 0.05)
+        assert ctx.q.rank == 0
+        expected = h.matrix + v.matrix
+        assert np.max(np.abs(self_energy(ctx, v, 0.0).matrix - expected)) < 1e-15
+        stack = self_energy_grid(ctx, v)(np.linspace(-0.5, 0.5, 5))
+        assert stack.shape == (5, 3, 3)
+        assert np.max(np.abs(stack - expected)) < 1e-15
+
+    def test_empty_p_gives_empty_matrices(self):
+        h = Operator(np.diag([0.0, 2.0]).astype(complex), hermitian=True)
+        ctx = make_context(h, Subspace.empty(2), 1.0, 0.1)
+        v = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
+        assert self_energy(ctx, v, 0.5).matrix.shape == (0, 0)
+        assert self_energy_grid(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)
+
+
+class TestNormOnlyWhenNeeded:
+    """Hermiticity and block-diagonality checks scale their tolerance by
+    1 + |m|; the scaled threshold still decides at the boundaries."""
+
+    @staticmethod
+    def skewed(scale, dev):
+        m = np.diag([scale, 0.0]).astype(complex)
+        m[0, 1] = dev  # |m - m^dagger| = dev
+        return m
+
+    def test_effective_hamiltonian_boundary(self):
+        atol = 100 * config.HERMITICITY_ATOL
+        # |m| ~ 10: a deviation above atol but inside atol * (1 + |m|) passes
+        EffectiveHamiltonian(self.skewed(10.0, 5 * atol), np.eye(2), 0.0, None)
+        with pytest.raises(ValueError):
+            EffectiveHamiltonian(self.skewed(10.0, 20 * atol), np.eye(2), 0.0, None)
+
+    def test_block_diagonal_boundary(self):
+        atol = config.PROJECTOR_ATOL
+        p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+
+        def h_with(cross):
+            m = np.diag([0.0, 5.0, 10.0]).astype(complex)
+            m[0, 2] = m[2, 0] = cross
+            return Operator(m, hermitian=True)
+
+        make_context(h_with(5 * atol), p, 1.0, 0.1)  # within atol * (1 + 10)
+        with pytest.raises(ValueError, match="block-diagonal"):
+            make_context(h_with(20 * atol), p, 1.0, 0.1)
 
 
 class TestGSums:
