@@ -25,16 +25,29 @@ from .linalg import (
     Operator,
     SpectralDecomposition,
     Subspace,
+    evolve,
     hermitian_eig,
+    hybridized_pair,
     operator_norm,
 )
-from .models import KET_DOWN, KET_UP, KET_C, KET_L, KET_R, ClockModel, GroverModel
+from .models import (
+    KET_B,
+    KET_C,
+    KET_DOWN,
+    KET_L,
+    KET_R,
+    BathSpec,
+    ClockModel,
+    GroverModel,
+    build_bath_and_couplings,
+    build_verification_coupling,
+)
 from .cooling import (
     CoolingSetup,
     clock_extension_setup,
     clock_setup,
     grover_setup,
-    _step_operators,
+    _exact_splitting,
 )
 from .levelshift import solve_detuning
 
@@ -79,8 +92,8 @@ class BoundInstance:
     """A random instance for the window-based checks: a Hamiltonian, a
     perturbation, the spectral window, and the protecting gap.
 
-    H + V and the eigendecompositions of H and H + V are computed once per
-    instance and shared by every checker that reads them.
+    H + V, |V| and the eigendecompositions of H and H + V are computed
+    once per instance and shared by every checker that reads them.
     """
 
     h: Operator
@@ -92,6 +105,10 @@ class BoundInstance:
     @cached_property
     def h_tilde(self) -> Operator:
         return self.h + self.v
+
+    @cached_property
+    def v_norm(self) -> float:
+        return operator_norm(self.v)
 
     @cached_property
     def h_eig(self) -> SpectralDecomposition:
@@ -231,7 +248,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
     if inside.shape[1] == 0:
         raise HypothesisUnmet("window contains no eigenvalues of H")
     p = Subspace(inst.h.dim, inside)
-    ctx = make_context(inst.h, p, inst.gap, operator_norm(inst.v))
+    ctx = make_context(inst.h, p, inst.gap, inst.v_norm)
     z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
     h_eff = self_energy(ctx, inst.v, z0, mode="closed")
     sigma_at = self_energy_grid(ctx, inst.v)
@@ -257,7 +274,7 @@ def _theorem1_hypotheses(inst: BoundInstance):
     for edge in (lam_lo, lam_hi):
         if np.any((evals >= edge - gap / 2) & (evals <= edge + gap / 2)):
             raise HypothesisUnmet("H has eigenvalues inside a window collar")
-    if operator_norm(inst.v) >= gap / 2:
+    if inst.v_norm >= gap / 2:
         raise HypothesisUnmet("|V| >= gap/2")
 
 
@@ -304,7 +321,7 @@ def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
         raise HypothesisUnmet("spectrum found inside a window collar")
     inside, _ = _window_subspaces(inst.h_eig, lam_lo, lam_hi)
     tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
-    bound = 1.0 - (2 * operator_norm(inst.v) / gap) ** 2
+    bound = 1.0 - (2 * inst.v_norm / gap) ** 2
     p = inside @ inside.conj().T
     p_tilde = tilde_inside @ tilde_inside.conj().T
     margins = []
@@ -358,7 +375,7 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     )
     # eigenvalue correspondence pairs the largest with the largest
     v_top = tilde_inside @ tvecs[:, -1]
-    bound = (1 - (2 * operator_norm(inst.v) / inst.gap) ** 2) * (
+    bound = (1 - (2 * inst.v_norm / inst.gap) ** 2) * (
         1 - ((2 * gamma + nu) / (eta - gamma)) ** 2
     )
     overlap = float(np.real(v_top.conj() @ p_prime @ v_top))
@@ -397,8 +414,7 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
         raise HypothesisUnmet("window spectrum not gap-separated from the rest")
     bands = _band_windows(in_vals, gap)
     n_bands = len(bands)
-    norm_v = operator_norm(inst.v)
-    bound = 1.0 - n_bands * (2 * norm_v / gap) ** 2
+    bound = 1.0 - n_bands * (2 * inst.v_norm / gap) ** 2
     # perturbed band subspaces from per-band windows
     tilde_cols = []
     sd_t = inst.h_tilde_eig
@@ -510,15 +526,9 @@ def _transfer_residual(setup: CoolingSetup, omega0: float, j: int) -> float:
     """Distance of the evolved addressed state from the up-pumped ground
     state, minimized over a global phase."""
     sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    h_j, v = _step_operators(setup, omega0, sol.omega_b)
-    w, vecs = np.linalg.eigh(h_j.matrix + v.matrix)
-    down = np.kron(setup.band.vector(j), KET_DOWN)
-    up = np.kron(setup.band.vector(0), KET_UP)
-    weight = np.abs(vecs.conj().T @ down) ** 2 + np.abs(vecs.conj().T @ up) ** 2
-    top = np.argsort(-weight)[:2]
-    tau = math.pi / abs(w[top[0]] - w[top[1]])
-    u_mat = vecs @ (np.exp(-1j * tau * w)[:, None] * vecs.conj().T)
-    out = u_mat @ down
+    splitting, sd = _exact_splitting(setup, omega0, sol)
+    down, up = setup.transition(j)
+    out = evolve(sd, math.pi / splitting).matrix @ down
     overlap = abs(np.vdot(up, out))
     return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
 
@@ -530,13 +540,9 @@ def _band_leakage(setup: CoolingSetup, omega0: float, j: int,
     oscillates under its envelope, so the maximum over a time grid is what
     exposes the scaling in the coupling ratio."""
     sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    h_j, v = _step_operators(setup, omega0, sol.omega_b)
-    w, vecs = np.linalg.eigh(h_j.matrix + v.matrix)
-    down = np.kron(setup.band.vector(j), KET_DOWN)
-    up = np.kron(setup.band.vector(0), KET_UP)
-    weight = np.abs(vecs.conj().T @ down) ** 2 + np.abs(vecs.conj().T @ up) ** 2
-    top = np.argsort(-weight)[:2]
-    tau = math.pi / abs(w[top[0]] - w[top[1]])
+    splitting, sd = _exact_splitting(setup, omega0, sol)
+    w, vecs = sd.eigenvalues, sd.eigenvectors
+    tau = math.pi / splitting
     cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
     manifold = np.column_stack(cols)
     proj_out_eig = vecs.conj().T @ (
@@ -558,17 +564,13 @@ def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
     two-level oscillation toward |0,B>, with the rate read off the measured
     splitting of the hybridized pair (the correction the claim allows) and
     the global phase optimized out."""
-    from .models import KET_B, BathSpec
-    from .models import build_bath_and_couplings
-
     t_s = omega0 * ext.coupling
     h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
-    w, vecs = np.linalg.eigh(h_full.matrix + x_op.matrix)
     start = np.kron(ext.band1[:, 0], KET_C)
     target = np.kron(ext.ground, KET_B)
-    weight = np.abs(vecs.conj().T @ start) ** 2 + np.abs(vecs.conj().T @ target) ** 2
-    top = np.argsort(-weight)[:2]
-    rabi = abs(w[top[0]] - w[top[1]]) / 2.0
+    splitting, sd = hybridized_pair(h_full.matrix + x_op.matrix, start, target)
+    w, vecs = sd.eigenvalues, sd.eigenvectors
+    rabi = splitting / 2.0
     half_period = math.pi / (2 * rabi)
     start_eig = vecs.conj().T @ start
     worst = 0.0
@@ -587,16 +589,12 @@ def _verification_leakage(ext, omega0: float, time_points: int = 33) -> float:
     system states and over a grid of evolution times up to the full
     verification pulse (the pointwise value oscillates under its envelope,
     so a single time would not expose the scaling)."""
-    from .models import BathSpec, build_bath_and_couplings
-
     t_s = omega0 * ext.coupling
     h_full, _ = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
     dim_s = ext.h_s.dim
     eye_s = np.eye(dim_s, dtype=complex)
-    y_op = omega0 * np.kron(
-        eye_s, np.outer(KET_L, KET_R.conj()) + np.outer(KET_R, KET_L.conj())
-    )
-    w, vecs = np.linalg.eigh(h_full.matrix + y_op)
+    y_op = build_verification_coupling(dim_s, omega0)
+    w, vecs = np.linalg.eigh(h_full.matrix + y_op.matrix)
     tau_v = math.pi / (2 * omega0)
     proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
     ws, vs = np.linalg.eigh(ext.h_s.matrix)

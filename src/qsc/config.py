@@ -7,9 +7,8 @@ hard-coding literals, so a single edit retunes the whole artifact.
 
 import os
 
-# Hermiticity / unitarity of constructed operators (absolute, unit scale).
+# Hermiticity of constructed operators (absolute, unit scale).
 HERMITICITY_ATOL = 1e-10
-UNITARITY_ATOL = 1e-9
 
 # Residuals of eigendecompositions and reconstructions (relative to 1 + norm).
 RESIDUAL_RTOL = 1e-9

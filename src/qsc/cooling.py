@@ -11,12 +11,18 @@ Three protocols share the machinery here:
 Density-matrix propagation of the exact conditional-evolution map is the
 primary mode: its output is deterministic.  Trajectory mode samples the
 measurement record instead and must agree within Monte-Carlo error.
+
+A run builds each step Hamiltonian H_j + V once and takes both its norm
+and its evolution from that operator; it propagates the ladder once, and
+a density-mode report carries the final state for readouts.  The qubit
+bath is the last tensor factor, so bath projections select the even
+(down) and odd (up) composite indices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +33,8 @@ from .linalg import (
     DensityMatrix,
     Operator,
     StateVector,
+    evolve,
+    hybridized_pair,
     operator_norm,
 )
 from .models import (
@@ -37,14 +45,13 @@ from .models import (
     KET_L,
     KET_R,
     KET_UP,
-    PROJ_DOWN,
-    PROJ_UP,
     BandStructure,
     BathSpec,
     ClockModel,
     GroverModel,
     build_bath_and_couplings,
     build_clock,
+    build_verification_coupling,
     build_grover,
     clock_band_structure,
     clock_coupling_direction,
@@ -104,6 +111,11 @@ class CoolingSetup:
     @property
     def n_bands(self) -> int:
         return self.band.size
+
+    def transition(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """The composite states |j, down> and |0, up> that step j swaps."""
+        return (np.kron(self.band.vector(j), KET_DOWN),
+                np.kron(self.band.vector(0), KET_UP))
 
 
 def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
@@ -175,16 +187,11 @@ class CoolingSchedule:
         return float(sum(s.tau for s in self.steps))
 
 
-def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution) -> float:
+def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
     """True splitting of the two hybridized eigenstates of H_j + V nearest
-    the addressed transition, found by eigenvector overlap."""
+    the addressed transition, and the eigendecomposition of H_j + V."""
     h_j, v = _step_operators(setup, omega0, sol.omega_b)
-    w, vecs = np.linalg.eigh(h_j.matrix + v.matrix)
-    down = np.kron(setup.band.vector(sol.j), KET_DOWN)
-    up = np.kron(setup.band.vector(0), KET_UP)
-    weight = np.abs(vecs.conj().T @ down) ** 2 + np.abs(vecs.conj().T @ up) ** 2
-    top = np.argsort(-weight)[:2]
-    return float(abs(w[top[0]] - w[top[1]]))
+    return hybridized_pair(h_j.matrix + v.matrix, *setup.transition(sol.j))
 
 
 def _step_operators(setup: CoolingSetup, omega0: float, omega_b: float):
@@ -227,7 +234,7 @@ def build_schedule(
     for j in range(n_steps, 0, -1):
         sol = solve_detuning(xs, omegas, j, omega0, delta)
         if tau_mode == "exact":
-            splitting = _exact_splitting(setup, omega0, sol)
+            splitting, _ = _exact_splitting(setup, omega0, sol)
             rabi = splitting / 2.0
         else:
             rabi = omega0 * xs[0] * xs[j]
@@ -244,36 +251,40 @@ def build_schedule(
 # The conditional-evolution map and deterministic runs
 # ---------------------------------------------------------------------------
 
-def cooling_step(
-    rho: DensityMatrix,
-    step: ScheduleStep,
-    h_j: Operator,
-    v: Operator,
-    delta_op: Operator | None = None,
-) -> DensityMatrix:
+def cooling_step(rho: DensityMatrix, step: ScheduleStep, h: Operator) -> DensityMatrix:
     """One application of the measure-then-conditionally-evolve map:
 
         E_j(rho) = U_j D rho D U_j^+  +  P_up rho P_up
 
-    with D = 1 (x) |down><down| and U_j the evolution under H_j + V (+ any
-    injected error) for the step's pulse time.  Trace-preserving and
-    completely positive by construction.
+    with D = 1 (x) |down><down| and U_j the evolution under the step
+    Hamiltonian h = H_j + V (+ any injected error) for the step's pulse
+    time.  Trace-preserving and completely positive by construction.
     """
-    dim_s = rho.dim // 2
-    h_total = h_j + v if delta_op is None else h_j + v + delta_op
-    u = _evolve_matrix(h_total, step.tau)
-    eye_s = np.eye(dim_s, dtype=complex)
-    down = np.kron(eye_s, PROJ_DOWN)
-    up = np.kron(eye_s, PROJ_UP)
+    u = evolve(h, step.tau).matrix
+    down, up = _bath_masks(rho.dim)
     m = rho.entries
-    out = u @ (down @ m @ down) @ u.conj().T + up @ m @ up
+    out = u @ (m * np.outer(down, down)) @ u.conj().T + m * np.outer(up, up)
     out = (out + out.conj().T) / 2
     return DensityMatrix(out)
 
 
-def _evolve_matrix(h: Operator, t: float) -> np.ndarray:
-    w, v = np.linalg.eigh(h.matrix)
-    return v @ (np.exp(-1j * t * w)[:, None] * v.conj().T)
+def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 masks of the composite indices with the qubit bath down (even)
+    and up (odd); the bath is the last tensor factor."""
+    up = np.arange(dim) % 2
+    return 1 - up, up
+
+
+def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
+                       delta_ops: dict[int, Operator] | None):
+    """Each schedule step with its Hamiltonian H_j + V (+ the injected
+    error for band j), built once."""
+    for step in schedule.steps:
+        h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
+        h = h_j + v
+        if delta_ops and step.j in delta_ops:
+            h = h + delta_ops[step.j]
+        yield step, h
 
 
 @dataclass(frozen=True)
@@ -295,6 +306,8 @@ class RunReport:
     predicted_skip_penalty: float = 0.0  # O(L' * f_perp) infidelity add-on
     shots: int = 0
     label: str = ""
+    # density mode's final state, for readouts; to_dict leaves it out
+    final_state: DensityMatrix | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -341,21 +354,18 @@ def run_deterministic(
     """Run the cooling ladder end to end.
 
     Density mode composes the exact conditional-evolution maps (the output
-    is a deterministic number).  Trajectory mode samples the bath
-    measurement record shot by shot with per-shot generators derived from
-    the master seed, then samples a final ground-vs-not outcome per shot so
-    the fidelity estimate carries plain binomial statistics.
+    is a deterministic number) and returns the final state with the report.
+    Trajectory mode samples the bath measurement record shot by shot with
+    per-shot generators derived from the master seed, then samples a final
+    ground-vs-not outcome per shot so the fidelity estimate carries plain
+    binomial statistics.
     """
-    dim_s = setup.dim_s
+    if mode not in ("density", "trajectory"):
+        raise ValueError("mode must be 'density' or 'trajectory'")
     eye_bath = np.eye(2, dtype=complex)
     m_ground = np.kron(setup.ground_projector, eye_bath)
+    down, up = _bath_masks(2 * setup.dim_s)
     h_norm = 0.0
-    for step in schedule.steps:
-        h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
-        h_tot = h_j + v
-        if delta_ops and step.j in delta_ops:
-            h_tot = h_tot + delta_ops[step.j]
-        h_norm = max(h_norm, operator_norm(h_tot))
     total_time = schedule.total_time
 
     if mode == "density":
@@ -364,22 +374,20 @@ def run_deterministic(
             rho = DensityMatrix(np.outer(psi0, psi0.conj()))
         else:
             rho = rho0
-        up_proj = np.kron(np.eye(dim_s, dtype=complex), PROJ_UP)
         up_probs, retentions = [], []
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
-        for step in schedule.steps:
+        for step, h in _step_hamiltonians(setup, schedule, delta_ops):
+            h_norm = max(h_norm, operator_norm(h))
             before = float(
                 np.trace(_band_manifold_projector(setup, step.j) @ rho.entries).real
             )
-            h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
-            dop = delta_ops.get(step.j) if delta_ops else None
-            rho = cooling_step(rho, step, h_j, v, dop)
+            rho = cooling_step(rho, step, h)
             after = float(
                 np.trace(_band_manifold_projector(setup, step.j - 1) @ rho.entries).real
             )
             retentions.append(min(1.0, after / before) if before > 0 else 1.0)
-            up_probs.append(float(np.trace(up_proj @ rho.entries).real))
+            up_probs.append(float(np.sum(np.diagonal(rho.entries) * up).real))
             trace_residual = max(trace_residual, abs(rho.trace() - 1.0))
             min_eig = min(min_eig, rho.min_eigenvalue())
         fidelity = float(np.trace(m_ground @ rho.entries).real)
@@ -396,36 +404,29 @@ def run_deterministic(
             error_budget=1.0 - retention_product,
             mode="density",
             label=setup.label,
+            final_state=rho,
         )
-
-    if mode != "trajectory":
-        raise ValueError("mode must be 'density' or 'trajectory'")
 
     # trajectory mode: pure-state shots through the measurement record
     unitaries = []
-    for step in schedule.steps:
-        h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
-        h_tot = h_j + v
-        if delta_ops and step.j in delta_ops:
-            h_tot = h_tot + delta_ops[step.j]
-        unitaries.append(_evolve_matrix(h_tot, step.tau))
+    for step, h in _step_hamiltonians(setup, schedule, delta_ops):
+        h_norm = max(h_norm, operator_norm(h))
+        unitaries.append(evolve(h, step.tau).matrix)
     psi_init = np.kron(setup.fiducial.amplitudes, KET_DOWN)
-    down_proj = np.kron(np.eye(dim_s, dtype=complex), PROJ_DOWN)
-    up_proj = np.kron(np.eye(dim_s, dtype=complex), PROJ_UP)
     successes = 0
     up_weights = np.zeros(len(schedule.steps))
     for t in range(shots):
         rng = trial_rng(seed, t)
         psi = psi_init.copy()
         for i, u in enumerate(unitaries):
-            p_up = float(np.linalg.norm(up_proj @ psi) ** 2)
+            p_up = float(np.linalg.norm(psi * up) ** 2)
             if rng.random() < p_up:
-                psi = up_proj @ psi / math.sqrt(p_up)
+                psi = psi * up / math.sqrt(p_up)
             else:
-                psi = down_proj @ psi / math.sqrt(max(1e-300, 1.0 - p_up))
+                psi = psi * down / math.sqrt(max(1e-300, 1.0 - p_up))
                 psi = u @ psi
             # post-step pumped weight, comparable to the density-mode trace
-            up_weights[i] += float(np.linalg.norm(up_proj @ psi) ** 2)
+            up_weights[i] += float(np.linalg.norm(psi * up) ** 2)
         p_ground = float(np.real(psi.conj() @ m_ground @ psi))
         if rng.random() < min(1.0, max(0.0, p_ground)):
             successes += 1
@@ -447,45 +448,29 @@ def run_deterministic(
 
 def run_reduced(
     setup: CoolingSetup,
-    omega0: float | None = None,
-    eps: float | None = None,
+    schedule: CoolingSchedule,
     eta: float | None = None,
-    tau_mode: str = "exact",
-    scaling_c: float = config.DEFAULT_SCHEDULE_CONSTANT,
 ) -> RunReport:
-    """Deterministic ladder that skips bands with overlap x_j <= eta.
+    """Deterministic ladder over `schedule` that skips bands with overlap
+    x_j <= eta.
 
-    With the default eta = eps / L^(3/2) the skipped weight keeps the
-    final infidelity within O(eps) while shortening the total time.
+    With the default eta = eps / L^(3/2), eps the schedule's target, the
+    skipped weight keeps the final infidelity within O(eps) while
+    shortening the total time.
     """
-    full = build_schedule(setup, omega0=omega0, eps=eps, tau_mode=tau_mode,
-                          scaling_c=scaling_c)
-    n_steps = setup.n_bands - 1
     if eta is None:
-        eta = (eps if eps is not None else 0.0) / n_steps ** 1.5
-    kept = tuple(s for s in full.steps if setup.xs[s.j] > eta)
-    skipped = tuple(s.j for s in full.steps if setup.xs[s.j] <= eta)
-    reduced = CoolingSchedule(
-        steps=kept, omega0=full.omega0, r=full.r,
-        eps_target=full.eps_target, tau_mode=full.tau_mode,
-    )
-    report = run_deterministic(setup, reduced)
+        eps = schedule.eps_target if schedule.eps_target is not None else 0.0
+        eta = eps / (setup.n_bands - 1) ** 1.5
+    kept = tuple(s for s in schedule.steps if setup.xs[s.j] > eta)
+    skipped = tuple(s.j for s in schedule.steps if setup.xs[s.j] <= eta)
+    report = run_deterministic(setup, replace(schedule, steps=kept))
     f_perp = math.sqrt(float(np.sum(setup.xs[list(skipped)] ** 2))) if skipped else 0.0
-    return RunReport(
-        ground_fidelity=report.ground_fidelity,
-        per_step_up_probability=report.per_step_up_probability,
-        per_step_retention=report.per_step_retention,
-        trace_residual=report.trace_residual,
-        min_eigenvalue=report.min_eigenvalue,
-        total_time=report.total_time,
-        h_norm=report.h_norm,
-        cost=report.cost,
-        error_budget=report.error_budget,
+    return replace(
+        report,
         mode="density-reduced",
         skipped_bands=skipped,
         f_perp=f_perp,
         predicted_skip_penalty=len(kept) * f_perp,
-        label=setup.label,
     )
 
 
@@ -508,6 +493,12 @@ class ExtensionSetup:
     fiducial: StateVector
     f1: float                 # |<1|F>| with |1> the coupled band state
     label: str = ""
+
+    def rabi(self, omega0: float) -> float:
+        """Band coupling rate |<1| Omega_0 T |0>| of the drive evolution."""
+        return float(
+            np.abs(self.band1[:, 0].conj() @ (omega0 * self.coupling.matrix) @ self.ground)
+        )
 
 
 def clock_extension_setup(model: ClockModel) -> ExtensionSetup:
@@ -609,9 +600,7 @@ def run_probabilistic(
     A static Hermitian `delta_op` (on the composite space) is added to both
     simulated evolutions.
     """
-    rabi = float(
-        np.abs(ext.band1[:, 0].conj() @ (omega0 * ext.coupling.matrix) @ ext.ground)
-    )
+    rabi = ext.rabi(omega0)
     if omega_star is None:
         omega_star = 0.9 * rabi
     if f1_lower is None:
@@ -625,14 +614,13 @@ def run_probabilistic(
     h_full, x_op = build_bath_and_couplings(ext.h_s, bath, t_s)
     dim_s = ext.h_s.dim
     eye_s = np.eye(dim_s, dtype=complex)
-    y_op = omega0 * np.kron(
-        eye_s, np.outer(KET_L, KET_R.conj()) + np.outer(KET_R, KET_L.conj())
-    )
-    dmat = delta_op.matrix if delta_op is not None else 0.0
-    wt, vt = np.linalg.eigh(h_full.matrix + x_op.matrix + dmat)
-    wv, vv = np.linalg.eigh(h_full.matrix + y_op + dmat)
+    h_drive = h_full + x_op
+    h_verify = h_full + build_verification_coupling(dim_s, omega0)
+    if delta_op is not None:
+        h_drive, h_verify = h_drive + delta_op, h_verify + delta_op
+    wt, vt = np.linalg.eigh(h_drive.matrix)
     tau_v = math.pi / (2 * omega0)
-    u_verify = vv @ (np.exp(-1j * tau_v * wv)[:, None] * vv.conj().T)
+    u_verify = evolve(h_verify, tau_v).matrix
 
     proj_b = np.kron(eye_s, np.outer(KET_B, KET_B.conj()))
     proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
@@ -725,10 +713,6 @@ class ErrorBudgetReport:
     per_step: tuple[dict, ...]
     all_within_budget: bool
 
-    def to_dict(self) -> dict:
-        return {"per_step": list(self.per_step),
-                "all_within_budget": self.all_within_budget}
-
 
 def inject_errors(
     setup: CoolingSetup, schedule: CoolingSchedule, injection: ErrorInjection
@@ -796,18 +780,15 @@ def extension_error_budget(
     s2 = np.eye(3 * dim_s, dtype=complex) - s1
     t_s = omega0 * ext.coupling
     h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
-    eye_s = np.eye(dim_s, dtype=complex)
-    y_op = omega0 * np.kron(
-        eye_s, np.outer(KET_L, KET_R.conj()) + np.outer(KET_R, KET_L.conj())
-    )
+    y_op = build_verification_coupling(dim_s, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
     r = omega0 / ext.delta
-    rabi = float(np.abs(ext.band1[:, 0].conj() @ t_s.matrix @ ext.ground))
+    rabi = ext.rabi(omega0)
     ground_shift = float(np.abs(ext.ground.conj() @ t_s.matrix @ ext.ground)) ** 2
     rows = []
     ok = r < config.MAX_COUPLING_RATIO
     for name, v_mat, rate in (("drive", x_op.matrix, rabi),
-                              ("verification", y_op, omega0)):
+                              ("verification", y_op.matrix, omega0)):
         budget = r * rate / ext.delta
         r1 = np.linalg.norm(s1 @ dmat @ s1, 2) / ext.delta
         rx = (np.linalg.norm(s1 @ (v_mat + dmat) @ s2, 2) / ext.delta) ** 2

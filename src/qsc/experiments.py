@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +22,6 @@ from . import __version__, config
 from .errors import ConfigError, HypothesisUnmet
 from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 from .cooling import (
-    CoolingSchedule,
-    ScheduleStep,
     build_schedule,
     clock_extension_setup,
     clock_setup,
@@ -33,7 +32,7 @@ from .cooling import (
     run_reduced,
 )
 from .levelshift import solve_detuning
-from .linalg import partial_trace, DensityMatrix, operator_norm
+from .linalg import DensityMatrix, hybridized_pair, operator_norm, partial_trace
 from .models import (
     ClockModel,
     GroverModel,
@@ -89,14 +88,11 @@ def _summary(cfg: dict, body: dict) -> dict:
 # Detuning-scan experiment
 # ---------------------------------------------------------------------------
 
-def grover_pulse_fidelity(
-    omega1: float, omega_b: float, omega0: float, x0: float, x1: float, tau: float
-) -> float:
-    """Ground-manifold probability after one pulse, computed in the exact
-    four-dimensional invariant block spanned by the fiducial's band
-    components with the bath qubit.  The reduction is exact, not an
-    approximation; the full-space pipeline must agree to rounding."""
-    h = np.array(
+def _two_band_block(omega1: float, omega_b: float, omega0: float, x0: float, x1: float):
+    """H_j + V of the two-band search model on its invariant block, in the
+    basis |0,down>, |0,up>, |1,down>, |1,up> of the fiducial's band
+    components with the bath qubit."""
+    return np.array(
         [
             [0.0, omega0 * x0 * x0, 0.0, omega0 * x0 * x1],
             [omega0 * x0 * x0, omega_b, omega0 * x0 * x1, 0.0],
@@ -105,7 +101,16 @@ def grover_pulse_fidelity(
         ],
         dtype=complex,
     )
-    w, v = np.linalg.eigh(h)
+
+
+def grover_pulse_fidelity(
+    omega1: float, omega_b: float, omega0: float, x0: float, x1: float, tau: float
+) -> float:
+    """Ground-manifold probability after one pulse, computed in the exact
+    four-dimensional invariant block spanned by the fiducial's band
+    components with the bath qubit.  The reduction is exact, not an
+    approximation; the full-space pipeline must agree to rounding."""
+    w, v = np.linalg.eigh(_two_band_block(omega1, omega_b, omega0, x0, x1))
     psi0 = np.array([x0, 0.0, x1, 0.0], dtype=complex)
     psi = v @ (np.exp(-1j * tau * w) * (v.conj().T @ psi0))
     return float(abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
@@ -117,22 +122,12 @@ def _corrected_pulse(omega1: float, omega0: float, x0: float, x1: float):
     sol = solve_detuning(
         np.array([x0, x1]), np.array([0.0, omega1]), 1, omega0, omega1
     )
-    h = np.array(
-        [
-            [0.0, omega0 * x0 * x0, 0.0, omega0 * x0 * x1],
-            [omega0 * x0 * x0, sol.omega_b, omega0 * x0 * x1, 0.0],
-            [0.0, omega0 * x0 * x1, omega1, omega0 * x1 * x1],
-            [omega0 * x0 * x1, 0.0, omega0 * x1 * x1, omega1 + sol.omega_b],
-        ],
-        dtype=complex,
-    )
-    w, v = np.linalg.eigh(h)
     down = np.array([0.0, 0.0, 1.0, 0.0])
     up = np.array([0.0, 1.0, 0.0, 0.0])
-    weight = np.abs(v.conj().T @ down) ** 2 + np.abs(v.conj().T @ up) ** 2
-    top = np.argsort(-weight)[:2]
-    tau = math.pi / abs(w[top[0]] - w[top[1]])
-    return sol, tau
+    splitting, _ = hybridized_pair(
+        _two_band_block(omega1, sol.omega_b, omega0, x0, x1), down, up
+    )
+    return sol, math.pi / splitting
 
 
 def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: float):
@@ -282,15 +277,8 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
         setup, omega0=model.omega0_coupling, tau_mode=cfg.get("tau_mode", "exact")
     )
     if cfg.get("detuning", "corrected") == "naive":
-        steps = tuple(
-            ScheduleStep(j=s.j, omega_b=model.omega1, tau=s.tau, rabi=s.rabi,
-                         solution=s.solution)
-            for s in schedule.steps
-        )
-        schedule = CoolingSchedule(
-            steps=steps, omega0=schedule.omega0, r=schedule.r,
-            eps_target=None, tau_mode=schedule.tau_mode,
-        )
+        steps = tuple(replace(s, omega_b=model.omega1) for s in schedule.steps)
+        schedule = replace(schedule, steps=steps, eps_target=None)
     report = run_deterministic(
         setup, schedule, mode=cfg.get("mode", "density"),
         shots=int(cfg.get("shots", 2000)), seed=seed,
@@ -349,17 +337,12 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
         omega0 = cfg["r"] * setup.band.delta
     if omega0 is not None:
         eps = None  # an explicit coupling overrides the defaulted target
+    schedule = build_schedule(setup, omega0=omega0, eps=eps,
+                              tau_mode=cfg.get("tau_mode", "exact"))
     eta = cfg.get("eta")
     if eta is not None:
-        report = run_reduced(
-            setup, omega0=omega0, eps=eps, eta=float(eta),
-            tau_mode=cfg.get("tau_mode", "exact"),
-        )
-        schedule = build_schedule(setup, omega0=omega0, eps=eps,
-                                  tau_mode=cfg.get("tau_mode", "exact"))
+        report = run_reduced(setup, schedule, eta=float(eta))
     else:
-        schedule = build_schedule(setup, omega0=omega0, eps=eps,
-                                  tau_mode=cfg.get("tau_mode", "exact"))
         report = run_deterministic(
             setup, schedule, mode=cfg.get("mode", "density"),
             shots=int(cfg.get("shots", 2000)), seed=int(cfg.get("seed", 0)),
@@ -372,23 +355,16 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
         "cost": cost_report(schedule, setup.h_s).to_dict(),
     }
     if report.mode == "density":
-        body["readout"] = _clock_readout(model, setup, schedule)
+        body["readout"] = _clock_readout(model, setup, report.final_state)
     summary = _summary(cfg, body)
     _write_json(out_dir / "clock_report.json", summary)
     return summary
 
 
-def _clock_readout(model: ClockModel, setup, schedule) -> dict:
-    """Measure the clock register of the cooled state: probability of the
-    final site and the conditional register fidelity against the ideal
+def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
+    """Measure the clock register of the cooled state rho: probability of
+    the final site and the conditional register fidelity against the ideal
     circuit output."""
-    from .cooling import _step_operators, cooling_step  # local, avoids cycle
-
-    psi0 = np.kron(setup.fiducial.amplitudes, np.array([1, 0], dtype=complex))
-    rho = DensityMatrix(np.outer(psi0, psi0.conj()))
-    for step in schedule.steps:
-        h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
-        rho = cooling_step(rho, step, h_j, v)
     n, length = model.n, model.length
     dims = [2 ** n, 2 ** length, 2]
     rho_sys = partial_trace(rho, dims, keep=[0, 1])
@@ -450,7 +426,7 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
     if r is None:
         r = cfg.get("r_scale", 1.0) * ext.f1 * eps ** 1.5
     omega0 = r * ext.delta
-    rabi = float(np.abs(ext.band1[:, 0].conj() @ (omega0 * ext.coupling.matrix) @ ext.ground))
+    rabi = ext.rabi(omega0)
     omega_star = cfg.get("omega_star_rel", 0.9) * rabi
     report = run_probabilistic(
         ext,

@@ -62,31 +62,11 @@ class Operator:
     def identity(dim: int) -> "Operator":
         return Operator(np.eye(dim, dtype=complex), hermitian=True)
 
-    @staticmethod
-    def hermitian_from(entries) -> "Operator":
-        return Operator(entries, hermitian=True)
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, hermitian=self.hermitian)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
     def norm(self) -> float:
         return operator_norm(self)
-
-    def is_unitary(self, atol: float = config.UNITARITY_ATOL) -> bool:
-        d = self.dim
-        return bool(
-            np.allclose(self.matrix.conj().T @ self.matrix, np.eye(d), atol=atol)
-        )
-
-    def expectation(self, state: "StateVector") -> complex:
-        return complex(state.amplitudes.conj() @ self.matrix @ state.amplitudes)
-
-    def apply(self, state: "StateVector") -> np.ndarray:
-        """Raw matrix-vector product; does not renormalize."""
-        return self.matrix @ state.amplitudes
 
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
@@ -159,11 +139,13 @@ class DensityMatrix:
 
     Positivity is enforced down to the configured eigenvalue floor so that
     exact arithmetic noise from long map compositions does not reject
-    physically valid states.
+    physically valid states.  The minimum eigenvalue that validation
+    computes is kept for `min_eigenvalue`.
     """
 
     entries: np.ndarray
     validate: bool = field(default=True, repr=False)
+    _min_eig: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
@@ -174,7 +156,7 @@ class DensityMatrix:
             tr = np.trace(m).real
             if abs(tr - 1.0) > config.TRACE_ATOL:
                 raise ValueError(f"density matrix trace {tr} deviates from 1")
-            lo = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+            lo = self.min_eigenvalue()
             if lo < config.POSITIVITY_FLOOR:
                 raise ValueError(f"density matrix minimum eigenvalue {lo:.3e}")
 
@@ -189,8 +171,11 @@ class DensityMatrix:
         return float(np.trace(op.matrix @ self.entries).real)
 
     def min_eigenvalue(self) -> float:
-        h = (self.entries + self.entries.conj().T) / 2
-        return float(np.min(np.linalg.eigvalsh(h)))
+        """Smallest eigenvalue of the Hermitian part, computed at most once."""
+        if self._min_eig is None:
+            h = (self.entries + self.entries.conj().T) / 2
+            object.__setattr__(self, "_min_eig", float(np.min(np.linalg.eigvalsh(h))))
+        return self._min_eig
 
 
 @dataclass(frozen=True)
@@ -273,11 +258,6 @@ class SpectralDecomposition:
     def vector(self, k: int) -> StateVector:
         return StateVector(self.eigenvectors[:, k])
 
-    def function_of(self, f) -> Operator:
-        """V f(Lambda) V^dagger for a scalar function f applied eigenwise."""
-        v = self.eigenvectors
-        return Operator(v @ np.diag(f(self.eigenvalues)) @ v.conj().T)
-
 
 def _two_norm(m: np.ndarray) -> float:
     if m.size == 0:
@@ -311,12 +291,27 @@ def hermitian_eig(op: Operator) -> SpectralDecomposition:
     return SpectralDecomposition(w, v)
 
 
-def evolve(h: Operator, t: float) -> Operator:
-    """Exact unitary exp(-i t h) via eigendecomposition of Hermitian h."""
-    sd = hermitian_eig(h)
+def evolve(h: Operator | SpectralDecomposition, t: float) -> Operator:
+    """Exact unitary exp(-i t h) of a Hermitian h, from its eigendecomposition
+    (computed here unless h is one already)."""
+    sd = h if isinstance(h, SpectralDecomposition) else hermitian_eig(h)
     v = sd.eigenvectors
     phases = np.exp(-1j * t * sd.eigenvalues)
     return Operator(v @ (phases[:, None] * v.conj().T))
+
+
+def hybridized_pair(h: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Splitting of the two eigenstates of the Hermitian matrix h that carry
+    the most weight on the states a and b (the pair a resonant coupling of
+    a and b hybridizes), and the eigendecomposition of h.
+
+    Returns (splitting, SpectralDecomposition).
+    """
+    w, vecs = np.linalg.eigh(h)
+    bras = vecs.conj().T
+    weight = np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2
+    top = np.argsort(-weight)[:2]
+    return float(abs(w[top[0]] - w[top[1]])), SpectralDecomposition(w, vecs)
 
 
 def tensor(a, b):
@@ -326,13 +321,6 @@ def tensor(a, b):
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(np.kron(a.amplitudes, b.amplitudes))
     raise TypeError("tensor expects two Operators or two StateVectors")
-
-
-def tensor_all(factors: Sequence):
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
 
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:

@@ -50,6 +50,7 @@ __all__ = [
     "shift_factors",
     "history_state",
     "build_bath_and_couplings",
+    "build_verification_coupling",
     "decompose_fiducial",
     "random_state",
     "pad_with_identities",
@@ -678,6 +679,12 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator):
     swap_cb = np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C)
     v = np.kron(t_s.matrix, swap_cb)
     return Operator(h_full, hermitian=True), Operator(v, hermitian=True)
+
+
+def build_verification_coupling(dim_s: int, omega0: float) -> Operator:
+    """The qutrit bath's verification coupling Y = Omega_0 * 1 (x) (|L><R| + |R><L|)."""
+    swap_lr = np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L)
+    return Operator(omega0 * np.kron(np.eye(dim_s, dtype=complex), swap_lr), hermitian=True)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,16 @@ Each oracle computes a quantity by a route disjoint from the production
 path it checks: eigenvalues by inertia bisection on the characteristic
 polynomial's root counts, operator norms by power iteration, partial
 traces by raw index summation, matrix exponentials via scipy's Pade
-implementation, and the bounds lab's closeness radius by one linear solve
-and one SVD norm per grid point.
+implementation, the cooling map through dense bath projectors, and the
+bounds lab's closeness radius by one linear solve and one SVD norm per
+grid point.
+
+`CountingLinalg` is the shared shim of the counted-work tests: they gate
+on how many decompositions and builds a computation makes, not on time.
 """
+
+import sys
+from collections import Counter
 
 import numpy as np
 import scipy.linalg
@@ -114,6 +121,17 @@ def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex))
 
 
+def cooling_map_dense(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The conditional-evolution map U D rho D U^+ + P_up rho P_up with the
+    bath projectors as dense products D = 1 (x) |down><down| and
+    P_up = 1 (x) |up><up| (the bath is the last tensor factor)."""
+    eye_s = np.eye(rho.shape[0] // 2, dtype=complex)
+    down = np.kron(eye_s, np.diag([1.0, 0.0]))
+    up = np.kron(eye_s, np.diag([0.0, 1.0]))
+    out = u @ (down @ rho @ down) @ u.conj().T + up @ rho @ up
+    return (out + out.conj().T) / 2
+
+
 def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):
     """Brute-force detuning scan on the invariant four-level block: returns
     (best detuning, grid spacing).  The pulse time tracks each candidate
@@ -181,3 +199,49 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
             break
         gamma = new
     return float(gamma)
+
+
+class CountingLinalg:
+    """Counts the numpy.linalg calls made while installed, with the shapes
+    of their first arguments; `track` counts the calls of a qsc function
+    too, with their first arguments."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        self.calls: dict[str, list] = {}
+        for name in ("solve", "cond", "svd", "eigh", "eigvalsh"):
+            self._count(np.linalg, name, name, np.shape)
+        norm = np.linalg.norm
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                self.calls.setdefault("norm2", []).append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+
+    def track(self, owner, attr: str, key: str | None = None) -> None:
+        """Count calls of `owner.attr` under `key` (default `attr`), in
+        every qsc module that has bound the same function."""
+        fn = getattr(owner, attr)
+        counted = self._count(owner, attr, key or attr, lambda a: a)
+        for name, module in list(sys.modules.items()):
+            if (name == "qsc" or name.startswith("qsc.")) and module is not owner:
+                if getattr(module, attr, None) is fn:
+                    self._monkeypatch.setattr(module, attr, counted)
+
+    def _count(self, owner, attr, key, record):
+        fn = getattr(owner, attr)
+
+        def counted(a, *args, **kwargs):
+            self.calls.setdefault(key, []).append(record(a))
+            return fn(a, *args, **kwargs)
+
+        self._monkeypatch.setattr(owner, attr, counted)
+        return counted
+
+    def count(self, key) -> int:
+        return len(self.calls.get(key, []))
+
+    def sizes(self, key) -> Counter:
+        return Counter(shape[-1] for shape in self.calls.get(key, []))

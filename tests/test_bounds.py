@@ -4,7 +4,6 @@ protocol residual-scaling report."""
 
 import json
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from qsc.bounds import (
 )
 
 from conftest import random_hermitian
-from oracles import closeness_radius_pointwise
+from oracles import CountingLinalg, closeness_radius_pointwise
 
 
 class TestWeyl:
@@ -192,46 +191,6 @@ class TestSpectralCorrespondence:
             )
 
 
-class CountingLinalg:
-    """Counts the numpy.linalg calls a check makes, with their shapes, and
-    which operators `bounds` eigendecomposes."""
-
-    def __init__(self, monkeypatch):
-        self.calls: dict[str, list] = {}
-        for name in ("solve", "cond", "svd", "eigh", "eigvalsh"):
-            self._count(monkeypatch, np.linalg, name, name)
-        norm = np.linalg.norm
-
-        def counting_norm(x, ord=None, *args, **kwargs):
-            if ord == 2 and np.ndim(x) == 2:
-                self.calls.setdefault("norm2", []).append(np.shape(x))
-            return norm(x, ord, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        eig = bounds.hermitian_eig
-
-        def counting_eig(op):
-            self.calls.setdefault("hermitian_eig", []).append(op)
-            return eig(op)
-
-        monkeypatch.setattr(bounds, "hermitian_eig", counting_eig)
-
-    def _count(self, monkeypatch, owner, attr, key):
-        fn = getattr(owner, attr)
-
-        def counted(a, *args, **kwargs):
-            self.calls.setdefault(key, []).append(np.shape(a))
-            return fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, counted)
-
-    def count(self, key) -> int:
-        return len(self.calls.get(key, []))
-
-    def sizes(self, key) -> Counter:
-        return Counter(shape[-1] for shape in self.calls.get(key, []))
-
-
 class TestCountedWork:
     """Work per instance is counted, not timed: the closeness-radius grid
     costs one eigendecomposition of Q(H+V)Q and one batched eigvalsh per
@@ -240,6 +199,7 @@ class TestCountedWork:
     def test_spectral_correspondence_counts(self, monkeypatch):
         inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
+        counts.track(bounds, "hermitian_eig")
         assert check_spectral_correspondence(inst).passed
         assert counts.count("solve") == 1   # H_eff at the window center
         assert counts.count("cond") == 1    # its reference resolvent check
@@ -267,6 +227,7 @@ class TestCountedWork:
     def test_corollaries_share_one_eigendecomposition_each(self, monkeypatch):
         inst = make_multiband_instance(seed=23)  # dim 14, P rank 6, Q rank 8
         counts = CountingLinalg(monkeypatch)
+        counts.track(bounds, "hermitian_eig")
         check_corollaries(inst)
         eigs = counts.calls["hermitian_eig"]
         assert len(eigs) == 2

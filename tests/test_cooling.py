@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsc.errors import CouplingTooLarge
-from qsc.linalg import DensityMatrix, Operator
+from qsc.linalg import DensityMatrix, Operator, evolve
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -30,6 +30,8 @@ from qsc.cooling import (
     run_probabilistic,
     run_reduced,
 )
+
+from oracles import cooling_map_dense
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +86,7 @@ class TestCoolingStep:
         h_j, v = _step_operators(grover6, sched.omega0, step.omega_b)
         up_state = np.kron(grover6.band.vector(0), KET_UP)
         rho = DensityMatrix(np.outer(up_state, up_state.conj()))
-        out = cooling_step(rho, step, h_j, v)
+        out = cooling_step(rho, step, h_j + v)
         assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
 
     def test_trace_and_positivity(self, clock12):
@@ -93,9 +95,24 @@ class TestCoolingStep:
         rho = DensityMatrix(np.outer(psi, psi.conj()))
         for step in sched.steps:
             h_j, v = _step_operators(clock12, sched.omega0, step.omega_b)
-            rho = cooling_step(rho, step, h_j, v)
+            rho = cooling_step(rho, step, h_j + v)
             assert abs(rho.trace() - 1.0) < 1e-10
             assert rho.min_eigenvalue() > -1e-9
+
+    def test_matches_dense_projector_map(self, clock12, rng):
+        # bath masks in place of dense 1 (x) |down><down| / |up><up| products
+        sched = build_schedule(clock12, eps=0.1)
+        dim = 2 * clock12.dim_s
+        for step in sched.steps:
+            h_j, v = _step_operators(clock12, sched.omega0, step.omega_b)
+            h = h_j + v
+            u = evolve(h, step.tau).matrix
+            for _ in range(3):
+                z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+                rho = z @ z.conj().T
+                rho /= np.trace(rho).real
+                out = cooling_step(DensityMatrix(rho), step, h)
+                assert np.max(np.abs(out.entries - cooling_map_dense(rho, u))) <= 1e-15
 
     def test_ground_band_retention(self, grover6):
         # a state already in the lower manifold leaks only ~r amplitude
@@ -104,7 +121,7 @@ class TestCoolingStep:
         h_j, v = _step_operators(grover6, sched.omega0, step.omega_b)
         down = np.kron(grover6.band.vector(0), KET_DOWN)
         rho = DensityMatrix(np.outer(down, down.conj()))
-        out = cooling_step(rho, step, h_j, v)
+        out = cooling_step(rho, step, h_j + v)
         keep = float(np.real(down.conj() @ out.entries @ down))
         r = sched.r
         assert keep > 1 - 10 * r ** 2
@@ -132,7 +149,7 @@ class TestCoolingStep:
             h_j, v = _step_operators(setup, sched.omega0, step.omega_b)
             psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)
             rho = DensityMatrix(np.outer(psi, psi.conj()))
-            out = cooling_step(rho, step, h_j, v)
+            out = cooling_step(rho, step, h_j + v)
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
             cols.append(np.kron(setup.band.vector(0), KET_UP))
             b = np.column_stack(cols)
@@ -193,12 +210,12 @@ class TestRunReduced:
     def test_zero_threshold_identical(self, clock12):
         full = build_schedule(clock12, eps=0.1)
         base = run_deterministic(clock12, full)
-        reduced = run_reduced(clock12, eps=0.1, eta=0.0)
+        reduced = run_reduced(clock12, full, eta=0.0)
         assert reduced.ground_fidelity == pytest.approx(base.ground_fidelity, abs=1e-12)
         assert reduced.skipped_bands == ()
 
     def test_everything_skipped(self, clock12):
-        report = run_reduced(clock12, eps=0.1, eta=1.0)
+        report = run_reduced(clock12, build_schedule(clock12, eps=0.1), eta=1.0)
         assert report.skipped_bands == (2, 1)
         assert report.total_time == 0.0
         assert report.ground_fidelity == pytest.approx(clock12.xs[0] ** 2, abs=1e-12)
@@ -209,7 +226,7 @@ class TestRunReduced:
         eps = 0.1
         full_sched = build_schedule(setup, eps=eps)
         full = run_deterministic(setup, full_sched)
-        reduced = run_reduced(setup, eps=eps)  # eta = eps / L^1.5
+        reduced = run_reduced(setup, full_sched)  # eta = eps / L^1.5
         assert reduced.total_time <= full.total_time
         assert abs(reduced.ground_fidelity - full.ground_fidelity) <= 2 * eps
         predicted_penalty = len(reduced.skipped_bands) * reduced.f_perp

@@ -15,8 +15,11 @@ from qsc.experiments import (
     run_grover,
     run_spectrum,
 )
+from qsc import cooling, linalg, models
 from qsc.models import GroverModel
 from qsc.cooling import build_schedule, grover_setup, run_deterministic
+
+from oracles import CountingLinalg
 
 
 class TestDetuningCurve:
@@ -113,3 +116,43 @@ class TestClockReduced:
         assert report["mode"] == "density-reduced"
         payload = json.loads((tmp_path / "clock_report.json").read_text())
         assert payload["report"]["skipped_bands"] == report["skipped_bands"]
+
+
+class TestCountedWork:
+    """A cooling run's work is counted, not timed: one bath assembly and
+    one eigendecomposition per step for the schedule, the same again for
+    the propagation, a single pass over the ladder, and no eigvalsh beyond
+    state validation and norms."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        counts = CountingLinalg(monkeypatch)
+        counts.track(cooling, "cooling_step")
+        counts.track(models, "build_bath_and_couplings")
+        counts.track(linalg, "operator_norm")
+        counts.track(linalg.DensityMatrix, "__post_init__", "density_matrix")
+        return counts
+
+    def test_clock_density_ladder(self, tmp_path, monkeypatch):
+        length = 3
+        cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1"], "eps": 0.1,
+               "mode": "density", "seed": 0}
+        counts = self._counting(monkeypatch)
+        summary = run_clock(cfg, tmp_path)
+        assert "readout" in summary
+        assert counts.count("cooling_step") == length
+        # one band-structure eigh, then one per step for the schedule's
+        # splitting and one per step for the propagation
+        assert counts.count("eigh") == 2 * length + 1
+        assert counts.count("build_bath_and_couplings") == 2 * length
+        validated = sum(rho.validate for rho in counts.calls["density_matrix"])
+        assert counts.count("eigvalsh") <= validated + counts.count("operator_norm")
+
+    def test_grover_trajectory_builds_the_bath_once_per_use(self, tmp_path, monkeypatch):
+        cfg = {"n": 4, "marked": [0], "r": 0.02, "mode": "trajectory",
+               "shots": 20, "seed": 0}
+        counts = self._counting(monkeypatch)
+        run_grover(cfg, tmp_path)
+        # one for the schedule's splitting, one for the shot unitary
+        assert counts.count("build_bath_and_couplings") == 2
+        assert counts.count("eigh") == 2

@@ -210,6 +210,11 @@ class TestPartialTrace:
             out = partial_trace(DensityMatrix(rho), [2, 2, 2], keep=[1])
             assert abs(out.trace() - 1.0) < 1e-10
             assert out.min_eigenvalue() > -1e-9
+            # the value kept from validation equals a fresh computation
+            m = out.entries
+            fresh = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
+            assert out.min_eigenvalue() == fresh
+            assert DensityMatrix(m, validate=False).min_eigenvalue() == fresh
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
