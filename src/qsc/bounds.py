@@ -82,10 +82,6 @@ class CheckResult:
     margins: tuple[float, ...]
     details: dict = field(default_factory=dict)
 
-    @property
-    def worst_margin(self) -> float:
-        return min(self.margins) if self.margins else float("inf")
-
 
 @dataclass(frozen=True)
 class BoundInstance:
@@ -533,6 +529,20 @@ def _transfer_residual(setup: CoolingSetup, omega0: float, j: int) -> float:
     return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
 
 
+def _max_over_pulse(w: np.ndarray, starts, proj: np.ndarray, tau: float,
+                    time_points: int) -> float:
+    """max of <out|proj|out> over the start states and over an even grid
+    of evolution times up to tau, everything in the eigenbasis of the
+    evolution Hamiltonian (eigenvalues w)."""
+    worst = 0.0
+    for frac in np.linspace(1.0 / time_points, 1.0, time_points):
+        phases = np.exp(-1j * frac * tau * w)
+        for amps in starts:
+            out = phases * amps
+            worst = max(worst, float(np.real(out.conj() @ proj @ out)))
+    return worst
+
+
 def _band_leakage(setup: CoolingSetup, omega0: float, j: int,
                   time_points: int = 17) -> float:
     """Envelope over the pulse of the out-of-manifold amplitude for
@@ -549,14 +559,9 @@ def _band_leakage(setup: CoolingSetup, omega0: float, j: int,
         np.eye(len(w)) - manifold @ manifold.conj().T
     ) @ vecs
     starts = [vecs.conj().T @ c for c in cols]
-    worst = 0.0
-    for frac in np.linspace(1.0 / time_points, 1.0, time_points):
-        phases = np.exp(-1j * frac * tau * w)
-        for amps in starts:
-            out = phases * amps
-            leak = math.sqrt(max(0.0, float(np.real(out.conj() @ proj_out_eig @ out))))
-            worst = max(worst, leak)
-    return worst / math.sqrt(j)
+    # sqrt(max(0, .)) is monotone, so it can follow the maximum
+    worst = _max_over_pulse(w, starts, proj_out_eig, tau, time_points)
+    return math.sqrt(max(0.0, worst)) / math.sqrt(j)
 
 
 def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
@@ -604,13 +609,7 @@ def _verification_leakage(ext, omega0: float, time_points: int = 33) -> float:
             continue
         starts.append(vecs.conj().T @ np.kron(vs[:, i], KET_L))
     proj_r_eig = vecs.conj().T @ proj_r @ vecs
-    worst = 0.0
-    for frac in np.linspace(1.0 / time_points, 1.0, time_points):
-        phases = np.exp(-1j * frac * tau_v * w)
-        for amps in starts:
-            out = phases * amps
-            worst = max(worst, float(np.real(out.conj() @ proj_r_eig @ out)))
-    return worst
+    return _max_over_pulse(w, starts, proj_r_eig, tau_v, time_points)
 
 
 def check_protocol_lemmas(
@@ -784,28 +783,26 @@ def _suite_block_resolvent(seed: int, dim: int):
     }
 
 
-def _suite_spectral(seed: int, dim: int):
-    inst = make_windowed_instance(seed, dim=dim)
-    return check_spectral_correspondence(inst), {
+def _instance_payload(inst: BoundInstance) -> dict:
+    return {
         "h": _matrix_payload(inst.h.matrix), "v": _matrix_payload(inst.v.matrix),
         "window": list(inst.window), "gap": inst.gap,
     }
+
+
+def _suite_spectral(seed: int, dim: int):
+    inst = make_windowed_instance(seed, dim=dim)
+    return check_spectral_correspondence(inst), _instance_payload(inst)
 
 
 def _suite_overlap(seed: int, dim: int):
     inst = make_windowed_instance(seed, dim=dim)
-    return check_subspace_overlap(inst), {
-        "h": _matrix_payload(inst.h.matrix), "v": _matrix_payload(inst.v.matrix),
-        "window": list(inst.window), "gap": inst.gap,
-    }
+    return check_subspace_overlap(inst), _instance_payload(inst)
 
 
 def _suite_corollaries(seed: int, dim: int):
     inst = make_multiband_instance(seed, dim=dim)
-    return check_corollaries(inst), {
-        "h": _matrix_payload(inst.h.matrix), "v": _matrix_payload(inst.v.matrix),
-        "window": list(inst.window), "gap": inst.gap,
-    }
+    return check_corollaries(inst), _instance_payload(inst)
 
 
 SUITES = {

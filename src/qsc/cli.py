@@ -4,8 +4,8 @@
 
 Configuration files are JSON; the per-experiment schemas are documented in
 the README.  A --seed on the command line overrides the config's seed.
-Exit codes: 0 success, 1 bound or acceptance violation, 2 configuration
-error, 3 resource cap exceeded.
+Exit codes: 0 success, 1 bound or acceptance violation or a failed
+self-check, 2 configuration error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations

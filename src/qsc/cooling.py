@@ -30,6 +30,7 @@ from . import config
 from .errors import CouplingTooLarge
 from .levelshift import DetuningSolution, solve_detuning
 from .linalg import (
+    SIGMA_X,
     DensityMatrix,
     Operator,
     StateVector,
@@ -144,16 +145,13 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
     h_s = build_clock(model)
     band = clock_band_structure(model, h_s)
     xs = overlap_coefficients(model.length)
-    dim = h_s.dim
-    fid = np.zeros(dim, dtype=complex)
-    fid[0] = 1.0
     eta = band.vector(0)
     return CoolingSetup(
         h_s=h_s,
         coupling=clock_coupling_direction(model),
         band=band,
         xs=xs,
-        fiducial=StateVector(fid),
+        fiducial=StateVector.basis(h_s.dim, 0),
         ground_projector=np.outer(eta, eta.conj()),
         label=f"clock(n={model.n},L={model.length})",
     )
@@ -306,35 +304,8 @@ class RunReport:
     predicted_skip_penalty: float = 0.0  # O(L' * f_perp) infidelity add-on
     shots: int = 0
     label: str = ""
-    # density mode's final state, for readouts; to_dict leaves it out
+    # density mode's final state, for readouts; not part of the summary
     final_state: DensityMatrix | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "ground_fidelity": self.ground_fidelity,
-            "per_step_up_probability": list(self.per_step_up_probability),
-            "per_step_retention": list(self.per_step_retention),
-            "trace_residual": self.trace_residual,
-            "min_eigenvalue": self.min_eigenvalue,
-            "total_time": self.total_time,
-            "h_norm": self.h_norm,
-            "cost": self.cost,
-            "error_budget": self.error_budget,
-            "mode": self.mode,
-            "skipped_bands": list(self.skipped_bands),
-            "f_perp": self.f_perp,
-            "predicted_skip_penalty": self.predicted_skip_penalty,
-            "shots": self.shots,
-            "label": self.label,
-        }
-
-
-def _band_manifold_projector(setup: CoolingSetup, j: int) -> np.ndarray:
-    """Projector onto span{|k,down>}_{k<=j} + |0,up> in the composite space."""
-    cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j + 1)]
-    cols.append(np.kron(setup.band.vector(0), KET_UP))
-    b = np.column_stack(cols)
-    return b @ b.conj().T
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -374,18 +345,27 @@ def run_deterministic(
             rho = DensityMatrix(np.outer(psi0, psi0.conj()))
         else:
             rho = rho0
+        # the band manifold of step j is span{|k,down>}_{k<=j} + |0,up>: the
+        # first j+1 columns and the last; its weight in rho is the sum of
+        # <b|rho|b> over those columns b
+        manifold = np.column_stack(
+            [np.kron(setup.band.vector(k), KET_DOWN) for k in range(setup.n_bands)]
+            + [np.kron(setup.band.vector(0), KET_UP)]
+        )
+
+        def column_weights(state: DensityMatrix) -> np.ndarray:
+            return np.sum(manifold.conj() * (state.entries @ manifold), axis=0).real
+
         up_probs, retentions = [], []
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
+        weights = column_weights(rho)
         for step, h in _step_hamiltonians(setup, schedule, delta_ops):
             h_norm = max(h_norm, operator_norm(h))
-            before = float(
-                np.trace(_band_manifold_projector(setup, step.j) @ rho.entries).real
-            )
+            before = float(np.sum(weights[: step.j + 1]) + weights[-1])
             rho = cooling_step(rho, step, h)
-            after = float(
-                np.trace(_band_manifold_projector(setup, step.j - 1) @ rho.entries).real
-            )
+            weights = column_weights(rho)
+            after = float(np.sum(weights[: step.j]) + weights[-1])
             retentions.append(min(1.0, after / before) if before > 0 else 1.0)
             up_probs.append(float(np.sum(np.diagonal(rho.entries) * up).real))
             trace_residual = max(trace_residual, abs(rho.trace() - 1.0))
@@ -510,10 +490,7 @@ def clock_extension_setup(model: ClockModel) -> ExtensionSetup:
     k1 = band.vector(1)
     omega1 = float(band.omegas[1])
     evals = np.linalg.eigh(h_s.matrix)[0]
-    delta = _extension_gap(evals, band, omega1)
-    dim = h_s.dim
-    fid = np.zeros(dim, dtype=complex)
-    fid[0] = 1.0
+    delta = _extension_gap(evals, omega1)
     xs = overlap_coefficients(model.length)
     return ExtensionSetup(
         h_s=h_s,
@@ -522,13 +499,13 @@ def clock_extension_setup(model: ClockModel) -> ExtensionSetup:
         band1=k1[:, None],
         omega1=omega1,
         delta=delta,
-        fiducial=StateVector(fid),
+        fiducial=StateVector.basis(h_s.dim, 0),
         f1=float(xs[1]),
         label=f"clock-ext(n={model.n},L={model.length})",
     )
 
 
-def _extension_gap(evals: np.ndarray, band: BandStructure, omega1: float) -> float:
+def _extension_gap(evals: np.ndarray, omega1: float) -> float:
     """min{omega1, E, |E - omega1|} over the spectrum outside the ground
     state and the addressed band."""
     cands = [omega1]
@@ -555,20 +532,6 @@ class ProbRunReport:
     b_measure_count: int
     label: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "accept_count": self.accept_count,
-            "acceptance_rate": self.acceptance_rate,
-            "conditional_success": self.conditional_success,
-            "mean_time_per_success": self.mean_time_per_success,
-            "analytic_acceptance": self.analytic_acceptance,
-            "tau_doublings": [list(x) for x in self.tau_doublings],
-            "round_limit_exceeded": self.round_limit_exceeded,
-            "b_measure_count": self.b_measure_count,
-            "label": self.label,
-        }
-
 
 def analytic_acceptance(f1: float, rabi: float, omega_star: float) -> float:
     """f1^2 * E[sin^2(Omega tau)] for tau uniform on [pi/Omega*, 2 pi/Omega*]."""
@@ -584,7 +547,6 @@ def run_probabilistic(
     omega0: float,
     omega_star: float | None = None,
     f1_lower: float | None = None,
-    eps: float = 0.1,
     trials: int = 2000,
     seed: int = 0,
     max_rounds: int = 10 ** 6,
@@ -714,48 +676,57 @@ class ErrorBudgetReport:
     all_within_budget: bool
 
 
+def _error_blocks(s1: np.ndarray, v: np.ndarray, d: np.ndarray, delta: float,
+                  budget: float) -> dict:
+    """The three error block norms across the split S1 / S2 = 1 - S1 for the
+    coupling v and the error d, with their checks against the budget:
+
+        R1 = |S1 d S1| / Delta          <  budget
+        Rx = |S1 (v+d) S2|^2 / Delta^2  <  budget
+        R2 = |S2 (v+d) S2| / Delta      <  1/2
+    """
+    s2 = np.eye(s1.shape[0], dtype=complex) - s1
+    r1 = np.linalg.norm(s1 @ d @ s1, 2) / delta
+    rx = (np.linalg.norm(s1 @ (v + d) @ s2, 2) / delta) ** 2
+    r2 = np.linalg.norm(s2 @ (v + d) @ s2, 2) / delta
+    return {
+        "R1": float(r1),
+        "Rx": float(rx),
+        "R2": float(r2),
+        "budget": float(budget),
+        "R1_ok": bool(r1 < budget),
+        "Rx_ok": bool(rx < budget),
+        "R2_ok": bool(r2 < 0.5),
+    }
+
+
+def _within_budget(row: dict) -> bool:
+    return row["R1_ok"] and row["Rx_ok"] and row["R2_ok"]
+
+
 def inject_errors(
     setup: CoolingSetup, schedule: CoolingSchedule, injection: ErrorInjection
 ) -> ErrorBudgetReport:
-    """Measure the three error block norms per step against their budgets:
-
-        R1 = |S1 d S1| / Delta          <  r * Omega_0 |x0 xj| / Delta
-        Rx = |S1 (T+d) S2|^2 / Delta^2  <  r * Omega_0 |x0 xj| / Delta
-        R2 = |S2 (T+d) S2| / Delta      <  1/2
-
+    """Measure the three error block norms per step (`_error_blocks`, with
+    v = T the coupling) against the budget r * Omega_0 |x0 xj| / Delta,
     where S1 is the band (x) bath subspace.  Runs then proceed with the
     errors added; this function only reports the budgets.
     """
-    dim_s = setup.dim_s
     band_bath = np.column_stack(
         [np.kron(setup.band.vector(k), e) for k in range(setup.n_bands)
          for e in (KET_DOWN, KET_UP)]
     )
     s1 = band_bath @ band_bath.conj().T
-    s2 = np.eye(2 * dim_s, dtype=complex) - s1
     delta = setup.band.delta
-    t_full = np.kron(schedule.omega0 * setup.coupling.matrix,
-                     np.array([[0, 1], [1, 0]], dtype=complex))
+    t_full = np.kron(schedule.omega0 * setup.coupling.matrix, SIGMA_X)
     rows = []
     ok = True
     for step in schedule.steps:
         d = injection.deltas.get(step.j)
         dmat = d.matrix if d is not None else np.zeros_like(s1)
         budget = schedule.r * schedule.omega0 * setup.xs[0] * setup.xs[step.j] / delta
-        r1 = np.linalg.norm(s1 @ dmat @ s1, 2) / delta
-        rx = (np.linalg.norm(s1 @ (t_full + dmat) @ s2, 2) / delta) ** 2
-        r2 = np.linalg.norm(s2 @ (t_full + dmat) @ s2, 2) / delta
-        row = {
-            "j": step.j,
-            "R1": float(r1),
-            "Rx": float(rx),
-            "R2": float(r2),
-            "budget": float(budget),
-            "R1_ok": bool(r1 < budget),
-            "Rx_ok": bool(rx < budget),
-            "R2_ok": bool(r2 < 0.5),
-        }
-        ok = ok and row["R1_ok"] and row["Rx_ok"] and row["R2_ok"]
+        row = {"j": step.j, **_error_blocks(s1, t_full, dmat, delta, budget)}
+        ok = ok and _within_budget(row)
         rows.append(row)
     return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
 
@@ -771,16 +742,14 @@ def extension_error_budget(
     addressed band (ground + band vs everything else) extended trivially
     over the qutrit.
     """
-    dim_s = ext.h_s.dim
     cols = [np.kron(ext.ground, e) for e in np.eye(3, dtype=complex)]
     for k in range(ext.band1.shape[1]):
         cols.extend(np.kron(ext.band1[:, k], e) for e in np.eye(3, dtype=complex))
     b = np.column_stack(cols)
     s1 = b @ b.conj().T
-    s2 = np.eye(3 * dim_s, dtype=complex) - s1
     t_s = omega0 * ext.coupling
     h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
-    y_op = build_verification_coupling(dim_s, omega0)
+    y_op = build_verification_coupling(ext.h_s.dim, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
     r = omega0 / ext.delta
     rabi = ext.rabi(omega0)
@@ -790,22 +759,10 @@ def extension_error_budget(
     for name, v_mat, rate in (("drive", x_op.matrix, rabi),
                               ("verification", y_op.matrix, omega0)):
         budget = r * rate / ext.delta
-        r1 = np.linalg.norm(s1 @ dmat @ s1, 2) / ext.delta
-        rx = (np.linalg.norm(s1 @ (v_mat + dmat) @ s2, 2) / ext.delta) ** 2
-        r2 = np.linalg.norm(s2 @ (v_mat + dmat) @ s2, 2) / ext.delta
         shift_ok = bool(ground_shift / ext.omega1 < r * rate)
-        row = {
-            "evolution": name,
-            "R1": float(r1),
-            "Rx": float(rx),
-            "R2": float(r2),
-            "budget": float(budget),
-            "R1_ok": bool(r1 < budget),
-            "Rx_ok": bool(rx < budget),
-            "R2_ok": bool(r2 < 0.5),
-            "ground_shift_ok": shift_ok,
-        }
-        ok = ok and row["R1_ok"] and row["Rx_ok"] and row["R2_ok"] and shift_ok
+        row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, ext.delta, budget),
+               "ground_shift_ok": shift_ok}
+        ok = ok and _within_budget(row) and shift_ok
         rows.append(row)
     return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
 
@@ -815,9 +772,6 @@ class CostReport:
     total_time: float
     h_norm: float
     cost: float
-
-    def to_dict(self) -> dict:
-        return {"total_time": self.total_time, "h_norm": self.h_norm, "cost": self.cost}
 
 
 def cost_report(schedule: CoolingSchedule, h_ref: Operator) -> CostReport:

@@ -37,8 +37,9 @@ class HypothesisUnmet(QscError):
     """A bound checker's hypotheses fail on the given instance."""
 
 
-class RoundLimitExceeded(QscError):
-    """The probabilistic scheme hit its retry cap without an acceptance."""
+class SelfCheckFailed(QscError):
+    """A construction failed its own residual check, so its output cannot
+    be trusted."""
 
 
 class ParseError(QscError):

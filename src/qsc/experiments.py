@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,17 +32,19 @@ from .cooling import (
     run_reduced,
 )
 from .levelshift import solve_detuning
-from .linalg import DensityMatrix, hybridized_pair, operator_norm, partial_trace
+from .linalg import DensityMatrix, StateVector, hybridized_pair, operator_norm, partial_trace
 from .models import (
     ClockModel,
     GroverModel,
     build_clock,
+    clock_site_index,
     clock_spectrum,
     grover_band_structure,
     load_circuit,
     pad_with_identities,
     parse_circuit,
     random_state,
+    register_history,
 )
 
 __all__ = [
@@ -82,6 +84,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _summary(cfg: dict, body: dict) -> dict:
     return {"version": __version__, "config": cfg, **body}
+
+
+def _report_dict(report) -> dict:
+    """A report dataclass as JSON values: tuples become lists (nested ones
+    too), and fields kept out of its repr (a run's final state) are left
+    out, so the summary equals its own JSON round trip."""
+    def plain(value):
+        return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+    return {f.name: plain(getattr(report, f.name)) for f in fields(report) if f.repr}
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +295,7 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
         setup, schedule, mode=cfg.get("mode", "density"),
         shots=int(cfg.get("shots", 2000)), seed=seed,
     )
-    body = {"report": report.to_dict(), "r": schedule.r,
+    body = {"report": _report_dict(report), "r": schedule.r,
             "xs": [float(x) for x in setup.xs]}
 
     draws = int(cfg.get("ensemble_draws", 0))
@@ -342,17 +354,20 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
     eta = cfg.get("eta")
     if eta is not None:
         report = run_reduced(setup, schedule, eta=float(eta))
+        # cost the ladder that ran, without the skipped bands
+        schedule = replace(schedule, steps=tuple(
+            s for s in schedule.steps if s.j not in report.skipped_bands))
     else:
         report = run_deterministic(
             setup, schedule, mode=cfg.get("mode", "density"),
             shots=int(cfg.get("shots", 2000)), seed=int(cfg.get("seed", 0)),
         )
     body = {
-        "report": report.to_dict(),
+        "report": _report_dict(report),
         "r": schedule.r,
         "omega0": schedule.omega0,
         "delta": setup.band.delta,
-        "cost": cost_report(schedule, setup.h_s).to_dict(),
+        "cost": _report_dict(cost_report(schedule, setup.h_s)),
     }
     if report.mode == "density":
         body["readout"] = _clock_readout(model, setup, report.final_state)
@@ -371,8 +386,7 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
     eta = setup.band.vector(0)
     ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
 
-    site_l = np.zeros(2 ** length, dtype=complex)
-    site_l[_site_index(length)] = 1.0
+    site_l = StateVector.basis(2 ** length, clock_site_index(length, length)).amplitudes
     proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(site_l, site_l.conj()))
     weighted = proj @ rho_sys.entries @ proj
     p_site = float(np.trace(weighted).real)
@@ -382,7 +396,7 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
                 DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0]
             ).entries
         )
-        ideal = _ideal_output(model)
+        ideal = register_history(model.circuit)[-1]
         out_fid = float(np.real(ideal.conj() @ reg.entries @ ideal))
     else:
         out_fid = 0.0
@@ -392,25 +406,6 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
         "output_fidelity_given_site": out_fid,
         "expected_site_weight": 1.0 / (length + 1),
     }
-
-
-def _site_index(length: int) -> int:
-    return _bits_to_index([1] * length)
-
-
-def _bits_to_index(bits) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
-
-
-def _ideal_output(model: ClockModel) -> np.ndarray:
-    state = np.zeros(2 ** model.n, dtype=complex)
-    state[0] = 1.0
-    for u in model.circuit.unitaries():
-        state = u @ state
-    return state
 
 
 def run_prob(cfg: dict, out_dir: Path) -> dict:
@@ -433,7 +428,6 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
         omega0=omega0,
         omega_star=omega_star,
         f1_lower=cfg.get("f1_lower", ext.f1),
-        eps=eps,
         trials=int(cfg.get("trials", 2000)),
         seed=int(cfg.get("seed", 0)),
         max_rounds=int(cfg.get("max_rounds", 10 ** 6)),
@@ -441,7 +435,7 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
     summary = _summary(
         cfg,
         {
-            "report": report.to_dict(),
+            "report": _report_dict(report),
             "r": r,
             "omega0": omega0,
             "rabi": rabi,

@@ -65,9 +65,6 @@ class Operator:
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
-    def norm(self) -> float:
-        return operator_norm(self)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} @ {other.dim}")
@@ -117,21 +114,6 @@ class StateVector:
         v[index] = 1.0
         return StateVector(v)
 
-    @staticmethod
-    def normalized(raw) -> "StateVector":
-        a = np.array(raw, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(a)
-        if nrm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(a / nrm)
-
-    def overlap(self, other: "StateVector") -> complex:
-        return complex(self.amplitudes.conj() @ other.amplitudes)
-
-    def to_density(self) -> "DensityMatrix":
-        a = self.amplitudes
-        return DensityMatrix(np.outer(a, a.conj()))
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -166,9 +148,6 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def expectation(self, op: Operator) -> float:
-        return float(np.trace(op.matrix @ self.entries).real)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part, computed at most once."""
@@ -360,11 +339,7 @@ def subspace_from_eigenwindow(sd: SpectralDecomposition, lo: float, hi: float) -
     return Subspace(dim, sd.eigenvectors[:, mask])
 
 
-# Pauli and small fixed matrices used across the model builders.
+# Small fixed qubit matrices used across the model builders.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-KET0 = np.array([1, 0], dtype=complex)
-KET1 = np.array([0, 1], dtype=complex)
-PROJ0 = np.outer(KET0, KET0)
-PROJ1 = np.outer(KET1, KET1)
+PROJ0 = np.diag([1, 0]).astype(complex)
+PROJ1 = np.diag([0, 1]).astype(complex)

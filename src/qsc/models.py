@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, DimensionTooLarge, ParseError
+from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
 from .linalg import (
     PROJ0,
     PROJ1,
@@ -61,8 +61,7 @@ __all__ = [
     "clock_coupling_direction",
 ]
 
-# Qutrit bath basis indices and derived states (order C, R, L).
-BATH_C, BATH_R, BATH_L = 0, 1, 2
+# Qutrit bath basis states (order C, R, L).
 KET_C = np.array([1, 0, 0], dtype=complex)
 KET_R = np.array([0, 1, 0], dtype=complex)
 KET_L = np.array([0, 0, 1], dtype=complex)
@@ -72,8 +71,6 @@ KET_D = (KET_L - KET_R) / math.sqrt(2)
 # Qubit bath basis (down, up).
 KET_DOWN = np.array([1, 0], dtype=complex)
 KET_UP = np.array([0, 1], dtype=complex)
-PROJ_DOWN = np.outer(KET_DOWN, KET_DOWN)
-PROJ_UP = np.outer(KET_UP, KET_UP)
 
 
 def _check_dim(dim: int):
@@ -391,22 +388,16 @@ def shift_factors(length: int) -> np.ndarray:
     return hs
 
 
-def _clock_value_bits(length: int, l: int) -> list[int]:
-    return [1] * l + [0] * (length - l)
-
-
-def _basis_index(bits: Sequence[int]) -> int:
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return idx
+def clock_site_index(length: int, l: int) -> int:
+    """Basis index of the unary clock value |1^l 0^(L-l)> on L clock qubits."""
+    return (2 ** l - 1) << (length - l)
 
 
 def clock_value_vector(n: int, length: int, l: int, register: np.ndarray | None = None) -> np.ndarray:
     """|register> tensor |1^l 0^(L-l)> as a raw vector (register defaults
     to the all-zeros product state)."""
     reg = register if register is not None else _unit_vector(2 ** n, 0)
-    clock = _unit_vector(2 ** length, _basis_index(_clock_value_bits(length, l)))
+    clock = _unit_vector(2 ** length, clock_site_index(length, l))
     return np.kron(reg, clock)
 
 
@@ -414,6 +405,22 @@ def _unit_vector(dim: int, index: int) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return v
+
+
+def register_history(circuit: CircuitSpec) -> list[np.ndarray]:
+    """The register states of the computation history: |0...0> and then
+    U_l ... U_1 |0...0> for l = 1..L."""
+    states = [_unit_vector(2 ** circuit.n, 0)]
+    for u in circuit.unitaries():
+        states.append(u @ states[-1])
+    return states
+
+
+def _history_vectors(model: ClockModel) -> list[np.ndarray]:
+    """The history on the unary clock, |psi_l> (x) |1^l 0^(L-l)> for l = 0..L."""
+    n, length = model.n, model.length
+    return [clock_value_vector(n, length, l, state)
+            for l, state in enumerate(register_history(model.circuit))]
 
 
 def build_clock(model: ClockModel) -> Operator:
@@ -454,32 +461,20 @@ def build_clock_parts(model: ClockModel):
     hop10 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| on one clock qubit
     h_prop = np.zeros((dim, dim), dtype=complex)
     for l in range(1, length + 1):
+        # step l flips clock qubit l, controlled on its left neighbour
+        # reading 1 and its right neighbour reading 0 where they exist
+        ctrl = {}
+        if l > 1:
+            ctrl[n + l - 1] = PROJ1
+        if l < length:
+            ctrl[n + l + 1] = PROJ0
+        diag = _site_projector(total, ctrl)
+        hop = _site_projector(total, {**ctrl, n + l: hop10})
         u_l = np.kron(unitaries[l - 1], np.eye(2 ** length, dtype=complex))
-        if length == 1:
-            diag = _site_projector(total, {n + 1: PROJ0}) + _site_projector(total, {n + 1: PROJ1})
-            hop = _site_projector(total, {n + 1: hop10})
-        elif l == 1:
-            diag = (
-                _site_projector(total, {n + 1: PROJ0, n + 2: PROJ0})
-                + _site_projector(total, {n + 1: PROJ1, n + 2: PROJ0})
-            )
-            hop = _site_projector(total, {n + 1: hop10, n + 2: PROJ0})
-        elif l == length:
-            diag = (
-                _site_projector(total, {n + length - 1: PROJ1, n + length: PROJ0})
-                + _site_projector(total, {n + length - 1: PROJ1, n + length: PROJ1})
-            )
-            hop = _site_projector(total, {n + length - 1: PROJ1, n + length: hop10})
-        else:
-            diag = (
-                _site_projector(total, {n + l - 1: PROJ1, n + l: PROJ0, n + l + 1: PROJ0})
-                + _site_projector(total, {n + l - 1: PROJ1, n + l: PROJ1, n + l + 1: PROJ0})
-            )
-            hop = _site_projector(total, {n + l - 1: PROJ1, n + l: hop10, n + l + 1: PROJ0})
         moved = u_l @ hop
         h_prop += 0.5 * (diag - moved - moved.conj().T)
 
-    _verify_legal_sector(h_prop, model, unitaries)
+    _verify_legal_sector(h_prop, model)
     return (
         Operator(h_prop, hermitian=True),
         Operator(h_input, hermitian=True),
@@ -487,18 +482,11 @@ def build_clock_parts(model: ClockModel):
     )
 
 
-def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel, unitaries) -> None:
+def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:
     """Check the hopping term against the exact tridiagonal target on the
     unary-clock sector with the all-zeros register state."""
-    n, length = model.n, model.length
-    reg = _unit_vector(2 ** n, 0)
-    cols = []
-    state = reg
-    for l in range(length + 1):
-        if l > 0:
-            state = unitaries[l - 1] @ state
-        cols.append(clock_value_vector(n, length, l, state))
-    basis = np.column_stack(cols)
+    length = model.length
+    basis = np.column_stack(_history_vectors(model))
     block = basis.conj().T @ h_prop @ basis
     lp1 = length + 1
     target = np.zeros((lp1, lp1), dtype=complex)
@@ -507,23 +495,18 @@ def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel, unitaries) -> No
         if l < length:
             target[l, l + 1] = target[l + 1, l] = -1.0
     target *= 0.5
-    if np.max(np.abs(block - target)) > config.RESIDUAL_RTOL * (1 + length):
-        raise AssertionError("legal-sector hopping block deviates from the tridiagonal target")
+    residual = float(np.max(np.abs(block - target)))
+    if residual > config.RESIDUAL_RTOL * (1 + length):
+        raise SelfCheckFailed(
+            f"legal-sector hopping block deviates from the tridiagonal target "
+            f"by {residual:.3e}"
+        )
 
 
 def history_state(model: ClockModel) -> StateVector:
     """Uniform superposition over the circuit history (the ground state of
     the clock Hamiltonian)."""
-    n, length = model.n, model.length
-    unitaries = model.circuit.unitaries()
-    reg = _unit_vector(2 ** n, 0)
-    acc = np.zeros(2 ** (n + length), dtype=complex)
-    state = reg
-    for l in range(length + 1):
-        if l > 0:
-            state = unitaries[l - 1] @ state
-        acc += clock_value_vector(n, length, l, state)
-    return StateVector(acc / math.sqrt(length + 1))
+    return StateVector(sum(_history_vectors(model)) / math.sqrt(model.length + 1))
 
 
 @dataclass(frozen=True)
@@ -558,29 +541,23 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
     """
     if h_s is None:
         h_s = build_clock(model)
-    n, length, omega = model.n, model.length, model.omega
-    unitaries = model.circuit.unitaries()
-    reg = _unit_vector(2 ** n, 0)
-    states = []
-    state = reg
-    for l in range(length + 1):
-        if l > 0:
-            state = unitaries[l - 1] @ state
-        states.append(state)
+    n, length = model.n, model.length
+    history = _history_vectors(model)
     lp1 = length + 1
     vectors = np.zeros((2 ** (n + length), lp1), dtype=complex)
     for k in range(lp1):
         norm = math.sqrt((2.0 - (k == 0)) / lp1)
         for l in range(lp1):
             c = norm * math.cos((l + 0.5) * k * math.pi / lp1)
-            vectors[:, k] += c * clock_value_vector(n, length, l, states[l])
-    omegas = band_energies(length, omega)
+            vectors[:, k] += c * history[l]
+    omegas = band_energies(length, model.omega)
 
     # residual check: these must be exact eigenvectors of the assembled H_S
-    res = h_s.matrix @ vectors - vectors * omegas[None, :]
-    scale = config.RESIDUAL_RTOL * (1.0 + operator_norm(h_s))
-    if np.max(np.abs(res)) > scale:
-        raise AssertionError("closed-form band vectors fail the eigen residual check")
+    residual = float(np.max(np.abs(h_s.matrix @ vectors - vectors * omegas[None, :])))
+    if residual > config.RESIDUAL_RTOL * (1.0 + operator_norm(h_s)):
+        raise SelfCheckFailed(
+            f"closed-form band vectors fail the eigen residual check by {residual:.3e}"
+        )
 
     evals, evecs = np.linalg.eigh(h_s.matrix)
     overlaps = np.abs(vectors.conj().T @ evecs) ** 2  # (L+1) x dim
@@ -667,7 +644,7 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator):
     dim = h_s.dim
     eye = np.eye(dim, dtype=complex)
     if bath.kind == "qubit":
-        h_full = np.kron(h_s.matrix, np.eye(2)) + bath.omega_b * np.kron(eye, PROJ_UP)
+        h_full = np.kron(h_s.matrix, np.eye(2)) + bath.omega_b * np.kron(eye, PROJ1)
         v = np.kron(t_s.matrix, SIGMA_X)
         return Operator(h_full, hermitian=True), Operator(v, hermitian=True)
     proj_c = np.outer(KET_C, KET_C)

@@ -4,16 +4,19 @@ Each oracle computes a quantity by a route disjoint from the production
 path it checks: eigenvalues by inertia bisection on the characteristic
 polynomial's root counts, operator norms by power iteration, partial
 traces by raw index summation, matrix exponentials via scipy's Pade
-implementation, the cooling map through dense bath projectors, and the
+implementation, the cooling map through dense bath projectors, the
 bounds lab's closeness radius by one linear solve and one SVD norm per
-grid point.
+grid point, and the clock construction by its original four-branch
+hopping loop and step-by-step register history.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
 """
 
+import math
 import sys
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import scipy.linalg
@@ -199,6 +202,76 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
             break
         gamma = new
     return float(gamma)
+
+
+def clock_hopping_by_branches(model) -> np.ndarray:
+    """The clock hopping term written out per boundary case: a single clock
+    qubit, the first, the last, and an interior step, each with its own
+    controls and the diagonal as the sum of both states of the stepped
+    qubit."""
+    n, length = model.n, model.length
+    total = n + length
+    dim = 2 ** total
+    proj0 = np.outer([1, 0], [1, 0]).astype(complex)
+    proj1 = np.outer([0, 1], [0, 1]).astype(complex)
+    hop10 = np.array([[0, 0], [1, 0]], dtype=complex)
+
+    def site(ops):
+        return reduce(np.kron, [ops.get(q, np.eye(2, dtype=complex))
+                                for q in range(1, total + 1)])
+
+    unitaries = model.circuit.unitaries()
+    h_prop = np.zeros((dim, dim), dtype=complex)
+    for l in range(1, length + 1):
+        u_l = np.kron(unitaries[l - 1], np.eye(2 ** length, dtype=complex))
+        if length == 1:
+            diag = site({n + 1: proj0}) + site({n + 1: proj1})
+            hop = site({n + 1: hop10})
+        elif l == 1:
+            diag = site({n + 1: proj0, n + 2: proj0}) + site({n + 1: proj1, n + 2: proj0})
+            hop = site({n + 1: hop10, n + 2: proj0})
+        elif l == length:
+            diag = (site({n + length - 1: proj1, n + length: proj0})
+                    + site({n + length - 1: proj1, n + length: proj1}))
+            hop = site({n + length - 1: proj1, n + length: hop10})
+        else:
+            diag = (site({n + l - 1: proj1, n + l: proj0, n + l + 1: proj0})
+                    + site({n + l - 1: proj1, n + l: proj1, n + l + 1: proj0}))
+            hop = site({n + l - 1: proj1, n + l: hop10, n + l + 1: proj0})
+        moved = u_l @ hop
+        h_prop += 0.5 * (diag - moved - moved.conj().T)
+    return h_prop
+
+
+def clock_history_by_loop(model):
+    """The history state and the closed-form band vectors, with the register
+    propagated gate by gate inside each loop.  Returns (history, vectors)."""
+    n, length = model.n, model.length
+    lp1 = length + 1
+
+    def clock_value_vector(n, length, l, register):
+        clock = np.zeros(2 ** length, dtype=complex)
+        clock[int("1" * l + "0" * (length - l), 2)] = 1.0
+        return np.kron(register, clock)
+
+    unitaries = model.circuit.unitaries()
+    states = []
+    state = np.zeros(2 ** n, dtype=complex)
+    state[0] = 1.0
+    for l in range(lp1):
+        if l > 0:
+            state = unitaries[l - 1] @ state
+        states.append(state)
+    acc = np.zeros(2 ** (n + length), dtype=complex)
+    for l in range(lp1):
+        acc += clock_value_vector(n, length, l, states[l])
+    vectors = np.zeros((2 ** (n + length), lp1), dtype=complex)
+    for k in range(lp1):
+        norm = math.sqrt((2.0 - (k == 0)) / lp1)
+        for l in range(lp1):
+            c = norm * math.cos((l + 0.5) * k * math.pi / lp1)
+            vectors[:, k] += c * clock_value_vector(n, length, l, states[l])
+    return acc / math.sqrt(lp1), vectors
 
 
 class CountingLinalg:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qsc import __version__
+from qsc import __version__, config
 from qsc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
 
 SMALL = {
@@ -149,6 +149,15 @@ def test_dimension_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("QSC_MAX_DIM", "4")
     cfg = {"n": 2, "circuit": ["G H 1", "G CX 1 2", "G I 1"], "eps": 0.1}
     assert run_cli(tmp_path, "clock", cfg) == EXIT_RESOURCE
+
+
+def test_self_check_failure_is_reported_not_raised(tmp_path, monkeypatch, capsys):
+    # a residual self-check that fails is an error line and exit 1, not a
+    # traceback
+    monkeypatch.setattr(config, "RESIDUAL_RTOL", -1.0)
+    assert run_cli(tmp_path, "clock", SMALL["clock"]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: legal-sector hopping block deviates")
 
 
 def test_bounds_replay_clean_and_corrupted(tmp_path):

@@ -118,6 +118,22 @@ class TestClockReduced:
         assert payload["report"]["skipped_bands"] == report["skipped_bands"]
 
 
+    def test_cost_block_prices_the_ladder_that_ran(self, tmp_path):
+        # eta = 0.3 skips band 3; the cost block must use the reduced
+        # schedule's time, like the report
+        cfg = {
+            "n": 1, "circuit": ["G H 1", "G T 1", "G X 1"], "eps": 0.1,
+            "eta": 0.3, "seed": 0,
+        }
+        summary = run_clock(cfg, tmp_path)
+        assert summary["report"]["skipped_bands"] == [3]
+        assert summary["cost"]["total_time"] == summary["report"]["total_time"]
+        cost = summary["cost"]
+        assert cost["cost"] == cost["h_norm"] * cost["total_time"]
+        # the returned summary is exactly what the file holds
+        assert json.loads((tmp_path / "clock_report.json").read_text()) == summary
+
+
 class TestCountedWork:
     """A cooling run's work is counted, not timed: one bath assembly and
     one eigendecomposition per step for the schedule, the same again for

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from qsc.errors import ParseError
+from qsc import config
+from qsc.errors import ParseError, QscError, SelfCheckFailed
 from qsc.linalg import DensityMatrix, Operator, StateVector, operator_norm, partial_trace
 from qsc.models import (
     BathSpec,
@@ -32,6 +33,8 @@ from qsc.models import (
     random_state,
     shift_factors,
 )
+
+from oracles import clock_history_by_loop, clock_hopping_by_branches
 
 
 def haar_gate(rng, dim):
@@ -207,6 +210,45 @@ class TestClockConstruction:
             target = model.omega * tri.copy()
             target[0, 0] += model.delta1 * weight
             assert np.max(np.abs(block - target)) < 1e-9
+
+
+class TestClockPinned:
+    """The hopping term built by one controlled-step rule, and the history
+    state and band vectors built from one register history, equal the
+    four-branch construction and the gate-by-gate loops bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("length", [1, 2, 3, 5])
+    def test_bit_identical(self, n, length):
+        rng = np.random.default_rng(1000 * n + length)
+        model = ClockModel(circuit=random_circuit(rng, n, length))
+        h_prop, _, _ = build_clock_parts(model)
+        assert np.array_equal(h_prop.matrix, clock_hopping_by_branches(model))
+        history, vectors = clock_history_by_loop(model)
+        assert np.array_equal(history_state(model).amplitudes, history)
+        assert np.array_equal(clock_band_structure(model).vectors, vectors)
+
+
+class TestSelfChecks:
+    """A failed residual self-check is a package error naming the residual."""
+
+    @staticmethod
+    def _model():
+        return ClockModel(circuit=parse_circuit("G H 1\nG T 1\n", 1))
+
+    def test_hopping_check(self, monkeypatch):
+        model = self._model()
+        monkeypatch.setattr(config, "RESIDUAL_RTOL", -1.0)
+        with pytest.raises(SelfCheckFailed, match=r"tridiagonal target by \d"):
+            build_clock(model)
+
+    def test_band_vector_check(self, monkeypatch):
+        model = self._model()
+        h_s = build_clock(model)
+        monkeypatch.setattr(config, "RESIDUAL_RTOL", -1.0)
+        with pytest.raises(SelfCheckFailed, match=r"residual check by \d") as info:
+            clock_band_structure(model, h_s)
+        assert isinstance(info.value, QscError)
 
 
 class TestClockSpectrum:
