@@ -12,11 +12,17 @@ Density-matrix propagation of the exact conditional-evolution map is the
 primary mode: its output is deterministic.  Trajectory mode samples the
 measurement record instead and must agree within Monte-Carlo error.
 
-A run builds each step Hamiltonian H_j + V once and takes both its norm
-and its evolution from that operator; it propagates the ladder once, and
-a density-mode report carries the final state for readouts.  The qubit
-bath is the last tensor factor, so bath projections select the even
-(down) and odd (up) composite indices.
+An exact-tau schedule builds each step Hamiltonian H_j + V once and keeps
+the eigendecomposition it read the pulse time off; a run takes both the
+step's norm and its evolution from that decomposition, and builds and
+diagonalizes a step only when the schedule holds none for it (analytic
+tau, an injected error, a detuning replaced after scheduling).  A run
+propagates the ladder once, and a density-mode report carries the final
+state for readouts.  Trajectory shots draw all their uniforms (one per
+step, one for the final readout) from their own generators up front, so
+they move through each step together as the columns of one block.  The
+qubit bath is the last tensor factor, so bath projections select the
+even (down) and odd (up) composite indices.
 """
 
 from __future__ import annotations
@@ -33,8 +39,10 @@ from .linalg import (
     SIGMA_X,
     DensityMatrix,
     Operator,
+    SpectralDecomposition,
     StateVector,
     evolve,
+    hermitian_eig,
     hybridized_pair,
     operator_norm,
 )
@@ -64,6 +72,7 @@ from .models import (
 __all__ = [
     "CoolingSetup",
     "ExtensionSetup",
+    "StepSpectrum",
     "ScheduleStep",
     "CoolingSchedule",
     "RunReport",
@@ -80,7 +89,6 @@ __all__ = [
     "run_probabilistic",
     "inject_errors",
     "extension_error_budget",
-    "cost_report",
     "trial_rng",
 ]
 
@@ -95,6 +103,8 @@ class CoolingSetup:
 
     `coupling` is the unit-norm coupling direction; the schedule scales it
     by Omega_0.  Within the band, coupling acts as |F><F| with overlaps xs.
+    `ground_basis` holds orthonormal columns spanning the (possibly
+    degenerate) ground space of H_S.
     """
 
     h_s: Operator
@@ -102,7 +112,7 @@ class CoolingSetup:
     band: BandStructure
     xs: np.ndarray
     fiducial: StateVector
-    ground_projector: np.ndarray  # system-side projector, possibly degenerate
+    ground_basis: np.ndarray
     label: str = ""
 
     @property
@@ -134,7 +144,7 @@ def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
         band=band,
         xs=xs,
         fiducial=fiducial,
-        ground_projector=p0.projector.matrix,
+        ground_basis=p0.basis,
         label=f"grover(n={model.n})",
     )
 
@@ -145,14 +155,13 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
     h_s = build_clock(model)
     band = clock_band_structure(model, h_s)
     xs = overlap_coefficients(model.length)
-    eta = band.vector(0)
     return CoolingSetup(
         h_s=h_s,
         coupling=clock_coupling_direction(model),
         band=band,
         xs=xs,
         fiducial=StateVector.basis(h_s.dim, 0),
-        ground_projector=np.outer(eta, eta.conj()),
+        ground_basis=band.vectors[:, :1],  # the history state
         label=f"clock(n={model.n},L={model.length})",
     )
 
@@ -162,12 +171,24 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class StepSpectrum:
+    """The eigendecomposition of a step Hamiltonian H_j + V and the
+    couplings (Omega_0, omega_b) it was built for."""
+
+    omega0: float
+    omega_b: float
+    decomposition: SpectralDecomposition
+
+
+@dataclass(frozen=True)
 class ScheduleStep:
     j: int
     omega_b: float
     tau: float
     rabi: float  # the rate actually used to set tau: tau = pi / (2 rabi)
     solution: DetuningSolution = field(repr=False, compare=False, default=None)
+    # exact tau_mode's decomposition of H_j + V, which runs propagate with
+    spectrum: StepSpectrum | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -188,15 +209,16 @@ class CoolingSchedule:
 def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
     """True splitting of the two hybridized eigenstates of H_j + V nearest
     the addressed transition, and the eigendecomposition of H_j + V."""
-    h_j, v = _step_operators(setup, omega0, sol.omega_b)
-    return hybridized_pair(h_j.matrix + v.matrix, *setup.transition(sol.j))
+    h = _step_hamiltonian(setup, omega0, sol.omega_b)
+    return hybridized_pair(h.matrix, *setup.transition(sol.j))
 
 
-def _step_operators(setup: CoolingSetup, omega0: float, omega_b: float):
-    """H_j (system + detuned bath) and V = Omega_0 * coupling (x) sigma_x."""
+def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Operator:
+    """H_j + V: the system with the bath detuned to omega_b, plus the
+    coupling V = Omega_0 * coupling (x) sigma_x, as one validated operator."""
     t_s = omega0 * setup.coupling
     h_j, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b), t_s)
-    return h_j, v
+    return h_j + v
 
 
 def build_schedule(
@@ -212,7 +234,8 @@ def build_schedule(
     is set through r = scaling_c * eps * L^(-5/2).  tau_mode "exact" reads
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
-    1/Omega_0 (so halving the coupling exactly doubles the time).
+    1/Omega_0 (so halving the coupling exactly doubles the time).  An exact
+    step keeps its eigendecomposition of H_j + V for the runs.
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
@@ -231,14 +254,16 @@ def build_schedule(
     steps = []
     for j in range(n_steps, 0, -1):
         sol = solve_detuning(xs, omegas, j, omega0, delta)
+        spectrum = None
         if tau_mode == "exact":
-            splitting, _ = _exact_splitting(setup, omega0, sol)
+            splitting, sd = _exact_splitting(setup, omega0, sol)
             rabi = splitting / 2.0
+            spectrum = StepSpectrum(omega0, sol.omega_b, sd)
         else:
             rabi = omega0 * xs[0] * xs[j]
         steps.append(
             ScheduleStep(j=j, omega_b=sol.omega_b, tau=math.pi / (2 * rabi),
-                         rabi=rabi, solution=sol)
+                         rabi=rabi, solution=sol, spectrum=spectrum)
         )
     return CoolingSchedule(
         steps=tuple(steps), omega0=omega0, r=r, eps_target=eps, tau_mode=tau_mode
@@ -249,14 +274,16 @@ def build_schedule(
 # The conditional-evolution map and deterministic runs
 # ---------------------------------------------------------------------------
 
-def cooling_step(rho: DensityMatrix, step: ScheduleStep, h: Operator) -> DensityMatrix:
+def cooling_step(rho: DensityMatrix, step: ScheduleStep,
+                 h: Operator | SpectralDecomposition) -> DensityMatrix:
     """One application of the measure-then-conditionally-evolve map:
 
         E_j(rho) = U_j D rho D U_j^+  +  P_up rho P_up
 
     with D = 1 (x) |down><down| and U_j the evolution under the step
-    Hamiltonian h = H_j + V (+ any injected error) for the step's pulse
-    time.  Trace-preserving and completely positive by construction.
+    Hamiltonian h = H_j + V (+ any injected error), or its
+    eigendecomposition, for the step's pulse time.  Trace-preserving and
+    completely positive by construction.
     """
     u = evolve(h, step.tau).matrix
     down, up = _bath_masks(rho.dim)
@@ -275,14 +302,31 @@ def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
                        delta_ops: dict[int, Operator] | None):
-    """Each schedule step with its Hamiltonian H_j + V (+ the injected
-    error for band j), built once."""
+    """Each schedule step with the eigendecomposition of its Hamiltonian
+    H_j + V (+ the injected error for band j).
+
+    The schedule's own decomposition is used when it was built for the
+    step's couplings and no error is injected; a step without one (analytic
+    tau), with an error, or whose omega_b or Omega_0 changed after
+    scheduling (`dataclasses.replace` copies the stored decomposition) is
+    built and diagonalized here.
+    """
     for step in schedule.steps:
-        h_j, v = _step_operators(setup, schedule.omega0, step.omega_b)
-        h = h_j + v
-        if delta_ops and step.j in delta_ops:
-            h = h + delta_ops[step.j]
-        yield step, h
+        error = delta_ops.get(step.j) if delta_ops else None
+        spectrum = step.spectrum
+        if (error is None and spectrum is not None
+                and (spectrum.omega0, spectrum.omega_b) == (schedule.omega0, step.omega_b)):
+            yield step, spectrum.decomposition
+            continue
+        h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
+        if error is not None:
+            h = h + error
+        yield step, hermitian_eig(h)
+
+
+def _squared_norms(columns: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each column."""
+    return np.sum(columns.real ** 2 + columns.imag ** 2, axis=0)
 
 
 @dataclass(frozen=True)
@@ -326,16 +370,16 @@ def run_deterministic(
 
     Density mode composes the exact conditional-evolution maps (the output
     is a deterministic number) and returns the final state with the report.
-    Trajectory mode samples the bath measurement record shot by shot with
+    Trajectory mode samples the bath measurement record per shot, with
     per-shot generators derived from the master seed, then samples a final
     ground-vs-not outcome per shot so the fidelity estimate carries plain
-    binomial statistics.
+    binomial statistics.  Shots move through each step in blocks of at most
+    the composite dimension.
     """
     if mode not in ("density", "trajectory"):
         raise ValueError("mode must be 'density' or 'trajectory'")
-    eye_bath = np.eye(2, dtype=complex)
-    m_ground = np.kron(setup.ground_projector, eye_bath)
-    down, up = _bath_masks(2 * setup.dim_s)
+    # the composite ground space: the ground space of H_S with either bath state
+    ground = np.kron(setup.ground_basis, np.eye(2, dtype=complex))
     h_norm = 0.0
     total_time = schedule.total_time
 
@@ -356,21 +400,22 @@ def run_deterministic(
         def column_weights(state: DensityMatrix) -> np.ndarray:
             return np.sum(manifold.conj() * (state.entries @ manifold), axis=0).real
 
+        up = _bath_masks(rho.dim)[1]
         up_probs, retentions = [], []
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
         weights = column_weights(rho)
-        for step, h in _step_hamiltonians(setup, schedule, delta_ops):
-            h_norm = max(h_norm, operator_norm(h))
+        for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
+            h_norm = max(h_norm, operator_norm(sd))
             before = float(np.sum(weights[: step.j + 1]) + weights[-1])
-            rho = cooling_step(rho, step, h)
+            rho = cooling_step(rho, step, sd)
             weights = column_weights(rho)
             after = float(np.sum(weights[: step.j]) + weights[-1])
             retentions.append(min(1.0, after / before) if before > 0 else 1.0)
             up_probs.append(float(np.sum(np.diagonal(rho.entries) * up).real))
             trace_residual = max(trace_residual, abs(rho.trace() - 1.0))
             min_eig = min(min_eig, rho.min_eigenvalue())
-        fidelity = float(np.trace(m_ground @ rho.entries).real)
+        fidelity = float(np.sum(ground.conj() * (rho.entries @ ground)).real)
         retention_product = float(np.prod(retentions)) if retentions else 1.0
         return RunReport(
             ground_fidelity=fidelity,
@@ -387,29 +432,35 @@ def run_deterministic(
             final_state=rho,
         )
 
-    # trajectory mode: pure-state shots through the measurement record
+    # trajectory mode: pure-state shots through the measurement record.  A
+    # shot's uniforms are one per step and one for the final readout, drawn
+    # from its own generator, so a block of shots (the columns of psi) can
+    # take each step together: the up rows (odd indices) of the shots that
+    # measured up, U times the down rows of the rest.
     unitaries = []
-    for step, h in _step_hamiltonians(setup, schedule, delta_ops):
-        h_norm = max(h_norm, operator_norm(h))
-        unitaries.append(evolve(h, step.tau).matrix)
+    for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
+        h_norm = max(h_norm, operator_norm(sd))
+        unitaries.append(evolve(sd, step.tau).matrix)
+    n_steps = len(unitaries)
     psi_init = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+    block = psi_init.shape[0]
     successes = 0
-    up_weights = np.zeros(len(schedule.steps))
-    for t in range(shots):
-        rng = trial_rng(seed, t)
-        psi = psi_init.copy()
+    up_weights = np.zeros(n_steps)
+    for first in range(0, shots, block):
+        trials = range(first, min(shots, first + block))
+        draws = np.array([trial_rng(seed, t).random(n_steps + 1) for t in trials])
+        psi = np.repeat(psi_init[:, None], len(trials), axis=1)
         for i, u in enumerate(unitaries):
-            p_up = float(np.linalg.norm(psi * up) ** 2)
-            if rng.random() < p_up:
-                psi = psi * up / math.sqrt(p_up)
-            else:
-                psi = psi * down / math.sqrt(max(1e-300, 1.0 - p_up))
-                psi = u @ psi
+            p_up = _squared_norms(psi[1::2])
+            went_up = draws[:, i] < p_up
+            psi[0::2, went_up] = 0.0
+            psi[1::2, ~went_up] = 0.0
+            psi /= np.sqrt(np.where(went_up, p_up, np.maximum(1e-300, 1.0 - p_up)))
+            psi[:, ~went_up] = u @ psi[:, ~went_up]
             # post-step pumped weight, comparable to the density-mode trace
-            up_weights[i] += float(np.linalg.norm(psi * up) ** 2)
-        p_ground = float(np.real(psi.conj() @ m_ground @ psi))
-        if rng.random() < min(1.0, max(0.0, p_ground)):
-            successes += 1
+            up_weights[i] += np.sum(_squared_norms(psi[1::2]))
+        p_ground = _squared_norms(ground.conj().T @ psi)
+        successes += int(np.count_nonzero(draws[:, -1] < np.clip(p_ground, 0.0, 1.0)))
     return RunReport(
         ground_fidelity=successes / shots,
         per_step_up_probability=tuple(up_weights / shots),
@@ -489,8 +540,7 @@ def clock_extension_setup(model: ClockModel) -> ExtensionSetup:
     eta = band.vector(0)
     k1 = band.vector(1)
     omega1 = float(band.omegas[1])
-    evals = np.linalg.eigh(h_s.matrix)[0]
-    delta = _extension_gap(evals, omega1)
+    delta = _extension_gap(band.spectrum, omega1)
     xs = overlap_coefficients(model.length)
     return ExtensionSetup(
         h_s=h_s,
@@ -654,7 +704,7 @@ def run_probabilistic(
 
 
 # ---------------------------------------------------------------------------
-# Error injection and cost accounting
+# Error injection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -765,18 +815,3 @@ def extension_error_budget(
         ok = ok and _within_budget(row) and shift_ok
         rows.append(row)
     return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    total_time: float
-    h_norm: float
-    cost: float
-
-
-def cost_report(schedule: CoolingSchedule, h_ref: Operator) -> CostReport:
-    """T = sum of pulse times; cost = |H| * T for the given reference
-    Hamiltonian (typically the largest simulated step Hamiltonian)."""
-    t = schedule.total_time
-    norm = operator_norm(h_ref)
-    return CostReport(total_time=t, h_norm=norm, cost=norm * t)

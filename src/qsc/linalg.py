@@ -245,8 +245,11 @@ def _two_norm(m: np.ndarray) -> float:
 
 
 def operator_norm(op) -> float:
-    """Operator 2-norm: max |eigenvalue| for Hermitian input, else the
-    largest singular value."""
+    """Operator 2-norm: max |eigenvalue| for Hermitian input (read off a
+    `SpectralDecomposition` without another LAPACK call), else the largest
+    singular value."""
+    if isinstance(op, SpectralDecomposition):
+        return float(np.max(np.abs(op.eigenvalues)))
     if isinstance(op, Operator):
         if op.hermitian:
             return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))

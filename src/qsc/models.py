@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 from typing import Sequence
@@ -513,11 +513,13 @@ def history_state(model: ClockModel) -> StateVector:
 class BandStructure:
     """The resolved low band: energies, eigenvectors (columns), and the
     spectral distance delta separating each band energy from the rest of
-    the spectrum."""
+    the spectrum; `spectrum` holds the full ascending spectrum of H_S when
+    delta was measured on it."""
 
     omegas: np.ndarray
     vectors: np.ndarray
     delta: float
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -570,7 +572,7 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
         candidates.append(np.min(np.abs(others - oj)))
         candidates.extend(abs(ok - oj) for k, ok in enumerate(omegas) if k != j)
     delta = float(min(candidates))
-    return BandStructure(omegas=omegas, vectors=vectors, delta=delta)
+    return BandStructure(omegas=omegas, vectors=vectors, delta=delta, spectrum=evals)
 
 
 @dataclass(frozen=True)

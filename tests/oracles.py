@@ -6,8 +6,9 @@ polynomial's root counts, operator norms by power iteration, partial
 traces by raw index summation, matrix exponentials via scipy's Pade
 implementation, the cooling map through dense bath projectors, the
 bounds lab's closeness radius by one linear solve and one SVD norm per
-grid point, and the clock construction by its original four-branch
-hopping loop and step-by-step register history.
+grid point, the clock construction by its original four-branch hopping
+loop and step-by-step register history, the cooling ladder from step
+Hamiltonians built afresh, and trajectory sampling one shot at a time.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
@@ -133,6 +134,71 @@ def cooling_map_dense(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     up = np.kron(eye_s, np.diag([0.0, 1.0]))
     out = u @ (down @ rho @ down) @ u.conj().T + up @ rho @ up
     return (out + out.conj().T) / 2
+
+
+def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
+    """Each step's evolution, from H_j + V (+ the error for band j) built
+    and diagonalized here, never from a decomposition the schedule holds."""
+    from qsc.cooling import _step_hamiltonian
+    from qsc.linalg import evolve
+
+    unitaries = []
+    for step in schedule.steps:
+        h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
+        if delta_ops and step.j in delta_ops:
+            h = h + delta_ops[step.j]
+        unitaries.append(evolve(h, step.tau).matrix)
+    return unitaries
+
+
+def _ground_projector(setup) -> np.ndarray:
+    """The dense composite projector onto the ground space of H_S with
+    either bath state."""
+    p = setup.ground_basis @ setup.ground_basis.conj().T
+    return np.kron(p, np.eye(2, dtype=complex))
+
+
+def ladder_by_fresh_build(setup, schedule, delta_ops=None):
+    """Density-mode ground fidelity and per-step up probabilities, with
+    every step built afresh and the dense-projector map."""
+    psi = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
+    rho = np.outer(psi, psi.conj())
+    up_probs = []
+    for u in _fresh_unitaries(setup, schedule, delta_ops):
+        rho = cooling_map_dense(rho, u)
+        up_probs.append(float(np.sum(np.diagonal(rho)[1::2]).real))
+    return float(np.trace(_ground_projector(setup) @ rho).real), up_probs
+
+
+def trajectory_by_shot(setup, schedule, shots: int, seed: int):
+    """Trajectory sampling one shot at a time, each drawing its uniforms
+    one by one from its own generator: a bath measurement per step (up
+    keeps the pumped rows, down evolves the rest), then a ground-vs-not
+    readout.  Returns (successes, per-step mean up weight)."""
+    from qsc.cooling import trial_rng
+
+    unitaries = _fresh_unitaries(setup, schedule)
+    m_ground = _ground_projector(setup)
+    psi_init = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
+    up = np.arange(psi_init.shape[0]) % 2
+    down = 1 - up
+    successes = 0
+    up_weights = np.zeros(len(unitaries))
+    for t in range(shots):
+        rng = trial_rng(seed, t)
+        psi = psi_init.copy()
+        for i, u in enumerate(unitaries):
+            p_up = float(np.linalg.norm(psi * up) ** 2)
+            if rng.random() < p_up:
+                psi = psi * up / math.sqrt(p_up)
+            else:
+                psi = psi * down / math.sqrt(max(1e-300, 1.0 - p_up))
+                psi = u @ psi
+            up_weights[i] += float(np.linalg.norm(psi * up) ** 2)
+        p_ground = float(np.real(psi.conj() @ m_ground @ psi))
+        if rng.random() < min(1.0, max(0.0, p_ground)):
+            successes += 1
+    return successes, up_weights / shots
 
 
 def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsc.errors import CouplingTooLarge
-from qsc.linalg import DensityMatrix, Operator, evolve
+from qsc.linalg import DensityMatrix, Operator, evolve, operator_norm
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -18,20 +18,20 @@ from qsc.models import (
 )
 from qsc.cooling import (
     ErrorInjection,
-    _step_operators,
+    _step_hamiltonian,
     build_schedule,
     clock_extension_setup,
     clock_setup,
     cooling_step,
-    cost_report,
     grover_setup,
     inject_errors,
     run_deterministic,
     run_probabilistic,
     run_reduced,
+    trial_rng,
 )
 
-from oracles import cooling_map_dense
+from oracles import cooling_map_dense, trajectory_by_shot
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +83,10 @@ class TestCoolingStep:
     def test_pumped_state_fixed(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
         step = sched.steps[0]
-        h_j, v = _step_operators(grover6, sched.omega0, step.omega_b)
+        h = _step_hamiltonian(grover6, sched.omega0, step.omega_b)
         up_state = np.kron(grover6.band.vector(0), KET_UP)
         rho = DensityMatrix(np.outer(up_state, up_state.conj()))
-        out = cooling_step(rho, step, h_j + v)
+        out = cooling_step(rho, step, h)
         assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
 
     def test_trace_and_positivity(self, clock12):
@@ -94,8 +94,8 @@ class TestCoolingStep:
         psi = np.kron(clock12.fiducial.amplitudes, KET_DOWN)
         rho = DensityMatrix(np.outer(psi, psi.conj()))
         for step in sched.steps:
-            h_j, v = _step_operators(clock12, sched.omega0, step.omega_b)
-            rho = cooling_step(rho, step, h_j + v)
+            h = _step_hamiltonian(clock12, sched.omega0, step.omega_b)
+            rho = cooling_step(rho, step, h)
             assert abs(rho.trace() - 1.0) < 1e-10
             assert rho.min_eigenvalue() > -1e-9
 
@@ -104,8 +104,7 @@ class TestCoolingStep:
         sched = build_schedule(clock12, eps=0.1)
         dim = 2 * clock12.dim_s
         for step in sched.steps:
-            h_j, v = _step_operators(clock12, sched.omega0, step.omega_b)
-            h = h_j + v
+            h = _step_hamiltonian(clock12, sched.omega0, step.omega_b)
             u = evolve(h, step.tau).matrix
             for _ in range(3):
                 z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -118,10 +117,10 @@ class TestCoolingStep:
         # a state already in the lower manifold leaks only ~r amplitude
         sched = build_schedule(grover6, omega0=0.02)
         step = sched.steps[0]
-        h_j, v = _step_operators(grover6, sched.omega0, step.omega_b)
+        h = _step_hamiltonian(grover6, sched.omega0, step.omega_b)
         down = np.kron(grover6.band.vector(0), KET_DOWN)
         rho = DensityMatrix(np.outer(down, down.conj()))
-        out = cooling_step(rho, step, h_j + v)
+        out = cooling_step(rho, step, h)
         keep = float(np.real(down.conj() @ out.entries @ down))
         r = sched.r
         assert keep > 1 - 10 * r ** 2
@@ -146,10 +145,10 @@ class TestCoolingStep:
             sched = build_schedule(setup, omega0=r * setup.band.delta)
             step = sched.steps[0]
             j = step.j
-            h_j, v = _step_operators(setup, sched.omega0, step.omega_b)
+            h = _step_hamiltonian(setup, sched.omega0, step.omega_b)
             psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)
             rho = DensityMatrix(np.outer(psi, psi.conj()))
-            out = cooling_step(rho, step, h_j + v)
+            out = cooling_step(rho, step, h)
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
             cols.append(np.kron(setup.band.vector(0), KET_UP))
             b = np.column_stack(cols)
@@ -204,6 +203,42 @@ class TestRunDeterministic:
         assert report.min_eigenvalue >= -1e-9
         assert 0 <= report.ground_fidelity <= 1 + 1e-9
         assert report.cost == pytest.approx(report.h_norm * report.total_time)
+
+
+class TestTrajectoryBlocks:
+    """Shots move through each step as the columns of one block; the block
+    run must reproduce the one-shot-at-a-time loop."""
+
+    @pytest.fixture(scope="class")
+    def ladders(self):
+        grover = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
+        clock = clock_setup(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
+        return {
+            "grover": (grover, build_schedule(grover, omega0=0.02)),
+            "clock": (clock, build_schedule(clock, eps=0.1)),
+        }
+
+    def test_vector_draws_equal_scalar_draws(self):
+        for t in range(200):
+            drawn = trial_rng(41, t).random(5)
+            rng = trial_rng(41, t)
+            assert drawn.tolist() == [rng.random() for _ in range(5)]
+
+    @pytest.mark.parametrize("which", ["grover", "clock"])
+    @pytest.mark.parametrize("shots", [37, 301])
+    def test_matches_per_shot_loop(self, ladders, which, shots):
+        # the composite dimension is 32 for both, so neither shot count
+        # fills whole blocks; the clock's three steps take both branches
+        setup, sched = ladders[which]
+        assert shots % (2 * setup.dim_s) != 0
+        for seed in (0, 1, 7):
+            report = run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=seed)
+            successes, up_weights = trajectory_by_shot(setup, sched, shots, seed)
+            assert report.ground_fidelity == successes / shots
+            np.testing.assert_allclose(report.per_step_up_probability, up_weights,
+                                       rtol=1e-12, atol=0)
+            if which == "clock":
+                assert 0 < up_weights[1] < 1
 
 
 class TestRunReduced:
@@ -458,8 +493,9 @@ class TestInjectErrors:
 class TestCostReport:
     def test_grover_single_pulse_time(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
-        h_j, v = _step_operators(grover6, sched.omega0, sched.steps[0].omega_b)
-        rep = cost_report(sched, h_j + v)
+        h = _step_hamiltonian(grover6, sched.omega0, sched.steps[0].omega_b)
+        rep = run_deterministic(grover6, sched)
+        assert rep.h_norm == pytest.approx(operator_norm(h), rel=1e-14)
         x0, x1 = grover6.xs
         leading = math.pi / (2 * 0.02 * x0 * x1)
         assert abs(rep.total_time - leading) / leading < 5 * sched.r ** 2

@@ -3,6 +3,7 @@ statistics, and norm trends."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qsc import cooling, linalg, models
 from qsc.models import GroverModel
 from qsc.cooling import build_schedule, grover_setup, run_deterministic
 
-from oracles import CountingLinalg
+from oracles import CountingLinalg, ladder_by_fresh_build
 
 
 class TestDetuningCurve:
@@ -133,12 +134,27 @@ class TestClockReduced:
         # the returned summary is exactly what the file holds
         assert json.loads((tmp_path / "clock_report.json").read_text()) == summary
 
+    @pytest.mark.parametrize("eta", [None, 0.3])
+    def test_one_cost_per_run(self, tmp_path, eta):
+        # the cost block prices the run's largest step Hamiltonian, like
+        # the report, with or without skipped bands
+        cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1"], "eps": 0.1, "seed": 0}
+        if eta is not None:
+            cfg["eta"] = eta
+        summary = run_clock(cfg, tmp_path)
+        cost, report = summary["cost"], summary["report"]
+        assert cost["h_norm"] == report["h_norm"]
+        assert cost["cost"] == report["cost"]
+        assert cost["total_time"] == report["total_time"]
+
 
 class TestCountedWork:
     """A cooling run's work is counted, not timed: one bath assembly and
-    one eigendecomposition per step for the schedule, the same again for
-    the propagation, a single pass over the ladder, and no eigvalsh beyond
-    state validation and norms."""
+    one eigendecomposition per step, made by the schedule and propagated
+    with by the run, a single pass over the ladder, and no eigvalsh beyond
+    state validation and norms.  A step is rebuilt only when the schedule's
+    decomposition does not describe it, and then must match a ladder built
+    afresh."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -158,9 +174,9 @@ class TestCountedWork:
         assert "readout" in summary
         assert counts.count("cooling_step") == length
         # one band-structure eigh, then one per step for the schedule's
-        # splitting and one per step for the propagation
-        assert counts.count("eigh") == 2 * length + 1
-        assert counts.count("build_bath_and_couplings") == 2 * length
+        # splitting, which the run propagates with
+        assert counts.count("eigh") == length + 1
+        assert counts.count("build_bath_and_couplings") == length
         validated = sum(rho.validate for rho in counts.calls["density_matrix"])
         assert counts.count("eigvalsh") <= validated + counts.count("operator_norm")
 
@@ -169,6 +185,58 @@ class TestCountedWork:
                "shots": 20, "seed": 0}
         counts = self._counting(monkeypatch)
         run_grover(cfg, tmp_path)
-        # one for the schedule's splitting, one for the shot unitary
-        assert counts.count("build_bath_and_couplings") == 2
-        assert counts.count("eigh") == 2
+        # the schedule's splitting gives the shot unitary too
+        assert counts.count("build_bath_and_couplings") == 1
+        assert counts.count("eigh") == 1
+
+    def test_prob_setup_diagonalizes_h_s_once(self, monkeypatch):
+        model = models.ClockModel(circuit=models.parse_circuit("G H 1\nG T 1\n", 1))
+        counts = self._counting(monkeypatch)
+        ext = cooling.clock_extension_setup(model)
+        assert counts.sizes("eigh") == {ext.h_s.dim: 1}
+
+    @staticmethod
+    def _assert_fresh(setup, schedule, report, delta_ops=None):
+        fidelity, up_probs = ladder_by_fresh_build(setup, schedule, delta_ops)
+        assert abs(report.ground_fidelity - fidelity) <= 1e-12
+        np.testing.assert_allclose(report.per_step_up_probability, up_probs,
+                                   rtol=1e-12, atol=1e-15)
+
+    def test_naive_detuning_rebuilds(self, monkeypatch):
+        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        setup = grover_setup(model)
+        sched = build_schedule(setup, omega0=0.02)
+        naive = replace(sched, steps=tuple(replace(s, omega_b=model.omega1)
+                                           for s in sched.steps))
+        counts = self._counting(monkeypatch)
+        report = run_deterministic(setup, naive)
+        assert counts.count("eigh") == len(naive.steps)
+        self._assert_fresh(setup, naive, report)
+        # the corrected schedule's decomposition would give another fidelity
+        corrected = run_deterministic(setup, sched)
+        assert abs(corrected.ground_fidelity - report.ground_fidelity) > 1e-6
+
+    def test_injected_error_rebuilds_its_band(self, monkeypatch, rng):
+        setup = cooling.clock_setup(models.ClockModel(
+            circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
+        sched = build_schedule(setup, eps=0.1)
+        dim = 2 * setup.dim_s
+        z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        error = linalg.Operator(1e-3 * sched.omega0 * (z + z.conj().T), hermitian=True)
+        counts = self._counting(monkeypatch)
+        report = run_deterministic(setup, sched, delta_ops={2: error})
+        assert counts.count("eigh") == 1
+        self._assert_fresh(setup, sched, report, {2: error})
+        clean = run_deterministic(setup, sched)
+        assert abs(clean.per_step_up_probability[1] - report.per_step_up_probability[1]) > 1e-9
+
+    def test_analytic_tau_builds_every_step(self, monkeypatch):
+        setup = cooling.clock_setup(models.ClockModel(
+            circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
+        sched = build_schedule(setup, eps=0.1, tau_mode="analytic")
+        assert all(s.spectrum is None for s in sched.steps)
+        counts = self._counting(monkeypatch)
+        report = run_deterministic(setup, sched)
+        assert counts.count("eigh") == len(sched.steps)
+        assert counts.count("build_bath_and_couplings") == len(sched.steps)
+        self._assert_fresh(setup, sched, report)
