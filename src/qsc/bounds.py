@@ -244,7 +244,8 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
     if inside.shape[1] == 0:
         raise HypothesisUnmet("window contains no eigenvalues of H")
     p = Subspace(inst.h.dim, inside)
-    ctx = make_context(inst.h, p, inst.gap, inst.v_norm)
+    q = Subspace(inst.h.dim, inst.h_eig.eigenvectors[:, ~mask])
+    ctx = make_context(inst.h, p, inst.gap, inst.v_norm, q)
     z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
     h_eff = self_energy(ctx, inst.v, z0, mode="closed")
     sigma_at = self_energy_grid(ctx, inst.v)
@@ -569,11 +570,12 @@ def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
     two-level oscillation toward |0,B>, with the rate read off the measured
     splitting of the hybridized pair (the correction the claim allows) and
     the global phase optimized out."""
-    t_s = omega0 * ext.coupling
-    h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
+    h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
+                                            ext.coupling, omega0)
+    h = Operator(h_full + x_op, hermitian=True)
     start = np.kron(ext.band1[:, 0], KET_C)
     target = np.kron(ext.ground, KET_B)
-    splitting, sd = hybridized_pair(h_full.matrix + x_op.matrix, start, target)
+    splitting, sd = hybridized_pair(h.matrix, start, target)
     w, vecs = sd.eigenvalues, sd.eigenvectors
     rabi = splitting / 2.0
     half_period = math.pi / (2 * rabi)
@@ -594,12 +596,12 @@ def _verification_leakage(ext, omega0: float, time_points: int = 33) -> float:
     system states and over a grid of evolution times up to the full
     verification pulse (the pointwise value oscillates under its envelope,
     so a single time would not expose the scaling)."""
-    t_s = omega0 * ext.coupling
-    h_full, _ = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
+    h_full, _ = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
+                                         ext.coupling, omega0)
     dim_s = ext.h_s.dim
     eye_s = np.eye(dim_s, dtype=complex)
-    y_op = build_verification_coupling(dim_s, omega0)
-    w, vecs = np.linalg.eigh(h_full.matrix + y_op.matrix)
+    h = Operator(h_full + build_verification_coupling(dim_s, omega0), hermitian=True)
+    w, vecs = np.linalg.eigh(h.matrix)
     tau_v = math.pi / (2 * omega0)
     proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
     ws, vs = np.linalg.eigh(ext.h_s.matrix)

@@ -12,17 +12,22 @@ Density-matrix propagation of the exact conditional-evolution map is the
 primary mode: its output is deterministic.  Trajectory mode samples the
 measurement record instead and must agree within Monte-Carlo error.
 
-An exact-tau schedule builds each step Hamiltonian H_j + V once and keeps
-the eigendecomposition it read the pulse time off; a run takes both the
-step's norm and its evolution from that decomposition, and builds and
+An exact-tau schedule builds each step Hamiltonian H_j + V once, as the
+one validated operator of the step (its terms are plain arrays), and
+keeps the eigendecomposition it read the pulse time off; a run takes both
+the step's norm and its evolution from that decomposition, and builds and
 diagonalizes a step only when the schedule holds none for it (analytic
 tau, an injected error, a detuning replaced after scheduling).  A run
 propagates the ladder once, and a density-mode report carries the final
 state for readouts.  Trajectory shots draw all their uniforms (one per
-step, one for the final readout) from their own generators up front, so
-they move through each step together as the columns of one block.  The
-qubit bath is the last tensor factor, so bath projections select the
-even (down) and odd (up) composite indices.
+step, one for the final readout) from their own generators up front.  A
+shot's state is fixed by its measurement record, so shots with the same
+record share one propagated state: a ladder of L' steps propagates
+L' + 1 states (the record still measuring down, and one up record per
+step, which measures up again with probability 1 up to rounding)
+however many shots it samples.  The qubit bath is the last tensor
+factor, so bath projections select the even (down) and odd (up)
+composite indices.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import config
-from .errors import CouplingTooLarge
+from .errors import CouplingTooLarge, DimensionMismatch
 from .levelshift import DetuningSolution, solve_detuning
 from .linalg import (
     SIGMA_X,
@@ -134,8 +139,8 @@ def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
     """Search-oracle setup: rank-one coupling along the fiducial state."""
     if fiducial is None:
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
-    band, xs = grover_band_structure(model, fiducial)
-    h_s, p0, _ = build_grover(model)
+    h_s, p0, p1 = build_grover(model)
+    band, xs = grover_band_structure(model, fiducial, (p0, p1))
     f = fiducial.amplitudes
     coupling = Operator(np.outer(f, f.conj()), hermitian=True)
     return CoolingSetup(
@@ -213,12 +218,30 @@ def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
     return hybridized_pair(h.matrix, *setup.transition(sol.j))
 
 
-def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Operator:
-    """H_j + V: the system with the bath detuned to omega_b, plus the
-    coupling V = Omega_0 * coupling (x) sigma_x, as one validated operator."""
-    t_s = omega0 * setup.coupling
-    h_j, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b), t_s)
-    return h_j + v
+def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float,
+                      error: Operator | None = None) -> Operator:
+    """H_j + V (+ error): the system with the bath detuned to omega_b, plus
+    the coupling V = Omega_0 * coupling (x) sigma_x and any injected error.
+
+    The terms come as plain arrays from the validated H_S, coupling and
+    error; their sum, the matrix that is diagonalized and propagated, is
+    the one validated operator of the step."""
+    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
+                                    setup.coupling, omega0)
+    # summed in place and V dropped, so the check's SVD runs with two
+    # composite-size arrays fewer alive
+    h += v
+    del v
+    return Operator(_plus_error(h, error), hermitian=True)
+
+
+def _plus_error(h: np.ndarray, error: Operator | None) -> np.ndarray:
+    """h plus a static error term on the same composite space, if any."""
+    if error is None:
+        return h
+    if error.dim != h.shape[0]:
+        raise DimensionMismatch(f"error term of dimension {error.dim} on {h.shape[0]}")
+    return h + error.matrix
 
 
 def build_schedule(
@@ -318,10 +341,7 @@ def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
                 and (spectrum.omega0, spectrum.omega_b) == (schedule.omega0, step.omega_b)):
             yield step, spectrum.decomposition
             continue
-        h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
-        if error is not None:
-            h = h + error
-        yield step, hermitian_eig(h)
+        yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b, error))
 
 
 def _squared_norms(columns: np.ndarray) -> np.ndarray:
@@ -373,8 +393,9 @@ def run_deterministic(
     Trajectory mode samples the bath measurement record per shot, with
     per-shot generators derived from the master seed, then samples a final
     ground-vs-not outcome per shot so the fidelity estimate carries plain
-    binomial statistics.  Shots move through each step in blocks of at most
-    the composite dimension.
+    binomial statistics.  Shots with the same measurement record share one
+    propagated state, so the work per step grows with the number of
+    distinct records (one per step, plus one), not with the shots.
     """
     if mode not in ("density", "trajectory"):
         raise ValueError("mode must be 'density' or 'trajectory'")
@@ -434,33 +455,34 @@ def run_deterministic(
 
     # trajectory mode: pure-state shots through the measurement record.  A
     # shot's uniforms are one per step and one for the final readout, drawn
-    # from its own generator, so a block of shots (the columns of psi) can
-    # take each step together: the up rows (odd indices) of the shots that
-    # measured up, U times the down rows of the rest.
+    # from its own generator.  A shot's state depends only on its record of
+    # bath outcomes so far, so shots with the same record share one column
+    # of psi (`record` maps shot to column).  Each step measures every
+    # column once: a column splits into its up rows (odd indices) and U
+    # times its down rows, for the outcomes some shot of it drew.
     unitaries = []
     for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
         h_norm = max(h_norm, operator_norm(sd))
         unitaries.append(evolve(sd, step.tau).matrix)
     n_steps = len(unitaries)
-    psi_init = np.kron(setup.fiducial.amplitudes, KET_DOWN)
-    block = psi_init.shape[0]
-    successes = 0
+    draws = np.array([trial_rng(seed, t).random(n_steps + 1) for t in range(shots)])
+    psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)[:, None]
+    record = np.zeros(shots, dtype=np.intp)
     up_weights = np.zeros(n_steps)
-    for first in range(0, shots, block):
-        trials = range(first, min(shots, first + block))
-        draws = np.array([trial_rng(seed, t).random(n_steps + 1) for t in trials])
-        psi = np.repeat(psi_init[:, None], len(trials), axis=1)
-        for i, u in enumerate(unitaries):
-            p_up = _squared_norms(psi[1::2])
-            went_up = draws[:, i] < p_up
-            psi[0::2, went_up] = 0.0
-            psi[1::2, ~went_up] = 0.0
-            psi /= np.sqrt(np.where(went_up, p_up, np.maximum(1e-300, 1.0 - p_up)))
-            psi[:, ~went_up] = u @ psi[:, ~went_up]
-            # post-step pumped weight, comparable to the density-mode trace
-            up_weights[i] += np.sum(_squared_norms(psi[1::2]))
-        p_ground = _squared_norms(ground.conj().T @ psi)
-        successes += int(np.count_nonzero(draws[:, -1] < np.clip(p_ground, 0.0, 1.0)))
+    for i, u in enumerate(unitaries):
+        p_up = _squared_norms(psi[1::2])
+        went_up = draws[:, i] < p_up[record]
+        branches, record = np.unique(2 * record + went_up, return_inverse=True)
+        parent, up = branches // 2, branches % 2 == 1
+        psi, p_up = psi[:, parent], p_up[parent]
+        psi[0::2, up] = 0.0
+        psi[1::2, ~up] = 0.0
+        psi /= np.sqrt(np.where(up, p_up, np.maximum(1e-300, 1.0 - p_up)))
+        psi[:, ~up] = u @ psi[:, ~up]
+        # post-step pumped weight, comparable to the density-mode trace
+        up_weights[i] = np.bincount(record, minlength=len(branches)) @ _squared_norms(psi[1::2])
+    p_ground = _squared_norms(ground.conj().T @ psi)
+    successes = int(np.count_nonzero(draws[:, -1] < np.clip(p_ground, 0.0, 1.0)[record]))
     return RunReport(
         ground_fidelity=successes / shots,
         per_step_up_probability=tuple(up_weights / shots),
@@ -621,15 +643,16 @@ def run_probabilistic(
     if r >= config.MAX_COUPLING_RATIO:
         raise CouplingTooLarge(f"r = {r:.4f} >= 1/8")
 
-    t_s = omega0 * ext.coupling
     bath = BathSpec("qutrit", ext.omega1)
-    h_full, x_op = build_bath_and_couplings(ext.h_s, bath, t_s)
+    h_full, x_op = build_bath_and_couplings(ext.h_s, bath, ext.coupling, omega0)
     dim_s = ext.h_s.dim
     eye_s = np.eye(dim_s, dtype=complex)
-    h_drive = h_full + x_op
-    h_verify = h_full + build_verification_coupling(dim_s, omega0)
-    if delta_op is not None:
-        h_drive, h_verify = h_drive + delta_op, h_verify + delta_op
+    # the two evolution Hamiltonians are the matrices validated here
+    h_drive = Operator(_plus_error(h_full + x_op, delta_op), hermitian=True)
+    h_verify = Operator(
+        _plus_error(h_full + build_verification_coupling(dim_s, omega0), delta_op),
+        hermitian=True,
+    )
     wt, vt = np.linalg.eigh(h_drive.matrix)
     tau_v = math.pi / (2 * omega0)
     u_verify = evolve(h_verify, tau_v).matrix
@@ -797,17 +820,17 @@ def extension_error_budget(
         cols.extend(np.kron(ext.band1[:, k], e) for e in np.eye(3, dtype=complex))
     b = np.column_stack(cols)
     s1 = b @ b.conj().T
-    t_s = omega0 * ext.coupling
-    h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1), t_s)
+    _, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
+                                       ext.coupling, omega0)
     y_op = build_verification_coupling(ext.h_s.dim, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
     r = omega0 / ext.delta
     rabi = ext.rabi(omega0)
-    ground_shift = float(np.abs(ext.ground.conj() @ t_s.matrix @ ext.ground)) ** 2
+    t_s = omega0 * ext.coupling.matrix
+    ground_shift = float(np.abs(ext.ground.conj() @ t_s @ ext.ground)) ** 2
     rows = []
     ok = r < config.MAX_COUPLING_RATIO
-    for name, v_mat, rate in (("drive", x_op.matrix, rabi),
-                              ("verification", y_op.matrix, omega0)):
+    for name, v_mat, rate in (("drive", x_op, rabi), ("verification", y_op, omega0)):
         budget = r * rate / ext.delta
         shift_ok = bool(ground_shift / ext.omega1 < r * rate)
         row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, ext.delta, budget),

@@ -36,6 +36,7 @@ from .models import (
     ClockModel,
     GroverModel,
     build_clock,
+    build_grover,
     clock_site_index,
     clock_spectrum,
     grover_band_structure,
@@ -300,11 +301,12 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     draws = int(cfg.get("ensemble_draws", 0))
     if draws:
         rng = np.random.default_rng(seed)
+        _, *eigenspaces = build_grover(model)
         inv_rates = []
         for _ in range(draws):
             f = random_state(n, rng)
             try:
-                _, xs = grover_band_structure(model, f)
+                _, xs = grover_band_structure(model, f, eigenspaces)
             except ValueError:
                 continue  # zero overlap draw carries no pulse time
             inv_rates.append(1.0 / (xs[0] * xs[1]))

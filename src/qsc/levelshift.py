@@ -80,12 +80,19 @@ class LevelShiftContext:
         return self.h.dim
 
 
-def make_context(h: Operator, p: Subspace, gap: float, omega0: float) -> LevelShiftContext:
+def make_context(h: Operator, p: Subspace, gap: float, omega0: float,
+                 q: Subspace | None = None) -> LevelShiftContext:
     """Build and validate a context: P and Q orthogonal and complete, H
-    block-diagonal across them, spectra separated by at least the gap."""
+    block-diagonal across them, spectra separated by at least the gap.
+
+    Q is the orthogonal complement of P, computed here unless the caller
+    already holds a basis of it (say, the rest of an eigenbasis of H)."""
     if gap <= 0:
         raise ValueError("gap must be positive")
-    q = p.complement()
+    if q is None:
+        q = p.complement()
+    elif q.rank and p.rank and np.max(np.abs(p.basis.conj().T @ q.basis)) > config.GRAM_ATOL:
+        raise ValueError("P and Q are not orthogonal")
     dim = h.dim
     if p.rank + q.rank != dim:
         raise DimensionMismatch("P and Q do not fill the space")
@@ -392,6 +399,8 @@ def qutrit_truncation_check(
     """
     bath = BathSpec("qutrit", omega1)
     h_full, v = build_bath_and_couplings(h_s, bath, t_s)
+    # both terms enter the self-energy separately, so both are checked
+    h_full, v = Operator(h_full, hermitian=True), Operator(v, hermitian=True)
     dim_s = h_s.dim
     band = np.asarray(band_vectors, dtype=complex)
     if band.ndim == 1:

@@ -140,17 +140,17 @@ def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None 
     raise ValueError(f"unknown fiducial kind {kind!r}")
 
 
-def grover_band_structure(model: GroverModel, fiducial: StateVector):
+def grover_band_structure(model: GroverModel, fiducial: StateVector,
+                          eigenspaces: Sequence[Subspace]):
     """Two-level band data seen by the bath protocol for a given fiducial.
 
     The band vectors are the normalized projections of the fiducial onto
-    the two eigenspaces, phase-rotated so the overlaps are real and
+    the two eigenspaces, the (P0, P1) pair of `build_grover`, taken through
+    their bases and phase-rotated so the overlaps are real and
     non-negative.  Returns (BandStructure, xs).
     """
-    h_s, p0, p1 = build_grover(model)
     f = fiducial.amplitudes
-    comp0 = p0.projector.matrix @ f
-    comp1 = p1.projector.matrix @ f
+    comp0, comp1 = (p.basis @ (p.basis.conj().T @ f) for p in eigenspaces)
     x0 = np.linalg.norm(comp0)
     x1 = np.linalg.norm(comp1)
     if x0 == 0.0 or x1 == 0.0:
@@ -629,15 +629,18 @@ class BathSpec:
             raise ValueError("bath kind must be 'qubit' or 'qutrit'")
 
 
-def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator):
+def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
+                             omega0: float = 1.0):
     """Join the system to its simulated bath.
 
-    Qubit bath:  H = H_S (x) 1 + omega_b * 1 (x) |up><up|,  V = T_S (x) sigma_x.
+    Qubit bath:  H = H_S (x) 1 + omega_b * 1 (x) |up><up|,  V = T (x) sigma_x.
     Qutrit bath: H = H_S (x) (|C><C| + |R><R| - |L><L|)
                      + omega_b * 1 (x) (|R><R| + |L><L|),
-                 V = T_S (x) (|C><B| + |B><C|) with |B> = (|L>+|R>)/sqrt(2).
+                 V = T (x) (|C><B| + |B><C|) with |B> = (|L>+|R>)/sqrt(2),
 
-    Returns (H_full, V).
+    with T = omega0 * T_S.  Returns (H, V) as plain arrays, built from the
+    validated H_S and T_S; a caller wraps the matrix it diagonalizes or
+    propagates (typically H + V) in one validated Operator.
     """
     if not t_s.hermitian:
         raise ValueError("coupling operator must be Hermitian")
@@ -645,10 +648,10 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator):
         raise DimensionMismatch("system and coupling dimensions differ")
     dim = h_s.dim
     eye = np.eye(dim, dtype=complex)
+    t = omega0 * t_s.matrix
     if bath.kind == "qubit":
         h_full = np.kron(h_s.matrix, np.eye(2)) + bath.omega_b * np.kron(eye, PROJ1)
-        v = np.kron(t_s.matrix, SIGMA_X)
-        return Operator(h_full, hermitian=True), Operator(v, hermitian=True)
+        return h_full, np.kron(t, SIGMA_X)
     proj_c = np.outer(KET_C, KET_C)
     proj_r = np.outer(KET_R, KET_R)
     proj_l = np.outer(KET_L, KET_L)
@@ -656,14 +659,14 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator):
         eye, proj_r + proj_l
     )
     swap_cb = np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C)
-    v = np.kron(t_s.matrix, swap_cb)
-    return Operator(h_full, hermitian=True), Operator(v, hermitian=True)
+    return h_full, np.kron(t, swap_cb)
 
 
-def build_verification_coupling(dim_s: int, omega0: float) -> Operator:
-    """The qutrit bath's verification coupling Y = Omega_0 * 1 (x) (|L><R| + |R><L|)."""
+def build_verification_coupling(dim_s: int, omega0: float) -> np.ndarray:
+    """The qutrit bath's verification coupling Y = Omega_0 * 1 (x) (|L><R| + |R><L|),
+    as a plain array (Hermitian by construction)."""
     swap_lr = np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L)
-    return Operator(omega0 * np.kron(np.eye(dim_s, dtype=complex), swap_lr), hermitian=True)
+    return omega0 * np.kron(np.eye(dim_s, dtype=complex), swap_lr)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,8 @@ class TestCountedWork:
         assert counts.count("svd") == 0
         assert counts.count("norm2") <= 1   # at most the H + V Operator check
         assert counts.sizes("eigh")[9] == 1  # Q(H+V)Q, once
+        # H and H + V only: Q's basis is the rest of H's eigenbasis
+        assert counts.sizes("eigh")[12] == 2
         eigs = counts.calls["hermitian_eig"]
         assert len(eigs) == 2
         assert {id(op) for op in eigs} == {id(inst.h), id(inst.h_tilde)}
@@ -233,6 +235,7 @@ class TestCountedWork:
         assert len(eigs) == 2
         assert {id(op) for op in eigs} == {id(inst.h), id(inst.h_tilde)}
         assert counts.sizes("eigh")[8] == 1
+        assert counts.sizes("eigh")[14] == 2
         assert counts.count("solve") == 1
 
 

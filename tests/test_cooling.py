@@ -2,12 +2,16 @@
 deterministic and reduced ladders, the probabilistic qutrit scheme, error
 injection budgets, and cost accounting."""
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsc.errors import CouplingTooLarge
+from qsc.errors import CouplingTooLarge, DimensionMismatch
 from qsc.linalg import DensityMatrix, Operator, evolve, operator_norm
 from qsc.models import (
     ClockModel,
@@ -205,18 +209,31 @@ class TestRunDeterministic:
         assert report.cost == pytest.approx(report.h_norm * report.total_time)
 
 
-class TestTrajectoryBlocks:
-    """Shots move through each step as the columns of one block; the block
-    run must reproduce the one-shot-at-a-time loop."""
+@functools.lru_cache(maxsize=None)
+def _ladder(kind: str, size: int, gates: tuple[str, ...] = (), marked: int = 0):
+    """A small ladder: grover n = size with one marked string, or a clock
+    n = 1 circuit of the given gates (L = len(gates))."""
+    if kind == "grover":
+        setup = grover_setup(GroverModel(n=size, marked=frozenset({marked}),
+                                         omega0_coupling=0.02))
+        return setup, build_schedule(setup, omega0=0.02)
+    setup = clock_setup(ClockModel(circuit=parse_circuit(
+        "".join(f"G {g} 1\n" for g in gates), 1)))
+    return setup, build_schedule(setup, eps=0.1)
 
-    @pytest.fixture(scope="class")
-    def ladders(self):
-        grover = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
-        clock = clock_setup(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
-        return {
-            "grover": (grover, build_schedule(grover, omega0=0.02)),
-            "clock": (clock, build_schedule(clock, eps=0.1)),
-        }
+
+def _assert_matches_per_shot(setup, sched, shots, seed):
+    report = run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=seed)
+    successes, up_weights = trajectory_by_shot(setup, sched, shots, seed)
+    assert report.ground_fidelity == successes / shots
+    np.testing.assert_allclose(report.per_step_up_probability, up_weights,
+                               rtol=1e-12, atol=0)
+    return up_weights
+
+
+class TestTrajectoryRecords:
+    """Shots with the same measurement record share one propagated state;
+    the record run must reproduce the one-shot-at-a-time loop."""
 
     def test_vector_draws_equal_scalar_draws(self):
         for t in range(200):
@@ -226,19 +243,36 @@ class TestTrajectoryBlocks:
 
     @pytest.mark.parametrize("which", ["grover", "clock"])
     @pytest.mark.parametrize("shots", [37, 301])
-    def test_matches_per_shot_loop(self, ladders, which, shots):
-        # the composite dimension is 32 for both, so neither shot count
-        # fills whole blocks; the clock's three steps take both branches
-        setup, sched = ladders[which]
-        assert shots % (2 * setup.dim_s) != 0
+    def test_matches_per_shot_loop(self, which, shots):
+        # the clock's three steps take both outcomes, so its records branch
+        if which == "grover":
+            setup, sched = _ladder("grover", 4)
+        else:
+            setup, sched = _ladder("clock", 1, ("H", "T", "X"))
         for seed in (0, 1, 7):
-            report = run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=seed)
-            successes, up_weights = trajectory_by_shot(setup, sched, shots, seed)
-            assert report.ground_fidelity == successes / shots
-            np.testing.assert_allclose(report.per_step_up_probability, up_weights,
-                                       rtol=1e-12, atol=0)
+            up_weights = _assert_matches_per_shot(setup, sched, shots, seed)
             if which == "clock":
                 assert 0 < up_weights[1] < 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        shots=st.integers(1, 500),
+        ladder=st.one_of(
+            st.tuples(st.just("grover"), st.sampled_from([2, 3, 4]), st.just(()),
+                      st.integers(0, 3)),
+            st.tuples(st.just("clock"), st.just(1),
+                      st.lists(st.sampled_from("HSTXYZ"), min_size=1, max_size=3)
+                      .map(tuple), st.just(0)),
+        ),
+        tau_scale=st.sampled_from([1.0, 0.5, 0.3]),
+    )
+    def test_property_matches_per_shot_loop(self, seed, shots, ladder, tau_scale):
+        # short pulses leave the records in different states, so each
+        # record's own p_up and p_ground matter
+        setup, sched = _ladder(*ladder)
+        steps = tuple(replace(s, tau=s.tau * tau_scale) for s in sched.steps)
+        _assert_matches_per_shot(setup, replace(sched, steps=steps), shots, seed)
 
 
 class TestRunReduced:
@@ -331,7 +365,7 @@ class TestRunProbabilistic:
         h_full, _ = build_bath_and_couplings(
             ext.h_s, BathSpec("qutrit", ext.omega1), t_s
         )
-        vals, vecs = np.linalg.eigh(h_full.matrix)
+        vals, vecs = np.linalg.eigh(h_full)
         dim_s = ext.h_s.dim
         proj_l = np.kron(np.eye(dim_s), np.diag([0.0, 0.0, 1.0]))
         proj_r = np.kron(np.eye(dim_s), np.diag([0.0, 1.0, 0.0]))
@@ -390,6 +424,15 @@ class TestRunProbabilistic:
 
 
 class TestInjectErrors:
+    def test_error_on_another_space_is_rejected(self):
+        setup, sched = _ladder("grover", 2)
+        wrong = Operator(np.eye(2 * setup.dim_s + 1, dtype=complex), hermitian=True)
+        with pytest.raises(DimensionMismatch):
+            run_deterministic(setup, sched, delta_ops={1: wrong})
+        ext = clock_extension_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
+        with pytest.raises(DimensionMismatch):
+            run_probabilistic(ext, 0.02 * ext.delta, trials=1, delta_op=wrong)
+
     def test_zero_error_within_budget(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
         report = inject_errors(grover6, sched, ErrorInjection(deltas={}))

@@ -4,6 +4,7 @@ statistics, and norm trends."""
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,12 +150,13 @@ class TestClockReduced:
 
 
 class TestCountedWork:
-    """A cooling run's work is counted, not timed: one bath assembly and
-    one eigendecomposition per step, made by the schedule and propagated
-    with by the run, a single pass over the ladder, and no eigvalsh beyond
-    state validation and norms.  A step is rebuilt only when the schedule's
-    decomposition does not describe it, and then must match a ladder built
-    afresh."""
+    """A cooling run's work is counted, not timed: one bath assembly, one
+    validated step Hamiltonian and one eigendecomposition per step, made by
+    the schedule and propagated with by the run, a single pass over the
+    ladder, no eigvalsh beyond state validation and norms, one search model
+    per setup, and trajectory products that do not grow with the shots.  A
+    step is rebuilt only when the schedule's decomposition does not
+    describe it, and then must match a ladder built afresh."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -177,6 +179,8 @@ class TestCountedWork:
         # splitting, which the run propagates with
         assert counts.count("eigh") == length + 1
         assert counts.count("build_bath_and_couplings") == length
+        # the Hermiticity scale of H_j + V is the only composite-size 2-norm
+        assert counts.sizes("norm2")[2 ** (1 + length) * 2] == length
         validated = sum(rho.validate for rho in counts.calls["density_matrix"])
         assert counts.count("eigvalsh") <= validated + counts.count("operator_norm")
 
@@ -188,6 +192,48 @@ class TestCountedWork:
         # the schedule's splitting gives the shot unitary too
         assert counts.count("build_bath_and_couplings") == 1
         assert counts.count("eigh") == 1
+        assert counts.sizes("norm2")[2 ** 4 * 2] == 1
+
+    def test_one_search_model_per_setup(self, tmp_path, monkeypatch):
+        counts = CountingLinalg(monkeypatch)
+        counts.track(models, "build_grover")
+        grover_setup(GroverModel(n=4, marked=frozenset({0})))
+        assert counts.count("build_grover") == 1
+        # the ensemble draws share one more model, however many they are
+        for draws in (5, 40):
+            counts.calls.clear()
+            run_grover({"n": 4, "marked": [0], "r": 0.02, "seed": 3,
+                        "ensemble_draws": draws}, tmp_path)
+            assert counts.count("build_grover") == 2
+
+    @pytest.mark.parametrize("which", ["grover", "clock"])
+    def test_trajectory_products_do_not_grow_with_shots(self, monkeypatch, which):
+        if which == "grover":
+            setup = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
+            sched = build_schedule(setup, omega0=0.02)
+        else:
+            setup = cooling.clock_setup(models.ClockModel(
+                circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
+            sched = build_schedule(setup, eps=0.1)
+        widths = []
+
+        class Unitary(np.ndarray):
+            """A step unitary that records the width of each product."""
+
+            def __matmul__(self, other):
+                widths.append(np.shape(other)[-1])
+                return np.asarray(self) @ other
+
+        evolve = cooling.evolve
+        monkeypatch.setattr(cooling, "evolve", lambda h, t: SimpleNamespace(
+            matrix=evolve(h, t).matrix.view(Unitary)))
+        products = {}
+        for shots in (10, 1000):
+            widths.clear()
+            run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=0)
+            products[shots] = list(widths)
+        # one product per step, on the one record still measuring down
+        assert products[10] == products[1000] == [1] * len(sched.steps)
 
     def test_prob_setup_diagonalizes_h_s_once(self, monkeypatch):
         model = models.ClockModel(circuit=models.parse_circuit("G H 1\nG T 1\n", 1))

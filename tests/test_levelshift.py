@@ -158,8 +158,8 @@ class TestSelfEnergy:
                 StateVector(np.kron(band.vector(0), up)),
             ]
         )
-        ctx = make_context(h_full, p, band.delta / 2, omega0)
-        sigma = self_energy(ctx, v, sol.omega_b, mode="closed")
+        ctx = make_context(Operator(h_full, hermitian=True), p, band.delta / 2, omega0)
+        sigma = self_energy(ctx, Operator(v, hermitian=True), sol.omega_b, mode="closed")
         g_j, g_0 = g_sums(xs, band.omegas, sol.omega_b, j, sol.omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
@@ -220,6 +220,37 @@ class TestSelfEnergy:
                 assert diff <= abs(z - z0) * factor * (1 + 1e-6) + 1e-12
                 checked += 1
         assert checked == 200
+
+    def test_given_complement_matches_the_computed_one(self):
+        # Q as the rest of H's eigenbasis (the bounds lab's context) against
+        # the complement make_context diagonalizes I - P for
+        for k in range(10):
+            inst = make_windowed_instance(seed=4000 + k, dim=10, p_rank=3)
+            sd = hermitian_eig(inst.h)
+            lam_lo, lam_hi = inst.window
+            mask = (sd.eigenvalues > lam_lo) & (sd.eigenvalues < lam_hi)
+            p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
+            q = Subspace(inst.h.dim, sd.eigenvectors[:, ~mask])
+            norm_v = operator_norm(inst.v)
+            given = make_context(inst.h, p, inst.gap, norm_v, q)
+            computed = make_context(inst.h, p, inst.gap, norm_v)
+            assert given.q is q
+            zs = float(np.mean(sd.eigenvalues[mask])) + np.linspace(-0.1, 0.1, 5) * inst.gap
+            for z in zs:
+                a = self_energy(given, inst.v, z).matrix
+                b = self_energy(computed, inst.v, z).matrix
+                assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(b)))
+            grid_a = self_energy_grid(given, inst.v)(zs)
+            grid_b = self_energy_grid(computed, inst.v)(zs)
+            assert np.max(np.abs(grid_a - grid_b)) <= 1e-12 * (1 + np.max(np.abs(grid_b)))
+
+    def test_given_complement_must_be_orthogonal_to_p(self):
+        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex), hermitian=True)
+        p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+        tilted = np.eye(3, dtype=complex)[:, 1:]
+        tilted[:, 0] = np.array([0.1, 1.0, 0.0]) / math.sqrt(1.01)
+        with pytest.raises(ValueError, match="not orthogonal"):
+            make_context(h, p, 1.5, 0.1, Subspace(3, tilted))
 
 
 def window_context(inst):
