@@ -32,7 +32,7 @@ EXIT_RESOURCE = 3
 _DEFAULTS: dict[str, dict] = {
     "fig1": {
         "n_min": 4, "n_max": 9, "omega0_rel": 0.05, "points": 400,
-        "scan_factor": 8.0, "inset_n": 7, "workers": 1, "seed": 0,
+        "scan_factor": 8.0, "inset_n": 7, "seed": 0,
     },
     "grover": {
         "n": 6, "marked": [0], "r": 0.02, "detuning": "corrected",

@@ -12,6 +12,11 @@ Density-matrix propagation of the exact conditional-evolution map is the
 primary mode: its output is deterministic.  Trajectory mode samples the
 measurement record instead and must agree within Monte-Carlo error.
 
+One engine runs every setup, on the system space the setup declares.  The
+search model's setup is its exact two-band block (`grover_setup`), so a
+search ladder propagates 4 x 4 composite matrices whatever n is; the
+clock's setup is its dense 2^(n+L) space.
+
 An exact-tau schedule builds each step Hamiltonian H_j + V once, as the
 one validated operator of the step (its terms are plain arrays), and
 keeps the eigendecomposition it read the pulse time off; a run takes both
@@ -136,20 +141,39 @@ class CoolingSetup:
 
 def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
                  kind: str = "uniform", seed: int | None = None) -> CoolingSetup:
-    """Search-oracle setup: rank-one coupling along the fiducial state."""
+    """Search-oracle setup on its exact two-band block.
+
+    The system space is span{P0 F, P1 F}, the normalized projections of
+    the fiducial F onto the marked (energy 0) and unmarked (energy
+    omega1) eigenspaces.  In that basis H_S = diag(0, omega1), the
+    coupling |F><F| is x x^T with x = (x0, x1) = (|P0 F|, |P1 F|), the
+    fiducial is x, the band vectors are the identity columns, the ground
+    space is e0 and Delta = omega1.
+
+    The reduction is exact.  H_S = omega1 P1 maps P0 F to 0 and P1 F to
+    omega1 P1 F, and V = Omega_0 |F><F| (x) sigma_x is rank one along F,
+    so span{P0 F, P1 F} (x) bath is invariant under every H_j + V; it
+    holds the fiducial, and the ground weight the ladder reads lies in
+    P0 F.  On the orthogonal complement, which H_S also keeps, V vanishes
+    (the complement is orthogonal to F), so H_j + V there has only the
+    uncoupled energies 0, omega_b, omega1 and omega1 + omega_b.  Each is
+    a diagonal entry of the block, and a Hermitian matrix's norm bounds
+    the modulus of each of its diagonal entries, so the step norm
+    (`h_norm`) is the block's.  Only the 2^n fiducial is formed, to read
+    x off.
+    """
     if fiducial is None:
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
-    h_s, p0, p1 = build_grover(model)
-    band, xs = grover_band_structure(model, fiducial, (p0, p1))
-    f = fiducial.amplitudes
-    coupling = Operator(np.outer(f, f.conj()), hermitian=True)
+    xs = grover_band_structure(fiducial, build_grover(model))
+    omegas = np.array([0.0, model.omega1])
     return CoolingSetup(
-        h_s=h_s,
-        coupling=coupling,
-        band=band,
+        h_s=Operator(np.diag(omegas).astype(complex), hermitian=True),
+        coupling=Operator(np.outer(xs, xs).astype(complex), hermitian=True),
+        band=BandStructure(omegas=omegas, vectors=np.eye(2, dtype=complex),
+                           delta=model.omega1),
         xs=xs,
-        fiducial=fiducial,
-        ground_basis=p0.basis,
+        fiducial=StateVector(xs.astype(complex)),
+        ground_basis=np.eye(2, 1, dtype=complex),
         label=f"grover(n={model.n})",
     )
 

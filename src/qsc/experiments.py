@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from . import __version__, config
 from .errors import ConfigError, HypothesisUnmet
 from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 from .cooling import (
+    _step_hamiltonian,
     build_schedule,
     clock_extension_setup,
     clock_setup,
@@ -30,9 +30,9 @@ from .cooling import (
     run_probabilistic,
     run_reduced,
 )
-from .levelshift import solve_detuning
-from .linalg import DensityMatrix, StateVector, hybridized_pair, operator_norm, partial_trace
+from .linalg import PROJ1, DensityMatrix, StateVector, operator_norm, partial_trace
 from .models import (
+    KET_DOWN,
     ClockModel,
     GroverModel,
     build_clock,
@@ -54,7 +54,6 @@ __all__ = [
     "run_prob",
     "run_bounds",
     "run_spectrum",
-    "grover_pulse_fidelity",
     "fidelity_vs_detuning",
     "half_width",
 ]
@@ -100,66 +99,40 @@ def _report_dict(report) -> dict:
 # Detuning-scan experiment
 # ---------------------------------------------------------------------------
 
-def _two_band_block(omega1: float, omega_b: float, omega0: float, x0: float, x1: float):
-    """H_j + V of the two-band search model on its invariant block, in the
-    basis |0,down>, |0,up>, |1,down>, |1,up> of the fiducial's band
-    components with the bath qubit."""
-    return np.array(
-        [
-            [0.0, omega0 * x0 * x0, 0.0, omega0 * x0 * x1],
-            [omega0 * x0 * x0, omega_b, omega0 * x0 * x1, 0.0],
-            [0.0, omega0 * x0 * x1, omega1, omega0 * x1 * x1],
-            [omega0 * x0 * x1, 0.0, omega0 * x1 * x1, omega1 + omega_b],
-        ],
-        dtype=complex,
-    )
-
-
-def grover_pulse_fidelity(
-    omega1: float, omega_b: float, omega0: float, x0: float, x1: float, tau: float
-) -> float:
-    """Ground-manifold probability after one pulse, computed in the exact
-    four-dimensional invariant block spanned by the fiducial's band
-    components with the bath qubit.  The reduction is exact, not an
-    approximation; the full-space pipeline must agree to rounding."""
-    w, v = np.linalg.eigh(_two_band_block(omega1, omega_b, omega0, x0, x1))
-    psi0 = np.array([x0, 0.0, x1, 0.0], dtype=complex)
-    psi = v @ (np.exp(-1j * tau * w) * (v.conj().T @ psi0))
-    return float(abs(psi[0]) ** 2 + abs(psi[1]) ** 2)
-
-
-def _corrected_pulse(omega1: float, omega0: float, x0: float, x1: float):
-    """Solved detuning and the exact-splitting pulse time for the two-band
-    model (block arithmetic throughout)."""
-    sol = solve_detuning(
-        np.array([x0, x1]), np.array([0.0, omega1]), 1, omega0, omega1
-    )
-    down = np.array([0.0, 0.0, 1.0, 0.0])
-    up = np.array([0.0, 1.0, 0.0, 0.0])
-    splitting, _ = hybridized_pair(
-        _two_band_block(omega1, sol.omega_b, omega0, x0, x1), down, up
-    )
-    return sol, math.pi / splitting
-
-
 def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: float):
     """One fidelity-vs-detuning curve for a single marked state with the
-    uniform fiducial.  The pulse time is fixed at the corrected-detuning
-    value; only the bath energy is scanned."""
+    uniform fiducial, run on the search ladder's engine.
+
+    The n-qubit search setup is a two-band block fixed by the fiducial's
+    overlaps (x0, x1) = (2^(-n/2), sqrt(1 - 2^(-n))), so the one-qubit
+    model with fiducial (x0, x1) is that same block.  `grover_setup` and
+    `build_schedule` give its solved bath energy omega_b*, the pulse time
+    and the validated step Hamiltonian H* + V at omega_b*.  The pulse time
+    stays fixed; only the bath energy is scanned.  Moving the bath to
+    omega_b adds (omega_b - omega_b*) (1 (x) |up><up|), a real diagonal,
+    so every scanned matrix is exactly as Hermitian as H* + V, and the
+    whole scan is one batched eigh.  Returns (detunings, fidelities,
+    detuning solution, tau).
+    """
     omega1 = 1.0
     x0 = 2.0 ** (-n / 2)
     x1 = math.sqrt(1.0 - x0 ** 2)
     omega0 = omega0_rel * omega1
-    sol, tau = _corrected_pulse(omega1, omega0, x0, x1)
+    model = GroverModel(n=1, marked=frozenset({0}), omega1=omega1, omega0_coupling=omega0)
+    setup = grover_setup(model, StateVector(np.array([x0, x1], dtype=complex)))
+    step = build_schedule(setup, omega0=omega0).steps[0]
+    h = _step_hamiltonian(setup, omega0, step.omega_b).matrix
     scan = scan_factor * omega0 * x0 * x1 / omega1
     detunings = np.linspace(-scan, scan, points)
-    fids = np.array(
-        [
-            grover_pulse_fidelity(omega1, omega1 * (1 + d), omega0, x0, x1, tau)
-            for d in detunings
-        ]
-    )
-    return detunings, fids, sol, tau
+    shifts = omega1 * (1 + detunings) - step.omega_b
+    up = np.kron(np.eye(setup.dim_s), PROJ1)
+    w, v = np.linalg.eigh(h + shifts[:, None, None] * up)
+    psi0 = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+    amps = np.exp(-1j * step.tau * w) * (v.conj().transpose(0, 2, 1) @ psi0)
+    psi = (v @ amps[..., None])[..., 0]
+    # the ground band e0 with either bath state: the block's first two rows
+    fids = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
+    return detunings, fids, step.solution, step.tau
 
 
 def half_width(detunings: np.ndarray, fidelities: np.ndarray):
@@ -186,13 +159,6 @@ def half_width(detunings: np.ndarray, fidelities: np.ndarray):
     return 0.5 * float(right - left), float(detunings[ipk]), float(fidelities[ipk])
 
 
-def _fig1_point(args):
-    n, omega0_rel, points, scan_factor = args
-    detunings, fids, sol, tau = fidelity_vs_detuning(n, omega0_rel, points, scan_factor)
-    hw, peak_at, peak_fid = half_width(detunings, fids)
-    return n, detunings, fids, hw, peak_at, peak_fid, sol.omega_b, tau
-
-
 def run_fig1(cfg: dict, out_dir: Path) -> dict:
     """Half-width scaling of the fidelity-vs-detuning curve across n."""
     ns = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
@@ -200,17 +166,13 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
         raise ConfigError("empty n grid: need n_min <= n_max")
     if int(cfg["points"]) < 10:
         raise ConfigError("detuning scan needs at least 10 points")
-    args = [(n, cfg["omega0_rel"], cfg["points"], cfg["scan_factor"]) for n in ns]
-    workers = int(cfg.get("workers", 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_fig1_point, args))
-    else:
-        results = [_fig1_point(a) for a in args]
 
     rows = []
     per_n = []
-    for n, detunings, fids, hw, peak_at, peak_fid, omega_b, tau in results:
+    for n in ns:
+        detunings, fids, sol, tau = fidelity_vs_detuning(
+            n, cfg["omega0_rel"], cfg["points"], cfg["scan_factor"])
+        hw, peak_at, peak_fid = half_width(detunings, fids)
         for d, f in zip(detunings, fids):
             rows.append((n, float(d), float(f)))
         per_n.append(
@@ -219,7 +181,7 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
                 "half_width": hw,
                 "peak_rel_detuning": peak_at,
                 "peak_fidelity": peak_fid,
-                "solved_omega_b": omega_b,
+                "solved_omega_b": sol.omega_b,
                 "tau": tau,
             }
         )
@@ -275,7 +237,8 @@ def _parse_marked(raw, n: int) -> frozenset[int]:
 
 
 def run_grover(cfg: dict, out_dir: Path) -> dict:
-    """Full-space end-to-end search-model cooling run."""
+    """End-to-end search-model cooling run, on the model's two-band block
+    (`grover_setup`)."""
     n = int(cfg["n"])
     model = GroverModel(
         n=n,
@@ -301,12 +264,12 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     draws = int(cfg.get("ensemble_draws", 0))
     if draws:
         rng = np.random.default_rng(seed)
-        _, *eigenspaces = build_grover(model)
+        eigenspaces = build_grover(model)
         inv_rates = []
         for _ in range(draws):
             f = random_state(n, rng)
             try:
-                _, xs = grover_band_structure(model, f, eigenspaces)
+                xs = grover_band_structure(f, eigenspaces)
             except ValueError:
                 continue  # zero overlap draw carries no pulse time
             inv_rates.append(1.0 / (xs[0] * xs[1]))
@@ -390,11 +353,7 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
     weighted = proj @ rho_sys.entries @ proj
     p_site = float(np.trace(weighted).real)
     if p_site > 1e-12:
-        reg = DensityMatrix(
-            partial_trace(
-                DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0]
-            ).entries
-        )
+        reg = partial_trace(DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0])
         ideal = register_history(model.circuit)[-1]
         out_fid = float(np.real(ideal.conj() @ reg.entries @ ideal))
     else:

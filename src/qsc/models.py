@@ -28,8 +28,6 @@ from .linalg import (
     Operator,
     SpectralDecomposition,
     StateVector,
-    Subspace,
-    operator_norm,
 )
 
 __all__ = [
@@ -110,21 +108,15 @@ class GroverModel:
 
 
 def build_grover(model: GroverModel):
-    """Diagonal oracle Hamiltonian plus its two eigenspace projectors.
+    """The oracle Hamiltonian's two eigenspaces as computational-basis
+    index arrays: (marked strings at energy 0, the rest at omega1).
 
-    Returns (H_S, P0, P1) where P0 spans the marked strings.
+    The Hamiltonian is diagonal, so these index sets are all of it; no
+    2^n x 2^n matrix is formed.
     """
-    dim = model.dim
-    diag = np.full(dim, model.omega1)
-    for m in model.marked:
-        diag[m] = 0.0
-    h_s = Operator(np.diag(diag.astype(complex)), hermitian=True)
-    marked = sorted(model.marked)
-    unmarked = [i for i in range(dim) if i not in model.marked]
-    eye = np.eye(dim, dtype=complex)
-    p0 = Subspace(dim, eye[:, marked])
-    p1 = Subspace(dim, eye[:, unmarked])
-    return h_s, p0, p1
+    is_marked = np.zeros(model.dim, dtype=bool)
+    is_marked[list(model.marked)] = True
+    return np.flatnonzero(is_marked), np.flatnonzero(~is_marked)
 
 
 def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None = None) -> StateVector:
@@ -140,28 +132,18 @@ def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None 
     raise ValueError(f"unknown fiducial kind {kind!r}")
 
 
-def grover_band_structure(model: GroverModel, fiducial: StateVector,
-                          eigenspaces: Sequence[Subspace]):
-    """Two-level band data seen by the bath protocol for a given fiducial.
+def grover_band_structure(fiducial: StateVector, eigenspaces) -> np.ndarray:
+    """Overlaps xs = (|P0 F|, |P1 F|) of the fiducial with the two
+    eigenspaces, the (marked, unmarked) index arrays of `build_grover`.
 
-    The band vectors are the normalized projections of the fiducial onto
-    the two eigenspaces, the (P0, P1) pair of `build_grover`, taken through
-    their bases and phase-rotated so the overlaps are real and
-    non-negative.  Returns (BandStructure, xs).
+    These are the band overlaps of the search model in the gauge where
+    each band vector P_k F / |P_k F| has a real non-negative overlap.
     """
     f = fiducial.amplitudes
-    comp0, comp1 = (p.basis @ (p.basis.conj().T @ f) for p in eigenspaces)
-    x0 = np.linalg.norm(comp0)
-    x1 = np.linalg.norm(comp1)
-    if x0 == 0.0 or x1 == 0.0:
+    xs = np.array([np.linalg.norm(f[idx]) for idx in eigenspaces])
+    if xs[0] == 0.0 or xs[1] == 0.0:
         raise ValueError("fiducial must overlap both bands")
-    vectors = np.column_stack([comp0 / x0, comp1 / x1])
-    omegas = np.array([0.0, model.omega1])
-    # two-band spectrum: the only spectral distance is omega1 itself
-    return (
-        BandStructure(omegas=omegas, vectors=vectors, delta=model.omega1),
-        np.array([x0, x1]),
-    )
+    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -553,15 +535,16 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
             c = norm * math.cos((l + 0.5) * k * math.pi / lp1)
             vectors[:, k] += c * history[l]
     omegas = band_energies(length, model.omega)
+    evals, evecs = np.linalg.eigh(h_s.matrix)
 
     # residual check: these must be exact eigenvectors of the assembled H_S
+    # (scaled by its norm, read off the spectrum just computed)
     residual = float(np.max(np.abs(h_s.matrix @ vectors - vectors * omegas[None, :])))
-    if residual > config.RESIDUAL_RTOL * (1.0 + operator_norm(h_s)):
+    if residual > config.RESIDUAL_RTOL * (1.0 + float(np.max(np.abs(evals)))):
         raise SelfCheckFailed(
             f"closed-form band vectors fail the eigen residual check by {residual:.3e}"
         )
 
-    evals, evecs = np.linalg.eigh(h_s.matrix)
     overlaps = np.abs(vectors.conj().T @ evecs) ** 2  # (L+1) x dim
     in_band = overlaps.sum(axis=0) > 0.5
     others = evals[~in_band]

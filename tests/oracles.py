@@ -8,7 +8,9 @@ implementation, the cooling map through dense bath projectors, the
 bounds lab's closeness radius by one linear solve and one SVD norm per
 grid point, the clock construction by its original four-branch hopping
 loop and step-by-step register history, the cooling ladder from step
-Hamiltonians built afresh, and trajectory sampling one shot at a time.
+Hamiltonians built afresh, trajectory sampling one shot at a time, and
+the search setup on its full composite space instead of its two-band
+block.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
@@ -199,6 +201,38 @@ def trajectory_by_shot(setup, schedule, shots: int, seed: int):
         if rng.random() < min(1.0, max(0.0, p_ground)):
             successes += 1
     return successes, up_weights / shots
+
+
+def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):
+    """The search setup on the full 2^n system, the composite space the
+    production block reduces: the dense diagonal H_S, the coupling |F><F|,
+    the band vectors P0 F / |P0 F| and P1 F / |P1 F| as dense columns, and
+    the ground space spanned by every marked string.  Runs on it exercise
+    what the block cannot hold: arbitrary initial states and errors that
+    leave the block."""
+    from qsc.cooling import CoolingSetup
+    from qsc.linalg import Operator
+    from qsc.models import BandStructure, grover_fiducial
+
+    if fiducial is None:
+        fiducial = grover_fiducial(model, kind=kind, seed=seed)
+    marked = np.zeros(model.dim, dtype=bool)
+    marked[list(model.marked)] = True
+    f = fiducial.amplitudes
+    comp0, comp1 = np.where(marked, f, 0.0), np.where(marked, 0.0, f)
+    x0, x1 = np.linalg.norm(comp0), np.linalg.norm(comp1)
+    h_s = np.diag(np.where(marked, 0.0, model.omega1)).astype(complex)
+    return CoolingSetup(
+        h_s=Operator(h_s, hermitian=True),
+        coupling=Operator(np.outer(f, f.conj()), hermitian=True),
+        band=BandStructure(omegas=np.array([0.0, model.omega1]),
+                           vectors=np.column_stack([comp0 / x0, comp1 / x1]),
+                           delta=model.omega1),
+        xs=np.array([x0, x1]),
+        fiducial=fiducial,
+        ground_basis=np.eye(model.dim, dtype=complex)[:, marked],
+        label=f"grover(n={model.n})",
+    )
 
 
 def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):

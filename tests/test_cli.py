@@ -97,21 +97,6 @@ def test_byte_identical_reruns(tmp_path, experiment):
     assert blobs[0] == blobs[1]
 
 
-def test_worker_pool_matches_serial(tmp_path):
-    # sweep points dispatched to a pool merge in deterministic grid order
-    base = {"n_min": 4, "n_max": 6, "points": 50, "seed": 0}
-    blobs = []
-    for tag, workers in (("serial", 1), ("pool", 2)):
-        cfg = dict(base, workers=workers)
-        sub = tmp_path / tag
-        sub.mkdir()
-        assert run_cli(sub, "fig1", cfg) == EXIT_OK
-        # config echo differs by the workers field; compare data rows only
-        lines = (sub / "out" / "fig1_curves.csv").read_text().splitlines()
-        blobs.append([l for l in lines if not l.startswith("#")])
-    assert blobs[0] == blobs[1]
-
-
 def test_seed_override_changes_output(tmp_path):
     cfg = dict(SMALL["prob"])
     outputs = []

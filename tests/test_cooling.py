@@ -35,7 +35,12 @@ from qsc.cooling import (
     trial_rng,
 )
 
-from oracles import cooling_map_dense, trajectory_by_shot
+from oracles import (
+    cooling_map_dense,
+    dense_grover_setup,
+    ladder_by_fresh_build,
+    trajectory_by_shot,
+)
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +280,47 @@ class TestTrajectoryRecords:
         _assert_matches_per_shot(setup, replace(sched, steps=steps), shots, seed)
 
 
+def _marked_strings(n: int, count: int) -> frozenset[int]:
+    rng = np.random.default_rng(100 * n + count)
+    return frozenset(int(m) for m in rng.choice(2 ** n, size=count, replace=False))
+
+
+def _naive(sched):
+    """The schedule with every bath left at omega1 = 1."""
+    return replace(sched, steps=tuple(replace(s, omega_b=1.0) for s in sched.steps))
+
+
+class TestSearchBlock:
+    """The search setup is the exact two-band block of the full composite
+    space: every ladder run on it matches the dense setup."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_matches_dense_setup(self, n, count):
+        model = GroverModel(n=n, marked=_marked_strings(n, count), omega0_coupling=0.02)
+        for kind in ("uniform", "haar"):
+            block = grover_setup(model, kind=kind, seed=n + count)
+            dense = dense_grover_setup(model, kind=kind, seed=n + count)
+            assert block.dim_s == 2 and block.band.delta == dense.band.delta
+            np.testing.assert_allclose(block.xs, dense.xs, rtol=1e-14)
+            for tau_mode in ("exact", "analytic"):
+                scheds = [build_schedule(s, omega0=0.02, tau_mode=tau_mode)
+                          for s in (block, dense)]
+                for detuned in (lambda s: s, _naive):
+                    b_sched, d_sched = (detuned(s) for s in scheds)
+                    b = run_deterministic(block, b_sched)
+                    d = run_deterministic(dense, d_sched)
+                    assert abs(b.ground_fidelity - d.ground_fidelity) <= 1e-12
+                    np.testing.assert_allclose(b.per_step_up_probability,
+                                               d.per_step_up_probability, rtol=0, atol=1e-12)
+                    assert b.h_norm == pytest.approx(d.h_norm, rel=1e-13)
+                    assert b.total_time == pytest.approx(d.total_time, rel=1e-10)
+                    b, d = (run_deterministic(setup, sched, mode="trajectory",
+                                              shots=200, seed=n)
+                            for setup, sched in ((block, b_sched), (dense, d_sched)))
+                    assert b.ground_fidelity == d.ground_fidelity
+
+
 class TestRunReduced:
     def test_zero_threshold_identical(self, clock12):
         full = build_schedule(clock12, eps=0.1)
@@ -432,6 +478,32 @@ class TestInjectErrors:
         ext = clock_extension_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
         with pytest.raises(DimensionMismatch):
             run_probabilistic(ext, 0.02 * ext.delta, trials=1, delta_op=wrong)
+
+    def test_error_leaving_the_block_runs_on_the_dense_setup(self):
+        # an error coupling the marked string to a state outside
+        # span{P0 F, P1 F} has no place on the two-band block; the dense
+        # setup carries it, the budget flags it and the run leaks into it
+        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        block, dense = grover_setup(model), dense_grover_setup(model)
+        sched = build_schedule(dense, omega0=0.02)
+        outside = np.zeros(dense.dim_s, dtype=complex)
+        outside[[1, 2]] = [1.0, -1.0]
+        outside /= math.sqrt(2)  # orthogonal to both band vectors
+        assert np.max(np.abs(dense.band.vectors.conj().T @ outside)) < 1e-15
+        ket = np.kron(dense.band.vector(0), KET_DOWN)
+        leak = np.kron(outside, KET_DOWN)
+        error = Operator(0.1 * (np.outer(ket, leak) + np.outer(leak, ket)), hermitian=True)
+        budget = inject_errors(dense, sched, ErrorInjection(deltas={1: error}))
+        assert not budget.per_step[0]["Rx_ok"] and budget.per_step[0]["R1"] < 1e-15
+        clean = run_deterministic(dense, sched)
+        noisy = run_deterministic(dense, sched, delta_ops={1: error})
+        fidelity, _ = ladder_by_fresh_build(dense, sched, {1: error})
+        assert abs(noisy.ground_fidelity - fidelity) <= 1e-12
+        assert noisy.ground_fidelity < clean.ground_fidelity
+        outside_weight = np.kron(np.outer(outside, outside.conj()), np.eye(2))
+        assert np.trace(outside_weight @ noisy.final_state.entries).real > 1e-4
+        with pytest.raises(DimensionMismatch):
+            run_deterministic(block, build_schedule(block, omega0=0.02), delta_ops={1: error})
 
     def test_zero_error_within_budget(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)

@@ -11,7 +11,6 @@ import pytest
 
 from qsc.experiments import (
     fidelity_vs_detuning,
-    grover_pulse_fidelity,
     half_width,
     run_clock,
     run_grover,
@@ -21,7 +20,12 @@ from qsc import cooling, linalg, models
 from qsc.models import GroverModel
 from qsc.cooling import build_schedule, grover_setup, run_deterministic
 
-from oracles import CountingLinalg, ladder_by_fresh_build
+from oracles import (
+    CountingLinalg,
+    dense_grover_setup,
+    detuning_scan_oracle,
+    ladder_by_fresh_build,
+)
 
 
 class TestDetuningCurve:
@@ -42,28 +46,52 @@ class TestDetuningCurve:
         # equal band overlaps (one qubit, one marked state): the solved
         # pulse moves the excited half onto the ground manifold with O(r^2)
         # infidelity
-        from qsc.levelshift import solve_detuning
-
         r = 0.02
-        x0 = x1 = 1 / math.sqrt(2)
-        sol = solve_detuning([x0, x1], [0.0, 1.0], 1, r, 1.0)
-        fid = grover_pulse_fidelity(1.0, sol.omega_b, r, x0, x1,
-                                    math.pi / (2 * sol.rabi))
+        setup = grover_setup(GroverModel(n=1, marked=frozenset({0}), omega0_coupling=r))
+        assert setup.xs == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
+        sched = build_schedule(setup, omega0=r)
+        step = sched.steps[0]
+        pulse = replace(step, tau=math.pi / (2 * step.solution.rabi))
+        fid = run_deterministic(setup, replace(sched, steps=(pulse,))).ground_fidelity
         assert fid > 1 - 20 * r ** 2
 
     def test_block_matches_full_pipeline(self):
-        # the invariant-block reduction is exact: compare against the
-        # full-space ladder at matching detuning and pulse time
+        # the invariant-block reduction is exact: the dense composite space
+        # runs the block's detuning and pulse time (its steps built afresh)
         for n in (3, 5):
             model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=0.03)
             setup = grover_setup(model)
             sched = build_schedule(setup, omega0=0.03)
             report = run_deterministic(setup, sched)
-            step = sched.steps[0]
-            block = grover_pulse_fidelity(
-                1.0, step.omega_b, 0.03, setup.xs[0], setup.xs[1], step.tau
-            )
-            assert abs(report.ground_fidelity - block) < 1e-12
+            fresh = replace(sched, steps=tuple(replace(s, spectrum=None) for s in sched.steps))
+            dense = run_deterministic(dense_grover_setup(model), fresh)
+            assert abs(report.ground_fidelity - dense.ground_fidelity) < 1e-12
+
+    def test_curve_peaks_at_the_scan_oracle_optimum(self):
+        # the fixed-pulse curve peaks where a brute-force scan, whose pulse
+        # follows each candidate's own splitting, finds the best detuning
+        omega0 = 0.05
+        for n in (4, 6, 8):
+            detunings, fids, sol, _ = fidelity_vs_detuning(n, omega0, 400, 8.0)
+            x0 = 2.0 ** (-n / 2)
+            best, resolution = detuning_scan_oracle(1.0, omega0, x0, math.sqrt(1 - x0 ** 2))
+            peak = 1.0 + detunings[int(np.argmax(fids))]
+            spacing = detunings[1] - detunings[0]
+            assert abs(peak - best) <= spacing + 2 * resolution
+            assert abs(sol.omega_b - best) <= 2 * resolution
+
+    def test_curve_is_the_dense_search_model(self):
+        # each point is the n-qubit search ladder on its full composite
+        # space with the bath moved to the scanned energy, at the same pulse
+        n, omega0 = 3, 0.05
+        detunings, fids, _, tau = fidelity_vs_detuning(n, omega0, 12, 8.0)
+        model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=omega0)
+        dense = dense_grover_setup(model)
+        sched = build_schedule(dense, omega0=omega0)
+        for d, fid in zip(detunings, fids):
+            step = replace(sched.steps[0], omega_b=1.0 + d, tau=tau, spectrum=None)
+            report = run_deterministic(dense, replace(sched, steps=(step,)))
+            assert abs(report.ground_fidelity - fid) <= 1e-12
 
 
 class TestGroverEnsemble:
@@ -192,7 +220,19 @@ class TestCountedWork:
         # the schedule's splitting gives the shot unitary too
         assert counts.count("build_bath_and_couplings") == 1
         assert counts.count("eigh") == 1
-        assert counts.sizes("norm2")[2 ** 4 * 2] == 1
+        # the block's H_S and coupling (2 x 2), and the one step H_j + V
+        assert counts.sizes("norm2") == {2: 2, 4: 1}
+
+    @pytest.mark.parametrize("mode", ["density", "trajectory"])
+    def test_search_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
+        # n = 8: no decomposition or 2-norm sees the 256-dim search space or
+        # the 512-dim composite space, only the two-band block
+        cfg = {"n": 8, "marked": [5], "r": 0.02, "mode": mode, "shots": 50, "seed": 0}
+        counts = self._counting(monkeypatch)
+        run_grover(cfg, tmp_path)
+        for key in ("solve", "cond", "svd", "eigh", "eigvalsh", "norm2"):
+            assert max(counts.sizes(key), default=0) <= 4, key
+        assert counts.count("eigh") == 1
 
     def test_one_search_model_per_setup(self, tmp_path, monkeypatch):
         counts = CountingLinalg(monkeypatch)

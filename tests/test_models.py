@@ -63,34 +63,35 @@ def random_circuit(rng, n, length):
 
 class TestGrover:
     def test_single_qubit(self):
-        h, p0, p1 = build_grover(GroverModel(n=1, marked=frozenset({0})))
-        assert np.allclose(h.matrix, np.diag([0.0, 1.0]))
+        marked, unmarked = build_grover(GroverModel(n=1, marked=frozenset({0})))
+        assert marked.tolist() == [0] and unmarked.tolist() == [1]
 
     def test_two_qubit_two_marked(self):
-        h, _, _ = build_grover(GroverModel(n=2, marked=frozenset({0b00, 0b11})))
-        assert np.allclose(np.diag(h.matrix), [0.0, 1.0, 1.0, 0.0])
+        marked, unmarked = build_grover(GroverModel(n=2, marked=frozenset({0b00, 0b11})))
+        assert marked.tolist() == [0, 3] and unmarked.tolist() == [1, 2]
 
     def test_trace_counts_unmarked(self):
-        model = GroverModel(n=3, marked=frozenset({0b101}))
-        h, _, _ = build_grover(model)
-        assert np.trace(h.matrix).real == pytest.approx(7 * model.omega1)
+        # tr H_S = omega1 * (number of unmarked strings)
+        _, unmarked = build_grover(GroverModel(n=3, marked=frozenset({0b101})))
+        assert len(unmarked) == 7 and 0b101 not in unmarked
 
     def test_projector_resolution(self):
-        model = GroverModel(n=3, marked=frozenset({1, 6}))
-        h, p0, p1 = build_grover(model)
-        assert np.allclose(p0.projector.matrix + p1.projector.matrix, np.eye(8))
-        assert np.max(np.abs(h.matrix @ p0.projector.matrix)) == 0.0
-        assert np.allclose(
-            h.matrix @ p1.projector.matrix, model.omega1 * p1.projector.matrix
-        )
+        # the two eigenspaces partition the computational basis
+        marked, unmarked = build_grover(GroverModel(n=3, marked=frozenset({1, 6})))
+        assert sorted(marked.tolist() + unmarked.tolist()) == list(range(8))
+        assert not set(marked.tolist()) & set(unmarked.tolist())
 
     def test_band_structure_overlaps(self):
         model = GroverModel(n=4, marked=frozenset({5}))
         f = grover_fiducial(model, "uniform")
-        band, xs = grover_band_structure(model, f, build_grover(model)[1:])
+        xs = grover_band_structure(f, build_grover(model))
         assert xs[0] == pytest.approx(0.25)
         assert xs[0] ** 2 + xs[1] ** 2 == pytest.approx(1.0)
-        assert band.delta == pytest.approx(model.omega1)
+
+    def test_fiducial_without_both_bands_is_rejected(self):
+        model = GroverModel(n=2, marked=frozenset({1}))
+        with pytest.raises(ValueError):
+            grover_band_structure(StateVector.basis(4, 1), build_grover(model))
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -369,11 +370,11 @@ class TestFiducials:
         # E[x_0^2] = N0/N for Haar fiducials
         model = GroverModel(n=3, marked=frozenset({2}))
         rng = np.random.default_rng(7)
-        eigenspaces = build_grover(model)[1:]
+        eigenspaces = build_grover(model)
         vals = []
         for _ in range(500):
             f = random_state(3, rng)
-            _, xs = grover_band_structure(model, f, eigenspaces)
+            xs = grover_band_structure(f, eigenspaces)
             vals.append(xs[0] ** 2)
         mean = np.mean(vals)
         se = np.std(vals) / math.sqrt(len(vals))
