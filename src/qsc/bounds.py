@@ -10,6 +10,7 @@ suites satisfy hypotheses by construction.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .errors import HypothesisUnmet, NonHermitianInput
+from .errors import HypothesisUnmet
 from .levelshift import make_context, self_energy, self_energy_grid
 from .linalg import (
     Operator,
@@ -29,6 +30,7 @@ from .linalg import (
     hermitian_eig,
     hybridized_pair,
     operator_norm,
+    require_hermitian,
 )
 from .models import (
     KET_B,
@@ -88,8 +90,9 @@ class BoundInstance:
     """A random instance for the window-based checks: a Hamiltonian, a
     perturbation, the spectral window, and the protecting gap.
 
-    H + V, |V| and the eigendecompositions of H and H + V are computed
-    once per instance and shared by every checker that reads them.
+    H + V (summed as arrays and validated once), |V| and the
+    eigendecompositions of H and H + V are computed once per instance and
+    shared by every checker that reads them.
     """
 
     h: Operator
@@ -100,7 +103,7 @@ class BoundInstance:
 
     @cached_property
     def h_tilde(self) -> Operator:
-        return self.h + self.v
+        return Operator(self.h.matrix + self.v.matrix, hermitian=True)
 
     @cached_property
     def v_norm(self) -> float:
@@ -119,23 +122,13 @@ class BoundInstance:
 # Elementary checkers
 # ---------------------------------------------------------------------------
 
-def _require_hermitian(*ops: Operator):
-    atol = config.HERMITICITY_ATOL
-    for op in ops:
-        m = op.matrix
-        dev = np.max(np.abs(m - m.conj().T))
-        # 1 + |m| >= 1: the norm is needed only when the unscaled test fails
-        if dev > atol and dev > atol * (1 + np.linalg.norm(m, 2)):
-            raise NonHermitianInput("checker requires Hermitian input")
-
-
 def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
     """Sorted eigenvalues of two Hermitian operators never differ by more
     than the norm of their difference."""
-    _require_hermitian(h, h_tilde)
+    require_hermitian(h, h_tilde)
     mu = np.linalg.eigvalsh(h.matrix)
     sigma = np.linalg.eigvalsh(h_tilde.matrix)
-    bound = operator_norm(h - h_tilde)
+    bound = operator_norm(h.matrix - h_tilde.matrix, hermitian=True)
     margins = bound - np.abs(mu - sigma)
     return CheckResult(
         name="weyl",
@@ -148,7 +141,7 @@ def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
 def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
     """|X| <= |AX - XB| / beta for Hermitian A, B whose spectra are
     separated: |A| <= alpha and |B^{-1}| <= 1/(alpha + beta), beta > 0."""
-    _require_hermitian(a, b)
+    require_hermitian(a, b)
     alpha = operator_norm(a)
     sv = np.linalg.svd(b.matrix, compute_uv=False)
     if sv[-1] <= 0:
@@ -174,7 +167,7 @@ def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
 def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
     """Invertibility of A - B and the three block-norm bounds on its
     inverse, for A block-diagonal across a split of the space."""
-    _require_hermitian(a, b)
+    require_hermitian(a, b)
     dim = a.dim
     if not (0 < split < dim):
         raise ValueError("split must cut the space into two nonempty blocks")
@@ -223,12 +216,6 @@ def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
 # Window-based checkers
 # ---------------------------------------------------------------------------
 
-def _window_subspaces(sd: SpectralDecomposition, lo: float, hi: float):
-    """Eigenvectors with eigenvalue strictly inside (lo, hi), and the mask."""
-    mask = (sd.eigenvalues > lo) & (sd.eigenvalues < hi)
-    return sd.eigenvectors[:, mask], mask
-
-
 def _sigma_grid_bound(sigma_at, h_eff, lo: float, hi: float, points: int = 64) -> float:
     """max over an evenly spaced z grid on [lo, hi] of |Sigma_P(z) - H_eff|,
     each Hermitian 2-norm read off one batched eigvalsh."""
@@ -240,7 +227,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
     """Self-energy at the window center, with a self-consistent closeness
     radius gamma: gamma bounds |Sigma_P(z) - H_eff| over [c-gamma, d+gamma]."""
     lam_lo, lam_hi = inst.window
-    inside, mask = _window_subspaces(inst.h_eig, lam_lo, lam_hi)
+    inside, mask = inst.h_eig.window(lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("window contains no eigenvalues of H")
     p = Subspace(inst.h.dim, inside)
@@ -281,8 +268,7 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     radius gamma."""
     _theorem1_hypotheses(inst)
     ctx, h_eff, gamma, (c, d) = _effective_hamiltonian_with_gamma(inst)
-    lam_lo, lam_hi = inst.window
-    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
+    tilde_inside, _ = inst.h_tilde_eig.window(*inst.window)
     eff_vals = np.sort(np.linalg.eigvalsh(h_eff.matrix))
     tilde_vals = np.sort(
         np.linalg.eigvalsh(
@@ -304,6 +290,17 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     )
 
 
+def _mutual_overlap_margins(a: np.ndarray, b: np.ndarray, bound: float) -> tuple:
+    """<v|P_b|v> - bound for each column v of a, then <v|P_a|v> - bound for
+    each column v of b, with P_a, P_b the projectors onto the columns'
+    spans."""
+    p_a = a @ a.conj().T
+    p_b = b @ b.conj().T
+    margins = [float(np.real(v.conj() @ p_b @ v)) - bound for v in a.T]
+    margins += [float(np.real(v.conj() @ p_a @ v)) - bound for v in b.T]
+    return tuple(margins)
+
+
 def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
     """Eigenvectors of the perturbed Hamiltonian stay in the unperturbed
     window subspace up to (2|H - H~|/Delta)^2, in both directions."""
@@ -316,22 +313,14 @@ def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
         raise HypothesisUnmet("no spectrum in the inner window")
     if not np.all(in_win | out_win):
         raise HypothesisUnmet("spectrum found inside a window collar")
-    inside, _ = _window_subspaces(inst.h_eig, lam_lo, lam_hi)
-    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
+    inside, _ = inst.h_eig.window(lam_lo, lam_hi)
+    tilde_inside, _ = inst.h_tilde_eig.window(lam_lo, lam_hi)
     bound = 1.0 - (2 * inst.v_norm / gap) ** 2
-    p = inside @ inside.conj().T
-    p_tilde = tilde_inside @ tilde_inside.conj().T
-    margins = []
-    for k in range(tilde_inside.shape[1]):
-        v = tilde_inside[:, k]
-        margins.append(float(np.real(v.conj() @ p @ v)) - bound)
-    for k in range(inside.shape[1]):
-        v = inside[:, k]
-        margins.append(float(np.real(v.conj() @ p_tilde @ v)) - bound)
+    margins = _mutual_overlap_margins(tilde_inside, inside, bound)
     return CheckResult(
         name="subspace_overlap",
         passed=bool(all(m >= -_SLACK for m in margins)),
-        margins=tuple(margins),
+        margins=margins,
         details={"bound": float(bound)},
     )
 
@@ -365,8 +354,7 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
         raise HypothesisUnmet(f"eigenspace resolution eta={eta:.3e} <= gamma={gamma:.3e}")
     p_prime_small = eff_vecs[:, -1:]
     p_prime = (ctx.p.basis @ p_prime_small) @ (ctx.p.basis @ p_prime_small).conj().T
-    lam_lo, lam_hi = inst.window
-    tilde_inside, _ = _window_subspaces(inst.h_tilde_eig, lam_lo, lam_hi)
+    tilde_inside, _ = inst.h_tilde_eig.window(*inst.window)
     tvals, tvecs = np.linalg.eigh(
         tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
     )
@@ -400,7 +388,7 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     lam_lo, lam_hi = inst.window
     gap = inst.gap
     sd = inst.h_eig
-    inside, mask = _window_subspaces(sd, lam_lo, lam_hi)
+    inside, mask = sd.window(lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("no spectrum in the window")
     in_vals = sd.eigenvalues[mask]
@@ -413,26 +401,14 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     n_bands = len(bands)
     bound = 1.0 - n_bands * (2 * inst.v_norm / gap) ** 2
     # perturbed band subspaces from per-band windows
-    tilde_cols = []
-    sd_t = inst.h_tilde_eig
-    for band in bands:
-        blo, bhi = band[0] - gap / 2, band[-1] + gap / 2
-        m = (sd_t.eigenvalues > blo) & (sd_t.eigenvalues < bhi)
-        tilde_cols.append(sd_t.eigenvectors[:, m])
-    tilde = np.column_stack(tilde_cols) if tilde_cols else np.zeros((inst.h.dim, 0))
-    p = inside @ inside.conj().T
-    p_tilde = tilde @ tilde.conj().T
-    margins = []
-    for k in range(inside.shape[1]):
-        v = inside[:, k]
-        margins.append(float(np.real(v.conj() @ p_tilde @ v)) - bound)
-    for k in range(tilde.shape[1]):
-        v = tilde[:, k]
-        margins.append(float(np.real(v.conj() @ p @ v)) - bound)
+    tilde = np.column_stack([
+        inst.h_tilde_eig.window(band[0] - gap / 2, band[-1] + gap / 2)[0] for band in bands
+    ])
+    margins = _mutual_overlap_margins(inside, tilde, bound)
     return CheckResult(
         name="multiband_overlap",
         passed=bool(all(m >= -_SLACK for m in margins)),
-        margins=tuple(margins),
+        margins=margins,
         details={"bands": n_bands, "bound": float(bound)},
     )
 
@@ -441,15 +417,31 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
 # Instance generators
 # ---------------------------------------------------------------------------
 
-def gaussian_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> Operator:
+def gaussian_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    """A Gaussian Hermitian matrix, as a plain array."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return Operator(scale * (z + z.conj().T) / 2, hermitian=True)
+    return scale * (z + z.conj().T) / 2
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _scaled_to(norm: float, m: np.ndarray) -> Operator:
+    """The Hermitian array m rescaled to the given 2-norm, validated."""
+    return Operator((norm / operator_norm(m, hermitian=True)) * m, hermitian=True)
+
+
+def _surgery_instance(rng, evals, v_norm: float, window, gap: float,
+                      seed: int) -> BoundInstance:
+    """H with the given spectrum in a Haar-random eigenbasis and a
+    Gaussian V of norm v_norm."""
+    u = haar_unitary(rng, len(evals))
+    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T, hermitian=True)
+    v = _scaled_to(v_norm, gaussian_hermitian(rng, len(evals)))
+    return BoundInstance(h=h, v=v, window=window, gap=gap, seed=seed)
 
 
 def make_windowed_instance(
@@ -472,11 +464,7 @@ def make_windowed_instance(
     highs = rng.uniform(lam_hi + gap / 2 + 0.05 * gap, lam_hi + gap / 2 + 2.0,
                         size=n_out - n_out // 2)
     evals = np.concatenate([inner, lows, highs])
-    u = haar_unitary(rng, dim)
-    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T, hermitian=True)
-    v = gaussian_hermitian(rng, dim)
-    v = (v_scale * gap / 2 / operator_norm(v)) * v
-    return BoundInstance(h=h, v=v, window=(lam_lo, lam_hi), gap=gap, seed=seed)
+    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap, seed)
 
 
 def make_multiband_instance(
@@ -501,11 +489,7 @@ def make_multiband_instance(
     lows = rng.uniform(lam_lo - gap - 2.0, lam_lo - gap, size=n_out // 2)
     highs = rng.uniform(lam_hi + gap, lam_hi + gap + 2.0, size=n_out - n_out // 2)
     evals = np.concatenate([np.array(evals), lows, highs])
-    u = haar_unitary(rng, dim)
-    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T, hermitian=True)
-    v = gaussian_hermitian(rng, dim)
-    v = (v_scale * gap / 2 / operator_norm(v)) * v
-    return BoundInstance(h=h, v=v, window=(lam_lo, lam_hi), gap=gap, seed=seed)
+    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -519,15 +503,35 @@ def _loglog_exponent(r_values, residuals) -> float:
     return float(slope)
 
 
-def _transfer_residual(setup: CoolingSetup, omega0: float, j: int) -> float:
-    """Distance of the evolved addressed state from the up-pumped ground
-    state, minimized over a global phase."""
+def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
+                     time_points: int = 17) -> tuple[float, float]:
+    """The transfer residual and the band leakage of step j, from one
+    detuning solve and one eigendecomposition of H_j + V.
+
+    Transfer residual: distance of the evolved addressed state from the
+    up-pumped ground state, minimized over a global phase.
+
+    Band leakage: envelope over the pulse of the out-of-manifold amplitude
+    for lower-band basis states, normalized by sqrt(j).  The pointwise
+    leakage oscillates under its envelope, so the maximum over a time grid
+    is what exposes the scaling in the coupling ratio."""
     sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
     splitting, sd = _exact_splitting(setup, omega0, sol)
+    tau = math.pi / splitting
     down, up = setup.transition(j)
-    out = evolve(sd, math.pi / splitting).matrix @ down
-    overlap = abs(np.vdot(up, out))
-    return math.sqrt(max(0.0, 2.0 - 2.0 * overlap))
+    out = evolve(sd, tau).matrix @ down
+    transfer = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(up, out))))
+
+    w, vecs = sd.eigenvalues, sd.eigenvectors
+    cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
+    manifold = np.column_stack(cols)
+    proj_out_eig = vecs.conj().T @ (
+        np.eye(len(w)) - manifold @ manifold.conj().T
+    ) @ vecs
+    starts = [vecs.conj().T @ c for c in cols]
+    # sqrt(max(0, .)) is monotone, so it can follow the maximum
+    worst = _max_over_pulse(w, starts, proj_out_eig, tau, time_points)
+    return transfer, math.sqrt(max(0.0, worst)) / math.sqrt(j)
 
 
 def _max_over_pulse(w: np.ndarray, starts, proj: np.ndarray, tau: float,
@@ -544,25 +548,18 @@ def _max_over_pulse(w: np.ndarray, starts, proj: np.ndarray, tau: float,
     return worst
 
 
-def _band_leakage(setup: CoolingSetup, omega0: float, j: int,
-                  time_points: int = 17) -> float:
-    """Envelope over the pulse of the out-of-manifold amplitude for
-    lower-band basis states, normalized by sqrt(j).  The pointwise leakage
-    oscillates under its envelope, so the maximum over a time grid is what
-    exposes the scaling in the coupling ratio."""
-    sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    splitting, sd = _exact_splitting(setup, omega0, sol)
-    w, vecs = sd.eigenvalues, sd.eigenvectors
-    tau = math.pi / splitting
-    cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
-    manifold = np.column_stack(cols)
-    proj_out_eig = vecs.conj().T @ (
-        np.eye(len(w)) - manifold @ manifold.conj().T
-    ) @ vecs
-    starts = [vecs.conj().T @ c for c in cols]
-    # sqrt(max(0, .)) is monotone, so it can follow the maximum
-    worst = _max_over_pulse(w, starts, proj_out_eig, tau, time_points)
-    return math.sqrt(max(0.0, worst)) / math.sqrt(j)
+def _ladder_residuals(setup: CoolingSetup, r_grid) -> dict:
+    """The last step's transfer residual and band leakage over the r grid,
+    with their fitted exponents."""
+    j = setup.n_bands - 1
+    transfer, leak = zip(*(_pulse_residuals(setup, r * setup.band.delta, j)
+                           for r in r_grid))
+    return {
+        "transfer_residual": list(transfer),
+        "transfer_exponent": _loglog_exponent(r_grid, transfer),
+        "band_leakage": list(leak),
+        "leakage_exponent": _loglog_exponent(r_grid, leak),
+    }
 
 
 def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
@@ -628,34 +625,14 @@ def check_protocol_lemmas(
     """
     report: dict = {"r_grid": list(r_grid)}
     if grover_model is not None:
-        setup = grover_setup(grover_model)
-        transfer = [
-            _transfer_residual(setup, r * setup.band.delta, setup.n_bands - 1)
-            for r in r_grid
-        ]
-        leak = [
-            _band_leakage(setup, r * setup.band.delta, setup.n_bands - 1)
-            for r in r_grid
-        ]
-        report["grover"] = {
-            "transfer_residual": transfer,
-            "transfer_exponent": _loglog_exponent(r_grid, transfer),
-            "band_leakage": leak,
-            "leakage_exponent": _loglog_exponent(r_grid, leak),
-        }
+        report["grover"] = _ladder_residuals(grover_setup(grover_model), r_grid)
     if clock_model is not None:
-        setup = clock_setup(clock_model)
-        j = setup.n_bands - 1
-        transfer = [_transfer_residual(setup, r * setup.band.delta, j) for r in r_grid]
-        leak = [_band_leakage(setup, r * setup.band.delta, j) for r in r_grid]
+        ladder = _ladder_residuals(clock_setup(clock_model), r_grid)
         ext = clock_extension_setup(clock_model)
         osc = [_oscillation_residual(ext, r * ext.delta) for r in r_grid]
         ver = [_verification_leakage(ext, r * ext.delta) for r in r_grid]
         report["clock"] = {
-            "transfer_residual": transfer,
-            "transfer_exponent": _loglog_exponent(r_grid, transfer),
-            "band_leakage": leak,
-            "leakage_exponent": _loglog_exponent(r_grid, leak),
+            **ladder,
             "oscillation_residual": osc,
             "oscillation_exponent": _loglog_exponent(r_grid, osc),
             "verification_leakage": ver,
@@ -684,45 +661,55 @@ def _matrix_from_payload(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
+def _payload(args: dict) -> dict:
+    """A checker's keyword arguments as dump entries: every matrix as
+    [re, im] rows, a BoundInstance as its h, v, window and gap."""
+    payload = {}
+    for key, value in args.items():
+        if isinstance(value, BoundInstance):
+            payload.update(h=_matrix_payload(value.h.matrix), v=_matrix_payload(value.v.matrix),
+                           window=list(value.window), gap=value.gap)
+        elif isinstance(value, Operator):
+            payload[key] = _matrix_payload(value.matrix)
+        elif isinstance(value, np.ndarray):
+            payload[key] = _matrix_payload(value)
+        else:
+            payload[key] = value
+    return payload
+
+
+def _arguments(check, payload: dict) -> dict:
+    """The keyword arguments of `check` read back from a dump, the inverse
+    of `_payload`.  Every matrix but Sylvester's X is outside input for a
+    Hermitian operator and is validated as one here."""
+    def hermitian(key):
+        return Operator(_matrix_from_payload(payload[key]), hermitian=True)
+
+    def read(name):
+        if name == "inst":
+            return BoundInstance(h=hermitian("h"), v=hermitian("v"),
+                                 window=tuple(payload["window"]), gap=float(payload["gap"]),
+                                 seed=int(payload.get("seed", 0)))
+        if name == "x":
+            return _matrix_from_payload(payload["x"])
+        if name == "split":
+            return int(payload["split"])
+        return hermitian(name)
+
+    return {name: read(name) for name in inspect.signature(check).parameters}
+
+
 def replay_instance(payload: dict) -> CheckResult:
-    """Re-run the named checker on a serialized instance.
+    """Re-run the named suite's checker on a serialized instance.
 
     Malformed payloads (missing keys, non-Hermitian matrices) surface as
     the exceptions the checkers raise; callers decide how to record them.
     """
     suite = payload["suite"]
-    if suite == "weyl":
-        return check_weyl(
-            Operator(_matrix_from_payload(payload["h"]), hermitian=True),
-            Operator(_matrix_from_payload(payload["h_tilde"]), hermitian=True),
-        )
-    if suite == "sylvester":
-        return check_sylvester(
-            Operator(_matrix_from_payload(payload["a"]), hermitian=True),
-            Operator(_matrix_from_payload(payload["b"]), hermitian=True),
-            _matrix_from_payload(payload["x"]),
-        )
-    if suite == "block_resolvent":
-        return check_block_resolvent(
-            Operator(_matrix_from_payload(payload["a"]), hermitian=True),
-            Operator(_matrix_from_payload(payload["b"]), hermitian=True),
-            int(payload["split"]),
-        )
-    if suite in ("spectral_correspondence", "subspace_overlap", "corollaries"):
-        inst = BoundInstance(
-            h=Operator(_matrix_from_payload(payload["h"]), hermitian=True),
-            v=Operator(_matrix_from_payload(payload["v"]), hermitian=True),
-            window=tuple(payload["window"]),
-            gap=float(payload["gap"]),
-            seed=int(payload.get("seed", 0)),
-        )
-        checker = {
-            "spectral_correspondence": check_spectral_correspondence,
-            "subspace_overlap": check_subspace_overlap,
-            "corollaries": check_corollaries,
-        }[suite]
-        return checker(inst)
-    raise KeyError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise KeyError(f"unknown suite {suite!r}")
+    _, check, _ = SUITES[suite]
+    return check(**_arguments(check, payload))
 
 
 @dataclass(frozen=True)
@@ -738,82 +725,57 @@ class SuiteReport:
         return not self.violations
 
 
-def _suite_weyl(seed: int, dim: int):
+def _weyl_arguments(seed: int, dim: int) -> dict:
     rng = np.random.default_rng(seed)
     h = gaussian_hermitian(rng, dim)
-    ht = h + gaussian_hermitian(rng, dim, scale=rng.uniform(0.01, 1.0))
-    return check_weyl(h, ht), {"h": _matrix_payload(h.matrix),
-                               "h_tilde": _matrix_payload(ht.matrix)}
+    h_tilde = h + gaussian_hermitian(rng, dim, scale=rng.uniform(0.01, 1.0))
+    return {"h": Operator(h, hermitian=True), "h_tilde": Operator(h_tilde, hermitian=True)}
 
 
-def _suite_sylvester(seed: int, dim: int):
+def _sylvester_arguments(seed: int, dim: int) -> dict:
     rng = np.random.default_rng(seed)
     m = max(2, dim // 2)
-    a = gaussian_hermitian(rng, m)
+    a = Operator(gaussian_hermitian(rng, m), hermitian=True)
     alpha = operator_norm(a)
     beta = rng.uniform(0.1, 1.0)
     # B with singular values above alpha + beta by construction
-    base = gaussian_hermitian(rng, dim - m)
-    w, vb = np.linalg.eigh(base.matrix)
+    w, vb = np.linalg.eigh(gaussian_hermitian(rng, dim - m))
     shifted = np.sign(w + 1e-12) * (np.abs(w) + alpha + beta)
     b = Operator(vb @ np.diag(shifted.astype(complex)) @ vb.conj().T, hermitian=True)
     x = rng.normal(size=(m, dim - m)) + 1j * rng.normal(size=(m, dim - m))
-    return check_sylvester(a, b, x), {
-        "a": _matrix_payload(a.matrix), "b": _matrix_payload(b.matrix),
-        "x": _matrix_payload(x),
-    }
+    return {"a": a, "b": b, "x": x}
 
 
-def _suite_block_resolvent(seed: int, dim: int):
+def _block_resolvent_arguments(seed: int, dim: int) -> dict:
     rng = np.random.default_rng(seed)
     split = max(2, dim // 2)
-    blocks = []
-    for size in (split, dim - split):
-        g = gaussian_hermitian(rng, size)
-        w, vb = np.linalg.eigh(g.matrix)
-        lifted = np.sign(w + 1e-12) * (np.abs(w) + 1.0)  # G_i >= 1
-        blocks.append(vb @ np.diag(lifted.astype(complex)) @ vb.conj().T)
     a = np.zeros((dim, dim), dtype=complex)
-    a[:split, :split] = blocks[0]
-    a[split:, split:] = blocks[1]
-    a_op = Operator(a, hermitian=True)
+    for block in (slice(0, split), slice(split, dim)):
+        w, vb = np.linalg.eigh(gaussian_hermitian(rng, block.stop - block.start))
+        lifted = np.sign(w + 1e-12) * (np.abs(w) + 1.0)  # G_i >= 1
+        a[block, block] = vb @ np.diag(lifted.astype(complex)) @ vb.conj().T
     b = gaussian_hermitian(rng, dim)
-    b = (rng.uniform(0.05, 0.4) / operator_norm(b)) * b  # under every half-gap
-    return check_block_resolvent(a_op, b, split), {
-        "a": _matrix_payload(a_op.matrix), "b": _matrix_payload(b.matrix),
-        "split": split,
-    }
+    b = _scaled_to(rng.uniform(0.05, 0.4), b)  # under every half-gap
+    return {"a": Operator(a, hermitian=True), "b": b, "split": split}
 
 
-def _instance_payload(inst: BoundInstance) -> dict:
-    return {
-        "h": _matrix_payload(inst.h.matrix), "v": _matrix_payload(inst.v.matrix),
-        "window": list(inst.window), "gap": inst.gap,
-    }
+def _windowed_arguments(seed: int, dim: int) -> dict:
+    return {"inst": make_windowed_instance(seed, dim=dim)}
 
 
-def _suite_spectral(seed: int, dim: int):
-    inst = make_windowed_instance(seed, dim=dim)
-    return check_spectral_correspondence(inst), _instance_payload(inst)
+def _multiband_arguments(seed: int, dim: int) -> dict:
+    return {"inst": make_multiband_instance(seed, dim=dim)}
 
 
-def _suite_overlap(seed: int, dim: int):
-    inst = make_windowed_instance(seed, dim=dim)
-    return check_subspace_overlap(inst), _instance_payload(inst)
-
-
-def _suite_corollaries(seed: int, dim: int):
-    inst = make_multiband_instance(seed, dim=dim)
-    return check_corollaries(inst), _instance_payload(inst)
-
-
+# name -> (make(seed, dim) -> the checker's keyword arguments, checker,
+# default dim).  Runs and replays both call the checker through this table.
 SUITES = {
-    "weyl": (_suite_weyl, 32),
-    "sylvester": (_suite_sylvester, 16),
-    "block_resolvent": (_suite_block_resolvent, 16),
-    "spectral_correspondence": (_suite_spectral, 10),
-    "subspace_overlap": (_suite_overlap, 12),
-    "corollaries": (_suite_corollaries, 14),
+    "weyl": (_weyl_arguments, check_weyl, 32),
+    "sylvester": (_sylvester_arguments, check_sylvester, 16),
+    "block_resolvent": (_block_resolvent_arguments, check_block_resolvent, 16),
+    "spectral_correspondence": (_windowed_arguments, check_spectral_correspondence, 10),
+    "subspace_overlap": (_windowed_arguments, check_subspace_overlap, 12),
+    "corollaries": (_multiband_arguments, check_corollaries, 14),
 }
 
 
@@ -825,31 +787,30 @@ def run_suite(
     dim: int | None = None,
 ) -> SuiteReport:
     """Run one randomized suite; violations are dumped for replay."""
-    runner, default_dim = SUITES[name]
+    make, check, default_dim = SUITES[name]
     dim = dim or default_dim
     passes = vacuous = 0
     violations: list[str] = []
     for i in range(instances):
         seed = int(np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(1)[0])
         try:
-            result, payload = runner(seed, dim)
+            args = make(seed, dim)
+            result = check(**args)
         except HypothesisUnmet:
             vacuous += 1
             continue
         if result.passed:
             passes += 1
-        else:
-            payload.update(
-                {"suite": name, "seed": seed, "margins": list(result.margins),
-                 "details": {k: str(v) for k, v in result.details.items()}}
-            )
-            if out_dir is not None:
-                dump = dump_violation(
-                    Path(out_dir) / f"violation_{name}_{i}.json", payload
-                )
-                violations.append(str(dump))
-            else:
-                violations.append(f"<{name} instance {i}>")
+            continue
+        if out_dir is None:
+            violations.append(f"<{name} instance {i}>")
+            continue
+        payload = _payload(args) | {
+            "suite": name, "seed": seed, "margins": list(result.margins),
+            "details": {k: str(v) for k, v in result.details.items()},
+        }
+        dump = dump_violation(Path(out_dir) / f"violation_{name}_{i}.json", payload)
+        violations.append(str(dump))
     return SuiteReport(
         name=name, instances=instances, passes=passes, vacuous=vacuous,
         violations=tuple(violations),

@@ -111,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "bounds" and summary.get("violations_found"):
         print("bound violations found; dumps written", file=sys.stderr)
         return EXIT_VIOLATION
-    print(json.dumps({k: summary[k] for k in summary if k != "config"},
-                     sort_keys=True)[:2000])
+    print(json.dumps({k: summary[k] for k in summary if k != "config"}, sort_keys=True))
     return EXIT_OK
 
 

@@ -201,12 +201,13 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
 
 @dataclass(frozen=True)
 class StepSpectrum:
-    """The eigendecomposition of a step Hamiltonian H_j + V and the
-    couplings (Omega_0, omega_b) it was built for."""
+    """The eigendecomposition of a step Hamiltonian H_j + V and the setup
+    and couplings (Omega_0, omega_b) it was built for."""
 
     omega0: float
     omega_b: float
     decomposition: SpectralDecomposition
+    setup: CoolingSetup = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -305,7 +306,7 @@ def build_schedule(
         if tau_mode == "exact":
             splitting, sd = _exact_splitting(setup, omega0, sol)
             rabi = splitting / 2.0
-            spectrum = StepSpectrum(omega0, sol.omega_b, sd)
+            spectrum = StepSpectrum(omega0, sol.omega_b, sd, setup)
         else:
             rabi = omega0 * xs[0] * xs[j]
         steps.append(
@@ -352,16 +353,16 @@ def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
     """Each schedule step with the eigendecomposition of its Hamiltonian
     H_j + V (+ the injected error for band j).
 
-    The schedule's own decomposition is used when it was built for the
-    step's couplings and no error is injected; a step without one (analytic
-    tau), with an error, or whose omega_b or Omega_0 changed after
-    scheduling (`dataclasses.replace` copies the stored decomposition) is
-    built and diagonalized here.
+    The schedule's own decomposition is used when it was built for this
+    setup object and the step's couplings and no error is injected; a step
+    without one (analytic tau), with an error, run on another setup, or
+    whose omega_b or Omega_0 changed after scheduling (`dataclasses.replace`
+    copies the stored decomposition) is built and diagonalized here.
     """
     for step in schedule.steps:
         error = delta_ops.get(step.j) if delta_ops else None
         spectrum = step.spectrum
-        if (error is None and spectrum is not None
+        if (error is None and spectrum is not None and spectrum.setup is setup
                 and (spectrum.omega0, spectrum.omega_b) == (schedule.omega0, step.omega_b)):
             yield step, spectrum.decomposition
             continue

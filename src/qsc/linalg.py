@@ -34,9 +34,10 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Operator:
     """A dense complex square matrix with a Hermiticity declaration.
 
-    The `hermitian` flag is a checked promise: construction verifies it to
-    the global tolerance (scaled by the operator norm) and operations that
-    need Hermiticity trust it afterwards.
+    The `hermitian` flag is a checked promise: construction verifies it
+    with `_check_hermitian` and operations that need Hermiticity trust it
+    afterwards.  Sums and products are taken on the plain `matrix`; only
+    the matrix a computation hands on is wrapped again.
     """
 
     matrix: np.ndarray
@@ -46,13 +47,7 @@ class Operator:
         m = _as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", _freeze(m))
         if self.hermitian:
-            scale = 1.0 + _two_norm(m)
-            dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-            if dev > config.HERMITICITY_ATOL * scale:
-                raise NonHermitianInput(
-                    f"hermitian flag set but max deviation {dev:.3e} exceeds "
-                    f"{config.HERMITICITY_ATOL:.1e} * (1 + norm)"
-                )
+            _check_hermitian(m, "hermitian flag set but")
 
     @property
     def dim(self) -> int:
@@ -64,31 +59,6 @@ class Operator:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} @ {other.dim}")
-        return Operator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} + {other.dim}")
-        return Operator(
-            self.matrix + other.matrix, hermitian=self.hermitian and other.hermitian
-        )
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} - {other.dim}")
-        return Operator(
-            self.matrix - other.matrix, hermitian=self.hermitian and other.hermitian
-        )
-
-    def __mul__(self, scalar) -> "Operator":
-        herm = self.hermitian and abs(complex(scalar).imag) == 0.0
-        return Operator(self.matrix * scalar, hermitian=herm)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -161,8 +131,7 @@ class DensityMatrix:
 class Subspace:
     """An orthonormal basis for a subspace, with its projector derived.
 
-    An empty basis is a valid value (dimension-0 subspace); `is_empty`
-    flags it so callers can branch without exceptions.
+    An empty basis is a valid value (a dimension-0 subspace, rank 0).
     """
 
     space_dim: int
@@ -193,10 +162,6 @@ class Subspace:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.rank == 0
 
     @property
     def projector(self) -> Operator:
@@ -237,6 +202,12 @@ class SpectralDecomposition:
     def vector(self, k: int) -> StateVector:
         return StateVector(self.eigenvectors[:, k])
 
+    def window(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        """The eigenvectors with eigenvalue strictly inside (lo, hi), as
+        columns, and the mask that selects them."""
+        mask = (self.eigenvalues > lo) & (self.eigenvalues < hi)
+        return self.eigenvectors[:, mask], mask
+
 
 def _two_norm(m: np.ndarray) -> float:
     if m.size == 0:
@@ -244,31 +215,49 @@ def _two_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def operator_norm(op) -> float:
-    """Operator 2-norm: max |eigenvalue| for Hermitian input (read off a
-    `SpectralDecomposition` without another LAPACK call), else the largest
-    singular value."""
+def _check_hermitian(m: np.ndarray, what: str) -> None:
+    """The scaled Hermiticity test: max |m - m^+| <= atol * (1 + |m|_2)."""
+    scale = 1.0 + _two_norm(m)
+    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if dev > config.HERMITICITY_ATOL * scale:
+        raise NonHermitianInput(
+            f"{what} max deviation {dev:.3e} exceeds "
+            f"{config.HERMITICITY_ATOL:.1e} * (1 + norm)"
+        )
+
+
+def require_hermitian(*ops: Operator) -> None:
+    """Raise NonHermitianInput unless every operator is Hermitian.  A
+    flagged operator passed the test when it was built and is trusted; an
+    unflagged one is accepted if it passes the same test."""
+    for op in ops:
+        if not op.hermitian:
+            _check_hermitian(op.matrix, "operator not flagged Hermitian has")
+
+
+def operator_norm(op, hermitian: bool = False) -> float:
+    """Operator 2-norm: max |eigenvalue| for Hermitian input (a flagged
+    Operator, an array the caller declares `hermitian`, or a
+    `SpectralDecomposition`, read without another LAPACK call), else the
+    largest singular value."""
     if isinstance(op, SpectralDecomposition):
         return float(np.max(np.abs(op.eigenvalues)))
     if isinstance(op, Operator):
-        if op.hermitian:
-            return float(np.max(np.abs(np.linalg.eigvalsh(op.matrix))))
-        return _two_norm(op.matrix)
+        op, hermitian = op.matrix, op.hermitian
+    if hermitian:
+        return float(np.max(np.abs(np.linalg.eigvalsh(op))))
     return _two_norm(np.asarray(op, dtype=complex))
 
 
 def hermitian_eig(op: Operator) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian operator.
+    """Full eigendecomposition of a Hermitian operator (an unflagged one
+    must pass `require_hermitian`).
 
     Eigenvectors within a degenerate cluster come back as an arbitrary
     orthonormal basis; downstream code must use projectors rather than
     individual degenerate vectors.
     """
-    if not op.hermitian:
-        # accept undeclared-but-actually-Hermitian input under the same check
-        scale = 1.0 + _two_norm(op.matrix)
-        if np.max(np.abs(op.matrix - op.matrix.conj().T)) > config.HERMITICITY_ATOL * scale:
-            raise NonHermitianInput("hermitian_eig requires a Hermitian operator")
+    require_hermitian(op)
     w, v = np.linalg.eigh(op.matrix)
     return SpectralDecomposition(w, v)
 
@@ -329,17 +318,6 @@ def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) 
         n -= 1
     kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
     return DensityMatrix(traced.reshape(kept_dim, kept_dim))
-
-
-def subspace_from_eigenwindow(sd: SpectralDecomposition, lo: float, hi: float) -> Subspace:
-    """Span of eigenvectors with eigenvalue strictly inside (lo, hi)."""
-    if not lo < hi:
-        raise ValueError("window requires lo < hi")
-    mask = (sd.eigenvalues > lo) & (sd.eigenvalues < hi)
-    dim = sd.dim
-    if not np.any(mask):
-        return Subspace.empty(dim)
-    return Subspace(dim, sd.eigenvectors[:, mask])
 
 
 # Small fixed qubit matrices used across the model builders.

@@ -142,13 +142,13 @@ def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
     """Each step's evolution, from H_j + V (+ the error for band j) built
     and diagonalized here, never from a decomposition the schedule holds."""
     from qsc.cooling import _step_hamiltonian
-    from qsc.linalg import evolve
+    from qsc.linalg import Operator, evolve
 
     unitaries = []
     for step in schedule.steps:
         h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
         if delta_ops and step.j in delta_ops:
-            h = h + delta_ops[step.j]
+            h = Operator(h.matrix + delta_ops[step.j].matrix, hermitian=True)
         unitaries.append(evolve(h, step.tau).matrix)
     return unitaries
 
@@ -341,6 +341,38 @@ def clock_hopping_by_branches(model) -> np.ndarray:
         moved = u_l @ hop
         h_prop += 0.5 * (diag - moved - moved.conj().T)
     return h_prop
+
+
+def clock_gap_by_sectors(model) -> float:
+    """The clock band gap Delta without the dense Hamiltonian.
+
+    The hopping keeps each input string's unary-clock history invariant,
+    and there it is the (L+1)-site tridiagonal matrix; the input penalty
+    adds delta1 * w at site 0 for an input of Hamming weight w.  Weight 0
+    is the band itself.  Non-unary clock states lie at or above 2 omega,
+    which is omega_1 - omega_0 from the top band energy, so they never set
+    Delta below the band spacing.  Delta is the least distance from a band
+    energy to another band energy or to an eigenvalue of a weight-w sector,
+    w = 1..n.
+    """
+    from qsc.models import band_energies
+
+    length = model.length
+    omegas = band_energies(length, model.omega)
+    hopping = np.zeros((length + 1, length + 1))
+    for l in range(length + 1):
+        hopping[l, l] = 1.0 if l in (0, length) else 2.0
+        if l < length:
+            hopping[l, l + 1] = hopping[l + 1, l] = -1.0
+    hopping *= 0.5 * model.omega
+    candidates = [abs(a - b) for j, a in enumerate(omegas)
+                  for k, b in enumerate(omegas) if j != k]
+    for w in range(1, model.n + 1):
+        sector = hopping.copy()
+        sector[0, 0] += model.delta1 * w
+        energies = np.linalg.eigvalsh(sector)
+        candidates.append(np.min(np.abs(energies[:, None] - omegas[None, :])))
+    return float(min(candidates))
 
 
 def clock_history_by_loop(model):

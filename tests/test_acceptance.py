@@ -190,7 +190,7 @@ def test_criterion_5_exact_identities(circuits_dir):
     for name, n in shipped:
         model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
         ext = clock_extension_setup(model)
-        t_s = (0.01 * ext.delta) * ext.coupling
+        t_s = Operator(0.01 * ext.delta * ext.coupling.matrix, hermitian=True)
         rep = qutrit_truncation_check(
             ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
         )
@@ -257,7 +257,8 @@ def test_criterion_6_bound_suites(tmp_path):
         )
     gates_fired += 1
     inst = make_windowed_instance(seed=1)
-    big_v = (inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9) * inst.v
+    big_v = Operator(inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9 * inst.v.matrix,
+                     hermitian=True)
     with pytest.raises(HypothesisUnmet):
         check_spectral_correspondence(
             BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap, seed=1)

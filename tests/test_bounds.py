@@ -4,6 +4,7 @@ protocol residual-scaling report."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,8 +143,8 @@ class TestSpectralCorrespondence:
         # every eigenvalue of H lies in the window, so P is the whole space
         # and Sigma_P(z) = P(H+V)P has no resolvent part
         h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex), hermitian=True)
-        v = Operator(random_hermitian(np.random.default_rng(9), 3), hermitian=True)
-        v = (0.05 / operator_norm(v)) * v
+        v = random_hermitian(np.random.default_rng(9), 3)
+        v = Operator(0.05 / operator_norm(v) * v, hermitian=True)
         inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=1.0, seed=0)
         res = check_spectral_correspondence(inst)
         assert res.passed
@@ -183,7 +184,7 @@ class TestSpectralCorrespondence:
 
     def test_oversized_coupling_gate(self):
         inst = make_windowed_instance(seed=7)
-        big_v = (inst.gap / operator_norm(inst.v)) * inst.v
+        big_v = Operator(inst.gap / operator_norm(inst.v) * inst.v.matrix, hermitian=True)
         with pytest.raises(HypothesisUnmet):
             check_spectral_correspondence(
                 BoundInstance(h=inst.h, v=big_v, window=inst.window,
@@ -379,6 +380,75 @@ class TestSuites:
         loaded = json.loads(path.read_text())
         assert loaded["margins"] == [-0.5]
         assert loaded["h"][0][0] == [1.0, 0.0]
+
+
+class _AlwaysFails(bounds.CheckResult):
+    """A check result that records its margins but never passes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "passed", False)
+
+
+def _operators(args: dict) -> list:
+    """The Operators among a checker's arguments, with a BoundInstance's
+    h, v and (once a checker has built it) h_tilde."""
+    ops = []
+    for value in args.values():
+        if isinstance(value, BoundInstance):
+            ops += [value.h, value.v] + (
+                [value.__dict__["h_tilde"]] if "h_tilde" in value.__dict__ else [])
+        elif isinstance(value, Operator):
+            ops.append(value)
+    return ops
+
+
+class TestSuiteTable:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_dump_replays_to_its_margins(self, name, tmp_path, monkeypatch):
+        # every instance fails, so every non-vacuous one is dumped; the
+        # replay decodes the dump into the same checker's arguments
+        monkeypatch.setattr(bounds, "CheckResult", _AlwaysFails)
+        rep = run_suite(name, 3, master_seed=404, out_dir=tmp_path)
+        assert rep.passes == 0 and len(rep.violations) == 3 - rep.vacuous
+        assert rep.violations
+        for path in rep.violations:
+            payload = json.loads(Path(path).read_text())
+            assert payload["suite"] == name
+            result = replay_instance(payload)
+            assert not result.passed
+            assert list(result.margins) == payload["margins"]
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_clean_run_validates_each_handed_matrix_once(self, name, tmp_path, monkeypatch):
+        # no dump payload is built for a passing instance, and the only
+        # Operator validations are of the matrices the checker receives
+        encoded = []
+        monkeypatch.setattr(bounds, "_matrix_payload", encoded.append)
+        validated = []
+        validate = Operator.__post_init__
+
+        def counting(op):
+            validated.append(op)
+            validate(op)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        make, check, dim = SUITES[name]
+        handed = []
+
+        def recording(**args):
+            try:
+                return check(**args)
+            finally:
+                handed.extend(_operators(args))
+
+        monkeypatch.setitem(SUITES, name, (make, recording, dim))
+        rep = run_suite(name, 4, master_seed=101, out_dir=tmp_path)
+        assert rep.clean and rep.passes + rep.vacuous == 4
+        assert encoded == []
+        assert handed
+        assert sorted(map(id, validated)) == sorted(map(id, handed))
+        assert len({id(op) for op in handed}) == len(handed)
 
 
 class TestProtocolScaling:

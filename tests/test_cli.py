@@ -145,6 +145,29 @@ def test_self_check_failure_is_reported_not_raised(tmp_path, monkeypatch, capsys
     assert err.startswith("error: legal-sector hopping block deviates")
 
 
+SUMMARY_FILE = {
+    "fig1": "fig1_summary.json",
+    "grover": "grover_report.json",
+    "clock": "clock_report.json",
+    "prob": "prob_report.json",
+    "bounds": "bounds_summary.json",
+    "spectrum": "spectrum_summary.json",
+}
+
+
+@pytest.mark.parametrize("experiment,cfg", [
+    *SMALL.items(),
+    ("fig1", {"n_min": 4, "n_max": 14, "points": 50, "seed": 0}),  # 2390 characters
+], ids=[*SMALL, "fig1-long"])
+def test_stdout_is_the_summary_without_config(tmp_path, capsys, experiment, cfg):
+    # stdout carries the whole summary line, however long
+    assert run_cli(tmp_path, experiment, cfg) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    written = json.loads((tmp_path / "out" / SUMMARY_FILE[experiment]).read_text())
+    del written["config"]
+    assert printed == written
+
+
 def test_bounds_replay_clean_and_corrupted(tmp_path):
     # a well-formed passing instance replays clean; a corrupted file
     # trips the violation exit with a dump

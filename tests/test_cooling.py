@@ -198,6 +198,29 @@ class TestRunDeterministic:
         assert abs(traj.ground_fidelity - p) <= 3 * sigma + 1e-9
         assert traj.shots == 2000
 
+    def test_schedule_runs_on_the_dense_setup_of_its_model(self):
+        # the block schedule's stored decompositions are 4 x 4; on the
+        # 16 x 16 dense setup every step is built afresh from its omega_b
+        model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
+        sched = build_schedule(grover_setup(model), omega0=0.02)
+        dense = dense_grover_setup(model)
+        report = run_deterministic(dense, sched)
+        fidelity, up_probs = ladder_by_fresh_build(dense, sched)
+        assert report.ground_fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert report.per_step_up_probability == pytest.approx(up_probs, abs=1e-12)
+
+    def test_schedule_of_another_setup_of_the_same_size(self):
+        # both block setups are 4 x 4, so the other setup's stored
+        # decomposition would propagate without complaint
+        model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
+        other = GroverModel(n=3, marked=frozenset({1, 2}), omega0_coupling=0.02)
+        setup = grover_setup(model)
+        sched = build_schedule(grover_setup(other), omega0=0.02)
+        report = run_deterministic(setup, sched)
+        fidelity, _ = ladder_by_fresh_build(setup, sched)
+        assert report.ground_fidelity == pytest.approx(fidelity, abs=1e-12)
+        assert report.ground_fidelity < 0.9
+
     def test_density_mode_bitwise_reproducible(self, clock12):
         sched = build_schedule(clock12, eps=0.1)
         a = run_deterministic(clock12, sched)

@@ -86,9 +86,7 @@ class TestGreenFunction:
         band = clock_band_structure(model, h_s)
         omega1 = band.omegas[1]
         sd = hermitian_eig(h_s)
-        from qsc.linalg import subspace_from_eigenwindow
-
-        p = subspace_from_eigenwindow(sd, omega1 - band.delta / 2, omega1 + band.delta / 2)
+        p = Subspace(sd.dim, sd.window(omega1 - band.delta / 2, omega1 + band.delta / 2)[0])
         ctx = make_context(h_s, p, band.delta, 0.001)
         z = omega1 + band.delta * 0.4
         g = green_function(ctx, z)
@@ -148,7 +146,7 @@ class TestSelfEnergy:
         j = model.length
         omega0 = 0.02 * band.delta
         sol = solve_detuning(xs, band.omegas, j, omega0, band.delta)
-        t_s = omega0 * clock_coupling_direction(model)
+        t_s = Operator(omega0 * clock_coupling_direction(model).matrix, hermitian=True)
         h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", sol.omega_b), t_s)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
@@ -310,8 +308,8 @@ class TestSelfEnergyGrid:
     def test_empty_complement_is_the_compressed_hamiltonian(self):
         # P spans the whole space: no resolvent, Sigma_P(z) = P(H+V)P
         h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex), hermitian=True)
-        v = Operator(random_hermitian(np.random.default_rng(5), 3), hermitian=True)
-        v = (0.05 / operator_norm(v)) * v
+        v = random_hermitian(np.random.default_rng(5), 3)
+        v = Operator(0.05 / operator_norm(v) * v, hermitian=True)
         ctx = make_context(h, Subspace(3, np.eye(3, dtype=complex)), 1.0, 0.05)
         assert ctx.q.rank == 0
         expected = h.matrix + v.matrix
@@ -493,7 +491,7 @@ class TestQutritTruncation:
 
         model = ClockModel(circuit=load_circuit(circuits_dir / gates, n))
         ext = clock_extension_setup(model)
-        t_s = (0.01 * ext.delta) * ext.coupling
+        t_s = Operator(0.01 * ext.delta * ext.coupling.matrix, hermitian=True)
         report = qutrit_truncation_check(
             ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
         )

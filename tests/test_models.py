@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc import config
 from qsc.errors import ParseError, QscError, SelfCheckFailed
@@ -34,7 +36,7 @@ from qsc.models import (
     shift_factors,
 )
 
-from oracles import clock_history_by_loop, clock_hopping_by_branches
+from oracles import clock_gap_by_sectors, clock_history_by_loop, clock_hopping_by_branches
 
 
 def haar_gate(rng, dim):
@@ -276,6 +278,25 @@ class TestClockSpectrum:
         first_order = model.delta1 * np.min(shift_factors(length))
         assert spec.delta == pytest.approx(first_order, rel=0.3)
         assert spec.delta > 0
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_gap_is_set_by_the_unary_sectors(self, data):
+        # the dense spectrum's gap is the closed form's: n matrices of size
+        # L + 1, one per input Hamming weight
+        n = data.draw(st.integers(1, 3), label="n")
+        length = data.draw(st.integers(1, 7 - n), label="L")
+        gates = ["H", "S", "T", "X", "Y", "Z", "I"] + (["CX", "CZ", "SWAP"] if n > 1 else [])
+        lines = []
+        for _ in range(length):
+            gate = data.draw(st.sampled_from(gates))
+            arity = 2 if gate in ("CX", "CZ", "SWAP") else 1
+            targets = data.draw(st.permutations(range(1, n + 1)))[:arity]
+            lines.append(f"G {gate} " + " ".join(map(str, targets)))
+        h = data.draw(st.sampled_from([config.DEFAULT_PENALTY_FACTOR, 0.3, 0.7]), label="h")
+        model = ClockModel(circuit=parse_circuit("\n".join(lines), n), h=h)
+        closed = clock_gap_by_sectors(model)
+        assert closed == pytest.approx(clock_band_structure(model).delta, rel=1e-8, abs=0)
 
     def test_band_energy_formula(self):
         omegas = band_energies(4, omega=2.0)
