@@ -37,7 +37,6 @@ from .models import (
     KET_C,
     KET_DOWN,
     KET_L,
-    KET_R,
     BathSpec,
     ClockModel,
     GroverModel,
@@ -46,8 +45,8 @@ from .models import (
 )
 from .cooling import (
     CoolingSetup,
-    clock_extension_setup,
     clock_setup,
+    extension_gap,
     grover_setup,
     _exact_splitting,
 )
@@ -562,16 +561,17 @@ def _ladder_residuals(setup: CoolingSetup, r_grid) -> dict:
     }
 
 
-def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
+def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int = 17) -> float:
     """Uniform-in-time deviation of the evolved |1,C> from the ideal
     two-level oscillation toward |0,B>, with the rate read off the measured
     splitting of the hybridized pair (the correction the claim allows) and
-    the global phase optimized out."""
-    h_full, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
-                                            ext.coupling, omega0)
+    the global phase optimized out.  |0> and |1> are the setup's band
+    vectors 0 and 1, and the qutrit bath sits at omega1."""
+    h_full, x_op = build_bath_and_couplings(
+        setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
     h = Operator(h_full + x_op, hermitian=True)
-    start = np.kron(ext.band1[:, 0], KET_C)
-    target = np.kron(ext.ground, KET_B)
+    start = np.kron(setup.band.vector(1), KET_C)
+    target = np.kron(setup.band.vector(0), KET_B)
     splitting, sd = hybridized_pair(h.matrix, start, target)
     w, vecs = sd.eigenvalues, sd.eigenvectors
     rabi = splitting / 2.0
@@ -588,27 +588,28 @@ def _oscillation_residual(ext, omega0: float, time_points: int = 17) -> float:
     return worst
 
 
-def _verification_leakage(ext, omega0: float, time_points: int = 33) -> float:
+def _verification_leakage(setup: CoolingSetup, omega0: float, time_points: int = 33) -> float:
     """Envelope of the spurious verification probability: max over excited
     system states and over a grid of evolution times up to the full
     verification pulse (the pointwise value oscillates under its envelope,
-    so a single time would not expose the scaling)."""
-    h_full, _ = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
-                                         ext.coupling, omega0)
-    dim_s = ext.h_s.dim
-    eye_s = np.eye(dim_s, dtype=complex)
+    so a single time would not expose the scaling).  The qutrit bath is
+    the last tensor factor, ordered (C, R, L), so the eigenvectors' R rows
+    are every third row from 1."""
+    h_full, _ = build_bath_and_couplings(
+        setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
+    dim_s = setup.dim_s
     h = Operator(h_full + build_verification_coupling(dim_s, omega0), hermitian=True)
     w, vecs = np.linalg.eigh(h.matrix)
     tau_v = math.pi / (2 * omega0)
-    proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
-    ws, vs = np.linalg.eigh(ext.h_s.matrix)
+    ground = setup.band.vector(0)
+    ws, vs = np.linalg.eigh(setup.h_s.matrix)
     starts = []
     for i in range(dim_s):
-        if abs(np.vdot(ext.ground, vs[:, i])) > 0.5:
+        if abs(np.vdot(ground, vs[:, i])) > 0.5:
             continue
         starts.append(vecs.conj().T @ np.kron(vs[:, i], KET_L))
-    proj_r_eig = vecs.conj().T @ proj_r @ vecs
-    return _max_over_pulse(w, starts, proj_r_eig, tau_v, time_points)
+    r_rows = vecs[1::3]
+    return _max_over_pulse(w, starts, r_rows.conj().T @ r_rows, tau_v, time_points)
 
 
 def check_protocol_lemmas(
@@ -627,10 +628,11 @@ def check_protocol_lemmas(
     if grover_model is not None:
         report["grover"] = _ladder_residuals(grover_setup(grover_model), r_grid)
     if clock_model is not None:
-        ladder = _ladder_residuals(clock_setup(clock_model), r_grid)
-        ext = clock_extension_setup(clock_model)
-        osc = [_oscillation_residual(ext, r * ext.delta) for r in r_grid]
-        ver = [_verification_leakage(ext, r * ext.delta) for r in r_grid]
+        setup = clock_setup(clock_model)
+        ladder = _ladder_residuals(setup, r_grid)
+        delta = extension_gap(setup)
+        osc = [_oscillation_residual(setup, r * delta) for r in r_grid]
+        ver = [_verification_leakage(setup, r * delta) for r in r_grid]
         report["clock"] = {
             **ladder,
             "oscillation_residual": osc,

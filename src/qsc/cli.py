@@ -51,6 +51,17 @@ _DEFAULTS: dict[str, dict] = {
     "spectrum": {"n": 1, "L_min": 2, "L_max": 6, "h": 0.1, "seed": 0},
 }
 
+# Keys an experiment reads beyond its defaults.  A config key that is in
+# neither is a config error, not a silently ignored typo.
+_OPTIONAL: dict[str, tuple[str, ...]] = {
+    "fig1": (),
+    "grover": ("omega1", "omega0"),
+    "clock": ("gates_file", "padding", "omega", "h", "r", "omega0", "eta"),
+    "prob": ("gates_file", "padding", "omega", "h", "r", "r_scale", "f1_lower"),
+    "bounds": ("replay", "r_grid"),
+    "spectrum": ("omega", "h_grid"),
+}
+
 _RUNNERS = {
     "fig1": experiments.run_fig1,
     "grover": experiments.run_grover,
@@ -75,6 +86,15 @@ def load_config(path: str | None, experiment: str) -> dict:
             raise ConfigError(
                 f"config declares experiment {declared!r}, command is {experiment!r}"
             )
+        unknown = sorted(set(user) - set(cfg) - set(_OPTIONAL[experiment]))
+        if unknown:
+            raise ConfigError(f"unknown {experiment} config key(s): {', '.join(unknown)}")
+        if "gates_file" in user:
+            # a gates file replaces the default circuit, so the echo shows
+            # the circuit that ran
+            if "circuit" in user:
+                raise ConfigError("give 'gates_file' or 'circuit', not both")
+            del cfg["circuit"]
         cfg.update(user)
     return cfg
 

@@ -33,6 +33,11 @@ step, which measures up again with probability 1 up to rounding)
 however many shots it samples.  The qubit bath is the last tensor
 factor, so bath projections select the even (down) and odd (up)
 composite indices.
+
+The probabilistic scheme runs on the same setup as the ladder and
+addresses its band 1 with a qutrit bath, also the last tensor factor:
+its projections select the composite indices of levels C, R and L
+(0, 1, 2 mod 3).
 """
 
 from __future__ import annotations
@@ -57,12 +62,8 @@ from .linalg import (
     operator_norm,
 )
 from .models import (
-    KET_B,
     KET_C,
-    KET_D,
     KET_DOWN,
-    KET_L,
-    KET_R,
     KET_UP,
     BandStructure,
     BathSpec,
@@ -81,7 +82,6 @@ from .models import (
 
 __all__ = [
     "CoolingSetup",
-    "ExtensionSetup",
     "StepSpectrum",
     "ScheduleStep",
     "CoolingSchedule",
@@ -91,12 +91,13 @@ __all__ = [
     "ErrorBudgetReport",
     "grover_setup",
     "clock_setup",
-    "clock_extension_setup",
     "build_schedule",
     "cooling_step",
     "run_deterministic",
     "run_reduced",
     "run_probabilistic",
+    "extension_gap",
+    "extension_rabi",
     "inject_errors",
     "extension_error_budget",
     "trial_rng",
@@ -556,64 +557,25 @@ def run_reduced(
 # Probabilistic qutrit scheme
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionSetup:
-    """System data for the probabilistic scheme: a nondegenerate ground
-    state, an addressed band near omega1, and a Hermitian coupling whose
-    strength Omega_0 is folded in by the caller."""
-
-    h_s: Operator
-    coupling: Operator        # unit norm
-    ground: np.ndarray
-    band1: np.ndarray         # columns spanning the addressed band
-    omega1: float
-    delta: float              # min{omega1, E, |E - omega1|} over the rest
-    fiducial: StateVector
-    f1: float                 # |<1|F>| with |1> the coupled band state
-    label: str = ""
-
-    def rabi(self, omega0: float) -> float:
-        """Band coupling rate |<1| Omega_0 T |0>| of the drive evolution."""
-        return float(
-            np.abs(self.band1[:, 0].conj() @ (omega0 * self.coupling.matrix) @ self.ground)
-        )
+def extension_gap(setup: CoolingSetup) -> float:
+    """Delta of the probabilistic scheme: min{omega1, E, |E - omega1|} over
+    the spectrum of H_S outside the ground state and the addressed band 1
+    (levels within 1e-9 max(1, omega1) of 0 or omega1)."""
+    if setup.band.spectrum is None:
+        raise ValueError(f"setup {setup.label!r} holds no spectrum of H_S")
+    omega1 = float(setup.band.omegas[1])
+    evals = setup.band.spectrum
+    tol = 1e-9 * max(1.0, abs(omega1))
+    rest = evals[(np.abs(evals) >= tol) & (np.abs(evals - omega1) >= tol)]
+    return float(min(omega1, np.min(np.abs(rest), initial=omega1),
+                     np.min(np.abs(rest - omega1), initial=omega1)))
 
 
-def clock_extension_setup(model: ClockModel) -> ExtensionSetup:
-    """Treat the clock's k=1 band state as the addressed level; the history
-    state is the ground state and the all-zeros product state the fiducial."""
-    h_s = build_clock(model)
-    band = clock_band_structure(model, h_s)
-    eta = band.vector(0)
-    k1 = band.vector(1)
-    omega1 = float(band.omegas[1])
-    delta = _extension_gap(band.spectrum, omega1)
-    xs = overlap_coefficients(model.length)
-    return ExtensionSetup(
-        h_s=h_s,
-        coupling=clock_coupling_direction(model),
-        ground=eta,
-        band1=k1[:, None],
-        omega1=omega1,
-        delta=delta,
-        fiducial=StateVector.basis(h_s.dim, 0),
-        f1=float(xs[1]),
-        label=f"clock-ext(n={model.n},L={model.length})",
-    )
-
-
-def _extension_gap(evals: np.ndarray, omega1: float) -> float:
-    """min{omega1, E, |E - omega1|} over the spectrum outside the ground
-    state and the addressed band."""
-    cands = [omega1]
-    for e in evals:
-        if abs(e - 0.0) < 1e-9 * max(1.0, abs(omega1)):
-            continue
-        if abs(e - omega1) < 1e-9 * max(1.0, abs(omega1)):
-            continue
-        cands.append(abs(e))
-        cands.append(abs(e - omega1))
-    return float(min(cands))
+def extension_rabi(setup: CoolingSetup, omega0: float) -> float:
+    """Band coupling rate |<1| Omega_0 T |0>| of the drive evolution."""
+    return float(np.abs(
+        setup.band.vector(1).conj() @ (omega0 * setup.coupling.matrix) @ setup.band.vector(0)
+    ))
 
 
 @dataclass(frozen=True)
@@ -640,7 +602,7 @@ def analytic_acceptance(f1: float, rabi: float, omega_star: float) -> float:
 
 
 def run_probabilistic(
-    ext: ExtensionSetup,
+    setup: CoolingSetup,
     omega0: float,
     omega_star: float | None = None,
     f1_lower: float | None = None,
@@ -649,7 +611,9 @@ def run_probabilistic(
     max_rounds: int = 10 ** 6,
     delta_op: Operator | None = None,
 ) -> ProbRunReport:
-    """Evolve-measure-verify trials with the qutrit bath.
+    """Evolve-measure-verify trials with the qutrit bath on band 1 of the
+    setup: ground |0> = band vector 0, addressed level |1> = band vector 1
+    at omega1, f1 = x_1 and the gap `extension_gap`.
 
     Each trial: evolve |F,C> under H + X for tau drawn uniformly from
     [pi/Omega*, 2 pi/Omega*]; measure the bath in the {B, D, C} basis; on
@@ -658,20 +622,27 @@ def run_probabilistic(
     consecutive failures the sampling window doubles (Omega* halves).
     A static Hermitian `delta_op` (on the composite space) is added to both
     simulated evolutions.
+
+    The qutrit bath is the last tensor factor, ordered (C, R, L), so a
+    composite state is a (dim_s, 3) array and each bath projection selects
+    columns: the B amplitude is (psi_L + psi_R)/sqrt(2), moved to level L,
+    and the verify evolution's L-to-R block gives the R column it is
+    accepted on.  The report's label is the setup's, marked "-ext".
     """
-    rabi = ext.rabi(omega0)
+    rabi = extension_rabi(setup, omega0)
+    f1 = float(setup.xs[1])
     if omega_star is None:
         omega_star = 0.9 * rabi
     if f1_lower is None:
-        f1_lower = ext.f1
-    r = omega0 / ext.delta
+        f1_lower = f1
+    r = omega0 / extension_gap(setup)
     if r >= config.MAX_COUPLING_RATIO:
         raise CouplingTooLarge(f"r = {r:.4f} >= 1/8")
 
-    bath = BathSpec("qutrit", ext.omega1)
-    h_full, x_op = build_bath_and_couplings(ext.h_s, bath, ext.coupling, omega0)
-    dim_s = ext.h_s.dim
-    eye_s = np.eye(dim_s, dtype=complex)
+    omega1 = float(setup.band.omegas[1])
+    h_full, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
+                                            setup.coupling, omega0)
+    dim_s = setup.dim_s
     # the two evolution Hamiltonians are the matrices validated here
     h_drive = Operator(_plus_error(h_full + x_op, delta_op), hermitian=True)
     h_verify = Operator(
@@ -680,19 +651,10 @@ def run_probabilistic(
     )
     wt, vt = np.linalg.eigh(h_drive.matrix)
     tau_v = math.pi / (2 * omega0)
-    u_verify = evolve(h_verify, tau_v).matrix
-
-    proj_b = np.kron(eye_s, np.outer(KET_B, KET_B.conj()))
-    proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
-    swap_bl = np.kron(
-        eye_s,
-        np.outer(KET_L, KET_B.conj())
-        + np.outer(KET_R, KET_D.conj())
-        + np.outer(KET_C, KET_C.conj()),
-    )
-    ground_proj = np.kron(np.outer(ext.ground, ext.ground.conj()), np.eye(3))
-    psi_init = np.kron(ext.fiducial.amplitudes, KET_C)
-    psi_init_t = vt.conj().T @ psi_init  # fiducial in the evolution eigenbasis
+    # the verify evolution from bath level L to level R
+    u_rl = evolve(h_verify, tau_v).matrix[1::3, 2::3]
+    ground = setup.band.vector(0)
+    psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
 
     doubling_threshold = max(1, math.ceil(4.0 / f1_lower ** 2))
     current_star = omega_star
@@ -703,26 +665,24 @@ def run_probabilistic(
     b_count = 0
     fidelity_sum = 0.0
     total_sim_time = 0.0
-    analytic = analytic_acceptance(ext.f1, rabi, omega_star)
+    analytic = analytic_acceptance(f1, rabi, omega_star)
 
     for t in range(trials):
         rng = trial_rng(seed, t)
         tau = rng.uniform(math.pi / current_star, 2 * math.pi / current_star)
         total_sim_time += tau
-        psi = vt @ (np.exp(-1j * tau * wt) * psi_init_t)
-        p_b = float(np.linalg.norm(proj_b @ psi) ** 2)
+        psi = (vt @ (np.exp(-1j * tau * wt) * psi_init_t)).reshape(dim_s, 3)
+        b = (psi[:, 2] + psi[:, 1]) / math.sqrt(2)
+        p_b = float(np.vdot(b, b).real)
         accepted = False
         if rng.random() < p_b:
             b_count += 1
-            psi = proj_b @ psi / math.sqrt(p_b)
-            psi = swap_bl @ psi
             total_sim_time += tau_v
-            psi = u_verify @ psi
-            p_r = float(np.linalg.norm(proj_r @ psi) ** 2)
+            r_col = u_rl @ (b / math.sqrt(p_b))
+            p_r = float(np.vdot(r_col, r_col).real)
             if rng.random() < p_r:
                 accepted = True
-                psi = proj_r @ psi / math.sqrt(p_r)
-                fidelity_sum += float(np.real(psi.conj() @ ground_proj @ psi))
+                fidelity_sum += float(abs(np.vdot(ground, r_col)) ** 2) / p_r
         if accepted:
             accepts += 1
             consecutive_failures = 0
@@ -747,7 +707,7 @@ def run_probabilistic(
         tau_doublings=tuple(doublings),
         round_limit_exceeded=limit_hit,
         b_measure_count=b_count,
-        label=ext.label,
+        label=setup.label.replace("(", "-ext(", 1),
     )
 
 
@@ -830,35 +790,34 @@ def inject_errors(
 
 
 def extension_error_budget(
-    ext: ExtensionSetup, omega0: float, delta_op: Operator | None = None
+    setup: CoolingSetup, omega0: float, delta_op: Operator | None = None
 ) -> ErrorBudgetReport:
     """Error budgets for the probabilistic scheme's two evolutions.
 
     The drive evolution budgets against the band coupling rate Omega and
     the verification evolution against Omega_0; otherwise the same three
     block norms as the deterministic ladder, with the system split at the
-    addressed band (ground + band vs everything else) extended trivially
+    addressed band (ground + band 1 vs everything else) extended trivially
     over the qutrit.
     """
-    cols = [np.kron(ext.ground, e) for e in np.eye(3, dtype=complex)]
-    for k in range(ext.band1.shape[1]):
-        cols.extend(np.kron(ext.band1[:, k], e) for e in np.eye(3, dtype=complex))
-    b = np.column_stack(cols)
+    b = np.kron(setup.band.vectors[:, :2], np.eye(3, dtype=complex))
     s1 = b @ b.conj().T
-    _, x_op = build_bath_and_couplings(ext.h_s, BathSpec("qutrit", ext.omega1),
-                                       ext.coupling, omega0)
-    y_op = build_verification_coupling(ext.h_s.dim, omega0)
+    omega1 = float(setup.band.omegas[1])
+    _, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
+                                       setup.coupling, omega0)
+    y_op = build_verification_coupling(setup.dim_s, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
-    r = omega0 / ext.delta
-    rabi = ext.rabi(omega0)
-    t_s = omega0 * ext.coupling.matrix
-    ground_shift = float(np.abs(ext.ground.conj() @ t_s @ ext.ground)) ** 2
+    delta = extension_gap(setup)
+    r = omega0 / delta
+    rabi = extension_rabi(setup, omega0)
+    ground = setup.band.vector(0)
+    ground_shift = float(np.abs(ground.conj() @ (omega0 * setup.coupling.matrix) @ ground)) ** 2
     rows = []
     ok = r < config.MAX_COUPLING_RATIO
     for name, v_mat, rate in (("drive", x_op, rabi), ("verification", y_op, omega0)):
-        budget = r * rate / ext.delta
-        shift_ok = bool(ground_shift / ext.omega1 < r * rate)
-        row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, ext.delta, budget),
+        budget = r * rate / delta
+        shift_ok = bool(ground_shift / omega1 < r * rate)
+        row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, delta, budget),
                "ground_shift_ok": shift_ok}
         ok = ok and _within_budget(row) and shift_ok
         rows.append(row)

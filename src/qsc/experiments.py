@@ -23,8 +23,9 @@ from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instan
 from .cooling import (
     _step_hamiltonian,
     build_schedule,
-    clock_extension_setup,
     clock_setup,
+    extension_gap,
+    extension_rabi,
     grover_setup,
     run_deterministic,
     run_probabilistic,
@@ -367,25 +368,28 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
 
 
 def run_prob(cfg: dict, out_dir: Path) -> dict:
-    """Probabilistic qutrit-bath scheme on a clock model."""
+    """Probabilistic qutrit-bath scheme on a clock model's setup, addressing
+    its band 1."""
     circuit = _load_model_circuit(cfg)
     model = ClockModel(
         circuit=circuit, omega=cfg.get("omega", 1.0),
         h=cfg.get("h", config.DEFAULT_PENALTY_FACTOR),
     )
-    ext = clock_extension_setup(model)
+    setup = clock_setup(model)
+    f1 = float(setup.xs[1])
+    delta = extension_gap(setup)
     eps = float(cfg.get("eps", 0.1))
     r = cfg.get("r")
     if r is None:
-        r = cfg.get("r_scale", 1.0) * ext.f1 * eps ** 1.5
-    omega0 = r * ext.delta
-    rabi = ext.rabi(omega0)
+        r = cfg.get("r_scale", 1.0) * f1 * eps ** 1.5
+    omega0 = r * delta
+    rabi = extension_rabi(setup, omega0)
     omega_star = cfg.get("omega_star_rel", 0.9) * rabi
     report = run_probabilistic(
-        ext,
+        setup,
         omega0=omega0,
         omega_star=omega_star,
-        f1_lower=cfg.get("f1_lower", ext.f1),
+        f1_lower=cfg.get("f1_lower", f1),
         trials=int(cfg.get("trials", 2000)),
         seed=int(cfg.get("seed", 0)),
         max_rounds=int(cfg.get("max_rounds", 10 ** 6)),
@@ -397,8 +401,8 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
             "r": r,
             "omega0": omega0,
             "rabi": rabi,
-            "delta": ext.delta,
-            "f1": ext.f1,
+            "delta": delta,
+            "f1": f1,
             "acceptance_ratio_vs_analytic": (
                 report.acceptance_rate / report.analytic_acceptance
                 if report.analytic_acceptance > 0

@@ -215,14 +215,16 @@ def _two_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> None:
-    """The scaled Hermiticity test: max |m - m^+| <= atol * (1 + |m|_2)."""
+def _check_hermitian(m: np.ndarray, what: str, atol: float | None = None) -> None:
+    """The scaled Hermiticity test: max |m - m^+| <= atol * (1 + |m|_2),
+    with atol defaulting to config.HERMITICITY_ATOL."""
+    if atol is None:
+        atol = config.HERMITICITY_ATOL
     scale = 1.0 + _two_norm(m)
     dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > config.HERMITICITY_ATOL * scale:
+    if dev > atol * scale:
         raise NonHermitianInput(
-            f"{what} max deviation {dev:.3e} exceeds "
-            f"{config.HERMITICITY_ATOL:.1e} * (1 + norm)"
+            f"{what} max deviation {dev:.3e} exceeds {atol:.1e} * (1 + norm)"
         )
 
 

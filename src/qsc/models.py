@@ -409,16 +409,13 @@ def build_clock(model: ClockModel) -> Operator:
     """Assemble the full clock Hamiltonian on n + L qubits:
     omega * hopping + delta1 * input penalty + 2 omega * clock penalty."""
     h_prop, h_input, h_clock = build_clock_parts(model)
-    h_s = (
-        model.omega * h_prop.matrix
-        + model.delta1 * h_input.matrix
-        + model.clock_penalty * h_clock.matrix
-    )
+    h_s = model.omega * h_prop + model.delta1 * h_input + model.clock_penalty * h_clock
     return Operator(h_s, hermitian=True)
 
 
 def build_clock_parts(model: ClockModel):
-    """The three unscaled pieces (hopping, input penalty, clock penalty).
+    """The three unscaled pieces (hopping, input penalty, clock penalty) as
+    plain arrays; `build_clock` validates their sum, the matrix it hands on.
 
     Construction contract: restricted to the unary clock configurations the
     hopping part must equal the tridiagonal free-particle matrix exactly;
@@ -457,11 +454,7 @@ def build_clock_parts(model: ClockModel):
         h_prop += 0.5 * (diag - moved - moved.conj().T)
 
     _verify_legal_sector(h_prop, model)
-    return (
-        Operator(h_prop, hermitian=True),
-        Operator(h_input, hermitian=True),
-        Operator(h_clock, hermitian=True),
-    )
+    return h_prop, h_input, h_clock
 
 
 def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:

@@ -4,12 +4,13 @@ Each oracle computes a quantity by a route disjoint from the production
 path it checks: eigenvalues by inertia bisection on the characteristic
 polynomial's root counts, operator norms by power iteration, partial
 traces by raw index summation, matrix exponentials via scipy's Pade
-implementation, the cooling map through dense bath projectors, the
-bounds lab's closeness radius by one linear solve and one SVD norm per
-grid point, the clock construction by its original four-branch hopping
-loop and step-by-step register history, the cooling ladder from step
-Hamiltonians built afresh, trajectory sampling one shot at a time, and
-the search setup on its full composite space instead of its two-band
+implementation, the cooling map and the qutrit scheme's trials through
+dense bath projectors, the qutrit scheme's gap one eigenvalue at a time,
+the bounds lab's closeness radius by one linear solve and one SVD norm
+per grid point, the clock construction by its original four-branch
+hopping loop and step-by-step register history, the cooling ladder from
+step Hamiltonians built afresh, trajectory sampling one shot at a time,
+and the search setup on its full composite space instead of its two-band
 block.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
@@ -201,6 +202,78 @@ def trajectory_by_shot(setup, schedule, shots: int, seed: int):
         if rng.random() < min(1.0, max(0.0, p_ground)):
             successes += 1
     return successes, up_weights / shots
+
+
+def extension_gap_by_loop(evals, omega1: float) -> float:
+    """min{omega1, E, |E - omega1|} over the eigenvalues E further than
+    1e-9 max(1, omega1) from both 0 and omega1, one eigenvalue at a time."""
+    cands = [omega1]
+    for e in evals:
+        if abs(e) < 1e-9 * max(1.0, abs(omega1)) or abs(e - omega1) < 1e-9 * max(1.0, abs(omega1)):
+            continue
+        cands.extend((abs(e), abs(e - omega1)))
+    return float(min(cands))
+
+
+def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=None,
+                                      max_rounds=10 ** 6):
+    """The qutrit scheme's trials with every bath operation a dense
+    composite matrix: the B and R projectors, the B->L, D->R swap and the
+    ground projector, each 1 (x) a qutrit operator.  Band 1 of the setup is
+    the addressed level, as in `run_probabilistic`.  Returns (accept
+    count, B-outcome count, conditional success)."""
+    from qsc.cooling import extension_rabi, trial_rng
+    from qsc.linalg import Operator, evolve
+    from qsc.models import (KET_B, KET_C, KET_D, KET_L, KET_R, BathSpec,
+                            build_bath_and_couplings, build_verification_coupling)
+
+    omega1 = float(setup.band.omegas[1])
+    h_full, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
+                                            setup.coupling, omega0)
+    y_op = build_verification_coupling(setup.dim_s, omega0)
+    wt, vt = np.linalg.eigh(h_full + x_op)
+    tau_v = math.pi / (2 * omega0)
+    u_verify = evolve(Operator(h_full + y_op, hermitian=True), tau_v).matrix
+    eye_s = np.eye(setup.dim_s, dtype=complex)
+    proj_b = np.kron(eye_s, np.outer(KET_B, KET_B.conj()))
+    proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
+    swap_bl = np.kron(eye_s, np.outer(KET_L, KET_B.conj()) + np.outer(KET_R, KET_D.conj())
+                      + np.outer(KET_C, KET_C.conj()))
+    ground = setup.band.vector(0)
+    ground_proj = np.kron(np.outer(ground, ground.conj()), np.eye(3))
+    psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
+
+    f1 = float(setup.xs[1])
+    if omega_star is None:
+        omega_star = 0.9 * extension_rabi(setup, omega0)
+    threshold = max(1, math.ceil(4.0 / f1 ** 2))
+    current_star, failures = omega_star, 0
+    accepts = b_count = 0
+    fidelity_sum = 0.0
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        tau = rng.uniform(math.pi / current_star, 2 * math.pi / current_star)
+        psi = vt @ (np.exp(-1j * tau * wt) * psi_init_t)
+        p_b = float(np.linalg.norm(proj_b @ psi) ** 2)
+        accepted = False
+        if rng.random() < p_b:
+            b_count += 1
+            psi = u_verify @ (swap_bl @ (proj_b @ psi / math.sqrt(p_b)))
+            p_r = float(np.linalg.norm(proj_r @ psi) ** 2)
+            if rng.random() < p_r:
+                accepted = True
+                psi = proj_r @ psi / math.sqrt(p_r)
+                fidelity_sum += float(np.real(psi.conj() @ ground_proj @ psi))
+        if accepted:
+            accepts += 1
+            failures, current_star = 0, omega_star
+        else:
+            failures += 1
+            if failures > max_rounds:
+                failures, current_star = 0, omega_star
+            elif failures % threshold == 0:
+                current_star /= 2.0
+    return accepts, b_count, fidelity_sum / accepts if accepts else 0.0
 
 
 def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):

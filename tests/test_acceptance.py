@@ -28,8 +28,8 @@ from qsc.cooling import (
     CoolingSchedule,
     ScheduleStep,
     build_schedule,
-    clock_extension_setup,
     clock_setup,
+    extension_gap,
     grover_setup,
     run_deterministic,
     run_probabilistic,
@@ -158,10 +158,10 @@ def test_criterion_4_probabilistic_scheme(circuits_dir):
     fidelity at least 0.9 at r = f1 * eps^(3/2)."""
     circuit = load_circuit(circuits_dir / "identity_n1_L2.gates", 1)
     model = ClockModel(circuit=circuit)
-    ext = clock_extension_setup(model)
+    setup = clock_setup(model)
     eps = 0.1
-    r = ext.f1 * eps ** 1.5
-    report = run_probabilistic(ext, omega0=r * ext.delta, trials=2000, seed=0)
+    r = setup.xs[1] * eps ** 1.5
+    report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=2000, seed=0)
     ratio = report.acceptance_rate / report.analytic_acceptance
     ratio_ok = 0.5 <= ratio <= 2.0
     fidelity_ok = report.conditional_success >= 1 - eps
@@ -174,6 +174,15 @@ def test_criterion_4_probabilistic_scheme(circuits_dir):
     )
     assert ratio_ok
     assert fidelity_ok
+
+
+def _band1_problem(setup, r):
+    """qutrit_truncation_check's arguments for band 1 of a clock setup,
+    with the coupling at r times the extension gap."""
+    delta = extension_gap(setup)
+    t_s = Operator(r * delta * setup.coupling.matrix, hermitian=True)
+    return (setup.h_s, StateVector(setup.band.vector(0)), setup.band.vectors[:, 1:2],
+            float(setup.band.omegas[1]), delta, t_s)
 
 
 def test_criterion_5_exact_identities(circuits_dir):
@@ -189,11 +198,8 @@ def test_criterion_5_exact_identities(circuits_dir):
     ]
     for name, n in shipped:
         model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
-        ext = clock_extension_setup(model)
-        t_s = Operator(0.01 * ext.delta * ext.coupling.matrix, hermitian=True)
-        rep = qutrit_truncation_check(
-            ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
-        )
+        setup = clock_setup(model)
+        rep = qutrit_truncation_check(*_band1_problem(setup, 0.01))
         worst_green = max(worst_green, rep.b_green_norm)
     green_ok = worst_green <= 1e-9
 
@@ -201,7 +207,7 @@ def test_criterion_5_exact_identities(circuits_dir):
     for name, n in shipped:
         model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
         h_prop, _, h_clock = build_clock_parts(model)
-        h0 = model.omega * h_prop.matrix + model.clock_penalty * h_clock.matrix
+        h0 = model.omega * h_prop + model.clock_penalty * h_clock
         vals = np.sort(np.linalg.eigvalsh(h0))
         legal = vals[: (model.length + 1) * 2 ** model.n]
         targets = np.sort(np.repeat(band_energies(model.length, model.omega), 2 ** model.n))

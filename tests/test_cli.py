@@ -1,14 +1,18 @@
 """Command-line interface tests: schemas of emitted files, byte-level
 reproducibility, seed overrides, and the exit-code contract."""
 
+import ast
 import csv
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from qsc import __version__, config
-from qsc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, main
+from qsc import __version__, cli, config, experiments
+from qsc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL = {
     "fig1": {"n_min": 4, "n_max": 5, "points": 60, "seed": 0},
@@ -206,3 +210,76 @@ def test_clock_gates_file_roundtrip(tmp_path, circuits_dir):
     payload = json.loads((tmp_path / "out" / "clock_report.json").read_text())
     assert payload["report"]["ground_fidelity"] > 0.9
     assert payload["readout"]["output_fidelity_given_site"] > 0.99
+
+
+@pytest.mark.parametrize("experiment,key", [("prob", "trails"), ("clock", "trials"),
+                                            ("bounds", "instance")])
+def test_unknown_key_is_config_error(tmp_path, capsys, experiment, key):
+    # a misspelt key is refused, not run with the default it meant to replace
+    cfg = dict(SMALL[experiment], **{key: 10})
+    assert run_cli(tmp_path, experiment, cfg) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_gates_file_replaces_the_default_circuit(tmp_path, circuits_dir):
+    gates = str(circuits_dir / "x_n1_L2.gates")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"n": 1, "gates_file": gates}))
+    cfg = load_config(str(cfg_path), "clock")
+    assert cfg["gates_file"] == gates and "circuit" not in cfg
+    both = {"n": 1, "gates_file": gates, "circuit": ["G X 1", "G I 1"]}
+    assert run_cli(tmp_path, "prob", both) == EXIT_CONFIG
+
+
+def _perfbench_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path):
+    # every shipped config and every benchmark config passes the key check
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        load_config(str(path), json.loads(path.read_text())["experiment"])
+    workloads = _perfbench_workloads()
+    for workload in workloads.WORKLOADS:
+        for size in workloads.SIZES:
+            for seed in (0, 1, 7, 123):
+                cfg = workloads.make_config(workload, seed, size)
+                path = tmp_path / f"{workload}-{size}-{seed}.json"
+                path.write_text(json.dumps(cfg))
+                loaded = load_config(str(path), cfg["experiment"])
+                assert loaded["seed"] == seed
+
+
+def _keys_read(functions: dict, name: str) -> set:
+    """The config keys a function of experiments.py reads (`cfg.get(k)`,
+    `cfg[k]`, `k in cfg`), with those of the helpers it hands cfg to."""
+    keys = set()
+    for node in ast.walk(functions[name]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id in functions and any(getattr(a, "id", None) == "cfg"
+                                                 for a in node.args):
+                keys |= _keys_read(functions, node.func.id)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and getattr(node.func.value, "id", None) == "cfg"):
+            keys.add(node.args[0].value)
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+            keys.add(node.slice.value)
+        elif (isinstance(node, ast.Compare)
+              and getattr(node.comparators[0], "id", None) == "cfg"):
+            keys.add(node.left.value)
+    return keys
+
+
+def test_declared_keys_are_the_keys_read():
+    # the accepted keys are what each experiment reads: none missing (it
+    # would be refused) and no optional key that nothing reads
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for experiment, runner in cli._RUNNERS.items():
+        read = _keys_read(functions, runner.__name__)
+        assert read <= set(cli._DEFAULTS[experiment]) | set(cli._OPTIONAL[experiment])
+        assert set(cli._OPTIONAL[experiment]) <= read, experiment

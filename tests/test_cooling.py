@@ -24,9 +24,11 @@ from qsc.cooling import (
     ErrorInjection,
     _step_hamiltonian,
     build_schedule,
-    clock_extension_setup,
     clock_setup,
     cooling_step,
+    extension_error_budget,
+    extension_gap,
+    extension_rabi,
     grover_setup,
     inject_errors,
     run_deterministic,
@@ -38,7 +40,9 @@ from qsc.cooling import (
 from oracles import (
     cooling_map_dense,
     dense_grover_setup,
+    extension_gap_by_loop,
     ladder_by_fresh_build,
+    probabilistic_by_dense_projectors,
     trajectory_by_shot,
 )
 
@@ -373,35 +377,36 @@ class TestRunReduced:
         )
 
 
+def _prob_setup():
+    """The clock n = 1, L = 2 identity-circuit setup the qutrit scheme runs on."""
+    return clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
+
+
 class TestRunProbabilistic:
     def test_maximal_overlap_single_shot(self):
         # fiducial exactly on the addressed band state: a half-period pulse
         # transfers with probability 1 - O(r), verification near-certain
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
         from qsc.linalg import StateVector
-        from dataclasses import replace
 
-        ext1 = replace(ext, fiducial=StateVector(ext.band1[:, 0]), f1=1.0)
+        setup = _prob_setup()
+        on_band1 = replace(setup, fiducial=StateVector(setup.band.vector(1)),
+                           xs=np.eye(setup.n_bands)[1])
         r = 0.02
-        omega0 = r * ext1.delta
-        rabi = float(
-            np.abs(ext1.band1[:, 0].conj() @ (omega0 * ext1.coupling.matrix) @ ext1.ground)
-        )
+        omega0 = r * extension_gap(on_band1)
+        rabi = extension_rabi(on_band1, omega0)
         # half-period window collapsed to the ideal time: sample around it
         report = run_probabilistic(
-            ext1, omega0=omega0, omega_star=rabi * 2, trials=400, seed=9
+            on_band1, omega0=omega0, omega_star=rabi * 2, trials=400, seed=9
         )
         # tau in [pi/(2 rabi), pi/rabi]: sin^2 averages >= 1/2 for f1 = 1
         assert report.acceptance_rate > 0.4
         assert report.conditional_success > 1 - 10 * r ** 2
 
     def test_acceptance_tracks_analytic(self):
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         eps = 0.1
-        r = ext.f1 * eps ** 1.5
-        report = run_probabilistic(ext, omega0=r * ext.delta, trials=2000, seed=3)
+        r = setup.xs[1] * eps ** 1.5
+        report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=2000, seed=3)
         ratio = report.acceptance_rate / report.analytic_acceptance
         assert 0.5 <= ratio <= 2.0
         assert report.conditional_success >= 1 - eps
@@ -410,10 +415,9 @@ class TestRunProbabilistic:
         # spurious verification probability from any excited state is O(r^2)
         from qsc.bounds import _verification_leakage
 
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         r = 0.02
-        leak = _verification_leakage(ext, r * ext.delta)
+        leak = _verification_leakage(setup, r * extension_gap(setup))
         assert leak < 30 * r ** 2
 
     @pytest.mark.parametrize(
@@ -428,14 +432,15 @@ class TestRunProbabilistic:
         from qsc.linalg import Operator
         import numpy as np
 
-        model = ClockModel(circuit=parse_circuit(lines, n))
-        ext = clock_extension_setup(model)
-        t_s = Operator(np.zeros_like(ext.h_s.matrix), hermitian=True)
+        setup = clock_setup(ClockModel(circuit=parse_circuit(lines, n)))
+        omega1, delta = float(setup.band.omegas[1]), extension_gap(setup)
+        assert delta == extension_gap_by_loop(setup.band.spectrum, omega1)
+        t_s = Operator(np.zeros_like(setup.h_s.matrix), hermitian=True)
         h_full, _ = build_bath_and_couplings(
-            ext.h_s, BathSpec("qutrit", ext.omega1), t_s
+            setup.h_s, BathSpec("qutrit", omega1), t_s
         )
         vals, vecs = np.linalg.eigh(h_full)
-        dim_s = ext.h_s.dim
+        dim_s = setup.dim_s
         proj_l = np.kron(np.eye(dim_s), np.diag([0.0, 0.0, 1.0]))
         proj_r = np.kron(np.eye(dim_s), np.diag([0.0, 1.0, 0.0]))
         # degenerate clusters demand projector traces, not single vectors
@@ -451,7 +456,7 @@ class TestRunProbabilistic:
             sub = vecs[:, block]
             l_trace = float(np.real(np.trace(sub.conj().T @ proj_l @ sub)))
             r_trace = float(np.real(np.trace(sub.conj().T @ proj_r @ sub)))
-            if abs(energy - ext.omega1) < 1e-10:
+            if abs(energy - omega1) < 1e-10:
                 pinned_l, pinned_r = l_trace, r_trace
                 continue
             if l_trace > 0.9:
@@ -462,31 +467,42 @@ class TestRunProbabilistic:
         assert pinned_l >= 1 - 1e-9 and pinned_r >= 1 - 1e-9
         # every other left-displaced state sits at least a gap below every
         # right-displaced partner (whose minimum is the pinned energy)
-        assert max(left_energies) <= ext.omega1 - ext.delta + 1e-9
+        assert max(left_energies) <= omega1 - delta + 1e-9
         if right_energies:
-            assert min(right_energies) >= ext.omega1 - 1e-9
+            assert min(right_energies) >= omega1 - 1e-9
 
     def test_halving_rate_floor_doubles_time(self):
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         r = 0.02
-        omega0 = r * ext.delta
-        rabi = float(
-            np.abs(ext.band1[:, 0].conj() @ (omega0 * ext.coupling.matrix) @ ext.ground)
-        )
-        fast = run_probabilistic(ext, omega0=omega0, omega_star=0.9 * rabi,
+        omega0 = r * extension_gap(setup)
+        rabi = extension_rabi(setup, omega0)
+        fast = run_probabilistic(setup, omega0=omega0, omega_star=0.9 * rabi,
                                  trials=600, seed=1)
-        slow = run_probabilistic(ext, omega0=omega0, omega_star=0.45 * rabi,
+        slow = run_probabilistic(setup, omega0=omega0, omega_star=0.45 * rabi,
                                  trials=600, seed=1)
         ratio = slow.mean_time_per_success / fast.mean_time_per_success
         assert 1.3 <= ratio <= 3.5
 
+    @pytest.mark.parametrize(
+        "lines,n", [("G I 1\nG I 1", 1), ("G X 1\nG I 1", 1), ("G H 1\nG CX 1 2", 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_projector_oracle(self, lines, n, seed):
+        # bath selections on the composite index take the same trials as
+        # dense projector products
+        setup = clock_setup(ClockModel(circuit=parse_circuit(lines, n)))
+        omega0 = setup.xs[1] * 0.1 ** 1.5 * extension_gap(setup)
+        report = run_probabilistic(setup, omega0=omega0, trials=300, seed=seed)
+        accepts, b_count, success = probabilistic_by_dense_projectors(
+            setup, omega0, trials=300, seed=seed)
+        assert report.accept_count == accepts > 0
+        assert report.b_measure_count == b_count
+        assert abs(report.conditional_success - success) <= 1e-14
+
     def test_doubling_trace_recorded(self):
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         eps = 0.1
-        r = ext.f1 * eps ** 1.5
-        report = run_probabilistic(ext, omega0=r * ext.delta, trials=500, seed=3)
+        r = setup.xs[1] * eps ** 1.5
+        report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=500, seed=3)
         # acceptance ~0.2 makes 8-failure runs common: the trace must show
         # doublings, each halving the sampling floor
         assert len(report.tau_doublings) > 0
@@ -498,9 +514,9 @@ class TestInjectErrors:
         wrong = Operator(np.eye(2 * setup.dim_s + 1, dtype=complex), hermitian=True)
         with pytest.raises(DimensionMismatch):
             run_deterministic(setup, sched, delta_ops={1: wrong})
-        ext = clock_extension_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
+        clock = _prob_setup()
         with pytest.raises(DimensionMismatch):
-            run_probabilistic(ext, 0.02 * ext.delta, trials=1, delta_op=wrong)
+            run_probabilistic(clock, 0.02 * extension_gap(clock), trials=1, delta_op=wrong)
 
     def test_error_leaving_the_block_runs_on_the_dense_setup(self):
         # an error coupling the marked string to a state outside
@@ -582,46 +598,34 @@ class TestInjectErrors:
             ErrorInjection(deltas={1: Operator(np.array([[0, 1], [0, 0]], dtype=complex))})
 
     def test_extension_budget_clean_and_injected(self):
-        from qsc.cooling import extension_error_budget
-
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         r = 0.02
-        omega0 = r * ext.delta
-        clean = extension_error_budget(ext, omega0)
+        omega0 = r * extension_gap(setup)
+        clean = extension_error_budget(setup, omega0)
         assert clean.all_within_budget
         # an in-band error at ten times the drive budget is flagged
         rng = np.random.default_rng(4)
-        dim = 3 * ext.h_s.dim
+        dim = 3 * setup.dim_s
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         noise = (z + z.conj().T) / 2
-        rabi = float(np.abs(
-            ext.band1[:, 0].conj() @ (omega0 * ext.coupling.matrix) @ ext.ground
-        ))
-        noise *= 10 * r * rabi / np.linalg.norm(noise, 2)
-        bad = extension_error_budget(ext, omega0, Operator(noise, hermitian=True))
+        noise *= 10 * r * extension_rabi(setup, omega0) / np.linalg.norm(noise, 2)
+        bad = extension_error_budget(setup, omega0, Operator(noise, hermitian=True))
         assert not bad.all_within_budget
 
     def test_probabilistic_with_injected_error(self):
         # a within-budget error leaves acceptance statistics intact
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        ext = clock_extension_setup(model)
+        setup = _prob_setup()
         eps = 0.1
-        r = ext.f1 * eps ** 1.5
-        omega0 = r * ext.delta
-        rabi = float(np.abs(
-            ext.band1[:, 0].conj() @ (omega0 * ext.coupling.matrix) @ ext.ground
-        ))
+        r = setup.xs[1] * eps ** 1.5
+        omega0 = r * extension_gap(setup)
         rng = np.random.default_rng(6)
-        dim = 3 * ext.h_s.dim
+        dim = 3 * setup.dim_s
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         noise = (z + z.conj().T) / 2
-        noise *= 0.5 * r * rabi / np.linalg.norm(noise, 2)
+        noise *= 0.5 * r * extension_rabi(setup, omega0) / np.linalg.norm(noise, 2)
         delta = Operator(noise, hermitian=True)
-        from qsc.cooling import extension_error_budget
-
-        assert extension_error_budget(ext, omega0, delta).all_within_budget
-        report = run_probabilistic(ext, omega0=omega0, trials=600, seed=3,
+        assert extension_error_budget(setup, omega0, delta).all_within_budget
+        report = run_probabilistic(setup, omega0=omega0, trials=600, seed=3,
                                    delta_op=delta)
         ratio = report.acceptance_rate / report.analytic_acceptance
         assert 0.4 <= ratio <= 2.5

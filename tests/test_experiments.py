@@ -9,11 +9,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qsc.bounds import check_protocol_lemmas
 from qsc.experiments import (
     fidelity_vs_detuning,
     half_width,
     run_clock,
     run_grover,
+    run_prob,
     run_spectrum,
 )
 from qsc import cooling, linalg, models
@@ -206,8 +208,11 @@ class TestCountedWork:
         # splitting, which the run propagates with
         assert counts.count("eigh") == length + 1
         assert counts.count("build_bath_and_couplings") == length
-        # the Hermiticity scale of H_j + V is the only composite-size 2-norm
-        assert counts.sizes("norm2")[2 ** (1 + length) * 2] == length
+        # the Hermiticity scale of H_j + V is the only composite-size 2-norm;
+        # at system size only H_S and the coupling are validated, not the
+        # three parts H_S is summed from
+        dim_s = 2 ** (1 + length)
+        assert counts.sizes("norm2") == {dim_s * 2: length, dim_s: 2}
         validated = sum(rho.validate for rho in counts.calls["density_matrix"])
         assert counts.count("eigvalsh") <= validated + counts.count("operator_norm")
 
@@ -274,11 +279,24 @@ class TestCountedWork:
         # one product per step, on the one record still measuring down
         assert products[10] == products[1000] == [1] * len(sched.steps)
 
-    def test_prob_setup_diagonalizes_h_s_once(self, monkeypatch):
-        model = models.ClockModel(circuit=models.parse_circuit("G H 1\nG T 1\n", 1))
+    def test_prob_runs_on_one_clock_setup(self, tmp_path, monkeypatch):
+        # one clock build and one eigh of H_S, then the drive and verify
+        # decompositions; the bath is applied by index selection
         counts = self._counting(monkeypatch)
-        ext = cooling.clock_extension_setup(model)
-        assert counts.sizes("eigh") == {ext.h_s.dim: 1}
+        counts.track(models, "build_clock")
+        run_prob({"n": 1, "circuit": ["G H 1", "G T 1"], "eps": 0.1, "trials": 50,
+                  "omega_star_rel": 0.9, "seed": 0, "max_rounds": 10 ** 6}, tmp_path)
+        dim_s = 2 ** 3
+        assert counts.count("build_clock") == 1
+        assert counts.sizes("eigh") == {dim_s: 1, 3 * dim_s: 2}
+
+    def test_protocol_lemmas_build_one_clock(self, monkeypatch):
+        counts = CountingLinalg(monkeypatch)
+        counts.track(models, "build_clock")
+        check_protocol_lemmas(
+            clock_model=models.ClockModel(circuit=models.parse_circuit("G I 1\nG I 1\n", 1)),
+            r_grid=(0.02, 0.01))
+        assert counts.count("build_clock") == 1
 
     @staticmethod
     def _assert_fresh(setup, schedule, report, delta_ops=None):

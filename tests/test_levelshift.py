@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsc import config
-from qsc.errors import PoleTooClose, SingularResolvent
+from qsc.errors import NonHermitianInput, PoleTooClose, SingularResolvent
 from qsc.levelshift import (
     EffectiveHamiltonian,
     effective_grover_hamiltonian,
@@ -31,6 +31,7 @@ from qsc.models import (
     parse_circuit,
 )
 from qsc.bounds import make_multiband_instance, make_windowed_instance
+from qsc.cooling import clock_setup, extension_gap
 
 from oracles import detuning_scan_oracle
 
@@ -340,7 +341,8 @@ class TestNormOnlyWhenNeeded:
         atol = 100 * config.HERMITICITY_ATOL
         # |m| ~ 10: a deviation above atol but inside atol * (1 + |m|) passes
         EffectiveHamiltonian(self.skewed(10.0, 5 * atol), np.eye(2), 0.0, None)
-        with pytest.raises(ValueError):
+        # the shared linalg test: an internal error, not a config error
+        with pytest.raises(NonHermitianInput, match="effective Hamiltonian"):
             EffectiveHamiltonian(self.skewed(10.0, 20 * atol), np.eye(2), 0.0, None)
 
     def test_block_diagonal_boundary(self):
@@ -477,6 +479,12 @@ class TestEffectiveTwoLevel:
 
 
 class TestQutritTruncation:
+    @staticmethod
+    def _band1(setup):
+        """H_S, ground state, band-1 column and omega1 of a clock setup."""
+        return (setup.h_s, StateVector(setup.band.vector(0)), setup.band.vectors[:, 1:2],
+                float(setup.band.omegas[1]))
+
     @pytest.mark.parametrize(
         "gates,n",
         [
@@ -487,42 +495,31 @@ class TestQutritTruncation:
     )
     def test_bright_state_green_function_vanishes(self, circuits_dir, gates, n):
         from qsc.models import load_circuit
-        from qsc.cooling import clock_extension_setup
 
-        model = ClockModel(circuit=load_circuit(circuits_dir / gates, n))
-        ext = clock_extension_setup(model)
-        t_s = Operator(0.01 * ext.delta * ext.coupling.matrix, hermitian=True)
-        report = qutrit_truncation_check(
-            ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
-        )
+        setup = clock_setup(ClockModel(circuit=load_circuit(circuits_dir / gates, n)))
+        delta = extension_gap(setup)
+        t_s = Operator(0.01 * delta * setup.coupling.matrix, hermitian=True)
+        report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         assert report.b_green_norm <= 1e-9
         assert report.passed
 
     def test_no_ground_shift_without_diagonal_coupling(self):
-        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        from qsc.cooling import clock_extension_setup
-
-        ext = clock_extension_setup(model)
+        setup = clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
         # coupling with vanishing ground expectation: |1><0| + |0><1| in the
         # band basis
-        out = np.outer(ext.band1[:, 0], ext.ground.conj())
+        out = np.outer(setup.band.vector(1), setup.band.vector(0).conj())
         t_s = Operator(0.0001 * (out + out.conj().T), hermitian=True)
-        report = qutrit_truncation_check(
-            ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
-        )
+        report = qutrit_truncation_check(*self._band1(setup), extension_gap(setup), t_s)
         assert abs(report.ground_shift) < 1e-12
 
     def test_rank_one_coupling_rabi(self):
         # T_S = Omega_0 |F><F| gives the off-diagonal Omega_0 f_0 f_1
         model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        from qsc.cooling import clock_extension_setup
-
-        ext = clock_extension_setup(model)
-        omega0 = 0.01 * ext.delta
-        f = ext.fiducial.amplitudes
+        setup = clock_setup(model)
+        delta = extension_gap(setup)
+        omega0 = 0.01 * delta
+        f = setup.fiducial.amplitudes
         t_s = Operator(omega0 * np.outer(f, f.conj()), hermitian=True)
-        report = qutrit_truncation_check(
-            ext.h_s, StateVector(ext.ground), ext.band1, ext.omega1, ext.delta, t_s
-        )
+        report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         xs = overlap_coefficients(model.length)
         assert report.rabi == pytest.approx(omega0 * xs[0] * xs[1], abs=1e-9)

@@ -107,7 +107,7 @@ class TestClockConstruction:
         model = ClockModel(circuit=parse_circuit("G I 1\n", 1))
         h_prop, _, _ = build_clock_parts(model)
         # no clock-penalty pairs exist at L=1; all clock states are legal
-        vals = np.linalg.eigvalsh(model.omega * h_prop.matrix)
+        vals = np.linalg.eigvalsh(model.omega * h_prop)
         assert np.allclose(sorted(set(np.round(vals, 12))), [0.0, 1.0])
 
     def test_history_state_is_zero_mode(self, rng):
@@ -134,7 +134,7 @@ class TestClockConstruction:
         _, _, h_clock = build_clock_parts(model)
         vals, vecs = np.linalg.eigh(h_s.matrix)
         penalty_weight = np.real(
-            np.sum(vecs.conj() * (h_clock.matrix @ vecs), axis=0)
+            np.sum(vecs.conj() * (h_clock @ vecs), axis=0)
         )
         illegal = vals[penalty_weight > 0.5]
         assert np.all(illegal >= 2 * model.omega - 1e-9)
@@ -144,10 +144,10 @@ class TestClockConstruction:
         model = ClockModel(circuit=random_circuit(rng, 1, 3))
         h_prop, h_input, h_clock = build_clock_parts(model)
         assert np.max(np.abs(
-            h_clock.matrix @ h_prop.matrix - h_prop.matrix @ h_clock.matrix
+            h_clock @ h_prop - h_prop @ h_clock
         )) < 1e-10
         assert np.max(np.abs(
-            h_clock.matrix @ h_input.matrix - h_input.matrix @ h_clock.matrix
+            h_clock @ h_input - h_input @ h_clock
         )) < 1e-10
 
     def test_band_vectors_are_eigenvectors(self, rng):
@@ -226,7 +226,7 @@ class TestClockPinned:
         rng = np.random.default_rng(1000 * n + length)
         model = ClockModel(circuit=random_circuit(rng, n, length))
         h_prop, _, _ = build_clock_parts(model)
-        assert np.array_equal(h_prop.matrix, clock_hopping_by_branches(model))
+        assert np.array_equal(h_prop, clock_hopping_by_branches(model))
         history, vectors = clock_history_by_loop(model)
         assert np.array_equal(history_state(model).amplitudes, history)
         assert np.array_equal(clock_band_structure(model).vectors, vectors)
