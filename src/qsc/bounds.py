@@ -588,26 +588,21 @@ def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int =
     return worst
 
 
-def _verification_leakage(setup: CoolingSetup, omega0: float, time_points: int = 33) -> float:
-    """Envelope of the spurious verification probability: max over excited
-    system states and over a grid of evolution times up to the full
-    verification pulse (the pointwise value oscillates under its envelope,
-    so a single time would not expose the scaling).  The qutrit bath is
-    the last tensor factor, ordered (C, R, L), so the eigenvectors' R rows
-    are every third row from 1."""
+def _verification_leakage(setup: CoolingSetup, omega0: float, excited: np.ndarray,
+                          time_points: int = 33) -> float:
+    """Envelope of the spurious verification probability: max over the
+    excited system states (the columns of `excited`, eigenvectors of H_S)
+    and over a grid of evolution times up to the full verification pulse
+    (the pointwise value oscillates under its envelope, so a single time
+    would not expose the scaling).  The qutrit bath is the last tensor
+    factor, ordered (C, R, L), so the eigenvectors' R rows are every third
+    row from 1."""
     h_full, _ = build_bath_and_couplings(
         setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
-    dim_s = setup.dim_s
-    h = Operator(h_full + build_verification_coupling(dim_s, omega0), hermitian=True)
+    h = Operator(h_full + build_verification_coupling(setup.dim_s, omega0), hermitian=True)
     w, vecs = np.linalg.eigh(h.matrix)
     tau_v = math.pi / (2 * omega0)
-    ground = setup.band.vector(0)
-    ws, vs = np.linalg.eigh(setup.h_s.matrix)
-    starts = []
-    for i in range(dim_s):
-        if abs(np.vdot(ground, vs[:, i])) > 0.5:
-            continue
-        starts.append(vecs.conj().T @ np.kron(vs[:, i], KET_L))
+    starts = [vecs.conj().T @ np.kron(v, KET_L) for v in excited.T]
     r_rows = vecs[1::3]
     return _max_over_pulse(w, starts, r_rows.conj().T @ r_rows, tau_v, time_points)
 
@@ -632,7 +627,10 @@ def check_protocol_lemmas(
         ladder = _ladder_residuals(setup, r_grid)
         delta = extension_gap(setup)
         osc = [_oscillation_residual(setup, r * delta) for r in r_grid]
-        ver = [_verification_leakage(setup, r * delta) for r in r_grid]
+        # H_S's eigenvectors do not depend on r: diagonalize it once
+        _, vs = np.linalg.eigh(setup.h_s.matrix)
+        excited = vs[:, [abs(np.vdot(setup.band.vector(0), v)) <= 0.5 for v in vs.T]]
+        ver = [_verification_leakage(setup, r * delta, excited) for r in r_grid]
         report["clock"] = {
             **ladder,
             "oscillation_residual": osc,

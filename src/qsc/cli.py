@@ -2,8 +2,9 @@
 
     qsc fig1|grover|clock|prob|bounds|spectrum --config FILE [--seed S] [--out DIR]
 
-Configuration files are JSON; the per-experiment schemas are documented in
-the README.  A --seed on the command line overrides the config's seed.
+Configuration files are JSON; each experiment's keys, value types and
+defaults are declared in `experiments.CONFIG_KEYS` and listed in the
+README.  A --seed on the command line overrides the config's seed.
 Exit codes: 0 success, 1 bound or acceptance violation or a failed
 self-check, 2 configuration error, 3 resource cap exceeded.
 """
@@ -11,6 +12,7 @@ self-check, 2 configuration error, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
@@ -29,39 +31,6 @@ EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
-_DEFAULTS: dict[str, dict] = {
-    "fig1": {
-        "n_min": 4, "n_max": 9, "omega0_rel": 0.05, "points": 400,
-        "scan_factor": 8.0, "inset_n": 7, "seed": 0,
-    },
-    "grover": {
-        "n": 6, "marked": [0], "r": 0.02, "detuning": "corrected",
-        "tau_mode": "exact", "mode": "density", "shots": 2000, "seed": 0,
-        "fiducial": "uniform", "ensemble_draws": 0,
-    },
-    "clock": {
-        "n": 1, "circuit": ["G I 1", "G I 1"], "eps": 0.1,
-        "tau_mode": "exact", "mode": "density", "shots": 2000, "seed": 0,
-    },
-    "prob": {
-        "n": 1, "circuit": ["G I 1", "G I 1"], "eps": 0.1, "trials": 2000,
-        "omega_star_rel": 0.9, "seed": 0, "max_rounds": 1000000,
-    },
-    "bounds": {"suites": "all", "instances": 100, "seed": 0, "protocol": True},
-    "spectrum": {"n": 1, "L_min": 2, "L_max": 6, "h": 0.1, "seed": 0},
-}
-
-# Keys an experiment reads beyond its defaults.  A config key that is in
-# neither is a config error, not a silently ignored typo.
-_OPTIONAL: dict[str, tuple[str, ...]] = {
-    "fig1": (),
-    "grover": ("omega1", "omega0"),
-    "clock": ("gates_file", "padding", "omega", "h", "r", "omega0", "eta"),
-    "prob": ("gates_file", "padding", "omega", "h", "r", "r_scale", "f1_lower"),
-    "bounds": ("replay", "r_grid"),
-    "spectrum": ("omega", "h_grid"),
-}
-
 _RUNNERS = {
     "fig1": experiments.run_fig1,
     "grover": experiments.run_grover,
@@ -73,30 +42,65 @@ _RUNNERS = {
 
 
 def load_config(path: str | None, experiment: str) -> dict:
-    cfg = dict(_DEFAULTS[experiment])
-    if path is not None:
-        try:
-            user = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("config file must hold a JSON object")
-        declared = user.pop("experiment", experiment)
-        if declared != experiment:
-            raise ConfigError(
-                f"config declares experiment {declared!r}, command is {experiment!r}"
-            )
-        unknown = sorted(set(user) - set(cfg) - set(_OPTIONAL[experiment]))
-        if unknown:
-            raise ConfigError(f"unknown {experiment} config key(s): {', '.join(unknown)}")
-        if "gates_file" in user:
-            # a gates file replaces the default circuit, so the echo shows
-            # the circuit that ran
-            if "circuit" in user:
-                raise ConfigError("give 'gates_file' or 'circuit', not both")
-            del cfg["circuit"]
-        cfg.update(user)
+    """The experiment's resolved config: the JSON object in the file at
+    `path` (no file: all defaults), checked by `resolve_config`."""
+    if path is None:
+        return resolve_config({}, experiment)
+    try:
+        user = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(user, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return resolve_config(user, experiment)
+
+
+def resolve_config(user: dict, experiment: str) -> dict:
+    """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
+    unknown key or a value of the wrong type is a ConfigError that names
+    the key), then completed with the defaults of the keys it leaves out."""
+    keys = experiments.CONFIG_KEYS[experiment]
+    user = dict(user)
+    declared = user.pop("experiment", experiment)
+    if declared != experiment:
+        raise ConfigError(f"config declares experiment {declared!r}, command is {experiment!r}")
+    unknown = sorted(set(user) - set(keys))
+    if unknown:
+        raise ConfigError(f"unknown {experiment} config key(s): {', '.join(unknown)}")
+    for key, value in user.items():
+        kind = keys[key][0]
+        if not _fits(value, kind):
+            raise ConfigError(f"{experiment} config key {key!r} must be {_describe(kind)}, "
+                              f"got {json.dumps(value)}")
+    cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
+           if default is not None}
+    if "gates_file" in user:
+        # a gates file replaces the default circuit, so the echo shows the
+        # circuit that ran
+        if "circuit" in user:
+            raise ConfigError("give 'gates_file' or 'circuit', not both")
+        del cfg["circuit"]
+    cfg.update(user)
     return cfg
+
+
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has a `CONFIG_KEYS` type."""
+    if isinstance(kind, tuple):
+        return any(_fits(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(kind, str):
+        return value == kind
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def _describe(kind) -> str:
+    if isinstance(kind, tuple):
+        return " or ".join(_describe(k) for k in kind)
+    if isinstance(kind, list):
+        return f"a list of {_describe(kind[0])}"
+    return json.dumps(kind) if isinstance(kind, str) else kind.__name__
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -486,6 +486,8 @@ def run_deterministic(
     # of psi (`record` maps shot to column).  Each step measures every
     # column once: a column splits into its up rows (odd indices) and U
     # times its down rows, for the outcomes some shot of it drew.
+    if shots < 1:
+        raise ValueError(f"trajectory mode needs shots >= 1, got {shots}")
     unitaries = []
     for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
         h_norm = max(h_norm, operator_norm(sd))

@@ -1,10 +1,12 @@
 """Reproducible experiment sweeps behind the command-line interface.
 
-Every experiment takes a flat configuration dictionary (already merged
-with defaults and validated), writes CSV data and/or a JSON summary into
-an output directory, and returns the summary.  Identical configuration
-and seeds give byte-identical outputs; every file embeds the resolved
-configuration, the master seed, and the package version.
+Every experiment takes a flat configuration dictionary that
+`cli.load_config` resolved against the experiment's `CONFIG_KEYS` entry
+(keys and value types checked, defaults filled in), writes CSV data
+and/or a JSON summary into an output directory, and returns the summary.
+Identical configuration and seeds give byte-identical outputs; every file
+embeds the resolved configuration, the master seed, and the package
+version.
 """
 
 from __future__ import annotations
@@ -58,6 +60,45 @@ __all__ = [
     "fidelity_vs_detuning",
     "half_width",
 ]
+
+# Each experiment's config keys: key -> (JSON type, default).  A type is
+# int, float (an int is accepted and kept as given), bool or str; a list
+# [t] is a JSON list of t; a tuple accepts any of its members, and a string
+# member is a literal value.  A None default leaves the key absent unless
+# it is given, and its absence selects a derived value.
+_CLOCK_MODEL = {
+    "n": (int, 1), "circuit": ([str], ["G I 1", "G I 1"]), "gates_file": (str, None),
+    "padding": (int, 0), "omega": (float, 1.0), "h": (float, config.DEFAULT_PENALTY_FACTOR),
+    "eps": (float, 0.1), "r": (float, None),
+}
+_LADDER = {"tau_mode": (str, "exact"), "mode": (str, "density"), "shots": (int, 2000)}
+CONFIG_KEYS = {
+    "fig1": {
+        "n_min": (int, 4), "n_max": (int, 9), "omega0_rel": (float, 0.05), "points": (int, 400),
+        "scan_factor": (float, 8.0), "inset_n": (int, 7), "seed": (int, 0),
+    },
+    "grover": {
+        "n": (int, 6), "marked": ([(int, str)], [0]), "omega1": (float, 1.0), "r": (float, 0.02),
+        "omega0": (float, None), "detuning": (("corrected", "naive"), "corrected"), **_LADDER,
+        "fiducial": (str, "uniform"), "ensemble_draws": (int, 0), "seed": (int, 0),
+    },
+    "clock": {**_CLOCK_MODEL, "omega0": (float, None), "eta": (float, None), **_LADDER,
+              "seed": (int, 0)},
+    "prob": {
+        **_CLOCK_MODEL, "r_scale": (float, 1.0), "trials": (int, 2000),
+        "omega_star_rel": (float, 0.9), "f1_lower": (float, None), "max_rounds": (int, 10 ** 6),
+        "seed": (int, 0),
+    },
+    "bounds": {
+        "suites": (("all", [str]), "all"), "instances": (int, 100), "protocol": (bool, True),
+        "r_grid": ([float], [0.04, 0.02, 0.01]), "replay": ([str], []), "seed": (int, 0),
+    },
+    "spectrum": {
+        "n": (int, 1), "L_min": (int, 2), "L_max": (int, 6),
+        "h": (float, config.DEFAULT_PENALTY_FACTOR), "h_grid": ([float], None),
+        "omega": (float, 1.0), "seed": (int, 0),
+    },
+}
 
 
 def _fmt(x) -> str:
@@ -162,10 +203,10 @@ def half_width(detunings: np.ndarray, fidelities: np.ndarray):
 
 def run_fig1(cfg: dict, out_dir: Path) -> dict:
     """Half-width scaling of the fidelity-vs-detuning curve across n."""
-    ns = list(range(int(cfg["n_min"]), int(cfg["n_max"]) + 1))
+    ns = list(range(cfg["n_min"], cfg["n_max"] + 1))
     if not ns:
         raise ConfigError("empty n grid: need n_min <= n_max")
-    if int(cfg["points"]) < 10:
+    if cfg["points"] < 10:
         raise ConfigError("detuning scan needs at least 10 points")
 
     rows = []
@@ -195,7 +236,7 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
     else:
         slope, intercept = 0.0, float(log_hw[0])
     level_shift_rel = cfg["omega0_rel"] ** 2  # first-order shift over omega1
-    inset = next((p for p in per_n if p["n"] == cfg.get("inset_n", 7)), per_n[-1])
+    inset = next((p for p in per_n if p["n"] == cfg["inset_n"]), per_n[-1])
     summary = _summary(
         cfg,
         {
@@ -225,44 +266,34 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
 # Single end-to-end runs
 # ---------------------------------------------------------------------------
 
-def _parse_marked(raw, n: int) -> frozenset[int]:
-    out = set()
-    for m in raw:
-        if isinstance(m, str):
-            out.add(int(m, 2))
-        else:
-            out.add(int(m))
+def _parse_marked(raw) -> frozenset[int]:
+    out = frozenset(int(m, 2) if isinstance(m, str) else m for m in raw)
     if not out:
         raise ConfigError("marked set must be nonempty")
-    return frozenset(out)
+    return out
 
 
 def run_grover(cfg: dict, out_dir: Path) -> dict:
     """End-to-end search-model cooling run, on the model's two-band block
     (`grover_setup`)."""
-    n = int(cfg["n"])
+    n = cfg["n"]
     model = GroverModel(
         n=n,
-        marked=_parse_marked(cfg.get("marked", [0]), n),
-        omega1=cfg.get("omega1", 1.0),
-        omega0_coupling=cfg.get("omega0", cfg.get("r", 0.02) * cfg.get("omega1", 1.0)),
+        marked=_parse_marked(cfg["marked"]),
+        omega1=cfg["omega1"],
+        omega0_coupling=cfg.get("omega0", cfg["r"] * cfg["omega1"]),
     )
-    seed = int(cfg.get("seed", 0))
-    setup = grover_setup(model, kind=cfg.get("fiducial", "uniform"), seed=seed)
-    schedule = build_schedule(
-        setup, omega0=model.omega0_coupling, tau_mode=cfg.get("tau_mode", "exact")
-    )
-    if cfg.get("detuning", "corrected") == "naive":
+    seed = cfg["seed"]
+    setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
+    schedule = build_schedule(setup, omega0=model.omega0_coupling, tau_mode=cfg["tau_mode"])
+    if cfg["detuning"] == "naive":
         steps = tuple(replace(s, omega_b=model.omega1) for s in schedule.steps)
         schedule = replace(schedule, steps=steps, eps_target=None)
-    report = run_deterministic(
-        setup, schedule, mode=cfg.get("mode", "density"),
-        shots=int(cfg.get("shots", 2000)), seed=seed,
-    )
+    report = run_deterministic(setup, schedule, mode=cfg["mode"], shots=cfg["shots"], seed=seed)
     body = {"report": _report_dict(report), "r": schedule.r,
             "xs": [float(x) for x in setup.xs]}
 
-    draws = int(cfg.get("ensemble_draws", 0))
+    draws = cfg["ensemble_draws"]
     if draws:
         rng = np.random.default_rng(seed)
         eigenspaces = build_grover(model)
@@ -286,44 +317,35 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
 
 
 def _load_model_circuit(cfg: dict):
-    n = int(cfg["n"])
+    """A clock-model config's gates file, else its inline circuit, padded
+    with identity gates."""
     if "gates_file" in cfg:
-        circuit = load_circuit(cfg["gates_file"], n)
-    elif "circuit" in cfg:
-        circuit = parse_circuit("\n".join(cfg["circuit"]), n)
+        circuit = load_circuit(cfg["gates_file"], cfg["n"])
     else:
-        raise ConfigError("clock experiments need 'gates_file' or 'circuit'")
-    padding = int(cfg.get("padding", 0))
-    if padding:
-        circuit = pad_with_identities(circuit, padding)
+        circuit = parse_circuit("\n".join(cfg["circuit"]), cfg["n"])
+    if cfg["padding"]:
+        circuit = pad_with_identities(circuit, cfg["padding"])
     return circuit
 
 
 def run_clock(cfg: dict, out_dir: Path) -> dict:
     """Cool a clock model, then read out both the ground fidelity and the
     computation-output fidelity at the final clock site."""
-    circuit = _load_model_circuit(cfg)
-    model = ClockModel(
-        circuit=circuit, omega=cfg.get("omega", 1.0),
-        h=cfg.get("h", config.DEFAULT_PENALTY_FACTOR),
-    )
+    model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
     setup = clock_setup(model)
-    eps = cfg.get("eps")
+    eps = cfg["eps"]
     omega0 = cfg.get("omega0")
     if omega0 is None and cfg.get("r") is not None:
         omega0 = cfg["r"] * setup.band.delta
     if omega0 is not None:
         eps = None  # an explicit coupling overrides the defaulted target
-    schedule = build_schedule(setup, omega0=omega0, eps=eps,
-                              tau_mode=cfg.get("tau_mode", "exact"))
+    schedule = build_schedule(setup, omega0=omega0, eps=eps, tau_mode=cfg["tau_mode"])
     eta = cfg.get("eta")
     if eta is not None:
-        report = run_reduced(setup, schedule, eta=float(eta))
+        report = run_reduced(setup, schedule, eta=eta)
     else:
-        report = run_deterministic(
-            setup, schedule, mode=cfg.get("mode", "density"),
-            shots=int(cfg.get("shots", 2000)), seed=int(cfg.get("seed", 0)),
-        )
+        report = run_deterministic(setup, schedule, mode=cfg["mode"], shots=cfg["shots"],
+                                   seed=cfg["seed"])
     body = {
         "report": _report_dict(report),
         "r": schedule.r,
@@ -370,29 +392,21 @@ def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
 def run_prob(cfg: dict, out_dir: Path) -> dict:
     """Probabilistic qutrit-bath scheme on a clock model's setup, addressing
     its band 1."""
-    circuit = _load_model_circuit(cfg)
-    model = ClockModel(
-        circuit=circuit, omega=cfg.get("omega", 1.0),
-        h=cfg.get("h", config.DEFAULT_PENALTY_FACTOR),
-    )
+    model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
     setup = clock_setup(model)
     f1 = float(setup.xs[1])
     delta = extension_gap(setup)
-    eps = float(cfg.get("eps", 0.1))
-    r = cfg.get("r")
-    if r is None:
-        r = cfg.get("r_scale", 1.0) * f1 * eps ** 1.5
+    r = cfg.get("r", cfg["r_scale"] * f1 * cfg["eps"] ** 1.5)
     omega0 = r * delta
     rabi = extension_rabi(setup, omega0)
-    omega_star = cfg.get("omega_star_rel", 0.9) * rabi
     report = run_probabilistic(
         setup,
         omega0=omega0,
-        omega_star=omega_star,
+        omega_star=cfg["omega_star_rel"] * rabi,
         f1_lower=cfg.get("f1_lower", f1),
-        trials=int(cfg.get("trials", 2000)),
-        seed=int(cfg.get("seed", 0)),
-        max_rounds=int(cfg.get("max_rounds", 10 ** 6)),
+        trials=cfg["trials"],
+        seed=cfg["seed"],
+        max_rounds=cfg["max_rounds"],
     )
     summary = _summary(
         cfg,
@@ -421,17 +435,13 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
 def run_bounds(cfg: dict, out_dir: Path) -> dict:
     """Run the randomized bound suites; any violation is dumped and flips
     the exit status."""
-    names = cfg.get("suites", "all")
-    if names == "all":
-        names = list(SUITES)
-    instances = int(cfg.get("instances", 100))
-    seed = int(cfg.get("seed", 0))
+    names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]
     suites = {}
     any_violation = False
     for name in names:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}")
-        rep = run_suite(name, instances, master_seed=seed, out_dir=out_dir)
+        rep = run_suite(name, cfg["instances"], master_seed=cfg["seed"], out_dir=out_dir)
         suites[name] = {
             "instances": rep.instances,
             "passes": rep.passes,
@@ -440,7 +450,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
         }
         any_violation = any_violation or bool(rep.violations)
     replays = []
-    for path in cfg.get("replay", []):
+    for path in cfg["replay"]:
         entry = {"file": str(path)}
         try:
             payload = json.loads(Path(path).read_text())
@@ -468,12 +478,11 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     body = {"suites": suites, "violations_found": any_violation}
     if replays:
         body["replays"] = replays
-    if cfg.get("protocol", True):
+    if cfg["protocol"]:
         gm = GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02)
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
         body["protocol_scaling"] = check_protocol_lemmas(
-            gm, cm, r_grid=tuple(cfg.get("r_grid", (0.04, 0.02, 0.01)))
-        )
+            gm, cm, r_grid=tuple(cfg["r_grid"]))
     summary = _summary(cfg, body)
     _write_json(out_dir / "bounds_summary.json", summary)
     return summary
@@ -482,28 +491,26 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
 def run_spectrum(cfg: dict, out_dir: Path) -> dict:
     """Dump closed-form band data and measured gaps for clock models over
     an L range (identity circuits), optionally across penalty factors."""
-    n = int(cfg.get("n", 1))
-    l_values = list(range(int(cfg["L_min"]), int(cfg["L_max"]) + 1))
+    l_values = list(range(cfg["L_min"], cfg["L_max"] + 1))
     if not l_values:
         raise ConfigError("empty L grid: need L_min <= L_max")
-    h_values = cfg.get("h_grid", [cfg.get("h", config.DEFAULT_PENALTY_FACTOR)])
+    h_values = cfg.get("h_grid", [cfg["h"]])
     if not h_values:
         raise ConfigError("empty penalty-factor grid")
-    omega = cfg.get("omega", 1.0)
     rows = []
     norms = {}
     for length in l_values:
         text = "\n".join("G I 1" for _ in range(length))
-        circuit = parse_circuit(text, n)
+        circuit = parse_circuit(text, cfg["n"])
         for h in h_values:
-            model = ClockModel(circuit=circuit, omega=omega, h=float(h))
+            model = ClockModel(circuit=circuit, omega=cfg["omega"], h=h)
             h_s = build_clock(model)
             spec = clock_spectrum(model, h_s)
             norm = operator_norm(h_s)
-            norms[(length, float(h))] = norm
+            norms[(length, h)] = norm
             for j in range(length + 1):
                 rows.append(
-                    (length, float(h), j, float(spec.omegas[j]), float(spec.xs[j]),
+                    (length, h, j, float(spec.omegas[j]), float(spec.xs[j]),
                      float(spec.hs[j]), float(spec.delta), norm)
                 )
     _write_csv(
@@ -516,9 +523,7 @@ def run_spectrum(cfg: dict, out_dir: Path) -> dict:
     summary = _summary(
         cfg,
         {
-            "norm_by_L": {
-                str(length): norms[(length, float(h_values[0]))] for length in l_values
-            },
+            "norm_by_L": {str(length): norms[(length, h_values[0])] for length in l_values},
             "rows": len(rows),
         },
     )

@@ -10,7 +10,7 @@ is no Trotterization anywhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class Operator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @staticmethod
-    def identity(dim: int) -> "Operator":
-        return Operator(np.eye(dim, dtype=complex), hermitian=True)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -96,21 +92,19 @@ class DensityMatrix:
     """
 
     entries: np.ndarray
-    validate: bool = field(default=True, repr=False)
     _min_eig: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
         object.__setattr__(self, "entries", _freeze(m))
-        if self.validate:
-            if np.max(np.abs(m - m.conj().T)) > 10 * config.HERMITICITY_ATOL:
-                raise ValueError("density matrix is not Hermitian to tolerance")
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > config.TRACE_ATOL:
-                raise ValueError(f"density matrix trace {tr} deviates from 1")
-            lo = self.min_eigenvalue()
-            if lo < config.POSITIVITY_FLOOR:
-                raise ValueError(f"density matrix minimum eigenvalue {lo:.3e}")
+        if np.max(np.abs(m - m.conj().T)) > 10 * config.HERMITICITY_ATOL:
+            raise ValueError("density matrix is not Hermitian to tolerance")
+        tr = np.trace(m).real
+        if abs(tr - 1.0) > config.TRACE_ATOL:
+            raise ValueError(f"density matrix trace {tr} deviates from 1")
+        lo = self.min_eigenvalue()
+        if lo < config.POSITIVITY_FLOOR:
+            raise ValueError(f"density matrix minimum eigenvalue {lo:.3e}")
 
     @property
     def dim(self) -> int:
@@ -147,17 +141,6 @@ class Subspace:
         if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > config.GRAM_ATOL:
             raise ValueError("subspace basis is not orthonormal to tolerance")
         object.__setattr__(self, "basis", _freeze(b))
-
-    @staticmethod
-    def from_vectors(vectors: Iterable[StateVector]) -> "Subspace":
-        vecs = [v.amplitudes for v in vectors]
-        if not vecs:
-            raise ValueError("from_vectors needs at least one vector")
-        return Subspace(len(vecs[0]), np.column_stack(vecs))
-
-    @staticmethod
-    def empty(space_dim: int) -> "Subspace":
-        return Subspace(space_dim, np.zeros((space_dim, 0), dtype=complex))
 
     @property
     def rank(self) -> int:
@@ -285,15 +268,6 @@ def hybridized_pair(h: np.ndarray, a: np.ndarray, b: np.ndarray):
     weight = np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2
     top = np.argsort(-weight)[:2]
     return float(abs(w[top[0]] - w[top[1]])), SpectralDecomposition(w, vecs)
-
-
-def tensor(a, b):
-    """Kronecker product of two Operators or two StateVectors."""
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.matrix, b.matrix), hermitian=a.hermitian and b.hermitian)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    raise TypeError("tensor expects two Operators or two StateVectors")
 
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:

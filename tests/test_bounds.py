@@ -239,6 +239,14 @@ class TestCountedWork:
         assert counts.sizes("eigh")[14] == 2
         assert counts.count("solve") == 1
 
+    def test_protocol_clock_diagonalizes_h_s_twice(self, monkeypatch):
+        # once for the setup's band structure and once for the verification
+        # starts, not again for each r of the grid
+        model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))  # dim 8
+        counts = CountingLinalg(monkeypatch)
+        check_protocol_lemmas(clock_model=model)
+        assert counts.sizes("eigh")[8] == 2
+
 
 class TestSubspaceOverlap:
     def test_identical_overlaps_one(self):

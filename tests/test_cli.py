@@ -2,15 +2,29 @@
 reproducibility, seed overrides, and the exit-code contract."""
 
 import ast
+import contextlib
 import csv
 import importlib.util
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc import __version__, cli, config, experiments
-from qsc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, EXIT_VIOLATION, load_config, main
+from qsc.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_VIOLATION,
+    load_config,
+    main,
+    resolve_config,
+)
+from qsc.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,11 +289,102 @@ def _keys_read(functions: dict, name: str) -> set:
 
 
 def test_declared_keys_are_the_keys_read():
-    # the accepted keys are what each experiment reads: none missing (it
-    # would be refused) and no optional key that nothing reads
+    # each runner reads exactly the keys its table declares: none it reads
+    # is refused, none it accepts goes unread.  Every experiment takes a
+    # seed (--seed sets it, every output echoes it), though fig1 and
+    # spectrum draw no random numbers.
     tree = ast.parse(Path(experiments.__file__).read_text())
     functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
     for experiment, runner in cli._RUNNERS.items():
         read = _keys_read(functions, runner.__name__)
-        assert read <= set(cli._DEFAULTS[experiment]) | set(cli._OPTIONAL[experiment])
-        assert set(cli._OPTIONAL[experiment]) <= read, experiment
+        assert read | {"seed"} == set(experiments.CONFIG_KEYS[experiment]), experiment
+
+
+def _json_kinds(kind) -> set:
+    """The kinds of JSON value a declared config type admits."""
+    if isinstance(kind, tuple):
+        return set().union(*map(_json_kinds, kind))
+    if isinstance(kind, list):
+        return {"list"}
+    if isinstance(kind, str):
+        return {"str"}
+    return {"int", "float"} if kind is float else {kind.__name__}
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-9, 9),
+                     st.floats(-9, 9, allow_nan=False), st.text(max_size=4))
+_JSON_VALUES = {
+    "NoneType": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(-9, 9),
+    "float": st.floats(-9, 9, allow_nan=False),
+    "str": st.text(max_size=4),
+    "list": st.lists(_SCALARS, max_size=3),
+    "dict": st.dictionaries(st.text(max_size=3), _SCALARS, max_size=2),
+}
+
+
+@st.composite
+def _mistyped(draw):
+    """(experiment, declared key, a JSON value of a kind the key does not
+    admit)."""
+    experiment = draw(st.sampled_from(sorted(experiments.CONFIG_KEYS)))
+    keys = experiments.CONFIG_KEYS[experiment]
+    key = draw(st.sampled_from(sorted(keys)))
+    kind = draw(st.sampled_from(sorted(set(_JSON_VALUES) - _json_kinds(keys[key][0]))))
+    return experiment, key, draw(_JSON_VALUES[kind])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_mistyped())
+def test_mistyped_value_is_refused_before_the_run(case):
+    experiment, key, value = case
+    with pytest.raises(ConfigError, match=repr(key)):
+        resolve_config({key: value}, experiment)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "c.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([experiment, "--config", str(cfg_path), "--out", f"{tmp}/out"])
+        assert code == EXIT_CONFIG
+        assert err.getvalue().startswith("config error:") and repr(key) in err.getvalue()
+        assert not (Path(tmp) / "out").exists()
+
+
+MISREAD = [
+    ("clock", {"omega": "1"}, "'omega'"),
+    ("grover", {"marked": 5}, "'marked'"),
+    ("grover", {"detuning": "corected"}, "'detuning'"),
+    ("bounds", {"protocol": "no"}, "'protocol'"),
+    ("bounds", {"suites": "weyl"}, "'suites'"),
+    ("fig1", {"n_max": 4.5}, "'n_max'"),
+    ("bounds", {"instances": "3"}, "'instances'"),  # strings are not coerced
+    ("grover", {"marked": [True]}, "'marked'"),  # list elements are checked
+    ("clock", {"circuit": ["G I 1", 1]}, "'circuit'"),
+    ("bounds", {"r_grid": [0.04, "0.02"]}, "'r_grid'"),
+    ("spectrum", {"h_grid": [0.1, None]}, "'h_grid'"),
+    ("grover", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
+    ("clock", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
+]
+
+
+@pytest.mark.parametrize("experiment,change,named", MISREAD,
+                         ids=[f"{e}-{json.dumps(c)}" for e, c, _ in MISREAD])
+def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, named):
+    # each value is refused before any output is written, instead of a
+    # traceback or a run on a value the config did not mean
+    cfg = dict(SMALL[experiment], **change)
+    assert run_cli(tmp_path, experiment, cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_echo_is_the_resolved_config(tmp_path):
+    # a float key keeps an int as given, and every defaulted key is echoed
+    cfg = {"n": 1, "L_min": 2, "L_max": 2, "omega": 2, "seed": 0}
+    assert run_cli(tmp_path, "spectrum", cfg) == EXIT_OK
+    echo = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())["config"]
+    assert echo == {**cfg, "h": 0.1} == resolve_config(cfg, "spectrum")
+    assert type(echo["omega"]) is int

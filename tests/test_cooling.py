@@ -202,6 +202,15 @@ class TestRunDeterministic:
         assert abs(traj.ground_fidelity - p) <= 3 * sigma + 1e-9
         assert traj.shots == 2000
 
+    @pytest.mark.parametrize("kind,gates", [("grover", ()), ("clock", ("I", "I"))])
+    def test_trajectory_needs_a_shot(self, kind, gates):
+        # grover n = 3 or clock n = 1, L = 2: no shot is a ValueError, not
+        # an IndexError from an empty draw table
+        setup, sched = _ladder(kind, 3, gates)
+        for shots in (0, -1):
+            with pytest.raises(ValueError, match="shots >= 1"):
+                run_deterministic(setup, sched, mode="trajectory", shots=shots)
+
     def test_schedule_runs_on_the_dense_setup_of_its_model(self):
         # the block schedule's stored decompositions are 4 x 4; on the
         # 16 x 16 dense setup every step is built afresh from its omega_b
@@ -417,7 +426,8 @@ class TestRunProbabilistic:
 
         setup = _prob_setup()
         r = 0.02
-        leak = _verification_leakage(setup, r * extension_gap(setup))
+        _, vs = np.linalg.eigh(setup.h_s.matrix)  # ground first: it is unique
+        leak = _verification_leakage(setup, r * extension_gap(setup), vs[:, 1:])
         assert leak < 30 * r ** 2
 
     @pytest.mark.parametrize(

@@ -151,12 +151,8 @@ class TestSelfEnergy:
         h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", sol.omega_b), t_s)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
-        p = Subspace.from_vectors(
-            [
-                StateVector(np.kron(band.vector(j), down)),
-                StateVector(np.kron(band.vector(0), up)),
-            ]
-        )
+        p = Subspace(2 * h_s.dim, np.column_stack(
+            [np.kron(band.vector(j), down), np.kron(band.vector(0), up)]))
         ctx = make_context(Operator(h_full, hermitian=True), p, band.delta / 2, omega0)
         sigma = self_energy(ctx, Operator(v, hermitian=True), sol.omega_b, mode="closed")
         g_j, g_0 = g_sums(xs, band.omegas, sol.omega_b, j, sol.omega_b)
@@ -321,7 +317,7 @@ class TestSelfEnergyGrid:
 
     def test_empty_p_gives_empty_matrices(self):
         h = Operator(np.diag([0.0, 2.0]).astype(complex), hermitian=True)
-        ctx = make_context(h, Subspace.empty(2), 1.0, 0.1)
+        ctx = make_context(h, Subspace(2, np.zeros((2, 0))), 1.0, 0.1)
         v = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
         assert self_energy(ctx, v, 0.5).matrix.shape == (0, 0)
         assert self_energy_grid(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)

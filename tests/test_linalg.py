@@ -1,6 +1,6 @@
 """Operator-core tests: construction invariants, eigendecomposition against
-independent oracles, exact evolution, norms, tensor algebra, partial trace,
-and eigenwindows."""
+independent oracles, exact evolution, norms, partial trace, and
+eigenwindows."""
 
 import numpy as np
 import pytest
@@ -11,12 +11,10 @@ from qsc.linalg import (
     Operator,
     StateVector,
     Subspace,
-    SIGMA_X,
     evolve,
     hermitian_eig,
     operator_norm,
     partial_trace,
-    tensor,
 )
 from qsc.models import ClockModel, band_energies, clock_band_structure, parse_circuit
 
@@ -49,14 +47,14 @@ class TestOperator:
                 combine()
 
     def test_matrices_frozen(self):
-        op = Operator.identity(3)
+        op = Operator(np.eye(3), hermitian=True)
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 2.0
 
 
 class TestHermitianEig:
     def test_identity(self):
-        sd = hermitian_eig(Operator.identity(4))
+        sd = hermitian_eig(Operator(np.eye(4), hermitian=True))
         assert np.allclose(sd.eigenvalues, np.ones(4))
 
     def test_two_level_diagonal(self):
@@ -120,7 +118,7 @@ class TestEvolve:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(Operator.identity(7)) == pytest.approx(1.0)
+        assert operator_norm(Operator(np.eye(7), hermitian=True)) == pytest.approx(1.0)
 
     def test_two_level(self):
         omega = 2.3
@@ -142,35 +140,6 @@ class TestOperatorNorm:
             na, nb = operator_norm(Operator(a)), operator_norm(Operator(b))
             assert operator_norm(Operator(a + b)) <= na + nb + 1e-10
             assert operator_norm(Operator(a @ b)) <= na * nb + 1e-10
-
-
-class TestTensor:
-    def test_identities(self):
-        out = tensor(Operator.identity(2), Operator.identity(3))
-        assert np.allclose(out.matrix, np.eye(6))
-
-    def test_basis_states(self):
-        v = tensor(StateVector.basis(2, 0), StateVector.basis(2, 0))
-        assert v.amplitudes[0] == 1.0
-
-    def test_bit_flips(self):
-        xx = tensor(Operator(SIGMA_X, hermitian=True), Operator(SIGMA_X, hermitian=True))
-        v00 = np.zeros(4)
-        v00[0] = 1.0
-        assert np.allclose(xx.matrix @ v00, np.eye(4)[3])
-
-    def test_product_action(self, rng):
-        a = Operator(random_hermitian(rng, 2), hermitian=True)
-        b = Operator(random_hermitian(rng, 3), hermitian=True)
-        u = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lhs = tensor(a, b).matrix @ np.kron(u, v)
-        rhs = np.kron(a.matrix @ u, b.matrix @ v)
-        assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-    def test_type_mismatch(self):
-        with pytest.raises(TypeError):
-            tensor(Operator.identity(2), StateVector.basis(2, 0))
 
 
 class TestPartialTrace:
@@ -215,7 +184,6 @@ class TestPartialTrace:
             m = out.entries
             fresh = float(np.min(np.linalg.eigvalsh((m + m.conj().T) / 2)))
             assert out.min_eigenvalue() == fresh
-            assert DensityMatrix(m, validate=False).min_eigenvalue() == fresh
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -238,7 +206,7 @@ class TestEigenwindow:
         assert np.allclose(vectors @ vectors.conj().T, np.eye(5), atol=1e-10)
 
     def test_empty_window_flagged(self):
-        sd = hermitian_eig(Operator.identity(3))
+        sd = hermitian_eig(Operator(np.eye(3), hermitian=True))
         vectors, mask = sd.window(5.0, 6.0)
         assert vectors.shape == (3, 0)
         assert not mask.any()
