@@ -135,7 +135,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.experiment == "bounds" and summary.get("violations_found"):
         print("bound violations found; dumps written", file=sys.stderr)
         return EXIT_VIOLATION
-    print(json.dumps({k: summary[k] for k in summary if k != "config"}, sort_keys=True))
+    print(json.dumps({k: summary[k] for k in summary if k != "config"}, sort_keys=True,
+                     allow_nan=False))
     return EXIT_OK
 
 

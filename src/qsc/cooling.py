@@ -13,9 +13,14 @@ primary mode: its output is deterministic.  Trajectory mode samples the
 measurement record instead and must agree within Monte-Carlo error.
 
 One engine runs every setup, on the system space the setup declares.  The
-search model's setup is its exact two-band block (`grover_setup`), so a
-search ladder propagates 4 x 4 composite matrices whatever n is; the
-clock's setup is its dense 2^(n+L) space.
+ladders run on exact band blocks: the search model's setup is its
+two-band block (`grover_setup`), so a search ladder propagates 4 x 4
+composite matrices whatever n is, and the clock ladder runs on its
+(L+1)-band block (`clock_block`), cut from the dense 2^(n+L) setup
+(`clock_setup`) that keeps Delta, the band vectors and the step norm.
+The dense setup stays a setup of its own: the probabilistic scheme, error
+injection and the bounds lemmas run on it, and a ladder run on it is the
+oracle of the block's.
 
 An exact-tau schedule builds each step Hamiltonian H_j + V once, as the
 one validated operator of the step (its terms are plain arrays), and
@@ -91,6 +96,7 @@ __all__ = [
     "ErrorBudgetReport",
     "grover_setup",
     "clock_setup",
+    "clock_block",
     "build_schedule",
     "cooling_step",
     "run_deterministic",
@@ -115,7 +121,8 @@ class CoolingSetup:
     `coupling` is the unit-norm coupling direction; the schedule scales it
     by Omega_0.  Within the band, coupling acts as |F><F| with overlaps xs.
     `ground_basis` holds orthonormal columns spanning the (possibly
-    degenerate) ground space of H_S.
+    degenerate) ground space of H_S.  `dense` is the setup a band block was
+    cut from (`clock_block`); a run prices its step norm there.
     """
 
     h_s: Operator
@@ -125,6 +132,7 @@ class CoolingSetup:
     fiducial: StateVector
     ground_basis: np.ndarray
     label: str = ""
+    dense: CoolingSetup | None = field(default=None, repr=False, compare=False)
 
     @property
     def dim_s(self) -> int:
@@ -138,6 +146,23 @@ class CoolingSetup:
         """The composite states |j, down> and |0, up> that step j swaps."""
         return (np.kron(self.band.vector(j), KET_DOWN),
                 np.kron(self.band.vector(0), KET_UP))
+
+
+def _band_block(omegas: np.ndarray, xs: np.ndarray, delta: float, label: str,
+                dense: CoolingSetup | None = None) -> CoolingSetup:
+    """The setup of an exact band block: H_S = diag(omegas), coupling
+    x x^T, fiducial x, identity band vectors and ground space e0."""
+    size = len(omegas)
+    return CoolingSetup(
+        h_s=Operator(np.diag(omegas).astype(complex), hermitian=True),
+        coupling=Operator(np.outer(xs, xs).astype(complex), hermitian=True),
+        band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta),
+        xs=xs,
+        fiducial=StateVector(xs.astype(complex)),
+        ground_basis=np.eye(size, 1, dtype=complex),
+        label=label,
+        dense=dense,
+    )
 
 
 def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
@@ -166,22 +191,13 @@ def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
     if fiducial is None:
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
     xs = grover_band_structure(fiducial, build_grover(model))
-    omegas = np.array([0.0, model.omega1])
-    return CoolingSetup(
-        h_s=Operator(np.diag(omegas).astype(complex), hermitian=True),
-        coupling=Operator(np.outer(xs, xs).astype(complex), hermitian=True),
-        band=BandStructure(omegas=omegas, vectors=np.eye(2, dtype=complex),
-                           delta=model.omega1),
-        xs=xs,
-        fiducial=StateVector(xs.astype(complex)),
-        ground_basis=np.eye(2, 1, dtype=complex),
-        label=f"grover(n={model.n})",
-    )
+    return _band_block(np.array([0.0, model.omega1]), xs, model.omega1,
+                       f"grover(n={model.n})")
 
 
 def clock_setup(model: ClockModel) -> CoolingSetup:
-    """Clock setup: single-qubit coupling on the first clock qubit, fiducial
-    all-zeros product state."""
+    """Clock setup on the dense 2^(n+L) space: single-qubit coupling on the
+    first clock qubit, fiducial all-zeros product state."""
     h_s = build_clock(model)
     band = clock_band_structure(model, h_s)
     xs = overlap_coefficients(model.length)
@@ -194,6 +210,47 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
         ground_basis=band.vectors[:, :1],  # the history state
         label=f"clock(n={model.n},L={model.length})",
     )
+
+
+def clock_block(model: ClockModel) -> CoolingSetup:
+    """The clock ladder's exact (L+1)-band block, cut from the dense setup
+    `clock_setup(model)`, which it keeps as `dense`.
+
+    In the band basis b_0..b_L (the history cosine profiles) H_S =
+    diag(omega_0..omega_L), the coupling is x x^T with x =
+    `overlap_coefficients(L)`, the fiducial is x, the band vectors are the
+    identity columns and the ground space is e0; Delta and the label are
+    the dense setup's.
+
+    The reduction is exact.  Each b_k is an eigenvector of H_S (checked by
+    `clock_band_structure`).  The coupling C = |0><0| on the first clock
+    qubit keeps, of the history states, only the clock value 0, which is
+    the fiducial F = |0^n>|0^L>; so C b_k = <F|b_k> F = x_k F, and F =
+    sum_k x_k b_k lies in the band.  span{b_k} (x) bath is therefore
+    invariant under H_S (x) 1, omega_b 1 (x) |up><up| and V = Omega_0 C (x)
+    sigma_x, hence under every H_j + V; it holds the initial state |F,
+    down>, so the ladder never leaves it (Feynman 1985; Kitaev-Shen-Vyalyi
+    2002).
+
+    The step norm is not the block's: the dense H_j + V has eigenvalues
+    outside the band (7.9 against the block's 3.8 on an L = 6 clock), so a
+    run prices it on `dense`, once (`_dense_step_norm`).  With omega_b*
+    the largest bath energy of the steps that run, the ladder's largest
+    step norm is ||H* + V|| for H* = H_S (x) 1 + omega_b* 1 (x) |up><up|:
+
+      * omega_b 1 (x) |up><up| grows in the Loewner order with omega_b,
+        so by Weyl's inequality lambda_max(H_j + V) <= lambda_max(H* + V);
+      * H_S >= 0 (a sum of projector-like terms), omega_b >= 0 and ||V||
+        = Omega_0, so lambda_min(H_j + V) >= -Omega_0;
+      * <0,up| (H* + V) |0,up> = omega_b*, so lambda_max(H* + V) >=
+        omega_b*, which is far above Omega_0: it lies near omega_L >=
+        Delta, and the schedule keeps Omega_0 < Delta/8.
+
+    Every step's norm is thus at most lambda_max(H* + V) = ||H* + V||,
+    and step j* attains it.
+    """
+    dense = clock_setup(model)
+    return _band_block(dense.band.omegas, dense.xs, dense.band.delta, dense.label, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +427,21 @@ def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
         yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b, error))
 
 
+def _dense_step_norm(dense: CoolingSetup, schedule: CoolingSchedule) -> float:
+    """The largest step norm ||H_j + V|| of the schedule's steps on the
+    dense setup, as ||H* + V|| at the largest omega_b (proof in
+    `clock_block`): one composite-size eigvalsh, of a sum of plain arrays
+    built from the validated H_S and coupling, Hermitian by construction.
+    0 for no step."""
+    if not schedule.steps:
+        return 0.0
+    omega_b = max(s.omega_b for s in schedule.steps)
+    h, v = build_bath_and_couplings(dense.h_s, BathSpec("qubit", omega_b),
+                                    dense.coupling, schedule.omega0)
+    h += v
+    return operator_norm(h, hermitian=True)
+
+
 def _squared_norms(columns: np.ndarray) -> np.ndarray:
     """Squared 2-norm of each column."""
     return np.sum(columns.real ** 2 + columns.imag ** 2, axis=0)
@@ -422,12 +494,25 @@ def run_deterministic(
     binomial statistics.  Shots with the same measurement record share one
     propagated state, so the work per step grows with the number of
     distinct records (one per step, plus one), not with the shots.
+
+    `h_norm` (and `cost` = h_norm * total_time) is the largest step norm
+    ||H_j + V|| of the ladder: on a band block with a `dense` setup it is
+    priced there once (`_dense_step_norm`), and injected errors are
+    refused, since they belong on the dense setup.
     """
     if mode not in ("density", "trajectory"):
         raise ValueError("mode must be 'density' or 'trajectory'")
+    if mode == "trajectory" and shots < 1:
+        raise ValueError(f"trajectory mode needs shots >= 1, got {shots}")
+    if setup.dense is not None and delta_ops:
+        raise ValueError(f"{setup.label}: injected errors run on the dense setup, "
+                         "not on its band block")
     # the composite ground space: the ground space of H_S with either bath state
     ground = np.kron(setup.ground_basis, np.eye(2, dtype=complex))
-    h_norm = 0.0
+    # a band block's step norm is priced on the dense setup it was cut
+    # from; any other setup's is read off each step's decomposition
+    priced = setup.dense is not None
+    h_norm = _dense_step_norm(setup.dense, schedule) if priced else 0.0
     total_time = schedule.total_time
 
     if mode == "density":
@@ -453,7 +538,8 @@ def run_deterministic(
         min_eig = rho.min_eigenvalue()
         weights = column_weights(rho)
         for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
-            h_norm = max(h_norm, operator_norm(sd))
+            if not priced:
+                h_norm = max(h_norm, operator_norm(sd))
             before = float(np.sum(weights[: step.j + 1]) + weights[-1])
             rho = cooling_step(rho, step, sd)
             weights = column_weights(rho)
@@ -486,11 +572,10 @@ def run_deterministic(
     # of psi (`record` maps shot to column).  Each step measures every
     # column once: a column splits into its up rows (odd indices) and U
     # times its down rows, for the outcomes some shot of it drew.
-    if shots < 1:
-        raise ValueError(f"trajectory mode needs shots >= 1, got {shots}")
     unitaries = []
     for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
-        h_norm = max(h_norm, operator_norm(sd))
+        if not priced:
+            h_norm = max(h_norm, operator_norm(sd))
         unitaries.append(evolve(sd, step.tau).matrix)
     n_steps = len(unitaries)
     draws = np.array([trial_rng(seed, t).random(n_steps + 1) for t in range(shots)])
@@ -631,6 +716,8 @@ def run_probabilistic(
     and the verify evolution's L-to-R block gives the R column it is
     accepted on.  The report's label is the setup's, marked "-ext".
     """
+    if trials < 1:
+        raise ValueError(f"the probabilistic scheme needs trials >= 1, got {trials}")
     rabi = extension_rabi(setup, omega0)
     f1 = float(setup.xs[1])
     if omega_star is None:
@@ -702,7 +789,7 @@ def run_probabilistic(
     return ProbRunReport(
         trials=trials,
         accept_count=accepts,
-        acceptance_rate=accepts / trials if trials else 0.0,
+        acceptance_rate=accepts / trials,
         conditional_success=fidelity_sum / accepts if accepts else 0.0,
         mean_time_per_success=total_sim_time / accepts if accepts else float("inf"),
         analytic_acceptance=analytic,

@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, config
-from .errors import ConfigError, HypothesisUnmet
+from .errors import ConfigError, HypothesisUnmet, SelfCheckFailed
 from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 from .cooling import (
     _step_hamiltonian,
     build_schedule,
+    clock_block,
     clock_setup,
     extension_gap,
     extension_rabi,
@@ -119,8 +120,14 @@ def _write_csv(path: Path, schema: str, header: list[str], rows, cfg: dict) -> N
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write `payload` as strict JSON; a non-finite number in it is a bug
+    of the experiment that built it."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise SelfCheckFailed(f"{path.name}: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(text + "\n")
 
 
 def _summary(cfg: dict, body: dict) -> dict:
@@ -129,10 +136,16 @@ def _summary(cfg: dict, body: dict) -> dict:
 
 def _report_dict(report) -> dict:
     """A report dataclass as JSON values: tuples become lists (nested ones
-    too), and fields kept out of its repr (a run's final state) are left
-    out, so the summary equals its own JSON round trip."""
+    too), a non-finite float (a trajectory run's error budget, the time per
+    success of a run that accepted nothing) becomes None, and fields kept
+    out of its repr (a run's final state) are left out, so the summary
+    equals its own strict JSON round trip."""
     def plain(value):
-        return [plain(v) for v in value] if isinstance(value, tuple) else value
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
 
     return {f.name: plain(getattr(report, f.name)) for f in fields(report) if f.repr}
 
@@ -284,6 +297,9 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
         omega0_coupling=cfg.get("omega0", cfg["r"] * cfg["omega1"]),
     )
     seed = cfg["seed"]
+    draws = cfg["ensemble_draws"]
+    if draws < 0:
+        raise ConfigError(f"ensemble_draws must be >= 0, got {draws}")
     setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
     schedule = build_schedule(setup, omega0=model.omega0_coupling, tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
@@ -293,7 +309,6 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     body = {"report": _report_dict(report), "r": schedule.r,
             "xs": [float(x) for x in setup.xs]}
 
-    draws = cfg["ensemble_draws"]
     if draws:
         rng = np.random.default_rng(seed)
         eigenspaces = build_grover(model)
@@ -330,9 +345,16 @@ def _load_model_circuit(cfg: dict):
 
 def run_clock(cfg: dict, out_dir: Path) -> dict:
     """Cool a clock model, then read out both the ground fidelity and the
-    computation-output fidelity at the final clock site."""
+    computation-output fidelity at the final clock site.
+
+    The ladder (schedule, density or trajectory run, eta reduction) runs on
+    the clock's exact (L+1)-band block (`clock_block`); Delta, the band
+    vectors and the step norm come from the dense setup it was cut from.
+    The readout lifts the final block state rho to the dense space as
+    (B (x) 1) rho (B (x) 1)^+, B the dense band vectors.
+    """
     model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
-    setup = clock_setup(model)
+    setup = clock_block(model)
     eps = cfg["eps"]
     omega0 = cfg.get("omega0")
     if omega0 is None and cfg.get("r") is not None:
@@ -355,7 +377,9 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
         "cost": {name: getattr(report, name) for name in ("total_time", "h_norm", "cost")},
     }
     if report.mode == "density":
-        body["readout"] = _clock_readout(model, setup, report.final_state)
+        lift = np.kron(setup.dense.band.vectors, np.eye(2))
+        rho = DensityMatrix(lift @ report.final_state.entries @ lift.conj().T)
+        body["readout"] = _clock_readout(model, setup.dense, rho)
     summary = _summary(cfg, body)
     _write_json(out_dir / "clock_report.json", summary)
     return summary
@@ -420,7 +444,7 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
             "acceptance_ratio_vs_analytic": (
                 report.acceptance_rate / report.analytic_acceptance
                 if report.analytic_acceptance > 0
-                else float("nan")
+                else None
             ),
         },
     )

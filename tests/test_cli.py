@@ -366,6 +366,8 @@ MISREAD = [
     ("spectrum", {"h_grid": [0.1, None]}, "'h_grid'"),
     ("grover", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
     ("clock", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
+    ("prob", {"trials": 0}, "trials >= 1, got 0"),
+    ("grover", {"ensemble_draws": -5}, "ensemble_draws must be >= 0, got -5"),
 ]
 
 
@@ -379,6 +381,39 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert not list((tmp_path / "out").glob("*"))
+
+
+def _strict(text: str):
+    """Parse JSON that holds no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("experiment,change,field", [
+    ("grover", {"mode": "trajectory", "shots": 20}, "error_budget"),
+    ("clock", {"mode": "trajectory", "shots": 20}, "error_budget"),
+    ("prob", {"trials": 1}, "mean_time_per_success"),  # seed 0 accepts nothing
+])
+def test_undefined_report_fields_are_null(tmp_path, capsys, experiment, change, field):
+    # a report field with no finite value is written as null, and the file
+    # and the stdout summary are strict JSON
+    assert run_cli(tmp_path, experiment, dict(SMALL[experiment], **change)) == EXIT_OK
+    written = _strict((tmp_path / "out" / SUMMARY_FILE[experiment]).read_text())
+    _strict(capsys.readouterr().out)
+    assert written["report"][field] is None
+    if experiment == "prob":
+        assert written["report"]["accept_count"] == 0
+
+
+def test_non_finite_output_is_an_error(tmp_path, capsys, monkeypatch):
+    # a non-finite number that reaches the writer is the program's fault:
+    # exit 1, not a config error, and no file is written
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", lambda cfg, out_dir: experiments._write_json(
+        out_dir / "broken.json", {"rows": float("nan")}))
+    assert run_cli(tmp_path, "spectrum", SMALL["spectrum"]) == EXIT_VIOLATION
+    assert "broken.json" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "broken.json").exists()
 
 
 def test_echo_is_the_resolved_config(tmp_path):

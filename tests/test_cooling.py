@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsc.errors import CouplingTooLarge, DimensionMismatch
@@ -24,6 +24,7 @@ from qsc.cooling import (
     ErrorInjection,
     _step_hamiltonian,
     build_schedule,
+    clock_block,
     clock_setup,
     cooling_step,
     extension_error_budget,
@@ -355,6 +356,82 @@ class TestSearchBlock:
                                               shots=200, seed=n)
                             for setup, sched in ((block, b_sched), (dense, d_sched)))
                     assert b.ground_fidelity == d.ground_fidelity
+
+
+_EPS = np.finfo(float).eps
+
+
+def _clock_circuits(n: int):
+    """Circuits of 1..5 gates on an n-qubit register, as gates-file text."""
+    one = st.builds("G {} {}".format, st.sampled_from("IHSTXYZ"), st.integers(1, n))
+    gates = one if n == 1 else st.one_of(
+        one, st.sampled_from(["G CX 1 2", "G CX 2 1", "G CZ 1 2", "G SWAP 1 2"]))
+    return st.lists(gates, min_size=1, max_size=5).map("\n".join)
+
+
+class TestClockBlock:
+    """The clock ladder runs on its exact (L+1)-band block; the dense ladder
+    on `clock_setup` is its oracle.  The two compute the same numbers in
+    another basis, so each tolerance is the roundoff floor of the dense
+    run: eigenvalues carry an absolute error of about eps * h_norm, so a
+    pulse time carries eps * h_norm / rabi relative, and the phases of a
+    ladder, hence its probabilities, eps * h_norm * total_time."""
+
+    # the largest sizes in every run kind, which the draws reach rarely
+    @example(circuit=(2, "G H 1\nG CX 1 2\nG T 2\nG SWAP 1 2\nG Y 1"), tau_mode="exact",
+             run=("density", None))
+    @example(circuit=(2, "G H 2\nG CZ 1 2\nG S 1\nG X 2\nG CX 2 1"), tau_mode="exact",
+             run=("trajectory", None))
+    @example(circuit=(1, "G H 1\nG T 1\nG X 1\nG S 1\nG Y 1"), tau_mode="exact",
+             run=("density", 0.2))
+    @example(circuit=(2, "G X 1\nG CX 1 2\nG H 2\nG Z 1"), tau_mode="analytic",
+             run=("density", 0.45))
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        circuit=st.sampled_from([1, 2]).flatmap(
+            lambda n: st.tuples(st.just(n), _clock_circuits(n))),
+        tau_mode=st.sampled_from(["exact", "analytic"]),
+        run=st.sampled_from([("density", None), ("trajectory", None),
+                             ("density", 0.2), ("density", 0.45)]),
+    )
+    def test_matches_dense_oracle(self, circuit, tau_mode, run):
+        n, text = circuit
+        mode, eta = run
+        model = ClockModel(circuit=parse_circuit(text, n))
+        block = clock_block(model)
+        dense = clock_setup(model)
+        assert block.dim_s == model.length + 1 and block.dense.dim_s == dense.dim_s
+        assert block.band.delta == dense.band.delta
+        b_sched, d_sched = (build_schedule(s, eps=0.1, tau_mode=tau_mode)
+                            for s in (block, dense))
+        if eta is not None:
+            b, d = run_reduced(block, b_sched, eta=eta), run_reduced(dense, d_sched, eta=eta)
+            assert b.skipped_bands == d.skipped_bands and b.f_perp == d.f_perp
+        else:
+            b, d = (run_deterministic(setup, sched, mode=mode, shots=200, seed=n)
+                    for setup, sched in ((block, b_sched), (dense, d_sched)))
+        assert b.h_norm == pytest.approx(d.h_norm, rel=1e-13, abs=0)
+        for bs, ds in zip(b_sched.steps, d_sched.steps, strict=True):
+            assert bs.tau == pytest.approx(ds.tau, rel=10 * _EPS * d.h_norm / ds.rabi, abs=0)
+        slowest = min(s.rabi for s in d_sched.steps)
+        assert b.total_time == pytest.approx(d.total_time, rel=10 * _EPS * d.h_norm / slowest,
+                                             abs=0)
+        prob_tol = 10 * _EPS * d.h_norm * d.total_time + 1e-12
+        np.testing.assert_allclose(b.per_step_up_probability, d.per_step_up_probability,
+                                   rtol=0, atol=prob_tol)
+        if mode == "trajectory":
+            assert b.ground_fidelity == d.ground_fidelity  # equal success counts
+        else:
+            assert b.ground_fidelity == pytest.approx(d.ground_fidelity, rel=0, abs=prob_tol)
+            np.testing.assert_allclose(b.per_step_retention, d.per_step_retention,
+                                       rtol=0, atol=prob_tol)
+
+    def test_injected_errors_belong_on_the_dense_setup(self):
+        block = clock_block(ClockModel(circuit=parse_circuit("G H 1\nG T 1\n", 1)))
+        sched = build_schedule(block, eps=0.1)
+        error = Operator(np.zeros((2 * block.dim_s,) * 2), hermitian=True)
+        with pytest.raises(ValueError, match="dense setup"):
+            run_deterministic(block, sched, delta_ops={1: error})
 
 
 class TestRunReduced:

@@ -182,9 +182,12 @@ class TestCountedWork:
     validated step Hamiltonian and one eigendecomposition per step, made by
     the schedule and propagated with by the run, a single pass over the
     ladder, no eigvalsh beyond state validation and norms, one search model
-    per setup, and trajectory products that do not grow with the shots.  A
-    step is rebuilt only when the schedule's decomposition does not
-    describe it, and then must match a ladder built afresh."""
+    per setup, and trajectory products that do not grow with the shots.
+    Both ladders stay in their band blocks; the clock's meets its dense
+    space only for the band structure, one step norm and the lifted
+    readout state.  A step is rebuilt only when the schedule's
+    decomposition does not describe it, and then must match a ladder built
+    afresh."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -203,17 +206,43 @@ class TestCountedWork:
         summary = run("clock", cfg, tmp_path)
         assert "readout" in summary
         assert counts.count("cooling_step") == length
-        # one band-structure eigh, then one per step for the schedule's
-        # splitting, which the run propagates with
-        assert counts.count("eigh") == length + 1
-        assert counts.count("build_bath_and_couplings") == length
-        # the Hermiticity scale of H_j + V is the only composite-size 2-norm;
-        # at system size only H_S and the coupling are validated, not the
-        # three parts H_S is summed from
-        dim_s = 2 ** (1 + length)
-        assert counts.sizes("norm2") == {dim_s * 2: length, dim_s: 2}
+        dim_s, block = 2 ** (1 + length), 2 * (length + 1)
+        # one dense band-structure eigh of H_S, then one block eigh per step
+        # for the schedule's splitting, which the run propagates with
+        assert counts.sizes("eigh") == {dim_s: 1, block: length}
+        # one bath assembly per block step, and one on the dense space at
+        # the largest omega_b for the step norm
+        assert counts.count("build_bath_and_couplings") == length + 1
+        assert counts.count("operator_norm") == 1
+        # the Hermiticity scales: dense H_S and coupling, the block's H_S
+        # and coupling, and each block step H_j + V; the dense step whose
+        # norm is priced is a sum of validated terms, not checked again
+        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2, block: length}
+        # composite size: the step norm and the lifted final state
+        assert counts.sizes("eigvalsh")[2 * dim_s] == 2
         assert counts.count("eigvalsh") <= (counts.count("density_matrix")
                                             + counts.count("operator_norm"))
+
+    @pytest.mark.parametrize("mode", ["density", "trajectory"])
+    def test_clock_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
+        # n = 1, L = 5: the ladder's decompositions and Hermiticity scales
+        # are at most the (L+1)-band block's size 2(L+1); the dense space is
+        # met only by H_S's one eigh for the band structure, the validation
+        # of H_S and the coupling, and two eigvalsh: the step norm and (in
+        # density mode) the lifted final state for the readout
+        length = 5
+        cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1", "G S 1", "G Y 1"],
+               "eps": 0.1, "mode": mode, "shots": 50, "seed": 0}
+        counts = self._counting(monkeypatch)
+        run("clock", cfg, tmp_path)
+        dim_s, block = 2 ** (1 + length), 2 * (length + 1)
+        assert counts.sizes("eigh") == {dim_s: 1, block: length}
+        for key in ("solve", "cond", "svd"):
+            assert max(counts.sizes(key), default=0) <= block, key
+        assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 2
+        composite = counts.sizes("eigvalsh")[2 * dim_s]
+        assert composite == (2 if mode == "density" else 1)
+        assert max(counts.sizes("eigvalsh")) == 2 * dim_s
 
     def test_grover_trajectory_builds_the_bath_once_per_use(self, tmp_path, monkeypatch):
         cfg = {"n": 4, "marked": [0], "r": 0.02, "mode": "trajectory",
