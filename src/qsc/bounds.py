@@ -233,7 +233,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
     q = Subspace(inst.h.dim, inst.h_eig.eigenvectors[:, ~mask])
     ctx = make_context(inst.h, p, inst.gap, inst.v_norm, q)
     z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
-    h_eff = self_energy(ctx, inst.v, z0, mode="closed")
+    h_eff = self_energy(ctx, inst.v, z0)
     sigma_at = self_energy_grid(ctx, inst.v)
     spec = np.linalg.eigvalsh(h_eff.matrix)
     c, d = float(spec[0]), float(spec[-1])

@@ -22,21 +22,20 @@ The dense setup stays a setup of its own: the probabilistic scheme, error
 injection and the bounds lemmas run on it, and a ladder run on it is the
 oracle of the block's.
 
-An exact-tau schedule builds each step Hamiltonian H_j + V once, as the
-one validated operator of the step (its terms are plain arrays), and
-keeps the eigendecomposition it read the pulse time off; a run takes both
-the step's norm and its evolution from that decomposition, and builds and
-diagonalizes a step only when the schedule holds none for it (analytic
-tau, an injected error, a detuning replaced after scheduling).  A run
-propagates the ladder once, and a density-mode report carries the final
-state for readouts.  Trajectory shots draw all their uniforms (one per
-step, one for the final readout) from their own generators up front.  A
-shot's state is fixed by its measurement record, so shots with the same
-record share one propagated state: a ladder of L' steps propagates
-L' + 1 states (the record still measuring down, and one up record per
-step, which measures up again with probability 1 up to rounding)
-however many shots it samples.  The qubit bath is the last tensor
-factor, so bath projections select the even (down) and odd (up)
+A step Hamiltonian H_j + V is built as the one validated operator of the
+step (its terms are plain arrays).  An exact-tau schedule reads the pulse
+time off its eigen-splitting and keeps only that time; a run builds and
+diagonalizes each step it propagates (with any injected error) and takes
+the step's evolution, and off a band block its norm, from that
+decomposition.  A run propagates the ladder once, and a density-mode
+report carries the final state for readouts.  Trajectory shots draw all
+their uniforms (one per step, one for the final readout) from their own
+generators up front.  A shot's state is fixed by its measurement record,
+so shots with the same record share one propagated state: a ladder of L'
+steps propagates L' + 1 states (the record still measuring down, and one
+up record per step, which measures up again with probability 1 up to
+rounding) however many shots it samples.  The qubit bath is the last
+tensor factor, so bath projections select the even (down) and odd (up)
 composite indices.
 
 The probabilistic scheme runs on the same setup as the ladder and
@@ -87,7 +86,6 @@ from .models import (
 
 __all__ = [
     "CoolingSetup",
-    "StepSpectrum",
     "ScheduleStep",
     "CoolingSchedule",
     "RunReport",
@@ -258,25 +256,12 @@ def clock_block(model: ClockModel) -> CoolingSetup:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class StepSpectrum:
-    """The eigendecomposition of a step Hamiltonian H_j + V and the setup
-    and couplings (Omega_0, omega_b) it was built for."""
-
-    omega0: float
-    omega_b: float
-    decomposition: SpectralDecomposition
-    setup: CoolingSetup = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
 class ScheduleStep:
     j: int
     omega_b: float
     tau: float
     rabi: float  # the rate actually used to set tau: tau = pi / (2 rabi)
     solution: DetuningSolution = field(repr=False, compare=False, default=None)
-    # exact tau_mode's decomposition of H_j + V, which runs propagate with
-    spectrum: StepSpectrum | None = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -340,8 +325,7 @@ def build_schedule(
     is set through r = scaling_c * eps * L^(-5/2).  tau_mode "exact" reads
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
-    1/Omega_0 (so halving the coupling exactly doubles the time).  An exact
-    step keeps its eigendecomposition of H_j + V for the runs.
+    1/Omega_0 (so halving the coupling exactly doubles the time).
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
@@ -360,16 +344,13 @@ def build_schedule(
     steps = []
     for j in range(n_steps, 0, -1):
         sol = solve_detuning(xs, omegas, j, omega0, delta)
-        spectrum = None
         if tau_mode == "exact":
-            splitting, sd = _exact_splitting(setup, omega0, sol)
-            rabi = splitting / 2.0
-            spectrum = StepSpectrum(omega0, sol.omega_b, sd, setup)
+            rabi = _exact_splitting(setup, omega0, sol)[0] / 2.0
         else:
             rabi = omega0 * xs[0] * xs[j]
         steps.append(
             ScheduleStep(j=j, omega_b=sol.omega_b, tau=math.pi / (2 * rabi),
-                         rabi=rabi, solution=sol, spectrum=spectrum)
+                         rabi=rabi, solution=sol)
         )
     return CoolingSchedule(
         steps=tuple(steps), omega0=omega0, r=r, eps_target=eps, tau_mode=tau_mode
@@ -406,24 +387,12 @@ def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return 1 - up, up
 
 
-def _step_hamiltonians(setup: CoolingSetup, schedule: CoolingSchedule,
-                       delta_ops: dict[int, Operator] | None):
+def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule,
+                  delta_ops: dict[int, Operator] | None):
     """Each schedule step with the eigendecomposition of its Hamiltonian
-    H_j + V (+ the injected error for band j).
-
-    The schedule's own decomposition is used when it was built for this
-    setup object and the step's couplings and no error is injected; a step
-    without one (analytic tau), with an error, run on another setup, or
-    whose omega_b or Omega_0 changed after scheduling (`dataclasses.replace`
-    copies the stored decomposition) is built and diagonalized here.
-    """
+    H_j + V (+ the injected error for band j), built and diagonalized here."""
     for step in schedule.steps:
         error = delta_ops.get(step.j) if delta_ops else None
-        spectrum = step.spectrum
-        if (error is None and spectrum is not None and spectrum.setup is setup
-                and (spectrum.omega0, spectrum.omega_b) == (schedule.omega0, step.omega_b)):
-            yield step, spectrum.decomposition
-            continue
         yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b, error))
 
 
@@ -537,7 +506,7 @@ def run_deterministic(
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
         weights = column_weights(rho)
-        for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
+        for step, sd in _step_spectra(setup, schedule, delta_ops):
             if not priced:
                 h_norm = max(h_norm, operator_norm(sd))
             before = float(np.sum(weights[: step.j + 1]) + weights[-1])
@@ -573,7 +542,7 @@ def run_deterministic(
     # column once: a column splits into its up rows (odd indices) and U
     # times its down rows, for the outcomes some shot of it drew.
     unitaries = []
-    for step, sd in _step_hamiltonians(setup, schedule, delta_ops):
+    for step, sd in _step_spectra(setup, schedule, delta_ops):
         if not priced:
             h_norm = max(h_norm, operator_norm(sd))
         unitaries.append(evolve(sd, step.tau).matrix)

@@ -41,14 +41,16 @@ from .models import (
     GroverModel,
     build_clock,
     build_grover,
+    clock_band_structure,
     clock_site_index,
-    clock_spectrum,
     grover_band_structure,
     load_circuit,
+    overlap_coefficients,
     pad_with_identities,
     parse_circuit,
     random_state,
     register_history,
+    shift_factors,
 )
 
 __all__ = [
@@ -350,9 +352,15 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
     The ladder (schedule, density or trajectory run, eta reduction) runs on
     the clock's exact (L+1)-band block (`clock_block`); Delta, the band
     vectors and the step norm come from the dense setup it was cut from.
+    The eta reduction is a density-mode run, so `eta` with any other
+    `mode` is a ConfigError.
     The readout lifts the final block state rho to the dense space as
     (B (x) 1) rho (B (x) 1)^+, B the dense band vectors.
     """
+    eta = cfg.get("eta")
+    if eta is not None and cfg["mode"] != "density":
+        raise ConfigError(f"'eta' and 'mode' {cfg['mode']!r} do not go together: the eta "
+                          "reduction runs the density ladder")
     model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
     setup = clock_block(model)
     eps = cfg["eps"]
@@ -362,7 +370,6 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
     if omega0 is not None:
         eps = None  # an explicit coupling overrides the defaulted target
     schedule = build_schedule(setup, omega0=omega0, eps=eps, tau_mode=cfg["tau_mode"])
-    eta = cfg.get("eta")
     if eta is not None:
         report = run_reduced(setup, schedule, eta=eta)
     else:
@@ -526,16 +533,17 @@ def run_spectrum(cfg: dict, out_dir: Path) -> dict:
     for length in l_values:
         text = "\n".join("G I 1" for _ in range(length))
         circuit = parse_circuit(text, cfg["n"])
+        xs, hs = overlap_coefficients(length), shift_factors(length)
         for h in h_values:
             model = ClockModel(circuit=circuit, omega=cfg["omega"], h=h)
             h_s = build_clock(model)
-            spec = clock_spectrum(model, h_s)
+            band = clock_band_structure(model, h_s)
             norm = operator_norm(h_s)
             norms[(length, h)] = norm
             for j in range(length + 1):
                 rows.append(
-                    (length, h, j, float(spec.omegas[j]), float(spec.xs[j]),
-                     float(spec.hs[j]), float(spec.delta), norm)
+                    (length, h, j, float(band.omegas[j]), float(xs[j]),
+                     float(hs[j]), float(band.delta), norm)
                 )
     _write_csv(
         out_dir / "spectrum.csv",

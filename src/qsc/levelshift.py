@@ -131,8 +131,6 @@ class EffectiveHamiltonian:
 
     matrix: np.ndarray
     basis: np.ndarray
-    z_eval: float
-    truncation_order: int | None  # None means the closed resolvent form
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
@@ -143,54 +141,24 @@ class EffectiveHamiltonian:
             _check_hermitian(m, "effective Hamiltonian at real z has", atol=atol)
         object.__setattr__(self, "matrix", m)
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
-
-def self_energy(
-    ctx: LevelShiftContext,
-    v: Operator,
-    z: float,
-    mode: str = "closed",
-    order: int = 4,
-) -> EffectiveHamiltonian:
-    """Self-energy of P at z.
-
-    mode "closed" uses the exact resolvent of Q(H+V)Q; mode "series" sums
-    the expansion in powers of V through `order` factors of V (order >= 2),
-    using the unperturbed G_Q.  The two agree to O(r^(order+1)) * gap.
-    """
+def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> EffectiveHamiltonian:
+    """Self-energy of P at z, with the exact resolvent of Q(H+V)Q: one
+    linear solve, refused (SingularResolvent) when the resolvent's
+    condition number is non-finite or above MAX_RESOLVENT_COND."""
     bp, bq = ctx.p.basis, ctx.q.basis
-    hp = bp.conj().T @ ctx.h.matrix @ bp
-    vpp = bp.conj().T @ v.matrix @ bp
-    if mode == "closed":
-        sigma = hp + vpp
-        if bq.shape[1]:  # an empty complement has no resolvent
-            vpq = bp.conj().T @ v.matrix @ bq
-            m = z * np.eye(bq.shape[1]) - bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
-            try:
-                cond = np.linalg.cond(m)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-                raise SingularResolvent(str(exc)) from exc
-            if not np.isfinite(cond) or cond > MAX_RESOLVENT_COND:
-                raise SingularResolvent(f"resolvent condition number {cond:.3e}")
-            sigma = sigma + vpq @ np.linalg.solve(m, vpq.conj().T)
-        sigma = (sigma + sigma.conj().T) / 2
-        return EffectiveHamiltonian(sigma, bp, z, None)
-    if mode != "series":
-        raise ValueError("mode must be 'closed' or 'series'")
-    if order < 2:
-        raise ValueError("series mode needs order >= 2")
-    gq = green_function(ctx, z).matrix
-    vpfull = v.matrix @ (bp @ bp.conj().T)
-    sigma_full = np.zeros_like(gq)
-    term = gq @ vpfull  # G_Q V P
-    for _ in range(2, order + 1):
-        sigma_full += v.matrix @ term  # V (G_Q V)^k P pieces projected below
-        term = gq @ (v.matrix @ term)
-    sigma = bp.conj().T @ sigma_full @ bp + hp + vpp
-    sigma = (sigma + sigma.conj().T) / 2
-    return EffectiveHamiltonian(sigma, bp, z, order)
+    sigma = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
+    if bq.shape[1]:  # an empty complement has no resolvent
+        vpq = bp.conj().T @ v.matrix @ bq
+        m = z * np.eye(bq.shape[1]) - bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
+        try:
+            cond = np.linalg.cond(m)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise SingularResolvent(str(exc)) from exc
+        if not np.isfinite(cond) or cond > MAX_RESOLVENT_COND:
+            raise SingularResolvent(f"resolvent condition number {cond:.3e}")
+        sigma = sigma + vpq @ np.linalg.solve(m, vpq.conj().T)
+    return EffectiveHamiltonian((sigma + sigma.conj().T) / 2, bp)
 
 
 def self_energy_grid(ctx: LevelShiftContext, v: Operator):
@@ -368,7 +336,7 @@ def effective_grover_hamiltonian(xs, omegas, j: int, sol: DetuningSolution) -> E
     m = np.array(
         [[sol.omega_b_star, sol.rabi], [sol.rabi, sol.omega_b_star]], dtype=complex
     )
-    return EffectiveHamiltonian(m, np.eye(2, dtype=complex), sol.omega_b, None)
+    return EffectiveHamiltonian(m, np.eye(2, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -421,7 +389,7 @@ def qutrit_truncation_check(
     m_sys = (bra @ g @ ket).reshape(dim_s, dim_s)
     b_green_norm = float(np.linalg.norm(m_sys, 2))
 
-    h_eff = self_energy(ctx, v, omega1, mode="closed")
+    h_eff = self_energy(ctx, v, omega1)
     basis = h_eff.basis
     vec_0b = np.kron(ground.amplitudes, KET_B)
     vec_1c = np.kron(band[:, 0], KET_C)

@@ -11,6 +11,7 @@ orders its basis (down, up); a qutrit bath orders its basis (C, R, L).
 from __future__ import annotations
 
 import ast
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -34,7 +35,6 @@ __all__ = [
     "GroverModel",
     "CircuitSpec",
     "ClockModel",
-    "ClockSpectrum",
     "BathSpec",
     "FiducialDecomposition",
     "BandStructure",
@@ -42,7 +42,6 @@ __all__ = [
     "build_clock",
     "build_clock_parts",
     "clock_band_structure",
-    "clock_spectrum",
     "band_energies",
     "overlap_coefficients",
     "shift_factors",
@@ -178,7 +177,8 @@ class Gate:
         k = len(self.targets)
         if m.shape != (2 ** k, 2 ** k) or k not in (1, 2):
             raise DimensionMismatch("gates act on 1 or 2 qubits")
-        if np.max(np.abs(m.conj().T @ m - np.eye(2 ** k))) > config.HERMITICITY_ATOL * 10:
+        # written so that a NaN deviation fails too
+        if not np.max(np.abs(m.conj().T @ m - np.eye(2 ** k))) <= config.HERMITICITY_ATOL * 10:
             raise ValueError("gate matrix is not unitary to tolerance")
         if k == 2 and self.targets[0] == self.targets[1]:
             raise ValueError("two-qubit gate targets must differ")
@@ -209,28 +209,33 @@ class CircuitSpec:
 def embed_gate(u: np.ndarray, targets: Sequence[int], n: int) -> np.ndarray:
     """Embed a 1- or 2-qubit unitary into the n-qubit register.
 
-    Qubit 1 is the most significant bit of the basis index.
+    Qubit 1 is the most significant bit of the basis index.  u is added
+    into a zero (2^k, 2^(n-k), 2^k, 2^(n-k)) array on the identity pattern
+    of the other qubits, so every entry is 0 + u_ab or 0 exactly; the
+    (2,)*2n axes are then moved so the targets land in qubit order.
     """
-    dim = 2 ** n
     k = len(targets)
-    full = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
-        sub = 0
-        for t in targets:
-            sub = (sub << 1) | bits[t - 1]
-        for subout in range(2 ** k):
-            amp = u[subout, sub]
-            if amp == 0:
-                continue
-            nb = list(bits)
-            for i, t in enumerate(targets):
-                nb[t - 1] = (subout >> (k - 1 - i)) & 1
-            row = 0
-            for b in nb:
-                row = (row << 1) | b
-            full[row, col] += amp
-    return full
+    rest = 2 ** (n - k)
+    full = np.zeros((2 ** k, rest, 2 ** k, rest), dtype=complex)
+    diagonal = np.arange(rest)
+    full[:, diagonal, :, diagonal] += u
+    qubits = list(targets) + [q for q in range(1, n + 1) if q not in targets]
+    axes = [qubits.index(q) for q in range(1, n + 1)]
+    full = full.reshape((2,) * (2 * n)).transpose(axes + [n + a for a in axes])
+    return full.reshape(2 ** n, 2 ** n)
+
+
+def _matrix_literal(spec: str, lineno: int) -> np.ndarray:
+    """A bracketed matrix literal of finite numbers."""
+    try:
+        entries = np.array(ast.literal_eval(spec), dtype=object)
+        finite = all(type(x) in (int, float, complex) and cmath.isfinite(x)
+                     for x in entries.flat)
+    except (ValueError, SyntaxError, OverflowError) as exc:
+        raise ParseError(f"line {lineno}: bad matrix literal") from exc
+    if not finite:
+        raise ParseError(f"line {lineno}: matrix literal entries must be finite numbers")
+    return entries.astype(complex)
 
 
 def parse_circuit(text: str, n: int) -> CircuitSpec:
@@ -258,10 +263,7 @@ def parse_circuit(text: str, n: int) -> CircuitSpec:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad qubit index") from exc
         if spec.startswith("["):
-            try:
-                matrix = np.array(ast.literal_eval(spec), dtype=complex)
-            except (ValueError, SyntaxError) as exc:
-                raise ParseError(f"line {lineno}: bad matrix literal") from exc
+            matrix = _matrix_literal(spec, lineno)
         elif spec.upper() in _NAMED_GATES:
             matrix = _NAMED_GATES[spec.upper()]
         else:
@@ -549,34 +551,6 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
         candidates.extend(abs(ok - oj) for k, ok in enumerate(omegas) if k != j)
     delta = float(min(candidates))
     return BandStructure(omegas=omegas, vectors=vectors, delta=delta, spectrum=evals)
-
-
-@dataclass(frozen=True)
-class ClockSpectrum:
-    """Closed-form band data for a clock model: energies, fiducial
-    overlaps, first-order penalty shift factors, and the measured gap."""
-
-    omegas: np.ndarray
-    xs: np.ndarray
-    hs: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("gap must be positive")
-        if abs(float(np.sum(self.xs ** 2)) - 1.0) > config.NORM_ATOL:
-            raise ValueError("overlap coefficients must be normalized")
-
-
-def clock_spectrum(model: ClockModel, h_s: Operator | None = None) -> ClockSpectrum:
-    band = clock_band_structure(model, h_s)
-    length = model.length
-    return ClockSpectrum(
-        omegas=band.omegas,
-        xs=overlap_coefficients(length),
-        hs=shift_factors(length),
-        delta=band.delta,
-    )
 
 
 def clock_coupling_direction(model: ClockModel) -> Operator:

@@ -7,11 +7,12 @@ traces by raw index summation, matrix exponentials via scipy's Pade
 implementation, the cooling map and the qutrit scheme's trials through
 dense bath projectors, the qutrit scheme's gap one eigenvalue at a time,
 the bounds lab's closeness radius by one linear solve and one SVD norm
-per grid point, the clock construction by its original four-branch
-hopping loop and step-by-step register history, the cooling ladder from
-step Hamiltonians built afresh, trajectory sampling one shot at a time,
-and the search setup on its full composite space instead of its two-band
-block.
+per grid point, the self-energy by its series in powers of V, gate
+embedding one basis column at a time, the clock construction by its
+original four-branch hopping loop and step-by-step register history, the
+cooling ladder from step Hamiltonians built afresh, trajectory sampling
+one shot at a time, and the search setup on its full composite space
+instead of its two-band block.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
@@ -340,6 +341,24 @@ def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):
     return best[1], grid[1] - grid[0]
 
 
+def self_energy_by_series(ctx, v, z: float, order: int) -> np.ndarray:
+    """The self-energy of P at z as its expansion in powers of V through
+    `order` factors of V (order >= 2), built on the unperturbed resolvent
+    G_Q(z) of `green_function`, in the P basis and symmetrized.  It agrees
+    with the closed resolvent form to O(r^(order+1)) * gap."""
+    from qsc.levelshift import green_function
+
+    bp = ctx.p.basis
+    gq = green_function(ctx, z).matrix
+    sigma_full = np.zeros_like(gq)
+    term = gq @ v.matrix @ (bp @ bp.conj().T)  # G_Q V P
+    for _ in range(2, order + 1):
+        sigma_full += v.matrix @ term  # V (G_Q V)^k P pieces projected below
+        term = gq @ (v.matrix @ term)
+    sigma = bp.conj().T @ (sigma_full + ctx.h.matrix + v.matrix) @ bp
+    return (sigma + sigma.conj().T) / 2
+
+
 def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
     """The closeness radius gamma of a window instance, computed one z at a
     time: a closed-form `self_energy` (condition check and linear solve) and
@@ -354,12 +373,12 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
     mask = (w > lam_lo) & (w < lam_hi)
     ctx = make_context(inst.h, Subspace(inst.h.dim, vecs[:, mask]), inst.gap,
                        operator_norm(inst.v))
-    h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])), mode="closed")
+    h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])))
 
     def grid_bound(lo, hi):
         worst = 0.0
         for z in np.linspace(lo, hi, grid_points):
-            sig = self_energy(ctx, inst.v, float(z), mode="closed")
+            sig = self_energy(ctx, inst.v, float(z))
             worst = max(worst, float(np.linalg.norm(sig.matrix - h_eff.matrix, 2)))
         return worst
 
@@ -375,6 +394,33 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
             break
         gamma = new
     return float(gamma)
+
+
+def embed_gate_by_bit_loop(u: np.ndarray, targets, n: int) -> np.ndarray:
+    """A 1- or 2-qubit unitary on the n-qubit register (qubit 1 the most
+    significant bit), one basis column at a time: read the target bits of
+    the column index, and add each nonzero u[out, in] at the row index with
+    the target bits rewritten."""
+    dim = 2 ** n
+    k = len(targets)
+    full = np.zeros((dim, dim), dtype=complex)
+    for col in range(dim):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        sub = 0
+        for t in targets:
+            sub = (sub << 1) | bits[t - 1]
+        for subout in range(2 ** k):
+            amp = u[subout, sub]
+            if amp == 0:
+                continue
+            nb = list(bits)
+            for i, t in enumerate(targets):
+                nb[t - 1] = (subout >> (k - 1 - i)) & 1
+            row = 0
+            for b in nb:
+                row = (row << 1) | b
+            full[row, col] += amp
+    return full
 
 
 def clock_hopping_by_branches(model) -> np.ndarray:

@@ -148,6 +148,19 @@ def test_malformed_gates_file(tmp_path):
     assert run_cli(tmp_path, "clock", cfg) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("literal", ["[[1,0],[0,{}]]", "[[None,0],[0,1]]"])
+def test_gate_literal_that_is_not_a_number(tmp_path, capsys, literal):
+    # a non-numeric entry is a parse error naming its line, not a traceback
+    # or a NaN that fails later as an SVD error
+    gates = tmp_path / "bad.gates"
+    gates.write_text(f"G {literal} 1\nG I 1\n")
+    cfg = {"n": 1, "gates_file": str(gates), "eps": 0.1}
+    assert run_cli(tmp_path, "clock", cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "line 1" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dimension_cap(tmp_path, monkeypatch):
     monkeypatch.setenv("QSC_MAX_DIM", "4")
     cfg = {"n": 2, "circuit": ["G H 1", "G CX 1 2", "G I 1"], "eps": 0.1}
@@ -368,6 +381,9 @@ MISREAD = [
     ("clock", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
     ("prob", {"trials": 0}, "trials >= 1, got 0"),
     ("grover", {"ensemble_draws": -5}, "ensemble_draws must be >= 0, got -5"),
+    # the eta reduction runs the density ladder, which a trajectory config
+    # did not ask for
+    ("clock", {"eta": 0.3, "mode": "trajectory", "shots": 50}, "'eta' and 'mode'"),
 ]
 
 

@@ -213,8 +213,9 @@ class TestRunDeterministic:
                 run_deterministic(setup, sched, mode="trajectory", shots=shots)
 
     def test_schedule_runs_on_the_dense_setup_of_its_model(self):
-        # the block schedule's stored decompositions are 4 x 4; on the
-        # 16 x 16 dense setup every step is built afresh from its omega_b
+        # a schedule holds only pulse times and detunings, so the 4 x 4
+        # block's schedule runs on the 16 x 16 dense setup, each step built
+        # there from its omega_b
         model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
         sched = build_schedule(grover_setup(model), omega0=0.02)
         dense = dense_grover_setup(model)
@@ -224,8 +225,8 @@ class TestRunDeterministic:
         assert report.per_step_up_probability == pytest.approx(up_probs, abs=1e-12)
 
     def test_schedule_of_another_setup_of_the_same_size(self):
-        # both block setups are 4 x 4, so the other setup's stored
-        # decomposition would propagate without complaint
+        # both block setups are 4 x 4: the run builds its steps on its own
+        # setup, not on the one the schedule was solved for
         model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
         other = GroverModel(n=3, marked=frozenset({1, 2}), omega0_coupling=0.02)
         setup = grover_setup(model)

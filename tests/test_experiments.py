@@ -89,7 +89,7 @@ class TestDetuningCurve:
         dense = dense_grover_setup(model)
         sched = build_schedule(dense, omega0=omega0)
         for d, fid in zip(detunings, fids):
-            step = replace(sched.steps[0], omega_b=1.0 + d, tau=tau, spectrum=None)
+            step = replace(sched.steps[0], omega_b=1.0 + d, tau=tau)
             report = run_deterministic(dense, replace(sched, steps=(step,)))
             assert abs(report.ground_fidelity - fid) <= 1e-12
 
@@ -178,16 +178,16 @@ class TestClockReduced:
 
 
 class TestCountedWork:
-    """A cooling run's work is counted, not timed: one bath assembly, one
-    validated step Hamiltonian and one eigendecomposition per step, made by
-    the schedule and propagated with by the run, a single pass over the
-    ladder, no eigvalsh beyond state validation and norms, one search model
-    per setup, and trajectory products that do not grow with the shots.
-    Both ladders stay in their band blocks; the clock's meets its dense
-    space only for the band structure, one step norm and the lifted
-    readout state.  A step is rebuilt only when the schedule's
-    decomposition does not describe it, and then must match a ladder built
-    afresh."""
+    """A cooling run's work is counted, not timed: per step, one bath
+    assembly, one validated step Hamiltonian and one eigendecomposition in
+    the exact-tau schedule (for the splitting) and the same three in the
+    run (for the propagation), a single pass over the ladder, no eigvalsh
+    beyond state validation and norms, one search model per setup, and
+    trajectory products that do not grow with the shots.  Both ladders
+    stay in their band blocks; the clock's meets its dense space only for
+    the band structure, one step norm and the lifted readout state.  A run
+    whose steps differ from the schedule's (another detuning, an injected
+    error, analytic tau) must match a ladder built afresh."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -207,17 +207,18 @@ class TestCountedWork:
         assert "readout" in summary
         assert counts.count("cooling_step") == length
         dim_s, block = 2 ** (1 + length), 2 * (length + 1)
-        # one dense band-structure eigh of H_S, then one block eigh per step
-        # for the schedule's splitting, which the run propagates with
-        assert counts.sizes("eigh") == {dim_s: 1, block: length}
-        # one bath assembly per block step, and one on the dense space at
+        # one dense band-structure eigh of H_S, then two block eigh per
+        # step: the schedule's splitting and the run's propagation
+        assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
+        # two bath assemblies per block step, and one on the dense space at
         # the largest omega_b for the step norm
-        assert counts.count("build_bath_and_couplings") == length + 1
+        assert counts.count("build_bath_and_couplings") == 2 * length + 1
         assert counts.count("operator_norm") == 1
         # the Hermiticity scales: dense H_S and coupling, the block's H_S
-        # and coupling, and each block step H_j + V; the dense step whose
-        # norm is priced is a sum of validated terms, not checked again
-        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2, block: length}
+        # and coupling, and each block step H_j + V as the schedule and as
+        # the run build it; the dense step whose norm is priced is a sum of
+        # validated terms, not checked again
+        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2, block: 2 * length}
         # composite size: the step norm and the lifted final state
         assert counts.sizes("eigvalsh")[2 * dim_s] == 2
         assert counts.count("eigvalsh") <= (counts.count("density_matrix")
@@ -225,8 +226,9 @@ class TestCountedWork:
 
     @pytest.mark.parametrize("mode", ["density", "trajectory"])
     def test_clock_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
-        # n = 1, L = 5: the ladder's decompositions and Hermiticity scales
-        # are at most the (L+1)-band block's size 2(L+1); the dense space is
+        # n = 1, L = 5: the ladder's decompositions (two per step: the
+        # schedule's and the run's) and Hermiticity scales are at most the
+        # (L+1)-band block's size 2(L+1); the dense space is
         # met only by H_S's one eigh for the band structure, the validation
         # of H_S and the coupling, and two eigvalsh: the step norm and (in
         # density mode) the lifted final state for the readout
@@ -236,7 +238,7 @@ class TestCountedWork:
         counts = self._counting(monkeypatch)
         run("clock", cfg, tmp_path)
         dim_s, block = 2 ** (1 + length), 2 * (length + 1)
-        assert counts.sizes("eigh") == {dim_s: 1, block: length}
+        assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
         for key in ("solve", "cond", "svd"):
             assert max(counts.sizes(key), default=0) <= block, key
         assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 2
@@ -249,11 +251,12 @@ class TestCountedWork:
                "shots": 20, "seed": 0}
         counts = self._counting(monkeypatch)
         run("grover", cfg, tmp_path)
-        # the schedule's splitting gives the shot unitary too
-        assert counts.count("build_bath_and_couplings") == 1
-        assert counts.count("eigh") == 1
-        # the block's H_S and coupling (2 x 2), and the one step H_j + V
-        assert counts.sizes("norm2") == {2: 2, 4: 1}
+        # the one step is built and diagonalized by the schedule for its
+        # splitting and by the run for the shot unitary
+        assert counts.count("build_bath_and_couplings") == 2
+        assert counts.count("eigh") == 2
+        # the block's H_S and coupling (2 x 2), and the step H_j + V twice
+        assert counts.sizes("norm2") == {2: 2, 4: 2}
 
     @pytest.mark.parametrize("mode", ["density", "trajectory"])
     def test_search_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
@@ -264,7 +267,7 @@ class TestCountedWork:
         run("grover", cfg, tmp_path)
         for key in ("solve", "cond", "svd", "eigh", "eigvalsh", "norm2"):
             assert max(counts.sizes(key), default=0) <= 4, key
-        assert counts.count("eigh") == 1
+        assert counts.count("eigh") == 2
 
     def test_one_search_model_per_setup(self, tmp_path, monkeypatch):
         counts = CountingLinalg(monkeypatch)
@@ -343,7 +346,7 @@ class TestCountedWork:
         report = run_deterministic(setup, naive)
         assert counts.count("eigh") == len(naive.steps)
         self._assert_fresh(setup, naive, report)
-        # the corrected schedule's decomposition would give another fidelity
+        # the corrected detuning gives another fidelity
         corrected = run_deterministic(setup, sched)
         assert abs(corrected.ground_fidelity - report.ground_fidelity) > 1e-6
 
@@ -356,7 +359,7 @@ class TestCountedWork:
         error = linalg.Operator(1e-3 * sched.omega0 * (z + z.conj().T), hermitian=True)
         counts = self._counting(monkeypatch)
         report = run_deterministic(setup, sched, delta_ops={2: error})
-        assert counts.count("eigh") == 1
+        assert counts.count("eigh") == len(sched.steps)
         self._assert_fresh(setup, sched, report, {2: error})
         clean = run_deterministic(setup, sched)
         assert abs(clean.per_step_up_probability[1] - report.per_step_up_probability[1]) > 1e-9
@@ -364,9 +367,10 @@ class TestCountedWork:
     def test_analytic_tau_builds_every_step(self, monkeypatch):
         setup = cooling.clock_setup(models.ClockModel(
             circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
-        sched = build_schedule(setup, eps=0.1, tau_mode="analytic")
-        assert all(s.spectrum is None for s in sched.steps)
         counts = self._counting(monkeypatch)
+        sched = build_schedule(setup, eps=0.1, tau_mode="analytic")
+        assert counts.count("eigh") == 0  # analytic tau reads no splitting
+        counts.calls.clear()
         report = run_deterministic(setup, sched)
         assert counts.count("eigh") == len(sched.steps)
         assert counts.count("build_bath_and_couplings") == len(sched.steps)

@@ -1,6 +1,6 @@
-"""Level-shift tests: resolvents, self-energy in closed and series form,
-the rational sums, detuning solves against scan oracles, and the qutrit
-truncation identity."""
+"""Level-shift tests: resolvents, the closed-form self-energy (against its
+series expansion among other references), the rational sums, detuning
+solves against scan oracles, and the qutrit truncation identity."""
 
 import math
 
@@ -33,7 +33,7 @@ from qsc.models import (
 from qsc.bounds import make_multiband_instance, make_windowed_instance
 from qsc.cooling import clock_setup, extension_gap
 
-from oracles import detuning_scan_oracle
+from oracles import detuning_scan_oracle, self_energy_by_series
 
 from conftest import random_hermitian
 
@@ -132,7 +132,7 @@ class TestSelfEnergy:
                 [omega0 * x0 * x1 / denom, omega_b + omega0 ** 2 * x0 ** 2 * g_j / denom],
             ]
         )
-        sigma = self_energy(ctx, v, z, mode="closed")
+        sigma = self_energy(ctx, v, z)
         assert np.max(np.abs(sigma.matrix - expected)) < 1e-9
 
     def test_matches_closed_form_clock_block(self):
@@ -154,7 +154,7 @@ class TestSelfEnergy:
         p = Subspace(2 * h_s.dim, np.column_stack(
             [np.kron(band.vector(j), down), np.kron(band.vector(0), up)]))
         ctx = make_context(Operator(h_full, hermitian=True), p, band.delta / 2, omega0)
-        sigma = self_energy(ctx, Operator(v, hermitian=True), sol.omega_b, mode="closed")
+        sigma = self_energy(ctx, Operator(v, hermitian=True), sol.omega_b)
         g_j, g_0 = g_sums(xs, band.omegas, sol.omega_b, j, sol.omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
@@ -173,12 +173,12 @@ class TestSelfEnergy:
         omega1, omega0 = 1.0, 0.02
         x0, x1 = 0.3, math.sqrt(1 - 0.09)
         ctx, v = grover_block_context(omega1, omega1 * 1.001, omega0, x0, x1)
-        closed = self_energy(ctx, v, omega1, mode="closed")
+        closed = self_energy(ctx, v, omega1)
         r = omega0 / ctx.gap
         prev_err = None
         for order in (2, 4, 6):
-            series = self_energy(ctx, v, omega1, mode="series", order=order)
-            err = np.linalg.norm(series.matrix - closed.matrix, 2)
+            series = self_energy_by_series(ctx, v, omega1, order)
+            err = np.linalg.norm(series - closed.matrix, 2)
             assert err < 10 * ctx.gap * r ** (order + 1)
             if prev_err is not None:
                 assert err < prev_err
@@ -206,11 +206,11 @@ class TestSelfEnergy:
             p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
             ctx = make_context(inst.h, p, inst.gap, operator_norm(inst.v))
             z0 = float(np.mean(sd.eigenvalues[mask]))
-            sigma0 = self_energy(ctx, inst.v, z0, mode="closed")
+            sigma0 = self_energy(ctx, inst.v, z0)
             factor = (4 * operator_norm(inst.v) / inst.gap) ** 2
             for dz in (-0.2, -0.05, 0.03, 0.11):
                 z = z0 + dz * inst.gap / 4
-                sigma = self_energy(ctx, inst.v, z, mode="closed")
+                sigma = self_energy(ctx, inst.v, z)
                 diff = np.linalg.norm(sigma.matrix - sigma0.matrix, 2)
                 assert diff <= abs(z - z0) * factor * (1 + 1e-6) + 1e-12
                 checked += 1
@@ -284,7 +284,7 @@ class TestSelfEnergyGrid:
             stack = self_energy_grid(ctx, inst.v)(zs)
             assert stack.shape == (64, ctx.p.rank, ctx.p.rank)
             for z, sigma in zip(zs, stack):
-                ref = self_energy(ctx, inst.v, float(z), mode="closed").matrix
+                ref = self_energy(ctx, inst.v, float(z)).matrix
                 err = np.linalg.norm(sigma - ref, 2) / np.linalg.norm(ref, 2)
                 worst = max(worst, err)
                 assert np.array_equal(sigma, sigma.conj().T)
@@ -294,7 +294,7 @@ class TestSelfEnergyGrid:
         ctx, v = diagonal_context()
         for z in (2.0, 3.0):
             with pytest.raises(SingularResolvent):
-                self_energy(ctx, v, z, mode="closed")
+                self_energy(ctx, v, z)
             with pytest.raises(SingularResolvent):
                 self_energy_grid(ctx, v)([0.5, z, 1.0])
         # away from Spec(Q(H+V)Q) both paths give the same number
@@ -336,10 +336,10 @@ class TestNormOnlyWhenNeeded:
     def test_effective_hamiltonian_boundary(self):
         atol = 100 * config.HERMITICITY_ATOL
         # |m| ~ 10: a deviation above atol but inside atol * (1 + |m|) passes
-        EffectiveHamiltonian(self.skewed(10.0, 5 * atol), np.eye(2), 0.0, None)
+        EffectiveHamiltonian(self.skewed(10.0, 5 * atol), np.eye(2))
         # the shared linalg test: an internal error, not a config error
         with pytest.raises(NonHermitianInput, match="effective Hamiltonian"):
-            EffectiveHamiltonian(self.skewed(10.0, 20 * atol), np.eye(2), 0.0, None)
+            EffectiveHamiltonian(self.skewed(10.0, 20 * atol), np.eye(2))
 
     def test_block_diagonal_boundary(self):
         atol = config.PROJECTOR_ATOL

@@ -2,6 +2,7 @@
 closed-form spectrum, baths and couplings, fiducial decompositions, random
 states, and the gates-file format."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from qsc import config
 from qsc.errors import ParseError, QscError, SelfCheckFailed
 from qsc.linalg import DensityMatrix, Operator, StateVector, operator_norm, partial_trace
 from qsc.models import (
+    _NAMED_GATES,
     BathSpec,
     ClockModel,
     GroverModel,
@@ -23,8 +25,8 @@ from qsc.models import (
     build_grover,
     clock_band_structure,
     clock_coupling_direction,
-    clock_spectrum,
     decompose_fiducial,
+    embed_gate,
     grover_band_structure,
     grover_fiducial,
     history_state,
@@ -36,7 +38,12 @@ from qsc.models import (
     shift_factors,
 )
 
-from oracles import clock_gap_by_sectors, clock_history_by_loop, clock_hopping_by_branches
+from oracles import (
+    clock_gap_by_sectors,
+    clock_history_by_loop,
+    clock_hopping_by_branches,
+    embed_gate_by_bit_loop,
+)
 
 
 def haar_gate(rng, dim):
@@ -265,7 +272,7 @@ class TestClockSpectrum:
         assert xs[0] == pytest.approx(0.5)
         assert xs[1] == pytest.approx(math.sqrt(0.5) * math.cos(math.pi / 8))
 
-    @pytest.mark.parametrize("length", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("length", range(1, 9))
     def test_overlaps_normalized(self, length):
         assert np.sum(overlap_coefficients(length) ** 2) == pytest.approx(1.0, abs=1e-10)
 
@@ -274,10 +281,10 @@ class TestClockSpectrum:
         # smallest per-unit-weight shift sets the gap at first order in h
         text = "\n".join("G I 1" for _ in range(length))
         model = ClockModel(circuit=parse_circuit(text, n), h=0.1)
-        spec = clock_spectrum(model)
+        delta = clock_band_structure(model).delta
         first_order = model.delta1 * np.min(shift_factors(length))
-        assert spec.delta == pytest.approx(first_order, rel=0.3)
-        assert spec.delta > 0
+        assert delta == pytest.approx(first_order, rel=0.3)
+        assert delta > 0
 
     @given(data=st.data())
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -479,11 +486,29 @@ class TestCircuitFormat:
             "G [[1,0],[0,2]] 1",        # not unitary
             "G [[1,0],[0,1]",           # bad literal
             "G CX 1 1",                 # repeated target
+            "G [[1,0],[0,{}]] 1",       # non-numeric entry
+            "G [[None,0],[0,1]] 1",     # non-numeric entry, not NaN
+            "G [[1,0],[0,1" + "0" * 400 + "]] 1",  # no float holds it
         ],
     )
     def test_parse_errors(self, line):
         with pytest.raises(ParseError):
             parse_circuit(line + "\n", 2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_embedding_matches_the_bit_loop(self, rng, n):
+        # the array placement writes the bit loop's matrix byte for byte
+        # (signed zeros too) for every ordered target tuple, on the named
+        # gates and on Haar gates
+        for k in (1, 2):
+            gates = [m for m in _NAMED_GATES.values() if m.shape == (2 ** k, 2 ** k)]
+            gates.append(haar_gate(rng, 2 ** k))
+            for targets in itertools.permutations(range(1, n + 1), k):
+                for u in gates:
+                    got = embed_gate(u, targets, n)
+                    want = embed_gate_by_bit_loop(u, targets, n)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (targets, u)
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
