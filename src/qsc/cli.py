@@ -41,24 +41,28 @@ _RUNNERS = {
 }
 
 
-def load_config(path: str | None, experiment: str) -> dict:
+def load_config(path: str | None, experiment: str, seed: int | None = None) -> dict:
     """The experiment's resolved config: the JSON object in the file at
-    `path` (no file: all defaults), checked by `resolve_config`."""
-    if path is None:
-        return resolve_config({}, experiment)
-    try:
-        user = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError("config file must hold a JSON object")
+    `path` (no file: all defaults), with `seed` (the --seed option), when
+    given, in place of its seed, checked by `resolve_config`."""
+    user = {}
+    if path is not None:
+        try:
+            user = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(user, dict):
+            raise ConfigError("config file must hold a JSON object")
+    if seed is not None:
+        user["seed"] = seed
     return resolve_config(user, experiment)
 
 
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
-    unknown key or a value of the wrong type is a ConfigError that names
-    the key), then completed with the defaults of the keys it leaves out."""
+    unknown key, a value of the wrong type or a negative seed is a
+    ConfigError that names the key), then completed with the defaults of
+    the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
     user = dict(user)
     declared = user.pop("experiment", experiment)
@@ -72,6 +76,8 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if not _fits(value, kind):
             raise ConfigError(f"{experiment} config key {key!r} must be {_describe(kind)}, "
                               f"got {json.dumps(value)}")
+    if user.get("seed", 0) < 0:  # a master seed is a non-negative integer
+        raise ConfigError(f"{experiment} config key 'seed' must be >= 0, got {user['seed']}")
     cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
            if default is not None}
     if "gates_file" in user:
@@ -117,9 +123,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.experiment)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = load_config(args.config, args.experiment, args.seed)
         out_dir = Path(args.out)
         summary = _RUNNERS[args.experiment](cfg, out_dir)
     except (ConfigError, ParseError, CouplingTooLarge, ValueError, KeyError) as exc:

@@ -28,9 +28,10 @@ time off its eigen-splitting and keeps only that time; a run builds and
 diagonalizes each step it propagates (with any injected error) and takes
 the step's evolution, and off a band block its norm, from that
 decomposition.  A run propagates the ladder once, and a density-mode
-report carries the final state for readouts.  Trajectory shots draw all
-their uniforms (one per step, one for the final readout) from their own
-generators up front.  A shot's state is fixed by its measurement record,
+report carries the final state for readouts.  Trajectory shots take all
+their uniforms (one per step, one for the final readout) up front, each
+shot's from its own spawned stream, drawn for every shot at once
+(`trial_uniforms`).  A shot's state is fixed by its measurement record,
 so shots with the same record share one propagated state: a ladder of L'
 steps propagates L' + 1 states (the record still measuring down, and one
 up record per step, which measures up again with probability 1 up to
@@ -47,6 +48,7 @@ its projections select the composite indices of levels C, R and L
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -104,7 +106,7 @@ __all__ = [
     "extension_rabi",
     "inject_errors",
     "extension_error_budget",
-    "trial_rng",
+    "trial_uniforms",
 ]
 
 
@@ -439,9 +441,114 @@ class RunReport:
     final_state: DensityMatrix | None = field(default=None, repr=False, compare=False)
 
 
-def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent per-trial generator, stable under any execution order."""
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier, as
+# (high, low) 64-bit words (numpy/random/bit_generator.pyx and pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = (0x2360ED051FC65DA4, 0x4385DF649FCCF645)
+
+
+def _hash_consts(init: int, mult: int):
+    """The running hash constant of SeedSequence: (the word XORed in, the
+    word multiplied by), one pair per hashed word."""
+    const = init
+    while True:
+        xor, const = const, (const * mult) & _MASK32
+        yield xor, const
+
+
+def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words with one pair of hash
+    constants."""
+    value = (value ^ np.uint32(xor)) * np.uint32(mult)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _mul64_hi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b (a uint64 array, b a
+    64-bit constant), from 32-bit halves."""
+    low32 = np.uint64(_MASK32)
+    b_lo, b_hi = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    a_lo, a_hi = a & low32, a >> np.uint64(32)
+    cross_lo, cross_hi = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> np.uint64(32)) + (cross_lo & low32) + (cross_hi & low32)
+    return (a_hi * b_hi + (cross_lo >> np.uint64(32)) + (cross_hi >> np.uint64(32))
+            + (mid >> np.uint64(32)))
+
+
+def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray):
+    """One step of PCG64's 128-bit LCG, state * multiplier + inc mod 2^128,
+    on (high, low) uint64 words."""
+    m_hi, m_lo = _PCG_MULT
+    prod_lo = lo * np.uint64(m_lo)
+    prod_hi = _mul64_hi(lo, m_lo) + lo * np.uint64(m_hi) + hi * np.uint64(m_lo)
+    new_lo = prod_lo + inc_lo
+    return prod_hi + inc_hi + (new_lo < prod_lo).astype(np.uint64), new_lo
+
+
+def trial_uniforms(master_seed: int, trials: int, k: int) -> np.ndarray:
+    """The first k uniforms of every trial's own generator: row t is bit for
+    bit `default_rng(SeedSequence(master_seed, spawn_key=(t,))).random(k)`,
+    stable under any execution order.
+
+    All trials are drawn at once, as uint32/uint64 array arithmetic that
+    follows numpy's SeedSequence and PCG64 (O'Neill's XSL-RR output):
+      * the master seed's entropy words fill and mix the pool once; each
+        trial's spawn word, the last entropy word, is then mixed in;
+      * the pool gives four 64-bit words (`generate_state(4, uint64)`),
+        the LCG's state and increment as (high, low) word pairs;
+      * PCG64 seeds the LCG from them: inc = 2 * increment + 1, then
+        state = (inc + state words) * multiplier + inc;
+      * each uniform steps the LCG, rotates the XOR of the state's halves
+        right by its top 6 bits, and keeps the top 53 bits times 2^-53.
+    A negative seed, or a trial index beyond one 32-bit spawn word, is a
+    ValueError.
+    """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"the master seed must be >= 0, got {master_seed}")
+    if trials > 2 ** 32:
+        raise ValueError(f"trial indices must be < 2^32, got {trials} trials")
+    # the seed's little-endian 32-bit words; a spawned sequence pads them
+    # to the pool size of four
+    n_words = max(4, -(-master_seed.bit_length() // 32))
+    words = np.array([(master_seed >> (32 * i)) & _MASK32 for i in range(n_words)],
+                     dtype=np.uint32)[:, None]
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(w, *next(consts)) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(consts)))
+    for word in [*words[4:], np.arange(trials, dtype=np.uint32)]:
+        pool = [_mix(p, _hashmix(word, *next(consts))) for p in pool]
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = [_hashmix(pool[i % 4], *next(consts)).astype(np.uint64) for i in range(8)]
+    # little-endian pairs of 32-bit words: the state's high and low words,
+    # then the increment's
+    s_hi, s_lo, i_hi, i_lo = (state[2 * i] | (state[2 * i + 1] << np.uint64(32))
+                              for i in range(4))
+    inc_hi = (i_hi << np.uint64(1)) | (i_lo >> np.uint64(63))
+    inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
+    # the first step from state 0 leaves inc; add the state words, step again
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo).astype(np.uint64)
+    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+    out = np.empty((trials, k))
+    for i in range(k):
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        xored, rot = hi ^ lo, hi >> np.uint64(58)
+        bits = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
+        out[:, i] = (bits >> np.uint64(11)) * 2.0 ** -53
+    return out
 
 
 def run_deterministic(
@@ -457,12 +564,15 @@ def run_deterministic(
 
     Density mode composes the exact conditional-evolution maps (the output
     is a deterministic number) and returns the final state with the report.
-    Trajectory mode samples the bath measurement record per shot, with
-    per-shot generators derived from the master seed, then samples a final
-    ground-vs-not outcome per shot so the fidelity estimate carries plain
-    binomial statistics.  Shots with the same measurement record share one
-    propagated state, so the work per step grows with the number of
-    distinct records (one per step, plus one), not with the shots.
+    Trajectory mode samples the bath measurement record per shot, then
+    samples a final ground-vs-not outcome per shot so the fidelity estimate
+    carries plain binomial statistics.  Shot t's uniforms are the stream of
+    its own generator, spawned as `SeedSequence(seed, spawn_key=(t,))`;
+    `trial_uniforms` draws every shot's stream at once, bit for bit,
+    without building a generator per shot.  Shots with the same
+    measurement record share one propagated state, so the work per step
+    grows with the number of distinct records (one per step, plus one),
+    not with the shots.
 
     `h_norm` (and `cost` = h_norm * total_time) is the largest step norm
     ||H_j + V|| of the ladder: on a band block with a `dense` setup it is
@@ -535,8 +645,8 @@ def run_deterministic(
         )
 
     # trajectory mode: pure-state shots through the measurement record.  A
-    # shot's uniforms are one per step and one for the final readout, drawn
-    # from its own generator.  A shot's state depends only on its record of
+    # shot's uniforms are one per step and one for the final readout, from
+    # its own stream.  A shot's state depends only on its record of
     # bath outcomes so far, so shots with the same record share one column
     # of psi (`record` maps shot to column).  Each step measures every
     # column once: a column splits into its up rows (odd indices) and U
@@ -547,7 +657,7 @@ def run_deterministic(
             h_norm = max(h_norm, operator_norm(sd))
         unitaries.append(evolve(sd, step.tau).matrix)
     n_steps = len(unitaries)
-    draws = np.array([trial_rng(seed, t).random(n_steps + 1) for t in range(shots)])
+    draws = trial_uniforms(seed, shots, n_steps + 1)
     psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)[:, None]
     record = np.zeros(shots, dtype=np.intp)
     up_weights = np.zeros(n_steps)
@@ -679,6 +789,14 @@ def run_probabilistic(
     A static Hermitian `delta_op` (on the composite space) is added to both
     simulated evolutions.
 
+    Trial t's three uniforms are the stream of its own generator, spawned
+    as `SeedSequence(seed, spawn_key=(t,))`; `trial_uniforms` draws every
+    trial's stream at once, bit for bit, without building a generator per
+    trial.  The first gives tau as `Generator.uniform` forms it,
+    lo + (hi - lo) * u; the second decides outcome B and the third the
+    verification, and the third keeps its place in the stream when B is
+    not measured.
+
     The qutrit bath is the last tensor factor, ordered (C, R, L), so a
     composite state is a (dim_s, 3) array and each bath projection selects
     columns: the B amplitude is (psi_L + psi_R)/sqrt(2), moved to level L,
@@ -725,20 +843,21 @@ def run_probabilistic(
     total_sim_time = 0.0
     analytic = analytic_acceptance(f1, rabi, omega_star)
 
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        tau = rng.uniform(math.pi / current_star, 2 * math.pi / current_star)
+    draws = trial_uniforms(seed, trials, 3).tolist()
+    for t, (u_tau, u_b, u_r) in enumerate(draws):
+        tau_lo = math.pi / current_star
+        tau = tau_lo + (2 * math.pi / current_star - tau_lo) * u_tau
         total_sim_time += tau
         psi = (vt @ (np.exp(-1j * tau * wt) * psi_init_t)).reshape(dim_s, 3)
         b = (psi[:, 2] + psi[:, 1]) / math.sqrt(2)
         p_b = float(np.vdot(b, b).real)
         accepted = False
-        if rng.random() < p_b:
+        if u_b < p_b:
             b_count += 1
             total_sim_time += tau_v
             r_col = u_rl @ (b / math.sqrt(p_b))
             p_r = float(np.vdot(r_col, r_col).real)
-            if rng.random() < p_r:
+            if u_r < p_r:
                 accepted = True
                 fidelity_sum += float(abs(np.vdot(ground, r_col)) ** 2) / p_r
         if accepted:

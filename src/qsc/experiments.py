@@ -383,7 +383,7 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
         # the cost of the ladder that ran, priced with its largest step norm
         "cost": {name: getattr(report, name) for name in ("total_time", "h_norm", "cost")},
     }
-    if report.mode == "density":
+    if report.final_state is not None:  # a density or an eta run
         lift = np.kron(setup.dense.band.vectors, np.eye(2))
         rho = DensityMatrix(lift @ report.final_state.entries @ lift.conj().T)
         body["readout"] = _clock_readout(model, setup.dense, rho)

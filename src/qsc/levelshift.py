@@ -246,9 +246,10 @@ def _detuning_function(xs, omegas, j, omega0):
     xs = np.asarray(xs, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
     g0_const = -float(np.sum(xs[1:] ** 2 / omegas[1:]))
+    others_x2, others = np.delete(xs, j) ** 2, np.delete(omegas, j)
 
     def g_j(z):
-        return float(np.sum(np.delete(xs, j) ** 2 / (z - np.delete(omegas, j))))
+        return float(np.sum(others_x2 / (z - others)))
 
     def f(z):
         gj = g_j(z)

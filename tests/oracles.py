@@ -11,8 +11,10 @@ per grid point, the self-energy by its series in powers of V, gate
 embedding one basis column at a time, the clock construction by its
 original four-branch hopping loop and step-by-step register history, the
 cooling ladder from step Hamiltonians built afresh, trajectory sampling
-one shot at a time, and the search setup on its full composite space
-instead of its two-band block.
+one shot at a time, each trial's uniforms from its own numpy generator
+(`trial_rng`, the reference of the vectorized `cooling.trial_uniforms`),
+and the search setup on its full composite space instead of its
+two-band block.
 
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
@@ -174,13 +176,17 @@ def ladder_by_fresh_build(setup, schedule, delta_ops=None):
     return float(np.trace(_ground_projector(setup) @ rho).real), up_probs
 
 
+def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """The trial's own generator, spawned from the master seed: the stream
+    `cooling.trial_uniforms` reproduces."""
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(trial_index,)))
+
+
 def trajectory_by_shot(setup, schedule, shots: int, seed: int):
     """Trajectory sampling one shot at a time, each drawing its uniforms
     one by one from its own generator: a bath measurement per step (up
     keeps the pumped rows, down evolves the rest), then a ground-vs-not
     readout.  Returns (successes, per-step mean up weight)."""
-    from qsc.cooling import trial_rng
-
     unitaries = _fresh_unitaries(setup, schedule)
     m_ground = _ground_projector(setup)
     psi_init = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
@@ -223,7 +229,7 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
     ground projector, each 1 (x) a qutrit operator.  Band 1 of the setup is
     the addressed level, as in `run_probabilistic`.  Returns (accept
     count, B-outcome count, conditional success)."""
-    from qsc.cooling import extension_rabi, trial_rng
+    from qsc.cooling import extension_rabi
     from qsc.linalg import Operator, evolve
     from qsc.models import (KET_B, KET_C, KET_D, KET_L, KET_R, BathSpec,
                             build_bath_and_couplings, build_verification_coupling)
@@ -307,6 +313,25 @@ def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):
         ground_basis=np.eye(model.dim, dtype=complex)[:, marked],
         label=f"grover(n={model.n})",
     )
+
+
+def detuning_function_per_call(xs, omegas, j, omega0):
+    """`levelshift._detuning_function` with the band-j-deleted overlaps and
+    energies cut out afresh on every evaluation of g_j."""
+    xs = np.asarray(xs, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    g0_const = -float(np.sum(xs[1:] ** 2 / omegas[1:]))
+
+    def g_j(z):
+        return float(np.sum(np.delete(xs, j) ** 2 / (z - np.delete(omegas, j))))
+
+    def f(z):
+        gj = g_j(z)
+        return (1.0 - omega0 ** 2 * gj * g0_const) * (z - omegas[j]) + omega0 ** 2 * (
+            xs[0] ** 2 * gj - xs[j] ** 2 * g0_const
+        )
+
+    return f, g_j, g0_const
 
 
 def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):

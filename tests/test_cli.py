@@ -384,6 +384,10 @@ MISREAD = [
     # the eta reduction runs the density ladder, which a trajectory config
     # did not ask for
     ("clock", {"eta": 0.3, "mode": "trajectory", "shots": 50}, "'eta' and 'mode'"),
+    # a master seed is non-negative: named here, not by numpy inside the run
+    ("grover", {"mode": "trajectory", "shots": 20, "seed": -1}, "'seed' must be >= 0, got -1"),
+    ("prob", {"seed": -3}, "'seed' must be >= 0, got -3"),
+    ("bounds", {"seed": -1}, "'seed' must be >= 0, got -1"),
 ]
 
 
@@ -396,6 +400,14 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     assert run_cli(tmp_path, experiment, cfg) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_negative_seed_option_is_a_config_error(tmp_path, capsys):
+    # --seed replaces the config's seed before the same check
+    assert run_cli(tmp_path, "grover", SMALL["grover"], seed=-2) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'seed' must be >= 0, got -2" in err
     assert not list((tmp_path / "out").glob("*"))
 
 

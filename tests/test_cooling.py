@@ -35,7 +35,7 @@ from qsc.cooling import (
     run_deterministic,
     run_probabilistic,
     run_reduced,
-    trial_rng,
+    trial_uniforms,
 )
 
 from oracles import (
@@ -45,6 +45,7 @@ from oracles import (
     ladder_by_fresh_build,
     probabilistic_by_dense_projectors,
     trajectory_by_shot,
+    trial_rng,
 )
 
 
@@ -283,6 +284,26 @@ class TestTrajectoryRecords:
             drawn = trial_rng(41, t).random(5)
             rng = trial_rng(41, t)
             assert drawn.tolist() == [rng.random() for _ in range(5)]
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 72 - 1), trials=st.integers(1, 3000),
+           k=st.integers(1, 6))
+    @example(seed=0, trials=1, k=1)
+    @example(seed=2 ** 32 - 1, trials=3000, k=3)
+    @example(seed=2 ** 64, trials=2, k=6)
+    @example(seed=2 ** 130 + 7, trials=5, k=2)  # entropy words beyond the pool
+    def test_uniforms_are_the_per_trial_generators(self, seed, trials, k):
+        # bit for bit, every trial's stream of its own spawned generator
+        drawn = trial_uniforms(seed, trials, k)
+        expected = np.array([trial_rng(seed, t).random(k) for t in range(trials)])
+        assert drawn.shape == (trials, k)
+        assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
+
+    def test_uniforms_refuse_what_one_spawn_word_cannot_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            trial_uniforms(-1, 3, 2)
+        with pytest.raises(ValueError, match="< 2\\^32"):
+            trial_uniforms(0, 2 ** 32 + 1, 1)
 
     @pytest.mark.parametrize("which", ["grover", "clock"])
     @pytest.mark.parametrize("shots", [37, 301])

@@ -163,6 +163,14 @@ class TestClockReduced:
         # the returned summary is exactly what the file holds
         assert json.loads((tmp_path / "clock_report.json").read_text()) == summary
 
+    def test_reduced_run_is_read_out(self, tmp_path):
+        # the eta ladder's final state is read out like a density run's
+        cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1"], "eps": 0.1, "eta": 0.3}
+        summary = run("clock", cfg, tmp_path)
+        assert summary["report"]["skipped_bands"] == [3]
+        assert abs(summary["readout"]["ground_fidelity"]
+                   - summary["report"]["ground_fidelity"]) <= 1e-12
+
     @pytest.mark.parametrize("eta", [None, 0.3])
     def test_one_cost_per_run(self, tmp_path, eta):
         # the cost block prices the run's largest step Hamiltonian, like
@@ -309,6 +317,40 @@ class TestCountedWork:
             products[shots] = list(widths)
         # one product per step, on the one record still measuring down
         assert products[10] == products[1000] == [1] * len(sched.steps)
+
+    @pytest.mark.parametrize("shots", [10, 1000])
+    def test_no_generator_per_shot(self, monkeypatch, shots):
+        # every shot's and trial's uniforms come from one vectorized draw,
+        # so no seed sequence or generator is built, however many there are
+        grover = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
+        clock = cooling.clock_block(models.ClockModel(
+            circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
+        ext = cooling.clock_setup(models.ClockModel(
+            circuit=models.parse_circuit("G H 1\nG T 1\n", 1)))
+        schedules = [(grover, build_schedule(grover, omega0=0.02)),
+                     (clock, build_schedule(clock, eps=0.1))]
+        built = []
+
+        def counted(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    built.append(cls.__name__)
+                    super().__init__(*args, **kwargs)
+            return Counted
+
+        for name in ("SeedSequence", "PCG64", "Generator"):
+            monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: built.append("default_rng") or default_rng(*a))
+        np.random.SeedSequence(0)
+        assert built == ["SeedSequence"]  # the count sees a construction
+        built.clear()
+        for setup, sched in schedules:
+            run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=5)
+        cooling.run_probabilistic(ext, omega0=ext.xs[1] * 0.1 ** 1.5 * cooling.extension_gap(ext),
+                                  trials=shots, seed=5)
+        assert built == []
 
     def test_prob_runs_on_one_clock_setup(self, tmp_path, monkeypatch):
         # one clock build and one eigh of H_S, then the drive and verify

@@ -23,6 +23,7 @@ from qsc.levelshift import (
 from qsc.linalg import Operator, StateVector, Subspace, hermitian_eig, operator_norm
 from qsc.models import (
     ClockModel,
+    GroverModel,
     band_energies,
     build_clock,
     clock_band_structure,
@@ -31,9 +32,10 @@ from qsc.models import (
     parse_circuit,
 )
 from qsc.bounds import make_multiband_instance, make_windowed_instance
-from qsc.cooling import clock_setup, extension_gap
+from qsc import levelshift
+from qsc.cooling import build_schedule, clock_block, clock_setup, extension_gap, grover_setup
 
-from oracles import detuning_scan_oracle, self_energy_by_series
+from oracles import detuning_function_per_call, detuning_scan_oracle, self_energy_by_series
 
 from conftest import random_hermitian
 
@@ -431,6 +433,23 @@ class TestSolveDetuning:
         b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1, tol_scale=0.5)
         tol = min((omega0 / omega1) * omega0 * x0 * x1, 1e-12 * omega1)
         assert abs(a.omega_b - b.omega_b) <= tol
+
+    @pytest.mark.parametrize("which", ["clock", "grover"])
+    def test_hoisted_sums_equal_the_per_call_formula(self, monkeypatch, which):
+        # g_j's deleted arrays are cut once per solve: every field of every
+        # band's solution is the same float as with them cut per evaluation
+        if which == "clock":
+            setup = clock_block(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1\nG S 1", 1)))
+            omega0 = build_schedule(setup, eps=0.1).omega0
+        else:
+            setup = grover_setup(GroverModel(n=6, marked=frozenset({0}), omega0_coupling=0.02))
+            omega0 = 0.02 * setup.band.delta
+        solutions = [solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
+                     for j in range(1, setup.n_bands)]
+        monkeypatch.setattr(levelshift, "_detuning_function", detuning_function_per_call)
+        assert solutions == [solve_detuning(setup.xs, setup.band.omegas, j, omega0,
+                                            setup.band.delta)
+                             for j in range(1, setup.n_bands)]
 
     def test_x_ratio_reported(self):
         sol = solve_detuning([0.9, math.sqrt(1 - 0.81)], [0.0, 1.0], 1, 0.01, 1.0)
