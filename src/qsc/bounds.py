@@ -218,7 +218,7 @@ def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
 def _sigma_grid_bound(sigma_at, h_eff, lo: float, hi: float, points: int = 64) -> float:
     """max over an evenly spaced z grid on [lo, hi] of |Sigma_P(z) - H_eff|,
     each Hermitian 2-norm read off one batched eigvalsh."""
-    diffs = sigma_at(np.linspace(lo, hi, points)) - h_eff.matrix
+    diffs = sigma_at(np.linspace(lo, hi, points)) - h_eff
     return float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
 
 
@@ -231,11 +231,11 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
         raise HypothesisUnmet("window contains no eigenvalues of H")
     p = Subspace(inst.h.dim, inside)
     q = Subspace(inst.h.dim, inst.h_eig.eigenvectors[:, ~mask])
-    ctx = make_context(inst.h, p, inst.gap, inst.v_norm, q)
+    ctx = make_context(inst.h, p, inst.gap, q)
     z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
     h_eff = self_energy(ctx, inst.v, z0)
     sigma_at = self_energy_grid(ctx, inst.v)
-    spec = np.linalg.eigvalsh(h_eff.matrix)
+    spec = np.linalg.eigvalsh(h_eff)
     c, d = float(spec[0]), float(spec[-1])
     gamma = max(1e-15, _sigma_grid_bound(sigma_at, h_eff, c, d, grid_points))
     for _ in range(8):
@@ -268,7 +268,7 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     _theorem1_hypotheses(inst)
     ctx, h_eff, gamma, (c, d) = _effective_hamiltonian_with_gamma(inst)
     tilde_inside, _ = inst.h_tilde_eig.window(*inst.window)
-    eff_vals = np.sort(np.linalg.eigvalsh(h_eff.matrix))
+    eff_vals = np.sort(np.linalg.eigvalsh(h_eff))
     tilde_vals = np.sort(
         np.linalg.eigvalsh(
             tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
@@ -345,7 +345,7 @@ def check_corollaries(inst: BoundInstance) -> CheckResult:
 def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     _theorem1_hypotheses(inst)
     ctx, h_eff, gamma, _ = _effective_hamiltonian_with_gamma(inst)
-    eff_vals, eff_vecs = np.linalg.eigh(h_eff.matrix)
+    eff_vals, eff_vecs = np.linalg.eigh(h_eff)
     # isolate the top eigenvalue of H_eff (nu = 0 for a single vector)
     nu = 0.0
     eta = float(eff_vals[-1] - eff_vals[-2]) if len(eff_vals) > 1 else float("inf")

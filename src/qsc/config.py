@@ -31,7 +31,7 @@ MAX_COUPLING_RATIO = 0.125
 # Default dimensionless input-penalty factor for the clock model.
 DEFAULT_PENALTY_FACTOR = 0.1
 
-# Default proportionality constant in r = c * eps * L**-2.5 schedules.
+# Proportionality constant c of r = c * eps * L**-2.5 schedules.
 DEFAULT_SCHEDULE_CONSTANT = 1.0
 
 # Hilbert-space dimension cap for dense work (overridable via environment).

@@ -18,26 +18,26 @@ two-band block (`grover_setup`), so a search ladder propagates 4 x 4
 composite matrices whatever n is, and the clock ladder runs on its
 (L+1)-band block (`clock_block`), cut from the dense 2^(n+L) setup
 (`clock_setup`) that keeps Delta, the band vectors and the step norm.
-The dense setup stays a setup of its own: the probabilistic scheme, error
-injection and the bounds lemmas run on it, and a ladder run on it is the
-oracle of the block's.
+The dense setup stays a setup of its own: the probabilistic scheme and
+the bounds lemmas run on it, and a ladder run on it is the oracle of the
+block's.
 
 A step Hamiltonian H_j + V is built as the one validated operator of the
-step (its terms are plain arrays).  An exact-tau schedule reads the pulse
-time off its eigen-splitting and keeps only that time; a run builds and
-diagonalizes each step it propagates (with any injected error) and takes
-the step's evolution, and off a band block its norm, from that
-decomposition.  A run propagates the ladder once, and a density-mode
-report carries the final state for readouts.  Trajectory shots take all
-their uniforms (one per step, one for the final readout) up front, each
-shot's from its own spawned stream, drawn for every shot at once
-(`trial_uniforms`).  A shot's state is fixed by its measurement record,
-so shots with the same record share one propagated state: a ladder of L'
-steps propagates L' + 1 states (the record still measuring down, and one
-up record per step, which measures up again with probability 1 up to
-rounding) however many shots it samples.  The qubit bath is the last
-tensor factor, so bath projections select the even (down) and odd (up)
-composite indices.
+step (its terms are plain arrays).  An exact-tau schedule reads the
+pulse time off its eigen-splitting and keeps only that time; a run
+builds and diagonalizes each step it propagates and takes the step's
+evolution from that decomposition.  The ladder's step norm is priced
+once, at its largest bath energy (`_step_norm`).  A run propagates the
+ladder once, and a density-mode report carries the final state for
+readouts.  Trajectory shots take all their uniforms (one per step, one
+for the final readout) up front, each shot's from its own spawned
+stream, drawn for every shot at once (`trial_uniforms`).  A shot's state
+is fixed by its measurement record, so shots with the same record share
+one propagated state: a ladder of L' steps propagates L' + 1 states (the
+record still measuring down, and one up record per step, which measures
+up again with probability 1 up to rounding) however many shots it
+samples.  The qubit bath is the last tensor factor, so bath projections
+select the even (down) and odd (up) composite indices.
 
 The probabilistic scheme runs on the same setup as the ladder and
 addresses its band 1 with a qutrit bath, also the last tensor factor:
@@ -54,10 +54,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import config
-from .errors import CouplingTooLarge, DimensionMismatch
+from .errors import CouplingTooLarge
 from .levelshift import DetuningSolution, solve_detuning
 from .linalg import (
-    SIGMA_X,
     DensityMatrix,
     Operator,
     SpectralDecomposition,
@@ -92,8 +91,6 @@ __all__ = [
     "CoolingSchedule",
     "RunReport",
     "ProbRunReport",
-    "ErrorInjection",
-    "ErrorBudgetReport",
     "grover_setup",
     "clock_setup",
     "clock_block",
@@ -104,8 +101,6 @@ __all__ = [
     "run_probabilistic",
     "extension_gap",
     "extension_rabi",
-    "inject_errors",
-    "extension_error_budget",
     "trial_uniforms",
 ]
 
@@ -234,20 +229,7 @@ def clock_block(model: ClockModel) -> CoolingSetup:
 
     The step norm is not the block's: the dense H_j + V has eigenvalues
     outside the band (7.9 against the block's 3.8 on an L = 6 clock), so a
-    run prices it on `dense`, once (`_dense_step_norm`).  With omega_b*
-    the largest bath energy of the steps that run, the ladder's largest
-    step norm is ||H* + V|| for H* = H_S (x) 1 + omega_b* 1 (x) |up><up|:
-
-      * omega_b 1 (x) |up><up| grows in the Loewner order with omega_b,
-        so by Weyl's inequality lambda_max(H_j + V) <= lambda_max(H* + V);
-      * H_S >= 0 (a sum of projector-like terms), omega_b >= 0 and ||V||
-        = Omega_0, so lambda_min(H_j + V) >= -Omega_0;
-      * <0,up| (H* + V) |0,up> = omega_b*, so lambda_max(H* + V) >=
-        omega_b*, which is far above Omega_0: it lies near omega_L >=
-        Delta, and the schedule keeps Omega_0 < Delta/8.
-
-    Every step's norm is thus at most lambda_max(H* + V) = ||H* + V||,
-    and step j* attains it.
+    run prices it on `dense` (`_step_norm`).
     """
     dense = clock_setup(model)
     return _band_block(dense.band.omegas, dense.xs, dense.band.delta, dense.label, dense)
@@ -288,30 +270,20 @@ def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
     return hybridized_pair(h.matrix, *setup.transition(sol.j))
 
 
-def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float,
-                      error: Operator | None = None) -> Operator:
-    """H_j + V (+ error): the system with the bath detuned to omega_b, plus
-    the coupling V = Omega_0 * coupling (x) sigma_x and any injected error.
+def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Operator:
+    """H_j + V: the system with the bath detuned to omega_b, plus the
+    coupling V = Omega_0 * coupling (x) sigma_x.
 
-    The terms come as plain arrays from the validated H_S, coupling and
-    error; their sum, the matrix that is diagonalized and propagated, is
-    the one validated operator of the step."""
+    The terms come as plain arrays from the validated H_S and coupling;
+    their sum, the matrix that is diagonalized and propagated, is the one
+    validated operator of the step."""
     h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
                                     setup.coupling, omega0)
     # summed in place and V dropped, so the check's SVD runs with two
     # composite-size arrays fewer alive
     h += v
     del v
-    return Operator(_plus_error(h, error), hermitian=True)
-
-
-def _plus_error(h: np.ndarray, error: Operator | None) -> np.ndarray:
-    """h plus a static error term on the same composite space, if any."""
-    if error is None:
-        return h
-    if error.dim != h.shape[0]:
-        raise DimensionMismatch(f"error term of dimension {error.dim} on {h.shape[0]}")
-    return h + error.matrix
+    return Operator(h, hermitian=True)
 
 
 def build_schedule(
@@ -319,22 +291,25 @@ def build_schedule(
     omega0: float | None = None,
     eps: float | None = None,
     tau_mode: str = "exact",
-    scaling_c: float = config.DEFAULT_SCHEDULE_CONSTANT,
 ) -> CoolingSchedule:
     """Solve per-band detunings and pulse times.
 
-    Exactly one of `omega0` / `eps` must be given; with `eps`, the coupling
-    is set through r = scaling_c * eps * L^(-5/2).  tau_mode "exact" reads
+    Exactly one of `omega0` / `eps` must be given, and it must be > 0;
+    with `eps`, the coupling is set through r = c * eps * L^(-5/2), c =
+    `config.DEFAULT_SCHEDULE_CONSTANT`.  tau_mode "exact" reads
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
     1/Omega_0 (so halving the coupling exactly doubles the time).
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
+    name, value = ("eps", eps) if omega0 is None else ("omega0", omega0)
+    if not value > 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
     n_steps = setup.n_bands - 1
     delta = setup.band.delta
     if omega0 is None:
-        r = scaling_c * eps * n_steps ** (-2.5)
+        r = config.DEFAULT_SCHEDULE_CONSTANT * eps * n_steps ** (-2.5)
         omega0 = r * delta
     else:
         r = omega0 / delta
@@ -370,9 +345,8 @@ def cooling_step(rho: DensityMatrix, step: ScheduleStep,
         E_j(rho) = U_j D rho D U_j^+  +  P_up rho P_up
 
     with D = 1 (x) |down><down| and U_j the evolution under the step
-    Hamiltonian h = H_j + V (+ any injected error), or its
-    eigendecomposition, for the step's pulse time.  Trace-preserving and
-    completely positive by construction.
+    Hamiltonian h = H_j + V, or its eigendecomposition, for the step's
+    pulse time.  Trace-preserving and completely positive by construction.
     """
     u = evolve(h, step.tau).matrix
     down, up = _bath_masks(rho.dim)
@@ -389,26 +363,38 @@ def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return 1 - up, up
 
 
-def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule,
-                  delta_ops: dict[int, Operator] | None):
+def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule):
     """Each schedule step with the eigendecomposition of its Hamiltonian
-    H_j + V (+ the injected error for band j), built and diagonalized here."""
+    H_j + V, built and diagonalized here."""
     for step in schedule.steps:
-        error = delta_ops.get(step.j) if delta_ops else None
-        yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b, error))
+        yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
 
 
-def _dense_step_norm(dense: CoolingSetup, schedule: CoolingSchedule) -> float:
-    """The largest step norm ||H_j + V|| of the schedule's steps on the
-    dense setup, as ||H* + V|| at the largest omega_b (proof in
-    `clock_block`): one composite-size eigvalsh, of a sum of plain arrays
-    built from the validated H_S and coupling, Hermitian by construction.
-    0 for no step."""
+def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
+    """The largest step norm ||H_j + V|| of the schedule's steps, 0 for no
+    step: one eigvalsh of H* + V, a sum of plain arrays built from the
+    validated H_S and coupling, Hermitian by construction.
+
+    With omega_b* the largest bath energy of the steps, H* = H_S (x) 1 +
+    omega_b* 1 (x) |up><up|, and every step's norm is at most ||H* + V||,
+    which step j* attains:
+
+      * omega_b 1 (x) |up><up| grows in the Loewner order with omega_b,
+        so by Weyl's inequality lambda_max(H_j + V) <= lambda_max(H* + V);
+      * H_S >= 0, omega_b >= 0 and ||V|| = Omega_0 (the coupling has norm
+        1), so lambda_min(H_j + V) >= -Omega_0;
+      * <0,up| (H* + V) |0,up> = omega_b*, so lambda_max(H* + V) >=
+        omega_b*, which is far above Omega_0: it lies near a band energy
+        omega_j >= Delta, and the schedule keeps Omega_0 < Delta/8.
+
+    The three facts hold on every setup a ladder runs on: the search and
+    clock blocks, and the dense setups they are cut from.
+    """
     if not schedule.steps:
         return 0.0
     omega_b = max(s.omega_b for s in schedule.steps)
-    h, v = build_bath_and_couplings(dense.h_s, BathSpec("qubit", omega_b),
-                                    dense.coupling, schedule.omega0)
+    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
+                                    setup.coupling, schedule.omega0)
     h += v
     return operator_norm(h, hermitian=True)
 
@@ -554,11 +540,9 @@ def trial_uniforms(master_seed: int, trials: int, k: int) -> np.ndarray:
 def run_deterministic(
     setup: CoolingSetup,
     schedule: CoolingSchedule,
-    rho0: DensityMatrix | None = None,
     mode: str = "density",
     shots: int = 2000,
     seed: int = 0,
-    delta_ops: dict[int, Operator] | None = None,
 ) -> RunReport:
     """Run the cooling ladder end to end.
 
@@ -575,31 +559,21 @@ def run_deterministic(
     not with the shots.
 
     `h_norm` (and `cost` = h_norm * total_time) is the largest step norm
-    ||H_j + V|| of the ladder: on a band block with a `dense` setup it is
-    priced there once (`_dense_step_norm`), and injected errors are
-    refused, since they belong on the dense setup.
+    ||H_j + V|| of the ladder (`_step_norm`), priced on the setup's
+    `dense` setup when it is a band block cut from one.
     """
     if mode not in ("density", "trajectory"):
         raise ValueError("mode must be 'density' or 'trajectory'")
     if mode == "trajectory" and shots < 1:
         raise ValueError(f"trajectory mode needs shots >= 1, got {shots}")
-    if setup.dense is not None and delta_ops:
-        raise ValueError(f"{setup.label}: injected errors run on the dense setup, "
-                         "not on its band block")
     # the composite ground space: the ground space of H_S with either bath state
     ground = np.kron(setup.ground_basis, np.eye(2, dtype=complex))
-    # a band block's step norm is priced on the dense setup it was cut
-    # from; any other setup's is read off each step's decomposition
-    priced = setup.dense is not None
-    h_norm = _dense_step_norm(setup.dense, schedule) if priced else 0.0
+    h_norm = _step_norm(setup.dense or setup, schedule)
     total_time = schedule.total_time
 
     if mode == "density":
-        if rho0 is None:
-            psi0 = np.kron(setup.fiducial.amplitudes, KET_DOWN)
-            rho = DensityMatrix(np.outer(psi0, psi0.conj()))
-        else:
-            rho = rho0
+        psi0 = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+        rho = DensityMatrix(np.outer(psi0, psi0.conj()))
         # the band manifold of step j is span{|k,down>}_{k<=j} + |0,up>: the
         # first j+1 columns and the last; its weight in rho is the sum of
         # <b|rho|b> over those columns b
@@ -616,9 +590,7 @@ def run_deterministic(
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
         weights = column_weights(rho)
-        for step, sd in _step_spectra(setup, schedule, delta_ops):
-            if not priced:
-                h_norm = max(h_norm, operator_norm(sd))
+        for step, sd in _step_spectra(setup, schedule):
             before = float(np.sum(weights[: step.j + 1]) + weights[-1])
             rho = cooling_step(rho, step, sd)
             weights = column_weights(rho)
@@ -652,9 +624,7 @@ def run_deterministic(
     # column once: a column splits into its up rows (odd indices) and U
     # times its down rows, for the outcomes some shot of it drew.
     unitaries = []
-    for step, sd in _step_spectra(setup, schedule, delta_ops):
-        if not priced:
-            h_norm = max(h_norm, operator_norm(sd))
+    for step, sd in _step_spectra(setup, schedule):
         unitaries.append(evolve(sd, step.tau).matrix)
     n_steps = len(unitaries)
     draws = trial_uniforms(seed, shots, n_steps + 1)
@@ -775,7 +745,6 @@ def run_probabilistic(
     trials: int = 2000,
     seed: int = 0,
     max_rounds: int = 10 ** 6,
-    delta_op: Operator | None = None,
 ) -> ProbRunReport:
     """Evolve-measure-verify trials with the qutrit bath on band 1 of the
     setup: ground |0> = band vector 0, addressed level |1> = band vector 1
@@ -786,8 +755,7 @@ def run_probabilistic(
     outcome B swap B->L, D->R and evolve under H + Y for pi/(2 Omega_0); a
     final bath measurement of R accepts the trial.  After roughly 4/f1^2
     consecutive failures the sampling window doubles (Omega* halves).
-    A static Hermitian `delta_op` (on the composite space) is added to both
-    simulated evolutions.
+    `omega0`, `omega_star` and `f1_lower` must be > 0.
 
     Trial t's three uniforms are the stream of its own generator, spawned
     as `SeedSequence(seed, spawn_key=(t,))`; `trial_uniforms` draws every
@@ -811,6 +779,10 @@ def run_probabilistic(
         omega_star = 0.9 * rabi
     if f1_lower is None:
         f1_lower = f1
+    for name, value in (("omega0", omega0), ("omega_star", omega_star),
+                        ("f1_lower", f1_lower)):
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
     r = omega0 / extension_gap(setup)
     if r >= config.MAX_COUPLING_RATIO:
         raise CouplingTooLarge(f"r = {r:.4f} >= 1/8")
@@ -820,11 +792,8 @@ def run_probabilistic(
                                             setup.coupling, omega0)
     dim_s = setup.dim_s
     # the two evolution Hamiltonians are the matrices validated here
-    h_drive = Operator(_plus_error(h_full + x_op, delta_op), hermitian=True)
-    h_verify = Operator(
-        _plus_error(h_full + build_verification_coupling(dim_s, omega0), delta_op),
-        hermitian=True,
-    )
+    h_drive = Operator(h_full + x_op, hermitian=True)
+    h_verify = Operator(h_full + build_verification_coupling(dim_s, omega0), hermitian=True)
     wt, vt = np.linalg.eigh(h_drive.matrix)
     tau_v = math.pi / (2 * omega0)
     # the verify evolution from bath level L to level R
@@ -886,116 +855,3 @@ def run_probabilistic(
         b_measure_count=b_count,
         label=setup.label.replace("(", "-ext(", 1),
     )
-
-
-# ---------------------------------------------------------------------------
-# Error injection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ErrorInjection:
-    """Static Hermitian error terms, one per cooling step (keyed by band
-    index j), to be added to the simulated step Hamiltonians."""
-
-    deltas: dict[int, Operator]
-
-    def __post_init__(self):
-        for op in self.deltas.values():
-            if not op.hermitian:
-                raise ValueError("injected errors must be Hermitian")
-
-
-@dataclass(frozen=True)
-class ErrorBudgetReport:
-    per_step: tuple[dict, ...]
-    all_within_budget: bool
-
-
-def _error_blocks(s1: np.ndarray, v: np.ndarray, d: np.ndarray, delta: float,
-                  budget: float) -> dict:
-    """The three error block norms across the split S1 / S2 = 1 - S1 for the
-    coupling v and the error d, with their checks against the budget:
-
-        R1 = |S1 d S1| / Delta          <  budget
-        Rx = |S1 (v+d) S2|^2 / Delta^2  <  budget
-        R2 = |S2 (v+d) S2| / Delta      <  1/2
-    """
-    s2 = np.eye(s1.shape[0], dtype=complex) - s1
-    r1 = np.linalg.norm(s1 @ d @ s1, 2) / delta
-    rx = (np.linalg.norm(s1 @ (v + d) @ s2, 2) / delta) ** 2
-    r2 = np.linalg.norm(s2 @ (v + d) @ s2, 2) / delta
-    return {
-        "R1": float(r1),
-        "Rx": float(rx),
-        "R2": float(r2),
-        "budget": float(budget),
-        "R1_ok": bool(r1 < budget),
-        "Rx_ok": bool(rx < budget),
-        "R2_ok": bool(r2 < 0.5),
-    }
-
-
-def _within_budget(row: dict) -> bool:
-    return row["R1_ok"] and row["Rx_ok"] and row["R2_ok"]
-
-
-def inject_errors(
-    setup: CoolingSetup, schedule: CoolingSchedule, injection: ErrorInjection
-) -> ErrorBudgetReport:
-    """Measure the three error block norms per step (`_error_blocks`, with
-    v = T the coupling) against the budget r * Omega_0 |x0 xj| / Delta,
-    where S1 is the band (x) bath subspace.  Runs then proceed with the
-    errors added; this function only reports the budgets.
-    """
-    band_bath = np.column_stack(
-        [np.kron(setup.band.vector(k), e) for k in range(setup.n_bands)
-         for e in (KET_DOWN, KET_UP)]
-    )
-    s1 = band_bath @ band_bath.conj().T
-    delta = setup.band.delta
-    t_full = np.kron(schedule.omega0 * setup.coupling.matrix, SIGMA_X)
-    rows = []
-    ok = True
-    for step in schedule.steps:
-        d = injection.deltas.get(step.j)
-        dmat = d.matrix if d is not None else np.zeros_like(s1)
-        budget = schedule.r * schedule.omega0 * setup.xs[0] * setup.xs[step.j] / delta
-        row = {"j": step.j, **_error_blocks(s1, t_full, dmat, delta, budget)}
-        ok = ok and _within_budget(row)
-        rows.append(row)
-    return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
-
-
-def extension_error_budget(
-    setup: CoolingSetup, omega0: float, delta_op: Operator | None = None
-) -> ErrorBudgetReport:
-    """Error budgets for the probabilistic scheme's two evolutions.
-
-    The drive evolution budgets against the band coupling rate Omega and
-    the verification evolution against Omega_0; otherwise the same three
-    block norms as the deterministic ladder, with the system split at the
-    addressed band (ground + band 1 vs everything else) extended trivially
-    over the qutrit.
-    """
-    b = np.kron(setup.band.vectors[:, :2], np.eye(3, dtype=complex))
-    s1 = b @ b.conj().T
-    omega1 = float(setup.band.omegas[1])
-    _, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
-                                       setup.coupling, omega0)
-    y_op = build_verification_coupling(setup.dim_s, omega0)
-    dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
-    delta = extension_gap(setup)
-    r = omega0 / delta
-    rabi = extension_rabi(setup, omega0)
-    ground = setup.band.vector(0)
-    ground_shift = float(np.abs(ground.conj() @ (omega0 * setup.coupling.matrix) @ ground)) ** 2
-    rows = []
-    ok = r < config.MAX_COUPLING_RATIO
-    for name, v_mat, rate in (("drive", x_op, rabi), ("verification", y_op, omega0)):
-        budget = r * rate / delta
-        shift_ok = bool(ground_shift / omega1 < r * rate)
-        row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, delta, budget),
-               "ground_shift_ok": shift_ok}
-        ok = ok and _within_budget(row) and shift_ok
-        rows.append(row)
-    return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)

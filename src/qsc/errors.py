@@ -17,10 +17,6 @@ class DimensionTooLarge(QscError):
     """A requested dense computation exceeds the configured dimension cap."""
 
 
-class PoleTooClose(QscError):
-    """A resolvent evaluation point is too close to the spectrum."""
-
-
 class SingularResolvent(QscError):
     """The exact resolvent needed by a closed-form self-energy does not exist."""
 

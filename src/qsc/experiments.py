@@ -427,6 +427,8 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
     setup = clock_setup(model)
     f1 = float(setup.xs[1])
     delta = extension_gap(setup)
+    if not cfg["eps"] > 0:
+        raise ConfigError(f"eps must be > 0, got {cfg['eps']}")
     r = cfg.get("r", cfg["r_scale"] * f1 * cfg["eps"] ** 1.5)
     omega0 = r * delta
     rabi = extension_rabi(setup, omega0)

@@ -1,5 +1,5 @@
-"""Resolvents, self-energy operators, effective Hamiltonians, and the
-bath-detuning solve.
+"""Level-shift contexts, self-energy operators, and the bath-detuning
+solve.
 
 The central object is the self-energy of a near-resonant subspace P:
 
@@ -24,35 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import (
-    DimensionMismatch,
-    NoSignChange,
-    PoleTooClose,
-    SingularResolvent,
-)
-from .linalg import Operator, StateVector, Subspace, _check_hermitian, operator_norm
-from .models import (
-    KET_B,
-    KET_C,
-    KET_L,
-    KET_R,
-    BathSpec,
-    build_bath_and_couplings,
-)
+from .errors import DimensionMismatch, NoSignChange, SingularResolvent
+from .linalg import Operator, Subspace, operator_norm
 
 __all__ = [
     "LevelShiftContext",
     "DetuningSolution",
-    "EffectiveHamiltonian",
     "make_context",
-    "green_function",
     "self_energy",
     "self_energy_grid",
-    "g_sums",
     "solve_detuning",
-    "effective_grover_hamiltonian",
-    "qutrit_truncation_check",
-    "QutritTruncationReport",
 ]
 
 
@@ -63,24 +44,15 @@ MAX_RESOLVENT_COND = 1e14
 @dataclass(frozen=True)
 class LevelShiftContext:
     """A Hamiltonian resolved into a near-resonant subspace P and its
-    complement Q, with the protecting gap and coupling scale attached."""
+    complement Q, with the protecting gap attached."""
 
     h: Operator
     p: Subspace
     q: Subspace
     gap: float
-    omega0: float
-
-    @property
-    def r(self) -> float:
-        return self.omega0 / self.gap
-
-    @property
-    def dim(self) -> int:
-        return self.h.dim
 
 
-def make_context(h: Operator, p: Subspace, gap: float, omega0: float,
+def make_context(h: Operator, p: Subspace, gap: float,
                  q: Subspace | None = None) -> LevelShiftContext:
     """Build and validate a context: P and Q orthogonal and complete, H
     block-diagonal across them, spectra separated by at least the gap.
@@ -107,45 +79,15 @@ def make_context(h: Operator, p: Subspace, gap: float, omega0: float,
         sep = np.min(np.abs(spec_p[:, None] - spec_q[None, :]))
         if sep < gap * (1 - config.RESIDUAL_RTOL):
             raise ValueError(f"P/Q spectra separated by {sep:.3e} < gap {gap:.3e}")
-    return LevelShiftContext(h=h, p=p, q=q, gap=gap, omega0=omega0)
+    return LevelShiftContext(h=h, p=p, q=q, gap=gap)
 
 
-def green_function(ctx: LevelShiftContext, z: float) -> Operator:
-    """Resolvent of the unperturbed Hamiltonian restricted to Q:
-    G_Q(z) = Q (z - QHQ)^{-1} Q, returned on the full space (vanishing on P)."""
-    bq = ctx.q.basis
-    hq = bq.conj().T @ ctx.h.matrix @ bq
-    w, v = np.linalg.eigh(hq)
-    guard = ctx.gap * config.POLE_GUARD_FRACTION
-    if w.size and np.min(np.abs(z - w)) < guard * (1 - config.RESIDUAL_RTOL):
-        raise PoleTooClose(
-            f"z={z} within {np.min(np.abs(z - w)):.3e} of Spec(H|Q); guard {guard:.3e}"
-        )
-    small = v @ np.diag(1.0 / (z - w)) @ v.conj().T
-    return Operator(bq @ small @ bq.conj().T, hermitian=True)
-
-
-@dataclass(frozen=True)
-class EffectiveHamiltonian:
-    """A self-energy evaluation: a Hermitian matrix on the P basis."""
-
-    matrix: np.ndarray
-    basis: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        atol = 100 * config.HERMITICITY_ATOL
-        # 1 + |m| >= 1, so the scaled test (and its norm) is needed only
-        # where the unscaled one fails
-        if m.size and np.max(np.abs(m - m.conj().T)) > atol:
-            _check_hermitian(m, "effective Hamiltonian at real z has", atol=atol)
-        object.__setattr__(self, "matrix", m)
-
-
-def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> EffectiveHamiltonian:
-    """Self-energy of P at z, with the exact resolvent of Q(H+V)Q: one
-    linear solve, refused (SingularResolvent) when the resolvent's
-    condition number is non-finite or above MAX_RESOLVENT_COND."""
+def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> np.ndarray:
+    """Self-energy of P at z as a matrix on the P basis `ctx.p.basis`,
+    symmetrized to (sigma + sigma^+)/2, so exactly Hermitian.  It takes the
+    exact resolvent of Q(H+V)Q: one linear solve, refused
+    (SingularResolvent) when the resolvent's condition number is
+    non-finite or above MAX_RESOLVENT_COND."""
     bp, bq = ctx.p.basis, ctx.q.basis
     sigma = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
     if bq.shape[1]:  # an empty complement has no resolvent
@@ -158,7 +100,7 @@ def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> EffectiveHamil
         if not np.isfinite(cond) or cond > MAX_RESOLVENT_COND:
             raise SingularResolvent(f"resolvent condition number {cond:.3e}")
         sigma = sigma + vpq @ np.linalg.solve(m, vpq.conj().T)
-    return EffectiveHamiltonian((sigma + sigma.conj().T) / 2, bp)
+    return (sigma + sigma.conj().T) / 2
 
 
 def self_energy_grid(ctx: LevelShiftContext, v: Operator):
@@ -198,33 +140,6 @@ def self_energy_grid(ctx: LevelShiftContext, v: Operator):
     return sigma_at
 
 
-def g_sums(xs, omegas, omega_b: float, j: int, z: float, gap: float | None = None):
-    """The two rational sums entering the detuning polynomial:
-
-        g_j(z) = sum_{k != j} x_k^2 / (z - omega_k)
-        g_0(z) = sum_{k != 0} x_k^2 / (z - (omega_k + omega_b))
-
-    With `gap` given, evaluation closer than gap/4 to a pole raises.
-    """
-    xs = np.asarray(xs, dtype=float)
-    omegas = np.asarray(omegas, dtype=float)
-    if xs.shape != omegas.shape:
-        raise DimensionMismatch("xs and omegas must have equal length")
-    poles_j = np.delete(omegas, j)
-    poles_0 = np.delete(omegas, 0) + omega_b
-    if gap is not None:
-        guard = gap * config.POLE_GUARD_FRACTION * (1 - config.RESIDUAL_RTOL)
-        closest = min(
-            np.min(np.abs(z - poles_j)) if poles_j.size else np.inf,
-            np.min(np.abs(z - poles_0)) if poles_0.size else np.inf,
-        )
-        if closest < guard:
-            raise PoleTooClose(f"z={z} within {closest:.3e} of a pole")
-    g_j = float(np.sum(np.delete(xs, j) ** 2 / (z - poles_j)))
-    g_0 = float(np.sum(np.delete(xs, 0) ** 2 / (z - poles_0)))
-    return g_j, g_0
-
-
 @dataclass(frozen=True)
 class DetuningSolution:
     """A solved bath detuning for one cooling step."""
@@ -260,15 +175,13 @@ def _detuning_function(xs, omegas, j, omega0):
     return f, g_j, g0_const
 
 
-def solve_detuning(xs, omegas, j: int, omega0: float, gap: float,
-                   tol_scale: float = 1.0) -> DetuningSolution:
+def solve_detuning(xs, omegas, j: int, omega0: float, gap: float) -> DetuningSolution:
     """Root of the level-shift cancellation condition for band j.
 
     Bisection on (omega_j - gap/4, omega_j + gap/4); the sign change on
     that bracket is guaranteed for r < 1/8.  If it is absent numerically, a
     dense scan of the bracket locates a sign-change subinterval closest to
-    omega_j before giving up.  `tol_scale` rescales the solver tolerance
-    (used by stability checks).
+    omega_j before giving up.
     """
     xs = np.asarray(xs, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -290,7 +203,7 @@ def solve_detuning(xs, omegas, j: int, omega0: float, gap: float,
         if (flo < 0) == (fhi < 0):
             lo, hi = _scan_for_sign_change(f, lo, hi, omegas[j])
             flo = f(lo)
-        tol = min(r * omega0 * xs[0] * xs[j], 1e-12 * gap) * tol_scale
+        tol = min(r * omega0 * xs[0] * xs[j], 1e-12 * gap)
         tol = max(tol, 4 * np.finfo(float).eps * max(abs(lo), abs(hi)))
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
@@ -329,80 +242,3 @@ def _scan_for_sign_change(f, lo, hi, center, points: int = 2001):
     mids = 0.5 * (grid[flips] + grid[flips + 1])
     best = flips[np.argmin(np.abs(mids - center))]
     return grid[best], grid[best + 1]
-
-
-def effective_grover_hamiltonian(xs, omegas, j: int, sol: DetuningSolution) -> EffectiveHamiltonian:
-    """The solved two-level block in the {|j,down>, |0,up>} basis: equal
-    diagonals omega_B* and off-diagonal Rabi coupling."""
-    m = np.array(
-        [[sol.omega_b_star, sol.rabi], [sol.rabi, sol.omega_b_star]], dtype=complex
-    )
-    return EffectiveHamiltonian(m, np.eye(2, dtype=complex))
-
-
-@dataclass(frozen=True)
-class QutritTruncationReport:
-    """Outcome of the second-order truncation identity for the qutrit bath."""
-
-    b_green_norm: float      # norm of <B| G(omega_1) |B> as a system operator
-    h_eff: EffectiveHamiltonian
-    rabi: float              # off-diagonal coupling <1C| H_eff |0B>
-    ground_shift: float      # coefficient of |0B><0B| beyond omega_1
-    passed: bool
-
-
-def qutrit_truncation_check(
-    h_s: Operator,
-    ground: StateVector,
-    band_vectors: np.ndarray,
-    omega1: float,
-    gap: float,
-    t_s: Operator,
-) -> QutritTruncationReport:
-    """Verify that the qutrit-bath Green's function kills the bright bath
-    state at z = omega_1, so the self-energy truncates at second order, and
-    return the resulting effective Hamiltonian.
-
-    `band_vectors` are the orthonormal states spanning the addressed band
-    P_1; `ground` is the nondegenerate system ground state.
-    """
-    bath = BathSpec("qutrit", omega1)
-    h_full, v = build_bath_and_couplings(h_s, bath, t_s)
-    # both terms enter the self-energy separately, so both are checked
-    h_full, v = Operator(h_full, hermitian=True), Operator(v, hermitian=True)
-    dim_s = h_s.dim
-    band = np.asarray(band_vectors, dtype=complex)
-    if band.ndim == 1:
-        band = band[:, None]
-
-    # P = |0><0| x (|L><L| + |R><R|) + P_1 x |C><C|
-    cols = [np.kron(ground.amplitudes, KET_L), np.kron(ground.amplitudes, KET_R)]
-    for k in range(band.shape[1]):
-        cols.append(np.kron(band[:, k], KET_C))
-    p = Subspace(h_full.dim, np.column_stack(cols))
-    ctx = make_context(h_full, p, gap, operator_norm(t_s))
-
-    g = green_function(ctx, omega1).matrix
-    # compress the bath to |B> on both sides, leaving a system operator
-    eye_s = np.eye(dim_s, dtype=complex)
-    bra = np.kron(eye_s, KET_B.conj().reshape(1, 3))
-    ket = np.kron(eye_s, KET_B.reshape(3, 1))
-    m_sys = (bra @ g @ ket).reshape(dim_s, dim_s)
-    b_green_norm = float(np.linalg.norm(m_sys, 2))
-
-    h_eff = self_energy(ctx, v, omega1)
-    basis = h_eff.basis
-    vec_0b = np.kron(ground.amplitudes, KET_B)
-    vec_1c = np.kron(band[:, 0], KET_C)
-    c0 = basis.conj().T @ vec_0b
-    c1 = basis.conj().T @ vec_1c
-    rabi = float(np.abs(c1.conj() @ h_eff.matrix @ c0))
-    ground_shift = float((c0.conj() @ h_eff.matrix @ c0).real - omega1)
-    passed = b_green_norm <= config.RESIDUAL_RTOL
-    return QutritTruncationReport(
-        b_green_norm=b_green_norm,
-        h_eff=h_eff,
-        rabi=rabi,
-        ground_shift=ground_shift,
-        passed=passed,
-    )

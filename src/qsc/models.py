@@ -1,5 +1,5 @@
-"""Model builders: search-oracle and clock Hamiltonians, baths, couplings,
-and fiducial-state decompositions.
+"""Model builders: search-oracle and clock Hamiltonians, their band
+structures, baths, couplings, and random states.
 
 Qubit ordering convention: computational register qubits first (1..n),
 clock qubits after (1..L), most-significant bit = qubit 1.  The unary
@@ -22,21 +22,13 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
-from .linalg import (
-    PROJ0,
-    PROJ1,
-    SIGMA_X,
-    Operator,
-    SpectralDecomposition,
-    StateVector,
-)
+from .linalg import PROJ0, PROJ1, SIGMA_X, Operator, StateVector
 
 __all__ = [
     "GroverModel",
     "CircuitSpec",
     "ClockModel",
     "BathSpec",
-    "FiducialDecomposition",
     "BandStructure",
     "build_grover",
     "build_clock",
@@ -45,10 +37,8 @@ __all__ = [
     "band_energies",
     "overlap_coefficients",
     "shift_factors",
-    "history_state",
     "build_bath_and_couplings",
     "build_verification_coupling",
-    "decompose_fiducial",
     "random_state",
     "pad_with_identities",
     "parse_circuit",
@@ -58,12 +48,11 @@ __all__ = [
     "clock_coupling_direction",
 ]
 
-# Qutrit bath basis states (order C, R, L).
+# Qutrit bath basis states (order C, R, L), and the bright state B.
 KET_C = np.array([1, 0, 0], dtype=complex)
 KET_R = np.array([0, 1, 0], dtype=complex)
 KET_L = np.array([0, 0, 1], dtype=complex)
 KET_B = (KET_L + KET_R) / math.sqrt(2)
-KET_D = (KET_L - KET_R) / math.sqrt(2)
 
 # Qubit bath basis (down, up).
 KET_DOWN = np.array([1, 0], dtype=complex)
@@ -480,12 +469,6 @@ def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:
         )
 
 
-def history_state(model: ClockModel) -> StateVector:
-    """Uniform superposition over the circuit history (the ground state of
-    the clock Hamiltonian)."""
-    return StateVector(sum(_history_vectors(model)) / math.sqrt(model.length + 1))
-
-
 @dataclass(frozen=True)
 class BandStructure:
     """The resolved low band: energies, eigenvectors (columns), and the
@@ -620,46 +603,8 @@ def build_verification_coupling(dim_s: int, omega0: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fiducial decompositions and random states
+# Random states
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FiducialDecomposition:
-    """Overlaps of a fiducial state with an orthonormal band basis, in the
-    phase gauge that makes every coefficient real and non-negative, plus
-    the weight outside the modeled band."""
-
-    xs: np.ndarray
-    f_perp: float
-
-    def __post_init__(self):
-        xs = np.array(self.xs, dtype=float)
-        if np.any(xs < -config.NORM_ATOL):
-            raise ValueError("gauge-fixed coefficients must be non-negative")
-        total = float(np.sum(xs ** 2) + self.f_perp ** 2)
-        if abs(total - 1.0) > 100 * config.NORM_ATOL:
-            raise ValueError(f"decomposition weights sum to {total}, not 1")
-        object.__setattr__(self, "xs", xs)
-
-
-def decompose_fiducial(f: StateVector, band_vectors) -> FiducialDecomposition:
-    """Magnitudes of the band overlaps <j|F> and the out-of-band residual.
-
-    Accepts a BandStructure, SpectralDecomposition, or a raw column matrix
-    of orthonormal vectors.  The phase of each |j> is the gauge freedom
-    that makes x_j real and non-negative, so only magnitudes are kept.
-    """
-    if isinstance(band_vectors, BandStructure):
-        basis = band_vectors.vectors
-    elif isinstance(band_vectors, SpectralDecomposition):
-        basis = band_vectors.eigenvectors
-    else:
-        basis = np.asarray(band_vectors, dtype=complex)
-    amps = basis.conj().T @ f.amplitudes
-    xs = np.abs(amps)
-    leftover = max(0.0, 1.0 - float(np.sum(xs ** 2)))
-    return FiducialDecomposition(xs=xs, f_perp=math.sqrt(leftover))
-
 
 def random_state(n: int, seed) -> StateVector:
     """Haar-random state on n qubits, reproducible from the seed.

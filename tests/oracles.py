@@ -16,6 +16,13 @@ one shot at a time, each trial's uniforms from its own numpy generator
 and the search setup on its full composite space instead of its
 two-band block.
 
+The dense setups also carry what the lab never runs: static error terms
+on the step Hamiltonians, with their block-norm budgets (a noisy ladder
+or qutrit scheme runs through the oracles above), and the paper's
+identities that the suite checks, such as the resolvent G_Q, the
+detuning condition's rational sums, the qutrit truncation and the
+history state.
+
 `CountingLinalg` is the shared shim of the counted-work tests: they gate
 on how many decompositions and builds a computation makes, not on time.
 """
@@ -23,10 +30,14 @@ on how many decompositions and builds a computation makes, not on time.
 import math
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 import scipy.linalg
+
+from qsc.errors import DimensionMismatch, QscError
+from qsc.models import KET_L, KET_R
 
 
 def eigenvalues_by_inertia(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -164,16 +175,21 @@ def _ground_projector(setup) -> np.ndarray:
     return np.kron(p, np.eye(2, dtype=complex))
 
 
-def ladder_by_fresh_build(setup, schedule, delta_ops=None):
-    """Density-mode ground fidelity and per-step up probabilities, with
-    every step built afresh and the dense-projector map."""
-    psi = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
-    rho = np.outer(psi, psi.conj())
+def ladder_by_fresh_build(setup, schedule, delta_ops=None, rho0=None):
+    """Density-mode ground fidelity, per-step up probabilities and final
+    state, with every step built afresh (plus the static error
+    `delta_ops[j]` for band j, if any) and the dense-projector map.  The
+    ladder starts from the density matrix `rho0`, by default the fiducial
+    with the bath down."""
+    if rho0 is None:
+        psi = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
+        rho0 = np.outer(psi, psi.conj())
+    rho = rho0
     up_probs = []
     for u in _fresh_unitaries(setup, schedule, delta_ops):
         rho = cooling_map_dense(rho, u)
         up_probs.append(float(np.sum(np.diagonal(rho)[1::2]).real))
-    return float(np.trace(_ground_projector(setup) @ rho).real), up_probs
+    return float(np.trace(_ground_projector(setup) @ rho).real), up_probs, rho
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -223,20 +239,23 @@ def extension_gap_by_loop(evals, omega1: float) -> float:
 
 
 def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=None,
-                                      max_rounds=10 ** 6):
+                                      max_rounds=10 ** 6, delta_op=None):
     """The qutrit scheme's trials with every bath operation a dense
     composite matrix: the B and R projectors, the B->L, D->R swap and the
     ground projector, each 1 (x) a qutrit operator.  Band 1 of the setup is
-    the addressed level, as in `run_probabilistic`.  Returns (accept
-    count, B-outcome count, conditional success)."""
+    the addressed level, as in `run_probabilistic`.  A static Hermitian
+    `delta_op` on the composite space is added to both evolutions.
+    Returns (accept count, B-outcome count, conditional success)."""
     from qsc.cooling import extension_rabi
     from qsc.linalg import Operator, evolve
-    from qsc.models import (KET_B, KET_C, KET_D, KET_L, KET_R, BathSpec,
-                            build_bath_and_couplings, build_verification_coupling)
+    from qsc.models import (KET_B, KET_C, BathSpec, build_bath_and_couplings,
+                            build_verification_coupling)
 
     omega1 = float(setup.band.omegas[1])
     h_full, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
                                             setup.coupling, omega0)
+    if delta_op is not None:
+        h_full = h_full + delta_op.matrix
     y_op = build_verification_coupling(setup.dim_s, omega0)
     wt, vt = np.linalg.eigh(h_full + x_op)
     tau_v = math.pi / (2 * omega0)
@@ -371,8 +390,6 @@ def self_energy_by_series(ctx, v, z: float, order: int) -> np.ndarray:
     `order` factors of V (order >= 2), built on the unperturbed resolvent
     G_Q(z) of `green_function`, in the P basis and symmetrized.  It agrees
     with the closed resolvent form to O(r^(order+1)) * gap."""
-    from qsc.levelshift import green_function
-
     bp = ctx.p.basis
     gq = green_function(ctx, z).matrix
     sigma_full = np.zeros_like(gq)
@@ -391,23 +408,22 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
     the bounds lab."""
     from qsc.errors import HypothesisUnmet
     from qsc.levelshift import make_context, self_energy
-    from qsc.linalg import Subspace, operator_norm
+    from qsc.linalg import Subspace
 
     lam_lo, lam_hi = inst.window
     w, vecs = np.linalg.eigh(inst.h.matrix)
     mask = (w > lam_lo) & (w < lam_hi)
-    ctx = make_context(inst.h, Subspace(inst.h.dim, vecs[:, mask]), inst.gap,
-                       operator_norm(inst.v))
+    ctx = make_context(inst.h, Subspace(inst.h.dim, vecs[:, mask]), inst.gap)
     h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])))
 
     def grid_bound(lo, hi):
         worst = 0.0
         for z in np.linspace(lo, hi, grid_points):
             sig = self_energy(ctx, inst.v, float(z))
-            worst = max(worst, float(np.linalg.norm(sig.matrix - h_eff.matrix, 2)))
+            worst = max(worst, float(np.linalg.norm(sig - h_eff, 2)))
         return worst
 
-    spec = np.linalg.eigvalsh(h_eff.matrix)
+    spec = np.linalg.eigvalsh(h_eff)
     c, d = float(spec[0]), float(spec[-1])
     gamma = max(1e-15, grid_bound(c, d))
     for _ in range(8):
@@ -548,6 +564,298 @@ def clock_history_by_loop(model):
             c = norm * math.cos((l + 0.5) * k * math.pi / lp1)
             vectors[:, k] += c * clock_value_vector(n, length, l, states[l])
     return acc / math.sqrt(lp1), vectors
+
+
+# ---------------------------------------------------------------------------
+# Error injection: noisy runs go through `ladder_by_fresh_build` and
+# `probabilistic_by_dense_projectors`
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ErrorInjection:
+    """Static Hermitian error terms, one per cooling step (keyed by band
+    index j), to be added to the simulated step Hamiltonians."""
+
+    deltas: dict
+
+    def __post_init__(self):
+        for op in self.deltas.values():
+            if not op.hermitian:
+                raise ValueError("injected errors must be Hermitian")
+
+
+@dataclass(frozen=True)
+class ErrorBudgetReport:
+    per_step: tuple
+    all_within_budget: bool
+
+
+def _error_blocks(s1: np.ndarray, v: np.ndarray, d: np.ndarray, delta: float,
+                  budget: float) -> dict:
+    """The three error block norms across the split S1 / S2 = 1 - S1 for the
+    coupling v and the error d, with their checks against the budget:
+
+        R1 = |S1 d S1| / Delta          <  budget
+        Rx = |S1 (v+d) S2|^2 / Delta^2  <  budget
+        R2 = |S2 (v+d) S2| / Delta      <  1/2
+    """
+    s2 = np.eye(s1.shape[0], dtype=complex) - s1
+    r1 = np.linalg.norm(s1 @ d @ s1, 2) / delta
+    rx = (np.linalg.norm(s1 @ (v + d) @ s2, 2) / delta) ** 2
+    r2 = np.linalg.norm(s2 @ (v + d) @ s2, 2) / delta
+    return {
+        "R1": float(r1),
+        "Rx": float(rx),
+        "R2": float(r2),
+        "budget": float(budget),
+        "R1_ok": bool(r1 < budget),
+        "Rx_ok": bool(rx < budget),
+        "R2_ok": bool(r2 < 0.5),
+    }
+
+
+def _within_budget(row: dict) -> bool:
+    return row["R1_ok"] and row["Rx_ok"] and row["R2_ok"]
+
+
+def inject_errors(setup, schedule, injection: ErrorInjection) -> ErrorBudgetReport:
+    """Measure the three error block norms per step (`_error_blocks`, with
+    v = T the coupling) against the budget r * Omega_0 |x0 xj| / Delta,
+    where S1 is the band (x) bath subspace.  Noisy runs then add the
+    errors; this function only reports the budgets.
+    """
+    from qsc.linalg import SIGMA_X
+    from qsc.models import KET_DOWN, KET_UP
+
+    band_bath = np.column_stack(
+        [np.kron(setup.band.vector(k), e) for k in range(setup.n_bands)
+         for e in (KET_DOWN, KET_UP)]
+    )
+    s1 = band_bath @ band_bath.conj().T
+    delta = setup.band.delta
+    t_full = np.kron(schedule.omega0 * setup.coupling.matrix, SIGMA_X)
+    rows = []
+    ok = True
+    for step in schedule.steps:
+        d = injection.deltas.get(step.j)
+        dmat = d.matrix if d is not None else np.zeros_like(s1)
+        budget = schedule.r * schedule.omega0 * setup.xs[0] * setup.xs[step.j] / delta
+        row = {"j": step.j, **_error_blocks(s1, t_full, dmat, delta, budget)}
+        ok = ok and _within_budget(row)
+        rows.append(row)
+    return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
+
+
+def extension_error_budget(setup, omega0: float, delta_op=None) -> ErrorBudgetReport:
+    """Error budgets for the probabilistic scheme's two evolutions.
+
+    The drive evolution budgets against the band coupling rate Omega and
+    the verification evolution against Omega_0; otherwise the same three
+    block norms as the deterministic ladder, with the system split at the
+    addressed band (ground + band 1 vs everything else) extended trivially
+    over the qutrit.
+    """
+    from qsc import config
+    from qsc.cooling import extension_gap, extension_rabi
+    from qsc.models import BathSpec, build_bath_and_couplings, build_verification_coupling
+
+    b = np.kron(setup.band.vectors[:, :2], np.eye(3, dtype=complex))
+    s1 = b @ b.conj().T
+    omega1 = float(setup.band.omegas[1])
+    _, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
+                                       setup.coupling, omega0)
+    y_op = build_verification_coupling(setup.dim_s, omega0)
+    dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
+    delta = extension_gap(setup)
+    r = omega0 / delta
+    rabi = extension_rabi(setup, omega0)
+    ground = setup.band.vector(0)
+    ground_shift = float(np.abs(ground.conj() @ (omega0 * setup.coupling.matrix) @ ground)) ** 2
+    rows = []
+    ok = r < config.MAX_COUPLING_RATIO
+    for name, v_mat, rate in (("drive", x_op, rabi), ("verification", y_op, omega0)):
+        budget = r * rate / delta
+        shift_ok = bool(ground_shift / omega1 < r * rate)
+        row = {"evolution": name, **_error_blocks(s1, v_mat, dmat, delta, budget),
+               "ground_shift_ok": shift_ok}
+        ok = ok and _within_budget(row) and shift_ok
+        rows.append(row)
+    return ErrorBudgetReport(per_step=tuple(rows), all_within_budget=ok)
+
+
+# ---------------------------------------------------------------------------
+# Paper identities: the resolvent, the rational sums and the solved
+# two-level block of the detuning condition, the qutrit truncation
+# identity, the history state and fiducial overlaps.
+# ---------------------------------------------------------------------------
+
+# the dark bath state of the qutrit, orthogonal to the bright |B>
+KET_D = (KET_L - KET_R) / math.sqrt(2)
+
+
+class PoleTooClose(QscError):
+    """A resolvent evaluation point is too close to the spectrum."""
+
+
+def green_function(ctx, z: float):
+    """Resolvent of the unperturbed Hamiltonian restricted to Q:
+    G_Q(z) = Q (z - QHQ)^{-1} Q, returned on the full space (vanishing on P)."""
+    from qsc import config
+    from qsc.linalg import Operator
+
+    bq = ctx.q.basis
+    hq = bq.conj().T @ ctx.h.matrix @ bq
+    w, v = np.linalg.eigh(hq)
+    guard = ctx.gap * config.POLE_GUARD_FRACTION
+    if w.size and np.min(np.abs(z - w)) < guard * (1 - config.RESIDUAL_RTOL):
+        raise PoleTooClose(
+            f"z={z} within {np.min(np.abs(z - w)):.3e} of Spec(H|Q); guard {guard:.3e}"
+        )
+    small = v @ np.diag(1.0 / (z - w)) @ v.conj().T
+    return Operator(bq @ small @ bq.conj().T, hermitian=True)
+
+
+def g_sums(xs, omegas, omega_b: float, j: int, z: float, gap: float | None = None):
+    """The two rational sums entering the detuning polynomial:
+
+        g_j(z) = sum_{k != j} x_k^2 / (z - omega_k)
+        g_0(z) = sum_{k != 0} x_k^2 / (z - (omega_k + omega_b))
+
+    With `gap` given, evaluation closer than gap/4 to a pole raises.
+    """
+    from qsc import config
+
+    xs = np.asarray(xs, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
+    if xs.shape != omegas.shape:
+        raise DimensionMismatch("xs and omegas must have equal length")
+    poles_j = np.delete(omegas, j)
+    poles_0 = np.delete(omegas, 0) + omega_b
+    if gap is not None:
+        guard = gap * config.POLE_GUARD_FRACTION * (1 - config.RESIDUAL_RTOL)
+        closest = min(
+            np.min(np.abs(z - poles_j)) if poles_j.size else np.inf,
+            np.min(np.abs(z - poles_0)) if poles_0.size else np.inf,
+        )
+        if closest < guard:
+            raise PoleTooClose(f"z={z} within {closest:.3e} of a pole")
+    g_j = float(np.sum(np.delete(xs, j) ** 2 / (z - poles_j)))
+    g_0 = float(np.sum(np.delete(xs, 0) ** 2 / (z - poles_0)))
+    return g_j, g_0
+
+
+def effective_grover_hamiltonian(sol) -> np.ndarray:
+    """The solved two-level block in the {|j,down>, |0,up>} basis: equal
+    diagonals omega_B* and off-diagonal Rabi coupling."""
+    return np.array(
+        [[sol.omega_b_star, sol.rabi], [sol.rabi, sol.omega_b_star]], dtype=complex
+    )
+
+
+@dataclass(frozen=True)
+class QutritTruncationReport:
+    """Outcome of the second-order truncation identity for the qutrit bath."""
+
+    b_green_norm: float      # norm of <B| G(omega_1) |B> as a system operator
+    h_eff: np.ndarray        # the self-energy at omega_1 on the P basis
+    rabi: float              # off-diagonal coupling <1C| H_eff |0B>
+    ground_shift: float      # coefficient of |0B><0B| beyond omega_1
+    passed: bool
+
+
+def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float,
+                            gap: float, t_s) -> QutritTruncationReport:
+    """Verify that the qutrit-bath Green's function kills the bright bath
+    state at z = omega_1, so the self-energy truncates at second order, and
+    return the resulting effective Hamiltonian.
+
+    `band_vectors` are the orthonormal states spanning the addressed band
+    P_1; `ground` is the nondegenerate system ground state.
+    """
+    from qsc import config
+    from qsc.levelshift import make_context, self_energy
+    from qsc.linalg import Operator, Subspace
+    from qsc.models import KET_B, KET_C, BathSpec, build_bath_and_couplings
+
+    h_full, v = build_bath_and_couplings(h_s, BathSpec("qutrit", omega1), t_s)
+    # both terms enter the self-energy separately, so both are checked
+    h_full, v = Operator(h_full, hermitian=True), Operator(v, hermitian=True)
+    dim_s = h_s.dim
+    band = np.asarray(band_vectors, dtype=complex)
+    if band.ndim == 1:
+        band = band[:, None]
+
+    # P = |0><0| x (|L><L| + |R><R|) + P_1 x |C><C|
+    cols = [np.kron(ground.amplitudes, KET_L), np.kron(ground.amplitudes, KET_R)]
+    for k in range(band.shape[1]):
+        cols.append(np.kron(band[:, k], KET_C))
+    p = Subspace(h_full.dim, np.column_stack(cols))
+    ctx = make_context(h_full, p, gap)
+
+    g = green_function(ctx, omega1).matrix
+    # compress the bath to |B> on both sides, leaving a system operator
+    eye_s = np.eye(dim_s, dtype=complex)
+    bra = np.kron(eye_s, KET_B.conj().reshape(1, 3))
+    ket = np.kron(eye_s, KET_B.reshape(3, 1))
+    m_sys = (bra @ g @ ket).reshape(dim_s, dim_s)
+    b_green_norm = float(np.linalg.norm(m_sys, 2))
+
+    h_eff = self_energy(ctx, v, omega1)
+    c0 = p.basis.conj().T @ np.kron(ground.amplitudes, KET_B)
+    c1 = p.basis.conj().T @ np.kron(band[:, 0], KET_C)
+    rabi = float(np.abs(c1.conj() @ h_eff @ c0))
+    ground_shift = float((c0.conj() @ h_eff @ c0).real - omega1)
+    return QutritTruncationReport(
+        b_green_norm=b_green_norm,
+        h_eff=h_eff,
+        rabi=rabi,
+        ground_shift=ground_shift,
+        passed=b_green_norm <= config.RESIDUAL_RTOL,
+    )
+
+
+def history_state(model):
+    """Uniform superposition over the circuit history (the ground state of
+    the clock Hamiltonian)."""
+    from qsc.linalg import StateVector
+    from qsc.models import _history_vectors
+
+    return StateVector(sum(_history_vectors(model)) / math.sqrt(model.length + 1))
+
+
+@dataclass(frozen=True)
+class FiducialDecomposition:
+    """Overlaps of a fiducial state with an orthonormal band basis, in the
+    phase gauge that makes every coefficient real and non-negative, plus
+    the weight outside the modeled band."""
+
+    xs: np.ndarray
+    f_perp: float
+
+    def __post_init__(self):
+        from qsc import config
+
+        xs = np.array(self.xs, dtype=float)
+        if np.any(xs < -config.NORM_ATOL):
+            raise ValueError("gauge-fixed coefficients must be non-negative")
+        total = float(np.sum(xs ** 2) + self.f_perp ** 2)
+        if abs(total - 1.0) > 100 * config.NORM_ATOL:
+            raise ValueError(f"decomposition weights sum to {total}, not 1")
+        object.__setattr__(self, "xs", xs)
+
+
+def decompose_fiducial(f, band_vectors) -> FiducialDecomposition:
+    """Magnitudes of the band overlaps <j|F> and the out-of-band residual,
+    for a BandStructure or a raw column matrix of orthonormal vectors.  The
+    phase of each |j> is the gauge freedom that makes x_j real and
+    non-negative, so only magnitudes are kept."""
+    from qsc.models import BandStructure
+
+    if isinstance(band_vectors, BandStructure):
+        band_vectors = band_vectors.vectors
+    xs = np.abs(np.asarray(band_vectors, dtype=complex).conj().T @ f.amplitudes)
+    leftover = max(0.0, 1.0 - float(np.sum(xs ** 2)))
+    return FiducialDecomposition(xs=xs, f_perp=math.sqrt(leftover))
 
 
 class CountingLinalg:

@@ -19,7 +19,6 @@ from qsc.models import (
     band_energies,
     build_clock_parts,
     clock_band_structure,
-    decompose_fiducial,
     load_circuit,
     overlap_coefficients,
     parse_circuit,
@@ -34,7 +33,6 @@ from qsc.cooling import (
     run_deterministic,
     run_probabilistic,
 )
-from qsc.levelshift import qutrit_truncation_check
 from qsc.bounds import (
     BoundInstance,
     SUITES,
@@ -48,7 +46,7 @@ from qsc.bounds import (
 )
 from qsc.experiments import run_fig1
 
-from oracles import dense_grover_setup
+from oracles import decompose_fiducial, dense_grover_setup, qutrit_truncation_check
 
 
 def _report(criterion: int, passed: bool, detail: str):

@@ -388,6 +388,16 @@ MISREAD = [
     ("grover", {"mode": "trajectory", "shots": 20, "seed": -1}, "'seed' must be >= 0, got -1"),
     ("prob", {"seed": -3}, "'seed' must be >= 0, got -3"),
     ("bounds", {"seed": -1}, "'seed' must be >= 0, got -1"),
+    # a coupling, pulse-time scale or overlap floor is positive: named where
+    # it enters the library, before a run on a negative value, a division
+    # by zero or a complex eps ** 1.5
+    ("clock", {"eps": -0.1}, "eps must be > 0, got -0.1"),
+    ("clock", {"eps": 0}, "eps must be > 0, got 0"),
+    ("clock", {"omega0": -0.01}, "omega0 must be > 0, got -0.01"),
+    ("prob", {"r": -0.01}, "omega0 must be > 0"),  # omega0 = r * Delta
+    ("prob", {"omega_star_rel": -1}, "omega_star must be > 0"),
+    ("prob", {"f1_lower": 0}, "f1_lower must be > 0, got 0"),
+    ("prob", {"eps": -0.1}, "eps must be > 0, got -0.1"),
 ]
 
 

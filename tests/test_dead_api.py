@@ -1,7 +1,11 @@
-"""Guard against dead API: every module-level function, class and constant
-in `src/qsc`, and every public method or property, must be referenced
-somewhere in `src/qsc` or `tests/` besides its own definition and
-`__all__`.
+"""Guards against dead API.
+
+Every module-level function, class and constant in `src/qsc`, and every
+public method or property, must be referenced somewhere in `src/qsc` or
+`tests/` besides its own definition and `__all__`.  And every module-level
+definition must be reached from the command line: following name
+references from `cli.main` through the module-level definitions of
+`src/qsc` reaches it, so none is there for the tests alone.
 
 References are matched by name, read off the syntax tree.  A module-level
 name counts as referenced when it is loaded, read as an attribute, or
@@ -20,47 +24,68 @@ SOURCES = sorted((ROOT / "src" / "qsc").glob("*.py"))
 FILES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 
 
-def _definitions(source: str):
-    """(name, is_member) of every module-level function, class and
-    constant, and of every public method or property of a class."""
-    for node in ast.parse(source).body:
+def _module_definitions(tree: ast.Module):
+    """(name, node) of every module-level function, class and constant."""
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, False
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", True
+            yield node.name, node
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             for name in ast.walk(target):
                 if isinstance(name, ast.Name) and not name.id.startswith("__"):
-                    yield name.id, False
+                    yield name.id, node
+
+
+def _definitions(source: str):
+    """(name, is_member) of every module-level function, class and
+    constant, and of every public method or property of a class."""
+    for name, node in _module_definitions(ast.parse(source)):
+        yield name, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", True
+
+
+def _outside_modules(tree: ast.Module) -> set[str]:
+    """The names that imported outside (non-qsc) modules are bound to."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if not alias.name.startswith("qsc")}
+
+
+def _reads(node: ast.AST, outside: set[str], skip=frozenset()) -> tuple[Counter, Counter]:
+    """Counts of (names loaded or spelled as strings, attributes read) in
+    `node`; string constants whose id is in `skip` do not count."""
+    names, attrs = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            root = sub.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in outside):
+                attrs[sub.attr] += 1
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in skip):
+            names[sub.value] += 1
+    return names, attrs
 
 
 def _references(sources) -> tuple[Counter, Counter]:
-    """Counts of (names loaded or spelled as strings, attributes read)."""
+    """Counts of (names loaded or spelled as strings, attributes read),
+    with `__all__` left out."""
     names, attrs = Counter(), Counter()
     for source in sources:
         tree = ast.parse(source)
-        outside = {alias.asname or alias.name.split(".")[0]
-                   for node in ast.walk(tree) if isinstance(node, ast.Import)
-                   for alias in node.names if not alias.name.startswith("qsc")}
         in_all = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                   and any(getattr(t, "id", None) == "__all__" for t in node.targets)
                   for c in ast.walk(node.value)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                names[node.id] += 1
-            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                root = node.value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if not (isinstance(root, ast.Name) and root.id in outside):
-                    attrs[node.attr] += 1
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in in_all):
-                names[node.value] += 1
+        read_names, read_attrs = _reads(tree, _outside_modules(tree), in_all)
+        names.update(read_names)
+        attrs.update(read_attrs)
     return names, attrs
 
 
@@ -75,6 +100,33 @@ def _unreferenced(modules: dict[str, str], reference_sources) -> list[str]:
             if attrs[bare] + (0 if is_member else names[bare]) == 0:
                 dead.append(f"{module}.{name}")
     return dead
+
+
+def _unreached(modules: dict[str, str], root: str) -> list[str]:
+    """`module.name` of each module-level definition in `modules` (name ->
+    source) that no chain of name references reaches from the definition
+    `root`: a reached definition reaches every definition whose name its
+    own node reads."""
+    nodes, by_name = {}, {}
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        outside = _outside_modules(tree)
+        for name, node in _module_definitions(tree):
+            # a name bound twice reads what each of its nodes reads
+            nodes.setdefault(f"{module}.{name}", []).append((node, outside))
+            by_name.setdefault(name, set()).add(f"{module}.{name}")
+    reached, todo = {root}, [root]
+    while todo:
+        read = set()
+        for node, outside in nodes[todo.pop()]:
+            names, attrs = _reads(node, outside)
+            read |= names.keys() | attrs.keys()
+        for name in read:
+            for key in by_name.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    todo.append(key)
+    return [key for key in nodes if key not in reached]
 
 
 def test_every_definition_is_referenced():
@@ -104,3 +156,36 @@ def test_guard_matching():
     # only in __all__, as an outside module's attribute, or as a local
     # variable: still unreferenced
     assert _unreferenced({"mod": defining}, [defining, using]) == ["mod.ghost", "mod.Box.spare"]
+
+
+def test_every_definition_is_reached_from_the_cli():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    unreached = _unreached(modules, "cli.main")
+    assert not unreached, f"reached from no lab run, only from tests: {unreached}"
+
+
+def test_reachability_matching():
+    lab = (
+        'import numpy as np\n'
+        'from . import tools\n'
+        'RUNNERS = {"run": "go"}\n'
+        'def main():\n'
+        '    return RUNNERS, tools.helper(np.spare)\n'
+        'def go():\n'
+        '    return Box()\n'
+    )
+    tools = (
+        'LIMIT = 3\n'
+        'def helper(x):\n'
+        '    return x\n'
+        'def spare():\n'
+        '    return LIMIT\n'
+        'class Box:\n'
+        '    def size(self):\n'
+        '        return SCALE\n'
+        'SCALE = 2\n'
+    )
+    # reached through a constant's string, an attribute and a method body;
+    # an outside module's attribute reaches nothing, and a definition only
+    # an unreached one reads stays unreached
+    assert _unreached({"lab": lab, "tools": tools}, "lab.main") == ["tools.LIMIT", "tools.spare"]

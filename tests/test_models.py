@@ -25,11 +25,9 @@ from qsc.models import (
     build_grover,
     clock_band_structure,
     clock_coupling_direction,
-    decompose_fiducial,
     embed_gate,
     grover_band_structure,
     grover_fiducial,
-    history_state,
     load_circuit,
     overlap_coefficients,
     pad_with_identities,
@@ -42,7 +40,9 @@ from oracles import (
     clock_gap_by_sectors,
     clock_history_by_loop,
     clock_hopping_by_branches,
+    decompose_fiducial,
     embed_gate_by_bit_loop,
+    history_state,
 )
 
 
