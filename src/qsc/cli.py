@@ -60,9 +60,9 @@ def load_config(path: str | None, experiment: str, seed: int | None = None) -> d
 
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
-    unknown key, a value of the wrong type or a negative seed is a
-    ConfigError that names the key), then completed with the defaults of
-    the keys it leaves out."""
+    unknown key, a value of the wrong type, a negative seed or a
+    non-positive coupling ratio `r` is a ConfigError that names the key),
+    then completed with the defaults of the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
     user = dict(user)
     declared = user.pop("experiment", experiment)
@@ -78,6 +78,8 @@ def resolve_config(user: dict, experiment: str) -> dict:
                               f"got {json.dumps(value)}")
     if user.get("seed", 0) < 0:  # a master seed is a non-negative integer
         raise ConfigError(f"{experiment} config key 'seed' must be >= 0, got {user['seed']}")
+    if "r" in user and not user["r"] > 0:  # a coupling ratio is positive
+        raise ConfigError(f"{experiment} config key 'r' must be > 0, got {user['r']}")
     cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
            if default is not None}
     if "gates_file" in user:

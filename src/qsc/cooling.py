@@ -17,27 +17,29 @@ ladders run on exact band blocks: the search model's setup is its
 two-band block (`grover_setup`), so a search ladder propagates 4 x 4
 composite matrices whatever n is, and the clock ladder runs on its
 (L+1)-band block (`clock_block`), cut from the dense 2^(n+L) setup
-(`clock_setup`) that keeps Delta, the band vectors and the step norm.
-The dense setup stays a setup of its own: the probabilistic scheme and
-the bounds lemmas run on it, and a ladder run on it is the oracle of the
-block's.
+(`clock_setup`) that keeps Delta, the band vectors and the step norm;
+its largest matrix is H_S, and no clock run forms a matrix of the
+composite size.  The dense setup stays a setup of its own: the
+probabilistic scheme and the bounds lemmas run on it, and a ladder run on
+it is the oracle of the block's.
 
 A step Hamiltonian H_j + V is built as the one validated operator of the
 step (its terms are plain arrays).  An exact-tau schedule reads the
 pulse time off its eigen-splitting and keeps only that time; a run
 builds and diagonalizes each step it propagates and takes the step's
 evolution from that decomposition.  The ladder's step norm is priced
-once, at its largest bath energy (`_step_norm`).  A run propagates the
-ladder once, and a density-mode report carries the final state for
-readouts.  Trajectory shots take all their uniforms (one per step, one
-for the final readout) up front, each shot's from its own spawned
-stream, drawn for every shot at once (`trial_uniforms`).  A shot's state
-is fixed by its measurement record, so shots with the same record share
-one propagated state: a ladder of L' steps propagates L' + 1 states (the
-record still measuring down, and one up record per step, which measures
-up again with probability 1 up to rounding) however many shots it
-samples.  The qubit bath is the last tensor factor, so bath projections
-select the even (down) and odd (up) composite indices.
+once, at its largest bath energy, on the connected blocks of H* + V
+(`_step_norm`).  A run propagates the ladder once, and a density-mode
+report carries the final state for readouts.  Trajectory shots take all
+their uniforms (one per step, one for the final readout) up front, each
+shot's from its own spawned stream, drawn for every shot at once
+(`trial_uniforms`).  A shot's state is fixed by its measurement record,
+so shots with the same record share one propagated state: a ladder of L'
+steps propagates L' + 1 states (the record still measuring down, and one
+up record per step, which measures up again with probability 1 up to
+rounding) however many shots it samples.  The qubit bath is the last
+tensor factor, so bath projections select the even (down) and odd (up)
+composite indices.
 
 The probabilistic scheme runs on the same setup as the ladder and
 addresses its band 1 with a qutrit bath, also the last tensor factor:
@@ -61,6 +63,7 @@ from .linalg import (
     Operator,
     SpectralDecomposition,
     StateVector,
+    connected_blocks,
     evolve,
     hermitian_eig,
     hybridized_pair,
@@ -83,6 +86,7 @@ from .models import (
     grover_band_structure,
     grover_fiducial,
     overlap_coefficients,
+    qubit_bath_terms,
 )
 
 __all__ = [
@@ -229,7 +233,8 @@ def clock_block(model: ClockModel) -> CoolingSetup:
 
     The step norm is not the block's: the dense H_j + V has eigenvalues
     outside the band (7.9 against the block's 3.8 on an L = 6 clock), so a
-    run prices it on `dense` (`_step_norm`).
+    run prices it on `dense`, exactly, on the connected blocks of the
+    dense H* + V, none of them of the composite size (`_step_norm`).
     """
     dense = clock_setup(model)
     return _band_block(dense.band.omegas, dense.xs, dense.band.delta, dense.label, dense)
@@ -372,8 +377,7 @@ def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule):
 
 def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
     """The largest step norm ||H_j + V|| of the schedule's steps, 0 for no
-    step: one eigvalsh of H* + V, a sum of plain arrays built from the
-    validated H_S and coupling, Hermitian by construction.
+    step: the norm of H* + V, read off its connected blocks.
 
     With omega_b* the largest bath energy of the steps, H* = H_S (x) 1 +
     omega_b* 1 (x) |up><up|, and every step's norm is at most ||H* + V||,
@@ -389,14 +393,29 @@ def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
 
     The three facts hold on every setup a ladder runs on: the search and
     clock blocks, and the dense setups they are cut from.
+
+    H* + V = H_S (x) 1 + omega_b* 1 (x) |up><up| + Omega_0 C (x) sigma_x
+    couples system indices i and j only where H_S or the coupling C has a
+    nonzero (i, j) entry.  So each connected component S of the joint
+    nonzero pattern of H_S and C (`connected_blocks`, on the system space)
+    gives an invariant subspace S (x) bath, and ||H* + V|| is the largest
+    norm of its blocks: one eigvalsh per block, each block a plain-array
+    sum built from the principal submatrices H_S[S, S] and C[S, S] of the
+    validated H_S and C, and so Hermitian.  A search block is one
+    component; the largest block of an n = 1, L = 6 clock has 36 rows
+    against the composite 256.
     """
     if not schedule.steps:
         return 0.0
     omega_b = max(s.omega_b for s in schedule.steps)
-    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
-                                    setup.coupling, schedule.omega0)
-    h += v
-    return operator_norm(h, hermitian=True)
+    h_s, c = setup.h_s.matrix, setup.coupling.matrix
+    norm = 0.0
+    for block in connected_blocks(h_s, c):
+        h, v = qubit_bath_terms(h_s[block][:, block], schedule.omega0 * c[block][:, block],
+                                omega_b)
+        h += v
+        norm = max(norm, operator_norm(h, hermitian=True))
+    return norm
 
 
 def _squared_norms(columns: np.ndarray) -> np.ndarray:
@@ -559,8 +578,9 @@ def run_deterministic(
     not with the shots.
 
     `h_norm` (and `cost` = h_norm * total_time) is the largest step norm
-    ||H_j + V|| of the ladder (`_step_norm`), priced on the setup's
-    `dense` setup when it is a band block cut from one.
+    ||H_j + V|| of the ladder (`_step_norm`, on the connected blocks of
+    H* + V), priced on the setup's `dense` setup when it is a band block
+    cut from one.
     """
     if mode not in ("density", "trajectory"):
         raise ValueError("mode must be 'density' or 'trajectory'")

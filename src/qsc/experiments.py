@@ -39,10 +39,10 @@ from .models import (
     KET_DOWN,
     ClockModel,
     GroverModel,
+    band_profile,
     build_clock,
     build_grover,
     clock_band_structure,
-    clock_site_index,
     grover_band_structure,
     load_circuit,
     overlap_coefficients,
@@ -351,11 +351,12 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
 
     The ladder (schedule, density or trajectory run, eta reduction) runs on
     the clock's exact (L+1)-band block (`clock_block`); Delta, the band
-    vectors and the step norm come from the dense setup it was cut from.
+    vectors and the step norm come from the dense setup it was cut from,
+    whose largest matrix is H_S: the step norm is read off the connected
+    blocks of H* + V (`cooling._step_norm`), and the readout off the final
+    band state (`_clock_readout`), so no composite-size matrix is formed.
     The eta reduction is a density-mode run, so `eta` with any other
     `mode` is a ConfigError.
-    The readout lifts the final block state rho to the dense space as
-    (B (x) 1) rho (B (x) 1)^+, B the dense band vectors.
     """
     eta = cfg.get("eta")
     if eta is not None and cfg["mode"] != "density":
@@ -384,38 +385,38 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
         "cost": {name: getattr(report, name) for name in ("total_time", "h_norm", "cost")},
     }
     if report.final_state is not None:  # a density or an eta run
-        lift = np.kron(setup.dense.band.vectors, np.eye(2))
-        rho = DensityMatrix(lift @ report.final_state.entries @ lift.conj().T)
-        body["readout"] = _clock_readout(model, setup.dense, rho)
+        body["readout"] = _clock_readout(model, report.final_state)
     summary = _summary(cfg, body)
     _write_json(out_dir / "clock_report.json", summary)
     return summary
 
 
-def _clock_readout(model: ClockModel, setup, rho: DensityMatrix) -> dict:
-    """Measure the clock register of the cooled state rho: probability of
-    the final site and the conditional register fidelity against the ideal
-    circuit output."""
-    n, length = model.n, model.length
-    dims = [2 ** n, 2 ** length, 2]
-    rho_sys = partial_trace(rho, dims, keep=[0, 1])
-    eta = setup.band.vector(0)
-    ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
+def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
+    """Measure the clock register of the cooled band state: the ground
+    fidelity, the probability of the final clock site, and the register
+    fidelity against the ideal circuit output given that site.
 
-    site_l = StateVector.basis(2 ** length, clock_site_index(length, length)).amplitudes
-    proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(site_l, site_l.conj()))
-    weighted = proj @ rho_sys.entries @ proj
-    p_site = float(np.trace(weighted).real)
-    if p_site > 1e-12:
-        reg = partial_trace(DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0])
-        ideal = register_history(model.circuit)[-1]
-        out_fid = float(np.real(ideal.conj() @ reg.entries @ ideal))
-    else:
-        out_fid = 0.0
+    `final_state` is the block state, band (x) bath; its partial trace over
+    the bath is the band density matrix rho_b.  Band vector k is sum_l
+    c[k, l] |psi_l> (x) |l> (`band_profile`), with psi_l = U_l ... U_1 |0>
+    the register history, so
+      * the ground fidelity is rho_b[0, 0] (the same number as the run's);
+      * band vector k puts c_k psi_L on the final site, c_k = c[k, L], so
+        the site's probability is (c^T rho_b c) |psi_L|^2;
+      * given that site the register is psi_L/|psi_L| whatever rho_b is,
+        so its fidelity with the ideal output psi_L is |psi_L|^2 (1 up to
+        the gate literals' unitarity error).
+    """
+    length = model.length
+    rho_b = partial_trace(final_state, [length + 1, 2], keep=[0]).entries
+    c = band_profile(length)[:, length]
+    ideal = register_history(model.circuit)[-1]
+    weight = float(np.vdot(ideal, ideal).real)
+    p_site = float((c @ rho_b @ c).real) * weight
     return {
-        "ground_fidelity": ground_fid,
+        "ground_fidelity": float(rho_b[0, 0].real),
         "final_site_probability": p_site,
-        "output_fidelity_given_site": out_fid,
+        "output_fidelity_given_site": weight if p_site > 1e-12 else 0.0,
         "expected_site_weight": 1.0 / (length + 1),
     }
 

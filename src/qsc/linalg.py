@@ -234,6 +234,38 @@ def operator_norm(op, hermitian: bool = False) -> float:
     return _two_norm(np.asarray(op, dtype=complex))
 
 
+def connected_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
+    """The connected components of the joint nonzero pattern of square
+    matrices of one size (i ~ j when some matrix has a nonzero (i, j) or
+    (j, i) entry), as ascending index arrays in order of their least
+    index.  Every matrix is block diagonal on them, so the norm of a
+    Hermitian sum of the matrices is the largest norm of its principal
+    submatrices on the blocks.
+
+    A union-find over the nonzero entries (path halving, each root the
+    least index of its tree) takes O(nonzeros) memory and forms no dense
+    index matrix.
+    """
+    root = list(range(matrices[0].shape[0]))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for m in matrices:
+        rows, cols = np.nonzero(m)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            a, b = find(i), find(j)
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    blocks: dict[int, list[int]] = {}
+    for i in range(len(root)):
+        blocks.setdefault(find(i), []).append(i)
+    return [np.array(b) for b in blocks.values()]
+
+
 def hermitian_eig(op: Operator) -> SpectralDecomposition:
     """Full eigendecomposition of a Hermitian operator (an unflagged one
     must pass `require_hermitian`).

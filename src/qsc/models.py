@@ -36,8 +36,10 @@ __all__ = [
     "clock_band_structure",
     "band_energies",
     "overlap_coefficients",
+    "band_profile",
     "shift_factors",
     "build_bath_and_couplings",
+    "qubit_bath_terms",
     "build_verification_coupling",
     "random_state",
     "pad_with_identities",
@@ -351,6 +353,17 @@ def overlap_coefficients(length: int) -> np.ndarray:
         xs[k] = math.sqrt(2.0 / lp1) * math.cos(k * math.pi / (2 * lp1))
     return xs
 
+
+def band_profile(length: int) -> np.ndarray:
+    """The cosine profiles of the clock's low band: c[k, l] =
+    sqrt((2 - delta_k0)/(L+1)) cos((l + 1/2) k pi/(L+1)), the amplitude of
+    band vector k on history site l."""
+    lp1 = length + 1
+    return np.array([[math.sqrt((2.0 - (k == 0)) / lp1)
+                      * math.cos((l + 0.5) * k * math.pi / lp1) for l in range(lp1)]
+                     for k in range(lp1)])
+
+
 def shift_factors(length: int) -> np.ndarray:
     """First-order input-penalty shift per unit Hamming weight:
     h_k = (2 - delta_k0)/(L+1) * cos^2(k*pi/(2(L+1)))."""
@@ -429,19 +442,20 @@ def build_clock_parts(model: ClockModel):
         h_clock += _site_projector(total, {n + l: PROJ0, n + l + 1: PROJ1})
 
     hop10 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| on one clock qubit
+    register = np.eye(2 ** n, dtype=complex)
     h_prop = np.zeros((dim, dim), dtype=complex)
     for l in range(1, length + 1):
         # step l flips clock qubit l, controlled on its left neighbour
-        # reading 1 and its right neighbour reading 0 where they exist
+        # reading 1 and its right neighbour reading 0 where they exist.
+        # Controls and flip act on the clock alone, so the moved term
+        # (U_l (x) 1)(1 (x) hop) is U_l (x) hop: each entry one product
         ctrl = {}
         if l > 1:
-            ctrl[n + l - 1] = PROJ1
+            ctrl[l - 1] = PROJ1
         if l < length:
-            ctrl[n + l + 1] = PROJ0
-        diag = _site_projector(total, ctrl)
-        hop = _site_projector(total, {**ctrl, n + l: hop10})
-        u_l = np.kron(unitaries[l - 1], np.eye(2 ** length, dtype=complex))
-        moved = u_l @ hop
+            ctrl[l + 1] = PROJ0
+        diag = np.kron(register, _site_projector(length, ctrl))
+        moved = np.kron(unitaries[l - 1], _site_projector(length, {**ctrl, l: hop10}))
         h_prop += 0.5 * (diag - moved - moved.conj().T)
 
     _verify_legal_sector(h_prop, model)
@@ -506,12 +520,11 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
     n, length = model.n, model.length
     history = _history_vectors(model)
     lp1 = length + 1
+    profile = band_profile(length)
     vectors = np.zeros((2 ** (n + length), lp1), dtype=complex)
     for k in range(lp1):
-        norm = math.sqrt((2.0 - (k == 0)) / lp1)
         for l in range(lp1):
-            c = norm * math.cos((l + 0.5) * k * math.pi / lp1)
-            vectors[:, k] += c * history[l]
+            vectors[:, k] += profile[k, l] * history[l]
     omegas = band_energies(length, model.omega)
     evals, evecs = np.linalg.eigh(h_s.matrix)
 
@@ -579,12 +592,10 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
         raise ValueError("coupling operator must be Hermitian")
     if t_s.dim != h_s.dim:
         raise DimensionMismatch("system and coupling dimensions differ")
-    dim = h_s.dim
-    eye = np.eye(dim, dtype=complex)
     t = omega0 * t_s.matrix
     if bath.kind == "qubit":
-        h_full = np.kron(h_s.matrix, np.eye(2)) + bath.omega_b * np.kron(eye, PROJ1)
-        return h_full, np.kron(t, SIGMA_X)
+        return qubit_bath_terms(h_s.matrix, t, bath.omega_b)
+    eye = np.eye(h_s.dim, dtype=complex)
     proj_c = np.outer(KET_C, KET_C)
     proj_r = np.outer(KET_R, KET_R)
     proj_l = np.outer(KET_L, KET_L)
@@ -593,6 +604,15 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
     )
     swap_cb = np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C)
     return h_full, np.kron(t, swap_cb)
+
+
+def qubit_bath_terms(h_s: np.ndarray, t: np.ndarray, omega_b: float):
+    """The qubit bath's H = H_S (x) 1 + omega_b * 1 (x) |up><up| and V = T (x)
+    sigma_x, as plain arrays from the plain arrays H_S and T; the checks on
+    where H_S and T come from are the caller's (`build_bath_and_couplings`
+    takes validated operators)."""
+    eye = np.eye(len(h_s), dtype=complex)
+    return np.kron(h_s, np.eye(2)) + omega_b * np.kron(eye, PROJ1), np.kron(t, SIGMA_X)
 
 
 def build_verification_coupling(dim_s: int, omega0: float) -> np.ndarray:

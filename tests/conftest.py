@@ -26,3 +26,11 @@ def rng() -> np.random.Generator:
 def random_hermitian(rng, dim, scale=1.0):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (z + z.conj().T) / 2
+
+
+def haar_gate(rng, dim):
+    """A Haar-random dim x dim unitary (QR of a complex Gaussian matrix,
+    phases fixed by R's diagonal)."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

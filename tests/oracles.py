@@ -10,11 +10,13 @@ the bounds lab's closeness radius by one linear solve and one SVD norm
 per grid point, the self-energy by its series in powers of V, gate
 embedding one basis column at a time, the clock construction by its
 original four-branch hopping loop and step-by-step register history, the
-cooling ladder from step Hamiltonians built afresh, trajectory sampling
-one shot at a time, each trial's uniforms from its own numpy generator
-(`trial_rng`, the reference of the vectorized `cooling.trial_uniforms`),
-and the search setup on its full composite space instead of its
-two-band block.
+cooling ladder from step Hamiltonians built afresh, the step norm on the
+whole composite space instead of its connected blocks, the clock readout
+on the final state lifted to the dense space instead of on the band
+state, trajectory sampling one shot at a time, each trial's uniforms
+from its own numpy generator (`trial_rng`, the reference of the
+vectorized `cooling.trial_uniforms`), and the search setup on its full
+composite space instead of its two-band block.
 
 The dense setups also carry what the lab never runs: static error terms
 on the step Hamiltonians, with their block-norm budgets (a noisy ladder
@@ -190,6 +192,58 @@ def ladder_by_fresh_build(setup, schedule, delta_ops=None, rho0=None):
         rho = cooling_map_dense(rho, u)
         up_probs.append(float(np.sum(np.diagonal(rho)[1::2]).real))
     return float(np.trace(_ground_projector(setup) @ rho).real), up_probs, rho
+
+
+def step_norm_on_composite(setup, schedule) -> float:
+    """The largest step norm of a ladder as one eigvalsh of H* + V on the
+    whole composite space of `setup` (its `dense` setup, when it is a band
+    block cut from one), at the steps' largest bath energy omega_b*; the
+    production `cooling._step_norm` reads the same norm off the connected
+    blocks instead."""
+    from qsc.linalg import operator_norm
+    from qsc.models import BathSpec, build_bath_and_couplings
+
+    if not schedule.steps:
+        return 0.0
+    setup = setup.dense or setup
+    omega_b = max(s.omega_b for s in schedule.steps)
+    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
+                                    setup.coupling, schedule.omega0)
+    return operator_norm(h + v, hermitian=True)
+
+
+def clock_readout_by_lift(model, dense, final_state) -> dict:
+    """The clock readout of a band block's final state read on the dense
+    space: the state lifted to (B (x) 1) rho (B (x) 1)^+, B the dense band
+    vectors of `dense`, then the bath traced out, the ground fidelity
+    <eta|rho_sys|eta> with eta the history state, the final clock site
+    projected out densely, and the register state given that site traced
+    out of it and compared with the ideal output."""
+    from qsc.linalg import DensityMatrix, StateVector, partial_trace
+    from qsc.models import clock_site_index, register_history
+
+    n, length = model.n, model.length
+    lift = np.kron(dense.band.vectors, np.eye(2))
+    rho = DensityMatrix(lift @ final_state.entries @ lift.conj().T)
+    rho_sys = partial_trace(rho, [2 ** n, 2 ** length, 2], keep=[0, 1])
+    eta = dense.band.vector(0)
+    ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
+    site_l = StateVector.basis(2 ** length, clock_site_index(length, length)).amplitudes
+    proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(site_l, site_l.conj()))
+    weighted = proj @ rho_sys.entries @ proj
+    p_site = float(np.trace(weighted).real)
+    if p_site > 1e-12:
+        reg = partial_trace(DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0])
+        ideal = register_history(model.circuit)[-1]
+        out_fid = float(np.real(ideal.conj() @ reg.entries @ ideal))
+    else:
+        out_fid = 0.0
+    return {
+        "ground_fidelity": ground_fid,
+        "final_site_probability": p_site,
+        "output_fidelity_given_site": out_fid,
+        "expected_site_weight": 1.0 / (length + 1),
+    }
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -468,7 +522,7 @@ def clock_hopping_by_branches(model) -> np.ndarray:
     """The clock hopping term written out per boundary case: a single clock
     qubit, the first, the last, and an interior step, each with its own
     controls and the diagonal as the sum of both states of the stepped
-    qubit."""
+    qubit, and each moved term the dense product (U_l (x) 1) hop."""
     n, length = model.n, model.length
     total = n + length
     dim = 2 ** total

@@ -394,7 +394,11 @@ MISREAD = [
     ("clock", {"eps": -0.1}, "eps must be > 0, got -0.1"),
     ("clock", {"eps": 0}, "eps must be > 0, got 0"),
     ("clock", {"omega0": -0.01}, "omega0 must be > 0, got -0.01"),
-    ("prob", {"r": -0.01}, "omega0 must be > 0"),  # omega0 = r * Delta
+    # a coupling ratio is named as the config key, not as the coupling
+    # omega0 = r * Delta or the model parameter it becomes in the library
+    ("grover", {"r": -0.02}, "'r' must be > 0, got -0.02"),
+    ("clock", {"r": -0.01}, "'r' must be > 0, got -0.01"),
+    ("prob", {"r": -0.01}, "'r' must be > 0, got -0.01"),
     ("prob", {"omega_star_rel": -1}, "omega_star must be > 0"),
     ("prob", {"f1_lower": 0}, "f1_lower must be > 0, got 0"),
     ("prob", {"eps": -0.1}, "eps must be > 0, got -0.1"),

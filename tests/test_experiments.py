@@ -8,19 +8,31 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsc.bounds import check_protocol_lemmas
 from qsc.cli import _RUNNERS, resolve_config
-from qsc.experiments import fidelity_vs_detuning, half_width
+from qsc.experiments import _clock_readout, fidelity_vs_detuning, half_width
 from qsc import cooling, linalg, models
-from qsc.models import GroverModel
-from qsc.cooling import build_schedule, grover_setup, run_deterministic
+from qsc.models import CircuitSpec, ClockModel, Gate, GroverModel, parse_circuit
+from qsc.cooling import (
+    _step_norm,
+    build_schedule,
+    clock_block,
+    grover_setup,
+    run_deterministic,
+    run_reduced,
+)
 
+from conftest import haar_gate
 from oracles import (
     CountingLinalg,
+    clock_readout_by_lift,
     dense_grover_setup,
     detuning_scan_oracle,
     ladder_by_fresh_build,
+    step_norm_on_composite,
 )
 
 
@@ -185,6 +197,80 @@ class TestClockReduced:
         assert cost["total_time"] == report["total_time"]
 
 
+_NAMED_GATE_LINES = {
+    1: [f"G {g} 1" for g in "IHSTXYZ"],
+    2: [f"G {g} {q}" for g in "HSTXYZ" for q in (1, 2)]
+    + ["G CX 1 2", "G CX 2 1", "G CZ 1 2", "G SWAP 1 2"],
+}
+
+
+@st.composite
+def _clock_models(draw):
+    """Clocks of n <= 2 register qubits and L <= 5 gates, each gate named
+    or Haar random (on both qubits when n = 2)."""
+    n = draw(st.sampled_from([1, 2]))
+    gates = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            gates.append(parse_circuit(draw(st.sampled_from(_NAMED_GATE_LINES[n])), n).gates[0])
+        else:
+            targets = (1,) if n == 1 else tuple(draw(st.permutations([1, 2])))
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            gates.append(Gate(haar_gate(np.random.default_rng(seed), 2 ** len(targets)),
+                              targets))
+    return ClockModel(circuit=CircuitSpec(n, tuple(gates)))
+
+
+class TestBandReadout:
+    """The clock readout is read off the final band state and the step norm
+    off the connected blocks of H* + V; the oracles read the same numbers
+    on the dense composite space: the state lifted by the dense band
+    vectors (`clock_readout_by_lift`) and one eigvalsh of the whole H* + V
+    (`step_norm_on_composite`)."""
+
+    @example(model=ClockModel(circuit=parse_circuit(
+        "G H 1\nG CX 1 2\nG T 2\nG SWAP 1 2\nG Y 1", 2)), eta=None)
+    @example(model=ClockModel(circuit=parse_circuit(
+        "G H 1\nG T 1\nG X 1\nG S 1\nG Y 1", 1)), eta=0.2)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(model=_clock_models(), eta=st.sampled_from([None, 0.2, 0.45]))
+    def test_clock_matches_the_dense_oracles(self, model, eta):
+        block = clock_block(model)
+        sched = build_schedule(block, eps=0.1)
+        if eta is None:
+            report = run_deterministic(block, sched)
+        else:
+            report = run_reduced(block, sched, eta=eta)
+            sched = replace(sched, steps=tuple(s for s in sched.steps
+                                               if s.j not in report.skipped_bands))
+        readout = _clock_readout(model, report.final_state)
+        lifted = clock_readout_by_lift(model, block.dense, report.final_state)
+        assert readout.keys() == lifted.keys()
+        for key, value in lifted.items():
+            assert abs(readout[key] - value) <= 1e-12, key
+        # the readout's ground fidelity is the run's, not a second estimate
+        assert readout["ground_fidelity"] == report.ground_fidelity
+        composite = step_norm_on_composite(block, sched)
+        assert report.h_norm == pytest.approx(composite, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("kind", ["uniform", "haar"])
+    def test_search_step_norm_matches_the_composite_norm(self, n, kind):
+        # a search block is one connected component, so its step norm is
+        # the one eigvalsh of H* + V bit for bit; the dense search setup
+        # agrees with its composite space to roundoff
+        model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=0.02)
+        block = grover_setup(model, kind=kind, seed=n)
+        dense = dense_grover_setup(model, kind=kind, seed=n)
+        for setup in (block, dense):
+            sched = build_schedule(setup, omega0=0.02)
+            composite = step_norm_on_composite(setup, sched)
+            if setup is block:
+                assert _step_norm(setup, sched) == composite
+            else:
+                assert _step_norm(setup, sched) == pytest.approx(composite, rel=1e-14, abs=0)
+
+
 class TestCountedWork:
     """A cooling run's work is counted, not timed: per step, one bath
     assembly, one validated step Hamiltonian and one eigendecomposition in
@@ -192,16 +278,19 @@ class TestCountedWork:
     run (for the propagation), a single pass over the ladder, no eigvalsh
     beyond state validation and norms, one search model per setup, and
     trajectory products that do not grow with the shots.  Both ladders
-    stay in their band blocks; the clock's meets its dense space only for
-    the band structure, one step norm and the lifted readout state.  A run
-    whose steps differ from the schedule's (another detuning, analytic
-    tau) must match a ladder built afresh."""
+    stay in their band blocks, and no clock run forms a matrix of the
+    composite size: the clock meets its dense space only in H_S's band
+    structure and the validation of H_S and the coupling, prices the step
+    norm on the connected blocks of H* + V and reads out the band state.
+    A run whose steps differ from the schedule's (another detuning,
+    analytic tau) must match a ladder built afresh."""
 
     @staticmethod
     def _counting(monkeypatch):
         counts = CountingLinalg(monkeypatch)
         counts.track(cooling, "cooling_step")
         counts.track(models, "build_bath_and_couplings")
+        counts.track(models, "qubit_bath_terms")
         counts.track(linalg, "operator_norm")
         counts.track(linalg.DensityMatrix, "__post_init__", "density_matrix")
         return counts
@@ -218,41 +307,52 @@ class TestCountedWork:
         # one dense band-structure eigh of H_S, then two block eigh per
         # step: the schedule's splitting and the run's propagation
         assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
-        # two bath assemblies per block step, and one on the dense space at
-        # the largest omega_b for the step norm
-        assert counts.count("build_bath_and_couplings") == 2 * length + 1
-        assert counts.count("operator_norm") == 1
+        # two bath assemblies per block step, none on the dense space
+        assert [h.dim for h in counts.calls["build_bath_and_couplings"]] == [length + 1] * (
+            2 * length)
+        # the step norm: one eigvalsh per connected block of H* + V, and
+        # the blocks partition the composite space
+        norm_sizes = [np.shape(h)[0] for h in counts.calls["operator_norm"]]
+        assert sum(norm_sizes) == 2 * dim_s and max(norm_sizes) < 2 * dim_s
         # the Hermiticity scales: dense H_S and coupling, the block's H_S
         # and coupling, and each block step H_j + V as the schedule and as
-        # the run build it; the dense step whose norm is priced is a sum of
+        # the run build it; the step-norm blocks are sums of submatrices of
         # validated terms, not checked again
         assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2, block: 2 * length}
-        # composite size: the step norm and the lifted final state
-        assert counts.sizes("eigvalsh")[2 * dim_s] == 2
-        assert counts.count("eigvalsh") <= (counts.count("density_matrix")
+        # the initial state, one state per step and the band state read out
+        assert counts.count("density_matrix") == length + 2
+        assert counts.count("eigvalsh") == (counts.count("density_matrix")
                                             + counts.count("operator_norm"))
 
-    @pytest.mark.parametrize("mode", ["density", "trajectory"])
+    @pytest.mark.parametrize("mode", ["density", "trajectory", "eta"])
     def test_clock_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
-        # n = 1, L = 5: the ladder's decompositions (two per step: the
-        # schedule's and the run's) and Hermiticity scales are at most the
-        # (L+1)-band block's size 2(L+1); the dense space is
-        # met only by H_S's one eigh for the band structure, the validation
-        # of H_S and the coupling, and two eigvalsh: the step norm and (in
-        # density mode) the lifted final state for the readout
+        # n = 1, L = 5: no decomposition, eigenvalue solve or 2-norm sees the
+        # composite size 2 dim_s; the dense space is met only by H_S's one
+        # eigh for the band structure and the validation of H_S and the
+        # coupling.  The ladder's decompositions (the schedule's, one per
+        # step, and the run's, one per kept step) are of the block's size
         length = 5
         cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1", "G S 1", "G Y 1"],
-               "eps": 0.1, "mode": mode, "shots": 50, "seed": 0}
+               "eps": 0.1, "shots": 50, "seed": 0}
+        if mode == "eta":  # the eta reduction runs the density ladder
+            cfg["eta"] = 0.3
+        else:
+            cfg["mode"] = mode
         counts = self._counting(monkeypatch)
-        run("clock", cfg, tmp_path)
+        summary = run("clock", cfg, tmp_path)
         dim_s, block = 2 ** (1 + length), 2 * (length + 1)
-        assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
+        steps = counts.count("cooling_step")
+        kept = length - len(summary["report"]["skipped_bands"])
+        assert (mode == "eta") == (kept < length)
+        assert counts.sizes("eigh") == {dim_s: 1, block: length + kept}
         for key in ("solve", "cond", "svd"):
             assert max(counts.sizes(key), default=0) <= block, key
+        for key in ("eigh", "eigvalsh", "norm2"):
+            assert max(counts.sizes(key), default=0) <= dim_s, key
         assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 2
-        composite = counts.sizes("eigvalsh")[2 * dim_s]
-        assert composite == (2 if mode == "density" else 1)
-        assert max(counts.sizes("eigvalsh")) == 2 * dim_s
+        assert all(h.dim == length + 1 for h in counts.calls["build_bath_and_couplings"])
+        assert counts.count("density_matrix") <= steps + 2
+        assert ("readout" in summary) == (mode != "trajectory")
 
     def test_grover_trajectory_builds_the_bath_once_per_use(self, tmp_path, monkeypatch):
         cfg = {"n": 4, "marked": [0], "r": 0.02, "mode": "trajectory",
@@ -260,9 +360,11 @@ class TestCountedWork:
         counts = self._counting(monkeypatch)
         run("grover", cfg, tmp_path)
         # the one step is built and diagonalized by the schedule for its
-        # splitting and by the run for the shot unitary, and built once more
-        # for the step norm, one 4 x 4 eigvalsh
-        assert counts.count("build_bath_and_couplings") == 3
+        # splitting and by the run for the shot unitary, and its qubit-bath
+        # terms are built once more for the step norm, one 4 x 4 eigvalsh
+        # on the block's one connected component
+        assert counts.count("build_bath_and_couplings") == 2
+        assert counts.count("qubit_bath_terms") == 3
         assert counts.count("eigh") == 2
         assert counts.sizes("eigvalsh") == {4: 1}
         # the block's H_S and coupling (2 x 2), and the step H_j + V twice
@@ -403,6 +505,9 @@ class TestCountedWork:
         counts.calls.clear()
         report = run_deterministic(setup, sched)
         assert counts.count("eigh") == len(sched.steps)
-        # and one more bath assembly, for the step norm
-        assert counts.count("build_bath_and_couplings") == len(sched.steps) + 1
+        # one bath assembly per step, and the step norm's qubit-bath terms
+        # once per connected block, each priced by one operator_norm
+        assert counts.count("build_bath_and_couplings") == len(sched.steps)
+        assert counts.count("qubit_bath_terms") == (len(sched.steps)
+                                                    + counts.count("operator_norm"))
         self._assert_fresh(setup, sched, report)

@@ -36,6 +36,7 @@ from qsc.models import (
     shift_factors,
 )
 
+from conftest import haar_gate
 from oracles import (
     clock_gap_by_sectors,
     clock_history_by_loop,
@@ -44,12 +45,6 @@ from oracles import (
     embed_gate_by_bit_loop,
     history_state,
 )
-
-
-def haar_gate(rng, dim):
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def random_circuit(rng, n, length):
@@ -223,9 +218,11 @@ class TestClockConstruction:
 
 
 class TestClockPinned:
-    """The hopping term built by one controlled-step rule, and the history
-    state and band vectors built from one register history, equal the
-    four-branch construction and the gate-by-gate loops bit for bit."""
+    """The hopping term built by one controlled-step rule, each moved term
+    formed as U_l (x) hop, and the history state and band vectors built
+    from one register history, equal the four-branch construction (whose
+    moved terms are the dense products (U_l (x) 1) hop) and the
+    gate-by-gate loops bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("length", [1, 2, 3, 5])
@@ -237,6 +234,16 @@ class TestClockPinned:
         history, vectors = clock_history_by_loop(model)
         assert np.array_equal(history_state(model).amplitudes, history)
         assert np.array_equal(clock_band_structure(model).vectors, vectors)
+
+    @pytest.mark.parametrize("text,n", [
+        ("G H 1\nG T 1\nG X 1\nG S 1\nG Y 1\nG Z 1", 1),
+        ("G H 1\nG CX 1 2\nG T 2\nG SWAP 1 2\nG Y 1", 2),
+        ("G CZ 2 1\nG S 2\nG CX 2 1", 2),
+    ])
+    def test_named_gates_bit_identical(self, text, n):
+        model = ClockModel(circuit=parse_circuit(text, n))
+        h_prop, _, _ = build_clock_parts(model)
+        assert np.array_equal(h_prop, clock_hopping_by_branches(model))
 
 
 class TestSelfChecks:
