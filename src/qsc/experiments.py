@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__, config
 from .errors import ConfigError, HypothesisUnmet, SelfCheckFailed
-from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 from .cooling import (
     _step_hamiltonian,
     build_schedule,
@@ -346,8 +345,8 @@ def _load_model_circuit(cfg: dict):
 
 
 def run_clock(cfg: dict, out_dir: Path) -> dict:
-    """Cool a clock model, then read out both the ground fidelity and the
-    computation-output fidelity at the final clock site.
+    """Cool a clock model, then read out the ground fidelity and the
+    probability of the final clock site.
 
     The ladder (schedule, density or trajectory run, eta reduction) runs on
     the clock's exact (L+1)-band block (`clock_block`); Delta, the band
@@ -393,8 +392,7 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
 
 def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
     """Measure the clock register of the cooled band state: the ground
-    fidelity, the probability of the final clock site, and the register
-    fidelity against the ideal circuit output given that site.
+    fidelity and the probability of the final clock site.
 
     `final_state` is the block state, band (x) bath; its partial trace over
     the bath is the band density matrix rho_b.  Band vector k is sum_l
@@ -402,21 +400,19 @@ def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
     the register history, so
       * the ground fidelity is rho_b[0, 0] (the same number as the run's);
       * band vector k puts c_k psi_L on the final site, c_k = c[k, L], so
-        the site's probability is (c^T rho_b c) |psi_L|^2;
-      * given that site the register is psi_L/|psi_L| whatever rho_b is,
-        so its fidelity with the ideal output psi_L is |psi_L|^2 (1 up to
-        the gate literals' unitarity error).
+        the site's probability is (c^T rho_b c) |psi_L|^2.
+    Given that site the register is psi_L/|psi_L| whatever rho_b is, so its
+    fidelity with the ideal output psi_L is |psi_L|^2 whatever the ladder
+    did: a constant of the circuit, not reported.
     """
     length = model.length
     rho_b = partial_trace(final_state, [length + 1, 2], keep=[0]).entries
     c = band_profile(length)[:, length]
-    ideal = register_history(model.circuit)[-1]
-    weight = float(np.vdot(ideal, ideal).real)
-    p_site = float((c @ rho_b @ c).real) * weight
+    psi_l = register_history(model.circuit)[-1]
+    p_site = float((c @ rho_b @ c).real) * float(np.vdot(psi_l, psi_l).real)
     return {
         "ground_fidelity": float(rho_b[0, 0].real),
         "final_site_probability": p_site,
-        "output_fidelity_given_site": weight if p_site > 1e-12 else 0.0,
         "expected_site_weight": 1.0 / (length + 1),
     }
 
@@ -468,13 +464,20 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
 
 def run_bounds(cfg: dict, out_dir: Path) -> dict:
     """Run the randomized bound suites; any violation is dumped and flips
-    the exit status."""
+    the exit status.  The bounds lab is imported here, so no other command
+    loads it."""
+    from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
+
+    if cfg["instances"] < 1:
+        raise ConfigError(f"bounds config key 'instances' must be >= 1, got {cfg['instances']}")
     names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        raise ConfigError(f"bounds config key 'suites' names unknown suite(s): "
+                          f"{', '.join(map(repr, unknown))}")
     suites = {}
     any_violation = False
     for name in names:
-        if name not in SUITES:
-            raise ConfigError(f"unknown suite {name!r}")
         rep = run_suite(name, cfg["instances"], master_seed=cfg["seed"], out_dir=out_dir)
         suites[name] = {
             "instances": rep.instances,
@@ -525,9 +528,14 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
 def run_spectrum(cfg: dict, out_dir: Path) -> dict:
     """Dump closed-form band data and measured gaps for clock models over
     an L range (identity circuits), optionally across penalty factors."""
+    if cfg["n"] < 1:
+        raise ConfigError(f"spectrum config key 'n' must be >= 1, got {cfg['n']}")
+    if cfg["L_min"] < 1:
+        raise ConfigError(f"spectrum config key 'L_min' must be >= 1, got {cfg['L_min']}")
+    if cfg["L_max"] < cfg["L_min"]:
+        raise ConfigError(f"spectrum config key 'L_max' must be >= L_min = {cfg['L_min']}, "
+                          f"got {cfg['L_max']}")
     l_values = list(range(cfg["L_min"], cfg["L_max"] + 1))
-    if not l_values:
-        raise ConfigError("empty L grid: need L_min <= L_max")
     h_values = cfg.get("h_grid", [cfg["h"]])
     if not h_values:
         raise ConfigError("empty penalty-factor grid")

@@ -216,11 +216,10 @@ def clock_readout_by_lift(model, dense, final_state) -> dict:
     """The clock readout of a band block's final state read on the dense
     space: the state lifted to (B (x) 1) rho (B (x) 1)^+, B the dense band
     vectors of `dense`, then the bath traced out, the ground fidelity
-    <eta|rho_sys|eta> with eta the history state, the final clock site
-    projected out densely, and the register state given that site traced
-    out of it and compared with the ideal output."""
+    <eta|rho_sys|eta> with eta the history state, and the final clock site
+    projected out densely."""
     from qsc.linalg import DensityMatrix, StateVector, partial_trace
-    from qsc.models import clock_site_index, register_history
+    from qsc.models import clock_site_index
 
     n, length = model.n, model.length
     lift = np.kron(dense.band.vectors, np.eye(2))
@@ -230,18 +229,10 @@ def clock_readout_by_lift(model, dense, final_state) -> dict:
     ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
     site_l = StateVector.basis(2 ** length, clock_site_index(length, length)).amplitudes
     proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(site_l, site_l.conj()))
-    weighted = proj @ rho_sys.entries @ proj
-    p_site = float(np.trace(weighted).real)
-    if p_site > 1e-12:
-        reg = partial_trace(DensityMatrix(weighted / p_site), [2 ** n, 2 ** length], keep=[0])
-        ideal = register_history(model.circuit)[-1]
-        out_fid = float(np.real(ideal.conj() @ reg.entries @ ideal))
-    else:
-        out_fid = 0.0
+    p_site = float(np.trace(proj @ rho_sys.entries @ proj).real)
     return {
         "ground_fidelity": ground_fid,
         "final_site_probability": p_site,
-        "output_fidelity_given_site": out_fid,
         "expected_site_weight": 1.0 / (length + 1),
     }
 

@@ -169,6 +169,46 @@ class TestSpectralCorrespondence:
             ref = closeness_radius_pointwise(inst)
             assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("make_instance", [
+        lambda seed: make_windowed_instance(seed),
+        lambda seed: make_windowed_instance(seed, p_rank=1),
+        lambda seed: make_multiband_instance(seed),
+    ], ids=["windowed", "rank-one", "multiband"])
+    def test_pruned_grid_is_the_full_batch_bit_for_bit(self, monkeypatch, make_instance):
+        # every sweep of the closeness radius, pruned and as one batched
+        # eigvalsh of the whole grid
+        pruned = bounds._sigma_grid_bound
+        sweeps = []
+
+        def both(sigma_at, h_eff, lo, hi, points=64):
+            diffs = sigma_at(np.linspace(lo, hi, points)) - h_eff
+            full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
+            sweeps.append((pruned(sigma_at, h_eff, lo, hi, points), full))
+            return sweeps[-1][0]
+
+        monkeypatch.setattr(bounds, "_sigma_grid_bound", both)
+        for k in range(40):
+            try:
+                bounds._effective_hamiltonian_with_gamma(make_instance(7000 + k))
+            except HypothesisUnmet:
+                pass
+        assert len(sweeps) >= 40
+        assert all(got == full for got, full in sweeps)
+
+    def test_pruned_grid_with_a_non_finite_point(self):
+        # a non-finite Frobenius norm orders nothing: the whole grid is
+        # evaluated, as one batch
+        def sigma_at(zs):
+            sigma = np.zeros((len(zs), 2, 2), dtype=complex)
+            sigma[:, 0, 1] = sigma[:, 1, 0] = zs
+            sigma[3, 1, 1] = np.inf
+            return sigma
+
+        h_eff = np.zeros((2, 2), dtype=complex)
+        diffs = sigma_at(np.linspace(0.0, 1.0, 8)) - h_eff
+        full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
+        np.testing.assert_equal(bounds._sigma_grid_bound(sigma_at, h_eff, 0.0, 1.0, 8), full)
+
     def test_collar_gate(self):
         inst = make_windowed_instance(seed=6)
         lam_lo, _ = inst.window
@@ -194,13 +234,26 @@ class TestSpectralCorrespondence:
 
 class TestCountedWork:
     """Work per instance is counted, not timed: the closeness-radius grid
-    costs one eigendecomposition of Q(H+V)Q and one batched eigvalsh per
-    sweep, and no solve, condition number or SVD norm per grid point."""
+    costs one eigendecomposition of Q(H+V)Q, an eigvalsh of fewer grid
+    points than the grid has per sweep, and no solve, condition number or
+    SVD norm per grid point."""
 
     def test_spectral_correspondence_counts(self, monkeypatch):
         inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
         counts.track(bounds, "hermitian_eig")
+        per_sweep = []
+        grid_bound = bounds._sigma_grid_bound
+
+        def counted_sweep(*args, **kwargs):
+            # the grid matrices handed to eigvalsh: a batch counts each
+            before = len(counts.calls.get("eigvalsh", []))
+            result = grid_bound(*args, **kwargs)
+            shapes = counts.calls["eigvalsh"][before:]
+            per_sweep.append(sum(s[0] if len(s) == 3 else 1 for s in shapes))
+            return result
+
+        monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
         assert check_spectral_correspondence(inst).passed
         assert counts.count("solve") == 1   # H_eff at the window center
         assert counts.count("cond") == 1    # its reference resolvent check
@@ -212,8 +265,7 @@ class TestCountedWork:
         eigs = counts.calls["hermitian_eig"]
         assert len(eigs) == 2
         assert {id(op) for op in eigs} == {id(inst.h), id(inst.h_tilde)}
-        batched = [s for s in counts.calls["eigvalsh"] if len(s) == 3]
-        assert 2 <= len(batched) <= 9 and all(s == (64, 3, 3) for s in batched)
+        assert 2 <= len(per_sweep) <= 9 and all(1 <= k < 64 for k in per_sweep)
 
     def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
         per_grid = {}

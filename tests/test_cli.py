@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc import __version__, cli, config, experiments
+from qsc import __version__, bounds, cli, config, experiments
 from qsc.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -227,8 +227,17 @@ def test_bounds_replay_clean_and_corrupted(tmp_path):
     assert dumps
 
 
-def test_unknown_suite_is_config_error(tmp_path):
-    assert run_cli(tmp_path, "bounds", {"suites": ["frobnicate"], "instances": 1}) == EXIT_CONFIG
+def test_unknown_suite_is_config_error(tmp_path, capsys, monkeypatch):
+    # every suite name is checked before the first suite runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(bounds, "run_suite", no_run)
+    cfg = {"suites": ["weyl", "frobnicate"], "instances": 1}
+    assert run_cli(tmp_path, "bounds", cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "'suites' names unknown suite(s): 'frobnicate'" in err
 
 
 def test_clock_gates_file_roundtrip(tmp_path, circuits_dir):
@@ -236,7 +245,11 @@ def test_clock_gates_file_roundtrip(tmp_path, circuits_dir):
     assert run_cli(tmp_path, "clock", cfg) == EXIT_OK
     payload = json.loads((tmp_path / "out" / "clock_report.json").read_text())
     assert payload["report"]["ground_fidelity"] > 0.9
-    assert payload["readout"]["output_fidelity_given_site"] > 0.99
+    # the cooled history state spreads evenly over the L + 1 clock sites
+    readout = payload["readout"]
+    assert readout["final_site_probability"] == pytest.approx(
+        readout["expected_site_weight"], rel=1e-3)
+    assert "output_fidelity_given_site" not in readout
 
 
 @pytest.mark.parametrize("experiment,key", [("prob", "trails"), ("clock", "trials"),
@@ -402,6 +415,12 @@ MISREAD = [
     ("prob", {"omega_star_rel": -1}, "omega_star must be > 0"),
     ("prob", {"f1_lower": 0}, "f1_lower must be > 0, got 0"),
     ("prob", {"eps": -0.1}, "eps must be > 0, got -0.1"),
+    # counts and grids are checked before the first suite or L runs
+    ("bounds", {"instances": -3}, "'instances' must be >= 1, got -3"),
+    ("bounds", {"instances": 0}, "'instances' must be >= 1, got 0"),
+    ("spectrum", {"n": 0}, "'n' must be >= 1, got 0"),
+    ("spectrum", {"L_min": -2}, "'L_min' must be >= 1, got -2"),
+    ("spectrum", {"L_min": 3, "L_max": 2}, "'L_max' must be >= L_min = 3, got 2"),
 ]
 
 
