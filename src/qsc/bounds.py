@@ -13,7 +13,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -26,6 +25,8 @@ from .linalg import (
     Operator,
     SpectralDecomposition,
     Subspace,
+    _Frozen,
+    _setattr,
     evolve,
     hermitian_eig,
     hybridized_pair,
@@ -76,29 +77,39 @@ __all__ = [
 _SLACK = 1e-9  # numerical floor on bound margins
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    margins: tuple[float, ...]
-    details: dict = field(default_factory=dict)
+class CheckResult(_Frozen):
+    """A checker's verdict, its bound margins and the details of the
+    instance (a new empty dict unless given)."""
+
+    __slots__ = ("name", "passed", "margins", "details")
+
+    def __init__(self, name: str, passed: bool, margins: tuple[float, ...],
+                 details: dict | None = None):
+        _setattr(self, "name", name)
+        _setattr(self, "passed", passed)
+        _setattr(self, "margins", margins)
+        _setattr(self, "details", {} if details is None else details)
 
 
-@dataclass(frozen=True)
-class BoundInstance:
+class BoundInstance(_Frozen):
     """A random instance for the window-based checks: a Hamiltonian, a
     perturbation, the spectral window, and the protecting gap.
 
     H + V (summed as arrays and validated once), |V| and the
     eigendecompositions of H and H + V are computed once per instance and
-    shared by every checker that reads them.
+    shared by every checker that reads them (cached in the instance's
+    `__dict__`).
     """
 
-    h: Operator
-    v: Operator
-    window: tuple[float, float]
-    gap: float
-    seed: int
+    __slots__ = ("h", "v", "window", "gap", "seed", "__dict__")
+
+    def __init__(self, h: Operator, v: Operator, window: tuple[float, float], gap: float,
+                 seed: int):
+        _setattr(self, "h", h)
+        _setattr(self, "v", v)
+        _setattr(self, "window", window)
+        _setattr(self, "gap", gap)
+        _setattr(self, "seed", seed)
 
     @cached_property
     def h_tilde(self) -> Operator:
@@ -728,13 +739,18 @@ def replay_instance(payload: dict) -> CheckResult:
     return check(**_arguments(check, payload))
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    name: str
-    instances: int
-    passes: int
-    vacuous: int
-    violations: tuple[str, ...]  # dump paths
+class SuiteReport(_Frozen):
+    """One suite's counts, and the dump path of each violation."""
+
+    __slots__ = ("name", "instances", "passes", "vacuous", "violations")
+
+    def __init__(self, name: str, instances: int, passes: int, vacuous: int,
+                 violations: tuple[str, ...]):
+        _setattr(self, "name", name)
+        _setattr(self, "instances", instances)
+        _setattr(self, "passes", passes)
+        _setattr(self, "vacuous", vacuous)
+        _setattr(self, "violations", violations)
 
     @property
     def clean(self) -> bool:

@@ -6,7 +6,9 @@ Configuration files are JSON; each experiment's keys, value types and
 defaults are declared in `experiments.CONFIG_KEYS` and listed in the
 README.  A --seed on the command line overrides the config's seed.
 Exit codes: 0 success, 1 bound or acceptance violation or a failed
-self-check, 2 configuration error, 3 resource cap exceeded.
+self-check, 2 configuration error (also a coupling too large for the
+schedule, or too small to resolve its pulse times), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .errors import (
     DimensionTooLarge,
     ParseError,
     QscError,
+    UnresolvedSplitting,
 )
 from . import experiments
 
@@ -61,9 +64,10 @@ def load_config(path: str | None, experiment: str, seed: int | None = None) -> d
 
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
-    unknown key, a value of the wrong type, a negative seed or a
-    non-positive coupling ratio `r` is a ConfigError that names the key),
-    then completed with the defaults of the keys it leaves out."""
+    unknown key, a value of the wrong type, an integer below its
+    `experiments.CONFIG_MINIMUMS` entry or a non-positive coupling ratio
+    `r` is a ConfigError that names the key), then completed with the
+    defaults of the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
     user = dict(user)
     declared = user.pop("experiment", experiment)
@@ -77,8 +81,10 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if not _fits(value, kind):
             raise ConfigError(f"{experiment} config key {key!r} must be {_describe(kind)}, "
                               f"got {json.dumps(value)}")
-    if user.get("seed", 0) < 0:  # a master seed is a non-negative integer
-        raise ConfigError(f"{experiment} config key 'seed' must be >= 0, got {user['seed']}")
+    for key, least in experiments.CONFIG_MINIMUMS.items():
+        if key in user and user[key] < least:
+            raise ConfigError(f"{experiment} config key {key!r} must be >= {least}, "
+                              f"got {user[key]}")
     if "r" in user and not user["r"] > 0:  # a coupling ratio is positive
         raise ConfigError(f"{experiment} config key 'r' must be > 0, got {user['r']}")
     cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
@@ -134,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.experiment, args.seed)
         out_dir = Path(args.out)
         summary = _RUNNERS[args.experiment](cfg, out_dir)
-    except (ConfigError, ParseError, CouplingTooLarge, ValueError, KeyError) as exc:
+    except (ConfigError, ParseError, CouplingTooLarge, UnresolvedSplitting, ValueError,
+            KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DimensionTooLarge as exc:

@@ -28,6 +28,11 @@ POLE_GUARD_FRACTION = 0.25
 # Perturbative coupling ratio r = Omega_0 / Delta admitted by the protocols.
 MAX_COUPLING_RATIO = 0.125
 
+# An exact-tau schedule reads a pulse time only off an eigen-splitting above
+# this multiple of eps * ||H_j + V|| (eps the double machine epsilon): a
+# smaller one is the roundoff of the step's eigendecomposition.
+SPLITTING_FLOOR_EPS = 16
+
 # Default dimensionless input-penalty factor for the clock model.
 DEFAULT_PENALTY_FACTOR = 0.1
 

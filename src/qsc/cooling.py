@@ -51,18 +51,19 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import config
-from .errors import CouplingTooLarge
+from .errors import CouplingTooLarge, UnresolvedSplitting
 from .levelshift import DetuningSolution, solve_detuning
 from .linalg import (
     DensityMatrix,
     Operator,
     SpectralDecomposition,
     StateVector,
+    _Frozen,
+    _setattr,
     connected_blocks,
     evolve,
     hermitian_eig,
@@ -113,8 +114,7 @@ __all__ = [
 # Protocol setups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoolingSetup:
+class CoolingSetup(_Frozen):
     """Everything the deterministic ladder needs about one system.
 
     `coupling` is the unit-norm coupling direction; the schedule scales it
@@ -124,14 +124,19 @@ class CoolingSetup:
     cut from (`clock_block`); a run prices its step norm there.
     """
 
-    h_s: Operator
-    coupling: Operator
-    band: BandStructure
-    xs: np.ndarray
-    fiducial: StateVector
-    ground_basis: np.ndarray
-    label: str = ""
-    dense: CoolingSetup | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("h_s", "coupling", "band", "xs", "fiducial", "ground_basis", "label", "dense")
+
+    def __init__(self, h_s: Operator, coupling: Operator, band: BandStructure, xs: np.ndarray,
+                 fiducial: StateVector, ground_basis: np.ndarray, label: str = "",
+                 dense: CoolingSetup | None = None):
+        _setattr(self, "h_s", h_s)
+        _setattr(self, "coupling", coupling)
+        _setattr(self, "band", band)
+        _setattr(self, "xs", xs)
+        _setattr(self, "fiducial", fiducial)
+        _setattr(self, "ground_basis", ground_basis)
+        _setattr(self, "label", label)
+        _setattr(self, "dense", dense)
 
     @property
     def dim_s(self) -> int:
@@ -244,24 +249,34 @@ def clock_block(model: ClockModel) -> CoolingSetup:
 # Schedules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScheduleStep:
-    j: int
-    omega_b: float
-    tau: float
-    rabi: float  # the rate actually used to set tau: tau = pi / (2 rabi)
-    solution: DetuningSolution = field(repr=False, compare=False, default=None)
+class ScheduleStep(_Frozen):
+    """One ladder step: band j, the bath energy omega_b, the pulse time tau
+    and the rate `rabi` actually used to set it (tau = pi / (2 rabi)), with
+    the detuning solution it came from."""
+
+    __slots__ = ("j", "omega_b", "tau", "rabi", "solution")
+
+    def __init__(self, j: int, omega_b: float, tau: float, rabi: float,
+                 solution: DetuningSolution | None = None):
+        _setattr(self, "j", j)
+        _setattr(self, "omega_b", omega_b)
+        _setattr(self, "tau", tau)
+        _setattr(self, "rabi", rabi)
+        _setattr(self, "solution", solution)
 
 
-@dataclass(frozen=True)
-class CoolingSchedule:
+class CoolingSchedule(_Frozen):
     """Ordered cooling steps, j = L down to 1."""
 
-    steps: tuple[ScheduleStep, ...]
-    omega0: float
-    r: float
-    eps_target: float | None
-    tau_mode: str
+    __slots__ = ("steps", "omega0", "r", "eps_target", "tau_mode")
+
+    def __init__(self, steps: tuple[ScheduleStep, ...], omega0: float, r: float,
+                 eps_target: float | None, tau_mode: str):
+        _setattr(self, "steps", steps)
+        _setattr(self, "omega0", omega0)
+        _setattr(self, "r", r)
+        _setattr(self, "eps_target", eps_target)
+        _setattr(self, "tau_mode", tau_mode)
 
     @property
     def total_time(self) -> float:
@@ -305,6 +320,10 @@ def build_schedule(
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
     1/Omega_0 (so halving the coupling exactly doubles the time).
+
+    An exact splitting at or below `config.SPLITTING_FLOOR_EPS` * eps *
+    ||H_j + V|| (eps the machine epsilon, the norm read off the step's
+    eigenvalues) is roundoff, not a Rabi splitting: UnresolvedSplitting.
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
@@ -327,7 +346,16 @@ def build_schedule(
     for j in range(n_steps, 0, -1):
         sol = solve_detuning(xs, omegas, j, omega0, delta)
         if tau_mode == "exact":
-            rabi = _exact_splitting(setup, omega0, sol)[0] / 2.0
+            splitting, sd = _exact_splitting(setup, omega0, sol)
+            w = sd.eigenvalues  # ascending: the norm is the larger end
+            roundoff = np.finfo(float).eps * max(-w[0], w[-1])
+            if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
+                raise UnresolvedSplitting(
+                    f"step j={j}: exact splitting {splitting:.3e} <= "
+                    f"{config.SPLITTING_FLOOR_EPS} * eps*||H_j + V||, with eps*||H_j + V|| = "
+                    f"{roundoff:.3e}: no pulse time can be read off it; raise the coupling"
+                )
+            rabi = splitting / 2.0
         else:
             rabi = omega0 * xs[0] * xs[j]
         steps.append(
@@ -423,27 +451,39 @@ def _squared_norms(columns: np.ndarray) -> np.ndarray:
     return np.sum(columns.real ** 2 + columns.imag ** 2, axis=0)
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Outcome of one cooling run."""
+class RunReport(_Frozen):
+    """Outcome of one cooling run.  `error_budget` is 1 - the product of the
+    per-step band retentions, `predicted_skip_penalty` the O(L' * f_perp)
+    infidelity a reduced run adds, and `final_state` density mode's final
+    state, for readouts; it is not part of the summary."""
 
-    ground_fidelity: float
-    per_step_up_probability: tuple[float, ...]
-    per_step_retention: tuple[float, ...]
-    trace_residual: float
-    min_eigenvalue: float
-    total_time: float
-    h_norm: float
-    cost: float
-    error_budget: float  # 1 - product of per-step band retentions
-    mode: str
-    skipped_bands: tuple[int, ...] = ()
-    f_perp: float = 0.0
-    predicted_skip_penalty: float = 0.0  # O(L' * f_perp) infidelity add-on
-    shots: int = 0
-    label: str = ""
-    # density mode's final state, for readouts; not part of the summary
-    final_state: DensityMatrix | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("ground_fidelity", "per_step_up_probability", "per_step_retention",
+                 "trace_residual", "min_eigenvalue", "total_time", "h_norm", "cost",
+                 "error_budget", "mode", "skipped_bands", "f_perp", "predicted_skip_penalty",
+                 "shots", "label", "final_state")
+
+    def __init__(self, ground_fidelity: float, per_step_up_probability: tuple[float, ...],
+                 per_step_retention: tuple[float, ...], trace_residual: float,
+                 min_eigenvalue: float, total_time: float, h_norm: float, cost: float,
+                 error_budget: float, mode: str, skipped_bands: tuple[int, ...] = (),
+                 f_perp: float = 0.0, predicted_skip_penalty: float = 0.0, shots: int = 0,
+                 label: str = "", final_state: DensityMatrix | None = None):
+        _setattr(self, "ground_fidelity", ground_fidelity)
+        _setattr(self, "per_step_up_probability", per_step_up_probability)
+        _setattr(self, "per_step_retention", per_step_retention)
+        _setattr(self, "trace_residual", trace_residual)
+        _setattr(self, "min_eigenvalue", min_eigenvalue)
+        _setattr(self, "total_time", total_time)
+        _setattr(self, "h_norm", h_norm)
+        _setattr(self, "cost", cost)
+        _setattr(self, "error_budget", error_budget)
+        _setattr(self, "mode", mode)
+        _setattr(self, "skipped_bands", skipped_bands)
+        _setattr(self, "f_perp", f_perp)
+        _setattr(self, "predicted_skip_penalty", predicted_skip_penalty)
+        _setattr(self, "shots", shots)
+        _setattr(self, "label", label)
+        _setattr(self, "final_state", final_state)
 
 
 # numpy's SeedSequence hash constants and PCG64's LCG multiplier, as
@@ -698,10 +738,9 @@ def run_reduced(
         eta = eps / (setup.n_bands - 1) ** 1.5
     kept = tuple(s for s in schedule.steps if setup.xs[s.j] > eta)
     skipped = tuple(s.j for s in schedule.steps if setup.xs[s.j] <= eta)
-    report = run_deterministic(setup, replace(schedule, steps=kept))
+    report = run_deterministic(setup, schedule._replace(steps=kept))
     f_perp = math.sqrt(float(np.sum(setup.xs[list(skipped)] ** 2))) if skipped else 0.0
-    return replace(
-        report,
+    return report._replace(
         mode="density-reduced",
         skipped_bands=skipped,
         f_perp=f_perp,
@@ -734,18 +773,28 @@ def extension_rabi(setup: CoolingSetup, omega0: float) -> float:
     ))
 
 
-@dataclass(frozen=True)
-class ProbRunReport:
-    trials: int
-    accept_count: int
-    acceptance_rate: float
-    conditional_success: float
-    mean_time_per_success: float
-    analytic_acceptance: float
-    tau_doublings: tuple[tuple[int, float], ...]  # (trial index, new tau floor)
-    round_limit_exceeded: bool
-    b_measure_count: int
-    label: str = ""
+class ProbRunReport(_Frozen):
+    """Outcome of one run of the probabilistic scheme; `tau_doublings`
+    lists (trial index, new tau floor) pairs."""
+
+    __slots__ = ("trials", "accept_count", "acceptance_rate", "conditional_success",
+                 "mean_time_per_success", "analytic_acceptance", "tau_doublings",
+                 "round_limit_exceeded", "b_measure_count", "label")
+
+    def __init__(self, trials: int, accept_count: int, acceptance_rate: float,
+                 conditional_success: float, mean_time_per_success: float,
+                 analytic_acceptance: float, tau_doublings: tuple[tuple[int, float], ...],
+                 round_limit_exceeded: bool, b_measure_count: int, label: str = ""):
+        _setattr(self, "trials", trials)
+        _setattr(self, "accept_count", accept_count)
+        _setattr(self, "acceptance_rate", acceptance_rate)
+        _setattr(self, "conditional_success", conditional_success)
+        _setattr(self, "mean_time_per_success", mean_time_per_success)
+        _setattr(self, "analytic_acceptance", analytic_acceptance)
+        _setattr(self, "tau_doublings", tau_doublings)
+        _setattr(self, "round_limit_exceeded", round_limit_exceeded)
+        _setattr(self, "b_measure_count", b_measure_count)
+        _setattr(self, "label", label)
 
 
 def analytic_acceptance(f1: float, rabi: float, omega_star: float) -> float:

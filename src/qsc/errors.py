@@ -29,6 +29,11 @@ class CouplingTooLarge(QscError):
     """A schedule would require a coupling ratio r = Omega_0/Delta >= 1/8."""
 
 
+class UnresolvedSplitting(QscError):
+    """An exact-tau schedule step's eigen-splitting is within roundoff of
+    the step norm, so no pulse time can be read off it."""
+
+
 class HypothesisUnmet(QscError):
     """A bound checker's hypotheses fail on the given instance."""
 

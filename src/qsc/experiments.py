@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +101,10 @@ CONFIG_KEYS = {
     },
 }
 
+# The least value of an integer config key, in every experiment that has
+# the key: `cli.resolve_config` refuses a smaller one before the run.
+CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -136,11 +139,11 @@ def _summary(cfg: dict, body: dict) -> dict:
 
 
 def _report_dict(report) -> dict:
-    """A report dataclass as JSON values: tuples become lists (nested ones
-    too), a non-finite float (a trajectory run's error budget, the time per
-    success of a run that accepted nothing) becomes None, and fields kept
-    out of its repr (a run's final state) are left out, so the summary
-    equals its own strict JSON round trip."""
+    """A run report's fields as JSON values: tuples become lists (nested
+    ones too), a non-finite float (a trajectory run's error budget, the
+    time per success of a run that accepted nothing) becomes None, and a
+    run's final state is left out, so the summary equals its own strict
+    JSON round trip."""
     def plain(value):
         if isinstance(value, tuple):
             return [plain(v) for v in value]
@@ -148,7 +151,8 @@ def _report_dict(report) -> dict:
             return None
         return value
 
-    return {f.name: plain(getattr(report, f.name)) for f in fields(report) if f.repr}
+    return {name: plain(getattr(report, name)) for name in report.__slots__
+            if name != "final_state"}
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +308,8 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
     schedule = build_schedule(setup, omega0=model.omega0_coupling, tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
-        steps = tuple(replace(s, omega_b=model.omega1) for s in schedule.steps)
-        schedule = replace(schedule, steps=steps, eps_target=None)
+        steps = tuple(s._replace(omega_b=model.omega1) for s in schedule.steps)
+        schedule = schedule._replace(steps=steps, eps_target=None)
     report = run_deterministic(setup, schedule, mode=cfg["mode"], shots=cfg["shots"], seed=seed)
     body = {"report": _report_dict(report), "r": schedule.r,
             "xs": [float(x) for x in setup.xs]}
@@ -336,7 +340,10 @@ def _load_model_circuit(cfg: dict):
     """A clock-model config's gates file, else its inline circuit, padded
     with identity gates."""
     if "gates_file" in cfg:
-        circuit = load_circuit(cfg["gates_file"], cfg["n"])
+        try:
+            circuit = load_circuit(cfg["gates_file"], cfg["n"])
+        except OSError as exc:
+            raise ConfigError(f"config key 'gates_file' cannot be read: {exc}") from exc
     else:
         circuit = parse_circuit("\n".join(cfg["circuit"]), cfg["n"])
     if cfg["padding"]:
@@ -468,8 +475,6 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     loads it."""
     from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 
-    if cfg["instances"] < 1:
-        raise ConfigError(f"bounds config key 'instances' must be >= 1, got {cfg['instances']}")
     names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]
     unknown = [name for name in names if name not in SUITES]
     if unknown:
@@ -528,10 +533,6 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
 def run_spectrum(cfg: dict, out_dir: Path) -> dict:
     """Dump closed-form band data and measured gaps for clock models over
     an L range (identity circuits), optionally across penalty factors."""
-    if cfg["n"] < 1:
-        raise ConfigError(f"spectrum config key 'n' must be >= 1, got {cfg['n']}")
-    if cfg["L_min"] < 1:
-        raise ConfigError(f"spectrum config key 'L_min' must be >= 1, got {cfg['L_min']}")
     if cfg["L_max"] < cfg["L_min"]:
         raise ConfigError(f"spectrum config key 'L_max' must be >= L_min = {cfg['L_min']}, "
                           f"got {cfg['L_max']}")

@@ -19,13 +19,11 @@ detuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
-from .linalg import Operator, Subspace, operator_norm
+from .linalg import Operator, Subspace, _Frozen, _setattr, operator_norm
 
 __all__ = [
     "LevelShiftContext",
@@ -41,15 +39,17 @@ __all__ = [
 MAX_RESOLVENT_COND = 1e14
 
 
-@dataclass(frozen=True)
-class LevelShiftContext:
+class LevelShiftContext(_Frozen):
     """A Hamiltonian resolved into a near-resonant subspace P and its
     complement Q, with the protecting gap attached."""
 
-    h: Operator
-    p: Subspace
-    q: Subspace
-    gap: float
+    __slots__ = ("h", "p", "q", "gap")
+
+    def __init__(self, h: Operator, p: Subspace, q: Subspace, gap: float):
+        _setattr(self, "h", h)
+        _setattr(self, "p", p)
+        _setattr(self, "q", q)
+        _setattr(self, "gap", gap)
 
 
 def make_context(h: Operator, p: Subspace, gap: float,
@@ -140,18 +140,25 @@ def self_energy_grid(ctx: LevelShiftContext, v: Operator):
     return sigma_at
 
 
-@dataclass(frozen=True)
-class DetuningSolution:
-    """A solved bath detuning for one cooling step."""
+class DetuningSolution(_Frozen):
+    """A solved bath detuning for one cooling step: the bath energy
+    `omega_b`, the effective oscillation half-splitting `rabi` (Omega), the
+    common diagonal `omega_b_star` of the effective two-level block, the
+    bisection `bracket` and the root function's `residual` there, and
+    `x_ratio` = |x_0 / x_j|, reported because large values degrade the
+    closed-form Rabi rate."""
 
-    j: int
-    omega_b: float
-    rabi: float          # effective oscillation half-splitting Omega
-    omega_b_star: float  # common diagonal of the effective two-level block
-    bracket: tuple[float, float]
-    residual: float
-    x_ratio: float       # |x_0 / x_j|, reported because large values
-                         # degrade the closed-form Rabi rate
+    __slots__ = ("j", "omega_b", "rabi", "omega_b_star", "bracket", "residual", "x_ratio")
+
+    def __init__(self, j: int, omega_b: float, rabi: float, omega_b_star: float,
+                 bracket: tuple[float, float], residual: float, x_ratio: float):
+        _setattr(self, "j", j)
+        _setattr(self, "omega_b", omega_b)
+        _setattr(self, "rabi", rabi)
+        _setattr(self, "omega_b_star", omega_b_star)
+        _setattr(self, "bracket", bracket)
+        _setattr(self, "residual", residual)
+        _setattr(self, "x_ratio", x_ratio)
 
 
 def _detuning_function(xs, omegas, j, omega0):

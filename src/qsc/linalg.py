@@ -9,7 +9,6 @@ is no Trotterization anywhere in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +29,47 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Operator:
+# Sets a field of a value type: the one way past `_Frozen`'s guard, which
+# only constructors take.
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """The guard that makes the package's value types immutable.
+
+    A value type lists its fields as `__slots__` (a name with a leading
+    underscore is a cache, not a field) and sets each once in `__init__`
+    through `_setattr`; assigning or deleting an attribute afterwards
+    raises AttributeError.  Defining such a class generates no code, where
+    a frozen dataclass compiles its methods at import.  Values compare and
+    hash by identity.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        """Fill a copied or unpickled value past the guard; `state` is the
+        (__dict__ or None, slot values) pair `copy` and `pickle` take."""
+        attrs, slots = state
+        for name, value in slots.items():
+            _setattr(self, name, value)
+        if attrs:
+            self.__dict__.update(attrs)
+
+    def _replace(self, **changes):
+        """A copy with `changes` in place of those fields, built (and so
+        validated) by the constructor."""
+        fields = {name: getattr(self, name) for name in self.__slots__ if name[0] != "_"}
+        return type(self)(**{**fields, **changes})
+
+
+class Operator(_Frozen):
     """A dense complex square matrix with a Hermiticity declaration.
 
     The `hermitian` flag is a checked promise: construction verifies it
@@ -40,12 +78,16 @@ class Operator:
     the matrix a computation hands on is wrapped again.
     """
 
-    matrix: np.ndarray
-    hermitian: bool = False
+    __slots__ = ("matrix", "hermitian")
+
+    def __init__(self, matrix: np.ndarray, hermitian: bool = False):
+        _setattr(self, "matrix", matrix)
+        _setattr(self, "hermitian", hermitian)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
-        object.__setattr__(self, "matrix", _freeze(m))
+        _setattr(self, "matrix", _freeze(m))
         if self.hermitian:
             _check_hermitian(m, "hermitian flag set but")
 
@@ -57,18 +99,17 @@ class Operator:
         return complex(np.trace(self.matrix))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(_Frozen):
     """A unit-normalized complex vector."""
 
-    amplitudes: np.ndarray
+    __slots__ = ("amplitudes",)
 
-    def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=complex).reshape(-1)
+    def __init__(self, amplitudes: np.ndarray):
+        a = np.array(amplitudes, dtype=complex).reshape(-1)
         nrm = np.linalg.norm(a)
         if abs(nrm - 1.0) > config.NORM_ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond tolerance")
-        object.__setattr__(self, "amplitudes", _freeze(a))
+        _setattr(self, "amplitudes", _freeze(a))
 
     @property
     def dim(self) -> int:
@@ -81,8 +122,7 @@ class StateVector:
         return StateVector(v)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 
     Positivity is enforced down to the configured eigenvalue floor so that
@@ -91,12 +131,16 @@ class DensityMatrix:
     computes is kept for `min_eigenvalue`.
     """
 
-    entries: np.ndarray
-    _min_eig: float | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("entries", "_min_eig")
+
+    def __init__(self, entries: np.ndarray):
+        _setattr(self, "entries", entries)
+        _setattr(self, "_min_eig", None)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
-        object.__setattr__(self, "entries", _freeze(m))
+        _setattr(self, "entries", _freeze(m))
         if np.max(np.abs(m - m.conj().T)) > 10 * config.HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
         tr = np.trace(m).real
@@ -117,30 +161,29 @@ class DensityMatrix:
         """Smallest eigenvalue of the Hermitian part, computed at most once."""
         if self._min_eig is None:
             h = (self.entries + self.entries.conj().T) / 2
-            object.__setattr__(self, "_min_eig", float(np.min(np.linalg.eigvalsh(h))))
+            _setattr(self, "_min_eig", float(np.min(np.linalg.eigvalsh(h))))
         return self._min_eig
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Frozen):
     """An orthonormal basis for a subspace, with its projector derived.
 
     An empty basis is a valid value (a dimension-0 subspace, rank 0).
     """
 
-    space_dim: int
-    basis: np.ndarray  # space_dim x k, orthonormal columns
+    __slots__ = ("space_dim", "basis")  # basis: space_dim x k, orthonormal columns
 
-    def __post_init__(self):
-        b = np.array(self.basis, dtype=complex)
+    def __init__(self, space_dim: int, basis: np.ndarray):
+        b = np.array(basis, dtype=complex)
         if b.size == 0:
-            b = b.reshape(self.space_dim, 0)
-        if b.ndim != 2 or b.shape[0] != self.space_dim:
-            raise DimensionMismatch(f"basis shape {b.shape} vs dim {self.space_dim}")
+            b = b.reshape(space_dim, 0)
+        if b.ndim != 2 or b.shape[0] != space_dim:
+            raise DimensionMismatch(f"basis shape {b.shape} vs dim {space_dim}")
         gram = b.conj().T @ b
         if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > config.GRAM_ATOL:
             raise ValueError("subspace basis is not orthonormal to tolerance")
-        object.__setattr__(self, "basis", _freeze(b))
+        _setattr(self, "space_dim", space_dim)
+        _setattr(self, "basis", _freeze(b))
 
     @property
     def rank(self) -> int:
@@ -161,22 +204,20 @@ class Subspace:
         return self.basis.conj().T @ op.matrix @ self.basis
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(_Frozen):
     """Ascending eigenvalues and an orthonormal eigenvector matrix."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, unitary
+    __slots__ = ("eigenvalues", "eigenvectors")  # eigenvectors: columns, unitary
 
-    def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        v = np.array(self.eigenvectors, dtype=complex)
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        w = np.array(eigenvalues, dtype=float).reshape(-1)
+        v = np.array(eigenvectors, dtype=complex)
         if np.any(np.diff(w) < 0):
             raise ValueError("eigenvalues must be ascending")
         if v.shape != (w.shape[0], w.shape[0]):
             raise DimensionMismatch("eigenvector matrix shape mismatch")
-        object.__setattr__(self, "eigenvalues", _freeze(w))
-        object.__setattr__(self, "eigenvectors", _freeze(v))
+        _setattr(self, "eigenvalues", _freeze(w))
+        _setattr(self, "eigenvectors", _freeze(v))
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import ast
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
 from typing import Sequence
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
-from .linalg import PROJ0, PROJ1, SIGMA_X, Operator, StateVector
+from .linalg import PROJ0, PROJ1, SIGMA_X, Operator, StateVector, _Frozen, _setattr
 
 __all__ = [
     "GroverModel",
@@ -71,26 +70,28 @@ def _check_dim(dim: int):
 # Search-oracle (two-band) model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroverModel:
+class GroverModel(_Frozen):
     """Two-band oracle Hamiltonian on n qubits: marked strings have energy
-    zero, all the rest sit at omega1."""
+    zero, all the rest sit at omega1; `omega0_coupling` is the coupling
+    energy scale Omega_0."""
 
-    n: int
-    marked: frozenset[int]
-    omega1: float = 1.0
-    omega0_coupling: float = 0.05  # coupling energy scale Omega_0
+    __slots__ = ("n", "marked", "omega1", "omega0_coupling")
 
-    def __post_init__(self):
-        object.__setattr__(self, "marked", frozenset(int(m) for m in self.marked))
-        size = 2 ** self.n
-        if not (1 <= len(self.marked) < size):
+    def __init__(self, n: int, marked: frozenset[int], omega1: float = 1.0,
+                 omega0_coupling: float = 0.05):
+        marked = frozenset(int(m) for m in marked)
+        size = 2 ** n
+        if not (1 <= len(marked) < size):
             raise ValueError("need 1 <= |marked| < 2**n")
-        if any(m < 0 or m >= size for m in self.marked):
+        if any(m < 0 or m >= size for m in marked):
             raise ValueError("marked string out of range")
-        if self.omega1 <= 0 or self.omega0_coupling <= 0:
+        if omega1 <= 0 or omega0_coupling <= 0:
             raise ValueError("omega1 and Omega_0 must be positive")
         _check_dim(size)
+        _setattr(self, "n", n)
+        _setattr(self, "marked", marked)
+        _setattr(self, "omega1", omega1)
+        _setattr(self, "omega0_coupling", omega0_coupling)
 
     @property
     def dim(self) -> int:
@@ -158,35 +159,36 @@ _NAMED_GATES = {
 }
 
 
-@dataclass(frozen=True)
-class Gate:
-    matrix: np.ndarray
-    targets: tuple[int, ...]  # 1-based register qubit indices
+class Gate(_Frozen):
+    """A 1- or 2-qubit unitary on the 1-based register qubits `targets`."""
 
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        k = len(self.targets)
+    __slots__ = ("matrix", "targets")
+
+    def __init__(self, matrix: np.ndarray, targets: tuple[int, ...]):
+        m = np.array(matrix, dtype=complex)
+        k = len(targets)
         if m.shape != (2 ** k, 2 ** k) or k not in (1, 2):
             raise DimensionMismatch("gates act on 1 or 2 qubits")
         # written so that a NaN deviation fails too
         if not np.max(np.abs(m.conj().T @ m - np.eye(2 ** k))) <= config.HERMITICITY_ATOL * 10:
             raise ValueError("gate matrix is not unitary to tolerance")
-        if k == 2 and self.targets[0] == self.targets[1]:
+        if k == 2 and targets[0] == targets[1]:
             raise ValueError("two-qubit gate targets must differ")
-        object.__setattr__(self, "matrix", m)
+        _setattr(self, "matrix", m)
+        _setattr(self, "targets", targets)
 
 
-@dataclass(frozen=True)
-class CircuitSpec:
+class CircuitSpec(_Frozen):
     """An ordered list of 1- and 2-qubit unitaries on an n-qubit register."""
 
-    n: int
-    gates: tuple[Gate, ...]
+    __slots__ = ("n", "gates")
 
-    def __post_init__(self):
-        for g in self.gates:
-            if any(t < 1 or t > self.n for t in g.targets):
-                raise ValueError(f"gate target out of range 1..{self.n}")
+    def __init__(self, n: int, gates: tuple[Gate, ...]):
+        for g in gates:
+            if any(t < 1 or t > n for t in g.targets):
+                raise ValueError(f"gate target out of range 1..{n}")
+        _setattr(self, "n", n)
+        _setattr(self, "gates", gates)
 
     @property
     def length(self) -> int:
@@ -287,17 +289,18 @@ def pad_with_identities(circuit: CircuitSpec, count: int) -> CircuitSpec:
 # Clock model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClockModel:
+class ClockModel(_Frozen):
     """History-tracking Hamiltonian for a circuit, with an input penalty
     that resolves the low-energy band and a penalty that projects out
     non-unary clock configurations."""
 
-    circuit: CircuitSpec
-    omega: float = 1.0
-    h: float = config.DEFAULT_PENALTY_FACTOR
+    __slots__ = ("circuit", "omega", "h")
 
-    def __post_init__(self):
+    def __init__(self, circuit: CircuitSpec, omega: float = 1.0,
+                 h: float = config.DEFAULT_PENALTY_FACTOR):
+        _setattr(self, "circuit", circuit)
+        _setattr(self, "omega", omega)
+        _setattr(self, "h", h)
         if not (0 < self.h <= 1):
             raise ValueError("penalty factor must satisfy 0 < h <= 1")
         if self.omega <= 0:
@@ -483,21 +486,22 @@ def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BandStructure:
+class BandStructure(_Frozen):
     """The resolved low band: energies, eigenvectors (columns), and the
     spectral distance delta separating each band energy from the rest of
     the spectrum; `spectrum` holds the full ascending spectrum of H_S when
     delta was measured on it."""
 
-    omegas: np.ndarray
-    vectors: np.ndarray
-    delta: float
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    __slots__ = ("omegas", "vectors", "delta", "spectrum")
 
-    def __post_init__(self):
-        if self.delta <= 0:
+    def __init__(self, omegas: np.ndarray, vectors: np.ndarray, delta: float,
+                 spectrum: np.ndarray | None = None):
+        if delta <= 0:
             raise ValueError("band structure requires a positive gap")
+        _setattr(self, "omegas", omegas)
+        _setattr(self, "vectors", vectors)
+        _setattr(self, "delta", delta)
+        _setattr(self, "spectrum", spectrum)
 
     @property
     def size(self) -> int:
@@ -562,17 +566,17 @@ def clock_coupling_direction(model: ClockModel) -> Operator:
 # Baths and couplings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BathSpec:
+class BathSpec(_Frozen):
     """One auxiliary system: a qubit with splitting omega_b, or a qutrit
     whose two displaced levels are pinned at omega_b."""
 
-    kind: str
-    omega_b: float
+    __slots__ = ("kind", "omega_b")
 
-    def __post_init__(self):
-        if self.kind not in ("qubit", "qutrit"):
+    def __init__(self, kind: str, omega_b: float):
+        if kind not in ("qubit", "qutrit"):
             raise ValueError("bath kind must be 'qubit' or 'qutrit'")
+        _setattr(self, "kind", kind)
+        _setattr(self, "omega_b", omega_b)
 
 
 def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,

@@ -421,6 +421,23 @@ MISREAD = [
     ("spectrum", {"n": 0}, "'n' must be >= 1, got 0"),
     ("spectrum", {"L_min": -2}, "'L_min' must be >= 1, got -2"),
     ("spectrum", {"L_min": 3, "L_max": 2}, "'L_max' must be >= L_min = 3, got 2"),
+    # sizes are named as the config key, not by the model built from them
+    ("grover", {"n": 0}, "'n' must be >= 1, got 0"),
+    ("clock", {"n": 0}, "'n' must be >= 1, got 0"),
+    ("prob", {"n": 0}, "'n' must be >= 1, got 0"),
+    ("clock", {"padding": -2}, "'padding' must be >= 0, got -2"),
+    ("prob", {"padding": -2}, "'padding' must be >= 0, got -2"),
+    ("fig1", {"n_min": -3}, "'n_min' must be >= 1, got -3"),
+    # a missing gates file (None drops the inline circuit), not a traceback
+    ("clock", {"circuit": None, "gates_file": "circuits/no_such.gates"},
+     "'gates_file' cannot be read"),
+    ("prob", {"circuit": None, "gates_file": "circuits/no_such.gates"},
+     "'gates_file' cannot be read"),
+    # an exact-tau splitting within roundoff of the step norm gives no
+    # pulse time: a coupling too small for the schedule, as a too-large one
+    # is a CouplingTooLarge
+    ("clock", {"circuit": ["G H 1", "G T 1"], "eps": 1e-16}, "step j=2: exact splitting"),
+    ("grover", {"omega0": 1e-20}, "step j=1: exact splitting"),
 ]
 
 
@@ -429,7 +446,7 @@ MISREAD = [
 def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, named):
     # each value is refused before any output is written, instead of a
     # traceback or a run on a value the config did not mean
-    cfg = dict(SMALL[experiment], **change)
+    cfg = {k: v for k, v in dict(SMALL[experiment], **change).items() if v is not None}
     assert run_cli(tmp_path, experiment, cfg) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err

@@ -5,14 +5,14 @@ runs."""
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsc.errors import CouplingTooLarge
+from qsc import config
+from qsc.errors import CouplingTooLarge, UnresolvedSplitting
 from qsc.linalg import DensityMatrix, Operator, evolve, hermitian_eig, operator_norm
 from qsc.models import (
     ClockModel,
@@ -94,6 +94,18 @@ class TestBuildSchedule:
     def test_coupling_cap(self, clock12):
         with pytest.raises(CouplingTooLarge):
             build_schedule(clock12, omega0=clock12.band.delta * 0.2)
+
+    @pytest.mark.parametrize("omega0", [1e-20, 1e-300])
+    def test_a_splitting_within_roundoff_is_refused(self, omega0):
+        # 2 Omega_0 x0 x1 is far below one ulp of ||H_1 + V|| ~ 2: the
+        # eigensolver's splitting is roundoff, and no pulse time is read
+        # off it (with omega0 = 1e-300 it gave a fidelity of 0.94)
+        setup = grover_setup(GroverModel(n=3, marked=frozenset({1}), omega0_coupling=omega0))
+        with pytest.raises(UnresolvedSplitting, match=r"step j=1: exact splitting .* <= "
+                           rf"{config.SPLITTING_FLOOR_EPS} \* eps\*\|\|H_j \+ V\|\|"):
+            build_schedule(setup, omega0=omega0)
+        analytic = build_schedule(setup, omega0=omega0, tau_mode="analytic")
+        assert analytic.steps[0].tau == math.pi / (2 * omega0 * setup.xs[0] * setup.xs[1])
 
 
 class TestCoolingStep:
@@ -338,8 +350,8 @@ class TestTrajectoryRecords:
         # short pulses leave the records in different states, so each
         # record's own p_up and p_ground matter
         setup, sched = _ladder(*ladder)
-        steps = tuple(replace(s, tau=s.tau * tau_scale) for s in sched.steps)
-        _assert_matches_per_shot(setup, replace(sched, steps=steps), shots, seed)
+        steps = tuple(s._replace(tau=s.tau * tau_scale) for s in sched.steps)
+        _assert_matches_per_shot(setup, sched._replace(steps=steps), shots, seed)
 
 
 def _marked_strings(n: int, count: int) -> frozenset[int]:
@@ -349,7 +361,7 @@ def _marked_strings(n: int, count: int) -> frozenset[int]:
 
 def _naive(sched):
     """The schedule with every bath left at omega1 = 1."""
-    return replace(sched, steps=tuple(replace(s, omega_b=1.0) for s in sched.steps))
+    return sched._replace(steps=tuple(s._replace(omega_b=1.0) for s in sched.steps))
 
 
 class TestSearchBlock:
@@ -493,7 +505,7 @@ class TestRunProbabilistic:
         from qsc.linalg import StateVector
 
         setup = _prob_setup()
-        on_band1 = replace(setup, fiducial=StateVector(setup.band.vector(1)),
+        on_band1 = setup._replace(fiducial=StateVector(setup.band.vector(1)),
                            xs=np.eye(setup.n_bands)[1])
         r = 0.02
         omega0 = r * extension_gap(on_band1)
@@ -762,7 +774,7 @@ class TestCostReport:
                                                                        abs=0)
         # the reduced ladder prices only the steps it keeps
         reduced = run_reduced(setup, sched, eta=0.45)
-        kept = replace(sched, steps=tuple(s for s in sched.steps
+        kept = sched._replace(steps=tuple(s for s in sched.steps
                                           if s.j not in reduced.skipped_bands))
         if kept.steps:
             assert reduced.h_norm == pytest.approx(_per_step_norm(setup, kept), rel=1e-14,

@@ -3,7 +3,6 @@ statistics, and norm trends."""
 
 import json
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,8 +63,8 @@ class TestDetuningCurve:
         assert setup.xs == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
         sched = build_schedule(setup, omega0=r)
         step = sched.steps[0]
-        pulse = replace(step, tau=math.pi / (2 * step.solution.rabi))
-        fid = run_deterministic(setup, replace(sched, steps=(pulse,))).ground_fidelity
+        pulse = step._replace(tau=math.pi / (2 * step.solution.rabi))
+        fid = run_deterministic(setup, sched._replace(steps=(pulse,))).ground_fidelity
         assert fid > 1 - 20 * r ** 2
 
     def test_block_matches_full_pipeline(self):
@@ -101,8 +100,8 @@ class TestDetuningCurve:
         dense = dense_grover_setup(model)
         sched = build_schedule(dense, omega0=omega0)
         for d, fid in zip(detunings, fids):
-            step = replace(sched.steps[0], omega_b=1.0 + d, tau=tau)
-            report = run_deterministic(dense, replace(sched, steps=(step,)))
+            step = sched.steps[0]._replace(omega_b=1.0 + d, tau=tau)
+            report = run_deterministic(dense, sched._replace(steps=(step,)))
             assert abs(report.ground_fidelity - fid) <= 1e-12
 
 
@@ -241,7 +240,7 @@ class TestBandReadout:
             report = run_deterministic(block, sched)
         else:
             report = run_reduced(block, sched, eta=eta)
-            sched = replace(sched, steps=tuple(s for s in sched.steps
+            sched = sched._replace(steps=tuple(s for s in sched.steps
                                                if s.j not in report.skipped_bands))
         readout = _clock_readout(model, report.final_state)
         lifted = clock_readout_by_lift(model, block.dense, report.final_state)
@@ -486,7 +485,7 @@ class TestCountedWork:
         model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
         setup = grover_setup(model)
         sched = build_schedule(setup, omega0=0.02)
-        naive = replace(sched, steps=tuple(replace(s, omega_b=model.omega1)
+        naive = sched._replace(steps=tuple(s._replace(omega_b=model.omega1)
                                            for s in sched.steps))
         counts = self._counting(monkeypatch)
         report = run_deterministic(setup, naive)

@@ -1,0 +1,86 @@
+"""Every shipped config reproduces its golden outputs (`tests/golden/`,
+written only by `refresh_golden.py`).
+
+In the environment the goldens were made in, every JSON output must be
+byte-identical and every CSV must have the recorded SHA-256.  Elsewhere
+(another Python, numpy, BLAS or thread count) the last digits may move, so
+the JSON outputs are compared field by field: ints, bools, strings and
+nulls exactly, floats to 1e-9 relative, and the roundoff-natured
+`trace_residual` and `min_eigenvalue` to 1e-12 absolute; the CSVs are
+then not checked.
+"""
+
+import json
+import math
+
+import pytest
+
+from refresh_golden import CONFIGS, GOLDEN, MANIFEST, environment, run_config, sha256
+
+MANIFEST_DATA = json.loads(MANIFEST.read_text())
+# fields whose value is roundoff, not physics: compared to an absolute bound
+ROUNDOFF_ATOL = {"trace_residual": 1e-12, "min_eigenvalue": 1e-12}
+FLOAT_RTOL = 1e-9
+
+
+def mismatches(golden, fresh, path: str = "") -> list[str]:
+    """Where `fresh` differs from `golden` beyond its field's tolerance."""
+    if isinstance(golden, dict):
+        if not isinstance(fresh, dict) or golden.keys() != fresh.keys():
+            return [f"{path}: keys {sorted(golden)} != {sorted(fresh or {})}"]
+        return [m for key in golden for m in mismatches(golden[key], fresh[key],
+                                                        f"{path}.{key}")]
+    if isinstance(golden, list):
+        if not isinstance(fresh, list) or len(golden) != len(fresh):
+            return [f"{path}: {golden!r} != {fresh!r}"]
+        return [m for i, (g, f) in enumerate(zip(golden, fresh))
+                for m in mismatches(g, f, f"{path}[{i}]")]
+    if type(golden) is float and type(fresh) is float:
+        field = path.rsplit(".", 1)[-1].split("[", 1)[0]
+        if field in ROUNDOFF_ATOL:
+            close = abs(golden - fresh) <= ROUNDOFF_ATOL[field]
+        else:
+            close = math.isclose(golden, fresh, rel_tol=FLOAT_RTOL, abs_tol=0.0)
+        return [] if close else [f"{path}: {golden!r} != {fresh!r}"]
+    if type(golden) is not type(fresh) or golden != fresh:
+        return [f"{path}: {golden!r} != {fresh!r}"]
+    return []
+
+
+def test_the_goldens_cover_every_shipped_config():
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.is_dir()) == [c.stem for c in CONFIGS]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
+def test_shipped_config_reproduces_its_golden_outputs(tmp_path, config):
+    outputs = run_config(config, tmp_path / "out")
+    exact = environment() == MANIFEST_DATA["environment"]
+    csvs = {name for name in outputs if name.endswith(".csv")}
+    assert {f"{config.stem}/{name}" for name in csvs} == {
+        key for key in MANIFEST_DATA["csv_sha256"] if key.startswith(f"{config.stem}/")}
+    assert sorted(p.name for p in (GOLDEN / config.stem).iterdir()) == sorted(
+        set(outputs) - csvs)
+    for name, data in outputs.items():
+        if name in csvs:
+            if exact:
+                assert sha256(data) == MANIFEST_DATA["csv_sha256"][f"{config.stem}/{name}"], name
+            continue
+        golden = (GOLDEN / config.stem / name).read_bytes()
+        if exact:
+            assert data == golden, f"{config.stem}/{name} is not byte-identical"
+        else:
+            diffs = mismatches(json.loads(golden), json.loads(data))
+            assert not diffs, f"{config.stem}/{name}: {diffs[:5]}"
+
+
+def test_mismatches_applies_each_fields_tolerance():
+    golden = {"a": 1.0, "n": 3, "ok": True, "s": "x", "none": None,
+              "trace_residual": 1e-15, "xs": [1.0, 2.0]}
+    assert mismatches(golden, dict(golden, a=1.0 + 1e-12, trace_residual=5e-13)) == []
+    assert mismatches(golden, dict(golden, a=1.0 + 1e-8)) == [".a: 1.0 != 1.00000001"]
+    assert mismatches(golden, dict(golden, trace_residual=2e-12))
+    assert mismatches(golden, dict(golden, n=3.0))  # an int stays an int
+    assert mismatches(golden, dict(golden, ok=1))
+    assert mismatches(golden, dict(golden, xs=[1.0]))
+    assert mismatches(golden, dict(golden, none=0.0))
+    assert mismatches(golden, {k: v for k, v in golden.items() if k != "s"})

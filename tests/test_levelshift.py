@@ -418,12 +418,15 @@ class TestSolveDetuning:
         else:
             setup = grover_setup(GroverModel(n=6, marked=frozenset({0}), omega0_coupling=0.02))
             omega0 = 0.02 * setup.band.delta
-        solutions = [solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-                     for j in range(1, setup.n_bands)]
+        def fields_per_band():
+            return [tuple(getattr(sol, name) for name in sol.__slots__)
+                    for sol in (solve_detuning(setup.xs, setup.band.omegas, j, omega0,
+                                               setup.band.delta)
+                                for j in range(1, setup.n_bands))]
+
+        solutions = fields_per_band()
         monkeypatch.setattr(levelshift, "_detuning_function", detuning_function_per_call)
-        assert solutions == [solve_detuning(setup.xs, setup.band.omegas, j, omega0,
-                                            setup.band.delta)
-                             for j in range(1, setup.n_bands)]
+        assert solutions == fields_per_band()
 
     def test_x_ratio_reported(self):
         sol = solve_detuning([0.9, math.sqrt(1 - 0.81)], [0.0, 1.0], 1, 0.01, 1.0)

@@ -4,7 +4,9 @@ the garbage collector's state after it returned.
 
 `qsc.bounds` is the bounds lab, imported only by `qsc bounds`;
 `numpy.random` is loaded on first use, which no ladder run makes (its
-shot and trial uniforms are replayed by `cooling.trial_uniforms`)."""
+shot and trial uniforms are replayed by `cooling.trial_uniforms`); and
+no command loads `dataclasses`, whose frozen classes generate and compile
+their methods at import (the value types are plain `__slots__` classes)."""
 
 import json
 import os
@@ -24,7 +26,8 @@ from qsc import cli
 code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
                   "bounds": "qsc.bounds" in sys.modules,
-                  "random": "numpy.random" in sys.modules}))
+                  "random": "numpy.random" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 SMALL = {
@@ -62,3 +65,8 @@ def test_a_bounds_run_loads_the_bounds_lab(tmp_path):
 @pytest.mark.parametrize("experiment", ["clock", "bounds"])
 def test_the_import_time_heap_is_frozen(tmp_path, experiment):
     assert _run(tmp_path, experiment)["frozen"] > 0
+
+
+@pytest.mark.parametrize("experiment", ["clock", "grover", "bounds"])
+def test_no_command_loads_dataclasses(tmp_path, experiment):
+    assert not _run(tmp_path, experiment)["dataclasses"]
