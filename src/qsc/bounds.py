@@ -21,18 +21,7 @@ import numpy as np
 from . import config
 from .errors import HypothesisUnmet
 from .levelshift import make_context, self_energy, self_energy_grid
-from .linalg import (
-    Operator,
-    SpectralDecomposition,
-    Subspace,
-    _Frozen,
-    _setattr,
-    evolve,
-    hermitian_eig,
-    hybridized_pair,
-    operator_norm,
-    require_hermitian,
-)
+from .linalg import Operator, _Frozen, _setattr, evolve, hybridized_pair, operator_norm
 from .models import (
     KET_B,
     KET_C,
@@ -96,9 +85,9 @@ class BoundInstance(_Frozen):
     perturbation, the spectral window, and the protecting gap.
 
     H + V (summed as arrays and validated once), |V| and the
-    eigendecompositions of H and H + V are computed once per instance and
-    shared by every checker that reads them (cached in the instance's
-    `__dict__`).
+    eigendecompositions of H and H + V (`np.linalg.eigh` pairs) are
+    computed once per instance and shared by every checker that reads them
+    (cached in the instance's `__dict__`).
     """
 
     __slots__ = ("h", "v", "window", "gap", "seed", "__dict__")
@@ -113,19 +102,27 @@ class BoundInstance(_Frozen):
 
     @cached_property
     def h_tilde(self) -> Operator:
-        return Operator(self.h.matrix + self.v.matrix, hermitian=True)
+        return Operator(self.h.matrix + self.v.matrix)
 
     @cached_property
     def v_norm(self) -> float:
         return operator_norm(self.v)
 
     @cached_property
-    def h_eig(self) -> SpectralDecomposition:
-        return hermitian_eig(self.h)
+    def h_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.h.matrix)
 
     @cached_property
-    def h_tilde_eig(self) -> SpectralDecomposition:
-        return hermitian_eig(self.h_tilde)
+    def h_tilde_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.h_tilde.matrix)
+
+
+def _window(eig: tuple[np.ndarray, np.ndarray], lo: float, hi: float):
+    """The eigenvectors of an eigendecomposition (w, v) with eigenvalue
+    strictly inside (lo, hi), as columns, and the mask that selects them."""
+    w, v = eig
+    mask = (w > lo) & (w < hi)
+    return v[:, mask], mask
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +132,9 @@ class BoundInstance(_Frozen):
 def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
     """Sorted eigenvalues of two Hermitian operators never differ by more
     than the norm of their difference."""
-    require_hermitian(h, h_tilde)
     mu = np.linalg.eigvalsh(h.matrix)
     sigma = np.linalg.eigvalsh(h_tilde.matrix)
-    bound = operator_norm(h.matrix - h_tilde.matrix, hermitian=True)
+    bound = operator_norm(h.matrix - h_tilde.matrix)
     margins = bound - np.abs(mu - sigma)
     return CheckResult(
         name="weyl",
@@ -151,7 +147,6 @@ def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
 def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
     """|X| <= |AX - XB| / beta for Hermitian A, B whose spectra are
     separated: |A| <= alpha and |B^{-1}| <= 1/(alpha + beta), beta > 0."""
-    require_hermitian(a, b)
     alpha = operator_norm(a)
     sv = np.linalg.svd(b.matrix, compute_uv=False)
     if sv[-1] <= 0:
@@ -177,7 +172,6 @@ def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
 def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
     """Invertibility of A - B and the three block-norm bounds on its
     inverse, for A block-diagonal across a split of the space."""
-    require_hermitian(a, b)
     dim = a.dim
     if not (0 < split < dim):
         raise ValueError("split must cut the space into two nonempty blocks")
@@ -253,13 +247,12 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
     """Self-energy at the window center, with a self-consistent closeness
     radius gamma: gamma bounds |Sigma_P(z) - H_eff| over [c-gamma, d+gamma]."""
     lam_lo, lam_hi = inst.window
-    inside, mask = inst.h_eig.window(lam_lo, lam_hi)
+    evals, evecs = inst.h_eig
+    inside, mask = _window(inst.h_eig, lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("window contains no eigenvalues of H")
-    p = Subspace(inst.h.dim, inside)
-    q = Subspace(inst.h.dim, inst.h_eig.eigenvectors[:, ~mask])
-    ctx = make_context(inst.h, p, inst.gap, q)
-    z0 = float(np.mean(inst.h_eig.eigenvalues[mask]))
+    ctx = make_context(inst.h, inside, evecs[:, ~mask], inst.gap)
+    z0 = float(np.mean(evals[mask]))
     h_eff = self_energy(ctx, inst.v, z0)
     sigma_at = self_energy_grid(ctx, inst.v)
     spec = np.linalg.eigvalsh(h_eff)
@@ -280,7 +273,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance, grid_points: int = 64
 def _theorem1_hypotheses(inst: BoundInstance):
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    evals = inst.h_eig.eigenvalues
+    evals = inst.h_eig[0]
     for edge in (lam_lo, lam_hi):
         if np.any((evals >= edge - gap / 2) & (evals <= edge + gap / 2)):
             raise HypothesisUnmet("H has eigenvalues inside a window collar")
@@ -294,7 +287,7 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     radius gamma."""
     _theorem1_hypotheses(inst)
     ctx, h_eff, gamma, (c, d) = _effective_hamiltonian_with_gamma(inst)
-    tilde_inside, _ = inst.h_tilde_eig.window(*inst.window)
+    tilde_inside, _ = _window(inst.h_tilde_eig, *inst.window)
     eff_vals = np.sort(np.linalg.eigvalsh(h_eff))
     tilde_vals = np.sort(
         np.linalg.eigvalsh(
@@ -332,15 +325,15 @@ def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
     window subspace up to (2|H - H~|/Delta)^2, in both directions."""
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    evals = inst.h_eig.eigenvalues
+    evals = inst.h_eig[0]
     in_win = (evals >= lam_lo + gap / 2) & (evals <= lam_hi - gap / 2)
     out_win = (evals <= lam_lo - gap / 2) | (evals >= lam_hi + gap / 2)
     if not np.any(in_win):
         raise HypothesisUnmet("no spectrum in the inner window")
     if not np.all(in_win | out_win):
         raise HypothesisUnmet("spectrum found inside a window collar")
-    inside, _ = inst.h_eig.window(lam_lo, lam_hi)
-    tilde_inside, _ = inst.h_tilde_eig.window(lam_lo, lam_hi)
+    inside, _ = _window(inst.h_eig, lam_lo, lam_hi)
+    tilde_inside, _ = _window(inst.h_tilde_eig, lam_lo, lam_hi)
     bound = 1.0 - (2 * inst.v_norm / gap) ** 2
     margins = _mutual_overlap_margins(tilde_inside, inside, bound)
     return CheckResult(
@@ -379,8 +372,8 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     if eta <= gamma:
         raise HypothesisUnmet(f"eigenspace resolution eta={eta:.3e} <= gamma={gamma:.3e}")
     p_prime_small = eff_vecs[:, -1:]
-    p_prime = (ctx.p.basis @ p_prime_small) @ (ctx.p.basis @ p_prime_small).conj().T
-    tilde_inside, _ = inst.h_tilde_eig.window(*inst.window)
+    p_prime = (ctx.p @ p_prime_small) @ (ctx.p @ p_prime_small).conj().T
+    tilde_inside, _ = _window(inst.h_tilde_eig, *inst.window)
     tvals, tvecs = np.linalg.eigh(
         tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
     )
@@ -413,12 +406,12 @@ def _band_windows(evals: np.ndarray, gap: float):
 def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    sd = inst.h_eig
-    inside, mask = sd.window(lam_lo, lam_hi)
+    evals = inst.h_eig[0]
+    inside, mask = _window(inst.h_eig, lam_lo, lam_hi)
     if inside.shape[1] == 0:
         raise HypothesisUnmet("no spectrum in the window")
-    in_vals = sd.eigenvalues[mask]
-    out_vals = sd.eigenvalues[~mask]
+    in_vals = evals[mask]
+    out_vals = evals[~mask]
     if out_vals.size and np.min(
         np.abs(in_vals[:, None] - out_vals[None, :])
     ) < gap * (1 - config.RESIDUAL_RTOL):
@@ -428,7 +421,7 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     bound = 1.0 - n_bands * (2 * inst.v_norm / gap) ** 2
     # perturbed band subspaces from per-band windows
     tilde = np.column_stack([
-        inst.h_tilde_eig.window(band[0] - gap / 2, band[-1] + gap / 2)[0] for band in bands
+        _window(inst.h_tilde_eig, band[0] - gap / 2, band[-1] + gap / 2)[0] for band in bands
     ])
     margins = _mutual_overlap_margins(inside, tilde, bound)
     return CheckResult(
@@ -457,7 +450,7 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _scaled_to(norm: float, m: np.ndarray) -> Operator:
     """The Hermitian array m rescaled to the given 2-norm, validated."""
-    return Operator((norm / operator_norm(m, hermitian=True)) * m, hermitian=True)
+    return Operator((norm / operator_norm(m)) * m)
 
 
 def _surgery_instance(rng, evals, v_norm: float, window, gap: float,
@@ -465,7 +458,7 @@ def _surgery_instance(rng, evals, v_norm: float, window, gap: float,
     """H with the given spectrum in a Haar-random eigenbasis and a
     Gaussian V of norm v_norm."""
     u = haar_unitary(rng, len(evals))
-    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T, hermitian=True)
+    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T)
     v = _scaled_to(v_norm, gaussian_hermitian(rng, len(evals)))
     return BoundInstance(h=h, v=v, window=window, gap=gap, seed=seed)
 
@@ -542,13 +535,12 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
     leakage oscillates under its envelope, so the maximum over a time grid
     is what exposes the scaling in the coupling ratio."""
     sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    splitting, sd = _exact_splitting(setup, omega0, sol)
+    splitting, w, vecs = _exact_splitting(setup, omega0, sol)
     tau = math.pi / splitting
     down, up = setup.transition(j)
-    out = evolve(sd, tau).matrix @ down
+    out = evolve(w, vecs, tau) @ down
     transfer = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(up, out))))
 
-    w, vecs = sd.eigenvalues, sd.eigenvectors
     cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
     manifold = np.column_stack(cols)
     proj_out_eig = vecs.conj().T @ (
@@ -596,11 +588,10 @@ def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int =
     vectors 0 and 1, and the qutrit bath sits at omega1."""
     h_full, x_op = build_bath_and_couplings(
         setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
-    h = Operator(h_full + x_op, hermitian=True)
+    h = Operator(h_full + x_op)
     start = np.kron(setup.band.vector(1), KET_C)
     target = np.kron(setup.band.vector(0), KET_B)
-    splitting, sd = hybridized_pair(h.matrix, start, target)
-    w, vecs = sd.eigenvalues, sd.eigenvectors
+    splitting, w, vecs = hybridized_pair(h.matrix, start, target)
     rabi = splitting / 2.0
     half_period = math.pi / (2 * rabi)
     start_eig = vecs.conj().T @ start
@@ -626,7 +617,7 @@ def _verification_leakage(setup: CoolingSetup, omega0: float, excited: np.ndarra
     row from 1."""
     h_full, _ = build_bath_and_couplings(
         setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
-    h = Operator(h_full + build_verification_coupling(setup.dim_s, omega0), hermitian=True)
+    h = Operator(h_full + build_verification_coupling(setup.dim_s, omega0))
     w, vecs = np.linalg.eigh(h.matrix)
     tau_v = math.pi / (2 * omega0)
     starts = [vecs.conj().T @ np.kron(v, KET_L) for v in excited.T]
@@ -710,7 +701,7 @@ def _arguments(check, payload: dict) -> dict:
     of `_payload`.  Every matrix but Sylvester's X is outside input for a
     Hermitian operator and is validated as one here."""
     def hermitian(key):
-        return Operator(_matrix_from_payload(payload[key]), hermitian=True)
+        return Operator(_matrix_from_payload(payload[key]))
 
     def read(name):
         if name == "inst":
@@ -752,28 +743,24 @@ class SuiteReport(_Frozen):
         _setattr(self, "vacuous", vacuous)
         _setattr(self, "violations", violations)
 
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
 
 def _weyl_arguments(seed: int, dim: int) -> dict:
     rng = np.random.default_rng(seed)
     h = gaussian_hermitian(rng, dim)
     h_tilde = h + gaussian_hermitian(rng, dim, scale=rng.uniform(0.01, 1.0))
-    return {"h": Operator(h, hermitian=True), "h_tilde": Operator(h_tilde, hermitian=True)}
+    return {"h": Operator(h), "h_tilde": Operator(h_tilde)}
 
 
 def _sylvester_arguments(seed: int, dim: int) -> dict:
     rng = np.random.default_rng(seed)
     m = max(2, dim // 2)
-    a = Operator(gaussian_hermitian(rng, m), hermitian=True)
+    a = Operator(gaussian_hermitian(rng, m))
     alpha = operator_norm(a)
     beta = rng.uniform(0.1, 1.0)
     # B with singular values above alpha + beta by construction
     w, vb = np.linalg.eigh(gaussian_hermitian(rng, dim - m))
     shifted = np.sign(w + 1e-12) * (np.abs(w) + alpha + beta)
-    b = Operator(vb @ np.diag(shifted.astype(complex)) @ vb.conj().T, hermitian=True)
+    b = Operator(vb @ np.diag(shifted.astype(complex)) @ vb.conj().T)
     x = rng.normal(size=(m, dim - m)) + 1j * rng.normal(size=(m, dim - m))
     return {"a": a, "b": b, "x": x}
 
@@ -788,7 +775,7 @@ def _block_resolvent_arguments(seed: int, dim: int) -> dict:
         a[block, block] = vb @ np.diag(lifted.astype(complex)) @ vb.conj().T
     b = gaussian_hermitian(rng, dim)
     b = _scaled_to(rng.uniform(0.05, 0.4), b)  # under every half-gap
-    return {"a": Operator(a, hermitian=True), "b": b, "split": split}
+    return {"a": Operator(a), "b": b, "split": split}
 
 
 def _windowed_arguments(seed: int, dim: int) -> dict:

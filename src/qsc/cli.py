@@ -140,8 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.experiment, args.seed)
         out_dir = Path(args.out)
         summary = _RUNNERS[args.experiment](cfg, out_dir)
-    except (ConfigError, ParseError, CouplingTooLarge, UnresolvedSplitting, ValueError,
-            KeyError) as exc:
+    except (ConfigError, ParseError, CouplingTooLarge, UnresolvedSplitting, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DimensionTooLarge as exc:

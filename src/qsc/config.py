@@ -18,7 +18,7 @@ NORM_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 POSITIVITY_FLOOR = -1e-9
 
-# Subspace orthonormality and projector idempotence.
+# Orthogonality of subspace bases, and block-diagonality across them.
 GRAM_ATOL = 1e-10
 PROJECTOR_ATOL = 1e-9
 

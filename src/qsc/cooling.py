@@ -60,13 +60,11 @@ from .levelshift import DetuningSolution, solve_detuning
 from .linalg import (
     DensityMatrix,
     Operator,
-    SpectralDecomposition,
     StateVector,
     _Frozen,
     _setattr,
     connected_blocks,
     evolve,
-    hermitian_eig,
     hybridized_pair,
     operator_norm,
 )
@@ -158,8 +156,8 @@ def _band_block(omegas: np.ndarray, xs: np.ndarray, delta: float, label: str,
     x x^T, fiducial x, identity band vectors and ground space e0."""
     size = len(omegas)
     return CoolingSetup(
-        h_s=Operator(np.diag(omegas).astype(complex), hermitian=True),
-        coupling=Operator(np.outer(xs, xs).astype(complex), hermitian=True),
+        h_s=Operator(np.diag(omegas).astype(complex)),
+        coupling=Operator(np.outer(xs, xs).astype(complex)),
         band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta),
         xs=xs,
         fiducial=StateVector(xs.astype(complex)),
@@ -285,7 +283,8 @@ class CoolingSchedule(_Frozen):
 
 def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
     """True splitting of the two hybridized eigenstates of H_j + V nearest
-    the addressed transition, and the eigendecomposition of H_j + V."""
+    the addressed transition, and the eigendecomposition (w, v) of H_j + V:
+    (splitting, w, v)."""
     h = _step_hamiltonian(setup, omega0, sol.omega_b)
     return hybridized_pair(h.matrix, *setup.transition(sol.j))
 
@@ -303,7 +302,7 @@ def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Ope
     # composite-size arrays fewer alive
     h += v
     del v
-    return Operator(h, hermitian=True)
+    return Operator(h)
 
 
 def build_schedule(
@@ -346,8 +345,8 @@ def build_schedule(
     for j in range(n_steps, 0, -1):
         sol = solve_detuning(xs, omegas, j, omega0, delta)
         if tau_mode == "exact":
-            splitting, sd = _exact_splitting(setup, omega0, sol)
-            w = sd.eigenvalues  # ascending: the norm is the larger end
+            splitting, w, _ = _exact_splitting(setup, omega0, sol)
+            # w ascending: the norm is the larger end
             roundoff = np.finfo(float).eps * max(-w[0], w[-1])
             if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
                 raise UnresolvedSplitting(
@@ -372,16 +371,17 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 
 def cooling_step(rho: DensityMatrix, step: ScheduleStep,
-                 h: Operator | SpectralDecomposition) -> DensityMatrix:
+                 eig: tuple[np.ndarray, np.ndarray]) -> DensityMatrix:
     """One application of the measure-then-conditionally-evolve map:
 
         E_j(rho) = U_j D rho D U_j^+  +  P_up rho P_up
 
     with D = 1 (x) |down><down| and U_j the evolution under the step
-    Hamiltonian h = H_j + V, or its eigendecomposition, for the step's
-    pulse time.  Trace-preserving and completely positive by construction.
+    Hamiltonian H_j + V, given by its eigendecomposition `eig` =
+    np.linalg.eigh(H_j + V), for the step's pulse time.  Trace-preserving
+    and completely positive by construction.
     """
-    u = evolve(h, step.tau).matrix
+    u = evolve(*eig, step.tau)
     down, up = _bath_masks(rho.dim)
     m = rho.entries
     out = u @ (m * np.outer(down, down)) @ u.conj().T + m * np.outer(up, up)
@@ -397,10 +397,11 @@ def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule):
-    """Each schedule step with the eigendecomposition of its Hamiltonian
-    H_j + V, built and diagonalized here."""
+    """Each schedule step with the eigendecomposition (w, v) of its
+    Hamiltonian H_j + V, built and diagonalized here."""
     for step in schedule.steps:
-        yield step, hermitian_eig(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
+        yield step, np.linalg.eigh(
+            _step_hamiltonian(setup, schedule.omega0, step.omega_b).matrix)
 
 
 def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
@@ -442,7 +443,7 @@ def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
         h, v = qubit_bath_terms(h_s[block][:, block], schedule.omega0 * c[block][:, block],
                                 omega_b)
         h += v
-        norm = max(norm, operator_norm(h, hermitian=True))
+        norm = max(norm, operator_norm(h))
     return norm
 
 
@@ -650,9 +651,9 @@ def run_deterministic(
         trace_residual = abs(rho.trace() - 1.0)
         min_eig = rho.min_eigenvalue()
         weights = column_weights(rho)
-        for step, sd in _step_spectra(setup, schedule):
+        for step, eig in _step_spectra(setup, schedule):
             before = float(np.sum(weights[: step.j + 1]) + weights[-1])
-            rho = cooling_step(rho, step, sd)
+            rho = cooling_step(rho, step, eig)
             weights = column_weights(rho)
             after = float(np.sum(weights[: step.j]) + weights[-1])
             retentions.append(min(1.0, after / before) if before > 0 else 1.0)
@@ -683,9 +684,7 @@ def run_deterministic(
     # of psi (`record` maps shot to column).  Each step measures every
     # column once: a column splits into its up rows (odd indices) and U
     # times its down rows, for the outcomes some shot of it drew.
-    unitaries = []
-    for step, sd in _step_spectra(setup, schedule):
-        unitaries.append(evolve(sd, step.tau).matrix)
+    unitaries = [evolve(*eig, step.tau) for step, eig in _step_spectra(setup, schedule)]
     n_steps = len(unitaries)
     draws = trial_uniforms(seed, shots, n_steps + 1)
     psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)[:, None]
@@ -861,12 +860,12 @@ def run_probabilistic(
                                             setup.coupling, omega0)
     dim_s = setup.dim_s
     # the two evolution Hamiltonians are the matrices validated here
-    h_drive = Operator(h_full + x_op, hermitian=True)
-    h_verify = Operator(h_full + build_verification_coupling(dim_s, omega0), hermitian=True)
+    h_drive = Operator(h_full + x_op)
+    h_verify = Operator(h_full + build_verification_coupling(dim_s, omega0))
     wt, vt = np.linalg.eigh(h_drive.matrix)
     tau_v = math.pi / (2 * omega0)
     # the verify evolution from bath level L to level R
-    u_rl = evolve(h_verify, tau_v).matrix[1::3, 2::3]
+    u_rl = evolve(*np.linalg.eigh(h_verify.matrix), tau_v)[1::3, 2::3]
     ground = setup.band.vector(0)
     psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
 

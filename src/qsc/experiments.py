@@ -32,7 +32,7 @@ from .cooling import (
     run_probabilistic,
     run_reduced,
 )
-from .linalg import PROJ1, DensityMatrix, StateVector, operator_norm, partial_trace
+from .linalg import PROJ1, DensityMatrix, StateVector, partial_trace
 from .models import (
     KET_DOWN,
     ClockModel,
@@ -550,7 +550,8 @@ def run_spectrum(cfg: dict, out_dir: Path) -> dict:
             model = ClockModel(circuit=circuit, omega=cfg["omega"], h=h)
             h_s = build_clock(model)
             band = clock_band_structure(model, h_s)
-            norm = operator_norm(h_s)
+            # |H_S|, read off the ends of the spectrum the band measured
+            norm = float(max(-band.spectrum[0], band.spectrum[-1]))
             norms[(length, h)] = norm
             for j in range(length + 1):
                 rows.append(

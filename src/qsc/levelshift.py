@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
-from .linalg import Operator, Subspace, _Frozen, _setattr, operator_norm
+from .linalg import Operator, _Frozen, _setattr, operator_norm
 
 __all__ = [
     "LevelShiftContext",
@@ -41,40 +41,41 @@ MAX_RESOLVENT_COND = 1e14
 
 class LevelShiftContext(_Frozen):
     """A Hamiltonian resolved into a near-resonant subspace P and its
-    complement Q, with the protecting gap attached."""
+    complement Q, each given by an orthonormal basis (the columns of `p`
+    and `q`), with the protecting gap attached."""
 
     __slots__ = ("h", "p", "q", "gap")
 
-    def __init__(self, h: Operator, p: Subspace, q: Subspace, gap: float):
+    def __init__(self, h: Operator, p: np.ndarray, q: np.ndarray, gap: float):
         _setattr(self, "h", h)
         _setattr(self, "p", p)
         _setattr(self, "q", q)
         _setattr(self, "gap", gap)
 
 
-def make_context(h: Operator, p: Subspace, gap: float,
-                 q: Subspace | None = None) -> LevelShiftContext:
-    """Build and validate a context: P and Q orthogonal and complete, H
-    block-diagonal across them, spectra separated by at least the gap.
-
-    Q is the orthogonal complement of P, computed here unless the caller
-    already holds a basis of it (say, the rest of an eigenbasis of H)."""
+def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> LevelShiftContext:
+    """Build and validate a context from orthonormal bases of P and Q (say,
+    the eigenvectors of H inside and outside a window): both with one row
+    per basis state of H, P and Q orthogonal and filling the space, H
+    block-diagonal across them, spectra separated by at least the gap."""
     if gap <= 0:
         raise ValueError("gap must be positive")
-    if q is None:
-        q = p.complement()
-    elif q.rank and p.rank and np.max(np.abs(p.basis.conj().T @ q.basis)) > config.GRAM_ATOL:
-        raise ValueError("P and Q are not orthogonal")
     dim = h.dim
-    if p.rank + q.rank != dim:
+    for name, basis in (("P", p), ("Q", q)):
+        if basis.ndim != 2 or basis.shape[0] != dim:
+            raise DimensionMismatch(f"{name} basis shape {basis.shape} vs dim {dim}")
+    rank_p, rank_q = p.shape[1], q.shape[1]
+    if rank_p and rank_q and np.max(np.abs(p.conj().T @ q)) > config.GRAM_ATOL:
+        raise ValueError("P and Q are not orthogonal")
+    if rank_p + rank_q != dim:
         raise DimensionMismatch("P and Q do not fill the space")
-    cross = p.basis.conj().T @ h.matrix @ q.basis
+    cross = p.conj().T @ h.matrix @ q
     dev = np.max(np.abs(cross)) if cross.size else 0.0
     # 1 + |H| >= 1: the norm is needed only when the unscaled test fails
     if dev > config.PROJECTOR_ATOL and dev > config.PROJECTOR_ATOL * (1 + operator_norm(h)):
         raise ValueError("H is not block-diagonal across P and Q")
-    spec_p = np.linalg.eigvalsh(p.restrict(h)) if p.rank else np.array([])
-    spec_q = np.linalg.eigvalsh(q.restrict(h)) if q.rank else np.array([])
+    spec_p = np.linalg.eigvalsh(p.conj().T @ h.matrix @ p) if rank_p else np.array([])
+    spec_q = np.linalg.eigvalsh(q.conj().T @ h.matrix @ q) if rank_q else np.array([])
     if spec_p.size and spec_q.size:
         sep = np.min(np.abs(spec_p[:, None] - spec_q[None, :]))
         if sep < gap * (1 - config.RESIDUAL_RTOL):
@@ -83,12 +84,12 @@ def make_context(h: Operator, p: Subspace, gap: float,
 
 
 def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> np.ndarray:
-    """Self-energy of P at z as a matrix on the P basis `ctx.p.basis`,
+    """Self-energy of P at z as a matrix on the P basis `ctx.p`,
     symmetrized to (sigma + sigma^+)/2, so exactly Hermitian.  It takes the
     exact resolvent of Q(H+V)Q: one linear solve, refused
     (SingularResolvent) when the resolvent's condition number is
     non-finite or above MAX_RESOLVENT_COND."""
-    bp, bq = ctx.p.basis, ctx.q.basis
+    bp, bq = ctx.p, ctx.q
     sigma = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
     if bq.shape[1]:  # an empty complement has no resolvent
         vpq = bp.conj().T @ v.matrix @ bq
@@ -115,7 +116,7 @@ def self_energy_grid(ctx: LevelShiftContext, v: Operator):
     number max|z - w| / min|z - w| above MAX_RESOLVENT_COND (or non-finite)
     raises SingularResolvent, the criterion `self_energy` applies with an SVD.
     """
-    bp, bq = ctx.p.basis, ctx.q.basis
+    bp, bq = ctx.p, ctx.q
     base = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
     if bq.shape[1]:
         w, u = np.linalg.eigh(bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq)

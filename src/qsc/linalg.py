@@ -1,10 +1,13 @@
 """Dense complex linear algebra on tensor-product Hilbert spaces.
 
-Value types (operators, states, density matrices, subspaces, spectral
-decompositions) are immutable after construction and validate their own
-invariants, so downstream protocol code can assume well-formed inputs.
-Unitary evolution is computed by exact Hermitian eigendecomposition; there
-is no Trotterization anywhere in the package.
+Value types (operators, states, density matrices) are immutable after
+construction and validate their own invariants, so downstream protocol
+code can assume well-formed inputs.  `Operator` is the one checked
+Hermitian type: its Hermiticity is tested once, when it is built, and
+everything that needs it trusts it afterwards.  Eigendecompositions
+(`np.linalg.eigh` pairs), unitaries and subspace bases are plain arrays.
+Unitary evolution is computed by exact Hermitian eigendecomposition;
+there is no Trotterization anywhere in the package.
 """
 
 from __future__ import annotations
@@ -70,33 +73,36 @@ class _Frozen:
 
 
 class Operator(_Frozen):
-    """A dense complex square matrix with a Hermiticity declaration.
+    """A dense complex Hermitian matrix.
 
-    The `hermitian` flag is a checked promise: construction verifies it
-    with `_check_hermitian` and operations that need Hermiticity trust it
-    afterwards.  Sums and products are taken on the plain `matrix`; only
-    the matrix a computation hands on is wrapped again.
+    Construction checks Hermiticity once, with a test scaled by the norm:
+    max |m - m^+| <= atol * (1 + |m|_2), atol = config.HERMITICITY_ATOL;
+    the operations that need it trust it afterwards.  Sums and products
+    are taken on the plain `matrix`; only the matrix a computation hands
+    on is wrapped again.
     """
 
-    __slots__ = ("matrix", "hermitian")
+    __slots__ = ("matrix",)
 
-    def __init__(self, matrix: np.ndarray, hermitian: bool = False):
+    def __init__(self, matrix: np.ndarray):
         _setattr(self, "matrix", matrix)
-        _setattr(self, "hermitian", hermitian)
         self.__post_init__()
 
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         _setattr(self, "matrix", _freeze(m))
-        if self.hermitian:
-            _check_hermitian(m, "hermitian flag set but")
+        atol = config.HERMITICITY_ATOL
+        scale = 1.0 + (float(np.linalg.norm(m, 2)) if m.size else 0.0)
+        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        if dev > atol * scale:
+            raise NonHermitianInput(
+                f"operator max deviation {dev:.3e} from Hermitian exceeds "
+                f"{atol:.1e} * (1 + norm)"
+            )
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
 
 
 class StateVector(_Frozen):
@@ -165,114 +171,11 @@ class DensityMatrix(_Frozen):
         return self._min_eig
 
 
-class Subspace(_Frozen):
-    """An orthonormal basis for a subspace, with its projector derived.
-
-    An empty basis is a valid value (a dimension-0 subspace, rank 0).
-    """
-
-    __slots__ = ("space_dim", "basis")  # basis: space_dim x k, orthonormal columns
-
-    def __init__(self, space_dim: int, basis: np.ndarray):
-        b = np.array(basis, dtype=complex)
-        if b.size == 0:
-            b = b.reshape(space_dim, 0)
-        if b.ndim != 2 or b.shape[0] != space_dim:
-            raise DimensionMismatch(f"basis shape {b.shape} vs dim {space_dim}")
-        gram = b.conj().T @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[1]))) > config.GRAM_ATOL:
-            raise ValueError("subspace basis is not orthonormal to tolerance")
-        _setattr(self, "space_dim", space_dim)
-        _setattr(self, "basis", _freeze(b))
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def projector(self) -> Operator:
-        return Operator(self.basis @ self.basis.conj().T, hermitian=True)
-
-    def complement(self) -> "Subspace":
-        p = self.basis @ self.basis.conj().T
-        w, v = np.linalg.eigh(np.eye(self.space_dim) - p)
-        keep = w > 0.5
-        return Subspace(self.space_dim, v[:, keep])
-
-    def restrict(self, op: Operator) -> np.ndarray:
-        """Matrix of `op` compressed to this subspace's basis."""
-        return self.basis.conj().T @ op.matrix @ self.basis
-
-
-class SpectralDecomposition(_Frozen):
-    """Ascending eigenvalues and an orthonormal eigenvector matrix."""
-
-    __slots__ = ("eigenvalues", "eigenvectors")  # eigenvectors: columns, unitary
-
-    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        w = np.array(eigenvalues, dtype=float).reshape(-1)
-        v = np.array(eigenvectors, dtype=complex)
-        if np.any(np.diff(w) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        if v.shape != (w.shape[0], w.shape[0]):
-            raise DimensionMismatch("eigenvector matrix shape mismatch")
-        _setattr(self, "eigenvalues", _freeze(w))
-        _setattr(self, "eigenvectors", _freeze(v))
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def vector(self, k: int) -> StateVector:
-        return StateVector(self.eigenvectors[:, k])
-
-    def window(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """The eigenvectors with eigenvalue strictly inside (lo, hi), as
-        columns, and the mask that selects them."""
-        mask = (self.eigenvalues > lo) & (self.eigenvalues < hi)
-        return self.eigenvectors[:, mask], mask
-
-
-def _two_norm(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
-
-
-def _check_hermitian(m: np.ndarray, what: str, atol: float | None = None) -> None:
-    """The scaled Hermiticity test: max |m - m^+| <= atol * (1 + |m|_2),
-    with atol defaulting to config.HERMITICITY_ATOL."""
-    if atol is None:
-        atol = config.HERMITICITY_ATOL
-    scale = 1.0 + _two_norm(m)
-    dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-    if dev > atol * scale:
-        raise NonHermitianInput(
-            f"{what} max deviation {dev:.3e} exceeds {atol:.1e} * (1 + norm)"
-        )
-
-
-def require_hermitian(*ops: Operator) -> None:
-    """Raise NonHermitianInput unless every operator is Hermitian.  A
-    flagged operator passed the test when it was built and is trusted; an
-    unflagged one is accepted if it passes the same test."""
-    for op in ops:
-        if not op.hermitian:
-            _check_hermitian(op.matrix, "operator not flagged Hermitian has")
-
-
-def operator_norm(op, hermitian: bool = False) -> float:
-    """Operator 2-norm: max |eigenvalue| for Hermitian input (a flagged
-    Operator, an array the caller declares `hermitian`, or a
-    `SpectralDecomposition`, read without another LAPACK call), else the
-    largest singular value."""
-    if isinstance(op, SpectralDecomposition):
-        return float(np.max(np.abs(op.eigenvalues)))
-    if isinstance(op, Operator):
-        op, hermitian = op.matrix, op.hermitian
-    if hermitian:
-        return float(np.max(np.abs(np.linalg.eigvalsh(op))))
-    return _two_norm(np.asarray(op, dtype=complex))
+def operator_norm(op: Operator | np.ndarray) -> float:
+    """Operator 2-norm of a Hermitian operator, or of an array the caller
+    knows to be Hermitian: its largest |eigenvalue|."""
+    m = op.matrix if isinstance(op, Operator) else op
+    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def connected_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
@@ -307,26 +210,11 @@ def connected_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
     return [np.array(b) for b in blocks.values()]
 
 
-def hermitian_eig(op: Operator) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian operator (an unflagged one
-    must pass `require_hermitian`).
-
-    Eigenvectors within a degenerate cluster come back as an arbitrary
-    orthonormal basis; downstream code must use projectors rather than
-    individual degenerate vectors.
-    """
-    require_hermitian(op)
-    w, v = np.linalg.eigh(op.matrix)
-    return SpectralDecomposition(w, v)
-
-
-def evolve(h: Operator | SpectralDecomposition, t: float) -> Operator:
-    """Exact unitary exp(-i t h) of a Hermitian h, from its eigendecomposition
-    (computed here unless h is one already)."""
-    sd = h if isinstance(h, SpectralDecomposition) else hermitian_eig(h)
-    v = sd.eigenvectors
-    phases = np.exp(-1j * t * sd.eigenvalues)
-    return Operator(v @ (phases[:, None] * v.conj().T))
+def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """Exact unitary exp(-i t h) of a Hermitian h, from its
+    eigendecomposition (w, v) = np.linalg.eigh(h)."""
+    phases = np.exp(-1j * t * w)
+    return v @ (phases[:, None] * v.conj().T)
 
 
 def hybridized_pair(h: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -334,13 +222,13 @@ def hybridized_pair(h: np.ndarray, a: np.ndarray, b: np.ndarray):
     the most weight on the states a and b (the pair a resonant coupling of
     a and b hybridizes), and the eigendecomposition of h.
 
-    Returns (splitting, SpectralDecomposition).
+    Returns (splitting, w, v), with (w, v) = np.linalg.eigh(h).
     """
-    w, vecs = np.linalg.eigh(h)
-    bras = vecs.conj().T
+    w, v = np.linalg.eigh(h)
+    bras = v.conj().T
     weight = np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2
     top = np.argsort(-weight)[:2]
-    return float(abs(w[top[0]] - w[top[1]])), SpectralDecomposition(w, vecs)
+    return float(abs(w[top[0]] - w[top[1]])), w, v
 
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:

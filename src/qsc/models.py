@@ -417,7 +417,7 @@ def build_clock(model: ClockModel) -> Operator:
     omega * hopping + delta1 * input penalty + 2 omega * clock penalty."""
     h_prop, h_input, h_clock = build_clock_parts(model)
     h_s = model.omega * h_prop + model.delta1 * h_input + model.clock_penalty * h_clock
-    return Operator(h_s, hermitian=True)
+    return Operator(h_s)
 
 
 def build_clock_parts(model: ClockModel):
@@ -559,7 +559,7 @@ def clock_coupling_direction(model: ClockModel) -> Operator:
     onto the all-zeros product state."""
     n, length = model.n, model.length
     total = n + length
-    return Operator(_site_projector(total, {n + 1: PROJ0}), hermitian=True)
+    return Operator(_site_projector(total, {n + 1: PROJ0}))
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +592,6 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
     validated H_S and T_S; a caller wraps the matrix it diagonalizes or
     propagates (typically H + V) in one validated Operator.
     """
-    if not t_s.hermitian:
-        raise ValueError("coupling operator must be Hermitian")
     if t_s.dim != h_s.dim:
         raise DimensionMismatch("system and coupling dimensions differ")
     t = omega0 * t_s.matrix

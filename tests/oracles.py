@@ -165,8 +165,8 @@ def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
     for step in schedule.steps:
         h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
         if delta_ops and step.j in delta_ops:
-            h = Operator(h.matrix + delta_ops[step.j].matrix, hermitian=True)
-        unitaries.append(evolve(h, step.tau).matrix)
+            h = Operator(h.matrix + delta_ops[step.j].matrix)
+        unitaries.append(evolve(*np.linalg.eigh(h.matrix), step.tau))
     return unitaries
 
 
@@ -209,7 +209,7 @@ def step_norm_on_composite(setup, schedule) -> float:
     omega_b = max(s.omega_b for s in schedule.steps)
     h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
                                     setup.coupling, schedule.omega0)
-    return operator_norm(h + v, hermitian=True)
+    return operator_norm(h + v)
 
 
 def clock_readout_by_lift(model, dense, final_state) -> dict:
@@ -292,7 +292,7 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
     `delta_op` on the composite space is added to both evolutions.
     Returns (accept count, B-outcome count, conditional success)."""
     from qsc.cooling import extension_rabi
-    from qsc.linalg import Operator, evolve
+    from qsc.linalg import evolve
     from qsc.models import (KET_B, KET_C, BathSpec, build_bath_and_couplings,
                             build_verification_coupling)
 
@@ -304,7 +304,7 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
     y_op = build_verification_coupling(setup.dim_s, omega0)
     wt, vt = np.linalg.eigh(h_full + x_op)
     tau_v = math.pi / (2 * omega0)
-    u_verify = evolve(Operator(h_full + y_op, hermitian=True), tau_v).matrix
+    u_verify = evolve(*np.linalg.eigh(h_full + y_op), tau_v)
     eye_s = np.eye(setup.dim_s, dtype=complex)
     proj_b = np.kron(eye_s, np.outer(KET_B, KET_B.conj()))
     proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))
@@ -367,8 +367,8 @@ def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):
     x0, x1 = np.linalg.norm(comp0), np.linalg.norm(comp1)
     h_s = np.diag(np.where(marked, 0.0, model.omega1)).astype(complex)
     return CoolingSetup(
-        h_s=Operator(h_s, hermitian=True),
-        coupling=Operator(np.outer(f, f.conj()), hermitian=True),
+        h_s=Operator(h_s),
+        coupling=Operator(np.outer(f, f.conj())),
         band=BandStructure(omegas=np.array([0.0, model.omega1]),
                            vectors=np.column_stack([comp0 / x0, comp1 / x1]),
                            delta=model.omega1),
@@ -435,7 +435,7 @@ def self_energy_by_series(ctx, v, z: float, order: int) -> np.ndarray:
     `order` factors of V (order >= 2), built on the unperturbed resolvent
     G_Q(z) of `green_function`, in the P basis and symmetrized.  It agrees
     with the closed resolvent form to O(r^(order+1)) * gap."""
-    bp = ctx.p.basis
+    bp = ctx.p
     gq = green_function(ctx, z).matrix
     sigma_full = np.zeros_like(gq)
     term = gq @ v.matrix @ (bp @ bp.conj().T)  # G_Q V P
@@ -453,12 +453,11 @@ def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
     the bounds lab."""
     from qsc.errors import HypothesisUnmet
     from qsc.levelshift import make_context, self_energy
-    from qsc.linalg import Subspace
 
     lam_lo, lam_hi = inst.window
     w, vecs = np.linalg.eigh(inst.h.matrix)
     mask = (w > lam_lo) & (w < lam_hi)
-    ctx = make_context(inst.h, Subspace(inst.h.dim, vecs[:, mask]), inst.gap)
+    ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
     h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])))
 
     def grid_bound(lo, hi):
@@ -618,15 +617,11 @@ def clock_history_by_loop(model):
 
 @dataclass(frozen=True)
 class ErrorInjection:
-    """Static Hermitian error terms, one per cooling step (keyed by band
-    index j), to be added to the simulated step Hamiltonians."""
+    """Static Hermitian error terms (operators, so checked Hermitian when
+    built), one per cooling step (keyed by band index j), to be added to
+    the simulated step Hamiltonians."""
 
     deltas: dict
-
-    def __post_init__(self):
-        for op in self.deltas.values():
-            if not op.hermitian:
-                raise ValueError("injected errors must be Hermitian")
 
 
 @dataclass(frozen=True)
@@ -742,13 +737,21 @@ class PoleTooClose(QscError):
     """A resolvent evaluation point is too close to the spectrum."""
 
 
+def complement(p: np.ndarray) -> np.ndarray:
+    """An orthonormal basis (columns) of the orthogonal complement of the
+    span of the orthonormal columns of p: the eigenvectors of I - p p^+
+    with eigenvalue 1."""
+    w, v = np.linalg.eigh(np.eye(p.shape[0]) - p @ p.conj().T)
+    return v[:, w > 0.5]
+
+
 def green_function(ctx, z: float):
     """Resolvent of the unperturbed Hamiltonian restricted to Q:
     G_Q(z) = Q (z - QHQ)^{-1} Q, returned on the full space (vanishing on P)."""
     from qsc import config
     from qsc.linalg import Operator
 
-    bq = ctx.q.basis
+    bq = ctx.q
     hq = bq.conj().T @ ctx.h.matrix @ bq
     w, v = np.linalg.eigh(hq)
     guard = ctx.gap * config.POLE_GUARD_FRACTION
@@ -757,7 +760,7 @@ def green_function(ctx, z: float):
             f"z={z} within {np.min(np.abs(z - w)):.3e} of Spec(H|Q); guard {guard:.3e}"
         )
     small = v @ np.diag(1.0 / (z - w)) @ v.conj().T
-    return Operator(bq @ small @ bq.conj().T, hermitian=True)
+    return Operator(bq @ small @ bq.conj().T)
 
 
 def g_sums(xs, omegas, omega_b: float, j: int, z: float, gap: float | None = None):
@@ -819,12 +822,12 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     """
     from qsc import config
     from qsc.levelshift import make_context, self_energy
-    from qsc.linalg import Operator, Subspace
+    from qsc.linalg import Operator
     from qsc.models import KET_B, KET_C, BathSpec, build_bath_and_couplings
 
     h_full, v = build_bath_and_couplings(h_s, BathSpec("qutrit", omega1), t_s)
     # both terms enter the self-energy separately, so both are checked
-    h_full, v = Operator(h_full, hermitian=True), Operator(v, hermitian=True)
+    h_full, v = Operator(h_full), Operator(v)
     dim_s = h_s.dim
     band = np.asarray(band_vectors, dtype=complex)
     if band.ndim == 1:
@@ -834,8 +837,8 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     cols = [np.kron(ground.amplitudes, KET_L), np.kron(ground.amplitudes, KET_R)]
     for k in range(band.shape[1]):
         cols.append(np.kron(band[:, k], KET_C))
-    p = Subspace(h_full.dim, np.column_stack(cols))
-    ctx = make_context(h_full, p, gap)
+    p = np.column_stack(cols)
+    ctx = make_context(h_full, p, complement(p), gap)
 
     g = green_function(ctx, omega1).matrix
     # compress the bath to |B> on both sides, leaving a system operator
@@ -846,8 +849,8 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     b_green_norm = float(np.linalg.norm(m_sys, 2))
 
     h_eff = self_energy(ctx, v, omega1)
-    c0 = p.basis.conj().T @ np.kron(ground.amplitudes, KET_B)
-    c1 = p.basis.conj().T @ np.kron(band[:, 0], KET_C)
+    c0 = p.conj().T @ np.kron(ground.amplitudes, KET_B)
+    c1 = p.conj().T @ np.kron(band[:, 0], KET_C)
     rabi = float(np.abs(c1.conj() @ h_eff @ c0))
     ground_shift = float((c0.conj() @ h_eff @ c0).real - omega1)
     return QutritTruncationReport(

@@ -178,7 +178,7 @@ def _band1_problem(setup, r):
     """qutrit_truncation_check's arguments for band 1 of a clock setup,
     with the coupling at r times the extension gap."""
     delta = extension_gap(setup)
-    t_s = Operator(r * delta * setup.coupling.matrix, hermitian=True)
+    t_s = Operator(r * delta * setup.coupling.matrix)
     return (setup.h_s, StateVector(setup.band.vector(0)), setup.band.vectors[:, 1:2],
             float(setup.band.omegas[1]), delta, t_s)
 
@@ -243,48 +243,47 @@ def test_criterion_6_bound_suites(tmp_path):
     for name in SUITES:
         rep = run_suite(name, 100, master_seed=2026, out_dir=tmp_path)
         counts[name] = (rep.passes, rep.vacuous, len(rep.violations))
-        clean = clean and rep.clean and (rep.passes + rep.vacuous == 100)
+        clean = clean and not rep.violations and (rep.passes + rep.vacuous == 100)
 
     gates_fired = 0
     with pytest.raises(HypothesisUnmet):
         check_sylvester(
-            Operator(np.eye(2, dtype=complex), hermitian=True),
-            Operator(0.5 * np.eye(2, dtype=complex), hermitian=True),
+            Operator(np.eye(2, dtype=complex)),
+            Operator(0.5 * np.eye(2, dtype=complex)),
             np.ones((2, 2)),
         )
     gates_fired += 1
     with pytest.raises(HypothesisUnmet):
         check_block_resolvent(
-            Operator(np.ones((4, 4), dtype=complex) + np.eye(4), hermitian=True),
-            Operator(np.zeros((4, 4), dtype=complex), hermitian=True),
+            Operator(np.ones((4, 4), dtype=complex) + np.eye(4)),
+            Operator(np.zeros((4, 4), dtype=complex)),
             2,
         )
     gates_fired += 1
     inst = make_windowed_instance(seed=1)
-    big_v = Operator(inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9 * inst.v.matrix,
-                     hermitian=True)
+    big_v = Operator(inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9 * inst.v.matrix)
     with pytest.raises(HypothesisUnmet):
         check_spectral_correspondence(
             BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap, seed=1)
         )
     gates_fired += 1
-    collar_h = Operator(np.diag([0.0, 0.25]).astype(complex), hermitian=True)
+    collar_h = Operator(np.diag([0.0, 0.25]).astype(complex))
     with pytest.raises(HypothesisUnmet):
         check_subspace_overlap(
             BoundInstance(
                 h=collar_h,
-                v=Operator(np.zeros((2, 2), dtype=complex), hermitian=True),
+                v=Operator(np.zeros((2, 2), dtype=complex)),
                 window=(-0.5, 0.5), gap=1.0, seed=0,
             )
         )
     gates_fired += 1
-    degenerate = Operator(np.diag([0.0, 0.0, 2.0, -2.0]).astype(complex), hermitian=True)
+    degenerate = Operator(np.diag([0.0, 0.0, 2.0, -2.0]).astype(complex))
     vm = np.zeros((4, 4), dtype=complex)
     vm[2:, 2:] = 0.05 * np.array([[0, 1], [1, 0]])
     with pytest.raises(HypothesisUnmet):
         check_corollaries(
             BoundInstance(
-                h=degenerate, v=Operator(vm, hermitian=True),
+                h=degenerate, v=Operator(vm),
                 window=(-1.0, 1.0), gap=1.0, seed=0,
             )
         )

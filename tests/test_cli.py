@@ -494,6 +494,17 @@ def test_non_finite_output_is_an_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "broken.json").exists()
 
 
+def test_an_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # no config path raises KeyError (a misspelt key is a ConfigError), so
+    # one from a run is the program's bug: it propagates, it is never exit 2
+    def broken(cfg, out_dir):
+        return cfg["no such key"]
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
+    with pytest.raises(KeyError, match="no such key"):
+        run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+
+
 def test_echo_is_the_resolved_config(tmp_path):
     # a float key keeps an int as given, and every defaulted key is echoed
     cfg = {"n": 1, "L_min": 2, "L_max": 2, "omega": 2, "seed": 0}

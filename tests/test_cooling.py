@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsc import config
-from qsc.errors import CouplingTooLarge, UnresolvedSplitting
-from qsc.linalg import DensityMatrix, Operator, evolve, hermitian_eig, operator_norm
+from qsc.errors import CouplingTooLarge, NonHermitianInput, UnresolvedSplitting
+from qsc.linalg import DensityMatrix, Operator, evolve, operator_norm
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -108,14 +108,19 @@ class TestBuildSchedule:
         assert analytic.steps[0].tau == math.pi / (2 * omega0 * setup.xs[0] * setup.xs[1])
 
 
+def _step_eig(setup, sched, step):
+    """The eigendecomposition (w, v) of a step's H_j + V."""
+    return np.linalg.eigh(_step_hamiltonian(setup, sched.omega0, step.omega_b).matrix)
+
+
 class TestCoolingStep:
     def test_pumped_state_fixed(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
         step = sched.steps[0]
-        h = _step_hamiltonian(grover6, sched.omega0, step.omega_b)
+        eig = _step_eig(grover6, sched, step)
         up_state = np.kron(grover6.band.vector(0), KET_UP)
         rho = DensityMatrix(np.outer(up_state, up_state.conj()))
-        out = cooling_step(rho, step, h)
+        out = cooling_step(rho, step, eig)
         assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
 
     def test_trace_and_positivity(self, clock12):
@@ -123,8 +128,7 @@ class TestCoolingStep:
         psi = np.kron(clock12.fiducial.amplitudes, KET_DOWN)
         rho = DensityMatrix(np.outer(psi, psi.conj()))
         for step in sched.steps:
-            h = _step_hamiltonian(clock12, sched.omega0, step.omega_b)
-            rho = cooling_step(rho, step, h)
+            rho = cooling_step(rho, step, _step_eig(clock12, sched, step))
             assert abs(rho.trace() - 1.0) < 1e-10
             assert rho.min_eigenvalue() > -1e-9
 
@@ -133,23 +137,23 @@ class TestCoolingStep:
         sched = build_schedule(clock12, eps=0.1)
         dim = 2 * clock12.dim_s
         for step in sched.steps:
-            h = _step_hamiltonian(clock12, sched.omega0, step.omega_b)
-            u = evolve(h, step.tau).matrix
+            eig = _step_eig(clock12, sched, step)
+            u = evolve(*eig, step.tau)
             for _ in range(3):
                 z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
                 rho = z @ z.conj().T
                 rho /= np.trace(rho).real
-                out = cooling_step(DensityMatrix(rho), step, h)
+                out = cooling_step(DensityMatrix(rho), step, eig)
                 assert np.max(np.abs(out.entries - cooling_map_dense(rho, u))) <= 1e-15
 
     def test_ground_band_retention(self, grover6):
         # a state already in the lower manifold leaks only ~r amplitude
         sched = build_schedule(grover6, omega0=0.02)
         step = sched.steps[0]
-        h = _step_hamiltonian(grover6, sched.omega0, step.omega_b)
+        eig = _step_eig(grover6, sched, step)
         down = np.kron(grover6.band.vector(0), KET_DOWN)
         rho = DensityMatrix(np.outer(down, down.conj()))
-        out = cooling_step(rho, step, h)
+        out = cooling_step(rho, step, eig)
         keep = float(np.real(down.conj() @ out.entries @ down))
         r = sched.r
         assert keep > 1 - 10 * r ** 2
@@ -174,10 +178,10 @@ class TestCoolingStep:
             sched = build_schedule(setup, omega0=r * setup.band.delta)
             step = sched.steps[0]
             j = step.j
-            h = _step_hamiltonian(setup, sched.omega0, step.omega_b)
+            eig = _step_eig(setup, sched, step)
             psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)
             rho = DensityMatrix(np.outer(psi, psi.conj()))
-            out = cooling_step(rho, step, h)
+            out = cooling_step(rho, step, eig)
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
             cols.append(np.kron(setup.band.vector(0), KET_UP))
             b = np.column_stack(cols)
@@ -552,7 +556,7 @@ class TestRunProbabilistic:
         setup = clock_setup(ClockModel(circuit=parse_circuit(lines, n)))
         omega1, delta = float(setup.band.omegas[1]), extension_gap(setup)
         assert delta == extension_gap_by_loop(setup.band.spectrum, omega1)
-        t_s = Operator(np.zeros_like(setup.h_s.matrix), hermitian=True)
+        t_s = Operator(np.zeros_like(setup.h_s.matrix))
         h_full, _ = build_bath_and_couplings(
             setup.h_s, BathSpec("qutrit", omega1), t_s
         )
@@ -643,7 +647,7 @@ class TestInjectErrors:
         assert np.max(np.abs(dense.band.vectors.conj().T @ outside)) < 1e-15
         ket = np.kron(dense.band.vector(0), KET_DOWN)
         leak = np.kron(outside, KET_DOWN)
-        error = Operator(0.1 * (np.outer(ket, leak) + np.outer(leak, ket)), hermitian=True)
+        error = Operator(0.1 * (np.outer(ket, leak) + np.outer(leak, ket)))
         budget = inject_errors(dense, sched, ErrorInjection(deltas={1: error}))
         assert not budget.per_step[0]["Rx_ok"] and budget.per_step[0]["R1"] < 1e-15
         clean = run_deterministic(dense, sched)
@@ -674,7 +678,7 @@ class TestInjectErrors:
         step = sched.steps[0]
         budget_norm = sched.r * sched.omega0 * setup.xs[0] * setup.xs[step.j]
         full = b @ (scale * budget_norm * block) @ b.conj().T
-        return Operator((full + full.conj().T) / 2, hermitian=True)
+        return Operator((full + full.conj().T) / 2)
 
     def test_budget_saturating_error_degrades_gracefully(self):
         model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
@@ -702,7 +706,7 @@ class TestInjectErrors:
         assert noisy < clean.ground_fidelity
 
     def test_hermitian_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonHermitianInput):
             ErrorInjection(deltas={1: Operator(np.array([[0, 1], [0, 0]], dtype=complex))})
 
     def test_extension_budget_clean_and_injected(self):
@@ -717,7 +721,7 @@ class TestInjectErrors:
         z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         noise = (z + z.conj().T) / 2
         noise *= 10 * r * extension_rabi(setup, omega0) / np.linalg.norm(noise, 2)
-        bad = extension_error_budget(setup, omega0, Operator(noise, hermitian=True))
+        bad = extension_error_budget(setup, omega0, Operator(noise))
         assert not bad.all_within_budget
 
     def test_probabilistic_with_injected_error(self):
@@ -732,7 +736,7 @@ class TestInjectErrors:
         noise = (z + z.conj().T) / 2
         rabi = extension_rabi(setup, omega0)
         noise *= 0.5 * r * rabi / np.linalg.norm(noise, 2)
-        delta = Operator(noise, hermitian=True)
+        delta = Operator(noise)
         assert extension_error_budget(setup, omega0, delta).all_within_budget
         accepts, _, success = probabilistic_by_dense_projectors(
             setup, omega0, trials=600, seed=3, delta_op=delta)
@@ -744,8 +748,7 @@ class TestInjectErrors:
 def _per_step_norm(setup, sched) -> float:
     """The largest step norm of a ladder, read off each step's own
     eigendecomposition."""
-    return max(operator_norm(hermitian_eig(_step_hamiltonian(setup, sched.omega0, s.omega_b)))
-               for s in sched.steps)
+    return max(float(np.max(np.abs(_step_eig(setup, sched, s)[0]))) for s in sched.steps)
 
 
 class TestCostReport:

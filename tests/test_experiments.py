@@ -3,7 +3,6 @@ statistics, and norm trends."""
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -411,8 +410,7 @@ class TestCountedWork:
                 return np.asarray(self) @ other
 
         evolve = cooling.evolve
-        monkeypatch.setattr(cooling, "evolve", lambda h, t: SimpleNamespace(
-            matrix=evolve(h, t).matrix.view(Unitary)))
+        monkeypatch.setattr(cooling, "evolve", lambda w, v, t: evolve(w, v, t).view(Unitary))
         products = {}
         for shots in (10, 1000):
             widths.clear()

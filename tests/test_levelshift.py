@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from qsc import config
-from qsc.errors import SingularResolvent
+from qsc.errors import DimensionMismatch, SingularResolvent
 from qsc.levelshift import make_context, self_energy, self_energy_grid, solve_detuning
-from qsc.linalg import Operator, StateVector, Subspace, hermitian_eig, operator_norm
+from qsc.linalg import Operator, StateVector, operator_norm
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -27,6 +27,7 @@ from qsc.cooling import build_schedule, clock_block, clock_setup, extension_gap,
 
 from oracles import (
     PoleTooClose,
+    complement,
     detuning_function_per_call,
     detuning_scan_oracle,
     effective_grover_hamiltonian,
@@ -40,9 +41,9 @@ from conftest import random_hermitian
 
 
 def two_level_context(omega1=1.0, omega0=0.05):
-    h = Operator(np.diag([0.0, omega1]).astype(complex), hermitian=True)
-    p = Subspace(2, np.eye(2, dtype=complex)[:, :1])
-    return make_context(h, p, omega1)
+    h = Operator(np.diag([0.0, omega1]).astype(complex))
+    basis = np.eye(2, dtype=complex)
+    return make_context(h, basis[:, :1], basis[:, 1:], omega1)
 
 
 def grover_block_context(omega1, omega_b, omega0, x0, x1):
@@ -57,10 +58,10 @@ def grover_block_context(omega1, omega_b, omega0, x0, x1):
         ],
         dtype=complex,
     )
-    p = Subspace(4, np.eye(4, dtype=complex)[:, [2, 1]])
+    basis = np.eye(4, dtype=complex)
     gap = min(omega_b, omega1)  # distance from P energies to {0, omega1+omega_b}
-    ctx = make_context(Operator(h, hermitian=True), p, gap * 0.9)
-    return ctx, Operator(v, hermitian=True)
+    ctx = make_context(Operator(h), basis[:, [2, 1]], basis[:, [0, 3]], gap * 0.9)
+    return ctx, Operator(v)
 
 
 class TestGreenFunction:
@@ -73,13 +74,13 @@ class TestGreenFunction:
         from conftest import random_hermitian
 
         h = random_hermitian(rng, 6)
-        sd = hermitian_eig(Operator(h, hermitian=True))
-        p = Subspace(6, sd.eigenvectors[:, :2])
-        gap = float(sd.eigenvalues[2] - sd.eigenvalues[1])
-        ctx = make_context(Operator(h, hermitian=True), p, max(gap, 1e-6))
-        z = float(np.mean(sd.eigenvalues[:2]))
+        w, vecs = np.linalg.eigh(h)
+        p = vecs[:, :2]
+        gap = float(w[2] - w[1])
+        ctx = make_context(Operator(h), p, complement(p), max(gap, 1e-6))
+        z = float(np.mean(w[:2]))
         g = green_function(ctx, z)
-        pm = p.projector.matrix
+        pm = p @ p.conj().T
         assert np.max(np.abs(pm @ g.matrix @ pm)) < 1e-9
 
     def test_resolvent_identity(self):
@@ -87,21 +88,21 @@ class TestGreenFunction:
         h_s = build_clock(model)
         band = clock_band_structure(model, h_s)
         omega1 = band.omegas[1]
-        sd = hermitian_eig(h_s)
-        p = Subspace(sd.dim, sd.window(omega1 - band.delta / 2, omega1 + band.delta / 2)[0])
-        ctx = make_context(h_s, p, band.delta)
+        w, vecs = np.linalg.eigh(h_s.matrix)
+        p = vecs[:, (w > omega1 - band.delta / 2) & (w < omega1 + band.delta / 2)]
+        ctx = make_context(h_s, p, complement(p), band.delta)
         z = omega1 + band.delta * 0.4
         g = green_function(ctx, z)
-        q = ctx.q.projector.matrix
+        q = ctx.q @ ctx.q.conj().T
         lhs = g.matrix @ (z * q - q @ h_s.matrix @ q)
         assert np.max(np.abs(lhs - q)) < 1e-9
         # eigenbasis-inversion oracle
         oracle = np.zeros_like(g.matrix)
-        for idx in range(sd.dim):
-            vec = sd.eigenvectors[:, idx]
-            if abs(np.vdot(vec, p.projector.matrix @ vec)) > 0.5:
+        for idx in range(len(w)):
+            vec = vecs[:, idx]
+            if abs(np.vdot(vec, p @ (p.conj().T @ vec))) > 0.5:
                 continue
-            oracle += np.outer(vec, vec.conj()) / (z - sd.eigenvalues[idx])
+            oracle += np.outer(vec, vec.conj()) / (z - w[idx])
         assert np.max(np.abs(g.matrix - oracle)) < 1e-9
 
     def test_pole_guard(self):
@@ -113,7 +114,7 @@ class TestGreenFunction:
 class TestSelfEnergy:
     def test_zero_perturbation(self):
         ctx = two_level_context()
-        v = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
+        v = Operator(np.zeros((2, 2), dtype=complex))
         sigma = self_energy(ctx, v, 0.4)
         assert sigma[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -148,14 +149,13 @@ class TestSelfEnergy:
         j = model.length
         omega0 = 0.02 * band.delta
         sol = solve_detuning(xs, band.omegas, j, omega0, band.delta)
-        t_s = Operator(omega0 * clock_coupling_direction(model).matrix, hermitian=True)
+        t_s = Operator(omega0 * clock_coupling_direction(model).matrix)
         h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", sol.omega_b), t_s)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
-        p = Subspace(2 * h_s.dim, np.column_stack(
-            [np.kron(band.vector(j), down), np.kron(band.vector(0), up)]))
-        ctx = make_context(Operator(h_full, hermitian=True), p, band.delta / 2)
-        sigma = self_energy(ctx, Operator(v, hermitian=True), sol.omega_b)
+        p = np.column_stack([np.kron(band.vector(j), down), np.kron(band.vector(0), up)])
+        ctx = make_context(Operator(h_full), p, complement(p), band.delta / 2)
+        sigma = self_energy(ctx, Operator(v), sol.omega_b)
         g_j, g_0 = g_sums(xs, band.omegas, sol.omega_b, j, sol.omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
@@ -201,12 +201,11 @@ class TestSelfEnergy:
         checked = 0
         for k in range(50):
             inst = make_windowed_instance(seed=3000 + k, dim=10, p_rank=2, v_scale=0.3)
-            sd = hermitian_eig(inst.h)
+            w, vecs = np.linalg.eigh(inst.h.matrix)
             lam_lo, lam_hi = inst.window
-            mask = (sd.eigenvalues > lam_lo) & (sd.eigenvalues < lam_hi)
-            p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
-            ctx = make_context(inst.h, p, inst.gap)
-            z0 = float(np.mean(sd.eigenvalues[mask]))
+            mask = (w > lam_lo) & (w < lam_hi)
+            ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
+            z0 = float(np.mean(w[mask]))
             sigma0 = self_energy(ctx, inst.v, z0)
             factor = (4 * operator_norm(inst.v) / inst.gap) ** 2
             for dz in (-0.2, -0.05, 0.03, 0.11):
@@ -219,18 +218,18 @@ class TestSelfEnergy:
 
     def test_given_complement_matches_the_computed_one(self):
         # Q as the rest of H's eigenbasis (the bounds lab's context) against
-        # the complement make_context diagonalizes I - P for
+        # Q as the complement of P read off I - P: the self-energy does not
+        # depend on the basis of Q
         for k in range(10):
             inst = make_windowed_instance(seed=4000 + k, dim=10, p_rank=3)
-            sd = hermitian_eig(inst.h)
+            w, vecs = np.linalg.eigh(inst.h.matrix)
             lam_lo, lam_hi = inst.window
-            mask = (sd.eigenvalues > lam_lo) & (sd.eigenvalues < lam_hi)
-            p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
-            q = Subspace(inst.h.dim, sd.eigenvectors[:, ~mask])
-            given = make_context(inst.h, p, inst.gap, q)
-            computed = make_context(inst.h, p, inst.gap)
+            mask = (w > lam_lo) & (w < lam_hi)
+            p, q = vecs[:, mask], vecs[:, ~mask]
+            given = make_context(inst.h, p, q, inst.gap)
+            computed = make_context(inst.h, p, complement(p), inst.gap)
             assert given.q is q
-            zs = float(np.mean(sd.eigenvalues[mask])) + np.linspace(-0.1, 0.1, 5) * inst.gap
+            zs = float(np.mean(w[mask])) + np.linspace(-0.1, 0.1, 5) * inst.gap
             for z in zs:
                 a = self_energy(given, inst.v, z)
                 b = self_energy(computed, inst.v, z)
@@ -240,32 +239,46 @@ class TestSelfEnergy:
             assert np.max(np.abs(grid_a - grid_b)) <= 1e-12 * (1 + np.max(np.abs(grid_b)))
 
     def test_given_complement_must_be_orthogonal_to_p(self):
-        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex), hermitian=True)
-        p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        p = np.eye(3, dtype=complex)[:, :1]
         tilted = np.eye(3, dtype=complex)[:, 1:]
         tilted[:, 0] = np.array([0.1, 1.0, 0.0]) / math.sqrt(1.01)
         with pytest.raises(ValueError, match="not orthogonal"):
-            make_context(h, p, 1.5, Subspace(3, tilted))
+            make_context(h, p, tilted, 1.5)
+
+    def test_bases_with_the_wrong_row_count_are_refused(self):
+        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        basis = np.eye(3, dtype=complex)
+        short = np.eye(2, 1, dtype=complex)
+        with pytest.raises(DimensionMismatch, match="P basis"):
+            make_context(h, short, basis[:, 1:], 1.5)
+        with pytest.raises(DimensionMismatch, match="Q basis"):
+            make_context(h, basis[:, :1], np.eye(4, 2, dtype=complex), 1.5)
+
+    def test_bases_that_do_not_fill_the_space_are_refused(self):
+        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        basis = np.eye(3, dtype=complex)
+        with pytest.raises(DimensionMismatch, match="do not fill"):
+            make_context(h, basis[:, :1], basis[:, 1:2], 1.5)
 
 
 def window_context(inst):
     """The bounds lab's context for a window instance, and its P spectrum."""
-    sd = hermitian_eig(inst.h)
+    w, vecs = np.linalg.eigh(inst.h.matrix)
     lam_lo, lam_hi = inst.window
-    mask = (sd.eigenvalues > lam_lo) & (sd.eigenvalues < lam_hi)
-    p = Subspace(inst.h.dim, sd.eigenvectors[:, mask])
-    return make_context(inst.h, p, inst.gap), sd.eigenvalues[mask]
+    mask = (w > lam_lo) & (w < lam_hi)
+    return make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap), w[mask]
 
 
 def diagonal_context():
     """H = diag(0, 2, 3) with P = span(e0) and a V coupling P to Q only, so
     Q(H+V)Q = diag(2, 3) exactly."""
-    h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex), hermitian=True)
+    h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
     vm = np.zeros((3, 3), dtype=complex)
     vm[0, 1] = vm[1, 0] = 0.1
     vm[0, 2] = vm[2, 0] = 0.2
-    p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
-    return make_context(h, p, 1.5), Operator(vm, hermitian=True)
+    basis = np.eye(3, dtype=complex)
+    return make_context(h, basis[:, :1], basis[:, 1:], 1.5), Operator(vm)
 
 
 class TestSelfEnergyGrid:
@@ -282,7 +295,7 @@ class TestSelfEnergyGrid:
             zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
             assert lam_lo < zs[0] and zs[-1] < lam_hi
             stack = self_energy_grid(ctx, inst.v)(zs)
-            assert stack.shape == (64, ctx.p.rank, ctx.p.rank)
+            assert stack.shape == (64, ctx.p.shape[1], ctx.p.shape[1])
             for z, sigma in zip(zs, stack):
                 ref = self_energy(ctx, inst.v, float(z))
                 err = np.linalg.norm(sigma - ref, 2) / np.linalg.norm(ref, 2)
@@ -304,11 +317,11 @@ class TestSelfEnergyGrid:
 
     def test_empty_complement_is_the_compressed_hamiltonian(self):
         # P spans the whole space: no resolvent, Sigma_P(z) = P(H+V)P
-        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex), hermitian=True)
+        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex))
         v = random_hermitian(np.random.default_rng(5), 3)
-        v = Operator(0.05 / operator_norm(v) * v, hermitian=True)
-        ctx = make_context(h, Subspace(3, np.eye(3, dtype=complex)), 1.0)
-        assert ctx.q.rank == 0
+        v = Operator(0.05 / operator_norm(v) * v)
+        ctx = make_context(h, np.eye(3, dtype=complex), np.zeros((3, 0)), 1.0)
+        assert ctx.q.shape[1] == 0
         expected = h.matrix + v.matrix
         assert np.max(np.abs(self_energy(ctx, v, 0.0) - expected)) < 1e-15
         stack = self_energy_grid(ctx, v)(np.linspace(-0.5, 0.5, 5))
@@ -316,9 +329,9 @@ class TestSelfEnergyGrid:
         assert np.max(np.abs(stack - expected)) < 1e-15
 
     def test_empty_p_gives_empty_matrices(self):
-        h = Operator(np.diag([0.0, 2.0]).astype(complex), hermitian=True)
-        ctx = make_context(h, Subspace(2, np.zeros((2, 0))), 1.0)
-        v = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
+        h = Operator(np.diag([0.0, 2.0]).astype(complex))
+        ctx = make_context(h, np.zeros((2, 0)), np.eye(2, dtype=complex), 1.0)
+        v = Operator(np.zeros((2, 2), dtype=complex))
         assert self_energy(ctx, v, 0.5).shape == (0, 0)
         assert self_energy_grid(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)
 
@@ -329,16 +342,17 @@ class TestNormOnlyWhenNeeded:
 
     def test_block_diagonal_boundary(self):
         atol = config.PROJECTOR_ATOL
-        p = Subspace(3, np.eye(3, dtype=complex)[:, :1])
+        basis = np.eye(3, dtype=complex)
 
         def h_with(cross):
             m = np.diag([0.0, 5.0, 10.0]).astype(complex)
             m[0, 2] = m[2, 0] = cross
-            return Operator(m, hermitian=True)
+            return Operator(m)
 
-        make_context(h_with(5 * atol), p, 1.0)  # within atol * (1 + 10)
+        p, q = basis[:, :1], basis[:, 1:]
+        make_context(h_with(5 * atol), p, q, 1.0)  # within atol * (1 + 10)
         with pytest.raises(ValueError, match="block-diagonal"):
-            make_context(h_with(20 * atol), p, 1.0)
+            make_context(h_with(20 * atol), p, q, 1.0)
 
 
 class TestGSums:
@@ -490,7 +504,7 @@ class TestQutritTruncation:
 
         setup = clock_setup(ClockModel(circuit=load_circuit(circuits_dir / gates, n)))
         delta = extension_gap(setup)
-        t_s = Operator(0.01 * delta * setup.coupling.matrix, hermitian=True)
+        t_s = Operator(0.01 * delta * setup.coupling.matrix)
         report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         assert report.b_green_norm <= 1e-9
         assert report.passed
@@ -500,7 +514,7 @@ class TestQutritTruncation:
         # coupling with vanishing ground expectation: |1><0| + |0><1| in the
         # band basis
         out = np.outer(setup.band.vector(1), setup.band.vector(0).conj())
-        t_s = Operator(0.0001 * (out + out.conj().T), hermitian=True)
+        t_s = Operator(0.0001 * (out + out.conj().T))
         report = qutrit_truncation_check(*self._band1(setup), extension_gap(setup), t_s)
         assert abs(report.ground_shift) < 1e-12
 
@@ -511,7 +525,7 @@ class TestQutritTruncation:
         delta = extension_gap(setup)
         omega0 = 0.01 * delta
         f = setup.fiducial.amplitudes
-        t_s = Operator(omega0 * np.outer(f, f.conj()), hermitian=True)
+        t_s = Operator(omega0 * np.outer(f, f.conj()))
         report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         xs = overlap_coefficients(model.length)
         assert report.rabi == pytest.approx(omega0 * xs[0] * xs[1], abs=1e-9)

@@ -320,8 +320,8 @@ class TestClockSpectrum:
 
 class TestBathsAndCouplings:
     def test_qubit_bath_spectrum(self):
-        h_s = Operator(np.diag([0.0, 1.0]).astype(complex), hermitian=True)
-        t_s = Operator(np.zeros((2, 2), dtype=complex), hermitian=True)
+        h_s = Operator(np.diag([0.0, 1.0]).astype(complex))
+        t_s = Operator(np.zeros((2, 2), dtype=complex))
         h_full, _ = build_bath_and_couplings(h_s, BathSpec("qubit", 1.0), t_s)
         assert np.allclose(np.sort(np.linalg.eigvalsh(h_full)), [0, 1, 1, 2])
 
@@ -330,7 +330,7 @@ class TestBathsAndCouplings:
         h_s = build_clock(model)
         band = clock_band_structure(model, h_s)
         omega1 = band.omegas[1]
-        t_s = Operator(np.zeros_like(h_s.matrix), hermitian=True)
+        t_s = Operator(np.zeros_like(h_s.matrix))
         h_full, _ = build_bath_and_couplings(h_s, BathSpec("qutrit", omega1), t_s)
         eta = band.vector(0)
         for bath_index in (1, 2):  # R and L
@@ -345,7 +345,7 @@ class TestBathsAndCouplings:
         h_s = build_clock(model)
         band = clock_band_structure(model, h_s)
         omega1 = band.omegas[1]
-        t_s = Operator(np.zeros_like(h_s.matrix), hermitian=True)
+        t_s = Operator(np.zeros_like(h_s.matrix))
         h_full, _ = build_bath_and_couplings(h_s, BathSpec("qutrit", omega1), t_s)
         psi = band.vector(2)
         e_psi = band.omegas[2]

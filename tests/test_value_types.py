@@ -19,7 +19,7 @@ from qsc.cooling import (
     run_probabilistic,
 )
 from qsc.levelshift import make_context
-from qsc.linalg import DensityMatrix, Operator, StateVector, Subspace, hermitian_eig
+from qsc.linalg import DensityMatrix, Operator, StateVector
 from qsc.models import BathSpec, ClockModel, Gate, GroverModel, parse_circuit
 
 MODULES = ("linalg", "levelshift", "models", "cooling", "bounds")
@@ -28,8 +28,8 @@ MODULES = ("linalg", "levelshift", "models", "cooling", "bounds")
 def _instances() -> dict:
     """One instance of each value type, keyed by name, with a field to
     tamper with."""
-    h = Operator(np.diag([0.0, 1.0]).astype(complex), hermitian=True)
-    e0 = Subspace(2, np.eye(2, 1, dtype=complex))
+    h = Operator(np.diag([0.0, 1.0]).astype(complex))
+    basis = np.eye(2, dtype=complex)
     grover = GroverModel(n=2, marked=frozenset({0}))
     setup = grover_setup(grover)
     schedule = build_schedule(setup, omega0=0.01)
@@ -40,9 +40,7 @@ def _instances() -> dict:
         "Operator": (h, "matrix"),
         "StateVector": (StateVector.basis(2, 0), "amplitudes"),
         "DensityMatrix": (DensityMatrix(np.eye(2) / 2), "entries"),
-        "Subspace": (e0, "basis"),
-        "SpectralDecomposition": (hermitian_eig(h), "eigenvalues"),
-        "LevelShiftContext": (make_context(h, e0, gap=0.5), "gap"),
+        "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "gap"),
         "DetuningSolution": (schedule.steps[0].solution, "omega_b"),
         "GroverModel": (grover, "n"),
         "Gate": (Gate(np.eye(2), (1,)), "targets"),
