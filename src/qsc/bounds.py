@@ -39,6 +39,7 @@ from .cooling import (
     extension_gap,
     grover_setup,
     _exact_splitting,
+    _resolved_splitting,
 )
 from .levelshift import solve_detuning
 
@@ -533,10 +534,11 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
     Band leakage: envelope over the pulse of the out-of-manifold amplitude
     for lower-band basis states, normalized by sqrt(j).  The pointwise
     leakage oscillates under its envelope, so the maximum over a time grid
-    is what exposes the scaling in the coupling ratio."""
-    sol = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    splitting, w, vecs = _exact_splitting(setup, omega0, sol)
-    tau = math.pi / splitting
+    is what exposes the scaling in the coupling ratio.  A splitting lost in
+    roundoff is refused (`_resolved_splitting`)."""
+    omega_b = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
+    splitting, w, vecs = _exact_splitting(setup, omega0, j, omega_b)
+    tau = math.pi / _resolved_splitting(splitting, w, f"step j={j}", "H_j + V")
     down, up = setup.transition(j)
     out = evolve(w, vecs, tau) @ down
     transfer = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(up, out))))
@@ -585,14 +587,15 @@ def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int =
     two-level oscillation toward |0,B>, with the rate read off the measured
     splitting of the hybridized pair (the correction the claim allows) and
     the global phase optimized out.  |0> and |1> are the setup's band
-    vectors 0 and 1, and the qutrit bath sits at omega1."""
+    vectors 0 and 1, and the qutrit bath sits at omega1.  A splitting lost
+    in roundoff is refused (`_resolved_splitting`)."""
     h_full, x_op = build_bath_and_couplings(
         setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
     h = Operator(h_full + x_op)
     start = np.kron(setup.band.vector(1), KET_C)
     target = np.kron(setup.band.vector(0), KET_B)
     splitting, w, vecs = hybridized_pair(h.matrix, start, target)
-    rabi = splitting / 2.0
+    rabi = _resolved_splitting(splitting, w, "qutrit oscillation", "H + X") / 2.0
     half_period = math.pi / (2 * rabi)
     start_eig = vecs.conj().T @ start
     worst = 0.0

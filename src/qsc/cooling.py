@@ -19,13 +19,15 @@ composite matrices whatever n is, and the clock ladder runs on its
 (L+1)-band block (`clock_block`), cut from the dense 2^(n+L) setup
 (`clock_setup`) that keeps Delta, the band vectors and the step norm;
 its largest matrix is H_S, and no clock run forms a matrix of the
-composite size.  The dense setup stays a setup of its own: the
-probabilistic scheme and the bounds lemmas run on it, and a ladder run on
-it is the oracle of the block's.
+composite size.  The dense setup stays a setup of its own: the bounds
+lemmas run on it, and a ladder run on it is the oracle of the block's.
 
-A step Hamiltonian H_j + V is built as the one validated operator of the
-step (its terms are plain arrays).  An exact-tau schedule reads the
-pulse time off its eigen-splitting and keeps only that time; a run
+A schedule carries only what a run plays: per step the band j, the bath
+energy omega_b (`solve_detuning`) and the pulse time tau, with Omega_0
+and r.  A step Hamiltonian H_j + V is built as the one validated operator
+of the step (its terms are plain arrays).  An exact-tau schedule reads
+the pulse time off its eigen-splitting, refused when the splitting is
+lost in roundoff (`_resolved_splitting`), and keeps only that time; a run
 builds and diagonalizes each step it propagates and takes the step's
 evolution from that decomposition.  The ladder's step norm is priced
 once, at its largest bath energy, on the connected blocks of H* + V
@@ -41,10 +43,11 @@ rounding) however many shots it samples.  The qubit bath is the last
 tensor factor, so bath projections select the even (down) and odd (up)
 composite indices.
 
-The probabilistic scheme runs on the same setup as the ladder and
-addresses its band 1 with a qutrit bath, also the last tensor factor:
-its projections select the composite indices of levels C, R and L
-(0, 1, 2 mod 3).
+The probabilistic scheme runs on the same setup as the ladder, the
+clock's band block included (its band carries the dense H_S spectrum
+for `extension_gap`), and addresses its band 1 with a qutrit bath, also
+the last tensor factor: its projections select the composite indices of
+levels C, R and L (0, 1, 2 mod 3).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ import numpy as np
 
 from . import config
 from .errors import CouplingTooLarge, UnresolvedSplitting
-from .levelshift import DetuningSolution, solve_detuning
+from .levelshift import solve_detuning
 from .linalg import (
     DensityMatrix,
     Operator,
@@ -153,12 +156,14 @@ class CoolingSetup(_Frozen):
 def _band_block(omegas: np.ndarray, xs: np.ndarray, delta: float, label: str,
                 dense: CoolingSetup | None = None) -> CoolingSetup:
     """The setup of an exact band block: H_S = diag(omegas), coupling
-    x x^T, fiducial x, identity band vectors and ground space e0."""
+    x x^T, fiducial x, identity band vectors and ground space e0; its band
+    carries the spectrum of the `dense` setup it was cut from, if any."""
     size = len(omegas)
     return CoolingSetup(
         h_s=Operator(np.diag(omegas).astype(complex)),
         coupling=Operator(np.outer(xs, xs).astype(complex)),
-        band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta),
+        band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta,
+                           spectrum=dense.band.spectrum if dense else None),
         xs=xs,
         fiducial=StateVector(xs.astype(complex)),
         ground_basis=np.eye(size, 1, dtype=complex),
@@ -248,45 +253,55 @@ def clock_block(model: ClockModel) -> CoolingSetup:
 # ---------------------------------------------------------------------------
 
 class ScheduleStep(_Frozen):
-    """One ladder step: band j, the bath energy omega_b, the pulse time tau
-    and the rate `rabi` actually used to set it (tau = pi / (2 rabi)), with
-    the detuning solution it came from."""
+    """One ladder step: band j, the bath energy omega_b and the pulse time
+    tau."""
 
-    __slots__ = ("j", "omega_b", "tau", "rabi", "solution")
+    __slots__ = ("j", "omega_b", "tau")
 
-    def __init__(self, j: int, omega_b: float, tau: float, rabi: float,
-                 solution: DetuningSolution | None = None):
+    def __init__(self, j: int, omega_b: float, tau: float):
         _setattr(self, "j", j)
         _setattr(self, "omega_b", omega_b)
         _setattr(self, "tau", tau)
-        _setattr(self, "rabi", rabi)
-        _setattr(self, "solution", solution)
 
 
 class CoolingSchedule(_Frozen):
-    """Ordered cooling steps, j = L down to 1."""
+    """Ordered cooling steps, j = L down to 1, at coupling Omega_0 = r
+    Delta."""
 
-    __slots__ = ("steps", "omega0", "r", "eps_target", "tau_mode")
+    __slots__ = ("steps", "omega0", "r")
 
-    def __init__(self, steps: tuple[ScheduleStep, ...], omega0: float, r: float,
-                 eps_target: float | None, tau_mode: str):
+    def __init__(self, steps: tuple[ScheduleStep, ...], omega0: float, r: float):
         _setattr(self, "steps", steps)
         _setattr(self, "omega0", omega0)
         _setattr(self, "r", r)
-        _setattr(self, "eps_target", eps_target)
-        _setattr(self, "tau_mode", tau_mode)
 
     @property
     def total_time(self) -> float:
         return float(sum(s.tau for s in self.steps))
 
 
-def _exact_splitting(setup: CoolingSetup, omega0: float, sol: DetuningSolution):
+def _exact_splitting(setup: CoolingSetup, omega0: float, j: int, omega_b: float):
     """True splitting of the two hybridized eigenstates of H_j + V nearest
-    the addressed transition, and the eigendecomposition (w, v) of H_j + V:
-    (splitting, w, v)."""
-    h = _step_hamiltonian(setup, omega0, sol.omega_b)
-    return hybridized_pair(h.matrix, *setup.transition(sol.j))
+    the addressed transition of band j, the bath at omega_b, and the
+    eigendecomposition (w, v) of H_j + V: (splitting, w, v)."""
+    h = _step_hamiltonian(setup, omega0, omega_b)
+    return hybridized_pair(h.matrix, *setup.transition(j))
+
+
+def _resolved_splitting(splitting: float, w: np.ndarray, where: str, h: str) -> float:
+    """`splitting`, an eigen-splitting of the Hamiltonian `h` with ascending
+    eigenvalues w, if it is resolved: above `config.SPLITTING_FLOOR_EPS` *
+    eps * ||h|| (eps the machine epsilon, the norm read off w's ends).  A
+    smaller one is roundoff, not a Rabi splitting, and no pulse time can be
+    read off it: UnresolvedSplitting, naming `where`."""
+    roundoff = np.finfo(float).eps * max(-w[0], w[-1])
+    if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
+        raise UnresolvedSplitting(
+            f"{where}: exact splitting {splitting:.3e} <= {config.SPLITTING_FLOOR_EPS} * "
+            f"eps*||{h}||, with eps*||{h}|| = {roundoff:.3e}: no pulse time can be read "
+            "off it; raise the coupling"
+        )
+    return splitting
 
 
 def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Operator:
@@ -318,11 +333,8 @@ def build_schedule(
     `config.DEFAULT_SCHEDULE_CONSTANT`.  tau_mode "exact" reads
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
-    1/Omega_0 (so halving the coupling exactly doubles the time).
-
-    An exact splitting at or below `config.SPLITTING_FLOOR_EPS` * eps *
-    ||H_j + V|| (eps the machine epsilon, the norm read off the step's
-    eigenvalues) is roundoff, not a Rabi splitting: UnresolvedSplitting.
+    1/Omega_0 (so halving the coupling exactly doubles the time).  An
+    exact splitting lost in roundoff is refused (`_resolved_splitting`).
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
@@ -343,27 +355,14 @@ def build_schedule(
     xs, omegas = setup.xs, setup.band.omegas
     steps = []
     for j in range(n_steps, 0, -1):
-        sol = solve_detuning(xs, omegas, j, omega0, delta)
+        omega_b = solve_detuning(xs, omegas, j, omega0, delta)
         if tau_mode == "exact":
-            splitting, w, _ = _exact_splitting(setup, omega0, sol)
-            # w ascending: the norm is the larger end
-            roundoff = np.finfo(float).eps * max(-w[0], w[-1])
-            if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
-                raise UnresolvedSplitting(
-                    f"step j={j}: exact splitting {splitting:.3e} <= "
-                    f"{config.SPLITTING_FLOOR_EPS} * eps*||H_j + V||, with eps*||H_j + V|| = "
-                    f"{roundoff:.3e}: no pulse time can be read off it; raise the coupling"
-                )
-            rabi = splitting / 2.0
+            splitting, w, _ = _exact_splitting(setup, omega0, j, omega_b)
+            rabi = _resolved_splitting(splitting, w, f"step j={j}", "H_j + V") / 2.0
         else:
             rabi = omega0 * xs[0] * xs[j]
-        steps.append(
-            ScheduleStep(j=j, omega_b=sol.omega_b, tau=math.pi / (2 * rabi),
-                         rabi=rabi, solution=sol)
-        )
-    return CoolingSchedule(
-        steps=tuple(steps), omega0=omega0, r=r, eps_target=eps, tau_mode=tau_mode
-    )
+        steps.append(ScheduleStep(j=j, omega_b=omega_b, tau=math.pi / (2 * rabi)))
+    return CoolingSchedule(steps=tuple(steps), omega0=omega0, r=r)
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +719,11 @@ def run_deterministic(
     )
 
 
-def run_reduced(
-    setup: CoolingSetup,
-    schedule: CoolingSchedule,
-    eta: float | None = None,
-) -> RunReport:
+def run_reduced(setup: CoolingSetup, schedule: CoolingSchedule, eta: float) -> RunReport:
     """Deterministic ladder over `schedule` that skips bands with overlap
-    x_j <= eta.
-
-    With the default eta = eps / L^(3/2), eps the schedule's target, the
-    skipped weight keeps the final infidelity within O(eps) while
-    shortening the total time.
+    x_j <= eta.  The skipped weight f_perp adds O(L' * f_perp) infidelity
+    while the total time shortens.
     """
-    if eta is None:
-        eps = schedule.eps_target if schedule.eps_target is not None else 0.0
-        eta = eps / (setup.n_bands - 1) ** 1.5
     kept = tuple(s for s in schedule.steps if setup.xs[s.j] > eta)
     skipped = tuple(s.j for s in schedule.steps if setup.xs[s.j] <= eta)
     report = run_deterministic(setup, schedule._replace(steps=kept))

@@ -6,7 +6,9 @@ Every experiment takes a flat configuration dictionary that
 and/or a JSON summary into an output directory, and returns the summary.
 Identical configuration and seeds give byte-identical outputs; every file
 embeds the resolved configuration, the master seed, and the package
-version.
+version.  The clock experiments (`clock`, `prob`) run on the clock's exact
+(L+1)-band block, the search experiments (`fig1`, `grover`) on the search
+model's two-band block.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .cooling import (
     _step_hamiltonian,
     build_schedule,
     clock_block,
-    clock_setup,
     extension_gap,
     extension_rabi,
     grover_setup,
@@ -172,7 +173,7 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     omega_b adds (omega_b - omega_b*) (1 (x) |up><up|), a real diagonal,
     so every scanned matrix is exactly as Hermitian as H* + V, and the
     whole scan is one batched eigh.  Returns (detunings, fidelities,
-    detuning solution, tau).
+    omega_b*, tau).
     """
     omega1 = 1.0
     x0 = 2.0 ** (-n / 2)
@@ -192,7 +193,7 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     psi = (v @ amps[..., None])[..., 0]
     # the ground band e0 with either bath state: the block's first two rows
     fids = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
-    return detunings, fids, step.solution, step.tau
+    return detunings, fids, step.omega_b, step.tau
 
 
 def half_width(detunings: np.ndarray, fidelities: np.ndarray):
@@ -230,7 +231,7 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
     rows = []
     per_n = []
     for n in ns:
-        detunings, fids, sol, tau = fidelity_vs_detuning(
+        detunings, fids, omega_b, tau = fidelity_vs_detuning(
             n, cfg["omega0_rel"], cfg["points"], cfg["scan_factor"])
         hw, peak_at, peak_fid = half_width(detunings, fids)
         for d, f in zip(detunings, fids):
@@ -241,7 +242,7 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
                 "half_width": hw,
                 "peak_rel_detuning": peak_at,
                 "peak_fidelity": peak_fid,
-                "solved_omega_b": sol.omega_b,
+                "solved_omega_b": omega_b,
                 "tau": tau,
             }
         )
@@ -309,7 +310,7 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     schedule = build_schedule(setup, omega0=model.omega0_coupling, tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
         steps = tuple(s._replace(omega_b=model.omega1) for s in schedule.steps)
-        schedule = schedule._replace(steps=steps, eps_target=None)
+        schedule = schedule._replace(steps=steps)
     report = run_deterministic(setup, schedule, mode=cfg["mode"], shots=cfg["shots"], seed=seed)
     body = {"report": _report_dict(report), "r": schedule.r,
             "xs": [float(x) for x in setup.xs]}
@@ -425,10 +426,11 @@ def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
 
 
 def run_prob(cfg: dict, out_dir: Path) -> dict:
-    """Probabilistic qutrit-bath scheme on a clock model's setup, addressing
-    its band 1."""
+    """Probabilistic qutrit-bath scheme on a clock model's exact
+    (L+1)-band block (`clock_block`), addressing its band 1; the gap comes
+    from the spectrum of the dense H_S the block was cut from."""
     model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
-    setup = clock_setup(model)
+    setup = clock_block(model)
     f1 = float(setup.xs[1])
     delta = extension_gap(setup)
     if not cfg["eps"] > 0:
@@ -471,8 +473,14 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
 
 def run_bounds(cfg: dict, out_dir: Path) -> dict:
     """Run the randomized bound suites; any violation is dumped and flips
-    the exit status.  The bounds lab is imported here, so no other command
+    the exit status.  The protocol lemmas' `r_grid` is checked first: at
+    least two distinct ratios, each with 0 < r < 1/8, the hypothesis every
+    schedule enforces.  The bounds lab is imported here, so no other command
     loads it."""
+    r_grid = cfg["r_grid"]
+    if len(set(r_grid)) < 2 or not all(0 < r < config.MAX_COUPLING_RATIO for r in r_grid):
+        raise ConfigError(f"bounds config key 'r_grid' must hold at least two distinct "
+                          f"ratios r with 0 < r < {config.MAX_COUPLING_RATIO}, got {r_grid}")
     from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 
     names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]
@@ -523,8 +531,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     if cfg["protocol"]:
         gm = GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02)
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        body["protocol_scaling"] = check_protocol_lemmas(
-            gm, cm, r_grid=tuple(cfg["r_grid"]))
+        body["protocol_scaling"] = check_protocol_lemmas(gm, cm, r_grid=tuple(r_grid))
     summary = _summary(cfg, body)
     _write_json(out_dir / "bounds_summary.json", summary)
     return summary

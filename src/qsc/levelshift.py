@@ -27,7 +27,6 @@ from .linalg import Operator, _Frozen, _setattr, operator_norm
 
 __all__ = [
     "LevelShiftContext",
-    "DetuningSolution",
     "make_context",
     "self_energy",
     "self_energy_grid",
@@ -141,27 +140,6 @@ def self_energy_grid(ctx: LevelShiftContext, v: Operator):
     return sigma_at
 
 
-class DetuningSolution(_Frozen):
-    """A solved bath detuning for one cooling step: the bath energy
-    `omega_b`, the effective oscillation half-splitting `rabi` (Omega), the
-    common diagonal `omega_b_star` of the effective two-level block, the
-    bisection `bracket` and the root function's `residual` there, and
-    `x_ratio` = |x_0 / x_j|, reported because large values degrade the
-    closed-form Rabi rate."""
-
-    __slots__ = ("j", "omega_b", "rabi", "omega_b_star", "bracket", "residual", "x_ratio")
-
-    def __init__(self, j: int, omega_b: float, rabi: float, omega_b_star: float,
-                 bracket: tuple[float, float], residual: float, x_ratio: float):
-        _setattr(self, "j", j)
-        _setattr(self, "omega_b", omega_b)
-        _setattr(self, "rabi", rabi)
-        _setattr(self, "omega_b_star", omega_b_star)
-        _setattr(self, "bracket", bracket)
-        _setattr(self, "residual", residual)
-        _setattr(self, "x_ratio", x_ratio)
-
-
 def _detuning_function(xs, omegas, j, omega0):
     """The degree L+1 root function in z, with the second sum evaluated at
     the moving bath energy (omega_b = z), which collapses it to the
@@ -171,25 +149,23 @@ def _detuning_function(xs, omegas, j, omega0):
     g0_const = -float(np.sum(xs[1:] ** 2 / omegas[1:]))
     others_x2, others = np.delete(xs, j) ** 2, np.delete(omegas, j)
 
-    def g_j(z):
-        return float(np.sum(others_x2 / (z - others)))
-
     def f(z):
-        gj = g_j(z)
+        gj = float(np.sum(others_x2 / (z - others)))
         return (1.0 - omega0 ** 2 * gj * g0_const) * (z - omegas[j]) + omega0 ** 2 * (
             xs[0] ** 2 * gj - xs[j] ** 2 * g0_const
         )
 
-    return f, g_j, g0_const
+    return f
 
 
-def solve_detuning(xs, omegas, j: int, omega0: float, gap: float) -> DetuningSolution:
-    """Root of the level-shift cancellation condition for band j.
+def solve_detuning(xs, omegas, j: int, omega0: float, gap: float) -> float:
+    """The bath energy omega_b of band j: the root of the level-shift
+    cancellation condition.
 
-    Bisection on (omega_j - gap/4, omega_j + gap/4); the sign change on
-    that bracket is guaranteed for r < 1/8.  If it is absent numerically, a
-    dense scan of the bracket locates a sign-change subinterval closest to
-    omega_j before giving up.
+    Bisection on (omega_j - gap/4, omega_j + gap/4).  For r = omega0/gap <
+    1/8 that bracket holds a sign change: at its ends the first term of the
+    root function has size >= 0.24 gap and the second at most 7 r^2 gap / 3
+    < 0.04 gap.  Without one the solve raises NoSignChange.
     """
     xs = np.asarray(xs, dtype=float)
     omegas = np.asarray(omegas, dtype=float)
@@ -198,55 +174,25 @@ def solve_detuning(xs, omegas, j: int, omega0: float, gap: float) -> DetuningSol
     if xs[0] <= 0 or xs[j] <= 0:
         raise ValueError("need nonzero overlaps x_0 and x_j")
     r = omega0 / gap
-    f, g_j, g0_const = _detuning_function(xs, omegas, j, omega0)
+    f = _detuning_function(xs, omegas, j, omega0)
     lo = omegas[j] - gap * config.POLE_GUARD_FRACTION
     hi = omegas[j] + gap * config.POLE_GUARD_FRACTION
-    bracket = (lo, hi)
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
-        root = lo
-    elif fhi == 0.0:
-        root = hi
-    else:
-        if (flo < 0) == (fhi < 0):
-            lo, hi = _scan_for_sign_change(f, lo, hi, omegas[j])
-            flo = f(lo)
-        tol = min(r * omega0 * xs[0] * xs[j], 1e-12 * gap)
-        tol = max(tol, 4 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if (fm < 0) == (flo < 0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        root = 0.5 * (lo + hi)
-    gj_root = g_j(root)
-    denom = 1.0 - omega0 ** 2 * gj_root * g0_const
-    rabi = omega0 * xs[0] * xs[j] / denom
-    omega_b_star = root + omega0 ** 2 * xs[0] ** 2 * gj_root / denom
-    return DetuningSolution(
-        j=j,
-        omega_b=float(root),
-        rabi=float(rabi),
-        omega_b_star=float(omega_b_star),
-        bracket=bracket,
-        residual=float(f(root)),
-        x_ratio=float(xs[0] / xs[j]),
-    )
-
-
-def _scan_for_sign_change(f, lo, hi, center, points: int = 2001):
-    grid = np.linspace(lo, hi, points)
-    values = np.array([f(z) for z in grid])
-    signs = np.sign(values)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    if flips.size == 0:
+        return float(lo)
+    if fhi == 0.0:
+        return float(hi)
+    if (flo < 0) == (fhi < 0):
         raise NoSignChange("no sign change found on the detuning bracket")
-    # multiple roots: keep the flip whose midpoint is closest to the band
-    mids = 0.5 * (grid[flips] + grid[flips + 1])
-    best = flips[np.argmin(np.abs(mids - center))]
-    return grid[best], grid[best + 1]
+    tol = min(r * omega0 * xs[0] * xs[j], 1e-12 * gap)
+    tol = max(tol, 4 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return float(mid)
+        if (fm < 0) == (flo < 0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return float(0.5 * (lo + hi))

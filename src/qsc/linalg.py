@@ -77,7 +77,8 @@ class Operator(_Frozen):
 
     Construction checks Hermiticity once, with a test scaled by the norm:
     max |m - m^+| <= atol * (1 + |m|_2), atol = config.HERMITICITY_ATOL;
-    the operations that need it trust it afterwards.  Sums and products
+    the operations that need it trust it afterwards.  A non-finite entry
+    (NaN or +-inf) is refused before the norm is taken.  Sums and products
     are taken on the plain `matrix`; only the matrix a computation hands
     on is wrapped again.
     """
@@ -91,6 +92,8 @@ class Operator(_Frozen):
     def __post_init__(self):
         m = _as_complex_matrix(self.matrix)
         _setattr(self, "matrix", _freeze(m))
+        if not np.isfinite(m).all():
+            raise NonHermitianInput("operator has a non-finite entry")
         atol = config.HERMITICITY_ATOL
         scale = 1.0 + (float(np.linalg.norm(m, 2)) if m.size else 0.0)
         dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0

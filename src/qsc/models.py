@@ -489,8 +489,8 @@ def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:
 class BandStructure(_Frozen):
     """The resolved low band: energies, eigenvectors (columns), and the
     spectral distance delta separating each band energy from the rest of
-    the spectrum; `spectrum` holds the full ascending spectrum of H_S when
-    delta was measured on it."""
+    the spectrum; `spectrum` holds the full ascending spectrum of the H_S
+    delta was measured on (a band block's is its dense setup's)."""
 
     __slots__ = ("omegas", "vectors", "delta", "spectrum")
 

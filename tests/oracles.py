@@ -386,16 +386,13 @@ def detuning_function_per_call(xs, omegas, j, omega0):
     omegas = np.asarray(omegas, dtype=float)
     g0_const = -float(np.sum(xs[1:] ** 2 / omegas[1:]))
 
-    def g_j(z):
-        return float(np.sum(np.delete(xs, j) ** 2 / (z - np.delete(omegas, j))))
-
     def f(z):
-        gj = g_j(z)
+        gj = float(np.sum(np.delete(xs, j) ** 2 / (z - np.delete(omegas, j))))
         return (1.0 - omega0 ** 2 * gj * g0_const) * (z - omegas[j]) + omega0 ** 2 * (
             xs[0] ** 2 * gj - xs[j] ** 2 * g0_const
         )
 
-    return f, g_j, g0_const
+    return f
 
 
 def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):
@@ -792,12 +789,27 @@ def g_sums(xs, omegas, omega_b: float, j: int, z: float, gap: float | None = Non
     return g_j, g_0
 
 
-def effective_grover_hamiltonian(sol) -> np.ndarray:
+def effective_two_level(xs, omegas, j: int, omega0: float, omega_b: float):
+    """The closed-form effective two-level block of band j with the bath at
+    its solved energy omega_b: (the Rabi rate Omega, the common diagonal
+    omega_b*).  With the sums g_j, g_0 of `g_sums` at z = omega_b and the
+    level-shift denominator d = 1 - Omega_0^2 g_j g_0,
+
+        Omega = Omega_0 x_0 x_j / d,   omega_b* = omega_b + Omega_0^2 x_0^2 g_j / d.
+    """
+    g_j, g_0 = g_sums(xs, omegas, omega_b, j, omega_b)
+    denom = 1.0 - omega0 ** 2 * g_j * g_0
+    return (omega0 * xs[0] * xs[j] / denom,
+            omega_b + omega0 ** 2 * xs[0] ** 2 * g_j / denom)
+
+
+def effective_grover_hamiltonian(xs, omegas, j: int, omega0: float,
+                                 omega_b: float) -> np.ndarray:
     """The solved two-level block in the {|j,down>, |0,up>} basis: equal
-    diagonals omega_B* and off-diagonal Rabi coupling."""
-    return np.array(
-        [[sol.omega_b_star, sol.rabi], [sol.rabi, sol.omega_b_star]], dtype=complex
-    )
+    diagonals omega_b* and off-diagonal Rabi coupling
+    (`effective_two_level`)."""
+    rabi, omega_b_star = effective_two_level(xs, omegas, j, omega0, omega_b)
+    return np.array([[omega_b_star, rabi], [rabi, omega_b_star]], dtype=complex)
 
 
 @dataclass(frozen=True)

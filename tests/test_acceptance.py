@@ -87,15 +87,9 @@ def test_criterion_2_grover_end_to_end():
     sched = build_schedule(setup, omega0=r)
     corrected = run_deterministic(setup, sched)
 
-    naive_steps = tuple(
-        ScheduleStep(j=s.j, omega_b=model.omega1, tau=s.tau, rabi=s.rabi,
-                     solution=s.solution)
-        for s in sched.steps
-    )
-    naive_sched = CoolingSchedule(
-        steps=naive_steps, omega0=sched.omega0, r=sched.r,
-        eps_target=None, tau_mode=sched.tau_mode,
-    )
+    naive_steps = tuple(ScheduleStep(j=s.j, omega_b=model.omega1, tau=s.tau)
+                        for s in sched.steps)
+    naive_sched = CoolingSchedule(steps=naive_steps, omega0=sched.omega0, r=sched.r)
     naive = run_deterministic(setup, naive_sched)
 
     dense = dense_grover_setup(model)

@@ -507,6 +507,21 @@ class TestProtocolScaling:
         assert rep["clock"]["oscillation_exponent"] >= 0.9
         assert rep["clock"]["verification_exponent"] >= 1.8
 
+    def test_a_splitting_lost_in_roundoff_is_refused(self):
+        # at r = 1e-16 the splittings lie below one ulp of the Hamiltonians'
+        # norms: no pulse time or oscillation rate is read off them
+        from qsc.cooling import clock_setup, extension_gap, grover_setup
+        from qsc.errors import UnresolvedSplitting
+
+        r = 1e-16
+        grover = grover_setup(GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02))
+        clock = clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
+        for setup in (grover, clock):
+            with pytest.raises(UnresolvedSplitting, match=r"step j=\d+: exact splitting"):
+                bounds._pulse_residuals(setup, r * setup.band.delta, setup.n_bands - 1)
+        with pytest.raises(UnresolvedSplitting, match=r"qutrit oscillation: exact splitting"):
+            bounds._oscillation_residual(clock, r * extension_gap(clock))
+
     def test_residuals_vanish_with_r(self):
         gm = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
         rep = check_protocol_lemmas(gm, None, r_grid=(0.02, 0.01, 0.005))

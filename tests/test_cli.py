@@ -240,6 +240,27 @@ def test_unknown_suite_is_config_error(tmp_path, capsys, monkeypatch):
     assert "'suites' names unknown suite(s): 'frobnicate'" in err
 
 
+@pytest.mark.parametrize("grid", [[0.04, 0.0], [0.04, -0.02], [], [0.04], [0.02, 0.02],
+                                  [0.5, 0.3, 0.2]])
+def test_a_bad_r_grid_is_config_error(tmp_path, capsys, monkeypatch, grid):
+    # a zero or negative ratio, one outside r < 1/8, or fewer than two
+    # distinct ratios to fit an exponent through: refused before a suite runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(bounds, "run_suite", no_run)
+    assert run_cli(tmp_path, "bounds", {"instances": 1, "r_grid": grid}) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'r_grid'" in err
+
+
+def test_an_r_grid_lost_in_roundoff_is_config_error(tmp_path, capsys):
+    # r = 1e-16 passes the grid check, but its splittings are roundoff
+    cfg = {"suites": ["weyl"], "instances": 1, "r_grid": [1e-15, 1e-16, 1e-17]}
+    assert run_cli(tmp_path, "bounds", cfg) == EXIT_CONFIG
+    assert "exact splitting" in capsys.readouterr().err
+
+
 def test_clock_gates_file_roundtrip(tmp_path, circuits_dir):
     cfg = {"n": 2, "gates_file": str(circuits_dir / "bell_n2_L2.gates"), "eps": 0.1}
     assert run_cli(tmp_path, "clock", cfg) == EXIT_OK

@@ -453,8 +453,10 @@ class TestClockBlock:
                     for setup, sched in ((block, b_sched), (dense, d_sched)))
         assert b.h_norm == d.h_norm  # both priced on the same dense matrix
         for bs, ds in zip(b_sched.steps, d_sched.steps, strict=True):
-            assert bs.tau == pytest.approx(ds.tau, rel=10 * _EPS * d.h_norm / ds.rabi, abs=0)
-        slowest = min(s.rabi for s in d_sched.steps)
+            # a step's rate is pi / (2 tau)
+            assert bs.tau == pytest.approx(ds.tau, rel=20 * _EPS * d.h_norm * ds.tau / math.pi,
+                                           abs=0)
+        slowest = math.pi / (2 * max(s.tau for s in d_sched.steps))
         assert b.total_time == pytest.approx(d.total_time, rel=10 * _EPS * d.h_norm / slowest,
                                              abs=0)
         prob_tol = 10 * _EPS * d.h_norm * d.total_time + 1e-12
@@ -488,7 +490,7 @@ class TestRunReduced:
         eps = 0.1
         full_sched = build_schedule(setup, eps=eps)
         full = run_deterministic(setup, full_sched)
-        reduced = run_reduced(setup, full_sched)  # eta = eps / L^1.5
+        reduced = run_reduced(setup, full_sched, eta=eps / model.length ** 1.5)
         assert reduced.total_time <= full.total_time
         assert abs(reduced.ground_fidelity - full.ground_fidelity) <= 2 * eps
         predicted_penalty = len(reduced.skipped_bands) * reduced.f_perp
@@ -618,6 +620,23 @@ class TestRunProbabilistic:
         assert report.accept_count == accepts > 0
         assert report.b_measure_count == b_count
         assert abs(report.conditional_success - success) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "lines,n", [("G I 1\nG I 1", 1), ("G X 1\nG I 1", 1), ("G H 1\nG CX 1 2", 2)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_block_matches_the_dense_projector_oracle(self, lines, n, seed):
+        # the (L+1)-band block holds the fiducial, the ground state and
+        # band 1, and both evolutions keep it: the block run takes the
+        # dense setup's trials
+        block = clock_block(ClockModel(circuit=parse_circuit(lines, n)))
+        assert extension_gap(block) == extension_gap(block.dense)
+        omega0 = block.xs[1] * 0.1 ** 1.5 * extension_gap(block)
+        report = run_probabilistic(block, omega0=omega0, trials=300, seed=seed)
+        accepts, b_count, success = probabilistic_by_dense_projectors(
+            block.dense, omega0, trials=300, seed=seed)
+        assert report.accept_count == accepts > 0
+        assert report.b_measure_count == b_count
+        assert report.conditional_success == pytest.approx(success, rel=1e-12, abs=0)
 
     def test_doubling_trace_recorded(self):
         setup = _prob_setup()

@@ -5,7 +5,10 @@ public method or property, must be referenced somewhere in `src/qsc` or
 `tests/` besides its own definition and `__all__`.  And every module-level
 definition must be reached from the command line: following name
 references from `cli.main` through the module-level definitions of
-`src/qsc` reaches it, so none is there for the tests alone.
+`src/qsc` reaches it, so none is there for the tests alone.  And every
+public field of a value type (the `__slots__` of a `_Frozen` class) must
+be read as an attribute somewhere in `src/qsc`, so none is carried for the
+tests alone.
 
 References are matched by name, read off the syntax tree.  A module-level
 name counts as referenced when it is loaded, read as an attribute, or
@@ -129,6 +132,30 @@ def _unreached(modules: dict[str, str], root: str) -> list[str]:
     return [key for key in nodes if key not in reached]
 
 
+# Run reports the experiments write whole, field by field (`_report_dict`).
+WHOLE_REPORTS = {"RunReport", "ProbRunReport"}
+
+
+def _unread_fields(modules: dict[str, str], exempt=frozenset()) -> list[str]:
+    """`module.Class.field` of each public `__slots__` field of a `_Frozen`
+    class in `modules` (name -> source), classes in `exempt` aside, that no
+    source in `modules` reads as an attribute."""
+    _, attrs = _references(modules.values())
+    unread = []
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if not (isinstance(node, ast.ClassDef) and node.name not in exempt
+                    and any(getattr(b, "id", None) == "_Frozen" for b in node.bases)):
+                continue
+            for item in node.body:
+                if (isinstance(item, ast.Assign)
+                        and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
+                    unread += [f"{module}.{node.name}.{c.value}" for c in ast.walk(item.value)
+                               if isinstance(c, ast.Constant) and not c.value.startswith("_")
+                               and attrs[c.value] == 0]
+    return unread
+
+
 def test_every_definition_is_referenced():
     sources = {path: path.read_text() for path in FILES}
     modules = {path.stem: sources[path] for path in SOURCES}
@@ -189,3 +216,28 @@ def test_reachability_matching():
     # an outside module's attribute reaches nothing, and a definition only
     # an unreached one reads stays unreached
     assert _unreached({"lab": lab, "tools": tools}, "lab.main") == ["tools.LIMIT", "tools.spare"]
+
+
+def test_every_value_field_is_read():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    unread = _unread_fields(modules, WHOLE_REPORTS)
+    assert not unread, f"value fields no program code reads: {unread}"
+
+
+def test_field_matching():
+    types = (
+        'class _Frozen:\n'
+        '    __slots__ = ()\n'
+        'class Step(_Frozen):\n'
+        '    __slots__ = ("tau", "rate", "_cache")\n'
+        '    def __init__(self, tau, rate):\n'
+        '        _setattr(self, "rate", rate)\n'
+        'class Plain:\n'
+        '    __slots__ = ("spare",)\n'
+        'class Report(_Frozen):\n'
+        '    __slots__ = ("whole",)\n'
+    )
+    use = 'def total(steps):\n    return sum(s.tau for s in steps)\n'
+    # set through a string is not read; a cache, a class that is no value
+    # type and an exempt report are not checked
+    assert _unread_fields({"types": types, "use": use}, {"Report"}) == ["types.Step.rate"]

@@ -29,6 +29,7 @@ from oracles import (
     clock_readout_by_lift,
     dense_grover_setup,
     detuning_scan_oracle,
+    effective_two_level,
     ladder_by_fresh_build,
     step_norm_on_composite,
 )
@@ -62,7 +63,8 @@ class TestDetuningCurve:
         assert setup.xs == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
         sched = build_schedule(setup, omega0=r)
         step = sched.steps[0]
-        pulse = step._replace(tau=math.pi / (2 * step.solution.rabi))
+        rabi, _ = effective_two_level(setup.xs, setup.band.omegas, 1, r, step.omega_b)
+        pulse = step._replace(tau=math.pi / (2 * rabi))
         fid = run_deterministic(setup, sched._replace(steps=(pulse,))).ground_fidelity
         assert fid > 1 - 20 * r ** 2
 
@@ -82,13 +84,13 @@ class TestDetuningCurve:
         # follows each candidate's own splitting, finds the best detuning
         omega0 = 0.05
         for n in (4, 6, 8):
-            detunings, fids, sol, _ = fidelity_vs_detuning(n, omega0, 400, 8.0)
+            detunings, fids, omega_b, _ = fidelity_vs_detuning(n, omega0, 400, 8.0)
             x0 = 2.0 ** (-n / 2)
             best, resolution = detuning_scan_oracle(1.0, omega0, x0, math.sqrt(1 - x0 ** 2))
             peak = 1.0 + detunings[int(np.argmax(fids))]
             spacing = detunings[1] - detunings[0]
             assert abs(peak - best) <= spacing + 2 * resolution
-            assert abs(sol.omega_b - best) <= 2 * resolution
+            assert abs(omega_b - best) <= 2 * resolution
 
     def test_curve_is_the_dense_search_model(self):
         # each point is the n-qubit search ladder on its full composite
@@ -455,14 +457,15 @@ class TestCountedWork:
 
     def test_prob_runs_on_one_clock_setup(self, tmp_path, monkeypatch):
         # one clock build and one eigh of H_S, then the drive and verify
-        # decompositions; the bath is applied by index selection
+        # decompositions on the (L+1)-band block; the bath is applied by
+        # index selection
         counts = self._counting(monkeypatch)
         counts.track(models, "build_clock")
         run("prob", {"n": 1, "circuit": ["G H 1", "G T 1"], "eps": 0.1, "trials": 50,
                      "omega_star_rel": 0.9, "seed": 0, "max_rounds": 10 ** 6}, tmp_path)
-        dim_s = 2 ** 3
+        dim_s, bands = 2 ** 3, 3
         assert counts.count("build_clock") == 1
-        assert counts.sizes("eigh") == {dim_s: 1, 3 * dim_s: 2}
+        assert counts.sizes("eigh") == {dim_s: 1, 3 * bands: 2}
 
     def test_protocol_lemmas_build_one_clock(self, monkeypatch):
         counts = CountingLinalg(monkeypatch)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsc import config
-from qsc.errors import DimensionMismatch, SingularResolvent
+from qsc.errors import DimensionMismatch, NoSignChange, SingularResolvent
 from qsc.levelshift import make_context, self_energy, self_energy_grid, solve_detuning
 from qsc.linalg import Operator, StateVector, operator_norm
 from qsc.models import (
@@ -31,6 +31,7 @@ from oracles import (
     detuning_function_per_call,
     detuning_scan_oracle,
     effective_grover_hamiltonian,
+    effective_two_level,
     g_sums,
     green_function,
     qutrit_truncation_check,
@@ -148,22 +149,22 @@ class TestSelfEnergy:
         xs = overlap_coefficients(model.length)
         j = model.length
         omega0 = 0.02 * band.delta
-        sol = solve_detuning(xs, band.omegas, j, omega0, band.delta)
+        omega_b = solve_detuning(xs, band.omegas, j, omega0, band.delta)
         t_s = Operator(omega0 * clock_coupling_direction(model).matrix)
-        h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", sol.omega_b), t_s)
+        h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", omega_b), t_s)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
         p = np.column_stack([np.kron(band.vector(j), down), np.kron(band.vector(0), up)])
         ctx = make_context(Operator(h_full), p, complement(p), band.delta / 2)
-        sigma = self_energy(ctx, Operator(v), sol.omega_b)
-        g_j, g_0 = g_sums(xs, band.omegas, sol.omega_b, j, sol.omega_b)
+        sigma = self_energy(ctx, Operator(v), omega_b)
+        g_j, g_0 = g_sums(xs, band.omegas, omega_b, j, omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
             [
                 [band.omegas[j] + omega0 ** 2 * xs[j] ** 2 * g_0 / denom,
                  omega0 * xs[0] * xs[j] / denom],
                 [omega0 * xs[0] * xs[j] / denom,
-                 sol.omega_b + omega0 ** 2 * xs[0] ** 2 * g_j / denom],
+                 omega_b + omega0 ** 2 * xs[0] ** 2 * g_j / denom],
             ]
         )
         assert np.max(np.abs(sigma - expected)) < 1e-9
@@ -388,8 +389,8 @@ class TestSolveDetuning:
     def test_weak_coupling_limit(self):
         xs = overlap_coefficients(2)
         omegas = band_energies(2)
-        sol = solve_detuning(xs, omegas, 2, 1e-9, 0.05)
-        assert sol.omega_b == pytest.approx(omegas[2], abs=1e-12)
+        omega_b = solve_detuning(xs, omegas, 2, 1e-9, 0.05)
+        assert omega_b == pytest.approx(omegas[2], abs=1e-12)
 
     def test_dominant_band_shift(self):
         # for x1 ~ 1 the root sits a first-order shift away from the band,
@@ -397,8 +398,7 @@ class TestSolveDetuning:
         omega1, omega0 = 1.0, 0.05
         x0 = 2.0 ** (-5)
         x1 = math.sqrt(1 - x0 ** 2)
-        sol = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
-        shift = sol.omega_b - omega1
+        shift = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1) - omega1
         assert abs(shift) == pytest.approx(omega0 ** 2 / omega1, rel=0.05)
 
     def test_scan_oracle_agreement(self):
@@ -408,43 +408,44 @@ class TestSolveDetuning:
         n = 5
         x0 = 2.0 ** (-n / 2)
         x1 = math.sqrt(1 - x0 ** 2)
-        sol = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
+        omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
         best, resolution = detuning_scan_oracle(omega1, omega0, x0, x1)
-        assert abs(sol.omega_b - best) <= 2 * resolution
+        assert abs(omega_b - best) <= 2 * resolution
 
     def test_solution_in_bracket_with_residual(self):
         xs = overlap_coefficients(3)
         omegas = band_energies(3)
         delta = 0.002
         for j in (1, 2, 3):
-            sol = solve_detuning(xs, omegas, j, 0.01 * delta, delta)
-            lo, hi = sol.bracket
-            assert lo < sol.omega_b < hi
-            assert abs(sol.residual) < 1e-12
+            omega0 = 0.01 * delta
+            omega_b = solve_detuning(xs, omegas, j, omega0, delta)
+            assert abs(omega_b - omegas[j]) < delta * config.POLE_GUARD_FRACTION
+            f = levelshift._detuning_function(xs, omegas, j, omega0)
+            assert abs(f(omega_b)) < 1e-12
+
+    @pytest.mark.parametrize("omega0", [1.0, 2.0])
+    def test_a_bracket_without_a_sign_change_is_refused(self, omega0):
+        # far outside r < 1/8 the level shift swamps the bracket
+        with pytest.raises(NoSignChange):
+            solve_detuning([0.6, 0.8], [0.0, 1.0], 1, omega0, 1.0)
 
     @pytest.mark.parametrize("which", ["clock", "grover"])
     def test_hoisted_sums_equal_the_per_call_formula(self, monkeypatch, which):
-        # g_j's deleted arrays are cut once per solve: every field of every
-        # band's solution is the same float as with them cut per evaluation
+        # g_j's deleted arrays are cut once per solve: every band's bath
+        # energy is the same float as with them cut per evaluation
         if which == "clock":
             setup = clock_block(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1\nG S 1", 1)))
             omega0 = build_schedule(setup, eps=0.1).omega0
         else:
             setup = grover_setup(GroverModel(n=6, marked=frozenset({0}), omega0_coupling=0.02))
             omega0 = 0.02 * setup.band.delta
-        def fields_per_band():
-            return [tuple(getattr(sol, name) for name in sol.__slots__)
-                    for sol in (solve_detuning(setup.xs, setup.band.omegas, j, omega0,
-                                               setup.band.delta)
-                                for j in range(1, setup.n_bands))]
+        def per_band():
+            return [solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
+                    for j in range(1, setup.n_bands)]
 
-        solutions = fields_per_band()
+        solutions = per_band()
         monkeypatch.setattr(levelshift, "_detuning_function", detuning_function_per_call)
-        assert solutions == fields_per_band()
-
-    def test_x_ratio_reported(self):
-        sol = solve_detuning([0.9, math.sqrt(1 - 0.81)], [0.0, 1.0], 1, 0.01, 1.0)
-        assert sol.x_ratio == pytest.approx(0.9 / math.sqrt(0.19))
+        assert solutions == per_band()
 
 
 class TestEffectiveTwoLevel:
@@ -452,8 +453,8 @@ class TestEffectiveTwoLevel:
         omega1, omega0 = 1.0, 0.04
         x0 = 0.2
         x1 = math.sqrt(1 - x0 ** 2)
-        sol = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
-        eff = effective_grover_hamiltonian(sol)
+        omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
+        eff = effective_grover_hamiltonian([x0, x1], [0.0, omega1], 1, omega0, omega_b)
         assert eff[0, 0] == pytest.approx(eff[1, 1].real)
         evals, evecs = np.linalg.eigh(eff)
         for col in evecs.T:
@@ -465,8 +466,9 @@ class TestEffectiveTwoLevel:
         omega0 = r * omega1
         x0 = 0.3
         x1 = math.sqrt(1 - x0 ** 2)
-        sol = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
-        ctx, v = grover_block_context(omega1, sol.omega_b, omega0, x0, x1)
+        omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
+        rabi, _ = effective_two_level([x0, x1], [0.0, omega1], 1, omega0, omega_b)
+        ctx, v = grover_block_context(omega1, omega_b, omega0, x0, x1)
         w = np.linalg.eigvalsh(ctx.h.matrix + v.matrix)
         down = np.array([0, 0, 1, 0.0])
         up = np.array([0, 1, 0, 0.0])
@@ -474,14 +476,15 @@ class TestEffectiveTwoLevel:
         weight = np.abs(vecs.conj().T @ down) ** 2 + np.abs(vecs.conj().T @ up) ** 2
         top = np.sort(np.argsort(-weight)[:2])
         exact_split = abs(w[top[1]] - w[top[0]])
-        assert abs(2 * sol.rabi - exact_split) / exact_split < 3 * r
+        assert abs(2 * rabi - exact_split) / exact_split < 3 * r
 
     def test_rabi_leading_order(self):
         omega1, omega0 = 1.0, 0.01
         x0, x1 = 0.4, math.sqrt(1 - 0.16)
-        sol = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
+        omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
+        rabi, _ = effective_two_level([x0, x1], [0.0, omega1], 1, omega0, omega_b)
         r = omega0 / omega1
-        assert abs(sol.rabi - omega0 * x0 * x1) <= 5 * omega0 * x0 * x1 * r ** 2
+        assert abs(rabi - omega0 * x0 * x1) <= 5 * omega0 * x0 * x1 * r ** 2
 
 
 class TestQutritTruncation:

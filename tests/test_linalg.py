@@ -39,6 +39,15 @@ class TestOperator:
         with pytest.raises(NonHermitianInput):
             Operator(skewed(20 * atol))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_entry(self, entry):
+        # refused by the type, before LAPACK sees it (a replay dump's JSON
+        # may spell NaN and Infinity)
+        m = np.eye(2, dtype=complex)
+        m[1, 1] = entry
+        with pytest.raises(NonHermitianInput, match="non-finite"):
+            Operator(m)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             Operator(np.zeros((2, 3)))

@@ -41,7 +41,6 @@ def _instances() -> dict:
         "StateVector": (StateVector.basis(2, 0), "amplitudes"),
         "DensityMatrix": (DensityMatrix(np.eye(2) / 2), "entries"),
         "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "gap"),
-        "DetuningSolution": (schedule.steps[0].solution, "omega_b"),
         "GroverModel": (grover, "n"),
         "Gate": (Gate(np.eye(2), (1,)), "targets"),
         "CircuitSpec": (circuit, "gates"),
