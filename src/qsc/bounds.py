@@ -71,11 +71,9 @@ class CheckResult(_Frozen):
     """A checker's verdict, its bound margins and the details of the
     instance (a new empty dict unless given)."""
 
-    __slots__ = ("name", "passed", "margins", "details")
+    __slots__ = ("passed", "margins", "details")
 
-    def __init__(self, name: str, passed: bool, margins: tuple[float, ...],
-                 details: dict | None = None):
-        _setattr(self, "name", name)
+    def __init__(self, passed: bool, margins: tuple[float, ...], details: dict | None = None):
         _setattr(self, "passed", passed)
         _setattr(self, "margins", margins)
         _setattr(self, "details", {} if details is None else details)
@@ -91,15 +89,13 @@ class BoundInstance(_Frozen):
     (cached in the instance's `__dict__`).
     """
 
-    __slots__ = ("h", "v", "window", "gap", "seed", "__dict__")
+    __slots__ = ("h", "v", "window", "gap", "__dict__")
 
-    def __init__(self, h: Operator, v: Operator, window: tuple[float, float], gap: float,
-                 seed: int):
+    def __init__(self, h: Operator, v: Operator, window: tuple[float, float], gap: float):
         _setattr(self, "h", h)
         _setattr(self, "v", v)
         _setattr(self, "window", window)
         _setattr(self, "gap", gap)
-        _setattr(self, "seed", seed)
 
     @cached_property
     def h_tilde(self) -> Operator:
@@ -138,7 +134,6 @@ def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
     bound = operator_norm(h.matrix - h_tilde.matrix)
     margins = bound - np.abs(mu - sigma)
     return CheckResult(
-        name="weyl",
         passed=bool(np.all(margins >= -1e-10 * (1 + bound))),
         margins=tuple(float(m) for m in margins),
         details={"norm_diff": float(bound)},
@@ -163,7 +158,6 @@ def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
     margin = rhs - lhs
     scale = 1 + lhs
     return CheckResult(
-        name="sylvester",
         passed=bool(margin >= -_SLACK * scale),
         margins=(float(margin),),
         details={"alpha": alpha, "beta": beta},
@@ -198,7 +192,7 @@ def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
     diff = am - bm
     sv = np.linalg.svd(diff, compute_uv=False)
     if sv[-1] <= 0:
-        return CheckResult("block_resolvent", False, (-1.0,),
+        return CheckResult(False, (-1.0,),
                            details={"reason": "A - B singular despite hypotheses"})
     inv = np.linalg.inv(diff)
     n12 = float(np.linalg.norm(inv[s1, s2], 2))
@@ -210,7 +204,6 @@ def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
     margins = (bound12 - n12, bound11 - n11, bound22 - n22)
     scale = 1 + max(n11, n22, n12)
     return CheckResult(
-        name="block_resolvent",
         passed=bool(all(m >= -_SLACK * scale for m in margins)),
         margins=tuple(float(m) for m in margins),
         details={"G1": g1, "G2": g2, "b11": b11, "b22": b22, "b12": b12},
@@ -297,13 +290,12 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     ) if tilde_inside.shape[1] else np.array([])
     if len(eff_vals) != len(tilde_vals):
         return CheckResult(
-            "spectral_correspondence", False, (-1.0,),
+            False, (-1.0,),
             details={"reason": "window eigenvalue count mismatch",
                      "dim_eff": len(eff_vals), "dim_tilde": len(tilde_vals)},
         )
     margins = gamma - np.abs(eff_vals - tilde_vals)
     return CheckResult(
-        name="spectral_correspondence",
         passed=bool(np.all(margins >= -_SLACK * (1 + gamma))),
         margins=tuple(float(m) for m in margins),
         details={"gamma": gamma, "spec_range": (c, d)},
@@ -338,7 +330,6 @@ def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
     bound = 1.0 - (2 * inst.v_norm / gap) ** 2
     margins = _mutual_overlap_margins(tilde_inside, inside, bound)
     return CheckResult(
-        name="subspace_overlap",
         passed=bool(all(m >= -_SLACK for m in margins)),
         margins=margins,
         details={"bound": float(bound)},
@@ -356,7 +347,6 @@ def check_corollaries(inst: BoundInstance) -> CheckResult:
     res1 = _check_isolated_eigenspace_overlap(inst)
     res2 = _check_multiband_overlap(inst)
     return CheckResult(
-        name="corollaries",
         passed=res1.passed and res2.passed,
         margins=res1.margins + res2.margins,
         details={"isolated": res1.details, "multiband": res2.details},
@@ -386,7 +376,6 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     overlap = float(np.real(v_top.conj() @ p_prime @ v_top))
     margin = overlap - bound
     return CheckResult(
-        name="isolated_eigenspace_overlap",
         passed=bool(margin >= -_SLACK),
         margins=(margin,),
         details={"gamma": gamma, "eta": eta, "bound": float(bound)},
@@ -426,7 +415,6 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
     ])
     margins = _mutual_overlap_margins(inside, tilde, bound)
     return CheckResult(
-        name="multiband_overlap",
         passed=bool(all(m >= -_SLACK for m in margins)),
         margins=margins,
         details={"bands": n_bands, "bound": float(bound)},
@@ -454,14 +442,13 @@ def _scaled_to(norm: float, m: np.ndarray) -> Operator:
     return Operator((norm / operator_norm(m)) * m)
 
 
-def _surgery_instance(rng, evals, v_norm: float, window, gap: float,
-                      seed: int) -> BoundInstance:
+def _surgery_instance(rng, evals, v_norm: float, window, gap: float) -> BoundInstance:
     """H with the given spectrum in a Haar-random eigenbasis and a
     Gaussian V of norm v_norm."""
     u = haar_unitary(rng, len(evals))
     h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T)
     v = _scaled_to(v_norm, gaussian_hermitian(rng, len(evals)))
-    return BoundInstance(h=h, v=v, window=window, gap=gap, seed=seed)
+    return BoundInstance(h=h, v=v, window=window, gap=gap)
 
 
 def make_windowed_instance(
@@ -484,7 +471,7 @@ def make_windowed_instance(
     highs = rng.uniform(lam_hi + gap / 2 + 0.05 * gap, lam_hi + gap / 2 + 2.0,
                         size=n_out - n_out // 2)
     evals = np.concatenate([inner, lows, highs])
-    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap, seed)
+    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
 def make_multiband_instance(
@@ -509,7 +496,7 @@ def make_multiband_instance(
     lows = rng.uniform(lam_lo - gap - 2.0, lam_lo - gap, size=n_out // 2)
     highs = rng.uniform(lam_hi + gap, lam_hi + gap + 2.0, size=n_out - n_out // 2)
     evals = np.concatenate([np.array(evals), lows, highs])
-    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap, seed)
+    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +696,7 @@ def _arguments(check, payload: dict) -> dict:
     def read(name):
         if name == "inst":
             return BoundInstance(h=hermitian("h"), v=hermitian("v"),
-                                 window=tuple(payload["window"]), gap=float(payload["gap"]),
-                                 seed=int(payload.get("seed", 0)))
+                                 window=tuple(payload["window"]), gap=float(payload["gap"]))
         if name == "x":
             return _matrix_from_payload(payload["x"])
         if name == "split":
@@ -736,11 +722,9 @@ def replay_instance(payload: dict) -> CheckResult:
 class SuiteReport(_Frozen):
     """One suite's counts, and the dump path of each violation."""
 
-    __slots__ = ("name", "instances", "passes", "vacuous", "violations")
+    __slots__ = ("instances", "passes", "vacuous", "violations")
 
-    def __init__(self, name: str, instances: int, passes: int, vacuous: int,
-                 violations: tuple[str, ...]):
-        _setattr(self, "name", name)
+    def __init__(self, instances: int, passes: int, vacuous: int, violations: tuple[str, ...]):
         _setattr(self, "instances", instances)
         _setattr(self, "passes", passes)
         _setattr(self, "vacuous", vacuous)
@@ -833,7 +817,5 @@ def run_suite(
         }
         dump = dump_violation(Path(out_dir) / f"violation_{name}_{i}.json", payload)
         violations.append(str(dump))
-    return SuiteReport(
-        name=name, instances=instances, passes=passes, vacuous=vacuous,
-        violations=tuple(violations),
-    )
+    return SuiteReport(instances=instances, passes=passes, vacuous=vacuous,
+                       violations=tuple(violations))

@@ -41,15 +41,14 @@ MAX_RESOLVENT_COND = 1e14
 class LevelShiftContext(_Frozen):
     """A Hamiltonian resolved into a near-resonant subspace P and its
     complement Q, each given by an orthonormal basis (the columns of `p`
-    and `q`), with the protecting gap attached."""
+    and `q`)."""
 
-    __slots__ = ("h", "p", "q", "gap")
+    __slots__ = ("h", "p", "q")
 
-    def __init__(self, h: Operator, p: np.ndarray, q: np.ndarray, gap: float):
+    def __init__(self, h: Operator, p: np.ndarray, q: np.ndarray):
         _setattr(self, "h", h)
         _setattr(self, "p", p)
         _setattr(self, "q", q)
-        _setattr(self, "gap", gap)
 
 
 def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> LevelShiftContext:
@@ -79,7 +78,7 @@ def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> Level
         sep = np.min(np.abs(spec_p[:, None] - spec_q[None, :]))
         if sep < gap * (1 - config.RESIDUAL_RTOL):
             raise ValueError(f"P/Q spectra separated by {sep:.3e} < gap {gap:.3e}")
-    return LevelShiftContext(h=h, p=p, q=q, gap=gap)
+    return LevelShiftContext(h=h, p=p, q=q)
 
 
 def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> np.ndarray:

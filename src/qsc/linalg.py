@@ -262,5 +262,4 @@ def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) 
 
 # Small fixed qubit matrices used across the model builders.
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PROJ0 = np.diag([1, 0]).astype(complex)
 PROJ1 = np.diag([0, 1]).astype(complex)

@@ -6,6 +6,10 @@ clock qubits after (1..L), most-significant bit = qubit 1.  The unary
 clock value l is encoded as |1^l 0^(L-l)> on the clock qubits.  The bath
 subsystem, when present, is always the last tensor factor: a qubit bath
 orders its basis (down, up); a qutrit bath orders its basis (C, R, L).
+
+The dense clock Hamiltonian is written into one array by arithmetic on the
+basis index, register * 2^L + clock, with no Kronecker products; the
+kron-chain construction it equals bit for bit is a test oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import ast
 import cmath
 import math
-from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
-from .linalg import PROJ0, PROJ1, SIGMA_X, Operator, StateVector, _Frozen, _setattr
+from .linalg import PROJ1, SIGMA_X, Operator, StateVector, _Frozen, _setattr
 
 __all__ = [
     "GroverModel",
@@ -31,7 +34,6 @@ __all__ = [
     "BandStructure",
     "build_grover",
     "build_clock",
-    "build_clock_parts",
     "clock_band_structure",
     "band_energies",
     "overlap_coefficients",
@@ -224,7 +226,9 @@ def _matrix_literal(spec: str, lineno: int) -> np.ndarray:
         entries = np.array(ast.literal_eval(spec), dtype=object)
         finite = all(type(x) in (int, float, complex) and cmath.isfinite(x)
                      for x in entries.flat)
-    except (ValueError, SyntaxError, OverflowError) as exc:
+    except (ValueError, TypeError, SyntaxError, OverflowError, RuntimeError) as exc:
+        # TypeError: an unhashable set or dict key; RuntimeError: nesting
+        # deeper than the parser's recursion or numpy's 32 dimensions
         raise ParseError(f"line {lineno}: bad matrix literal") from exc
     if not finite:
         raise ParseError(f"line {lineno}: matrix literal entries must be finite numbers")
@@ -255,6 +259,8 @@ def parse_circuit(text: str, n: int) -> CircuitSpec:
             targets = tuple(int(q) for q in qubits)
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad qubit index") from exc
+        if any(t < 1 or t > n for t in targets):
+            raise ParseError(f"line {lineno}: gate target out of range 1..{n}")
         if spec.startswith("["):
             matrix = _matrix_literal(spec, lineno)
         elif spec.upper() in _NAMED_GATES:
@@ -335,11 +341,6 @@ class ClockModel(_Frozen):
         return 2 * self.omega
 
 
-def _site_projector(total: int, ops: dict[int, np.ndarray]) -> np.ndarray:
-    mats = [ops.get(q, np.eye(2, dtype=complex)) for q in range(1, total + 1)]
-    return reduce(np.kron, mats)
-
-
 def band_energies(length: int, omega: float = 1.0) -> np.ndarray:
     """Low-band energies omega * (1 - cos(j*pi/(L+1))), j = 0..L."""
     j = np.arange(length + 1)
@@ -413,73 +414,64 @@ def _history_vectors(model: ClockModel) -> list[np.ndarray]:
 
 
 def build_clock(model: ClockModel) -> Operator:
-    """Assemble the full clock Hamiltonian on n + L qubits:
-    omega * hopping + delta1 * input penalty + 2 omega * clock penalty."""
-    h_prop, h_input, h_clock = build_clock_parts(model)
-    h_s = model.omega * h_prop + model.delta1 * h_input + model.clock_penalty * h_clock
+    """The clock Hamiltonian on n + L qubits, omega * hopping + delta1 *
+    input penalty + 2 omega * clock penalty, written entry by entry into
+    one zeroed array.
+
+    The basis index is register * 2^L + clock, and clock qubit l is bit
+    L - l of the clock value.  Step l's controls hold where clock qubit
+    l - 1 reads 1 and qubit l + 1 reads 0 (each where it exists); there it
+    adds omega/2 to the diagonal and, from each column whose qubit l reads
+    0, moves |r, c> to U_l|r>, c | bit l with amplitude -omega/2 (and the
+    conjugate back).  The input penalty counts the register's ones while
+    clock qubit 1 reads 0; the clock penalty counts adjacent "01" clock
+    pairs.  The diagonal is summed in the order of omega * h_prop + delta1
+    * h_input + 2 omega * h_clock, and `+ 0.0` turns each moved -0 into
+    the +0 that sum leaves, so H_S equals it bit for bit (the kron
+    reference is `tests/oracles.py:build_clock_parts`).
+    """
+    n, length = model.n, model.length
+    clock = np.arange(2 ** length)
+    reads = {l: (clock >> (length - l)) & 1 for l in range(1, length + 1)}  # qubit l
+    h_s = np.zeros((2 ** (n + length),) * 2, dtype=complex)
+    blocks = h_s.reshape(2 ** n, 2 ** length, 2 ** n, 2 ** length)
+    steps = np.zeros(2 ** length)  # the number of steps whose controls hold
+    for l, u in enumerate(model.circuit.unitaries(), start=1):
+        holds = np.ones(2 ** length, dtype=bool)
+        if l > 1:
+            holds &= reads[l - 1] == 1
+        if l < length:
+            holds &= reads[l + 1] == 0
+        steps += holds
+        c = clock[holds & (reads[l] == 0)]
+        moved = -0.5 * model.omega * u
+        blocks[:, c | (1 << (length - l)), :, c] = moved + 0.0
+        blocks[:, c, :, c | (1 << (length - l))] = moved.conj().T + 0.0
+    ones = np.array([bin(r).count("1") for r in range(2 ** n)])
+    pairs = sum((reads[l] == 0) & (reads[l + 1] == 1) for l in range(1, length))
+    np.fill_diagonal(h_s, (model.omega * (0.5 * steps)
+                           + model.delta1 * np.outer(ones, reads[1] == 0)
+                           + model.clock_penalty * pairs).reshape(-1))
+    _verify_legal_sector(h_s, model)
     return Operator(h_s)
 
 
-def build_clock_parts(model: ClockModel):
-    """The three unscaled pieces (hopping, input penalty, clock penalty) as
-    plain arrays; `build_clock` validates their sum, the matrix it hands on.
-
-    Construction contract: restricted to the unary clock configurations the
-    hopping part must equal the tridiagonal free-particle matrix exactly;
-    this is verified here (boundary terms are implemented with the missing
-    boundary control dropped, and only this equality makes them right).
-    """
-    n, length = model.n, model.length
-    total = n + length
-    dim = 2 ** total
-    _check_dim(dim)
-    unitaries = model.circuit.unitaries()
-
-    h_input = np.zeros((dim, dim), dtype=complex)
-    first_clock = n + 1
-    for i in range(1, n + 1):
-        h_input += _site_projector(total, {i: PROJ1, first_clock: PROJ0})
-
-    h_clock = np.zeros((dim, dim), dtype=complex)
-    for l in range(1, length):
-        h_clock += _site_projector(total, {n + l: PROJ0, n + l + 1: PROJ1})
-
-    hop10 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| on one clock qubit
-    register = np.eye(2 ** n, dtype=complex)
-    h_prop = np.zeros((dim, dim), dtype=complex)
-    for l in range(1, length + 1):
-        # step l flips clock qubit l, controlled on its left neighbour
-        # reading 1 and its right neighbour reading 0 where they exist.
-        # Controls and flip act on the clock alone, so the moved term
-        # (U_l (x) 1)(1 (x) hop) is U_l (x) hop: each entry one product
-        ctrl = {}
-        if l > 1:
-            ctrl[l - 1] = PROJ1
-        if l < length:
-            ctrl[l + 1] = PROJ0
-        diag = np.kron(register, _site_projector(length, ctrl))
-        moved = np.kron(unitaries[l - 1], _site_projector(length, {**ctrl, l: hop10}))
-        h_prop += 0.5 * (diag - moved - moved.conj().T)
-
-    _verify_legal_sector(h_prop, model)
-    return h_prop, h_input, h_clock
-
-
-def _verify_legal_sector(h_prop: np.ndarray, model: ClockModel) -> None:
-    """Check the hopping term against the exact tridiagonal target on the
-    unary-clock sector with the all-zeros register state."""
+def _verify_legal_sector(h_s: np.ndarray, model: ClockModel) -> None:
+    """Construction contract: on the history states (the unary-clock
+    sector with the all-zeros input) both penalties vanish, and H_S must be
+    omega times the exact tridiagonal free-particle matrix there."""
     length = model.length
     basis = np.column_stack(_history_vectors(model))
-    block = basis.conj().T @ h_prop @ basis
+    block = basis.conj().T @ h_s @ basis
     lp1 = length + 1
     target = np.zeros((lp1, lp1), dtype=complex)
     for l in range(lp1):
         target[l, l] = 1.0 if l in (0, length) else 2.0
         if l < length:
             target[l, l + 1] = target[l + 1, l] = -1.0
-    target *= 0.5
+    target *= 0.5 * model.omega
     residual = float(np.max(np.abs(block - target)))
-    if residual > config.RESIDUAL_RTOL * (1 + length):
+    if residual > config.RESIDUAL_RTOL * (1 + length) * model.omega:
         raise SelfCheckFailed(
             f"legal-sector hopping block deviates from the tridiagonal target "
             f"by {residual:.3e}"
@@ -555,11 +547,11 @@ def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> Band
 
 def clock_coupling_direction(model: ClockModel) -> Operator:
     """Unit-norm coupling operator: the |0><0| projector on the first
-    clock qubit.  Within the low band it acts as the rank-one projector
-    onto the all-zeros product state."""
-    n, length = model.n, model.length
-    total = n + length
-    return Operator(_site_projector(total, {n + 1: PROJ0}))
+    clock qubit, the diagonal mask of the basis states whose clock qubit 1
+    reads 0.  Within the low band it acts as the rank-one projector onto
+    the all-zeros product state."""
+    clock = np.arange(2 ** (model.n + model.length)) % 2 ** model.length
+    return Operator(np.diag((clock >> (model.length - 1) == 0).astype(complex)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ implementation, the cooling map and the qutrit scheme's trials through
 dense bath projectors, the qutrit scheme's gap one eigenvalue at a time,
 the bounds lab's closeness radius by one linear solve and one SVD norm
 per grid point, the self-energy by its series in powers of V, gate
-embedding one basis column at a time, the clock construction by its
-original four-branch hopping loop and step-by-step register history, the
+embedding one basis column at a time, the clock Hamiltonian by the kron
+chains of its three parts (`build_clock_parts`) and its hopping by the
+original four-branch loop, its history register step by step, the
 cooling ladder from step Hamiltonians built afresh, the step norm on the
 whole composite space instead of its connected blocks, the clock readout
 on the final state lifted to the dense space instead of on the band
@@ -427,13 +428,14 @@ def detuning_scan_oracle(omega1, omega0, x0, x1, points=4001, span=4.0):
     return best[1], grid[1] - grid[0]
 
 
-def self_energy_by_series(ctx, v, z: float, order: int) -> np.ndarray:
+def self_energy_by_series(ctx, v, z: float, order: int, gap: float) -> np.ndarray:
     """The self-energy of P at z as its expansion in powers of V through
     `order` factors of V (order >= 2), built on the unperturbed resolvent
-    G_Q(z) of `green_function`, in the P basis and symmetrized.  It agrees
-    with the closed resolvent form to O(r^(order+1)) * gap."""
+    G_Q(z) of `green_function` (its pole guarded by `gap`), in the P basis
+    and symmetrized.  It agrees with the closed resolvent form to
+    O(r^(order+1)) * gap."""
     bp = ctx.p
-    gq = green_function(ctx, z).matrix
+    gq = green_function(ctx, z, gap).matrix
     sigma_full = np.zeros_like(gq)
     term = gq @ v.matrix @ (bp @ bp.conj().T)  # G_Q V P
     for _ in range(2, order + 1):
@@ -503,6 +505,61 @@ def embed_gate_by_bit_loop(u: np.ndarray, targets, n: int) -> np.ndarray:
                 row = (row << 1) | b
             full[row, col] += amp
     return full
+
+
+PROJ0 = np.diag([1, 0]).astype(complex)
+PROJ1 = np.diag([0, 1]).astype(complex)
+
+
+def _site_projector(total: int, ops: dict) -> np.ndarray:
+    """The kron chain of `ops` (qubit -> 2x2 matrix) on `total` qubits,
+    with the identity on every other qubit."""
+    mats = [ops.get(q, np.eye(2, dtype=complex)) for q in range(1, total + 1)]
+    return reduce(np.kron, mats)
+
+
+def build_clock_parts(model):
+    """The clock Hamiltonian's three unscaled pieces (hopping, input
+    penalty, clock penalty) as kron chains of composite-size 0/1 matrices:
+    the bit-for-bit reference of `models.build_clock`, whose H_S equals
+    omega * h_prop + delta1 * h_input + 2 omega * h_clock exactly."""
+    n, length = model.n, model.length
+    total = n + length
+    dim = 2 ** total
+    unitaries = model.circuit.unitaries()
+
+    h_input = np.zeros((dim, dim), dtype=complex)
+    first_clock = n + 1
+    for i in range(1, n + 1):
+        h_input += _site_projector(total, {i: PROJ1, first_clock: PROJ0})
+
+    h_clock = np.zeros((dim, dim), dtype=complex)
+    for l in range(1, length):
+        h_clock += _site_projector(total, {n + l: PROJ0, n + l + 1: PROJ1})
+
+    hop10 = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| on one clock qubit
+    register = np.eye(2 ** n, dtype=complex)
+    h_prop = np.zeros((dim, dim), dtype=complex)
+    for l in range(1, length + 1):
+        # step l flips clock qubit l, controlled on its left neighbour
+        # reading 1 and its right neighbour reading 0 where they exist;
+        # the moved term (U_l (x) 1)(1 (x) hop) is formed as U_l (x) hop
+        ctrl = {}
+        if l > 1:
+            ctrl[l - 1] = PROJ1
+        if l < length:
+            ctrl[l + 1] = PROJ0
+        diag = np.kron(register, _site_projector(length, ctrl))
+        moved = np.kron(unitaries[l - 1], _site_projector(length, {**ctrl, l: hop10}))
+        h_prop += 0.5 * (diag - moved - moved.conj().T)
+    return h_prop, h_input, h_clock
+
+
+def clock_hamiltonian_by_parts(model) -> np.ndarray:
+    """omega * h_prop + delta1 * h_input + 2 omega * h_clock from the kron
+    parts, summed in that order."""
+    h_prop, h_input, h_clock = build_clock_parts(model)
+    return model.omega * h_prop + model.delta1 * h_input + model.clock_penalty * h_clock
 
 
 def clock_hopping_by_branches(model) -> np.ndarray:
@@ -742,16 +799,18 @@ def complement(p: np.ndarray) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def green_function(ctx, z: float):
+def green_function(ctx, z: float, gap: float):
     """Resolvent of the unperturbed Hamiltonian restricted to Q:
-    G_Q(z) = Q (z - QHQ)^{-1} Q, returned on the full space (vanishing on P)."""
+    G_Q(z) = Q (z - QHQ)^{-1} Q, returned on the full space (vanishing on P);
+    z closer to Spec(H|Q) than a fraction of `gap`, the context's protecting
+    gap, is refused."""
     from qsc import config
     from qsc.linalg import Operator
 
     bq = ctx.q
     hq = bq.conj().T @ ctx.h.matrix @ bq
     w, v = np.linalg.eigh(hq)
-    guard = ctx.gap * config.POLE_GUARD_FRACTION
+    guard = gap * config.POLE_GUARD_FRACTION
     if w.size and np.min(np.abs(z - w)) < guard * (1 - config.RESIDUAL_RTOL):
         raise PoleTooClose(
             f"z={z} within {np.min(np.abs(z - w)):.3e} of Spec(H|Q); guard {guard:.3e}"
@@ -852,7 +911,7 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     p = np.column_stack(cols)
     ctx = make_context(h_full, p, complement(p), gap)
 
-    g = green_function(ctx, omega1).matrix
+    g = green_function(ctx, omega1, gap).matrix
     # compress the bath to |B> on both sides, leaving a system operator
     eye_s = np.eye(dim_s, dtype=complex)
     bra = np.kron(eye_s, KET_B.conj().reshape(1, 3))

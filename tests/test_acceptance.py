@@ -17,7 +17,6 @@ from qsc.models import (
     ClockModel,
     GroverModel,
     band_energies,
-    build_clock_parts,
     clock_band_structure,
     load_circuit,
     overlap_coefficients,
@@ -46,7 +45,12 @@ from qsc.bounds import (
 )
 from qsc.experiments import run_fig1
 
-from oracles import decompose_fiducial, dense_grover_setup, qutrit_truncation_check
+from oracles import (
+    build_clock_parts,
+    decompose_fiducial,
+    dense_grover_setup,
+    qutrit_truncation_check,
+)
 
 
 def _report(criterion: int, passed: bool, detail: str):
@@ -258,7 +262,7 @@ def test_criterion_6_bound_suites(tmp_path):
     big_v = Operator(inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9 * inst.v.matrix)
     with pytest.raises(HypothesisUnmet):
         check_spectral_correspondence(
-            BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap, seed=1)
+            BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap)
         )
     gates_fired += 1
     collar_h = Operator(np.diag([0.0, 0.25]).astype(complex))
@@ -267,7 +271,7 @@ def test_criterion_6_bound_suites(tmp_path):
             BoundInstance(
                 h=collar_h,
                 v=Operator(np.zeros((2, 2), dtype=complex)),
-                window=(-0.5, 0.5), gap=1.0, seed=0,
+                window=(-0.5, 0.5), gap=1.0,
             )
         )
     gates_fired += 1
@@ -278,7 +282,7 @@ def test_criterion_6_bound_suites(tmp_path):
         check_corollaries(
             BoundInstance(
                 h=degenerate, v=Operator(vm),
-                window=(-1.0, 1.0), gap=1.0, seed=0,
+                window=(-1.0, 1.0), gap=1.0,
             )
         )
     gates_fired += 1

@@ -119,7 +119,7 @@ class TestSpectralCorrespondence:
         exact = BoundInstance(
             h=inst.h,
             v=Operator(np.zeros_like(inst.v.matrix)),
-            window=inst.window, gap=inst.gap, seed=5,
+            window=inst.window, gap=inst.gap,
         )
         res = check_spectral_correspondence(exact)
         assert res.passed
@@ -131,7 +131,7 @@ class TestSpectralCorrespondence:
         h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex))
         v = random_hermitian(np.random.default_rng(9), 3)
         v = Operator(0.05 / operator_norm(v) * v)
-        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=1.0, seed=0)
+        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=1.0)
         res = check_spectral_correspondence(inst)
         assert res.passed
         assert len(res.margins) == 3
@@ -205,7 +205,7 @@ class TestSpectralCorrespondence:
         bad = Operator(v @ np.diag(w.astype(complex)) @ v.conj().T)
         with pytest.raises(HypothesisUnmet):
             check_spectral_correspondence(
-                BoundInstance(h=bad, v=inst.v, window=inst.window, gap=inst.gap, seed=6)
+                BoundInstance(h=bad, v=inst.v, window=inst.window, gap=inst.gap)
             )
 
     def test_oversized_coupling_gate(self):
@@ -214,7 +214,7 @@ class TestSpectralCorrespondence:
         with pytest.raises(HypothesisUnmet):
             check_spectral_correspondence(
                 BoundInstance(h=inst.h, v=big_v, window=inst.window,
-                              gap=inst.gap, seed=7)
+                              gap=inst.gap)
             )
 
 
@@ -289,7 +289,7 @@ class TestSubspaceOverlap:
         inst = make_windowed_instance(seed=8)
         same = BoundInstance(
             h=inst.h, v=Operator(np.zeros_like(inst.v.matrix)),
-            window=inst.window, gap=inst.gap, seed=8,
+            window=inst.window, gap=inst.gap,
         )
         res = check_subspace_overlap(same)
         assert res.passed
@@ -301,7 +301,7 @@ class TestSubspaceOverlap:
         eps = 0.1
         h = Operator(np.diag([0.0, gap]).astype(complex))
         v = Operator(np.array([[0, eps], [eps, 0]], dtype=complex))
-        inst = BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap, seed=0)
+        inst = BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap)
         res = check_subspace_overlap(inst)
         assert res.passed
         theta = 0.5 * math.atan2(2 * eps, gap)
@@ -315,7 +315,7 @@ class TestSubspaceOverlap:
         v = Operator(np.zeros((2, 2), dtype=complex))
         with pytest.raises(HypothesisUnmet):
             check_subspace_overlap(
-                BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap, seed=0)
+                BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap)
             )
 
 
@@ -335,7 +335,7 @@ class TestCorollaries:
         vm = np.zeros((5, 5), dtype=complex)
         vm[2:, 2:] = random_hermitian(rng, 3, scale=0.05)
         v = Operator(vm)
-        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=gap, seed=3)
+        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=gap)
         with pytest.raises(HypothesisUnmet):
             check_corollaries(inst)
 
@@ -345,7 +345,7 @@ class TestCorollaries:
         evals = np.array([0.0, 1.0, 1.0 + gap / 3, 4.0])
         h = Operator(np.diag(evals.astype(complex)))
         v = Operator(np.zeros((4, 4), dtype=complex))
-        inst = BoundInstance(h=h, v=v, window=(-0.3, 1.3), gap=gap, seed=0)
+        inst = BoundInstance(h=h, v=v, window=(-0.3, 1.3), gap=gap)
         with pytest.raises(HypothesisUnmet):
             check_corollaries(inst)
 
@@ -369,7 +369,7 @@ class TestCorollaries:
         gap = float(np.min(gaps[gaps > 1e-12]))
         inst = BoundInstance(
             h=h, v=v, window=(float(diag.min() - gap / 2), float(diag.max() + gap / 2)),
-            gap=gap * 0.99, seed=0,
+            gap=gap * 0.99,
         )
         res = _check_multiband_overlap(inst)
         assert res.passed

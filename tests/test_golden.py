@@ -8,14 +8,21 @@ the JSON outputs are compared field by field: ints, bools, strings and
 nulls exactly, floats to 1e-9 relative, and the roundoff-natured
 `trace_residual` and `min_eigenvalue` to 1e-12 absolute; the CSVs are
 then not checked.
+
+The goldens' environment records two OpenBLAS threads; rerun with one
+thread, every output must still be byte-identical, since the lab's numbers
+come from the band block, whose digits do not depend on the thread count.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
-from refresh_golden import CONFIGS, GOLDEN, MANIFEST, environment, run_config, sha256
+from refresh_golden import CONFIGS, GOLDEN, MANIFEST, ROOT, environment, run_config, sha256
 
 MANIFEST_DATA = json.loads(MANIFEST.read_text())
 # fields whose value is roundoff, not physics: compared to an absolute bound
@@ -84,3 +91,41 @@ def test_mismatches_applies_each_fields_tolerance():
     assert mismatches(golden, dict(golden, xs=[1.0]))
     assert mismatches(golden, dict(golden, none=0.0))
     assert mismatches(golden, {k: v for k, v in golden.items() if k != "s"})
+
+
+# Runs every shipped config in one process and prints its environment and
+# the SHA-256 of every output file.
+_HASH_EVERY_OUTPUT = """
+import json, sys
+from pathlib import Path
+from refresh_golden import CONFIGS, environment, run_config, sha256
+out = Path(sys.argv[1])
+hashes = {f"{c.stem}/{name}": sha256(data)
+          for c in CONFIGS for name, data in run_config(c, out / c.stem).items()}
+print(json.dumps({"environment": environment(), "sha256": hashes}))
+"""
+
+
+def test_goldens_are_byte_identical_at_one_blas_thread(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", _HASH_EVERY_OUTPUT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout.splitlines()[-1])
+    assert fresh["environment"]["blas_threads"] == 1
+    recorded = MANIFEST_DATA["environment"]
+    differ = sorted(key for key in recorded.keys() | fresh["environment"].keys()
+                    if key != "blas_threads"
+                    and recorded.get(key) != fresh["environment"].get(key))
+    if differ:
+        pytest.skip(f"the goldens were made with another {', '.join(differ)} "
+                    f"({recorded} against {fresh['environment']}), so their last "
+                    f"digits may move")
+    expected = dict(MANIFEST_DATA["csv_sha256"])
+    for config in CONFIGS:
+        for path in (GOLDEN / config.stem).iterdir():
+            expected[f"{config.stem}/{path.name}"] = sha256(path.read_bytes())
+    moved = sorted(name for name in expected.keys() | fresh["sha256"].keys()
+                   if expected.get(name) != fresh["sha256"].get(name))
+    assert not moved, f"not byte-identical at one BLAS thread: {moved}"

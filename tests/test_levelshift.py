@@ -41,14 +41,16 @@ from oracles import (
 from conftest import random_hermitian
 
 
-def two_level_context(omega1=1.0, omega0=0.05):
+def two_level_context(omega1=1.0):
+    """The context of diag(0, omega1) with P the ground level, and its gap."""
     h = Operator(np.diag([0.0, omega1]).astype(complex))
     basis = np.eye(2, dtype=complex)
-    return make_context(h, basis[:, :1], basis[:, 1:], omega1)
+    return make_context(h, basis[:, :1], basis[:, 1:], omega1), omega1
 
 
 def grover_block_context(omega1, omega_b, omega0, x0, x1):
-    """The four-level invariant block with P = {|1,down>, |0,up>}."""
+    """The four-level invariant block with P = {|1,down>, |0,up>}: its
+    context, the perturbation and the gap."""
     h = np.diag([0.0, omega_b, omega1, omega1 + omega_b]).astype(complex)
     v = omega0 * np.array(
         [
@@ -62,13 +64,13 @@ def grover_block_context(omega1, omega_b, omega0, x0, x1):
     basis = np.eye(4, dtype=complex)
     gap = min(omega_b, omega1)  # distance from P energies to {0, omega1+omega_b}
     ctx = make_context(Operator(h), basis[:, [2, 1]], basis[:, [0, 3]], gap * 0.9)
-    return ctx, Operator(v)
+    return ctx, Operator(v), gap * 0.9
 
 
 class TestGreenFunction:
     def test_two_level_scalar_inverse(self):
-        ctx = two_level_context()
-        g = green_function(ctx, 0.5)
+        ctx, gap = two_level_context()
+        g = green_function(ctx, 0.5, gap)
         assert np.allclose(g.matrix, np.diag([0.0, -2.0]))
 
     def test_vanishes_on_p(self, rng):
@@ -77,10 +79,10 @@ class TestGreenFunction:
         h = random_hermitian(rng, 6)
         w, vecs = np.linalg.eigh(h)
         p = vecs[:, :2]
-        gap = float(w[2] - w[1])
-        ctx = make_context(Operator(h), p, complement(p), max(gap, 1e-6))
+        gap = max(float(w[2] - w[1]), 1e-6)
+        ctx = make_context(Operator(h), p, complement(p), gap)
         z = float(np.mean(w[:2]))
-        g = green_function(ctx, z)
+        g = green_function(ctx, z, gap)
         pm = p @ p.conj().T
         assert np.max(np.abs(pm @ g.matrix @ pm)) < 1e-9
 
@@ -93,7 +95,7 @@ class TestGreenFunction:
         p = vecs[:, (w > omega1 - band.delta / 2) & (w < omega1 + band.delta / 2)]
         ctx = make_context(h_s, p, complement(p), band.delta)
         z = omega1 + band.delta * 0.4
-        g = green_function(ctx, z)
+        g = green_function(ctx, z, band.delta)
         q = ctx.q @ ctx.q.conj().T
         lhs = g.matrix @ (z * q - q @ h_s.matrix @ q)
         assert np.max(np.abs(lhs - q)) < 1e-9
@@ -107,14 +109,14 @@ class TestGreenFunction:
         assert np.max(np.abs(g.matrix - oracle)) < 1e-9
 
     def test_pole_guard(self):
-        ctx = two_level_context()
+        ctx, gap = two_level_context()
         with pytest.raises(PoleTooClose):
-            green_function(ctx, 1.0 - 1e-3)
+            green_function(ctx, 1.0 - 1e-3, gap)
 
 
 class TestSelfEnergy:
     def test_zero_perturbation(self):
-        ctx = two_level_context()
+        ctx, _ = two_level_context()
         v = Operator(np.zeros((2, 2), dtype=complex))
         sigma = self_energy(ctx, v, 0.4)
         assert sigma[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -125,7 +127,7 @@ class TestSelfEnergy:
         x0 = 2.0 ** (-2.5)
         x1 = math.sqrt(1 - x0 ** 2)
         omega_b = omega1 * 0.999
-        ctx, v = grover_block_context(omega1, omega_b, omega0, x0, x1)
+        ctx, v, _ = grover_block_context(omega1, omega_b, omega0, x0, x1)
         z = omega_b
         g_j, g_0 = g_sums([x0, x1], [0.0, omega1], omega_b, 1, z)
         denom = 1 - omega0 ** 2 * g_j * g_0
@@ -174,14 +176,14 @@ class TestSelfEnergy:
     def test_series_approaches_closed(self):
         omega1, omega0 = 1.0, 0.02
         x0, x1 = 0.3, math.sqrt(1 - 0.09)
-        ctx, v = grover_block_context(omega1, omega1 * 1.001, omega0, x0, x1)
+        ctx, v, gap = grover_block_context(omega1, omega1 * 1.001, omega0, x0, x1)
         closed = self_energy(ctx, v, omega1)
-        r = omega0 / ctx.gap
+        r = omega0 / gap
         prev_err = None
         for order in (2, 4, 6):
-            series = self_energy_by_series(ctx, v, omega1, order)
+            series = self_energy_by_series(ctx, v, omega1, order, gap)
             err = np.linalg.norm(series - closed, 2)
-            assert err < 10 * ctx.gap * r ** (order + 1)
+            assert err < 10 * gap * r ** (order + 1)
             if prev_err is not None:
                 assert err < prev_err
             prev_err = err
@@ -468,7 +470,7 @@ class TestEffectiveTwoLevel:
         x1 = math.sqrt(1 - x0 ** 2)
         omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
         rabi, _ = effective_two_level([x0, x1], [0.0, omega1], 1, omega0, omega_b)
-        ctx, v = grover_block_context(omega1, omega_b, omega0, x0, x1)
+        ctx, v, _ = grover_block_context(omega1, omega_b, omega0, x0, x1)
         w = np.linalg.eigvalsh(ctx.h.matrix + v.matrix)
         down = np.array([0, 0, 1, 0.0])
         up = np.array([0, 1, 0, 0.0])

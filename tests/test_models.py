@@ -21,7 +21,6 @@ from qsc.models import (
     band_energies,
     build_bath_and_couplings,
     build_clock,
-    build_clock_parts,
     build_grover,
     clock_band_structure,
     clock_coupling_direction,
@@ -38,6 +37,10 @@ from qsc.models import (
 
 from conftest import haar_gate
 from oracles import (
+    PROJ0,
+    _site_projector,
+    build_clock_parts,
+    clock_hamiltonian_by_parts,
     clock_gap_by_sectors,
     clock_history_by_loop,
     clock_hopping_by_branches,
@@ -57,12 +60,15 @@ def random_circuit(rng, n, length):
             u = haar_gate(rng, 4)
             t = sorted(rng.choice(np.arange(1, n + 1), size=2, replace=False))
             targets = f"{t[0]} {t[1]}"
-        rows = ",".join(
-            "[" + ",".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in row) + "]"
-            for row in u
-        )
-        lines.append(f"G [{rows}] {targets}")
+        lines.append(f"G {matrix_literal(u)} {targets}")
     return parse_circuit("\n".join(lines), n)
+
+
+def matrix_literal(u: np.ndarray) -> str:
+    """u in the gates format's bracketed literal, every digit kept."""
+    return "[" + ",".join(
+        "[" + ",".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in row) + "]" for row in u
+    ) + "]"
 
 
 class TestGrover:
@@ -218,11 +224,12 @@ class TestClockConstruction:
 
 
 class TestClockPinned:
-    """The hopping term built by one controlled-step rule, each moved term
-    formed as U_l (x) hop, and the history state and band vectors built
-    from one register history, equal the four-branch construction (whose
-    moved terms are the dense products (U_l (x) 1) hop) and the
-    gate-by-gate loops bit for bit."""
+    """H_S written by index arithmetic equals the sum of the kron-chain
+    parts; their hopping term (one controlled-step rule, each moved term
+    formed as U_l (x) hop) equals the four-branch construction (whose moved
+    terms are the dense products (U_l (x) 1) hop); and the history state
+    and band vectors built from one register history equal the
+    gate-by-gate loops: all bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("length", [1, 2, 3, 5])
@@ -234,6 +241,39 @@ class TestClockPinned:
         history, vectors = clock_history_by_loop(model)
         assert np.array_equal(history_state(model).amplitudes, history)
         assert np.array_equal(clock_band_structure(model).vectors, vectors)
+
+    def test_shipped_circuits_assemble_to_the_kron_parts(self, circuits_dir):
+        for name, n in [("identity_n1_L2.gates", 1), ("x_n1_L2.gates", 1),
+                        ("bell_n2_L2.gates", 2), ("random_n2_L3.gates", 2)]:
+            model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
+            assert build_clock(model).matrix.tobytes() == (
+                clock_hamiltonian_by_parts(model).tobytes()), name
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_assembly_equals_the_kron_parts(self, data):
+        # H_S written by index arithmetic is omega h_prop + delta1 h_input
+        # + 2 omega h_clock from the kron chains byte for byte, signed zeros
+        # included; the coupling is the kron projector on clock qubit 1
+        n = data.draw(st.integers(1, 3), label="n")
+        length = data.draw(st.integers(1, 7 - n), label="L")
+        gates = ["H", "S", "T", "X", "Y", "Z", "I", "haar"] + (
+            ["CX", "CZ", "SWAP", "haar2"] if n > 1 else [])
+        lines = []
+        for _ in range(length):
+            gate = data.draw(st.sampled_from(gates))
+            arity = 2 if gate in ("CX", "CZ", "SWAP", "haar2") else 1
+            if gate.startswith("haar"):
+                seed = data.draw(st.integers(0, 2 ** 32 - 1))
+                gate = matrix_literal(haar_gate(np.random.default_rng(seed), 2 ** arity))
+            targets = data.draw(st.permutations(range(1, n + 1)))[:arity]
+            lines.append(f"G {gate} " + " ".join(map(str, targets)))
+        omega = data.draw(st.sampled_from([1.0, 0.7, 2.5]), label="omega")
+        h = data.draw(st.sampled_from([config.DEFAULT_PENALTY_FACTOR, 0.3, 0.7]), label="h")
+        model = ClockModel(circuit=parse_circuit("\n".join(lines), n), omega=omega, h=h)
+        assert build_clock(model).matrix.tobytes() == clock_hamiltonian_by_parts(model).tobytes()
+        projector = _site_projector(n + length, {n + 1: PROJ0})
+        assert clock_coupling_direction(model).matrix.tobytes() == projector.tobytes()
 
     @pytest.mark.parametrize("text,n", [
         ("G H 1\nG T 1\nG X 1\nG S 1\nG Y 1\nG Z 1", 1),
@@ -470,6 +510,17 @@ class TestPadding:
         assert dists[0] > dists[1] > dists[2]
 
 
+VALID_LITERALS = ["[[0,1],[1,0]]", "[[1,0],[0,1j]]", "[(1,0),(0,-1)]",
+                  matrix_literal(haar_gate(np.random.default_rng(1), 2)),
+                  matrix_literal(haar_gate(np.random.default_rng(2), 4))]
+MALFORMED_LITERALS = [
+    "[[1,0],[0,1]", "[[1,0],[0,2]]", "[[1,0],[0,{}]]", "[[None,0],[0,1]]", "[[True,0],[0,1]]",
+    "[[1e999,0],[0,1]]", "[[1,0],[0,1" + "0" * 400 + "]]", "[]", "[[]]", "[1,0]",
+    "[[1,0,0],[0,1,0]]", "[[[1,0],[0,1]]]", "[[1,0],[0,x]]", "[[1,0],[0,1]]*2",
+    "[{[]}]", "[[1,0],[0,{[]:1}]]", "[" * 40 + "]" * 40,
+]
+
+
 class TestCircuitFormat:
     def test_named_gates(self):
         circ = parse_circuit("# comment\nG H 1\nG CX 1 2\n\nG X 2\n", 2)
@@ -518,8 +569,33 @@ class TestCircuitFormat:
                     assert got.tobytes() == want.tobytes(), (targets, u)
 
     def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            parse_circuit("G H 3\n", 2)
+        for target in ("3", "0", "-1"):
+            with pytest.raises(ParseError, match=r"^line 2: gate target out of range 1\.\.1$"):
+                parse_circuit(f"G H 1\nG H {target}\n", 1)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    def test_a_line_parses_or_is_a_parse_error(self, data):
+        # one line over the grammar's tokens, with tokens missing or extra:
+        # it parses into gates whose unitaries are unitary, or it is refused
+        # as a ParseError, never as another exception
+        n = data.draw(st.integers(1, 3), label="n")
+        mutated = st.builds(lambda v, i, c: v[:i] + c + v[i + 1:],
+                            st.sampled_from(VALID_LITERALS), st.integers(0, 80),
+                            st.text("[](){},.+-0123456789ej", max_size=3))
+        spec = data.draw(st.one_of(st.sampled_from(sorted(_NAMED_GATES) + [""]),
+                                   st.sampled_from(VALID_LITERALS + MALFORMED_LITERALS),
+                                   mutated), label="gate")
+        head = data.draw(st.sampled_from(["G", "G", "g", "", "G G"]), label="head")
+        targets = data.draw(st.lists(st.integers(-1, n + 1).map(str), max_size=3),
+                            label="targets")
+        line = " ".join([head, spec] + targets)
+        try:
+            circuit = parse_circuit(line, n)
+        except ParseError:
+            return
+        for u in circuit.unitaries():
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2 ** n))) < 1e-9, line
 
     def test_load_shipped_files(self, circuits_dir):
         for name, n in [

@@ -40,7 +40,7 @@ def _instances() -> dict:
         "Operator": (h, "matrix"),
         "StateVector": (StateVector.basis(2, 0), "amplitudes"),
         "DensityMatrix": (DensityMatrix(np.eye(2) / 2), "entries"),
-        "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "gap"),
+        "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "p"),
         "GroverModel": (grover, "n"),
         "Gate": (Gate(np.eye(2), (1,)), "targets"),
         "CircuitSpec": (circuit, "gates"),
