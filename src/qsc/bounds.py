@@ -20,28 +20,18 @@ import numpy as np
 
 from . import config
 from .errors import HypothesisUnmet
-from .levelshift import make_context, self_energy, self_energy_grid
-from .linalg import Operator, _Frozen, _setattr, evolve, hybridized_pair, operator_norm
-from .models import (
-    KET_B,
-    KET_C,
-    KET_DOWN,
-    KET_L,
-    BathSpec,
-    ClockModel,
-    GroverModel,
-    build_bath_and_couplings,
-    build_verification_coupling,
-)
+from .levelshift import make_context, self_energy, self_energy_grid, solve_detuning
+from .linalg import Operator, _Frozen, _setattr, evolve, operator_norm
+from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel
 from .cooling import (
     CoolingSetup,
     clock_setup,
     extension_gap,
     grover_setup,
-    _exact_splitting,
-    _resolved_splitting,
+    _exact_step,
+    _qutrit_hamiltonians,
+    _rabi_rate,
 )
-from .levelshift import solve_detuning
 
 __all__ = [
     "BoundInstance",
@@ -83,10 +73,10 @@ class BoundInstance(_Frozen):
     """A random instance for the window-based checks: a Hamiltonian, a
     perturbation, the spectral window, and the protecting gap.
 
-    H + V (summed as arrays and validated once), |V| and the
-    eigendecompositions of H and H + V (`np.linalg.eigh` pairs) are
-    computed once per instance and shared by every checker that reads them
-    (cached in the instance's `__dict__`).
+    H + V (`h_tilde`, a plain array as Hermitian as H and V are, see
+    `linalg`), |V| and the eigendecompositions of H and H + V
+    (`np.linalg.eigh` pairs) are computed once per instance and shared by
+    every checker that reads them (cached in the instance's `__dict__`).
     """
 
     __slots__ = ("h", "v", "window", "gap", "__dict__")
@@ -98,8 +88,8 @@ class BoundInstance(_Frozen):
         _setattr(self, "gap", gap)
 
     @cached_property
-    def h_tilde(self) -> Operator:
-        return Operator(self.h.matrix + self.v.matrix)
+    def h_tilde(self) -> np.ndarray:
+        return self.h.matrix + self.v.matrix
 
     @cached_property
     def v_norm(self) -> float:
@@ -111,7 +101,7 @@ class BoundInstance(_Frozen):
 
     @cached_property
     def h_tilde_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h_tilde.matrix)
+        return np.linalg.eigh(self.h_tilde)
 
 
 def _window(eig: tuple[np.ndarray, np.ndarray], lo: float, hi: float):
@@ -285,7 +275,7 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     eff_vals = np.sort(np.linalg.eigvalsh(h_eff))
     tilde_vals = np.sort(
         np.linalg.eigvalsh(
-            tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
+            tilde_inside.conj().T @ inst.h_tilde @ tilde_inside
         )
     ) if tilde_inside.shape[1] else np.array([])
     if len(eff_vals) != len(tilde_vals):
@@ -366,7 +356,7 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     p_prime = (ctx.p @ p_prime_small) @ (ctx.p @ p_prime_small).conj().T
     tilde_inside, _ = _window(inst.h_tilde_eig, *inst.window)
     tvals, tvecs = np.linalg.eigh(
-        tilde_inside.conj().T @ inst.h_tilde.matrix @ tilde_inside
+        tilde_inside.conj().T @ inst.h_tilde @ tilde_inside
     )
     # eigenvalue correspondence pairs the largest with the largest
     v_top = tilde_inside @ tvecs[:, -1]
@@ -521,13 +511,13 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
     Band leakage: envelope over the pulse of the out-of-manifold amplitude
     for lower-band basis states, normalized by sqrt(j).  The pointwise
     leakage oscillates under its envelope, so the maximum over a time grid
-    is what exposes the scaling in the coupling ratio.  A splitting lost in
-    roundoff is refused (`_resolved_splitting`)."""
+    is what exposes the scaling in the coupling ratio.  The pulse is the
+    schedule's exact step (`_exact_step`), which refuses a splitting lost
+    in roundoff."""
     omega_b = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
-    splitting, w, vecs = _exact_splitting(setup, omega0, j, omega_b)
-    tau = math.pi / _resolved_splitting(splitting, w, f"step j={j}", "H_j + V")
+    step, w, vecs = _exact_step(setup, omega0, j, omega_b)
     down, up = setup.transition(j)
-    out = evolve(w, vecs, tau) @ down
+    out = evolve(w, vecs, step.tau) @ down
     transfer = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(up, out))))
 
     cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
@@ -537,7 +527,7 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
     ) @ vecs
     starts = [vecs.conj().T @ c for c in cols]
     # sqrt(max(0, .)) is monotone, so it can follow the maximum
-    worst = _max_over_pulse(w, starts, proj_out_eig, tau, time_points)
+    worst = _max_over_pulse(w, starts, proj_out_eig, step.tau, time_points)
     return transfer, math.sqrt(max(0.0, worst)) / math.sqrt(j)
 
 
@@ -569,20 +559,17 @@ def _ladder_residuals(setup: CoolingSetup, r_grid) -> dict:
     }
 
 
-def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int = 17) -> float:
+def _oscillation_residual(setup: CoolingSetup, h_drive: np.ndarray,
+                          time_points: int = 17) -> float:
     """Uniform-in-time deviation of the evolved |1,C> from the ideal
-    two-level oscillation toward |0,B>, with the rate read off the measured
-    splitting of the hybridized pair (the correction the claim allows) and
-    the global phase optimized out.  |0> and |1> are the setup's band
-    vectors 0 and 1, and the qutrit bath sits at omega1.  A splitting lost
-    in roundoff is refused (`_resolved_splitting`)."""
-    h_full, x_op = build_bath_and_couplings(
-        setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
-    h = Operator(h_full + x_op)
+    two-level oscillation toward |0,B> under the drive `h_drive`
+    (`_qutrit_hamiltonians`), with the rate read off the measured
+    splitting of the hybridized pair (the correction the claim allows,
+    `_rabi_rate`) and the global phase optimized out.  |0> and |1> are the
+    setup's band vectors 0 and 1."""
     start = np.kron(setup.band.vector(1), KET_C)
     target = np.kron(setup.band.vector(0), KET_B)
-    splitting, w, vecs = hybridized_pair(h.matrix, start, target)
-    rabi = _resolved_splitting(splitting, w, "qutrit oscillation", "H + X") / 2.0
+    rabi, w, vecs = _rabi_rate(h_drive, start, target, "qutrit oscillation", "H + X")
     half_period = math.pi / (2 * rabi)
     start_eig = vecs.conj().T @ start
     worst = 0.0
@@ -596,19 +583,17 @@ def _oscillation_residual(setup: CoolingSetup, omega0: float, time_points: int =
     return worst
 
 
-def _verification_leakage(setup: CoolingSetup, omega0: float, excited: np.ndarray,
+def _verification_leakage(h_verify: np.ndarray, omega0: float, excited: np.ndarray,
                           time_points: int = 33) -> float:
-    """Envelope of the spurious verification probability: max over the
-    excited system states (the columns of `excited`, eigenvectors of H_S)
-    and over a grid of evolution times up to the full verification pulse
-    (the pointwise value oscillates under its envelope, so a single time
-    would not expose the scaling).  The qutrit bath is the last tensor
-    factor, ordered (C, R, L), so the eigenvectors' R rows are every third
-    row from 1."""
-    h_full, _ = build_bath_and_couplings(
-        setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])), setup.coupling, omega0)
-    h = Operator(h_full + build_verification_coupling(setup.dim_s, omega0))
-    w, vecs = np.linalg.eigh(h.matrix)
+    """Envelope of the spurious verification probability under `h_verify`
+    at coupling `omega0` (`_qutrit_hamiltonians`): max over the excited
+    system states (the columns of `excited`, eigenvectors of H_S) and over
+    a grid of evolution times up to the full verification pulse (the
+    pointwise value oscillates under its envelope, so a single time would
+    not expose the scaling).  The qutrit bath is the last tensor factor,
+    ordered (C, R, L), so the eigenvectors' R rows are every third row
+    from 1."""
+    w, vecs = np.linalg.eigh(h_verify)
     tau_v = math.pi / (2 * omega0)
     starts = [vecs.conj().T @ np.kron(v, KET_L) for v in excited.T]
     r_rows = vecs[1::3]
@@ -634,11 +619,14 @@ def check_protocol_lemmas(
         setup = clock_setup(clock_model)
         ladder = _ladder_residuals(setup, r_grid)
         delta = extension_gap(setup)
-        osc = [_oscillation_residual(setup, r * delta) for r in r_grid]
         # H_S's eigenvectors do not depend on r: diagonalize it once
         _, vs = np.linalg.eigh(setup.h_s.matrix)
         excited = vs[:, [abs(np.vdot(setup.band.vector(0), v)) <= 0.5 for v in vs.T]]
-        ver = [_verification_leakage(setup, r * delta, excited) for r in r_grid]
+        osc, ver = [], []
+        for r in r_grid:
+            h_drive, h_verify = _qutrit_hamiltonians(setup, r * delta)
+            osc.append(_oscillation_residual(setup, h_drive))
+            ver.append(_verification_leakage(h_verify, r * delta, excited))
         report["clock"] = {
             **ladder,
             "oscillation_residual": osc,

@@ -24,13 +24,13 @@ lemmas run on it, and a ladder run on it is the oracle of the block's.
 
 A schedule carries only what a run plays: per step the band j, the bath
 energy omega_b (`solve_detuning`) and the pulse time tau, with Omega_0
-and r.  A step Hamiltonian H_j + V is built as the one validated operator
-of the step (its terms are plain arrays).  An exact-tau schedule reads
-the pulse time off its eigen-splitting, refused when the splitting is
-lost in roundoff (`_resolved_splitting`), and keeps only that time; a run
-builds and diagonalizes each step it propagates and takes the step's
-evolution from that decomposition.  The ladder's step norm is priced
-once, at its largest bath energy, on the connected blocks of H* + V
+and r.  The setup's H_S and coupling are the one validated operators of a
+step: H_j + V is a plain array built from them (`_step_hamiltonian`), as
+Hermitian as they are (`linalg`'s docstring).  An exact-tau step reads the
+pulse time off its eigen-splitting, refused when lost in roundoff
+(`_exact_step`), and the schedule keeps only that time; a run builds and
+diagonalizes each step it propagates again.  The ladder's step norm is
+priced once, at its largest bath energy, on the connected blocks of H* + V
 (`_step_norm`).  A run propagates the ladder once, and a density-mode
 report carries the final state for readouts.  Trajectory shots take all
 their uniforms (one per step, one for the final readout) up front, each
@@ -68,7 +68,6 @@ from .linalg import (
     _setattr,
     connected_blocks,
     evolve,
-    hybridized_pair,
     operator_norm,
 )
 from .models import (
@@ -280,44 +279,46 @@ class CoolingSchedule(_Frozen):
         return float(sum(s.tau for s in self.steps))
 
 
-def _exact_splitting(setup: CoolingSetup, omega0: float, j: int, omega_b: float):
-    """True splitting of the two hybridized eigenstates of H_j + V nearest
-    the addressed transition of band j, the bath at omega_b, and the
-    eigendecomposition (w, v) of H_j + V: (splitting, w, v)."""
-    h = _step_hamiltonian(setup, omega0, omega_b)
-    return hybridized_pair(h.matrix, *setup.transition(j))
-
-
-def _resolved_splitting(splitting: float, w: np.ndarray, where: str, h: str) -> float:
-    """`splitting`, an eigen-splitting of the Hamiltonian `h` with ascending
-    eigenvalues w, if it is resolved: above `config.SPLITTING_FLOOR_EPS` *
-    eps * ||h|| (eps the machine epsilon, the norm read off w's ends).  A
-    smaller one is roundoff, not a Rabi splitting, and no pulse time can be
-    read off it: UnresolvedSplitting, naming `where`."""
+def _rabi_rate(h: np.ndarray, a: np.ndarray, b: np.ndarray, where: str, name: str):
+    """The Rabi rate of the states a and b that a resonant coupling
+    hybridizes under the Hermitian array h (named `name`), half the
+    splitting of the two eigenstates of h with the most weight on them, and
+    (w, v) = np.linalg.eigh(h): (rate, w, v).  A splitting at most
+    `config.SPLITTING_FLOOR_EPS` * eps * ||h|| (the norm read off w's ends)
+    is roundoff, and no pulse time can be read off it: UnresolvedSplitting,
+    naming `where`."""
+    w, v = np.linalg.eigh(h)
+    bras = v.conj().T
+    top = np.argsort(-(np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2))[:2]
+    splitting = float(abs(w[top[0]] - w[top[1]]))
     roundoff = np.finfo(float).eps * max(-w[0], w[-1])
     if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
         raise UnresolvedSplitting(
             f"{where}: exact splitting {splitting:.3e} <= {config.SPLITTING_FLOOR_EPS} * "
-            f"eps*||{h}||, with eps*||{h}|| = {roundoff:.3e}: no pulse time can be read "
-            "off it; raise the coupling"
+            f"eps*||{name}||, with eps*||{name}|| = {roundoff:.3e}: no pulse time can be "
+            "read off it; raise the coupling"
         )
-    return splitting
+    return splitting / 2.0, w, v
 
 
-def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> Operator:
+def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> np.ndarray:
     """H_j + V: the system with the bath detuned to omega_b, plus the
-    coupling V = Omega_0 * coupling (x) sigma_x.
-
-    The terms come as plain arrays from the validated H_S and coupling;
-    their sum, the matrix that is diagonalized and propagated, is the one
-    validated operator of the step."""
+    coupling V = Omega_0 * coupling (x) sigma_x, as a plain array.  It is a
+    sum of kron products of the validated H_S and coupling with real
+    symmetric bath factors, so it is not tested again (see `linalg`)."""
     h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
                                     setup.coupling, omega0)
-    # summed in place and V dropped, so the check's SVD runs with two
-    # composite-size arrays fewer alive
-    h += v
-    del v
-    return Operator(h)
+    h += v  # in place: one composite-size array fewer alive for the eigh
+    return h
+
+
+def _exact_step(setup: CoolingSetup, omega0: float, j: int, omega_b: float):
+    """Step j with the bath at omega_b and its exact pulse time, the half
+    Rabi period of the addressed transition under H_j + V (`_rabi_rate`),
+    with the eigendecomposition (w, v) of H_j + V: (ScheduleStep, w, v)."""
+    rabi, w, v = _rabi_rate(_step_hamiltonian(setup, omega0, omega_b), *setup.transition(j),
+                            f"step j={j}", "H_j + V")
+    return ScheduleStep(j=j, omega_b=omega_b, tau=math.pi / (2 * rabi)), w, v
 
 
 def build_schedule(
@@ -334,7 +335,7 @@ def build_schedule(
     the pulse time off the true eigen-splitting of H_j + V; "analytic" uses
     tau_j = pi / (2 Omega_0 x_0 x_j), which is exactly proportional to
     1/Omega_0 (so halving the coupling exactly doubles the time).  An
-    exact splitting lost in roundoff is refused (`_resolved_splitting`).
+    exact splitting lost in roundoff is refused (`_rabi_rate`).
     """
     if (omega0 is None) == (eps is None):
         raise ValueError("give exactly one of omega0 or eps")
@@ -356,12 +357,8 @@ def build_schedule(
     steps = []
     for j in range(n_steps, 0, -1):
         omega_b = solve_detuning(xs, omegas, j, omega0, delta)
-        if tau_mode == "exact":
-            splitting, w, _ = _exact_splitting(setup, omega0, j, omega_b)
-            rabi = _resolved_splitting(splitting, w, f"step j={j}", "H_j + V") / 2.0
-        else:
-            rabi = omega0 * xs[0] * xs[j]
-        steps.append(ScheduleStep(j=j, omega_b=omega_b, tau=math.pi / (2 * rabi)))
+        steps.append(_exact_step(setup, omega0, j, omega_b)[0] if tau_mode == "exact"
+                     else ScheduleStep(j, omega_b, math.pi / (2 * (omega0 * xs[0] * xs[j]))))
     return CoolingSchedule(steps=tuple(steps), omega0=omega0, r=r)
 
 
@@ -399,8 +396,7 @@ def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule):
     """Each schedule step with the eigendecomposition (w, v) of its
     Hamiltonian H_j + V, built and diagonalized here."""
     for step in schedule.steps:
-        yield step, np.linalg.eigh(
-            _step_hamiltonian(setup, schedule.omega0, step.omega_b).matrix)
+        yield step, np.linalg.eigh(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
 
 
 def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
@@ -761,6 +757,15 @@ def extension_rabi(setup: CoolingSetup, omega0: float) -> float:
     ))
 
 
+def _qutrit_hamiltonians(setup: CoolingSetup, omega0: float):
+    """The qutrit scheme's drive H + X and verification H + Y, the bath's
+    displaced levels at band 1's omega1: plain arrays built, like a step
+    Hamiltonian, from the setup's validated H_S and coupling."""
+    h, x = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])),
+                                    setup.coupling, omega0)
+    return h + x, h + build_verification_coupling(setup.dim_s, omega0)
+
+
 class ProbRunReport(_Frozen):
     """Outcome of one run of the probabilistic scheme; `tau_doublings`
     lists (trial index, new tau floor) pairs."""
@@ -844,17 +849,12 @@ def run_probabilistic(
     if r >= config.MAX_COUPLING_RATIO:
         raise CouplingTooLarge(f"r = {r:.4f} >= 1/8")
 
-    omega1 = float(setup.band.omegas[1])
-    h_full, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
-                                            setup.coupling, omega0)
     dim_s = setup.dim_s
-    # the two evolution Hamiltonians are the matrices validated here
-    h_drive = Operator(h_full + x_op)
-    h_verify = Operator(h_full + build_verification_coupling(dim_s, omega0))
-    wt, vt = np.linalg.eigh(h_drive.matrix)
+    h_drive, h_verify = _qutrit_hamiltonians(setup, omega0)
+    wt, vt = np.linalg.eigh(h_drive)
     tau_v = math.pi / (2 * omega0)
     # the verify evolution from bath level L to level R
-    u_rl = evolve(*np.linalg.eigh(h_verify.matrix), tau_v)[1::3, 2::3]
+    u_rl = evolve(*np.linalg.eigh(h_verify), tau_v)[1::3, 2::3]
     ground = setup.band.vector(0)
     psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
 

@@ -168,11 +168,12 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     overlaps (x0, x1) = (2^(-n/2), sqrt(1 - 2^(-n))), so the one-qubit
     model with fiducial (x0, x1) is that same block.  `grover_setup` and
     `build_schedule` give its solved bath energy omega_b*, the pulse time
-    and the validated step Hamiltonian H* + V at omega_b*.  The pulse time
-    stays fixed; only the bath energy is scanned.  Moving the bath to
-    omega_b adds (omega_b - omega_b*) (1 (x) |up><up|), a real diagonal,
-    so every scanned matrix is exactly as Hermitian as H* + V, and the
-    whole scan is one batched eigh.  Returns (detunings, fidelities,
+    and the step Hamiltonian H* + V at omega_b*, built from the block's
+    validated H_S and coupling.  The pulse time stays fixed; only the bath
+    energy is scanned.  Moving the bath to omega_b adds (omega_b -
+    omega_b*) (1 (x) |up><up|), a real diagonal, so every scanned matrix
+    is exactly as Hermitian as H* + V, and the whole scan is one batched
+    eigh.  Returns (detunings, fidelities,
     omega_b*, tau).
     """
     omega1 = 1.0
@@ -182,7 +183,7 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     model = GroverModel(n=1, marked=frozenset({0}), omega1=omega1, omega0_coupling=omega0)
     setup = grover_setup(model, StateVector(np.array([x0, x1], dtype=complex)))
     step = build_schedule(setup, omega0=omega0).steps[0]
-    h = _step_hamiltonian(setup, omega0, step.omega_b).matrix
+    h = _step_hamiltonian(setup, omega0, step.omega_b)
     scan = scan_factor * omega0 * x0 * x1 / omega1
     detunings = np.linspace(-scan, scan, points)
     shifts = omega1 * (1 + detunings) - step.omega_b

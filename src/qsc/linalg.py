@@ -1,13 +1,24 @@
 """Dense complex linear algebra on tensor-product Hilbert spaces.
 
 Value types (operators, states, density matrices) are immutable after
-construction and validate their own invariants, so downstream protocol
-code can assume well-formed inputs.  `Operator` is the one checked
-Hermitian type: its Hermiticity is tested once, when it is built, and
-everything that needs it trusts it afterwards.  Eigendecompositions
-(`np.linalg.eigh` pairs), unitaries and subspace bases are plain arrays.
-Unitary evolution is computed by exact Hermitian eigendecomposition;
-there is no Trotterization anywhere in the package.
+construction and validate their own invariants.  `Operator` is the type of
+a Hermitian matrix where it enters a run (a model builder's output, a band
+block, a bound checker's generated input, a replayed dump), tested once,
+when it is built.  A Hamiltonian derived from validated operators is a
+plain array and is not tested again:
+
+  * kron products with real symmetric bath factors, real scalings and
+    sums of exactly Hermitian operators are exactly Hermitian: an entry
+    z c (c real) and its mirror conj(z) c round to conjugates, since
+    complex times real rounds the real and imaginary parts apart and
+    rounding commutes with negation; so do a + b and conj(a) + conj(b);
+  * a sum of validated operators deviates from Hermitian by at most the
+    sum of their deviations, plus one rounding (eps/2 of the modulus) of
+    each of the two mirrored entries.
+
+Eigendecompositions (`np.linalg.eigh` pairs), unitaries and subspace bases
+are plain arrays.  Evolution is by exact eigendecomposition; there is no
+Trotterization in the package.
 """
 
 from __future__ import annotations
@@ -20,16 +31,26 @@ from . import config
 from .errors import DimensionMismatch, NonHermitianInput
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
+def _frozen_matrix(entries) -> np.ndarray:
+    """`entries` as a read-only square complex128 matrix: the array itself,
+    frozen in place, when it is a C-contiguous complex128 ndarray that owns
+    its data (the caller hands it over), a frozen copy otherwise."""
+    m = entries
+    if not (type(m) is np.ndarray and m.dtype == complex and m.flags.c_contiguous
+            and m.flags.owndata):
+        m = np.array(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m.setflags(write=False)
     return m
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |m - m^+| over the entries of a square matrix (0 for an empty
+    one, NaN if an entry is), computed over row panels."""
+    rows = max(1, 2 ** 18 // max(1, len(m)))  # 4 MB panels of complex128
+    return float(np.max([np.max(np.abs(m[i:i + rows] - m[:, i:i + rows].conj().T))
+                         for i in range(0, len(m), rows)], initial=0.0))
 
 
 # Sets a field of a value type: the one way past `_Frozen`'s guard, which
@@ -73,14 +94,15 @@ class _Frozen:
 
 
 class Operator(_Frozen):
-    """A dense complex Hermitian matrix.
+    """A dense complex Hermitian matrix, where it enters a run.
 
-    Construction checks Hermiticity once, with a test scaled by the norm:
-    max |m - m^+| <= atol * (1 + |m|_2), atol = config.HERMITICITY_ATOL;
-    the operations that need it trust it afterwards.  A non-finite entry
-    (NaN or +-inf) is refused before the norm is taken.  Sums and products
-    are taken on the plain `matrix`; only the matrix a computation hands
-    on is wrapped again.
+    It is tested once, when it is built, with a test scaled by the norm:
+    max |m - m^+| <= atol * (1 + |m|_2), atol = config.HERMITICITY_ATOL.
+    A non-finite entry (NaN or +-inf) is refused before the norm is taken.
+    The deviation is taken over row panels, and the matrix handed in is
+    kept without a copy when it can be (`_frozen_matrix`).  What sums and
+    products of `matrix` derive stays a plain array (see the module
+    docstring).
     """
 
     __slots__ = ("matrix",)
@@ -90,13 +112,13 @@ class Operator(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        _setattr(self, "matrix", _freeze(m))
+        m = _frozen_matrix(self.matrix)
+        _setattr(self, "matrix", m)
         if not np.isfinite(m).all():
             raise NonHermitianInput("operator has a non-finite entry")
         atol = config.HERMITICITY_ATOL
         scale = 1.0 + (float(np.linalg.norm(m, 2)) if m.size else 0.0)
-        dev = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+        dev = _hermitian_deviation(m)
         if dev > atol * scale:
             raise NonHermitianInput(
                 f"operator max deviation {dev:.3e} from Hermitian exceeds "
@@ -118,7 +140,8 @@ class StateVector(_Frozen):
         nrm = np.linalg.norm(a)
         if abs(nrm - 1.0) > config.NORM_ATOL:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond tolerance")
-        _setattr(self, "amplitudes", _freeze(a))
+        a.setflags(write=False)
+        _setattr(self, "amplitudes", a)
 
     @property
     def dim(self) -> int:
@@ -137,7 +160,8 @@ class DensityMatrix(_Frozen):
     Positivity is enforced down to the configured eigenvalue floor so that
     exact arithmetic noise from long map compositions does not reject
     physically valid states.  The minimum eigenvalue that validation
-    computes is kept for `min_eigenvalue`.
+    computes is kept for `min_eigenvalue`.  The entries are taken, and
+    tested for Hermiticity, as `Operator` takes its matrix.
     """
 
     __slots__ = ("entries", "_min_eig")
@@ -148,9 +172,9 @@ class DensityMatrix(_Frozen):
         self.__post_init__()
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.entries)
-        _setattr(self, "entries", _freeze(m))
-        if np.max(np.abs(m - m.conj().T)) > 10 * config.HERMITICITY_ATOL:
+        m = _frozen_matrix(self.entries)
+        _setattr(self, "entries", m)
+        if _hermitian_deviation(m) > 10 * config.HERMITICITY_ATOL:
             raise ValueError("density matrix is not Hermitian to tolerance")
         tr = np.trace(m).real
         if abs(tr - 1.0) > config.TRACE_ATOL:
@@ -218,20 +242,6 @@ def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     eigendecomposition (w, v) = np.linalg.eigh(h)."""
     phases = np.exp(-1j * t * w)
     return v @ (phases[:, None] * v.conj().T)
-
-
-def hybridized_pair(h: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Splitting of the two eigenstates of the Hermitian matrix h that carry
-    the most weight on the states a and b (the pair a resonant coupling of
-    a and b hybridizes), and the eigendecomposition of h.
-
-    Returns (splitting, w, v), with (w, v) = np.linalg.eigh(h).
-    """
-    w, v = np.linalg.eigh(h)
-    bras = v.conj().T
-    weight = np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2
-    top = np.argsort(-weight)[:2]
-    return float(abs(w[top[0]] - w[top[1]])), w, v
 
 
 def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:

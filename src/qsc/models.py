@@ -581,8 +581,8 @@ def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
                  V = T (x) (|C><B| + |B><C|) with |B> = (|L>+|R>)/sqrt(2),
 
     with T = omega0 * T_S.  Returns (H, V) as plain arrays, built from the
-    validated H_S and T_S; a caller wraps the matrix it diagonalizes or
-    propagates (typically H + V) in one validated Operator.
+    validated H_S and T_S with real symmetric bath factors; they and what
+    a caller sums from them (typically H + V) are not tested again.
     """
     if t_s.dim != h_s.dim:
         raise DimensionMismatch("system and coupling dimensions differ")

@@ -160,14 +160,14 @@ def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
     """Each step's evolution, from H_j + V (+ the error for band j) built
     and diagonalized here, never from a decomposition the schedule holds."""
     from qsc.cooling import _step_hamiltonian
-    from qsc.linalg import Operator, evolve
+    from qsc.linalg import evolve
 
     unitaries = []
     for step in schedule.steps:
         h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
         if delta_ops and step.j in delta_ops:
-            h = Operator(h.matrix + delta_ops[step.j].matrix)
-        unitaries.append(evolve(*np.linalg.eigh(h.matrix), step.tau))
+            h = h + delta_ops[step.j].matrix
+        unitaries.append(evolve(*np.linalg.eigh(h), step.tau))
     return unitaries
 
 

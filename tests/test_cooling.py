@@ -15,13 +15,16 @@ from qsc import config
 from qsc.errors import CouplingTooLarge, NonHermitianInput, UnresolvedSplitting
 from qsc.linalg import DensityMatrix, Operator, evolve, operator_norm
 from qsc.models import (
+    CircuitSpec,
     ClockModel,
+    Gate,
     GroverModel,
     KET_DOWN,
     KET_UP,
     parse_circuit,
 )
 from qsc.cooling import (
+    _qutrit_hamiltonians,
     _step_hamiltonian,
     analytic_acceptance,
     build_schedule,
@@ -37,6 +40,7 @@ from qsc.cooling import (
     trial_uniforms,
 )
 
+from conftest import haar_gate
 from oracles import (
     ErrorInjection,
     cooling_map_dense,
@@ -110,7 +114,7 @@ class TestBuildSchedule:
 
 def _step_eig(setup, sched, step):
     """The eigendecomposition (w, v) of a step's H_j + V."""
-    return np.linalg.eigh(_step_hamiltonian(setup, sched.omega0, step.omega_b).matrix)
+    return np.linalg.eigh(_step_hamiltonian(setup, sched.omega0, step.omega_b))
 
 
 class TestCoolingStep:
@@ -410,6 +414,45 @@ def _clock_circuits(n: int):
     return st.lists(gates, min_size=1, max_size=5).map("\n".join)
 
 
+class TestDerivedHamiltonians:
+    """A step Hamiltonian H_j + V and the qutrit drive and verification
+    Hamiltonians are plain arrays, built from the setup's validated H_S and
+    coupling and never tested again: kron products with real symmetric
+    bath factors, real scalings and sums of exactly Hermitian matrices are
+    exactly Hermitian (`qsc.linalg`'s docstring), and every setup's H_S and
+    coupling are."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_exactly_hermitian(self, data):
+        if data.draw(st.booleans(), label="clock"):
+            # the dense setup and the band block cut from it, n + L <= 6
+            n = data.draw(st.integers(1, 2), label="n")
+            text = data.draw(_clock_circuits(n).filter(lambda t: t.count("G") <= 6 - n))
+            circuit = parse_circuit(text, n)
+            if circuit.length < 6 - n and data.draw(st.booleans(), label="haar"):
+                seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+                haar = Gate(haar_gate(np.random.default_rng(seed), 2), (1,))
+                circuit = CircuitSpec(n, circuit.gates + (haar,))
+            block = clock_block(ClockModel(circuit=circuit))
+            setups = (block.dense, block)
+        else:
+            n = data.draw(st.integers(1, 6), label="n")
+            marked = data.draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1,
+                                       max_size=2 ** n - 1), label="marked")
+            kind = data.draw(st.sampled_from(["uniform", "haar"]), label="fiducial")
+            setups = (grover_setup(GroverModel(n=n, marked=frozenset(marked)), kind=kind,
+                                   seed=n),)
+        omega_b = data.draw(st.floats(-10.0, 10.0), label="omega_b")
+        omega0 = data.draw(st.floats(1e-8, 10.0), label="omega0")
+        for setup in setups:
+            derived = (_step_hamiltonian(setup, omega0, omega_b),
+                       *_qutrit_hamiltonians(setup, omega0))
+            for h in derived:
+                assert isinstance(h, np.ndarray) and not isinstance(h, Operator)
+                assert np.array_equal(h, h.conj().T)
+
+
 class TestClockBlock:
     """The clock ladder runs on its exact (L+1)-band block; the dense ladder
     on `clock_setup` is its oracle.  The two compute the same numbers in
@@ -536,11 +579,13 @@ class TestRunProbabilistic:
     def test_verification_rejects_excited_states(self):
         # spurious verification probability from any excited state is O(r^2)
         from qsc.bounds import _verification_leakage
+        from qsc.cooling import _qutrit_hamiltonians
 
         setup = _prob_setup()
         r = 0.02
+        omega0 = r * extension_gap(setup)
         _, vs = np.linalg.eigh(setup.h_s.matrix)  # ground first: it is unique
-        leak = _verification_leakage(setup, r * extension_gap(setup), vs[:, 1:])
+        leak = _verification_leakage(_qutrit_hamiltonians(setup, omega0)[1], omega0, vs[:, 1:])
         assert leak < 30 * r ** 2
 
     @pytest.mark.parametrize(

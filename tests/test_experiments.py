@@ -273,9 +273,9 @@ class TestBandReadout:
 
 class TestCountedWork:
     """A cooling run's work is counted, not timed: per step, one bath
-    assembly, one validated step Hamiltonian and one eigendecomposition in
-    the exact-tau schedule (for the splitting) and the same three in the
-    run (for the propagation), a single pass over the ladder, no eigvalsh
+    assembly, one step Hamiltonian and one eigendecomposition in the
+    exact-tau schedule (for the splitting) and the same three in the run
+    (for the propagation), a single pass over the ladder, no eigvalsh
     beyond state validation and norms, one search model per setup, and
     trajectory products that do not grow with the shots.  Both ladders
     stay in their band blocks, and no clock run forms a matrix of the
@@ -314,11 +314,11 @@ class TestCountedWork:
         # the blocks partition the composite space
         norm_sizes = [np.shape(h)[0] for h in counts.calls["operator_norm"]]
         assert sum(norm_sizes) == 2 * dim_s and max(norm_sizes) < 2 * dim_s
-        # the Hermiticity scales: dense H_S and coupling, the block's H_S
-        # and coupling, and each block step H_j + V as the schedule and as
-        # the run build it; the step-norm blocks are sums of submatrices of
-        # validated terms, not checked again
-        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2, block: 2 * length}
+        # the Hermiticity scales: dense H_S and coupling, and the block's
+        # H_S and coupling, each where it enters the run; the step
+        # Hamiltonians and the step-norm blocks are sums of kron products
+        # of those validated terms, not checked again
+        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2}
         # the initial state, one state per step and the band state read out
         assert counts.count("density_matrix") == length + 2
         assert counts.count("eigvalsh") == (counts.count("density_matrix")
@@ -367,8 +367,9 @@ class TestCountedWork:
         assert counts.count("qubit_bath_terms") == 3
         assert counts.count("eigh") == 2
         assert counts.sizes("eigvalsh") == {4: 1}
-        # the block's H_S and coupling (2 x 2), and the step H_j + V twice
-        assert counts.sizes("norm2") == {2: 2, 4: 2}
+        # the block's H_S and coupling (2 x 2) only: the step H_j + V is
+        # built from them and not checked again
+        assert counts.sizes("norm2") == {2: 2}
 
     @pytest.mark.parametrize("mode", ["density", "trajectory"])
     def test_search_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):

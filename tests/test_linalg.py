@@ -2,13 +2,23 @@
 independent oracles, exact evolution, norms, partial trace, and
 eigenwindows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsc import config
 from qsc.bounds import _window
 from qsc.errors import DimensionMismatch, NonHermitianInput
-from qsc.linalg import DensityMatrix, Operator, StateVector, evolve, operator_norm, partial_trace
+from qsc.linalg import (
+    DensityMatrix,
+    Operator,
+    StateVector,
+    _hermitian_deviation,
+    evolve,
+    operator_norm,
+    partial_trace,
+)
 from qsc.models import ClockModel, band_energies, clock_band_structure, parse_circuit
 
 from conftest import random_hermitian
@@ -49,8 +59,37 @@ class TestOperator:
             Operator(m)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(DimensionMismatch):
-            Operator(np.zeros((2, 3)))
+        for dtype in (float, complex):
+            with pytest.raises(DimensionMismatch):
+                Operator(np.zeros((2, 3), dtype=dtype))
+
+    def test_takes_an_owned_complex_array_without_a_copy(self):
+        # the array handed over is frozen in place; anything else (another
+        # dtype, a view, a non-contiguous array) is copied and left writable
+        m = np.diag([1.0, 2.0]).astype(complex)
+        assert Operator(m).matrix is m and not m.flags.writeable
+        base = np.eye(4, dtype=complex)
+        for other in (np.eye(2), base[:2, :2], base[::2, ::2], base.reshape(2, 8)[:, :2]):
+            assert Operator(other).matrix is not other and other.flags.writeable
+
+    def test_deviation_over_panels_is_the_whole_matrix_one(self, rng):
+        # 600 rows span two row panels: the maximum is the whole-matrix
+        # one bit for bit, and a NaN entry propagates, as it did
+        z = rng.normal(size=(600, 600)) + 1j * rng.normal(size=(600, 600))
+        assert _hermitian_deviation(z) == np.max(np.abs(z - z.conj().T))
+        z[599, 3] = np.nan
+        assert np.isnan(_hermitian_deviation(z))
+        assert _hermitian_deviation(np.zeros((0, 0), dtype=complex)) == 0.0
+
+    def test_deviation_forms_no_matrix_sized_temporary(self):
+        m = np.ones((1024, 1024), dtype=complex)  # 16 MB
+        tracemalloc.start()
+        try:
+            _hermitian_deviation(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes
 
     def test_has_no_arithmetic(self, rng):
         # sums and products are taken on the plain matrices, so no
