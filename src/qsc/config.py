@@ -13,8 +13,7 @@ HERMITICITY_ATOL = 1e-10
 # Residuals of eigendecompositions and reconstructions (relative to 1 + norm).
 RESIDUAL_RTOL = 1e-9
 
-# State and density-matrix hygiene.
-NORM_ATOL = 1e-10
+# Density-matrix hygiene.
 TRACE_ATOL = 1e-10
 POSITIVITY_FLOOR = -1e-9
 
@@ -39,12 +38,15 @@ DEFAULT_PENALTY_FACTOR = 0.1
 # Proportionality constant c of r = c * eps * L**-2.5 schedules.
 DEFAULT_SCHEDULE_CONSTANT = 1.0
 
-# Hilbert-space dimension cap for dense work (overridable via environment).
+# The size cap (overridable via environment; see `max_dimension`).
 DEFAULT_MAX_DIM = 2 ** 14
 
 
 def max_dimension() -> int:
-    """Dense-dimension cap; the QSC_MAX_DIM environment variable overrides."""
+    """The cap: a model whose path's largest array would hold more than
+    cap^2 entries is refused before it is built (a dense matrix of at most
+    cap rows, a vector of at most cap^2 entries).  The QSC_MAX_DIM
+    environment variable overrides it."""
     value = os.environ.get("QSC_MAX_DIM")
     if value is None:
         return DEFAULT_MAX_DIM

@@ -24,9 +24,11 @@ lemmas run on it, and a ladder run on it is the oracle of the block's.
 
 A schedule carries only what a run plays: per step the band j, the bath
 energy omega_b (`solve_detuning`) and the pulse time tau, with Omega_0
-and r.  The setup's H_S and coupling are the one validated operators of a
-step: H_j + V is a plain array built from them (`_step_hamiltonian`), as
-Hermitian as they are (`linalg`'s docstring).  An exact-tau step reads the
+and r; Omega_0 is the schedule's, set and checked by `build_schedule`.
+The setup's H_S and coupling are the one validated operators of a step:
+H_j + V is a plain array built from them by the one qubit-bath helper,
+`models.build_bath_and_couplings` (`_step_hamiltonian`), as Hermitian as
+they are (`linalg`'s docstring).  An exact-tau step reads the
 pulse time off its eigen-splitting, refused when lost in roundoff
 (`_exact_step`), and the schedule keeps only that time; a run builds and
 diagonalizes each step it propagates again.  The ladder's step norm is
@@ -44,10 +46,11 @@ tensor factor, so bath projections select the even (down) and odd (up)
 composite indices.
 
 The probabilistic scheme runs on the same setup as the ladder, the
-clock's band block included (its band carries the dense H_S spectrum
-for `extension_gap`), and addresses its band 1 with a qutrit bath, also
-the last tensor factor: its projections select the composite indices of
-levels C, R and L (0, 1, 2 mod 3).
+clock's band block included (`extension_gap` reads the H_S spectrum of
+its `dense` setup), and addresses its band 1 with a qutrit bath, built
+only here (`_qutrit_hamiltonians`) and also the last tensor factor: its
+projections select the composite indices of levels C, R and L (0, 1, 2
+mod 3).
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .levelshift import solve_detuning
 from .linalg import (
     DensityMatrix,
     Operator,
-    StateVector,
     _Frozen,
     _setattr,
     connected_blocks,
@@ -71,23 +73,24 @@ from .linalg import (
     operator_norm,
 )
 from .models import (
+    KET_B,
     KET_C,
     KET_DOWN,
+    KET_L,
+    KET_R,
     KET_UP,
     BandStructure,
-    BathSpec,
     ClockModel,
     GroverModel,
+    _unit_vector,
     build_bath_and_couplings,
     build_clock,
-    build_verification_coupling,
     build_grover,
     clock_band_structure,
     clock_coupling_direction,
     grover_band_structure,
     grover_fiducial,
     overlap_coefficients,
-    qubit_bath_terms,
 )
 
 __all__ = [
@@ -119,15 +122,18 @@ class CoolingSetup(_Frozen):
 
     `coupling` is the unit-norm coupling direction; the schedule scales it
     by Omega_0.  Within the band, coupling acts as |F><F| with overlaps xs.
+    `fiducial` is F, a complex unit vector on the system space.
     `ground_basis` holds orthonormal columns spanning the (possibly
     degenerate) ground space of H_S.  `dense` is the setup a band block was
-    cut from (`clock_block`); a run prices its step norm there.
+    cut from (`clock_block`), and the block's one way to its dense data: a
+    run prices its step norm there, and `extension_gap` reads the dense
+    H_S spectrum there.
     """
 
     __slots__ = ("h_s", "coupling", "band", "xs", "fiducial", "ground_basis", "label", "dense")
 
     def __init__(self, h_s: Operator, coupling: Operator, band: BandStructure, xs: np.ndarray,
-                 fiducial: StateVector, ground_basis: np.ndarray, label: str = "",
+                 fiducial: np.ndarray, ground_basis: np.ndarray, label: str = "",
                  dense: CoolingSetup | None = None):
         _setattr(self, "h_s", h_s)
         _setattr(self, "coupling", coupling)
@@ -155,23 +161,22 @@ class CoolingSetup(_Frozen):
 def _band_block(omegas: np.ndarray, xs: np.ndarray, delta: float, label: str,
                 dense: CoolingSetup | None = None) -> CoolingSetup:
     """The setup of an exact band block: H_S = diag(omegas), coupling
-    x x^T, fiducial x, identity band vectors and ground space e0; its band
-    carries the spectrum of the `dense` setup it was cut from, if any."""
+    x x^T, fiducial x, identity band vectors and ground space e0, with the
+    `dense` setup it was cut from, if any."""
     size = len(omegas)
     return CoolingSetup(
         h_s=Operator(np.diag(omegas).astype(complex)),
         coupling=Operator(np.outer(xs, xs).astype(complex)),
-        band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta,
-                           spectrum=dense.band.spectrum if dense else None),
+        band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta),
         xs=xs,
-        fiducial=StateVector(xs.astype(complex)),
+        fiducial=xs.astype(complex),
         ground_basis=np.eye(size, 1, dtype=complex),
         label=label,
         dense=dense,
     )
 
 
-def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
+def grover_setup(model: GroverModel, fiducial: np.ndarray | None = None,
                  kind: str = "uniform", seed: int | None = None) -> CoolingSetup:
     """Search-oracle setup on its exact two-band block.
 
@@ -192,7 +197,7 @@ def grover_setup(model: GroverModel, fiducial: StateVector | None = None,
     a diagonal entry of the block, and a Hermitian matrix's norm bounds
     the modulus of each of its diagonal entries, so the step norm
     (`h_norm`) is the block's.  Only the 2^n fiducial is formed, to read
-    x off.
+    x off; a given `fiducial` is a complex unit vector on the 2^n space.
     """
     if fiducial is None:
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
@@ -212,7 +217,7 @@ def clock_setup(model: ClockModel) -> CoolingSetup:
         coupling=clock_coupling_direction(model),
         band=band,
         xs=xs,
-        fiducial=StateVector.basis(h_s.dim, 0),
+        fiducial=_unit_vector(h_s.dim, 0),
         ground_basis=band.vectors[:, :1],  # the history state
         label=f"clock(n={model.n},L={model.length})",
     )
@@ -306,8 +311,7 @@ def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> np.
     coupling V = Omega_0 * coupling (x) sigma_x, as a plain array.  It is a
     sum of kron products of the validated H_S and coupling with real
     symmetric bath factors, so it is not tested again (see `linalg`)."""
-    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
-                                    setup.coupling, omega0)
+    h, v = build_bath_and_couplings(setup.h_s.matrix, omega0 * setup.coupling.matrix, omega_b)
     h += v  # in place: one composite-size array fewer alive for the eigh
     return h
 
@@ -435,8 +439,8 @@ def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
     h_s, c = setup.h_s.matrix, setup.coupling.matrix
     norm = 0.0
     for block in connected_blocks(h_s, c):
-        h, v = qubit_bath_terms(h_s[block][:, block], schedule.omega0 * c[block][:, block],
-                                omega_b)
+        h, v = build_bath_and_couplings(h_s[block][:, block],
+                                        schedule.omega0 * c[block][:, block], omega_b)
         h += v
         norm = max(norm, operator_norm(h))
     return norm
@@ -628,7 +632,7 @@ def run_deterministic(
     total_time = schedule.total_time
 
     if mode == "density":
-        psi0 = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+        psi0 = np.kron(setup.fiducial, KET_DOWN)
         rho = DensityMatrix(np.outer(psi0, psi0.conj()))
         # the band manifold of step j is span{|k,down>}_{k<=j} + |0,up>: the
         # first j+1 columns and the last; its weight in rho is the sum of
@@ -682,7 +686,7 @@ def run_deterministic(
     unitaries = [evolve(*eig, step.tau) for step, eig in _step_spectra(setup, schedule)]
     n_steps = len(unitaries)
     draws = trial_uniforms(seed, shots, n_steps + 1)
-    psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)[:, None]
+    psi = np.kron(setup.fiducial, KET_DOWN)[:, None]
     record = np.zeros(shots, dtype=np.intp)
     up_weights = np.zeros(n_steps)
     for i, u in enumerate(unitaries):
@@ -739,11 +743,12 @@ def run_reduced(setup: CoolingSetup, schedule: CoolingSchedule, eta: float) -> R
 def extension_gap(setup: CoolingSetup) -> float:
     """Delta of the probabilistic scheme: min{omega1, E, |E - omega1|} over
     the spectrum of H_S outside the ground state and the addressed band 1
-    (levels within 1e-9 max(1, omega1) of 0 or omega1)."""
-    if setup.band.spectrum is None:
+    (levels within 1e-9 max(1, omega1) of 0 or omega1).  A band block's
+    spectrum is its dense setup's."""
+    evals = (setup.dense or setup).band.spectrum
+    if evals is None:
         raise ValueError(f"setup {setup.label!r} holds no spectrum of H_S")
     omega1 = float(setup.band.omegas[1])
-    evals = setup.band.spectrum
     tol = 1e-9 * max(1.0, abs(omega1))
     rest = evals[(np.abs(evals) >= tol) & (np.abs(evals - omega1) >= tol)]
     return float(min(omega1, np.min(np.abs(rest), initial=omega1),
@@ -758,12 +763,22 @@ def extension_rabi(setup: CoolingSetup, omega0: float) -> float:
 
 
 def _qutrit_hamiltonians(setup: CoolingSetup, omega0: float):
-    """The qutrit scheme's drive H + X and verification H + Y, the bath's
-    displaced levels at band 1's omega1: plain arrays built, like a step
-    Hamiltonian, from the setup's validated H_S and coupling."""
-    h, x = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", float(setup.band.omegas[1])),
-                                    setup.coupling, omega0)
-    return h + x, h + build_verification_coupling(setup.dim_s, omega0)
+    """The qutrit scheme's drive H + X and verification H + Y, with
+
+      H = H_S (x) (|C><C| + |R><R| - |L><L|) + omega1 * 1 (x) (|R><R| + |L><L|),
+      X = Omega_0 C (x) (|C><B| + |B><C|),  |B> = (|L> + |R>)/sqrt(2),
+      Y = Omega_0 * 1 (x) (|L><R| + |R><L|),
+
+    the bath's displaced levels at band 1's omega1, C the setup's coupling:
+    plain arrays built, like a step Hamiltonian, from the setup's validated
+    H_S and coupling with real symmetric bath factors."""
+    eye = np.eye(setup.dim_s, dtype=complex)
+    proj_c, proj_r, proj_l = (np.outer(k, k) for k in (KET_C, KET_R, KET_L))
+    h = (np.kron(setup.h_s.matrix, proj_c + proj_r - proj_l)
+         + float(setup.band.omegas[1]) * np.kron(eye, proj_r + proj_l))
+    x = np.kron(omega0 * setup.coupling.matrix, np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C))
+    y = omega0 * np.kron(eye, np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L))
+    return h + x, h + y
 
 
 class ProbRunReport(_Frozen):
@@ -802,8 +817,8 @@ def analytic_acceptance(f1: float, rabi: float, omega_star: float) -> float:
 def run_probabilistic(
     setup: CoolingSetup,
     omega0: float,
-    omega_star: float | None = None,
-    f1_lower: float | None = None,
+    omega_star: float,
+    f1_lower: float,
     trials: int = 2000,
     seed: int = 0,
     max_rounds: int = 10 ** 6,
@@ -837,10 +852,6 @@ def run_probabilistic(
         raise ValueError(f"the probabilistic scheme needs trials >= 1, got {trials}")
     rabi = extension_rabi(setup, omega0)
     f1 = float(setup.xs[1])
-    if omega_star is None:
-        omega_star = 0.9 * rabi
-    if f1_lower is None:
-        f1_lower = f1
     for name, value in (("omega0", omega0), ("omega_star", omega_star),
                         ("f1_lower", f1_lower)):
         if not value > 0:
@@ -856,7 +867,7 @@ def run_probabilistic(
     # the verify evolution from bath level L to level R
     u_rl = evolve(*np.linalg.eigh(h_verify), tau_v)[1::3, 2::3]
     ground = setup.band.vector(0)
-    psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
+    psi_init_t = vt.conj().T @ np.kron(setup.fiducial, KET_C)
 
     doubling_threshold = max(1, math.ceil(4.0 / f1_lower ** 2))
     current_star = omega_star

@@ -33,7 +33,7 @@ from .cooling import (
     run_probabilistic,
     run_reduced,
 )
-from .linalg import PROJ1, DensityMatrix, StateVector, partial_trace
+from .linalg import PROJ1, DensityMatrix, partial_trace
 from .models import (
     KET_DOWN,
     ClockModel,
@@ -73,7 +73,8 @@ _CLOCK_MODEL = {
     "padding": (int, 0), "omega": (float, 1.0), "h": (float, config.DEFAULT_PENALTY_FACTOR),
     "eps": (float, 0.1), "r": (float, None),
 }
-_LADDER = {"tau_mode": (str, "exact"), "mode": (str, "density"), "shots": (int, 2000)}
+_LADDER = {"tau_mode": (("exact", "analytic"), "exact"),
+           "mode": (("density", "trajectory"), "density"), "shots": (int, 2000)}
 CONFIG_KEYS = {
     "fig1": {
         "n_min": (int, 4), "n_max": (int, 9), "omega0_rel": (float, 0.05), "points": (int, 400),
@@ -82,7 +83,8 @@ CONFIG_KEYS = {
     "grover": {
         "n": (int, 6), "marked": ([(int, str)], [0]), "omega1": (float, 1.0), "r": (float, 0.02),
         "omega0": (float, None), "detuning": (("corrected", "naive"), "corrected"), **_LADDER,
-        "fiducial": (str, "uniform"), "ensemble_draws": (int, 0), "seed": (int, 0),
+        "fiducial": (("uniform", "haar"), "uniform"), "ensemble_draws": (int, 0),
+        "seed": (int, 0),
     },
     "clock": {**_CLOCK_MODEL, "omega0": (float, None), "eta": (float, None), **_LADDER,
               "seed": (int, 0)},
@@ -104,7 +106,8 @@ CONFIG_KEYS = {
 
 # The least value of an integer config key, in every experiment that has
 # the key: `cli.resolve_config` refuses a smaller one before the run.
-CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1}
+CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
+                   "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10}
 
 
 def _fmt(x) -> str:
@@ -180,8 +183,8 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     x0 = 2.0 ** (-n / 2)
     x1 = math.sqrt(1.0 - x0 ** 2)
     omega0 = omega0_rel * omega1
-    model = GroverModel(n=1, marked=frozenset({0}), omega1=omega1, omega0_coupling=omega0)
-    setup = grover_setup(model, StateVector(np.array([x0, x1], dtype=complex)))
+    setup = grover_setup(GroverModel(n=1, marked=frozenset({0}), omega1=omega1),
+                         np.array([x0, x1], dtype=complex))
     step = build_schedule(setup, omega0=omega0).steps[0]
     h = _step_hamiltonian(setup, omega0, step.omega_b)
     scan = scan_factor * omega0 * x0 * x1 / omega1
@@ -189,7 +192,7 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     shifts = omega1 * (1 + detunings) - step.omega_b
     up = np.kron(np.eye(setup.dim_s), PROJ1)
     w, v = np.linalg.eigh(h + shifts[:, None, None] * up)
-    psi0 = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+    psi0 = np.kron(setup.fiducial, KET_DOWN)
     amps = np.exp(-1j * step.tau * w) * (v.conj().transpose(0, 2, 1) @ psi0)
     psi = (v @ amps[..., None])[..., 0]
     # the ground band e0 with either bath state: the block's first two rows
@@ -226,8 +229,6 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
     ns = list(range(cfg["n_min"], cfg["n_max"] + 1))
     if not ns:
         raise ConfigError("empty n grid: need n_min <= n_max")
-    if cfg["points"] < 10:
-        raise ConfigError("detuning scan needs at least 10 points")
 
     rows = []
     per_n = []
@@ -297,18 +298,12 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     """End-to-end search-model cooling run, on the model's two-band block
     (`grover_setup`)."""
     n = cfg["n"]
-    model = GroverModel(
-        n=n,
-        marked=_parse_marked(cfg["marked"]),
-        omega1=cfg["omega1"],
-        omega0_coupling=cfg.get("omega0", cfg["r"] * cfg["omega1"]),
-    )
+    model = GroverModel(n=n, marked=_parse_marked(cfg["marked"]), omega1=cfg["omega1"])
     seed = cfg["seed"]
     draws = cfg["ensemble_draws"]
-    if draws < 0:
-        raise ConfigError(f"ensemble_draws must be >= 0, got {draws}")
     setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
-    schedule = build_schedule(setup, omega0=model.omega0_coupling, tau_mode=cfg["tau_mode"])
+    schedule = build_schedule(setup, omega0=cfg.get("omega0", cfg["r"] * cfg["omega1"]),
+                              tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
         steps = tuple(s._replace(omega_b=model.omega1) for s in schedule.steps)
         schedule = schedule._replace(steps=steps)
@@ -530,7 +525,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     if replays:
         body["replays"] = replays
     if cfg["protocol"]:
-        gm = GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02)
+        gm = GroverModel(n=4, marked=frozenset({3}))
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
         body["protocol_scaling"] = check_protocol_lemmas(gm, cm, r_grid=tuple(r_grid))
     summary = _summary(cfg, body)

@@ -1,6 +1,6 @@
 """Dense complex linear algebra on tensor-product Hilbert spaces.
 
-Value types (operators, states, density matrices) are immutable after
+Value types (operators, density matrices) are immutable after
 construction and validate their own invariants.  `Operator` is the type of
 a Hermitian matrix where it enters a run (a model builder's output, a band
 block, a bound checker's generated input, a replayed dump), tested once,
@@ -16,9 +16,11 @@ plain array and is not tested again:
     sum of their deviations, plus one rounding (eps/2 of the modulus) of
     each of the two mirrored entries.
 
-Eigendecompositions (`np.linalg.eigh` pairs), unitaries and subspace bases
-are plain arrays.  Evolution is by exact eigendecomposition; there is no
-Trotterization in the package.
+Eigendecompositions (`np.linalg.eigh` pairs), unitaries, subspace bases
+and states are plain arrays: every setup builds its fiducial as a complex
+unit vector, and a density run meets it again at its first
+`DensityMatrix`, which refuses a wrong trace.  Evolution is by exact
+eigendecomposition; there is no Trotterization in the package.
 """
 
 from __future__ import annotations
@@ -128,30 +130,6 @@ class Operator(_Frozen):
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-class StateVector(_Frozen):
-    """A unit-normalized complex vector."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes: np.ndarray):
-        a = np.array(amplitudes, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > config.NORM_ATOL:
-            raise ValueError(f"state norm {nrm} deviates from 1 beyond tolerance")
-        a.setflags(write=False)
-        _setattr(self, "amplitudes", a)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    @staticmethod
-    def basis(dim: int, index: int) -> "StateVector":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return StateVector(v)
 
 
 class DensityMatrix(_Frozen):

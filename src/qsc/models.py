@@ -1,11 +1,16 @@
 """Model builders: search-oracle and clock Hamiltonians, their band
-structures, baths, couplings, and random states.
+structures, the qubit bath a ladder step couples to, and random states.
 
 Qubit ordering convention: computational register qubits first (1..n),
 clock qubits after (1..L), most-significant bit = qubit 1.  The unary
 clock value l is encoded as |1^l 0^(L-l)> on the clock qubits.  The bath
 subsystem, when present, is always the last tensor factor: a qubit bath
-orders its basis (down, up); a qutrit bath orders its basis (C, R, L).
+orders its basis (down, up); a qutrit bath (built by the probabilistic
+scheme, `cooling`) orders its basis (C, R, L).
+
+States (fiducials, random states, history vectors) are plain complex
+vectors, each built normalized.  A model refuses its size before it is
+built when its path's largest array would pass the cap (`_check_entries`).
 
 The dense clock Hamiltonian is written into one array by arithmetic on the
 basis index, register * 2^L + clock, with no Kronecker products; the
@@ -24,13 +29,12 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
-from .linalg import PROJ1, SIGMA_X, Operator, StateVector, _Frozen, _setattr
+from .linalg import PROJ1, SIGMA_X, Operator, _Frozen, _setattr
 
 __all__ = [
     "GroverModel",
     "CircuitSpec",
     "ClockModel",
-    "BathSpec",
     "BandStructure",
     "build_grover",
     "build_clock",
@@ -40,8 +44,6 @@ __all__ = [
     "band_profile",
     "shift_factors",
     "build_bath_and_couplings",
-    "qubit_bath_terms",
-    "build_verification_coupling",
     "random_state",
     "pad_with_identities",
     "parse_circuit",
@@ -62,10 +64,14 @@ KET_DOWN = np.array([1, 0], dtype=complex)
 KET_UP = np.array([0, 1], dtype=complex)
 
 
-def _check_dim(dim: int):
+def _check_entries(entries: int):
+    """Refuse a largest array of more than cap^2 entries (cap =
+    `config.max_dimension()`): the clock's dense H_S, 4^(n+L) entries, or
+    the search path's vectors of 2^n."""
     cap = config.max_dimension()
-    if dim > cap:
-        raise DimensionTooLarge(f"dimension {dim} exceeds cap {cap}")
+    if entries > cap ** 2:
+        raise DimensionTooLarge(f"the largest array would hold {entries} entries, "
+                                f"over the cap {cap}^2 = {cap ** 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,26 +80,24 @@ def _check_dim(dim: int):
 
 class GroverModel(_Frozen):
     """Two-band oracle Hamiltonian on n qubits: marked strings have energy
-    zero, all the rest sit at omega1; `omega0_coupling` is the coupling
-    energy scale Omega_0."""
+    zero, all the rest sit at omega1.  Its path allocates vectors of 2^n
+    entries, never a 2^n x 2^n matrix, so that is what the cap covers."""
 
-    __slots__ = ("n", "marked", "omega1", "omega0_coupling")
+    __slots__ = ("n", "marked", "omega1")
 
-    def __init__(self, n: int, marked: frozenset[int], omega1: float = 1.0,
-                 omega0_coupling: float = 0.05):
+    def __init__(self, n: int, marked: frozenset[int], omega1: float = 1.0):
         marked = frozenset(int(m) for m in marked)
         size = 2 ** n
         if not (1 <= len(marked) < size):
             raise ValueError("need 1 <= |marked| < 2**n")
         if any(m < 0 or m >= size for m in marked):
             raise ValueError("marked string out of range")
-        if omega1 <= 0 or omega0_coupling <= 0:
-            raise ValueError("omega1 and Omega_0 must be positive")
-        _check_dim(size)
+        if omega1 <= 0:
+            raise ValueError("omega1 must be positive")
+        _check_entries(size)
         _setattr(self, "n", n)
         _setattr(self, "marked", marked)
         _setattr(self, "omega1", omega1)
-        _setattr(self, "omega0_coupling", omega0_coupling)
 
     @property
     def dim(self) -> int:
@@ -112,28 +116,27 @@ def build_grover(model: GroverModel):
     return np.flatnonzero(is_marked), np.flatnonzero(~is_marked)
 
 
-def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None = None) -> StateVector:
-    """Fiducial state for the search model.
+def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None = None) -> np.ndarray:
+    """Fiducial state for the search model, a complex unit vector.
 
     "uniform" gives the equal superposition (overlap with the marked
     manifold exactly sqrt(N0/N)); "haar" draws a random state.
     """
     if kind == "uniform":
-        return StateVector(np.full(model.dim, 1.0 / math.sqrt(model.dim), dtype=complex))
+        return np.full(model.dim, 1.0 / math.sqrt(model.dim), dtype=complex)
     if kind == "haar":
         return random_state(model.n, seed if seed is not None else 0)
     raise ValueError(f"unknown fiducial kind {kind!r}")
 
 
-def grover_band_structure(fiducial: StateVector, eigenspaces) -> np.ndarray:
+def grover_band_structure(fiducial: np.ndarray, eigenspaces) -> np.ndarray:
     """Overlaps xs = (|P0 F|, |P1 F|) of the fiducial with the two
     eigenspaces, the (marked, unmarked) index arrays of `build_grover`.
 
     These are the band overlaps of the search model in the gauge where
     each band vector P_k F / |P_k F| has a real non-negative overlap.
     """
-    f = fiducial.amplitudes
-    xs = np.array([np.linalg.norm(f[idx]) for idx in eigenspaces])
+    xs = np.array([np.linalg.norm(fiducial[idx]) for idx in eigenspaces])
     if xs[0] == 0.0 or xs[1] == 0.0:
         raise ValueError("fiducial must overlap both bands")
     return xs
@@ -313,7 +316,7 @@ class ClockModel(_Frozen):
             raise ValueError("omega must be positive")
         if self.circuit.length < 1:
             raise ValueError("clock model needs at least one gate")
-        _check_dim(2 ** (self.n + self.length))
+        _check_entries(4 ** (self.n + self.length))  # the dense H_S
         # the input penalty must stay below the hopping level spacing for
         # first-order perturbation theory to resolve the bands
         spacing = self.omega * float(np.min(np.diff(band_energies(self.length, 1.0))))
@@ -383,12 +386,9 @@ def clock_site_index(length: int, l: int) -> int:
     return (2 ** l - 1) << (length - l)
 
 
-def clock_value_vector(n: int, length: int, l: int, register: np.ndarray | None = None) -> np.ndarray:
-    """|register> tensor |1^l 0^(L-l)> as a raw vector (register defaults
-    to the all-zeros product state)."""
-    reg = register if register is not None else _unit_vector(2 ** n, 0)
-    clock = _unit_vector(2 ** length, clock_site_index(length, l))
-    return np.kron(reg, clock)
+def clock_value_vector(length: int, l: int, register: np.ndarray) -> np.ndarray:
+    """|register> tensor |1^l 0^(L-l)> as a raw vector."""
+    return np.kron(register, _unit_vector(2 ** length, clock_site_index(length, l)))
 
 
 def _unit_vector(dim: int, index: int) -> np.ndarray:
@@ -408,8 +408,7 @@ def register_history(circuit: CircuitSpec) -> list[np.ndarray]:
 
 def _history_vectors(model: ClockModel) -> list[np.ndarray]:
     """The history on the unary clock, |psi_l> (x) |1^l 0^(L-l)> for l = 0..L."""
-    n, length = model.n, model.length
-    return [clock_value_vector(n, length, l, state)
+    return [clock_value_vector(model.length, l, state)
             for l, state in enumerate(register_history(model.circuit))]
 
 
@@ -482,7 +481,8 @@ class BandStructure(_Frozen):
     """The resolved low band: energies, eigenvectors (columns), and the
     spectral distance delta separating each band energy from the rest of
     the spectrum; `spectrum` holds the full ascending spectrum of the H_S
-    delta was measured on (a band block's is its dense setup's)."""
+    delta was measured on, when that H_S was diagonalized (a dense clock
+    setup's; a band block reaches it through its `dense` setup)."""
 
     __slots__ = ("omegas", "vectors", "delta", "spectrum")
 
@@ -558,70 +558,28 @@ def clock_coupling_direction(model: ClockModel) -> Operator:
 # Baths and couplings
 # ---------------------------------------------------------------------------
 
-class BathSpec(_Frozen):
-    """One auxiliary system: a qubit with splitting omega_b, or a qutrit
-    whose two displaced levels are pinned at omega_b."""
+def build_bath_and_couplings(h_s: np.ndarray, t: np.ndarray, omega_b: float):
+    """Join a system to its simulated qubit bath:
 
-    __slots__ = ("kind", "omega_b")
+        H = H_S (x) 1 + omega_b * 1 (x) |up><up|,   V = T (x) sigma_x,
 
-    def __init__(self, kind: str, omega_b: float):
-        if kind not in ("qubit", "qutrit"):
-            raise ValueError("bath kind must be 'qubit' or 'qutrit'")
-        _setattr(self, "kind", kind)
-        _setattr(self, "omega_b", omega_b)
-
-
-def build_bath_and_couplings(h_s: Operator, bath: BathSpec, t_s: Operator,
-                             omega0: float = 1.0):
-    """Join the system to its simulated bath.
-
-    Qubit bath:  H = H_S (x) 1 + omega_b * 1 (x) |up><up|,  V = T (x) sigma_x.
-    Qutrit bath: H = H_S (x) (|C><C| + |R><R| - |L><L|)
-                     + omega_b * 1 (x) (|R><R| + |L><L|),
-                 V = T (x) (|C><B| + |B><C|) with |B> = (|L>+|R>)/sqrt(2),
-
-    with T = omega0 * T_S.  Returns (H, V) as plain arrays, built from the
-    validated H_S and T_S with real symmetric bath factors; they and what
-    a caller sums from them (typically H + V) are not tested again.
+    with T the coupling already scaled by Omega_0.  H_S and T are plain
+    arrays cut from validated operators (a setup's H_S and coupling, or
+    their principal submatrices); H and V are built with real symmetric
+    bath factors and returned as plain arrays, so they and what a caller
+    sums from them (typically H + V) are not tested again (see `linalg`).
     """
-    if t_s.dim != h_s.dim:
-        raise DimensionMismatch("system and coupling dimensions differ")
-    t = omega0 * t_s.matrix
-    if bath.kind == "qubit":
-        return qubit_bath_terms(h_s.matrix, t, bath.omega_b)
-    eye = np.eye(h_s.dim, dtype=complex)
-    proj_c = np.outer(KET_C, KET_C)
-    proj_r = np.outer(KET_R, KET_R)
-    proj_l = np.outer(KET_L, KET_L)
-    h_full = np.kron(h_s.matrix, proj_c + proj_r - proj_l) + bath.omega_b * np.kron(
-        eye, proj_r + proj_l
-    )
-    swap_cb = np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C)
-    return h_full, np.kron(t, swap_cb)
-
-
-def qubit_bath_terms(h_s: np.ndarray, t: np.ndarray, omega_b: float):
-    """The qubit bath's H = H_S (x) 1 + omega_b * 1 (x) |up><up| and V = T (x)
-    sigma_x, as plain arrays from the plain arrays H_S and T; the checks on
-    where H_S and T come from are the caller's (`build_bath_and_couplings`
-    takes validated operators)."""
     eye = np.eye(len(h_s), dtype=complex)
     return np.kron(h_s, np.eye(2)) + omega_b * np.kron(eye, PROJ1), np.kron(t, SIGMA_X)
-
-
-def build_verification_coupling(dim_s: int, omega0: float) -> np.ndarray:
-    """The qutrit bath's verification coupling Y = Omega_0 * 1 (x) (|L><R| + |R><L|),
-    as a plain array (Hermitian by construction)."""
-    swap_lr = np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L)
-    return omega0 * np.kron(np.eye(dim_s, dtype=complex), swap_lr)
 
 
 # ---------------------------------------------------------------------------
 # Random states
 # ---------------------------------------------------------------------------
 
-def random_state(n: int, seed) -> StateVector:
-    """Haar-random state on n qubits, reproducible from the seed.
+def random_state(n: int, seed) -> np.ndarray:
+    """Haar-random state on n qubits, a complex unit vector, reproducible
+    from the seed.
 
     A normalized vector of iid complex Gaussians is exactly Haar
     distributed; this replaces approximate-design circuit sampling.
@@ -629,4 +587,4 @@ def random_state(n: int, seed) -> StateVector:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim = 2 ** n
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)

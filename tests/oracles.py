@@ -11,6 +11,8 @@ per grid point, the self-energy by its series in powers of V, gate
 embedding one basis column at a time, the clock Hamiltonian by the kron
 chains of its three parts (`build_clock_parts`) and its hopping by the
 original four-branch loop, its history register step by step, the
+qubit and qutrit bath terms as kron products of the bath projectors
+(`qubit_bath_by_kron`, `qutrit_bath_by_kron`), the
 cooling ladder from step Hamiltonians built afresh, the step norm on the
 whole composite space instead of its connected blocks, the clock readout
 on the final state lifted to the dense space instead of on the band
@@ -156,6 +158,36 @@ def cooling_map_dense(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2
 
 
+def qubit_bath_by_kron(h_s: np.ndarray, t: np.ndarray, omega_b: float):
+    """The qubit bath's H = H_S (x) 1 + omega_b * 1 (x) |up><up| and
+    V = T (x) sigma_x from the plain arrays H_S and T (the coupling scaled
+    by Omega_0), by the kron products the step Hamiltonian and the step
+    norm's blocks must equal bit for bit."""
+    eye = np.eye(len(h_s), dtype=complex)
+    proj_up = np.diag([0, 1]).astype(complex)
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=complex)
+    return np.kron(h_s, np.eye(2)) + omega_b * np.kron(eye, proj_up), np.kron(t, sigma_x)
+
+
+def qutrit_bath_by_kron(h_s: np.ndarray, t_s: np.ndarray, omega_b: float, omega0: float):
+    """The qutrit bath's H = H_S (x) (|C><C| + |R><R| - |L><L|) + omega_b
+    * 1 (x) (|R><R| + |L><L|), drive X = (Omega_0 T_S) (x) (|C><B| +
+    |B><C|) and verification Y = Omega_0 * 1 (x) (|L><R| + |R><L|), from
+    the plain arrays H_S and T_S by kron products of the bath projectors:
+    (H, X, Y), whose sums H + X and H + Y `cooling._qutrit_hamiltonians`
+    must equal bit for bit."""
+    from qsc.models import KET_B, KET_C
+
+    eye = np.eye(len(h_s), dtype=complex)
+    proj_c = np.outer(KET_C, KET_C)
+    proj_r = np.outer(KET_R, KET_R)
+    proj_l = np.outer(KET_L, KET_L)
+    h_full = np.kron(h_s, proj_c + proj_r - proj_l) + omega_b * np.kron(eye, proj_r + proj_l)
+    swap_cb = np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C)
+    swap_lr = np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L)
+    return h_full, np.kron(omega0 * t_s, swap_cb), omega0 * np.kron(eye, swap_lr)
+
+
 def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
     """Each step's evolution, from H_j + V (+ the error for band j) built
     and diagonalized here, never from a decomposition the schedule holds."""
@@ -185,7 +217,7 @@ def ladder_by_fresh_build(setup, schedule, delta_ops=None, rho0=None):
     ladder starts from the density matrix `rho0`, by default the fiducial
     with the bath down."""
     if rho0 is None:
-        psi = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
+        psi = np.kron(setup.fiducial, [1.0, 0.0])
         rho0 = np.outer(psi, psi.conj())
     rho = rho0
     up_probs = []
@@ -202,14 +234,13 @@ def step_norm_on_composite(setup, schedule) -> float:
     production `cooling._step_norm` reads the same norm off the connected
     blocks instead."""
     from qsc.linalg import operator_norm
-    from qsc.models import BathSpec, build_bath_and_couplings
 
     if not schedule.steps:
         return 0.0
     setup = setup.dense or setup
     omega_b = max(s.omega_b for s in schedule.steps)
-    h, v = build_bath_and_couplings(setup.h_s, BathSpec("qubit", omega_b),
-                                    setup.coupling, schedule.omega0)
+    h, v = qubit_bath_by_kron(setup.h_s.matrix, schedule.omega0 * setup.coupling.matrix,
+                              omega_b)
     return operator_norm(h + v)
 
 
@@ -219,7 +250,7 @@ def clock_readout_by_lift(model, dense, final_state) -> dict:
     vectors of `dense`, then the bath traced out, the ground fidelity
     <eta|rho_sys|eta> with eta the history state, and the final clock site
     projected out densely."""
-    from qsc.linalg import DensityMatrix, StateVector, partial_trace
+    from qsc.linalg import DensityMatrix, partial_trace
     from qsc.models import clock_site_index
 
     n, length = model.n, model.length
@@ -228,7 +259,8 @@ def clock_readout_by_lift(model, dense, final_state) -> dict:
     rho_sys = partial_trace(rho, [2 ** n, 2 ** length, 2], keep=[0, 1])
     eta = dense.band.vector(0)
     ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
-    site_l = StateVector.basis(2 ** length, clock_site_index(length, length)).amplitudes
+    site_l = np.zeros(2 ** length, dtype=complex)
+    site_l[clock_site_index(length, length)] = 1.0
     proj = np.kron(np.eye(2 ** n, dtype=complex), np.outer(site_l, site_l.conj()))
     p_site = float(np.trace(proj @ rho_sys.entries @ proj).real)
     return {
@@ -251,7 +283,7 @@ def trajectory_by_shot(setup, schedule, shots: int, seed: int):
     readout.  Returns (successes, per-step mean up weight)."""
     unitaries = _fresh_unitaries(setup, schedule)
     m_ground = _ground_projector(setup)
-    psi_init = np.kron(setup.fiducial.amplitudes, [1.0, 0.0])
+    psi_init = np.kron(setup.fiducial, [1.0, 0.0])
     up = np.arange(psi_init.shape[0]) % 2
     down = 1 - up
     successes = 0
@@ -294,15 +326,13 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
     Returns (accept count, B-outcome count, conditional success)."""
     from qsc.cooling import extension_rabi
     from qsc.linalg import evolve
-    from qsc.models import (KET_B, KET_C, BathSpec, build_bath_and_couplings,
-                            build_verification_coupling)
+    from qsc.models import KET_B, KET_C
 
     omega1 = float(setup.band.omegas[1])
-    h_full, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
-                                            setup.coupling, omega0)
+    h_full, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling.matrix, omega1,
+                                             omega0)
     if delta_op is not None:
         h_full = h_full + delta_op.matrix
-    y_op = build_verification_coupling(setup.dim_s, omega0)
     wt, vt = np.linalg.eigh(h_full + x_op)
     tau_v = math.pi / (2 * omega0)
     u_verify = evolve(*np.linalg.eigh(h_full + y_op), tau_v)
@@ -313,7 +343,7 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
                       + np.outer(KET_C, KET_C.conj()))
     ground = setup.band.vector(0)
     ground_proj = np.kron(np.outer(ground, ground.conj()), np.eye(3))
-    psi_init_t = vt.conj().T @ np.kron(setup.fiducial.amplitudes, KET_C)
+    psi_init_t = vt.conj().T @ np.kron(setup.fiducial, KET_C)
 
     f1 = float(setup.xs[1])
     if omega_star is None:
@@ -363,7 +393,7 @@ def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
     marked = np.zeros(model.dim, dtype=bool)
     marked[list(model.marked)] = True
-    f = fiducial.amplitudes
+    f = fiducial
     comp0, comp1 = np.where(marked, f, 0.0), np.where(marked, 0.0, f)
     x0, x1 = np.linalg.norm(comp0), np.linalg.norm(comp1)
     h_s = np.diag(np.where(marked, 0.0, model.omega1)).astype(complex)
@@ -751,14 +781,11 @@ def extension_error_budget(setup, omega0: float, delta_op=None) -> ErrorBudgetRe
     """
     from qsc import config
     from qsc.cooling import extension_gap, extension_rabi
-    from qsc.models import BathSpec, build_bath_and_couplings, build_verification_coupling
 
     b = np.kron(setup.band.vectors[:, :2], np.eye(3, dtype=complex))
     s1 = b @ b.conj().T
     omega1 = float(setup.band.omegas[1])
-    _, x_op = build_bath_and_couplings(setup.h_s, BathSpec("qutrit", omega1),
-                                       setup.coupling, omega0)
-    y_op = build_verification_coupling(setup.dim_s, omega0)
+    _, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling.matrix, omega1, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
     delta = extension_gap(setup)
     r = omega0 / delta
@@ -894,9 +921,9 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     from qsc import config
     from qsc.levelshift import make_context, self_energy
     from qsc.linalg import Operator
-    from qsc.models import KET_B, KET_C, BathSpec, build_bath_and_couplings
+    from qsc.models import KET_B, KET_C
 
-    h_full, v = build_bath_and_couplings(h_s, BathSpec("qutrit", omega1), t_s)
+    h_full, v, _ = qutrit_bath_by_kron(h_s.matrix, t_s.matrix, omega1, 1.0)
     # both terms enter the self-energy separately, so both are checked
     h_full, v = Operator(h_full), Operator(v)
     dim_s = h_s.dim
@@ -905,7 +932,7 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
         band = band[:, None]
 
     # P = |0><0| x (|L><L| + |R><R|) + P_1 x |C><C|
-    cols = [np.kron(ground.amplitudes, KET_L), np.kron(ground.amplitudes, KET_R)]
+    cols = [np.kron(ground, KET_L), np.kron(ground, KET_R)]
     for k in range(band.shape[1]):
         cols.append(np.kron(band[:, k], KET_C))
     p = np.column_stack(cols)
@@ -920,7 +947,7 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     b_green_norm = float(np.linalg.norm(m_sys, 2))
 
     h_eff = self_energy(ctx, v, omega1)
-    c0 = p.conj().T @ np.kron(ground.amplitudes, KET_B)
+    c0 = p.conj().T @ np.kron(ground, KET_B)
     c1 = p.conj().T @ np.kron(band[:, 0], KET_C)
     rabi = float(np.abs(c1.conj() @ h_eff @ c0))
     ground_shift = float((c0.conj() @ h_eff @ c0).real - omega1)
@@ -936,10 +963,13 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
 def history_state(model):
     """Uniform superposition over the circuit history (the ground state of
     the clock Hamiltonian)."""
-    from qsc.linalg import StateVector
     from qsc.models import _history_vectors
 
-    return StateVector(sum(_history_vectors(model)) / math.sqrt(model.length + 1))
+    return sum(_history_vectors(model)) / math.sqrt(model.length + 1)
+
+
+# Absolute tolerance on the unit norm of a state.
+NORM_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -952,13 +982,11 @@ class FiducialDecomposition:
     f_perp: float
 
     def __post_init__(self):
-        from qsc import config
-
         xs = np.array(self.xs, dtype=float)
-        if np.any(xs < -config.NORM_ATOL):
+        if np.any(xs < -NORM_ATOL):
             raise ValueError("gauge-fixed coefficients must be non-negative")
         total = float(np.sum(xs ** 2) + self.f_perp ** 2)
-        if abs(total - 1.0) > 100 * config.NORM_ATOL:
+        if abs(total - 1.0) > 100 * NORM_ATOL:
             raise ValueError(f"decomposition weights sum to {total}, not 1")
         object.__setattr__(self, "xs", xs)
 
@@ -972,7 +1000,7 @@ def decompose_fiducial(f, band_vectors) -> FiducialDecomposition:
 
     if isinstance(band_vectors, BandStructure):
         band_vectors = band_vectors.vectors
-    xs = np.abs(np.asarray(band_vectors, dtype=complex).conj().T @ f.amplitudes)
+    xs = np.abs(np.asarray(band_vectors, dtype=complex).conj().T @ f)
     leftover = max(0.0, 1.0 - float(np.sum(xs ** 2)))
     return FiducialDecomposition(xs=xs, f_perp=math.sqrt(leftover))
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from qsc.errors import HypothesisUnmet
-from qsc.linalg import Operator, StateVector
+from qsc.linalg import Operator
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -28,6 +28,7 @@ from qsc.cooling import (
     build_schedule,
     clock_setup,
     extension_gap,
+    extension_rabi,
     grover_setup,
     run_deterministic,
     run_probabilistic,
@@ -86,7 +87,7 @@ def test_criterion_2_grover_end_to_end():
     strictly worse; the two-band block the pipeline runs on agrees with
     the full composite space to 1e-6."""
     r = 0.02
-    model = GroverModel(n=6, marked=frozenset({0}), omega0_coupling=r)
+    model = GroverModel(n=6, marked=frozenset({0}))
     setup = grover_setup(model)
     sched = build_schedule(setup, omega0=r)
     corrected = run_deterministic(setup, sched)
@@ -157,7 +158,10 @@ def test_criterion_4_probabilistic_scheme(circuits_dir):
     setup = clock_setup(model)
     eps = 0.1
     r = setup.xs[1] * eps ** 1.5
-    report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=2000, seed=0)
+    omega0 = r * extension_gap(setup)
+    report = run_probabilistic(setup, omega0=omega0,
+                               omega_star=0.9 * extension_rabi(setup, omega0),
+                               f1_lower=float(setup.xs[1]), trials=2000, seed=0)
     ratio = report.acceptance_rate / report.analytic_acceptance
     ratio_ok = 0.5 <= ratio <= 2.0
     fidelity_ok = report.conditional_success >= 1 - eps
@@ -177,7 +181,7 @@ def _band1_problem(setup, r):
     with the coupling at r times the extension gap."""
     delta = extension_gap(setup)
     t_s = Operator(r * delta * setup.coupling.matrix)
-    return (setup.h_s, StateVector(setup.band.vector(0)), setup.band.vectors[:, 1:2],
+    return (setup.h_s, setup.band.vector(0), setup.band.vectors[:, 1:2],
             float(setup.band.omegas[1]), delta, t_s)
 
 
@@ -214,7 +218,7 @@ def test_criterion_5_exact_identities(circuits_dir):
     for name, n in shipped:
         model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
         band = clock_band_structure(model)
-        fid = StateVector.basis(2 ** (model.n + model.length), 0)
+        fid = np.eye(2 ** (model.n + model.length), dtype=complex)[0]
         dec = decompose_fiducial(fid, band)
         worst_overlap = max(
             worst_overlap,
@@ -306,7 +310,7 @@ def test_criterion_7_tcp_hygiene(circuits_dir):
     sched = build_schedule(setup, eps=0.1)
     dens = run_deterministic(setup, sched, mode="density")
 
-    gm = GroverModel(n=5, marked=frozenset({7}), omega0_coupling=0.02)
+    gm = GroverModel(n=5, marked=frozenset({7}))
     gsetup = grover_setup(gm)
     gsched = build_schedule(gsetup, omega0=0.02)
     gdens = run_deterministic(gsetup, gsched)

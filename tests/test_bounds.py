@@ -527,7 +527,7 @@ class TestSuiteTable:
 
 class TestProtocolScaling:
     def test_exponents_meet_thresholds(self):
-        gm = GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02)
+        gm = GroverModel(n=4, marked=frozenset({3}))
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
         rep = check_protocol_lemmas(gm, cm, r_grid=(0.04, 0.02, 0.01))
         assert rep["grover"]["transfer_exponent"] >= 0.9
@@ -544,7 +544,7 @@ class TestProtocolScaling:
         from qsc.errors import UnresolvedSplitting
 
         r = 1e-16
-        grover = grover_setup(GroverModel(n=4, marked=frozenset({3}), omega0_coupling=0.02))
+        grover = grover_setup(GroverModel(n=4, marked=frozenset({3})))
         clock = clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
         for setup in (grover, clock):
             with pytest.raises(UnresolvedSplitting, match=r"step j=\d+: exact splitting"):
@@ -554,7 +554,7 @@ class TestProtocolScaling:
                 clock, _qutrit_hamiltonians(clock, r * extension_gap(clock))[0])
 
     def test_residuals_vanish_with_r(self):
-        gm = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
+        gm = GroverModel(n=3, marked=frozenset({1}))
         rep = check_protocol_lemmas(gm, None, r_grid=(0.02, 0.01, 0.005))
         res = rep["grover"]["transfer_residual"]
         assert res[0] > res[1] > res[2]

@@ -167,6 +167,22 @@ def test_dimension_cap(tmp_path, monkeypatch):
     assert run_cli(tmp_path, "clock", cfg) == EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("experiment,cfg,code", [
+    # the search path's largest array is the 2^n fiducial: 2^6 = 8^2 fits
+    ("grover", {"n": 6, "marked": [1], "r": 0.02}, EXIT_OK),
+    ("grover", {"n": 7, "marked": [1], "r": 0.02}, EXIT_RESOURCE),
+    # the clock's is the dense H_S, 4^(n+L) entries: n + L = 3 fits
+    ("clock", {"n": 1, "circuit": ["G H 1", "G T 1"], "eps": 0.1}, EXIT_OK),
+    ("clock", {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1"], "eps": 0.1}, EXIT_RESOURCE),
+])
+def test_the_cap_bounds_the_largest_array(tmp_path, monkeypatch, experiment, cfg, code):
+    # one rule for both models: the largest array a run allocates holds at
+    # most cap^2 entries
+    monkeypatch.setenv("QSC_MAX_DIM", "8")
+    assert run_cli(tmp_path, experiment, dict(cfg, seed=0)) == code
+    assert (tmp_path / "out").exists() == (code == EXIT_OK)
+
+
 def test_self_check_failure_is_reported_not_raised(tmp_path, monkeypatch, capsys):
     # a residual self-check that fails is an error line and exit 1, not a
     # traceback
@@ -411,10 +427,13 @@ MISREAD = [
     ("clock", {"circuit": ["G I 1", 1]}, "'circuit'"),
     ("bounds", {"r_grid": [0.04, "0.02"]}, "'r_grid'"),
     ("spectrum", {"h_grid": [0.1, None]}, "'h_grid'"),
-    ("grover", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
-    ("clock", {"mode": "trajectory", "shots": 0}, "shots >= 1"),
-    ("prob", {"trials": 0}, "trials >= 1, got 0"),
-    ("grover", {"ensemble_draws": -5}, "ensemble_draws must be >= 0, got -5"),
+    # counts are named as the config key, whatever the mode
+    ("grover", {"mode": "trajectory", "shots": 0}, "'shots' must be >= 1, got 0"),
+    ("clock", {"mode": "trajectory", "shots": 0}, "'shots' must be >= 1, got 0"),
+    ("grover", {"shots": 0}, "'shots' must be >= 1, got 0"),
+    ("prob", {"trials": 0}, "'trials' must be >= 1, got 0"),
+    ("grover", {"ensemble_draws": -5}, "'ensemble_draws' must be >= 0, got -5"),
+    ("fig1", {"points": 9}, "'points' must be >= 10, got 9"),
     # the eta reduction runs the density ladder, which a trajectory config
     # did not ask for
     ("clock", {"eta": 0.3, "mode": "trajectory", "shots": 50}, "'eta' and 'mode'"),
@@ -472,6 +491,27 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
     assert not list((tmp_path / "out").glob("*"))
+
+
+@pytest.mark.parametrize("experiment,key,typo", [
+    ("grover", "mode", "densty"),
+    ("grover", "tau_mode", "analytical"),
+    ("grover", "fiducial", "Haar"),
+    ("clock", "mode", "trajectories"),
+    ("clock", "tau_mode", "exactly"),
+])
+def test_a_misspelt_choice_builds_no_setup(tmp_path, capsys, monkeypatch, experiment, key, typo):
+    # a choice of literal values is checked with the config: the typo is
+    # named as its key, before any model or setup is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a setup was built from a refused config")
+
+    monkeypatch.setattr(experiments, "grover_setup", refuse)
+    monkeypatch.setattr(experiments, "clock_block", refuse)
+    assert run_cli(tmp_path, experiment, dict(SMALL[experiment], **{key: typo})) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {experiment} config key {key!r} must be ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_option_is_a_config_error(tmp_path, capsys):

@@ -5,15 +5,16 @@ runs."""
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsc import config
+from qsc import config, cooling
 from qsc.errors import CouplingTooLarge, NonHermitianInput, UnresolvedSplitting
-from qsc.linalg import DensityMatrix, Operator, evolve, operator_norm
+from qsc.linalg import DensityMatrix, Operator, connected_blocks, evolve, operator_norm
 from qsc.models import (
     CircuitSpec,
     ClockModel,
@@ -24,8 +25,11 @@ from qsc.models import (
     parse_circuit,
 )
 from qsc.cooling import (
+    CoolingSchedule,
+    ScheduleStep,
     _qutrit_hamiltonians,
     _step_hamiltonian,
+    _step_norm,
     analytic_acceptance,
     build_schedule,
     clock_block,
@@ -50,6 +54,8 @@ from oracles import (
     inject_errors,
     ladder_by_fresh_build,
     probabilistic_by_dense_projectors,
+    qubit_bath_by_kron,
+    qutrit_bath_by_kron,
     trajectory_by_shot,
     trial_rng,
 )
@@ -57,7 +63,7 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def grover6():
-    model = GroverModel(n=6, marked=frozenset({0}), omega0_coupling=0.02)
+    model = GroverModel(n=6, marked=frozenset({0}))
     return grover_setup(model)
 
 
@@ -104,7 +110,7 @@ class TestBuildSchedule:
         # 2 Omega_0 x0 x1 is far below one ulp of ||H_1 + V|| ~ 2: the
         # eigensolver's splitting is roundoff, and no pulse time is read
         # off it (with omega0 = 1e-300 it gave a fidelity of 0.94)
-        setup = grover_setup(GroverModel(n=3, marked=frozenset({1}), omega0_coupling=omega0))
+        setup = grover_setup(GroverModel(n=3, marked=frozenset({1})))
         with pytest.raises(UnresolvedSplitting, match=r"step j=1: exact splitting .* <= "
                            rf"{config.SPLITTING_FLOOR_EPS} \* eps\*\|\|H_j \+ V\|\|"):
             build_schedule(setup, omega0=omega0)
@@ -129,7 +135,7 @@ class TestCoolingStep:
 
     def test_trace_and_positivity(self, clock12):
         sched = build_schedule(clock12, eps=0.1)
-        psi = np.kron(clock12.fiducial.amplitudes, KET_DOWN)
+        psi = np.kron(clock12.fiducial, KET_DOWN)
         rho = DensityMatrix(np.outer(psi, psi.conj()))
         for step in sched.steps:
             rho = cooling_step(rho, step, _step_eig(clock12, sched, step))
@@ -164,7 +170,7 @@ class TestCoolingStep:
 
     def test_single_step_up_probability(self):
         # one pulse moves the excited-band weight onto the pumped state
-        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=4, marked=frozenset({0}))
         setup = grover_setup(model)
         sched = build_schedule(setup, omega0=0.02)
         report = run_deterministic(setup, sched)
@@ -174,7 +180,7 @@ class TestCoolingStep:
     def test_residual_block_norms(self):
         # decomposition after one step: bounded residual norm and trace
         models = [
-            grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)),
+            grover_setup(GroverModel(n=4, marked=frozenset({0}))),
             clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))),
         ]
         for setup in models:
@@ -183,7 +189,7 @@ class TestCoolingStep:
             step = sched.steps[0]
             j = step.j
             eig = _step_eig(setup, sched, step)
-            psi = np.kron(setup.fiducial.amplitudes, KET_DOWN)
+            psi = np.kron(setup.fiducial, KET_DOWN)
             rho = DensityMatrix(np.outer(psi, psi.conj()))
             out = cooling_step(rho, step, eig)
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
@@ -240,7 +246,7 @@ class TestRunDeterministic:
         # a schedule holds only pulse times and detunings, so the 4 x 4
         # block's schedule runs on the 16 x 16 dense setup, each step built
         # there from its omega_b
-        model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
+        model = GroverModel(n=3, marked=frozenset({1}))
         sched = build_schedule(grover_setup(model), omega0=0.02)
         dense = dense_grover_setup(model)
         report = run_deterministic(dense, sched)
@@ -251,8 +257,8 @@ class TestRunDeterministic:
     def test_schedule_of_another_setup_of_the_same_size(self):
         # both block setups are 4 x 4: the run builds its steps on its own
         # setup, not on the one the schedule was solved for
-        model = GroverModel(n=3, marked=frozenset({1}), omega0_coupling=0.02)
-        other = GroverModel(n=3, marked=frozenset({1, 2}), omega0_coupling=0.02)
+        model = GroverModel(n=3, marked=frozenset({1}))
+        other = GroverModel(n=3, marked=frozenset({1, 2}))
         setup = grover_setup(model)
         sched = build_schedule(grover_setup(other), omega0=0.02)
         report = run_deterministic(setup, sched)
@@ -281,8 +287,7 @@ def _ladder(kind: str, size: int, gates: tuple[str, ...] = (), marked: int = 0):
     """A small ladder: grover n = size with one marked string, or a clock
     n = 1 circuit of the given gates (L = len(gates))."""
     if kind == "grover":
-        setup = grover_setup(GroverModel(n=size, marked=frozenset({marked}),
-                                         omega0_coupling=0.02))
+        setup = grover_setup(GroverModel(n=size, marked=frozenset({marked})))
         return setup, build_schedule(setup, omega0=0.02)
     setup = clock_setup(ClockModel(circuit=parse_circuit(
         "".join(f"G {g} 1\n" for g in gates), 1)))
@@ -379,7 +384,7 @@ class TestSearchBlock:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_matches_dense_setup(self, n, count):
-        model = GroverModel(n=n, marked=_marked_strings(n, count), omega0_coupling=0.02)
+        model = GroverModel(n=n, marked=_marked_strings(n, count))
         for kind in ("uniform", "haar"):
             block = grover_setup(model, kind=kind, seed=n + count)
             dense = dense_grover_setup(model, kind=kind, seed=n + count)
@@ -414,6 +419,28 @@ def _clock_circuits(n: int):
     return st.lists(gates, min_size=1, max_size=5).map("\n".join)
 
 
+def _derived_setups(data) -> tuple:
+    """Setups drawn for the derived-Hamiltonian tests: a random clock's
+    dense setup and the band block cut from it (n + L <= 6, some with a
+    Haar gate), or a search block with random n <= 6, marked set and
+    fiducial kind."""
+    if data.draw(st.booleans(), label="clock"):
+        n = data.draw(st.integers(1, 2), label="n")
+        text = data.draw(_clock_circuits(n).filter(lambda t: t.count("G") <= 6 - n))
+        circuit = parse_circuit(text, n)
+        if circuit.length < 6 - n and data.draw(st.booleans(), label="haar"):
+            seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+            haar = Gate(haar_gate(np.random.default_rng(seed), 2), (1,))
+            circuit = CircuitSpec(n, circuit.gates + (haar,))
+        block = clock_block(ClockModel(circuit=circuit))
+        return block.dense, block
+    n = data.draw(st.integers(1, 6), label="n")
+    marked = data.draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1,
+                               max_size=2 ** n - 1), label="marked")
+    kind = data.draw(st.sampled_from(["uniform", "haar"]), label="fiducial")
+    return (grover_setup(GroverModel(n=n, marked=frozenset(marked)), kind=kind, seed=n),)
+
+
 class TestDerivedHamiltonians:
     """A step Hamiltonian H_j + V and the qutrit drive and verification
     Hamiltonians are plain arrays, built from the setup's validated H_S and
@@ -425,24 +452,7 @@ class TestDerivedHamiltonians:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_exactly_hermitian(self, data):
-        if data.draw(st.booleans(), label="clock"):
-            # the dense setup and the band block cut from it, n + L <= 6
-            n = data.draw(st.integers(1, 2), label="n")
-            text = data.draw(_clock_circuits(n).filter(lambda t: t.count("G") <= 6 - n))
-            circuit = parse_circuit(text, n)
-            if circuit.length < 6 - n and data.draw(st.booleans(), label="haar"):
-                seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
-                haar = Gate(haar_gate(np.random.default_rng(seed), 2), (1,))
-                circuit = CircuitSpec(n, circuit.gates + (haar,))
-            block = clock_block(ClockModel(circuit=circuit))
-            setups = (block.dense, block)
-        else:
-            n = data.draw(st.integers(1, 6), label="n")
-            marked = data.draw(st.sets(st.integers(0, 2 ** n - 1), min_size=1,
-                                       max_size=2 ** n - 1), label="marked")
-            kind = data.draw(st.sampled_from(["uniform", "haar"]), label="fiducial")
-            setups = (grover_setup(GroverModel(n=n, marked=frozenset(marked)), kind=kind,
-                                   seed=n),)
+        setups = _derived_setups(data)
         omega_b = data.draw(st.floats(-10.0, 10.0), label="omega_b")
         omega0 = data.draw(st.floats(1e-8, 10.0), label="omega0")
         for setup in setups:
@@ -451,6 +461,32 @@ class TestDerivedHamiltonians:
             for h in derived:
                 assert isinstance(h, np.ndarray) and not isinstance(h, Operator)
                 assert np.array_equal(h, h.conj().T)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_equal_to_the_kron_references(self, data):
+        # a step's H_j + V, the step norm's block sums and the qutrit drive
+        # and verification equal the kron constructions of the bath terms
+        # in `oracles`, entry for entry
+        setups = _derived_setups(data)
+        omega_b = data.draw(st.floats(-10.0, 10.0), label="omega_b")
+        omega0 = data.draw(st.floats(1e-8, 10.0), label="omega0")
+        for setup in setups:
+            h_s, c = setup.h_s.matrix, setup.coupling.matrix
+            h, v = qubit_bath_by_kron(h_s, omega0 * c, omega_b)
+            assert np.array_equal(_step_hamiltonian(setup, omega0, omega_b), h + v)
+            h, x, y = qutrit_bath_by_kron(h_s, c, float(setup.band.omegas[1]), omega0)
+            drive, verify = _qutrit_hamiltonians(setup, omega0)
+            assert np.array_equal(drive, h + x) and np.array_equal(verify, h + y)
+            schedule = CoolingSchedule((ScheduleStep(1, omega_b, 1.0),), omega0, 0.0)
+            with mock.patch.object(cooling, "operator_norm", wraps=operator_norm) as priced:
+                _step_norm(setup, schedule)
+            blocks = connected_blocks(h_s, c)
+            assert priced.call_count == len(blocks)
+            for call, block in zip(priced.call_args_list, blocks):
+                h, v = qubit_bath_by_kron(h_s[block][:, block], omega0 * c[block][:, block],
+                                          omega_b)
+                assert np.array_equal(call.args[0], h + v)
 
 
 class TestClockBlock:
@@ -547,21 +583,26 @@ def _prob_setup():
     return clock_setup(ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1)))
 
 
+def _run_prob(setup, omega0, **kwargs):
+    """`run_probabilistic` at the `qsc prob` defaults: Omega* = 0.9 times
+    the band coupling rate, and the overlap floor f1 = x_1."""
+    return run_probabilistic(setup, omega0=omega0, omega_star=0.9 * extension_rabi(setup, omega0),
+                             f1_lower=float(setup.xs[1]), **kwargs)
+
+
 class TestRunProbabilistic:
     def test_maximal_overlap_single_shot(self):
         # fiducial exactly on the addressed band state: a half-period pulse
         # transfers with probability 1 - O(r), verification near-certain
-        from qsc.linalg import StateVector
-
         setup = _prob_setup()
-        on_band1 = setup._replace(fiducial=StateVector(setup.band.vector(1)),
+        on_band1 = setup._replace(fiducial=setup.band.vector(1),
                            xs=np.eye(setup.n_bands)[1])
         r = 0.02
         omega0 = r * extension_gap(on_band1)
         rabi = extension_rabi(on_band1, omega0)
         # half-period window collapsed to the ideal time: sample around it
         report = run_probabilistic(
-            on_band1, omega0=omega0, omega_star=rabi * 2, trials=400, seed=9
+            on_band1, omega0=omega0, omega_star=rabi * 2, f1_lower=1.0, trials=400, seed=9
         )
         # tau in [pi/(2 rabi), pi/rabi]: sin^2 averages >= 1/2 for f1 = 1
         assert report.acceptance_rate > 0.4
@@ -571,7 +612,7 @@ class TestRunProbabilistic:
         setup = _prob_setup()
         eps = 0.1
         r = setup.xs[1] * eps ** 1.5
-        report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=2000, seed=3)
+        report = _run_prob(setup, r * extension_gap(setup), trials=2000, seed=3)
         ratio = report.acceptance_rate / report.analytic_acceptance
         assert 0.5 <= ratio <= 2.0
         assert report.conditional_success >= 1 - eps
@@ -579,7 +620,6 @@ class TestRunProbabilistic:
     def test_verification_rejects_excited_states(self):
         # spurious verification probability from any excited state is O(r^2)
         from qsc.bounds import _verification_leakage
-        from qsc.cooling import _qutrit_hamiltonians
 
         setup = _prob_setup()
         r = 0.02
@@ -596,17 +636,10 @@ class TestRunProbabilistic:
         # the composite spectrum: the two displaced ground levels are
         # degenerate, and every other left-displaced state sits at least one
         # gap below every right-displaced state
-        from qsc.models import BathSpec, build_bath_and_couplings
-        from qsc.linalg import Operator
-        import numpy as np
-
         setup = clock_setup(ClockModel(circuit=parse_circuit(lines, n)))
         omega1, delta = float(setup.band.omegas[1]), extension_gap(setup)
         assert delta == extension_gap_by_loop(setup.band.spectrum, omega1)
-        t_s = Operator(np.zeros_like(setup.h_s.matrix))
-        h_full, _ = build_bath_and_couplings(
-            setup.h_s, BathSpec("qutrit", omega1), t_s
-        )
+        h_full, _ = _qutrit_hamiltonians(setup, 0.0)  # the drive with no coupling: H
         vals, vecs = np.linalg.eigh(h_full)
         dim_s = setup.dim_s
         proj_l = np.kron(np.eye(dim_s), np.diag([0.0, 0.0, 1.0]))
@@ -645,9 +678,9 @@ class TestRunProbabilistic:
         omega0 = r * extension_gap(setup)
         rabi = extension_rabi(setup, omega0)
         fast = run_probabilistic(setup, omega0=omega0, omega_star=0.9 * rabi,
-                                 trials=600, seed=1)
+                                 f1_lower=float(setup.xs[1]), trials=600, seed=1)
         slow = run_probabilistic(setup, omega0=omega0, omega_star=0.45 * rabi,
-                                 trials=600, seed=1)
+                                 f1_lower=float(setup.xs[1]), trials=600, seed=1)
         ratio = slow.mean_time_per_success / fast.mean_time_per_success
         assert 1.3 <= ratio <= 3.5
 
@@ -659,7 +692,7 @@ class TestRunProbabilistic:
         # dense projector products
         setup = clock_setup(ClockModel(circuit=parse_circuit(lines, n)))
         omega0 = setup.xs[1] * 0.1 ** 1.5 * extension_gap(setup)
-        report = run_probabilistic(setup, omega0=omega0, trials=300, seed=seed)
+        report = _run_prob(setup, omega0, trials=300, seed=seed)
         accepts, b_count, success = probabilistic_by_dense_projectors(
             setup, omega0, trials=300, seed=seed)
         assert report.accept_count == accepts > 0
@@ -676,7 +709,7 @@ class TestRunProbabilistic:
         block = clock_block(ClockModel(circuit=parse_circuit(lines, n)))
         assert extension_gap(block) == extension_gap(block.dense)
         omega0 = block.xs[1] * 0.1 ** 1.5 * extension_gap(block)
-        report = run_probabilistic(block, omega0=omega0, trials=300, seed=seed)
+        report = _run_prob(block, omega0, trials=300, seed=seed)
         accepts, b_count, success = probabilistic_by_dense_projectors(
             block.dense, omega0, trials=300, seed=seed)
         assert report.accept_count == accepts > 0
@@ -687,7 +720,7 @@ class TestRunProbabilistic:
         setup = _prob_setup()
         eps = 0.1
         r = setup.xs[1] * eps ** 1.5
-        report = run_probabilistic(setup, omega0=r * extension_gap(setup), trials=500, seed=3)
+        report = _run_prob(setup, r * extension_gap(setup), trials=500, seed=3)
         # acceptance ~0.2 makes 8-failure runs common: the trace must show
         # doublings, each halving the sampling floor
         assert len(report.tau_doublings) > 0
@@ -702,7 +735,7 @@ class TestInjectErrors:
         # an error coupling the marked string to a state outside
         # span{P0 F, P1 F} has no place on the two-band block; the dense
         # setup carries it, the budget flags it and the run leaks into it
-        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=4, marked=frozenset({0}))
         dense = dense_grover_setup(model)
         sched = build_schedule(dense, omega0=0.02)
         outside = np.zeros(dense.dim_s, dtype=complex)
@@ -745,7 +778,7 @@ class TestInjectErrors:
         return Operator((full + full.conj().T) / 2)
 
     def test_budget_saturating_error_degrades_gracefully(self):
-        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=4, marked=frozenset({0}))
         setup = grover_setup(model)
         sched = build_schedule(setup, omega0=0.02)
         delta = self._scaled_s1_error(setup, sched, scale=0.999)
@@ -758,7 +791,7 @@ class TestInjectErrors:
         assert infid_noisy <= 30 * max(infid_clean, 1e-6)
 
     def test_budget_violation_documented(self):
-        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=4, marked=frozenset({0}))
         setup = grover_setup(model)
         sched = build_schedule(setup, omega0=0.02)
         delta = self._scaled_s1_error(setup, sched, scale=10.0)
@@ -821,7 +854,7 @@ class TestCostReport:
     def test_search_h_norm_is_the_largest_step_norm(self, n, count):
         # one eigvalsh at the largest bath energy prices every step, on the
         # two-band block and on the dense setup it reduces
-        model = GroverModel(n=n, marked=_marked_strings(n, count), omega0_coupling=0.02)
+        model = GroverModel(n=n, marked=_marked_strings(n, count))
         for setup in (grover_setup(model), dense_grover_setup(model)):
             sched = build_schedule(setup, omega0=0.02)
             for detuned in (sched, _naive(sched)):

@@ -59,7 +59,7 @@ class TestDetuningCurve:
         # pulse moves the excited half onto the ground manifold with O(r^2)
         # infidelity
         r = 0.02
-        setup = grover_setup(GroverModel(n=1, marked=frozenset({0}), omega0_coupling=r))
+        setup = grover_setup(GroverModel(n=1, marked=frozenset({0})))
         assert setup.xs == pytest.approx([1 / math.sqrt(2)] * 2, abs=1e-15)
         sched = build_schedule(setup, omega0=r)
         step = sched.steps[0]
@@ -72,7 +72,7 @@ class TestDetuningCurve:
         # the invariant-block reduction is exact: the dense composite space
         # runs the block's detuning and pulse time (its steps built afresh)
         for n in (3, 5):
-            model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=0.03)
+            model = GroverModel(n=n, marked=frozenset({0}))
             setup = grover_setup(model)
             sched = build_schedule(setup, omega0=0.03)
             report = run_deterministic(setup, sched)
@@ -97,7 +97,7 @@ class TestDetuningCurve:
         # space with the bath moved to the scanned energy, at the same pulse
         n, omega0 = 3, 0.05
         detunings, fids, _, tau = fidelity_vs_detuning(n, omega0, 12, 8.0)
-        model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=omega0)
+        model = GroverModel(n=n, marked=frozenset({0}))
         dense = dense_grover_setup(model)
         sched = build_schedule(dense, omega0=omega0)
         for d, fid in zip(detunings, fids):
@@ -259,7 +259,7 @@ class TestBandReadout:
         # a search block is one connected component, so its step norm is
         # the one eigvalsh of H* + V bit for bit; the dense search setup
         # agrees with its composite space to roundoff
-        model = GroverModel(n=n, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=n, marked=frozenset({0}))
         block = grover_setup(model, kind=kind, seed=n)
         dense = dense_grover_setup(model, kind=kind, seed=n)
         for setup in (block, dense):
@@ -290,7 +290,6 @@ class TestCountedWork:
         counts = CountingLinalg(monkeypatch)
         counts.track(cooling, "cooling_step")
         counts.track(models, "build_bath_and_couplings")
-        counts.track(models, "qubit_bath_terms")
         counts.track(linalg, "operator_norm")
         counts.track(linalg.DensityMatrix, "__post_init__", "density_matrix")
         return counts
@@ -307,13 +306,15 @@ class TestCountedWork:
         # one dense band-structure eigh of H_S, then two block eigh per
         # step: the schedule's splitting and the run's propagation
         assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
-        # two bath assemblies per block step, none on the dense space
-        assert [h.dim for h in counts.calls["build_bath_and_couplings"]] == [length + 1] * (
-            2 * length)
         # the step norm: one eigvalsh per connected block of H* + V, and
         # the blocks partition the composite space
         norm_sizes = [np.shape(h)[0] for h in counts.calls["operator_norm"]]
         assert sum(norm_sizes) == 2 * dim_s and max(norm_sizes) < 2 * dim_s
+        # one bath assembly per block step in the schedule, then one per
+        # connected block of the step norm (on system blocks of half the
+        # size), then one per block step in the run: none on the dense space
+        assert [len(h) for h in counts.calls["build_bath_and_couplings"]] == (
+            [length + 1] * length + [size // 2 for size in norm_sizes] + [length + 1] * length)
         # the Hermiticity scales: dense H_S and coupling, and the block's
         # H_S and coupling, each where it enters the run; the step
         # Hamiltonians and the step-norm blocks are sums of kron products
@@ -350,7 +351,12 @@ class TestCountedWork:
         for key in ("eigh", "eigvalsh", "norm2"):
             assert max(counts.sizes(key), default=0) <= dim_s, key
         assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 2
-        assert all(h.dim == length + 1 for h in counts.calls["build_bath_and_couplings"])
+        # bath assemblies: the block steps' and the step norm's connected
+        # blocks, which partition the dense system space
+        norm_blocks = [np.shape(h)[0] // 2 for h in counts.calls["operator_norm"]]
+        assert sum(norm_blocks) == dim_s
+        assert sorted(len(h) for h in counts.calls["build_bath_and_couplings"]) == sorted(
+            [length + 1] * (length + kept) + norm_blocks)
         assert counts.count("density_matrix") <= steps + 2
         assert ("readout" in summary) == (mode != "trajectory")
 
@@ -360,11 +366,10 @@ class TestCountedWork:
         counts = self._counting(monkeypatch)
         run("grover", cfg, tmp_path)
         # the one step is built and diagonalized by the schedule for its
-        # splitting and by the run for the shot unitary, and its qubit-bath
-        # terms are built once more for the step norm, one 4 x 4 eigvalsh
-        # on the block's one connected component
-        assert counts.count("build_bath_and_couplings") == 2
-        assert counts.count("qubit_bath_terms") == 3
+        # splitting and by the run for the shot unitary, and its bath is
+        # built once more for the step norm, one 4 x 4 eigvalsh on the
+        # block's one connected component
+        assert counts.count("build_bath_and_couplings") == 3
         assert counts.count("eigh") == 2
         assert counts.sizes("eigvalsh") == {4: 1}
         # the block's H_S and coupling (2 x 2) only: the step H_j + V is
@@ -397,7 +402,7 @@ class TestCountedWork:
     @pytest.mark.parametrize("which", ["grover", "clock"])
     def test_trajectory_products_do_not_grow_with_shots(self, monkeypatch, which):
         if which == "grover":
-            setup = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
+            setup = grover_setup(GroverModel(n=4, marked=frozenset({0})))
             sched = build_schedule(setup, omega0=0.02)
         else:
             setup = cooling.clock_setup(models.ClockModel(
@@ -426,7 +431,7 @@ class TestCountedWork:
     def test_no_generator_per_shot(self, monkeypatch, shots):
         # every shot's and trial's uniforms come from one vectorized draw,
         # so no seed sequence or generator is built, however many there are
-        grover = grover_setup(GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02))
+        grover = grover_setup(GroverModel(n=4, marked=frozenset({0})))
         clock = cooling.clock_block(models.ClockModel(
             circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
         ext = cooling.clock_setup(models.ClockModel(
@@ -452,8 +457,10 @@ class TestCountedWork:
         built.clear()
         for setup, sched in schedules:
             run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=5)
-        cooling.run_probabilistic(ext, omega0=ext.xs[1] * 0.1 ** 1.5 * cooling.extension_gap(ext),
-                                  trials=shots, seed=5)
+        omega0 = ext.xs[1] * 0.1 ** 1.5 * cooling.extension_gap(ext)
+        cooling.run_probabilistic(ext, omega0=omega0,
+                                  omega_star=0.9 * cooling.extension_rabi(ext, omega0),
+                                  f1_lower=float(ext.xs[1]), trials=shots, seed=5)
         assert built == []
 
     def test_prob_runs_on_one_clock_setup(self, tmp_path, monkeypatch):
@@ -484,7 +491,7 @@ class TestCountedWork:
                                    rtol=1e-12, atol=1e-15)
 
     def test_naive_detuning_rebuilds(self, monkeypatch):
-        model = GroverModel(n=4, marked=frozenset({0}), omega0_coupling=0.02)
+        model = GroverModel(n=4, marked=frozenset({0}))
         setup = grover_setup(model)
         sched = build_schedule(setup, omega0=0.02)
         naive = sched._replace(steps=tuple(s._replace(omega_b=model.omega1)
@@ -506,9 +513,8 @@ class TestCountedWork:
         counts.calls.clear()
         report = run_deterministic(setup, sched)
         assert counts.count("eigh") == len(sched.steps)
-        # one bath assembly per step, and the step norm's qubit-bath terms
-        # once per connected block, each priced by one operator_norm
-        assert counts.count("build_bath_and_couplings") == len(sched.steps)
-        assert counts.count("qubit_bath_terms") == (len(sched.steps)
-                                                    + counts.count("operator_norm"))
+        # one bath assembly per step, and one per connected block of the
+        # step norm, each priced by one operator_norm
+        assert counts.count("build_bath_and_couplings") == (len(sched.steps)
+                                                            + counts.count("operator_norm"))
         self._assert_fresh(setup, sched, report)

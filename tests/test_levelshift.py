@@ -10,7 +10,7 @@ import pytest
 from qsc import config
 from qsc.errors import DimensionMismatch, NoSignChange, SingularResolvent
 from qsc.levelshift import make_context, self_energy, self_energy_grid, solve_detuning
-from qsc.linalg import Operator, StateVector, operator_norm
+from qsc.linalg import Operator, operator_norm
 from qsc.models import (
     ClockModel,
     GroverModel,
@@ -143,7 +143,7 @@ class TestSelfEnergy:
     def test_matches_closed_form_clock_block(self):
         # same identity on a clock model: P = {|j,down>, |0,up>} inside the
         # full composite space
-        from qsc.models import BathSpec, build_bath_and_couplings
+        from qsc.models import build_bath_and_couplings
 
         model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\nG I 1\n", 1))
         h_s = build_clock(model)
@@ -153,7 +153,7 @@ class TestSelfEnergy:
         omega0 = 0.02 * band.delta
         omega_b = solve_detuning(xs, band.omegas, j, omega0, band.delta)
         t_s = Operator(omega0 * clock_coupling_direction(model).matrix)
-        h_full, v = build_bath_and_couplings(h_s, BathSpec("qubit", omega_b), t_s)
+        h_full, v = build_bath_and_couplings(h_s.matrix, t_s.matrix, omega_b)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
         p = np.column_stack([np.kron(band.vector(j), down), np.kron(band.vector(0), up)])
@@ -439,7 +439,7 @@ class TestSolveDetuning:
             setup = clock_block(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1\nG S 1", 1)))
             omega0 = build_schedule(setup, eps=0.1).omega0
         else:
-            setup = grover_setup(GroverModel(n=6, marked=frozenset({0}), omega0_coupling=0.02))
+            setup = grover_setup(GroverModel(n=6, marked=frozenset({0})))
             omega0 = 0.02 * setup.band.delta
         def per_band():
             return [solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
@@ -493,7 +493,7 @@ class TestQutritTruncation:
     @staticmethod
     def _band1(setup):
         """H_S, ground state, band-1 column and omega1 of a clock setup."""
-        return (setup.h_s, StateVector(setup.band.vector(0)), setup.band.vectors[:, 1:2],
+        return (setup.h_s, setup.band.vector(0), setup.band.vectors[:, 1:2],
                 float(setup.band.omegas[1]))
 
     @pytest.mark.parametrize(
@@ -529,7 +529,7 @@ class TestQutritTruncation:
         setup = clock_setup(model)
         delta = extension_gap(setup)
         omega0 = 0.01 * delta
-        f = setup.fiducial.amplitudes
+        f = setup.fiducial
         t_s = Operator(omega0 * np.outer(f, f.conj()))
         report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         xs = overlap_coefficients(model.length)

@@ -13,7 +13,6 @@ from qsc.errors import DimensionMismatch, NonHermitianInput
 from qsc.linalg import (
     DensityMatrix,
     Operator,
-    StateVector,
     _hermitian_deviation,
     evolve,
     operator_norm,
@@ -281,8 +280,11 @@ class TestEigenwindow:
 
 class TestValueTypes:
     def test_state_norm_enforced(self):
-        with pytest.raises(ValueError):
-            StateVector(np.array([1.0, 1.0]))
+        # a state is a plain vector: a density run meets its norm as the
+        # trace of its first density matrix
+        psi = np.array([1.0, 1.0], dtype=complex)
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.outer(psi, psi.conj()))
 
     def test_density_checks(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,8 @@ from qsc.cooling import (
     run_probabilistic,
 )
 from qsc.levelshift import make_context
-from qsc.linalg import DensityMatrix, Operator, StateVector
-from qsc.models import BathSpec, ClockModel, Gate, GroverModel, parse_circuit
+from qsc.linalg import DensityMatrix, Operator
+from qsc.models import ClockModel, Gate, GroverModel, parse_circuit
 
 MODULES = ("linalg", "levelshift", "models", "cooling", "bounds")
 
@@ -38,7 +38,6 @@ def _instances() -> dict:
     weyl = check_weyl(h, h)
     return {
         "Operator": (h, "matrix"),
-        "StateVector": (StateVector.basis(2, 0), "amplitudes"),
         "DensityMatrix": (DensityMatrix(np.eye(2) / 2), "entries"),
         "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "p"),
         "GroverModel": (grover, "n"),
@@ -46,13 +45,12 @@ def _instances() -> dict:
         "CircuitSpec": (circuit, "gates"),
         "ClockModel": (clock, "circuit"),
         "BandStructure": (setup.band, "delta"),
-        "BathSpec": (BathSpec("qubit", 1.0), "omega_b"),
         "CoolingSetup": (setup, "h_s"),
         "ScheduleStep": (schedule.steps[0], "tau"),
         "CoolingSchedule": (schedule, "steps"),
         "RunReport": (run_deterministic(setup, schedule), "ground_fidelity"),
-        "ProbRunReport": (run_probabilistic(clock_setup(clock), omega0=1e-3, trials=3),
-                          "accept_count"),
+        "ProbRunReport": (run_probabilistic(clock_setup(clock), omega0=1e-3, omega_star=1e-3,
+                                            f1_lower=0.5, trials=3), "accept_count"),
         "CheckResult": (weyl, "passed"),
         "BoundInstance": (make_windowed_instance(0, dim=8), "gap"),
         "SuiteReport": (run_suite("weyl", 1, master_seed=0, dim=4), "passes"),
