@@ -445,13 +445,14 @@ def make_windowed_instance(
     seed: int,
     dim: int = 12,
     p_rank: int = 3,
-    gap: float = 1.0,
     v_scale: float = 0.2,
 ) -> BoundInstance:
     """Spectral surgery: p_rank eigenvalues in the inner window, the rest
-    pushed beyond the collars, eigenvectors Haar random.  The perturbation
-    norm is v_scale * gap/2 (hypothesis-satisfying for v_scale < 1)."""
+    pushed beyond the collars at gap 1, eigenvectors Haar random.  The
+    perturbation norm is v_scale * gap/2 (hypothesis-satisfying for
+    v_scale < 1)."""
     rng = np.random.default_rng(seed)
+    gap = 1.0
     lam_lo, lam_hi = -1.0, 1.0
     inner_lo, inner_hi = lam_lo + gap / 2, lam_hi - gap / 2
     inner = rng.uniform(inner_lo + 0.05 * gap, inner_hi - 0.05 * gap, size=p_rank)
@@ -464,17 +465,12 @@ def make_windowed_instance(
     return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
-def make_multiband_instance(
-    seed: int,
-    dim: int = 14,
-    n_bands: int = 3,
-    band_rank: int = 2,
-    gap: float = 0.6,
-    v_scale: float = 0.15,
-) -> BoundInstance:
-    """Several tight bands inside the window, gap-separated from each other
-    and from the outside spectrum."""
+def make_multiband_instance(seed: int, dim: int = 14) -> BoundInstance:
+    """Three tight bands of rank 2 inside the window, gap-separated (gap
+    0.6) from each other and from the outside spectrum; the perturbation
+    norm is 0.15 * gap/2."""
     rng = np.random.default_rng(seed)
+    n_bands, band_rank, gap, v_scale = 3, 2, 0.6, 0.15
     centers = np.linspace(-1.0, 1.0, n_bands)
     width = min(0.05, gap / 10)
     evals = []
@@ -500,8 +496,7 @@ def _loglog_exponent(r_values, residuals) -> float:
     return float(slope)
 
 
-def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
-                     time_points: int = 17) -> tuple[float, float]:
+def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int) -> tuple[float, float]:
     """The transfer residual and the band leakage of step j, from one
     detuning solve and one eigendecomposition of H_j + V.
 
@@ -510,10 +505,10 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
 
     Band leakage: envelope over the pulse of the out-of-manifold amplitude
     for lower-band basis states, normalized by sqrt(j).  The pointwise
-    leakage oscillates under its envelope, so the maximum over a time grid
-    is what exposes the scaling in the coupling ratio.  The pulse is the
-    schedule's exact step (`_exact_step`), which refuses a splitting lost
-    in roundoff."""
+    leakage oscillates under its envelope, so the maximum over a grid of 17
+    times is what exposes the scaling in the coupling ratio.  The pulse is
+    the schedule's exact step (`_exact_step`), which refuses a splitting
+    lost in roundoff."""
     omega_b = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
     step, w, vecs = _exact_step(setup, omega0, j, omega_b)
     down, up = setup.transition(j)
@@ -527,7 +522,7 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int,
     ) @ vecs
     starts = [vecs.conj().T @ c for c in cols]
     # sqrt(max(0, .)) is monotone, so it can follow the maximum
-    worst = _max_over_pulse(w, starts, proj_out_eig, step.tau, time_points)
+    worst = _max_over_pulse(w, starts, proj_out_eig, step.tau, 17)
     return transfer, math.sqrt(max(0.0, worst)) / math.sqrt(j)
 
 
@@ -559,21 +554,20 @@ def _ladder_residuals(setup: CoolingSetup, r_grid) -> dict:
     }
 
 
-def _oscillation_residual(setup: CoolingSetup, h_drive: np.ndarray,
-                          time_points: int = 17) -> float:
-    """Uniform-in-time deviation of the evolved |1,C> from the ideal
-    two-level oscillation toward |0,B> under the drive `h_drive`
-    (`_qutrit_hamiltonians`), with the rate read off the measured
-    splitting of the hybridized pair (the correction the claim allows,
-    `_rabi_rate`) and the global phase optimized out.  |0> and |1> are the
-    setup's band vectors 0 and 1."""
+def _oscillation_residual(setup: CoolingSetup, h_drive: np.ndarray) -> float:
+    """Uniform-in-time deviation (over 17 times up to the half period) of
+    the evolved |1,C> from the ideal two-level oscillation toward |0,B>
+    under the drive `h_drive` (`_qutrit_hamiltonians`), with the rate read
+    off the measured splitting of the hybridized pair (the correction the
+    claim allows, `_rabi_rate`) and the global phase optimized out.  |0>
+    and |1> are the setup's band vectors 0 and 1."""
     start = np.kron(setup.band.vector(1), KET_C)
     target = np.kron(setup.band.vector(0), KET_B)
     rabi, w, vecs = _rabi_rate(h_drive, start, target, "qutrit oscillation", "H + X")
     half_period = math.pi / (2 * rabi)
     start_eig = vecs.conj().T @ start
     worst = 0.0
-    for frac in np.linspace(1.0 / time_points, 1.0, time_points):
+    for frac in np.linspace(1.0 / 17, 1.0, 17):
         tau = frac * half_period
         phi = rabi * tau
         out = vecs @ (np.exp(-1j * tau * w) * start_eig)
@@ -583,12 +577,11 @@ def _oscillation_residual(setup: CoolingSetup, h_drive: np.ndarray,
     return worst
 
 
-def _verification_leakage(h_verify: np.ndarray, omega0: float, excited: np.ndarray,
-                          time_points: int = 33) -> float:
+def _verification_leakage(h_verify: np.ndarray, omega0: float, excited: np.ndarray) -> float:
     """Envelope of the spurious verification probability under `h_verify`
     at coupling `omega0` (`_qutrit_hamiltonians`): max over the excited
     system states (the columns of `excited`, eigenvectors of H_S) and over
-    a grid of evolution times up to the full verification pulse (the
+    a grid of 33 evolution times up to the full verification pulse (the
     pointwise value oscillates under its envelope, so a single time would
     not expose the scaling).  The qutrit bath is the last tensor factor,
     ordered (C, R, L), so the eigenvectors' R rows are every third row
@@ -597,44 +590,42 @@ def _verification_leakage(h_verify: np.ndarray, omega0: float, excited: np.ndarr
     tau_v = math.pi / (2 * omega0)
     starts = [vecs.conj().T @ np.kron(v, KET_L) for v in excited.T]
     r_rows = vecs[1::3]
-    return _max_over_pulse(w, starts, r_rows.conj().T @ r_rows, tau_v, time_points)
+    return _max_over_pulse(w, starts, r_rows.conj().T @ r_rows, tau_v, 33)
 
 
-def check_protocol_lemmas(
-    grover_model: GroverModel | None = None,
-    clock_model: ClockModel | None = None,
-    r_grid=(0.04, 0.02, 0.01),
-) -> dict:
-    """Measure the protocol residuals on an r grid and fit their scaling
-    exponents by log-log regression.
+def check_protocol_lemmas(grover_model: GroverModel, clock_model: ClockModel,
+                          r_grid) -> dict:
+    """Measure the protocol residuals of both models on the r grid and fit
+    their scaling exponents by log-log regression.
 
     Reported residuals: the per-step transfer error and lower-band leakage
-    (amplitudes, expected at least ~r), the qutrit oscillation error
-    (amplitude, ~r) and the spurious verification probability (~r^2).
+    of each model's last step (amplitudes, expected at least ~r), and on
+    the clock the qutrit oscillation error (amplitude, ~r) and the
+    spurious verification probability (~r^2).
     """
-    report: dict = {"r_grid": list(r_grid)}
-    if grover_model is not None:
-        report["grover"] = _ladder_residuals(grover_setup(grover_model), r_grid)
-    if clock_model is not None:
-        setup = clock_setup(clock_model)
-        ladder = _ladder_residuals(setup, r_grid)
-        delta = extension_gap(setup)
-        # H_S's eigenvectors do not depend on r: diagonalize it once
-        _, vs = np.linalg.eigh(setup.h_s.matrix)
-        excited = vs[:, [abs(np.vdot(setup.band.vector(0), v)) <= 0.5 for v in vs.T]]
-        osc, ver = [], []
-        for r in r_grid:
-            h_drive, h_verify = _qutrit_hamiltonians(setup, r * delta)
-            osc.append(_oscillation_residual(setup, h_drive))
-            ver.append(_verification_leakage(h_verify, r * delta, excited))
-        report["clock"] = {
+    grover = _ladder_residuals(grover_setup(grover_model), r_grid)
+    setup = clock_setup(clock_model)
+    ladder = _ladder_residuals(setup, r_grid)
+    delta = extension_gap(setup)
+    # H_S's eigenvectors do not depend on r: diagonalize it once
+    _, vs = np.linalg.eigh(setup.h_s.matrix)
+    excited = vs[:, [abs(np.vdot(setup.band.vector(0), v)) <= 0.5 for v in vs.T]]
+    osc, ver = [], []
+    for r in r_grid:
+        h_drive, h_verify = _qutrit_hamiltonians(setup, r * delta)
+        osc.append(_oscillation_residual(setup, h_drive))
+        ver.append(_verification_leakage(h_verify, r * delta, excited))
+    return {
+        "r_grid": list(r_grid),
+        "grover": grover,
+        "clock": {
             **ladder,
             "oscillation_residual": osc,
             "oscillation_exponent": _loglog_exponent(r_grid, osc),
             "verification_leakage": ver,
             "verification_exponent": _loglog_exponent(r_grid, ver),
-        }
-    return report
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +753,7 @@ def _multiband_arguments(seed: int, dim: int) -> dict:
 
 
 # name -> (make(seed, dim) -> the checker's keyword arguments, checker,
-# default dim).  Runs and replays both call the checker through this table.
+# dim).  Runs and replays both call the checker through this table.
 SUITES = {
     "weyl": (_weyl_arguments, check_weyl, 32),
     "sylvester": (_sylvester_arguments, check_sylvester, 16),
@@ -773,16 +764,10 @@ SUITES = {
 }
 
 
-def run_suite(
-    name: str,
-    instances: int,
-    master_seed: int,
-    out_dir: Path | None = None,
-    dim: int | None = None,
-) -> SuiteReport:
-    """Run one randomized suite; violations are dumped for replay."""
-    make, check, default_dim = SUITES[name]
-    dim = dim or default_dim
+def run_suite(name: str, instances: int, master_seed: int, out_dir: Path) -> SuiteReport:
+    """Run one randomized suite at its table dim; violations are dumped
+    into `out_dir` for replay."""
+    make, check, dim = SUITES[name]
     passes = vacuous = 0
     violations: list[str] = []
     for i in range(instances):
@@ -796,14 +781,11 @@ def run_suite(
         if result.passed:
             passes += 1
             continue
-        if out_dir is None:
-            violations.append(f"<{name} instance {i}>")
-            continue
         payload = _payload(args) | {
             "suite": name, "seed": seed, "margins": list(result.margins),
             "details": {k: str(v) for k, v in result.details.items()},
         }
-        dump = dump_violation(Path(out_dir) / f"violation_{name}_{i}.json", payload)
+        dump = dump_violation(out_dir / f"violation_{name}_{i}.json", payload)
         violations.append(str(dump))
     return SuiteReport(instances=instances, passes=passes, vacuous=vacuous,
                        violations=tuple(violations))

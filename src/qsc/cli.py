@@ -65,9 +65,9 @@ def load_config(path: str | None, experiment: str, seed: int | None = None) -> d
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
     unknown key, a value of the wrong type, an integer below its
-    `experiments.CONFIG_MINIMUMS` entry or a non-positive coupling ratio
-    `r` is a ConfigError that names the key), then completed with the
-    defaults of the keys it leaves out."""
+    `experiments.CONFIG_MINIMUMS` entry or a non-positive value of an
+    `experiments.CONFIG_POSITIVE` key is a ConfigError that names the key),
+    then completed with the defaults of the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
     user = dict(user)
     declared = user.pop("experiment", experiment)
@@ -85,8 +85,9 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if key in user and user[key] < least:
             raise ConfigError(f"{experiment} config key {key!r} must be >= {least}, "
                               f"got {user[key]}")
-    if "r" in user and not user["r"] > 0:  # a coupling ratio is positive
-        raise ConfigError(f"{experiment} config key 'r' must be > 0, got {user['r']}")
+    for key in experiments.CONFIG_POSITIVE:
+        if key in user and not user[key] > 0:
+            raise ConfigError(f"{experiment} config key {key!r} must be > 0, got {user[key]}")
     cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
            if default is not None}
     if "gates_file" in user:

@@ -82,12 +82,11 @@ CONFIG_KEYS = {
     },
     "grover": {
         "n": (int, 6), "marked": ([(int, str)], [0]), "omega1": (float, 1.0), "r": (float, 0.02),
-        "omega0": (float, None), "detuning": (("corrected", "naive"), "corrected"), **_LADDER,
+        "detuning": (("corrected", "naive"), "corrected"), **_LADDER,
         "fiducial": (("uniform", "haar"), "uniform"), "ensemble_draws": (int, 0),
         "seed": (int, 0),
     },
-    "clock": {**_CLOCK_MODEL, "omega0": (float, None), "eta": (float, None), **_LADDER,
-              "seed": (int, 0)},
+    "clock": {**_CLOCK_MODEL, "eta": (float, None), **_LADDER, "seed": (int, 0)},
     "prob": {
         **_CLOCK_MODEL, "r_scale": (float, 1.0), "trials": (int, 2000),
         "omega_star_rel": (float, 0.9), "f1_lower": (float, None), "max_rounds": (int, 10 ** 6),
@@ -108,6 +107,12 @@ CONFIG_KEYS = {
 # the key: `cli.resolve_config` refuses a smaller one before the run.
 CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
                    "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10}
+
+# The float config keys that must be > 0, in every experiment that has the
+# key (a coupling ratio, a pulse-time target, a Rabi-rate fraction, an
+# overlap floor): `cli.resolve_config` refuses a non-positive one (or NaN)
+# before the run.
+CONFIG_POSITIVE = ("r", "eps", "omega_star_rel", "f1_lower")
 
 
 def _fmt(x) -> str:
@@ -302,8 +307,7 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     seed = cfg["seed"]
     draws = cfg["ensemble_draws"]
     setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
-    schedule = build_schedule(setup, omega0=cfg.get("omega0", cfg["r"] * cfg["omega1"]),
-                              tau_mode=cfg["tau_mode"])
+    schedule = build_schedule(setup, omega0=cfg["r"] * cfg["omega1"], tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
         steps = tuple(s._replace(omega_b=model.omega1) for s in schedule.steps)
         schedule = schedule._replace(steps=steps)
@@ -358,8 +362,10 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
     whose largest matrix is H_S: the step norm is read off the connected
     blocks of H* + V (`cooling._step_norm`), and the readout off the final
     band state (`_clock_readout`), so no composite-size matrix is formed.
-    The eta reduction is a density-mode run, so `eta` with any other
-    `mode` is a ConfigError.
+    The coupling is Omega_0 = r * Delta when the config gives `r`, else
+    `eps` sets r = c * eps * L^(-5/2) (`build_schedule`).  The eta
+    reduction is a density-mode run, so `eta` with any other `mode` is a
+    ConfigError.
     """
     eta = cfg.get("eta")
     if eta is not None and cfg["mode"] != "density":
@@ -367,13 +373,8 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
                           "reduction runs the density ladder")
     model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
     setup = clock_block(model)
-    eps = cfg["eps"]
-    omega0 = cfg.get("omega0")
-    if omega0 is None and cfg.get("r") is not None:
-        omega0 = cfg["r"] * setup.band.delta
-    if omega0 is not None:
-        eps = None  # an explicit coupling overrides the defaulted target
-    schedule = build_schedule(setup, omega0=omega0, eps=eps, tau_mode=cfg["tau_mode"])
+    coupling = {"omega0": cfg["r"] * setup.band.delta} if "r" in cfg else {"eps": cfg["eps"]}
+    schedule = build_schedule(setup, **coupling, tau_mode=cfg["tau_mode"])
     if eta is not None:
         report = run_reduced(setup, schedule, eta=eta)
     else:
@@ -410,7 +411,7 @@ def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
     did: a constant of the circuit, not reported.
     """
     length = model.length
-    rho_b = partial_trace(final_state, [length + 1, 2], keep=[0]).entries
+    rho_b = partial_trace(final_state, 2).entries
     c = band_profile(length)[:, length]
     psi_l = register_history(model.circuit)[-1]
     p_site = float((c @ rho_b @ c).real) * float(np.vdot(psi_l, psi_l).real)
@@ -429,8 +430,6 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
     setup = clock_block(model)
     f1 = float(setup.xs[1])
     delta = extension_gap(setup)
-    if not cfg["eps"] > 0:
-        raise ConfigError(f"eps must be > 0, got {cfg['eps']}")
     r = cfg.get("r", cfg["r_scale"] * f1 * cfg["eps"] ** 1.5)
     omega0 = r * delta
     rabi = extension_rabi(setup, omega0)

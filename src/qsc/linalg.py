@@ -1,4 +1,5 @@
-"""Dense complex linear algebra on tensor-product Hilbert spaces.
+"""Dense complex linear algebra on tensor-product Hilbert spaces, whose
+last factor is the one a partial trace removes (a run's bath).
 
 Value types (operators, density matrices) are immutable after
 construction and validate their own invariants.  `Operator` is the type of
@@ -24,8 +25,6 @@ eigendecomposition; there is no Trotterization in the package.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +67,8 @@ class _Frozen:
     through `_setattr`; assigning or deleting an attribute afterwards
     raises AttributeError.  Defining such a class generates no code, where
     a frozen dataclass compiles its methods at import.  Values compare and
-    hash by identity.
+    hash by identity, and no run copies one: `copy` and `pickle` restore a
+    value by assigning its slots, which the guard refuses.
     """
 
     __slots__ = ()
@@ -78,15 +78,6 @@ class _Frozen:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        """Fill a copied or unpickled value past the guard; `state` is the
-        (__dict__ or None, slot values) pair `copy` and `pickle` take."""
-        attrs, slots = state
-        for name, value in slots.items():
-            _setattr(self, name, value)
-        if attrs:
-            self.__dict__.update(attrs)
 
     def _replace(self, **changes):
         """A copy with `changes` in place of those fields, built (and so
@@ -222,30 +213,14 @@ def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
     return v @ (phases[:, None] * v.conj().T)
 
 
-def partial_trace(rho: DensityMatrix, dims: Sequence[int], keep: Sequence[int]) -> DensityMatrix:
-    """Trace out all subsystems except those in `keep` (indices into dims).
-
-    The kept subsystems remain in their original relative order.
-    """
-    dims = list(dims)
-    total = int(np.prod(dims))
-    if total != rho.dim:
-        raise DimensionMismatch(f"prod(dims)={total} but rho.dim={rho.dim}")
-    keep = sorted(set(keep))
-    if any(k < 0 or k >= len(dims) for k in keep):
-        raise DimensionMismatch("keep indices out of range")
-    n = len(dims)
-    tensor_form = rho.entries.reshape(dims + dims)
-    traced = tensor_form
-    # contract traced-out subsystems from the highest axis down so earlier
-    # axis indices stay valid
-    for ax in reversed(range(n)):
-        if ax in keep:
-            continue
-        traced = np.trace(traced, axis1=ax, axis2=ax + n)
-        n -= 1
-    kept_dim = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return DensityMatrix(traced.reshape(kept_dim, kept_dim))
+def partial_trace(rho: DensityMatrix, traced_dim: int) -> DensityMatrix:
+    """Trace out the last tensor factor, of dimension `traced_dim` (every
+    run's bath, or a readout's clock register, is the last factor)."""
+    kept_dim, rest = divmod(rho.dim, traced_dim)
+    if rest:
+        raise DimensionMismatch(f"traced_dim={traced_dim} does not divide rho.dim={rho.dim}")
+    tensor_form = rho.entries.reshape(kept_dim, traced_dim, kept_dim, traced_dim)
+    return DensityMatrix(np.trace(tensor_form, axis1=1, axis2=3))
 
 
 # Small fixed qubit matrices used across the model builders.

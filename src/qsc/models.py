@@ -503,16 +503,15 @@ class BandStructure(_Frozen):
         return self.vectors[:, j]
 
 
-def clock_band_structure(model: ClockModel, h_s: Operator | None = None) -> BandStructure:
+def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
     """Low-band eigenvectors from the closed-form construction, plus the
-    brute-force spectral gap of the assembled Hamiltonian.
+    brute-force spectral gap of the model's assembled Hamiltonian `h_s`
+    (`build_clock(model)`).
 
     The band vectors are built analytically (history-propagated cosine
     profiles); the gap comes from the full spectrum with the band's own
     eigenvalues excluded by eigenvector overlap.
     """
-    if h_s is None:
-        h_s = build_clock(model)
     n, length = model.n, model.length
     history = _history_vectors(model)
     lp1 = length + 1

@@ -256,7 +256,7 @@ def clock_readout_by_lift(model, dense, final_state) -> dict:
     n, length = model.n, model.length
     lift = np.kron(dense.band.vectors, np.eye(2))
     rho = DensityMatrix(lift @ final_state.entries @ lift.conj().T)
-    rho_sys = partial_trace(rho, [2 ** n, 2 ** length, 2], keep=[0, 1])
+    rho_sys = partial_trace(rho, 2)
     eta = dense.band.vector(0)
     ground_fid = float(np.real(eta.conj() @ rho_sys.entries @ eta))
     site_l = np.zeros(2 ** length, dtype=complex)
@@ -316,15 +316,16 @@ def extension_gap_by_loop(evals, omega1: float) -> float:
     return float(min(cands))
 
 
-def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=None,
+def probabilistic_by_dense_projectors(setup, omega0, omega_star, f1_lower, trials, seed,
                                       max_rounds=10 ** 6, delta_op=None):
     """The qutrit scheme's trials with every bath operation a dense
     composite matrix: the B and R projectors, the B->L, D->R swap and the
     ground projector, each 1 (x) a qutrit operator.  Band 1 of the setup is
-    the addressed level, as in `run_probabilistic`.  A static Hermitian
-    `delta_op` on the composite space is added to both evolutions.
-    Returns (accept count, B-outcome count, conditional success)."""
-    from qsc.cooling import extension_rabi
+    the addressed level, and the sampling window doubles after
+    ceil(4 / f1_lower^2) consecutive failures, as in `run_probabilistic`.
+    A static Hermitian `delta_op` on the composite space is added to both
+    evolutions.  Returns (accept count, B-outcome count, conditional
+    success)."""
     from qsc.linalg import evolve
     from qsc.models import KET_B, KET_C
 
@@ -345,10 +346,7 @@ def probabilistic_by_dense_projectors(setup, omega0, trials, seed, omega_star=No
     ground_proj = np.kron(np.outer(ground, ground.conj()), np.eye(3))
     psi_init_t = vt.conj().T @ np.kron(setup.fiducial, KET_C)
 
-    f1 = float(setup.xs[1])
-    if omega_star is None:
-        omega_star = 0.9 * extension_rabi(setup, omega0)
-    threshold = max(1, math.ceil(4.0 / f1 ** 2))
+    threshold = max(1, math.ceil(4.0 / f1_lower ** 2))
     current_star, failures = omega_star, 0
     accepts = b_count = 0
     fidelity_sum = 0.0

@@ -17,6 +17,7 @@ from qsc.models import (
     ClockModel,
     GroverModel,
     band_energies,
+    build_clock,
     clock_band_structure,
     load_circuit,
     overlap_coefficients,
@@ -217,7 +218,7 @@ def test_criterion_5_exact_identities(circuits_dir):
     worst_overlap = 0.0
     for name, n in shipped:
         model = ClockModel(circuit=load_circuit(circuits_dir / name, n))
-        band = clock_band_structure(model)
+        band = clock_band_structure(model, build_clock(model))
         fid = np.eye(2 ** (model.n + model.length), dtype=complex)[0]
         dec = decompose_fiducial(fid, band)
         worst_overlap = max(

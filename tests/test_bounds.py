@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsc import bounds
+from qsc import bounds, experiments
 from qsc.errors import HypothesisUnmet
 from qsc.linalg import Operator, operator_norm
 from qsc.models import (
@@ -40,6 +40,9 @@ from qsc.bounds import (
 
 from conftest import random_hermitian
 from oracles import CountingLinalg, closeness_radius_pointwise
+
+# The r grid a `qsc bounds` run hands the protocol lemmas by default.
+LAB_R_GRID = tuple(experiments.CONFIG_KEYS["bounds"]["r_grid"][1])
 
 
 class TestWeyl:
@@ -282,7 +285,7 @@ class TestCountedWork:
         # starts, not again for each r of the grid
         model = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))  # dim 8
         counts = CountingLinalg(monkeypatch)
-        check_protocol_lemmas(clock_model=model)
+        check_protocol_lemmas(GroverModel(n=4, marked=frozenset({3})), model, LAB_R_GRID)
         assert counts.sizes("eigh")[8] == 2
 
 
@@ -409,8 +412,8 @@ class TestCorollaries:
 
 class TestSuites:
     @pytest.mark.parametrize("name", list(SUITES))
-    def test_clean_runs(self, name):
-        rep = run_suite(name, 25, master_seed=101)
+    def test_clean_runs(self, name, tmp_path):
+        rep = run_suite(name, 25, master_seed=101, out_dir=tmp_path)
         assert rep.instances == 25
         assert rep.passes + rep.vacuous == 25
         assert not rep.violations
@@ -418,8 +421,8 @@ class TestSuites:
     @pytest.mark.parametrize("name,count", [
         ("weyl", 300), ("sylvester", 200), ("block_resolvent", 200),
     ])
-    def test_large_runs_zero_violations(self, name, count):
-        rep = run_suite(name, count, master_seed=77)
+    def test_large_runs_zero_violations(self, name, count, tmp_path):
+        rep = run_suite(name, count, master_seed=77, out_dir=tmp_path)
         assert not rep.violations
         assert rep.passes == count
 
@@ -438,9 +441,9 @@ class TestSuites:
         )
         assert np.max(diffs) < 0.06  # ~3 sigma at 800 shots
 
-    def test_seed_reproducible(self):
-        a = run_suite("weyl", 10, master_seed=5)
-        b = run_suite("weyl", 10, master_seed=5)
+    def test_seed_reproducible(self, tmp_path):
+        a = run_suite("weyl", 10, master_seed=5, out_dir=tmp_path)
+        b = run_suite("weyl", 10, master_seed=5, out_dir=tmp_path)
         assert (a.passes, a.vacuous) == (b.passes, b.vacuous)
 
     def test_violation_dump_roundtrip(self, tmp_path):
@@ -529,7 +532,7 @@ class TestProtocolScaling:
     def test_exponents_meet_thresholds(self):
         gm = GroverModel(n=4, marked=frozenset({3}))
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
-        rep = check_protocol_lemmas(gm, cm, r_grid=(0.04, 0.02, 0.01))
+        rep = check_protocol_lemmas(gm, cm, r_grid=LAB_R_GRID)
         assert rep["grover"]["transfer_exponent"] >= 0.9
         assert rep["grover"]["leakage_exponent"] >= 0.9
         assert rep["clock"]["transfer_exponent"] >= 0.9
@@ -555,7 +558,8 @@ class TestProtocolScaling:
 
     def test_residuals_vanish_with_r(self):
         gm = GroverModel(n=3, marked=frozenset({1}))
-        rep = check_protocol_lemmas(gm, None, r_grid=(0.02, 0.01, 0.005))
+        cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
+        rep = check_protocol_lemmas(gm, cm, r_grid=(0.02, 0.01, 0.005))
         res = rep["grover"]["transfer_residual"]
         assert res[0] > res[1] > res[2]
         assert res[2] < 0.01

@@ -441,20 +441,21 @@ MISREAD = [
     ("grover", {"mode": "trajectory", "shots": 20, "seed": -1}, "'seed' must be >= 0, got -1"),
     ("prob", {"seed": -3}, "'seed' must be >= 0, got -3"),
     ("bounds", {"seed": -1}, "'seed' must be >= 0, got -1"),
-    # a coupling, pulse-time scale or overlap floor is positive: named where
-    # it enters the library, before a run on a negative value, a division
-    # by zero or a complex eps ** 1.5
-    ("clock", {"eps": -0.1}, "eps must be > 0, got -0.1"),
-    ("clock", {"eps": 0}, "eps must be > 0, got 0"),
-    ("clock", {"omega0": -0.01}, "omega0 must be > 0, got -0.01"),
-    # a coupling ratio is named as the config key, not as the coupling
-    # omega0 = r * Delta or the model parameter it becomes in the library
+    # a coupling ratio, pulse-time target, Rabi-rate fraction or overlap
+    # floor is positive: named as the config key, not as the coupling
+    # omega0 = r * Delta or the library parameter it becomes, before a run
+    # on a negative value, a division by zero or a complex eps ** 1.5
+    ("clock", {"eps": -0.1}, "'eps' must be > 0, got -0.1"),
+    ("clock", {"eps": 0}, "'eps' must be > 0, got 0"),
     ("grover", {"r": -0.02}, "'r' must be > 0, got -0.02"),
     ("clock", {"r": -0.01}, "'r' must be > 0, got -0.01"),
     ("prob", {"r": -0.01}, "'r' must be > 0, got -0.01"),
-    ("prob", {"omega_star_rel": -1}, "omega_star must be > 0"),
-    ("prob", {"f1_lower": 0}, "f1_lower must be > 0, got 0"),
-    ("prob", {"eps": -0.1}, "eps must be > 0, got -0.1"),
+    ("prob", {"omega_star_rel": -1}, "'omega_star_rel' must be > 0, got -1"),
+    ("prob", {"f1_lower": 0}, "'f1_lower' must be > 0, got 0"),
+    ("prob", {"eps": -0.1}, "'eps' must be > 0, got -0.1"),
+    # the coupling is set by r (or eps) alone: omega0 is no config key
+    ("clock", {"omega0": -0.01}, "unknown clock config key(s): omega0"),
+    ("grover", {"omega0": 1e-20}, "unknown grover config key(s): omega0"),
     # counts and grids are checked before the first suite or L runs
     ("bounds", {"instances": -3}, "'instances' must be >= 1, got -3"),
     ("bounds", {"instances": 0}, "'instances' must be >= 1, got 0"),
@@ -477,7 +478,7 @@ MISREAD = [
     # pulse time: a coupling too small for the schedule, as a too-large one
     # is a CouplingTooLarge
     ("clock", {"circuit": ["G H 1", "G T 1"], "eps": 1e-16}, "step j=2: exact splitting"),
-    ("grover", {"omega0": 1e-20}, "step j=1: exact splitting"),
+    ("grover", {"r": 1e-20}, "step j=1: exact splitting"),
 ]
 
 
@@ -493,6 +494,16 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.fixture
+def no_setup(monkeypatch):
+    """Fail the test if a run builds a model setup."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a setup was built from a refused config")
+
+    monkeypatch.setattr(experiments, "grover_setup", refuse)
+    monkeypatch.setattr(experiments, "clock_block", refuse)
+
+
 @pytest.mark.parametrize("experiment,key,typo", [
     ("grover", "mode", "densty"),
     ("grover", "tau_mode", "analytical"),
@@ -500,17 +511,28 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     ("clock", "mode", "trajectories"),
     ("clock", "tau_mode", "exactly"),
 ])
-def test_a_misspelt_choice_builds_no_setup(tmp_path, capsys, monkeypatch, experiment, key, typo):
+def test_a_misspelt_choice_builds_no_setup(tmp_path, capsys, no_setup, experiment, key, typo):
     # a choice of literal values is checked with the config: the typo is
     # named as its key, before any model or setup is built
-    def refuse(*args, **kwargs):
-        raise AssertionError("a setup was built from a refused config")
-
-    monkeypatch.setattr(experiments, "grover_setup", refuse)
-    monkeypatch.setattr(experiments, "clock_block", refuse)
     assert run_cli(tmp_path, experiment, dict(SMALL[experiment], **{key: typo})) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {experiment} config key {key!r} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment,key", [
+    ("clock", "eps"), ("clock", "r"), ("prob", "eps"), ("prob", "r"),
+    ("prob", "omega_star_rel"), ("prob", "f1_lower"), ("grover", "r"),
+])
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_a_non_positive_value_builds_no_setup(tmp_path, capsys, no_setup, experiment, key,
+                                              value):
+    # a value that must be > 0 is checked with the config: it is named as
+    # its key, before any model or dense setup is built
+    assert run_cli(tmp_path, experiment, dict(SMALL[experiment], **{key: value})) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {experiment} config key {key!r} must be > 0, "
+                          f"got {value}")
     assert not (tmp_path / "out").exists()
 
 

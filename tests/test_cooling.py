@@ -694,7 +694,8 @@ class TestRunProbabilistic:
         omega0 = setup.xs[1] * 0.1 ** 1.5 * extension_gap(setup)
         report = _run_prob(setup, omega0, trials=300, seed=seed)
         accepts, b_count, success = probabilistic_by_dense_projectors(
-            setup, omega0, trials=300, seed=seed)
+            setup, omega0, 0.9 * extension_rabi(setup, omega0), float(setup.xs[1]),
+            trials=300, seed=seed)
         assert report.accept_count == accepts > 0
         assert report.b_measure_count == b_count
         assert abs(report.conditional_success - success) <= 1e-14
@@ -711,7 +712,8 @@ class TestRunProbabilistic:
         omega0 = block.xs[1] * 0.1 ** 1.5 * extension_gap(block)
         report = _run_prob(block, omega0, trials=300, seed=seed)
         accepts, b_count, success = probabilistic_by_dense_projectors(
-            block.dense, omega0, trials=300, seed=seed)
+            block.dense, omega0, 0.9 * extension_rabi(block, omega0), float(block.xs[1]),
+            trials=300, seed=seed)
         assert report.accept_count == accepts > 0
         assert report.b_measure_count == b_count
         assert report.conditional_success == pytest.approx(success, rel=1e-12, abs=0)
@@ -724,6 +726,25 @@ class TestRunProbabilistic:
         # acceptance ~0.2 makes 8-failure runs common: the trace must show
         # doublings, each halving the sampling floor
         assert len(report.tau_doublings) > 0
+
+    @pytest.mark.parametrize("scale", [0.9, 1.5])
+    def test_overlap_floor_matches_the_oracle(self, scale):
+        # an overlap floor f1_lower other than f1 sets the doubling
+        # threshold: the engine and the dense oracle double alike
+        setup = _prob_setup()
+        f1 = float(setup.xs[1])
+        f1_lower = scale * f1
+        assert math.ceil(4.0 / f1_lower ** 2) != math.ceil(4.0 / f1 ** 2)
+        omega0 = f1 * 0.1 ** 1.5 * extension_gap(setup)
+        omega_star = 0.9 * extension_rabi(setup, omega0)
+        report = run_probabilistic(setup, omega0=omega0, omega_star=omega_star,
+                                   f1_lower=f1_lower, trials=500, seed=3)
+        assert report.tau_doublings
+        accepts, b_count, success = probabilistic_by_dense_projectors(
+            setup, omega0, omega_star, f1_lower, trials=500, seed=3)
+        assert report.accept_count == accepts > 0
+        assert report.b_measure_count == b_count
+        assert abs(report.conditional_success - success) <= 1e-14
 
 
 class TestInjectErrors:
@@ -836,7 +857,7 @@ class TestInjectErrors:
         delta = Operator(noise)
         assert extension_error_budget(setup, omega0, delta).all_within_budget
         accepts, _, success = probabilistic_by_dense_projectors(
-            setup, omega0, trials=600, seed=3, delta_op=delta)
+            setup, omega0, 0.9 * rabi, float(setup.xs[1]), trials=600, seed=3, delta_op=delta)
         ratio = accepts / 600 / analytic_acceptance(setup.xs[1], rabi, 0.9 * rabi)
         assert 0.4 <= ratio <= 2.5
         assert success >= 1 - 2 * eps

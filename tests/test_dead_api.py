@@ -8,14 +8,19 @@ references from `cli.main` through the module-level definitions of
 `src/qsc` reaches it, so none is there for the tests alone.  And every
 public field of a value type (the `__slots__` of a `_Frozen` class) must
 be read as an attribute somewhere in `src/qsc`, so none is carried for the
-tests alone.
+tests alone.  And every parameter with a default of a module-level
+function in `src/qsc` must be passed by some call in `src/qsc` or
+`tests/`, so none is a setting that no caller sets.
 
 References are matched by name, read off the syntax tree.  A module-level
 name counts as referenced when it is loaded, read as an attribute, or
 spelled as a string constant (`getattr`, `monkeypatch.setattr`); a method
 or property only when it is read as an attribute.  Attributes of imported
 outside modules (`np.linalg.norm`) and imports themselves do not count, so
-a name that is only imported and never used is still dead.
+a name that is only imported and never used is still dead.  A call is
+matched to a function by the bare name it calls (`f(...)` or `x.f(...)`);
+it passes a parameter by keyword or by position, and a `**kwargs` (or, for
+positional parameters, a `*args`) in it passes every parameter.
 """
 
 import ast
@@ -241,3 +246,78 @@ def test_field_matching():
     # set through a string is not read; a cache, a class that is no value
     # type and an exempt report are not checked
     assert _unread_fields({"types": types, "use": use}, {"Report"}) == ["types.Step.rate"]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) of every parameter with a default
+    of a module-level function; a keyword-only one has position None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i in range(first, len(positional)):
+                yield node.name, positional[i].arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > position)
+
+
+def _unpassed(modules: dict[str, str], call_sources) -> list[str]:
+    """`module.function.parameter` of each defaulted parameter of a
+    module-level function in `modules` (name -> source) that no call in
+    `call_sources` passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in call_sources:
+        for sub in ast.walk(ast.parse(source)):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                calls.setdefault(name, []).append(sub)
+    return [f"{module}.{function}.{parameter}"
+            for module, source in modules.items()
+            for function, parameter, position in _defaulted_parameters(ast.parse(source))
+            if not any(_passes(c, parameter, position) for c in calls.get(function, ()))]
+
+
+def test_every_defaulted_parameter_is_passed():
+    sources = {path: path.read_text() for path in FILES}
+    modules = {path.stem: sources[path] for path in SOURCES}
+    unpassed = _unpassed(modules, sources.values())
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
+def test_parameter_matching():
+    defining = (
+        'def scan(grid, points=17, *, scale=1.0, floor=0.0):\n'
+        '    return grid\n'
+        'def fit(x, order=1, weight=None):\n'
+        '    return x\n'
+        'def spread(a, b=0):\n'
+        '    return a\n'
+        'class Box:\n'
+        '    def size(self, unit=1):\n'
+        '        return unit\n'
+    )
+    using = (
+        'import qsc.mod as mod\n'
+        'scan([0], 9)\n'
+        'mod.scan([0], scale=2.0)\n'
+        'fit(1, **{"weight": 2})\n'
+        'spread(*[1, 2])\n'
+        'Box().size()\n'
+    )
+    # passed by position, by keyword through an attribute, by **kwargs and
+    # by *args; a keyword-only default that no call names stays unpassed,
+    # and methods are not checked
+    assert _unpassed({"mod": defining}, [defining, using]) == ["mod.scan.floor"]

@@ -479,7 +479,8 @@ class TestCountedWork:
         counts = CountingLinalg(monkeypatch)
         counts.track(models, "build_clock")
         check_protocol_lemmas(
-            clock_model=models.ClockModel(circuit=models.parse_circuit("G I 1\nG I 1\n", 1)),
+            models.GroverModel(n=4, marked=frozenset({3})),
+            models.ClockModel(circuit=models.parse_circuit("G I 1\nG I 1\n", 1)),
             r_grid=(0.02, 0.01))
         assert counts.count("build_clock") == 1
 
