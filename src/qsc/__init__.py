@@ -1,6 +1,6 @@
 """qsc: ground-state preparation by simulated cooling, as a numerical lab.
 
-Subpackages:
+Modules:
   linalg      dense complex linear algebra value types and operations
   models      Hamiltonian / bath / fiducial construction
   levelshift  resolvents, self-energy, detuning solves

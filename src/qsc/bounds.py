@@ -33,27 +33,6 @@ from .cooling import (
     _rabi_rate,
 )
 
-__all__ = [
-    "BoundInstance",
-    "CheckResult",
-    "SuiteReport",
-    "check_weyl",
-    "check_sylvester",
-    "check_block_resolvent",
-    "check_spectral_correspondence",
-    "check_subspace_overlap",
-    "check_corollaries",
-    "check_protocol_lemmas",
-    "run_suite",
-    "SUITES",
-    "gaussian_hermitian",
-    "haar_unitary",
-    "make_windowed_instance",
-    "make_multiband_instance",
-    "dump_violation",
-    "replay_instance",
-]
-
 _SLACK = 1e-9  # numerical floor on bound margins
 
 

@@ -4,11 +4,9 @@
 
 Configuration files are JSON; each experiment's keys, value types and
 defaults are declared in `experiments.CONFIG_KEYS` and listed in the
-README.  A --seed on the command line overrides the config's seed.
-Exit codes: 0 success, 1 bound or acceptance violation or a failed
-self-check, 2 configuration error (also a coupling too large for the
-schedule, or too small to resolve its pulse times), 3 resource cap
-exceeded.
+README.  A --seed on the command line overrides the config's seed.  The
+error's type sets the exit code (`errors`): 0 success, 1 a violation or a
+failed self-check, 2 a config error, 3 the resource cap.
 """
 
 from __future__ import annotations
@@ -17,17 +15,11 @@ import argparse
 import copy
 import gc
 import json
+import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    CouplingTooLarge,
-    DimensionTooLarge,
-    ParseError,
-    QscError,
-    UnresolvedSplitting,
-)
+from .errors import ConfigError, DimensionTooLarge, QscError
 from . import experiments
 
 EXIT_OK = 0
@@ -64,9 +56,10 @@ def load_config(path: str | None, experiment: str, seed: int | None = None) -> d
 
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
-    unknown key, a value of the wrong type, an integer below its
-    `experiments.CONFIG_MINIMUMS` entry or a non-positive value of an
-    `experiments.CONFIG_POSITIVE` key is a ConfigError that names the key),
+    unknown key, a value of the wrong type, an integer outside its
+    `experiments.CONFIG_MINIMUMS` or `CONFIG_MAXIMUMS` entry or a
+    non-positive value of an `experiments.CONFIG_POSITIVE` key is a
+    ConfigError that names the key),
     then completed with the defaults of the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
     user = dict(user)
@@ -85,6 +78,10 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if key in user and user[key] < least:
             raise ConfigError(f"{experiment} config key {key!r} must be >= {least}, "
                               f"got {user[key]}")
+    for key, most in experiments.CONFIG_MAXIMUMS.items():
+        if key in user and user[key] > most:
+            raise ConfigError(f"{experiment} config key {key!r} must be <= {most}, "
+                              f"got {user[key]}")
     for key in experiments.CONFIG_POSITIVE:
         if key in user and not user[key] > 0:
             raise ConfigError(f"{experiment} config key {key!r} must be > 0, got {user[key]}")
@@ -101,14 +98,16 @@ def resolve_config(user: dict, experiment: str) -> dict:
 
 
 def _fits(value, kind) -> bool:
-    """Whether a JSON value has a `CONFIG_KEYS` type."""
+    """Whether a JSON value has a `CONFIG_KEYS` type (a float is finite)."""
     if isinstance(kind, tuple):
         return any(_fits(value, k) for k in kind)
     if isinstance(kind, list):
         return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
     if isinstance(kind, str):
         return value == kind
-    return type(value) is kind or (kind is float and type(value) is int)
+    if kind is float:
+        return type(value) is int or (type(value) is float and math.isfinite(value))
+    return type(value) is kind
 
 
 def _describe(kind) -> str:
@@ -141,7 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, args.experiment, args.seed)
         out_dir = Path(args.out)
         summary = _RUNNERS[args.experiment](cfg, out_dir)
-    except (ConfigError, ParseError, CouplingTooLarge, UnresolvedSplitting, ValueError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DimensionTooLarge as exc:

@@ -1,11 +1,16 @@
 """Global numerical tolerances and resource limits.
 
 All tolerances are absolute on unit-normalized operators unless marked
-relative.  Code throughout the package reads these constants instead of
-hard-coding literals, so a single edit retunes the whole artifact.
+relative.  Not every tolerance of the package is here: a constant that
+one module alone reads lives in that module (`bounds._SLACK`,
+`levelshift.MAX_RESOLVENT_COND`), and some checks write their literal in
+place (the 1e-9 level tolerance of `cooling.extension_gap`, the 1e-10 pass
+margin of the bound checkers).
 """
 
 import os
+
+from .errors import ConfigError
 
 # Hermiticity of constructed operators (absolute, unit scale).
 HERMITICITY_ATOL = 1e-10
@@ -47,7 +52,9 @@ def max_dimension() -> int:
     cap^2 entries is refused before it is built (a dense matrix of at most
     cap rows, a vector of at most cap^2 entries).  The QSC_MAX_DIM
     environment variable overrides it."""
-    value = os.environ.get("QSC_MAX_DIM")
-    if value is None:
-        return DEFAULT_MAX_DIM
-    return int(value)
+    value = os.environ.get("QSC_MAX_DIM", str(DEFAULT_MAX_DIM))
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"environment variable QSC_MAX_DIM must be an integer, "
+                          f"got {value!r}") from None

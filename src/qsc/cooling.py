@@ -93,26 +93,6 @@ from .models import (
     overlap_coefficients,
 )
 
-__all__ = [
-    "CoolingSetup",
-    "ScheduleStep",
-    "CoolingSchedule",
-    "RunReport",
-    "ProbRunReport",
-    "grover_setup",
-    "clock_setup",
-    "clock_block",
-    "build_schedule",
-    "cooling_step",
-    "run_deterministic",
-    "run_reduced",
-    "run_probabilistic",
-    "extension_gap",
-    "extension_rabi",
-    "trial_uniforms",
-]
-
-
 # ---------------------------------------------------------------------------
 # Protocol setups
 # ---------------------------------------------------------------------------

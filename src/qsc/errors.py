@@ -1,4 +1,11 @@
-"""Exception types raised by the qsc package."""
+"""Exception types raised by the qsc package.
+
+An error's type alone sets the command line's exit code (`cli.main`):
+`ConfigError` and its subclasses exit 2, `DimensionTooLarge` exits 3, any
+other `QscError` exits 1, and any other exception is a program fault that
+ends the run with its traceback.  A `ConfigError` is also a `ValueError`,
+as a library caller expects of a refused argument.
+"""
 
 
 class QscError(Exception):
@@ -25,11 +32,15 @@ class NoSignChange(QscError):
     """A bracketing root solve found no sign change on its interval."""
 
 
-class CouplingTooLarge(QscError):
+class ConfigError(QscError, ValueError):
+    """An experiment configuration is invalid or incomplete."""
+
+
+class CouplingTooLarge(ConfigError):
     """A schedule would require a coupling ratio r = Omega_0/Delta >= 1/8."""
 
 
-class UnresolvedSplitting(QscError):
+class UnresolvedSplitting(ConfigError):
     """An exact-tau schedule step's eigen-splitting is within roundoff of
     the step norm, so no pulse time can be read off it."""
 
@@ -43,9 +54,5 @@ class SelfCheckFailed(QscError):
     be trusted."""
 
 
-class ParseError(QscError):
+class ParseError(ConfigError):
     """A circuit gates file or configuration file is malformed."""
-
-
-class ConfigError(QscError):
-    """An experiment configuration is invalid or incomplete."""

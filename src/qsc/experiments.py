@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -51,17 +52,6 @@ from .models import (
     register_history,
     shift_factors,
 )
-
-__all__ = [
-    "run_fig1",
-    "run_grover",
-    "run_clock",
-    "run_prob",
-    "run_bounds",
-    "run_spectrum",
-    "fidelity_vs_detuning",
-    "half_width",
-]
 
 # Each experiment's config keys: key -> (JSON type, default).  A type is
 # int, float (an int is accepted and kept as given), bool or str; a list
@@ -103,16 +93,19 @@ CONFIG_KEYS = {
     },
 }
 
-# The least value of an integer config key, in every experiment that has
-# the key: `cli.resolve_config` refuses a smaller one before the run.
+# The least and the greatest value of an integer config key, in every
+# experiment that has the key (a shot or trial index is one 32-bit spawn
+# word): `cli.resolve_config` refuses one outside them before the run.
 CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
                    "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10}
+CONFIG_MAXIMUMS = {"shots": 2 ** 32, "trials": 2 ** 32}
 
 # The float config keys that must be > 0, in every experiment that has the
-# key (a coupling ratio, a pulse-time target, a Rabi-rate fraction, an
-# overlap floor): `cli.resolve_config` refuses a non-positive one (or NaN)
-# before the run.
-CONFIG_POSITIVE = ("r", "eps", "omega_star_rel", "f1_lower")
+# key (a coupling ratio or its scale, a pulse-time target, a scan width, a
+# Rabi-rate fraction, an overlap floor): `cli.resolve_config` refuses a
+# non-positive one before the run.
+CONFIG_POSITIVE = ("r", "r_scale", "omega0_rel", "eps", "scan_factor", "omega_star_rel",
+                   "f1_lower")
 
 
 def _fmt(x) -> str:
@@ -143,8 +136,19 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n")
 
 
-def _summary(cfg: dict, body: dict) -> dict:
-    return {"version": __version__, "config": cfg, **body}
+def _summary(cfg: dict, body: dict, path: Path) -> dict:
+    """The run's summary (version, config and `body`), written to `path`."""
+    summary = {"version": __version__, "config": cfg, **body}
+    _write_json(path, summary)
+    return summary
+
+
+def _rate(value: float, formula: str) -> float:
+    """A rate formed from config values, refused if it underflowed."""
+    if not value >= sys.float_info.min:
+        raise ConfigError(f"{formula} = {value:.3e} is below the least normal double; "
+                          f"raise its config keys")
+    return value
 
 
 def _report_dict(report) -> dict:
@@ -263,7 +267,7 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
         slope, intercept = 0.0, float(log_hw[0])
     level_shift_rel = cfg["omega0_rel"] ** 2  # first-order shift over omega1
     inset = next((p for p in per_n if p["n"] == cfg["inset_n"]), per_n[-1])
-    summary = _summary(
+    return _summary(
         cfg,
         {
             "per_n": per_n,
@@ -283,9 +287,8 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
                 ),
             },
         },
+        out_dir / "fig1_summary.json",
     )
-    _write_json(out_dir / "fig1_summary.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +296,12 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 def _parse_marked(raw) -> frozenset[int]:
-    out = frozenset(int(m, 2) if isinstance(m, str) else m for m in raw)
-    if not out:
-        raise ConfigError("marked set must be nonempty")
-    return out
+    """The marked set: each entry a state index or its bit string."""
+    try:
+        return frozenset(int(m, 2) if isinstance(m, str) else m for m in raw)
+    except ValueError as exc:
+        raise ConfigError(f"grover config key 'marked' holds a string that is not a bit "
+                          f"string: {exc}") from None
 
 
 def run_grover(cfg: dict, out_dir: Path) -> dict:
@@ -307,7 +312,8 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
     seed = cfg["seed"]
     draws = cfg["ensemble_draws"]
     setup = grover_setup(model, kind=cfg["fiducial"], seed=seed)
-    schedule = build_schedule(setup, omega0=cfg["r"] * cfg["omega1"], tau_mode=cfg["tau_mode"])
+    omega0 = _rate(cfg["r"] * cfg["omega1"], "the coupling r * omega1")
+    schedule = build_schedule(setup, omega0=omega0, tau_mode=cfg["tau_mode"])
     if cfg["detuning"] == "naive":
         steps = tuple(s._replace(omega_b=model.omega1) for s in schedule.steps)
         schedule = schedule._replace(steps=steps)
@@ -332,9 +338,7 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
             "mean_inverse_rate": float(np.mean(inv_rates)),
             "sqrt_n_over_n0": math.sqrt(model.dim / n0),
         }
-    summary = _summary(cfg, body)
-    _write_json(out_dir / "grover_report.json", summary)
-    return summary
+    return _summary(cfg, body, out_dir / "grover_report.json")
 
 
 def _load_model_circuit(cfg: dict):
@@ -373,7 +377,8 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
                           "reduction runs the density ladder")
     model = ClockModel(circuit=_load_model_circuit(cfg), omega=cfg["omega"], h=cfg["h"])
     setup = clock_block(model)
-    coupling = {"omega0": cfg["r"] * setup.band.delta} if "r" in cfg else {"eps": cfg["eps"]}
+    coupling = ({"omega0": _rate(cfg["r"] * setup.band.delta, "the coupling r * delta")}
+                if "r" in cfg else {"eps": cfg["eps"]})
     schedule = build_schedule(setup, **coupling, tau_mode=cfg["tau_mode"])
     if eta is not None:
         report = run_reduced(setup, schedule, eta=eta)
@@ -390,9 +395,7 @@ def run_clock(cfg: dict, out_dir: Path) -> dict:
     }
     if report.final_state is not None:  # a density or an eta run
         body["readout"] = _clock_readout(model, report.final_state)
-    summary = _summary(cfg, body)
-    _write_json(out_dir / "clock_report.json", summary)
-    return summary
+    return _summary(cfg, body, out_dir / "clock_report.json")
 
 
 def _clock_readout(model: ClockModel, final_state: DensityMatrix) -> dict:
@@ -431,18 +434,18 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
     f1 = float(setup.xs[1])
     delta = extension_gap(setup)
     r = cfg.get("r", cfg["r_scale"] * f1 * cfg["eps"] ** 1.5)
-    omega0 = r * delta
+    omega0 = _rate(r * delta, "the coupling r * delta")
     rabi = extension_rabi(setup, omega0)
     report = run_probabilistic(
         setup,
         omega0=omega0,
-        omega_star=cfg["omega_star_rel"] * rabi,
+        omega_star=_rate(cfg["omega_star_rel"] * rabi, "the floor omega_star_rel * rabi"),
         f1_lower=cfg.get("f1_lower", f1),
         trials=cfg["trials"],
         seed=cfg["seed"],
         max_rounds=cfg["max_rounds"],
     )
-    summary = _summary(
+    return _summary(
         cfg,
         {
             "report": _report_dict(report),
@@ -451,15 +454,11 @@ def run_prob(cfg: dict, out_dir: Path) -> dict:
             "rabi": rabi,
             "delta": delta,
             "f1": f1,
-            "acceptance_ratio_vs_analytic": (
-                report.acceptance_rate / report.analytic_acceptance
-                if report.analytic_acceptance > 0
-                else None
-            ),
+            "acceptance_ratio_vs_analytic": (report.acceptance_rate / report.analytic_acceptance
+                                             if report.analytic_acceptance > 0 else None),
         },
+        out_dir / "prob_report.json",
     )
-    _write_json(out_dir / "prob_report.json", summary)
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +496,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     replays = []
     for path in cfg["replay"]:
         entry = {"file": str(path)}
+        dump = out_dir / f"violation_replay_{Path(path).stem}.json"
         try:
             payload = json.loads(Path(path).read_text())
             result = replay_instance(payload)
@@ -504,9 +504,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
             entry["margins"] = list(result.margins)
             if not result.passed:
                 any_violation = True
-                dump_violation(
-                    out_dir / f"violation_replay_{Path(path).stem}.json", payload
-                )
+                dump_violation(dump, payload)
         except HypothesisUnmet as exc:
             entry["vacuous"] = True
             entry["reason"] = str(exc)
@@ -514,10 +512,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
             entry["passed"] = False
             entry["error"] = f"{type(exc).__name__}: {exc}"
             any_violation = True
-            dump_violation(
-                out_dir / f"violation_replay_{Path(path).stem}.json",
-                {"file": str(path), "error": entry["error"]},
-            )
+            dump_violation(dump, {"file": str(path), "error": entry["error"]})
         replays.append(entry)
 
     body = {"suites": suites, "violations_found": any_violation}
@@ -527,9 +522,7 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
         gm = GroverModel(n=4, marked=frozenset({3}))
         cm = ClockModel(circuit=parse_circuit("G I 1\nG I 1\n", 1))
         body["protocol_scaling"] = check_protocol_lemmas(gm, cm, r_grid=tuple(r_grid))
-    summary = _summary(cfg, body)
-    _write_json(out_dir / "bounds_summary.json", summary)
-    return summary
+    return _summary(cfg, body, out_dir / "bounds_summary.json")
 
 
 def run_spectrum(cfg: dict, out_dir: Path) -> dict:
@@ -567,12 +560,11 @@ def run_spectrum(cfg: dict, out_dir: Path) -> dict:
         rows,
         cfg,
     )
-    summary = _summary(
+    return _summary(
         cfg,
         {
             "norm_by_L": {str(length): norms[(length, h_values[0])] for length in l_values},
             "rows": len(rows),
         },
+        out_dir / "spectrum_summary.json",
     )
-    _write_json(out_dir / "spectrum_summary.json", summary)
-    return summary

@@ -25,15 +25,6 @@ from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
 from .linalg import Operator, _Frozen, _setattr, operator_norm
 
-__all__ = [
-    "LevelShiftContext",
-    "make_context",
-    "self_energy",
-    "self_energy_grid",
-    "solve_detuning",
-]
-
-
 # Largest resolvent condition number a closed-form self-energy accepts.
 MAX_RESOLVENT_COND = 1e14
 

@@ -28,30 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
+from .errors import ConfigError, DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
 from .linalg import PROJ1, SIGMA_X, Operator, _Frozen, _setattr
-
-__all__ = [
-    "GroverModel",
-    "CircuitSpec",
-    "ClockModel",
-    "BandStructure",
-    "build_grover",
-    "build_clock",
-    "clock_band_structure",
-    "band_energies",
-    "overlap_coefficients",
-    "band_profile",
-    "shift_factors",
-    "build_bath_and_couplings",
-    "random_state",
-    "pad_with_identities",
-    "parse_circuit",
-    "load_circuit",
-    "grover_fiducial",
-    "grover_band_structure",
-    "clock_coupling_direction",
-]
 
 # Qutrit bath basis states (order C, R, L), and the bright state B.
 KET_C = np.array([1, 0, 0], dtype=complex)
@@ -89,11 +67,11 @@ class GroverModel(_Frozen):
         marked = frozenset(int(m) for m in marked)
         size = 2 ** n
         if not (1 <= len(marked) < size):
-            raise ValueError("need 1 <= |marked| < 2**n")
+            raise ConfigError(f"need 1 <= |marked| < 2**n = {size}, got {len(marked)} marked")
         if any(m < 0 or m >= size for m in marked):
-            raise ValueError("marked string out of range")
-        if omega1 <= 0:
-            raise ValueError("omega1 must be positive")
+            raise ConfigError(f"marked string out of range 0..{size - 1}, got {sorted(marked)}")
+        if not omega1 > 0:
+            raise ConfigError(f"omega1 must be positive, got {omega1}")
         _check_entries(size)
         _setattr(self, "n", n)
         _setattr(self, "marked", marked)
@@ -311,20 +289,18 @@ class ClockModel(_Frozen):
         _setattr(self, "omega", omega)
         _setattr(self, "h", h)
         if not (0 < self.h <= 1):
-            raise ValueError("penalty factor must satisfy 0 < h <= 1")
-        if self.omega <= 0:
-            raise ValueError("omega must be positive")
+            raise ConfigError(f"penalty factor must satisfy 0 < h <= 1, got h = {self.h}")
+        if not self.omega > 0:
+            raise ConfigError(f"omega must be positive, got {self.omega}")
         if self.circuit.length < 1:
-            raise ValueError("clock model needs at least one gate")
+            raise ConfigError("clock model needs at least one gate, got an empty circuit")
         _check_entries(4 ** (self.n + self.length))  # the dense H_S
         # the input penalty must stay below the hopping level spacing for
         # first-order perturbation theory to resolve the bands
         spacing = self.omega * float(np.min(np.diff(band_energies(self.length, 1.0))))
         if self.delta1 >= spacing:
-            raise ValueError(
-                f"input penalty {self.delta1:.3e} >= minimum hopping level "
-                f"spacing {spacing:.3e}; lower h"
-            )
+            raise ConfigError(f"input penalty {self.delta1:.3e} >= minimum hopping level "
+                              f"spacing {spacing:.3e}; lower h = {self.h}")
 
     @property
     def n(self) -> int:

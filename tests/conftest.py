@@ -13,11 +13,6 @@ def circuits_dir() -> Path:
     return REPO_ROOT / "circuits"
 
 
-@pytest.fixture(scope="session")
-def configs_dir() -> Path:
-    return REPO_ROOT / "configs"
-
-
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

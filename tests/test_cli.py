@@ -24,7 +24,14 @@ from qsc.cli import (
     main,
     resolve_config,
 )
-from qsc.errors import ConfigError
+from qsc.errors import (
+    ConfigError,
+    CouplingTooLarge,
+    DimensionTooLarge,
+    ParseError,
+    QscError,
+    UnresolvedSplitting,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -479,6 +486,33 @@ MISREAD = [
     # is a CouplingTooLarge
     ("clock", {"circuit": ["G H 1", "G T 1"], "eps": 1e-16}, "step j=2: exact splitting"),
     ("grover", {"r": 1e-20}, "step j=1: exact splitting"),
+    # the models refuse their own parameters as config errors that name
+    # the value, not by the catch-all of every ValueError
+    ("clock", {"h": 1.5}, "0 < h <= 1, got h = 1.5"),
+    ("clock", {"h": 1.0}, "lower h = 1.0"),  # the input penalty passes the level spacing
+    ("clock", {"omega": 0}, "omega must be positive, got 0"),
+    ("clock", {"circuit": []}, "at least one gate, got an empty circuit"),
+    ("grover", {"marked": [9]}, "marked string out of range 0..7, got [9]"),
+    ("grover", {"marked": ["01x"]}, "'marked' holds a string that is not a bit string: "
+     "invalid literal for int() with base 2: '01x'"),
+    ("grover", {"omega1": -1}, "omega1 must be positive, got -1"),
+    # the couplings of fig1 and prob are positive, named as their keys
+    # before a curve is written or a setup is built
+    ("fig1", {"omega0_rel": -0.05}, "'omega0_rel' must be > 0, got -0.05"),
+    ("fig1", {"scan_factor": 0}, "'scan_factor' must be > 0, got 0"),
+    ("prob", {"r_scale": -1}, "'r_scale' must be > 0, got -1"),
+    # NaN and Infinity are no JSON numbers
+    ("clock", {"eta": float("nan")}, "'eta' must be float, got NaN"),
+    ("fig1", {"scan_factor": float("inf")}, "'scan_factor' must be float, got Infinity"),
+    ("bounds", {"r_grid": [0.04, float("-inf")]}, "'r_grid' must be a list of float"),
+    # a shot or trial index is one 32-bit word
+    ("grover", {"mode": "trajectory", "shots": 2 ** 32 + 1}, "'shots' must be <= 4294967296"),
+    ("prob", {"trials": 2 ** 32 + 1}, "'trials' must be <= 4294967296"),
+    # a rate formed from positive values that underflows keeps no digits
+    ("grover", {"omega1": 5e-324}, "the coupling r * omega1 = 0.000e+00 is below the least"),
+    ("clock", {"r": 5e-324}, "the coupling r * delta = 0.000e+00 is below the least"),
+    ("prob", {"eps": 1e-300}, "the coupling r * delta = 0.000e+00 is below the least"),
+    ("prob", {"omega_star_rel": 1e-320}, "the floor omega_star_rel * rabi = "),
 ]
 
 
@@ -521,14 +555,16 @@ def test_a_misspelt_choice_builds_no_setup(tmp_path, capsys, no_setup, experimen
 
 
 @pytest.mark.parametrize("experiment,key", [
-    ("clock", "eps"), ("clock", "r"), ("prob", "eps"), ("prob", "r"),
+    ("clock", "eps"), ("clock", "r"), ("prob", "eps"), ("prob", "r"), ("prob", "r_scale"),
     ("prob", "omega_star_rel"), ("prob", "f1_lower"), ("grover", "r"),
+    ("fig1", "omega0_rel"), ("fig1", "scan_factor"),
 ])
 @pytest.mark.parametrize("value", [0, -0.5])
 def test_a_non_positive_value_builds_no_setup(tmp_path, capsys, no_setup, experiment, key,
                                               value):
     # a value that must be > 0 is checked with the config: it is named as
-    # its key, before any model or dense setup is built
+    # its key, before any model or dense setup is built or any file (fig1's
+    # curves) is written
     assert run_cli(tmp_path, experiment, dict(SMALL[experiment], **{key: value})) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {experiment} config key {key!r} must be > 0, "
@@ -586,6 +622,51 @@ def test_an_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
     with pytest.raises(KeyError, match="no such key"):
         run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+
+
+def test_an_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    # a ValueError that no config check raised is the program's bug: it
+    # propagates with its traceback, it is never exit 2
+    def broken(cfg, out_dir):
+        raise ValueError("an internal fault")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
+    with pytest.raises(ValueError, match="an internal fault"):
+        run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+
+
+def test_a_refused_valid_state_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # a positivity floor above every eigenvalue makes DensityMatrix refuse
+    # the run's own (valid) state: a program fault, never "config error"
+    monkeypatch.setattr(config, "POSITIVITY_FLOOR", 1.0)
+    with pytest.raises(ValueError, match="density matrix minimum eigenvalue") as caught:
+        run_cli(tmp_path, "clock", SMALL["clock"])
+    assert not isinstance(caught.value, ConfigError)
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_a_max_dim_that_is_no_integer_is_a_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QSC_MAX_DIM", "abc")
+    assert run_cli(tmp_path, "clock", SMALL["clock"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: environment variable QSC_MAX_DIM must be an "
+                          "integer, got 'abc'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_error_type_sets_the_exit_code():
+    # main catches exactly the three types that set exit 2, 3 and 1; the
+    # errors that exit 2 are ConfigErrors, and a ConfigError is a ValueError
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(f for f in tree.body if getattr(f, "name", None) == "main")
+    handlers = [h for node in ast.walk(main_def) if isinstance(node, ast.Try)
+                for h in node.handlers]
+    assert [ast.unparse(h.type) for h in handlers] == ["ConfigError", "DimensionTooLarge",
+                                                      "QscError"]
+    assert issubclass(ConfigError, QscError) and issubclass(ConfigError, ValueError)
+    for error in (ParseError, CouplingTooLarge, UnresolvedSplitting):
+        assert issubclass(error, ConfigError)
+    assert not issubclass(DimensionTooLarge, ConfigError)
 
 
 def test_echo_is_the_resolved_config(tmp_path):

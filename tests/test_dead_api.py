@@ -2,7 +2,7 @@
 
 Every module-level function, class and constant in `src/qsc`, and every
 public method or property, must be referenced somewhere in `src/qsc` or
-`tests/` besides its own definition and `__all__`.  And every module-level
+`tests/` besides its own definition.  And every module-level
 definition must be reached from the command line: following name
 references from `cli.main` through the module-level definitions of
 `src/qsc` reaches it, so none is there for the tests alone.  And every
@@ -10,7 +10,9 @@ public field of a value type (the `__slots__` of a `_Frozen` class) must
 be read as an attribute somewhere in `src/qsc`, so none is carried for the
 tests alone.  And every parameter with a default of a module-level
 function in `src/qsc` must be passed by some call in `src/qsc` or
-`tests/`, so none is a setting that no caller sets.
+`tests/`, so none is a setting that no caller sets.  And no module in
+`src/qsc` declares `__all__`: the leading underscore alone says what is
+public, so the two cannot disagree.
 
 References are matched by name, read off the syntax tree.  A module-level
 name counts as referenced when it is loaded, read as an attribute, or
@@ -63,9 +65,9 @@ def _outside_modules(tree: ast.Module) -> set[str]:
             for alias in node.names if not alias.name.startswith("qsc")}
 
 
-def _reads(node: ast.AST, outside: set[str], skip=frozenset()) -> tuple[Counter, Counter]:
+def _reads(node: ast.AST, outside: set[str]) -> tuple[Counter, Counter]:
     """Counts of (names loaded or spelled as strings, attributes read) in
-    `node`; string constants whose id is in `skip` do not count."""
+    `node`."""
     names, attrs = Counter(), Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
@@ -76,22 +78,17 @@ def _reads(node: ast.AST, outside: set[str], skip=frozenset()) -> tuple[Counter,
                 root = root.value
             if not (isinstance(root, ast.Name) and root.id in outside):
                 attrs[sub.attr] += 1
-        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
-              and id(sub) not in skip):
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names[sub.value] += 1
     return names, attrs
 
 
 def _references(sources) -> tuple[Counter, Counter]:
-    """Counts of (names loaded or spelled as strings, attributes read),
-    with `__all__` left out."""
+    """Counts of (names loaded or spelled as strings, attributes read)."""
     names, attrs = Counter(), Counter()
     for source in sources:
         tree = ast.parse(source)
-        in_all = {id(c) for node in ast.walk(tree) if isinstance(node, ast.Assign)
-                  and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-                  for c in ast.walk(node.value)}
-        read_names, read_attrs = _reads(tree, _outside_modules(tree), in_all)
+        read_names, read_attrs = _reads(tree, _outside_modules(tree))
         names.update(read_names)
         attrs.update(read_attrs)
     return names, attrs
@@ -171,7 +168,6 @@ def test_every_definition_is_referenced():
 def test_guard_matching():
     defining = (
         'import numpy as np\n'
-        '__all__ = ["ghost", "used"]\n'
         'LIMIT = 3\n'
         'def ghost():\n'
         '    return np.linalg.ghost\n'
@@ -185,9 +181,29 @@ def test_guard_matching():
         '        return spare\n'
     )
     using = 'import qsc.mod as mod\nmod.used()\nBox().size()\ngetattr(mod, "Box")\n'
-    # only in __all__, as an outside module's attribute, or as a local
-    # variable: still unreferenced
+    # only as an outside module's attribute, or as a local variable: still
+    # unreferenced
     assert _unreferenced({"mod": defining}, [defining, using]) == ["mod.ghost", "mod.Box.spare"]
+
+
+def _declares_all(source: str) -> bool:
+    """Whether a module binds `__all__` at its top level."""
+    return any(isinstance(target, ast.Name) and target.id == "__all__"
+               for node in ast.parse(source).body
+               if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target]))
+
+
+def test_no_module_declares_all():
+    # the leading underscore is the one rule of what is public
+    declaring = [path.stem for path in SOURCES if _declares_all(path.read_text())]
+    assert not declaring, f"modules with an __all__ list: {declaring}"
+
+
+def test_all_matching():
+    assert _declares_all('__all__ = ["run"]\n')
+    assert _declares_all('__all__: list = []\n__all__ += ["run"]\n')
+    assert not _declares_all('def f():\n    __all__ = []\nNAMES = ["__all__"]\n')
 
 
 def test_every_definition_is_reached_from_the_cli():
