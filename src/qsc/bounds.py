@@ -41,11 +41,11 @@ class CheckResult(_Frozen):
     instance (a new empty dict unless given)."""
 
     __slots__ = ("passed", "margins", "details")
+    _DEFAULTS = {"details": None}
 
-    def __init__(self, passed: bool, margins: tuple[float, ...], details: dict | None = None):
-        _setattr(self, "passed", passed)
-        _setattr(self, "margins", margins)
-        _setattr(self, "details", {} if details is None else details)
+    def __post_init__(self):
+        if self.details is None:
+            _setattr(self, "details", {})
 
 
 class BoundInstance(_Frozen):
@@ -59,12 +59,6 @@ class BoundInstance(_Frozen):
     """
 
     __slots__ = ("h", "v", "window", "gap", "__dict__")
-
-    def __init__(self, h: Operator, v: Operator, window: tuple[float, float], gap: float):
-        _setattr(self, "h", h)
-        _setattr(self, "v", v)
-        _setattr(self, "window", window)
-        _setattr(self, "gap", gap)
 
     @cached_property
     def h_tilde(self) -> np.ndarray:
@@ -681,12 +675,6 @@ class SuiteReport(_Frozen):
     """One suite's counts, and the dump path of each violation."""
 
     __slots__ = ("instances", "passes", "vacuous", "violations")
-
-    def __init__(self, instances: int, passes: int, vacuous: int, violations: tuple[str, ...]):
-        _setattr(self, "instances", instances)
-        _setattr(self, "passes", passes)
-        _setattr(self, "vacuous", vacuous)
-        _setattr(self, "violations", violations)
 
 
 def _weyl_arguments(seed: int, dim: int) -> dict:

@@ -56,9 +56,9 @@ def load_config(path: str | None, experiment: str, seed: int | None = None) -> d
 
 def resolve_config(user: dict, experiment: str) -> dict:
     """`user` checked against `experiments.CONFIG_KEYS[experiment]` (an
-    unknown key, a value of the wrong type, an integer outside its
-    `experiments.CONFIG_MINIMUMS` or `CONFIG_MAXIMUMS` entry or a
-    non-positive value of an `experiments.CONFIG_POSITIVE` key is a
+    unknown key, a value of the wrong type, a non-positive value of an
+    `experiments.CONFIG_POSITIVE` key or a number outside its
+    `experiments.CONFIG_MINIMUMS` or `CONFIG_MAXIMUMS` entry is a
     ConfigError that names the key),
     then completed with the defaults of the keys it leaves out."""
     keys = experiments.CONFIG_KEYS[experiment]
@@ -74,6 +74,9 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if not _fits(value, kind):
             raise ConfigError(f"{experiment} config key {key!r} must be {_describe(kind)}, "
                               f"got {json.dumps(value)}")
+    for key in experiments.CONFIG_POSITIVE:
+        if key in user and not user[key] > 0:
+            raise ConfigError(f"{experiment} config key {key!r} must be > 0, got {user[key]}")
     for key, least in experiments.CONFIG_MINIMUMS.items():
         if key in user and user[key] < least:
             raise ConfigError(f"{experiment} config key {key!r} must be >= {least}, "
@@ -82,9 +85,6 @@ def resolve_config(user: dict, experiment: str) -> dict:
         if key in user and user[key] > most:
             raise ConfigError(f"{experiment} config key {key!r} must be <= {most}, "
                               f"got {user[key]}")
-    for key in experiments.CONFIG_POSITIVE:
-        if key in user and not user[key] > 0:
-            raise ConfigError(f"{experiment} config key {key!r} must be > 0, got {user[key]}")
     cfg = {key: copy.deepcopy(default) for key, (_, default) in keys.items()
            if default is not None}
     if "gates_file" in user:

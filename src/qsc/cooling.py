@@ -67,7 +67,6 @@ from .linalg import (
     DensityMatrix,
     Operator,
     _Frozen,
-    _setattr,
     connected_blocks,
     evolve,
     operator_norm,
@@ -112,17 +111,7 @@ class CoolingSetup(_Frozen):
 
     __slots__ = ("h_s", "coupling", "band", "xs", "fiducial", "ground_basis", "label", "dense")
 
-    def __init__(self, h_s: Operator, coupling: Operator, band: BandStructure, xs: np.ndarray,
-                 fiducial: np.ndarray, ground_basis: np.ndarray, label: str = "",
-                 dense: CoolingSetup | None = None):
-        _setattr(self, "h_s", h_s)
-        _setattr(self, "coupling", coupling)
-        _setattr(self, "band", band)
-        _setattr(self, "xs", xs)
-        _setattr(self, "fiducial", fiducial)
-        _setattr(self, "ground_basis", ground_basis)
-        _setattr(self, "label", label)
-        _setattr(self, "dense", dense)
+    _DEFAULTS = {"label": "", "dense": None}
 
     @property
     def dim_s(self) -> int:
@@ -242,22 +231,12 @@ class ScheduleStep(_Frozen):
 
     __slots__ = ("j", "omega_b", "tau")
 
-    def __init__(self, j: int, omega_b: float, tau: float):
-        _setattr(self, "j", j)
-        _setattr(self, "omega_b", omega_b)
-        _setattr(self, "tau", tau)
-
 
 class CoolingSchedule(_Frozen):
     """Ordered cooling steps, j = L down to 1, at coupling Omega_0 = r
     Delta."""
 
     __slots__ = ("steps", "omega0", "r")
-
-    def __init__(self, steps: tuple[ScheduleStep, ...], omega0: float, r: float):
-        _setattr(self, "steps", steps)
-        _setattr(self, "omega0", omega0)
-        _setattr(self, "r", r)
 
     @property
     def total_time(self) -> float:
@@ -442,28 +421,8 @@ class RunReport(_Frozen):
                  "error_budget", "mode", "skipped_bands", "f_perp", "predicted_skip_penalty",
                  "shots", "label", "final_state")
 
-    def __init__(self, ground_fidelity: float, per_step_up_probability: tuple[float, ...],
-                 per_step_retention: tuple[float, ...], trace_residual: float,
-                 min_eigenvalue: float, total_time: float, h_norm: float, cost: float,
-                 error_budget: float, mode: str, skipped_bands: tuple[int, ...] = (),
-                 f_perp: float = 0.0, predicted_skip_penalty: float = 0.0, shots: int = 0,
-                 label: str = "", final_state: DensityMatrix | None = None):
-        _setattr(self, "ground_fidelity", ground_fidelity)
-        _setattr(self, "per_step_up_probability", per_step_up_probability)
-        _setattr(self, "per_step_retention", per_step_retention)
-        _setattr(self, "trace_residual", trace_residual)
-        _setattr(self, "min_eigenvalue", min_eigenvalue)
-        _setattr(self, "total_time", total_time)
-        _setattr(self, "h_norm", h_norm)
-        _setattr(self, "cost", cost)
-        _setattr(self, "error_budget", error_budget)
-        _setattr(self, "mode", mode)
-        _setattr(self, "skipped_bands", skipped_bands)
-        _setattr(self, "f_perp", f_perp)
-        _setattr(self, "predicted_skip_penalty", predicted_skip_penalty)
-        _setattr(self, "shots", shots)
-        _setattr(self, "label", label)
-        _setattr(self, "final_state", final_state)
+    _DEFAULTS = {"skipped_bands": (), "f_perp": 0.0, "predicted_skip_penalty": 0.0, "shots": 0,
+                 "label": "", "final_state": None}
 
 
 # numpy's SeedSequence hash constants and PCG64's LCG multiplier, as
@@ -769,20 +728,7 @@ class ProbRunReport(_Frozen):
                  "mean_time_per_success", "analytic_acceptance", "tau_doublings",
                  "round_limit_exceeded", "b_measure_count", "label")
 
-    def __init__(self, trials: int, accept_count: int, acceptance_rate: float,
-                 conditional_success: float, mean_time_per_success: float,
-                 analytic_acceptance: float, tau_doublings: tuple[tuple[int, float], ...],
-                 round_limit_exceeded: bool, b_measure_count: int, label: str = ""):
-        _setattr(self, "trials", trials)
-        _setattr(self, "accept_count", accept_count)
-        _setattr(self, "acceptance_rate", acceptance_rate)
-        _setattr(self, "conditional_success", conditional_success)
-        _setattr(self, "mean_time_per_success", mean_time_per_success)
-        _setattr(self, "analytic_acceptance", analytic_acceptance)
-        _setattr(self, "tau_doublings", tau_doublings)
-        _setattr(self, "round_limit_exceeded", round_limit_exceeded)
-        _setattr(self, "b_measure_count", b_measure_count)
-        _setattr(self, "label", label)
+    _DEFAULTS = {"label": ""}
 
 
 def analytic_acceptance(f1: float, rabi: float, omega_star: float) -> float:

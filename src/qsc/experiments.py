@@ -93,12 +93,16 @@ CONFIG_KEYS = {
     },
 }
 
-# The least and the greatest value of an integer config key, in every
+# The least and the greatest value of a numeric config key, in every
 # experiment that has the key (a shot or trial index is one 32-bit spawn
-# word): `cli.resolve_config` refuses one outside them before the run.
+# word; a target infidelity and an overlap floor are at most 1; the run
+# squares an energy scale and an overlap floor, and 4 / f1_lower^2 stays
+# finite): `cli.resolve_config` refuses one outside them before the run.
 CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
-                   "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10}
-CONFIG_MAXIMUMS = {"shots": 2 ** 32, "trials": 2 ** 32}
+                   "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10,
+                   "f1_lower": 1e-150}
+CONFIG_MAXIMUMS = {"shots": 2 ** 32, "trials": 2 ** 32, "eps": 1, "f1_lower": 1,
+                   "omega": 1e150, "omega1": 1e150}
 
 # The float config keys that must be > 0, in every experiment that has the
 # key (a coupling ratio or its scale, a pulse-time target, a scan width, a
@@ -192,11 +196,12 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     x0 = 2.0 ** (-n / 2)
     x1 = math.sqrt(1.0 - x0 ** 2)
     omega0 = omega0_rel * omega1
+    scan = _rate(scan_factor * omega0 * x0 * x1 / omega1,
+                 "the scan width scan_factor * omega0_rel * x0 * x1")
     setup = grover_setup(GroverModel(n=1, marked=frozenset({0}), omega1=omega1),
                          np.array([x0, x1], dtype=complex))
     step = build_schedule(setup, omega0=omega0).steps[0]
     h = _step_hamiltonian(setup, omega0, step.omega_b)
-    scan = scan_factor * omega0 * x0 * x1 / omega1
     detunings = np.linspace(-scan, scan, points)
     shifts = omega1 * (1 + detunings) - step.omega_b
     up = np.kron(np.eye(setup.dim_s), PROJ1)
@@ -257,8 +262,6 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
                 "tau": tau,
             }
         )
-    _write_csv(out_dir / "fig1_curves.csv", "fig1", ["n", "detuning_rel", "fidelity"],
-               rows, cfg)
 
     log_hw = np.log2([p["half_width"] for p in per_n])
     if len(ns) >= 2:
@@ -267,7 +270,8 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
         slope, intercept = 0.0, float(log_hw[0])
     level_shift_rel = cfg["omega0_rel"] ** 2  # first-order shift over omega1
     inset = next((p for p in per_n if p["n"] == cfg["inset_n"]), per_n[-1])
-    return _summary(
+    # the summary is checked as it is written, so the curves go second
+    summary = _summary(
         cfg,
         {
             "per_n": per_n,
@@ -289,6 +293,9 @@ def run_fig1(cfg: dict, out_dir: Path) -> dict:
         },
         out_dir / "fig1_summary.json",
     )
+    _write_csv(out_dir / "fig1_curves.csv", "fig1", ["n", "detuning_rel", "fidelity"],
+               rows, cfg)
+    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
-from .linalg import Operator, _Frozen, _setattr, operator_norm
+from .linalg import Operator, _Frozen, operator_norm
 
 # Largest resolvent condition number a closed-form self-energy accepts.
 MAX_RESOLVENT_COND = 1e14
@@ -35,11 +35,6 @@ class LevelShiftContext(_Frozen):
     and `q`)."""
 
     __slots__ = ("h", "p", "q")
-
-    def __init__(self, h: Operator, p: np.ndarray, q: np.ndarray):
-        _setattr(self, "h", h)
-        _setattr(self, "p", p)
-        _setattr(self, "q", q)
 
 
 def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> LevelShiftContext:

@@ -55,23 +55,57 @@ def _hermitian_deviation(m: np.ndarray) -> float:
 
 
 # Sets a field of a value type: the one way past `_Frozen`'s guard, which
-# only constructors take.
+# only `_Frozen.__init__` and the `__post_init__` normalizations take.
 _setattr = object.__setattr__
 
 
 class _Frozen:
-    """The guard that makes the package's value types immutable.
+    """The one constructor of the package's value types, and the guard
+    that makes them immutable.
 
-    A value type lists its fields as `__slots__` (a name with a leading
-    underscore is a cache, not a field) and sets each once in `__init__`
-    through `_setattr`; assigning or deleting an attribute afterwards
-    raises AttributeError.  Defining such a class generates no code, where
-    a frozen dataclass compiles its methods at import.  Values compare and
+    A value type is its `__slots__`, its `_DEFAULTS` and its
+    `__post_init__`.  The public names of `__slots__` are its fields, in
+    order: the constructor binds positional and keyword arguments to them
+    as a signature would, fills an omitted field from the class's
+    `_DEFAULTS` dict and refuses a missing, unknown, repeated or surplus
+    one with TypeError.  A name with a leading underscore is a cache and
+    starts as None (`__dict__`, the home of `functools.cached_property`,
+    is left alone).  Then `__post_init__` checks the fields, and may
+    normalize one through `_setattr`; it is a no-op unless the type
+    overrides it.  Assigning or deleting an attribute afterwards raises
+    AttributeError.  Defining such a class generates no code, where a
+    frozen dataclass compiles its methods at import.  Values compare and
     hash by identity, and no run copies one: `copy` and `pickle` restore a
     value by assigning its slots, which the guard refuses.
     """
 
     __slots__ = ()
+    _DEFAULTS: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        fields = [name for name in cls.__slots__ if name[0] != "_"]
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} positional arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(fields, args))
+        for name, value in kwargs.items():
+            if name not in fields:
+                raise TypeError(f"{cls.__name__}() got an unexpected keyword argument {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {name!r}")
+            values[name] = value
+        values = {**cls._DEFAULTS, **values}
+        missing = [name for name in fields if name not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() missing required arguments: {', '.join(missing)}")
+        for name in cls.__slots__:
+            if name != "__dict__":
+                _setattr(self, name, values.get(name))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -99,10 +133,6 @@ class Operator(_Frozen):
     """
 
     __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        _setattr(self, "matrix", matrix)
-        self.__post_init__()
 
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
@@ -134,11 +164,6 @@ class DensityMatrix(_Frozen):
     """
 
     __slots__ = ("entries", "_min_eig")
-
-    def __init__(self, entries: np.ndarray):
-        _setattr(self, "entries", entries)
-        _setattr(self, "_min_eig", None)
-        self.__post_init__()
 
     def __post_init__(self):
         m = _frozen_matrix(self.entries)

@@ -62,20 +62,19 @@ class GroverModel(_Frozen):
     entries, never a 2^n x 2^n matrix, so that is what the cap covers."""
 
     __slots__ = ("n", "marked", "omega1")
+    _DEFAULTS = {"omega1": 1.0}
 
-    def __init__(self, n: int, marked: frozenset[int], omega1: float = 1.0):
-        marked = frozenset(int(m) for m in marked)
-        size = 2 ** n
+    def __post_init__(self):
+        marked = frozenset(int(m) for m in self.marked)
+        _setattr(self, "marked", marked)
+        size = 2 ** self.n
         if not (1 <= len(marked) < size):
             raise ConfigError(f"need 1 <= |marked| < 2**n = {size}, got {len(marked)} marked")
         if any(m < 0 or m >= size for m in marked):
             raise ConfigError(f"marked string out of range 0..{size - 1}, got {sorted(marked)}")
-        if not omega1 > 0:
-            raise ConfigError(f"omega1 must be positive, got {omega1}")
+        if not self.omega1 > 0:
+            raise ConfigError(f"omega1 must be positive, got {self.omega1}")
         _check_entries(size)
-        _setattr(self, "n", n)
-        _setattr(self, "marked", marked)
-        _setattr(self, "omega1", omega1)
 
     @property
     def dim(self) -> int:
@@ -147,18 +146,17 @@ class Gate(_Frozen):
 
     __slots__ = ("matrix", "targets")
 
-    def __init__(self, matrix: np.ndarray, targets: tuple[int, ...]):
-        m = np.array(matrix, dtype=complex)
-        k = len(targets)
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=complex)
+        _setattr(self, "matrix", m)
+        k = len(self.targets)
         if m.shape != (2 ** k, 2 ** k) or k not in (1, 2):
             raise DimensionMismatch("gates act on 1 or 2 qubits")
         # written so that a NaN deviation fails too
         if not np.max(np.abs(m.conj().T @ m - np.eye(2 ** k))) <= config.HERMITICITY_ATOL * 10:
             raise ValueError("gate matrix is not unitary to tolerance")
-        if k == 2 and targets[0] == targets[1]:
+        if k == 2 and self.targets[0] == self.targets[1]:
             raise ValueError("two-qubit gate targets must differ")
-        _setattr(self, "matrix", m)
-        _setattr(self, "targets", targets)
 
 
 class CircuitSpec(_Frozen):
@@ -166,12 +164,10 @@ class CircuitSpec(_Frozen):
 
     __slots__ = ("n", "gates")
 
-    def __init__(self, n: int, gates: tuple[Gate, ...]):
-        for g in gates:
-            if any(t < 1 or t > n for t in g.targets):
-                raise ValueError(f"gate target out of range 1..{n}")
-        _setattr(self, "n", n)
-        _setattr(self, "gates", gates)
+    def __post_init__(self):
+        for g in self.gates:
+            if any(t < 1 or t > self.n for t in g.targets):
+                raise ValueError(f"gate target out of range 1..{self.n}")
 
     @property
     def length(self) -> int:
@@ -282,12 +278,9 @@ class ClockModel(_Frozen):
     non-unary clock configurations."""
 
     __slots__ = ("circuit", "omega", "h")
+    _DEFAULTS = {"omega": 1.0, "h": config.DEFAULT_PENALTY_FACTOR}
 
-    def __init__(self, circuit: CircuitSpec, omega: float = 1.0,
-                 h: float = config.DEFAULT_PENALTY_FACTOR):
-        _setattr(self, "circuit", circuit)
-        _setattr(self, "omega", omega)
-        _setattr(self, "h", h)
+    def __post_init__(self):
         if not (0 < self.h <= 1):
             raise ConfigError(f"penalty factor must satisfy 0 < h <= 1, got h = {self.h}")
         if not self.omega > 0:
@@ -461,15 +454,11 @@ class BandStructure(_Frozen):
     setup's; a band block reaches it through its `dense` setup)."""
 
     __slots__ = ("omegas", "vectors", "delta", "spectrum")
+    _DEFAULTS = {"spectrum": None}
 
-    def __init__(self, omegas: np.ndarray, vectors: np.ndarray, delta: float,
-                 spectrum: np.ndarray | None = None):
-        if delta <= 0:
+    def __post_init__(self):
+        if self.delta <= 0:
             raise ValueError("band structure requires a positive gap")
-        _setattr(self, "omegas", omegas)
-        _setattr(self, "vectors", vectors)
-        _setattr(self, "delta", delta)
-        _setattr(self, "spectrum", spectrum)
 
     @property
     def size(self) -> int:
@@ -486,7 +475,9 @@ def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
 
     The band vectors are built analytically (history-propagated cosine
     profiles); the gap comes from the full spectrum with the band's own
-    eigenvalues excluded by eigenvector overlap.
+    eigenvalues excluded by eigenvector overlap.  A gap at most
+    `config.SPLITTING_FLOOR_EPS` * eps * ||H_S|| is the roundoff of that
+    eigh, not the input penalty: a ConfigError naming h.
     """
     n, length = model.n, model.length
     history = _history_vectors(model)
@@ -517,6 +508,10 @@ def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
         candidates.append(np.min(np.abs(others - oj)))
         candidates.extend(abs(ok - oj) for k, ok in enumerate(omegas) if k != j)
     delta = float(min(candidates))
+    roundoff = np.finfo(float).eps * max(-evals[0], evals[-1])
+    if not delta > config.SPLITTING_FLOOR_EPS * roundoff:
+        raise ConfigError(f"band gap {delta:.3e} <= {config.SPLITTING_FLOOR_EPS} * eps*||H_S||, "
+                          f"with eps*||H_S|| = {roundoff:.3e}, is not resolved; raise h = {model.h}")
     return BandStructure(omegas=omegas, vectors=vectors, delta=delta, spectrum=evals)
 
 

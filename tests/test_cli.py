@@ -513,6 +513,19 @@ MISREAD = [
     ("clock", {"r": 5e-324}, "the coupling r * delta = 0.000e+00 is below the least"),
     ("prob", {"eps": 1e-300}, "the coupling r * delta = 0.000e+00 is below the least"),
     ("prob", {"omega_star_rel": 1e-320}, "the floor omega_star_rel * rabi = "),
+    # a value whose square (or power 1.5) the run forms leaves the doubles:
+    # refused with the config, not a ZeroDivisionError or OverflowError
+    ("prob", {"f1_lower": 1e-300}, "'f1_lower' must be >= 1e-150, got 1e-300"),
+    ("prob", {"f1_lower": 1e300}, "'f1_lower' must be <= 1, got 1e+300"),
+    ("prob", {"eps": 1e300}, "'eps' must be <= 1, got 1e+300"),
+    ("grover", {"omega1": 1e300}, "'omega1' must be <= 1e+150, got 1e+300"),
+    ("clock", {"omega": 1e300}, "'omega' must be <= 1e+150, got 1e+300"),
+    # a band gap lost in the roundoff of the dense eigh, not the input
+    # penalty, is no detuning bracket
+    ("clock", {"h": 1e-300}, "is not resolved; raise h = 1e-300"),
+    ("clock", {"h": 1e-20}, "is not resolved; raise h = 1e-20"),
+    # an underflowed scan width gives no half-width, and no curve is written
+    ("fig1", {"scan_factor": 5e-324, "points": 20}, "the scan width scan_factor * omega0_rel"),
 ]
 
 
@@ -611,6 +624,15 @@ def test_non_finite_output_is_an_error(tmp_path, capsys, monkeypatch):
     assert run_cli(tmp_path, "spectrum", SMALL["spectrum"]) == EXIT_VIOLATION
     assert "broken.json" in capsys.readouterr().err
     assert not (tmp_path / "out" / "broken.json").exists()
+
+
+def test_a_failed_fig1_writes_nothing(tmp_path, capsys, monkeypatch):
+    # the whole run is computed before its first write: a summary that
+    # fails its own check leaves no curves behind
+    monkeypatch.setattr(experiments, "half_width", lambda d, f: (float("nan"), 0.0, 1.0))
+    assert run_cli(tmp_path, "fig1", SMALL["fig1"]) == EXIT_VIOLATION
+    assert "fig1_summary.json" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_an_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):

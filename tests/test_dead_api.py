@@ -10,7 +10,11 @@ public field of a value type (the `__slots__` of a `_Frozen` class) must
 be read as an attribute somewhere in `src/qsc`, so none is carried for the
 tests alone.  And every parameter with a default of a module-level
 function in `src/qsc` must be passed by some call in `src/qsc` or
-`tests/`, so none is a setting that no caller sets.  And no module in
+`tests/`, so none is a setting that no caller sets; so must every
+`_DEFAULTS` entry of a value type, by a call of its class or a
+`_replace`.  And a value type is its `__slots__`, its `_DEFAULTS` and its
+`__post_init__`: no `_Frozen` subclass defines `__init__`, and every
+`_DEFAULTS` key is a public slot of its class.  And no module in
 `src/qsc` declares `__all__`: the leading underscore alone says what is
 public, so the two cannot disagree.
 
@@ -138,24 +142,46 @@ def _unreached(modules: dict[str, str], root: str) -> list[str]:
 WHOLE_REPORTS = {"RunReport", "ProbRunReport"}
 
 
+def _value_types(tree: ast.Module):
+    """(class node, its `__slots__` names, its `_DEFAULTS` keys) of each
+    module-level `_Frozen` subclass."""
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef)
+                and any(getattr(b, "id", None) == "_Frozen" for b in node.bases)):
+            continue
+        slots, defaults = [], []
+        for item in node.body:
+            name = getattr(getattr(item, "targets", [None])[0], "id", None)
+            if name == "__slots__":
+                slots = [c.value for c in item.value.elts]
+            elif name == "_DEFAULTS":
+                defaults = [k.value for k in item.value.keys]
+        yield node, slots, defaults
+
+
 def _unread_fields(modules: dict[str, str], exempt=frozenset()) -> list[str]:
     """`module.Class.field` of each public `__slots__` field of a `_Frozen`
     class in `modules` (name -> source), classes in `exempt` aside, that no
     source in `modules` reads as an attribute."""
     _, attrs = _references(modules.values())
-    unread = []
+    return [f"{module}.{node.name}.{name}" for module, source in modules.items()
+            for node, slots, _ in _value_types(ast.parse(source)) if node.name not in exempt
+            for name in slots if not name.startswith("_") and attrs[name] == 0]
+
+
+def _constructor_faults(modules: dict[str, str]) -> list[str]:
+    """`module.Class.__init__` of each `_Frozen` subclass in `modules` (name
+    -> source) that defines one, and `module.Class._DEFAULTS[key]` of each
+    default whose key is no public slot of its class."""
+    faults = []
     for module, source in modules.items():
-        for node in ast.parse(source).body:
-            if not (isinstance(node, ast.ClassDef) and node.name not in exempt
-                    and any(getattr(b, "id", None) == "_Frozen" for b in node.bases)):
-                continue
-            for item in node.body:
-                if (isinstance(item, ast.Assign)
-                        and any(getattr(t, "id", None) == "__slots__" for t in item.targets)):
-                    unread += [f"{module}.{node.name}.{c.value}" for c in ast.walk(item.value)
-                               if isinstance(c, ast.Constant) and not c.value.startswith("_")
-                               and attrs[c.value] == 0]
-    return unread
+        for node, slots, defaults in _value_types(ast.parse(source)):
+            if any(isinstance(item, ast.FunctionDef) and item.name == "__init__"
+                   for item in node.body):
+                faults.append(f"{module}.{node.name}.__init__")
+            faults += [f"{module}.{node.name}._DEFAULTS[{key!r}]" for key in defaults
+                       if key not in slots or key.startswith("_")]
+    return faults
 
 
 def test_every_definition_is_referenced():
@@ -245,6 +271,36 @@ def test_every_value_field_is_read():
     assert not unread, f"value fields no program code reads: {unread}"
 
 
+def test_value_types_have_one_constructor():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    faults = _constructor_faults(modules)
+    assert not faults, f"value types that define their own constructor or default: {faults}"
+
+
+def test_constructor_matching():
+    types = (
+        'class _Frozen:\n'
+        '    __slots__ = ()\n'
+        '    def __init__(self, *args):\n'
+        '        pass\n'
+        'class Step(_Frozen):\n'
+        '    __slots__ = ("tau", "rate", "_cache")\n'
+        '    _DEFAULTS = {"rate": 1.0, "_cache": 0, "width": 2}\n'
+        'class Report(_Frozen):\n'
+        '    __slots__ = ("whole",)\n'
+        '    def __init__(self, whole):\n'
+        '        pass\n'
+        'class Plain:\n'
+        '    def __init__(self):\n'
+        '        pass\n'
+    )
+    # the base and a class that is no value type may define __init__; a
+    # cache or an undeclared name is no field to default
+    assert _constructor_faults({"types": types}) == [
+        "types.Step._DEFAULTS['_cache']", "types.Step._DEFAULTS['width']",
+        "types.Report.__init__"]
+
+
 def test_field_matching():
     types = (
         'class _Frozen:\n'
@@ -266,7 +322,9 @@ def test_field_matching():
 
 def _defaulted_parameters(tree: ast.Module):
     """(function, parameter, position) of every parameter with a default
-    of a module-level function; a keyword-only one has position None."""
+    of a module-level function, and of every `_DEFAULTS` field of a value
+    type (its class as the function, its place among the public slots as
+    the position); a keyword-only one has position None."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             args = node.args
@@ -277,6 +335,10 @@ def _defaulted_parameters(tree: ast.Module):
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
                     yield node.name, arg.arg, None
+    for node, slots, defaults in _value_types(tree):
+        fields = [name for name in slots if not name.startswith("_")]
+        for key in defaults:
+            yield node.name, key, fields.index(key) if key in fields else None
 
 
 def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
@@ -300,10 +362,13 @@ def _unpassed(modules: dict[str, str], call_sources) -> list[str]:
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
                 calls.setdefault(name, []).append(sub)
+    # a `_replace` sets a field by keyword, on a value of any type
     return [f"{module}.{function}.{parameter}"
             for module, source in modules.items()
             for function, parameter, position in _defaulted_parameters(ast.parse(source))
-            if not any(_passes(c, parameter, position) for c in calls.get(function, ()))]
+            if not any(_passes(c, parameter, position) for c in calls.get(function, ()))
+            and not any(k.arg == parameter for c in calls.get("_replace", ())
+                        for k in c.keywords)]
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -324,6 +389,9 @@ def test_parameter_matching():
         'class Box:\n'
         '    def size(self, unit=1):\n'
         '        return unit\n'
+        'class Step(_Frozen):\n'
+        '    __slots__ = ("tau", "_cache", "rate", "label", "spare")\n'
+        '    _DEFAULTS = {"rate": 1.0, "label": "", "spare": None}\n'
     )
     using = (
         'import qsc.mod as mod\n'
@@ -332,8 +400,13 @@ def test_parameter_matching():
         'fit(1, **{"weight": 2})\n'
         'spread(*[1, 2])\n'
         'Box().size()\n'
+        'mod.Step(1.0, 2.0)\n'
+        'step._replace(label="x")\n'
     )
     # passed by position, by keyword through an attribute, by **kwargs and
     # by *args; a keyword-only default that no call names stays unpassed,
-    # and methods are not checked
-    assert _unpassed({"mod": defining}, [defining, using]) == ["mod.scan.floor"]
+    # and methods are not checked; a value type's default is passed by
+    # position among its public slots (a cache takes none) or by a
+    # `_replace`
+    assert _unpassed({"mod": defining}, [defining, using]) == ["mod.scan.floor",
+                                                               "mod.Step.spare"]
