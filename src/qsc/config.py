@@ -32,9 +32,10 @@ POLE_GUARD_FRACTION = 0.25
 # Perturbative coupling ratio r = Omega_0 / Delta admitted by the protocols.
 MAX_COUPLING_RATIO = 0.125
 
-# An exact-tau schedule reads a pulse time only off an eigen-splitting above
-# this multiple of eps * ||H_j + V|| (eps the double machine epsilon): a
-# smaller one is the roundoff of the step's eigendecomposition.
+# An eigen-splitting or gap is read off an eigh only above this multiple of
+# eps * ||H|| (eps the double machine epsilon; H an exact-tau step's H_j + V,
+# or the clock's H_S for its band gap): a smaller one is the roundoff of
+# that eigendecomposition.
 SPLITTING_FLOOR_EPS = 16
 
 # Default dimensionless input-penalty factor for the clock model.

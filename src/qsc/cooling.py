@@ -61,12 +61,13 @@ import operator
 import numpy as np
 
 from . import config
-from .errors import CouplingTooLarge, UnresolvedSplitting
+from .errors import CouplingTooLarge
 from .levelshift import solve_detuning
 from .linalg import (
     DensityMatrix,
     Operator,
     _Frozen,
+    _check_resolved,
     connected_blocks,
     evolve,
     operator_norm,
@@ -247,21 +248,15 @@ def _rabi_rate(h: np.ndarray, a: np.ndarray, b: np.ndarray, where: str, name: st
     """The Rabi rate of the states a and b that a resonant coupling
     hybridizes under the Hermitian array h (named `name`), half the
     splitting of the two eigenstates of h with the most weight on them, and
-    (w, v) = np.linalg.eigh(h): (rate, w, v).  A splitting at most
-    `config.SPLITTING_FLOOR_EPS` * eps * ||h|| (the norm read off w's ends)
-    is roundoff, and no pulse time can be read off it: UnresolvedSplitting,
+    (w, v) = np.linalg.eigh(h): (rate, w, v).  A splitting within roundoff
+    of h (`linalg._check_resolved`) gives no pulse time: UnresolvedSplitting,
     naming `where`."""
     w, v = np.linalg.eigh(h)
     bras = v.conj().T
     top = np.argsort(-(np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2))[:2]
     splitting = float(abs(w[top[0]] - w[top[1]]))
-    roundoff = np.finfo(float).eps * max(-w[0], w[-1])
-    if not splitting > config.SPLITTING_FLOOR_EPS * roundoff:
-        raise UnresolvedSplitting(
-            f"{where}: exact splitting {splitting:.3e} <= {config.SPLITTING_FLOOR_EPS} * "
-            f"eps*||{name}||, with eps*||{name}|| = {roundoff:.3e}: no pulse time can be "
-            "read off it; raise the coupling"
-        )
+    _check_resolved(splitting, w, f"{where}: exact splitting", name,
+                    "no pulse time can be read off it; raise the coupling")
     return splitting / 2.0, w, v
 
 

@@ -41,8 +41,9 @@ class CouplingTooLarge(ConfigError):
 
 
 class UnresolvedSplitting(ConfigError):
-    """An exact-tau schedule step's eigen-splitting is within roundoff of
-    the step norm, so no pulse time can be read off it."""
+    """An eigen-splitting or gap is within roundoff of the norm of the
+    Hermitian it was read off (an exact-tau step's pulse time, or the clock
+    band gap), so nothing can be read off it."""
 
 
 class HypothesisUnmet(QscError):

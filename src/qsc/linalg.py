@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import config
-from .errors import DimensionMismatch, NonHermitianInput
+from .errors import DimensionMismatch, NonHermitianInput, UnresolvedSplitting
 
 
 def _frozen_matrix(entries) -> np.ndarray:
@@ -197,6 +197,17 @@ def operator_norm(op: Operator | np.ndarray) -> float:
     knows to be Hermitian: its largest |eigenvalue|."""
     m = op.matrix if isinstance(op, Operator) else op
     return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+
+
+def _check_resolved(gap: float, w: np.ndarray, what: str, name: str, advice: str) -> None:
+    """Refuse a gap read off the ascending eigenvalues w of the Hermitian
+    `name` if it is at most `config.SPLITTING_FLOOR_EPS` * eps * ||name||
+    (the norm read off w's ends): it is the roundoff of that eigh, an
+    UnresolvedSplitting that names `what` it is and gives the `advice`."""
+    roundoff = np.finfo(float).eps * max(-w[0], w[-1])
+    if not gap > config.SPLITTING_FLOOR_EPS * roundoff:
+        raise UnresolvedSplitting(f"{what} {gap:.3e} <= {config.SPLITTING_FLOOR_EPS} * "
+                                  f"eps*||{name}||, with eps*||{name}|| = {roundoff:.3e}: {advice}")
 
 
 def connected_blocks(*matrices: np.ndarray) -> list[np.ndarray]:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import config
 from .errors import ConfigError, DimensionMismatch, DimensionTooLarge, ParseError, SelfCheckFailed
-from .linalg import PROJ1, SIGMA_X, Operator, _Frozen, _setattr
+from .linalg import PROJ1, SIGMA_X, Operator, _Frozen, _check_resolved, _setattr
 
 # Qutrit bath basis states (order C, R, L), and the bright state B.
 KET_C = np.array([1, 0, 0], dtype=complex)
@@ -475,9 +475,9 @@ def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
 
     The band vectors are built analytically (history-propagated cosine
     profiles); the gap comes from the full spectrum with the band's own
-    eigenvalues excluded by eigenvector overlap.  A gap at most
-    `config.SPLITTING_FLOOR_EPS` * eps * ||H_S|| is the roundoff of that
-    eigh, not the input penalty: a ConfigError naming h.
+    eigenvalues excluded by eigenvector overlap.  A gap within roundoff of
+    H_S (`linalg._check_resolved`) is not the input penalty's:
+    UnresolvedSplitting, naming h.
     """
     n, length = model.n, model.length
     history = _history_vectors(model)
@@ -508,10 +508,7 @@ def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
         candidates.append(np.min(np.abs(others - oj)))
         candidates.extend(abs(ok - oj) for k, ok in enumerate(omegas) if k != j)
     delta = float(min(candidates))
-    roundoff = np.finfo(float).eps * max(-evals[0], evals[-1])
-    if not delta > config.SPLITTING_FLOOR_EPS * roundoff:
-        raise ConfigError(f"band gap {delta:.3e} <= {config.SPLITTING_FLOOR_EPS} * eps*||H_S||, "
-                          f"with eps*||H_S|| = {roundoff:.3e}, is not resolved; raise h = {model.h}")
+    _check_resolved(delta, evals, "band gap", "H_S", f"it is not resolved; raise h = {model.h}")
     return BandStructure(omegas=omegas, vectors=vectors, delta=delta, spectrum=evals)
 
 

@@ -541,6 +541,15 @@ def test_misread_value_is_a_config_error(tmp_path, capsys, experiment, change, n
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.parametrize("experiment,key", [("grover", "omega1"), ("clock", "omega"),
+                                            ("prob", "omega"), ("spectrum", "omega")])
+def test_an_energy_scale_at_its_cap_runs(tmp_path, experiment, key):
+    # the greatest energy scale the config admits still runs to exit 0: the
+    # squares of it that the run takes, and its dense eighs, stay finite
+    cfg = dict(SMALL[experiment], **{key: experiments.CONFIG_MAXIMUMS[key]})
+    assert run_cli(tmp_path, experiment, cfg) == EXIT_OK
+
+
 @pytest.fixture
 def no_setup(monkeypatch):
     """Fail the test if a run builds a model setup."""

@@ -321,24 +321,25 @@ def test_field_matching():
 
 
 def _defaulted_parameters(tree: ast.Module):
-    """(function, parameter, position) of every parameter with a default
-    of a module-level function, and of every `_DEFAULTS` field of a value
-    type (its class as the function, its place among the public slots as
-    the position); a keyword-only one has position None."""
+    """(function, parameter, position, field) of every parameter with a
+    default of a module-level function, and of every `_DEFAULTS` field of a
+    value type (its class as the function, its place among the public slots
+    as the position, and field True); a keyword-only one has position
+    None."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             args = node.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
             for i in range(first, len(positional)):
-                yield node.name, positional[i].arg, i
+                yield node.name, positional[i].arg, i, False
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield node.name, arg.arg, None
+                    yield node.name, arg.arg, None, False
     for node, slots, defaults in _value_types(tree):
         fields = [name for name in slots if not name.startswith("_")]
         for key in defaults:
-            yield node.name, key, fields.index(key) if key in fields else None
+            yield node.name, key, fields.index(key) if key in fields else None, True
 
 
 def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
@@ -352,8 +353,9 @@ def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
 
 def _unpassed(modules: dict[str, str], call_sources) -> list[str]:
     """`module.function.parameter` of each defaulted parameter of a
-    module-level function in `modules` (name -> source) that no call in
-    `call_sources` passes."""
+    module-level function or value type in `modules` (name -> source) that
+    no call in `call_sources` passes; a value type's field is also passed
+    by a `_replace` that names it."""
     calls: dict[str, list[ast.Call]] = {}
     for source in call_sources:
         for sub in ast.walk(ast.parse(source)):
@@ -363,12 +365,12 @@ def _unpassed(modules: dict[str, str], call_sources) -> list[str]:
                         else func.attr if isinstance(func, ast.Attribute) else None)
                 calls.setdefault(name, []).append(sub)
     # a `_replace` sets a field by keyword, on a value of any type
+    replaced = {k.arg for c in calls.get("_replace", ()) for k in c.keywords}
     return [f"{module}.{function}.{parameter}"
             for module, source in modules.items()
-            for function, parameter, position in _defaulted_parameters(ast.parse(source))
+            for function, parameter, position, field in _defaulted_parameters(ast.parse(source))
             if not any(_passes(c, parameter, position) for c in calls.get(function, ()))
-            and not any(k.arg == parameter for c in calls.get("_replace", ())
-                        for k in c.keywords)]
+            and not (field and parameter in replaced)]
 
 
 def test_every_defaulted_parameter_is_passed():
@@ -386,6 +388,8 @@ def test_parameter_matching():
         '    return x\n'
         'def spread(a, b=0):\n'
         '    return a\n'
+        'def tag(label=""):\n'
+        '    return label\n'
         'class Box:\n'
         '    def size(self, unit=1):\n'
         '        return unit\n'
@@ -407,6 +411,7 @@ def test_parameter_matching():
     # by *args; a keyword-only default that no call names stays unpassed,
     # and methods are not checked; a value type's default is passed by
     # position among its public slots (a cache takes none) or by a
-    # `_replace`
+    # `_replace`, which passes no function's parameter of the same name
     assert _unpassed({"mod": defining}, [defining, using]) == ["mod.scan.floor",
+                                                               "mod.tag.label",
                                                                "mod.Step.spare"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsc import config
-from qsc.errors import ParseError, QscError, SelfCheckFailed
+from qsc.errors import ParseError, QscError, SelfCheckFailed, UnresolvedSplitting
 from qsc.cooling import _qutrit_hamiltonians, clock_setup
 from qsc.linalg import DensityMatrix, operator_norm, partial_trace
 from qsc.models import (
@@ -306,6 +306,15 @@ class TestSelfChecks:
         with pytest.raises(SelfCheckFailed, match=r"residual check by \d") as info:
             clock_band_structure(model, h_s)
         assert isinstance(info.value, QscError)
+
+    def test_band_gap_within_roundoff(self):
+        # a penalty far below eps * ||H_S|| leaves the gap to the eigh's
+        # roundoff, the same refusal an exact-tau step's splitting meets
+        model = ClockModel(circuit=parse_circuit("G H 1\nG T 1\n", 1), h=1e-20)
+        floor = rf"{config.SPLITTING_FLOOR_EPS} \* eps\*\|\|H_S\|\|"
+        with pytest.raises(UnresolvedSplitting,
+                           match=rf"^band gap .* <= {floor}, .*: it is not resolved; raise h = 1e-20$"):
+            clock_band_structure(model, build_clock(model))
 
 
 class TestClockSpectrum:
