@@ -6,7 +6,8 @@ Configuration files are JSON; each experiment's keys, value types and
 defaults are declared in `experiments.CONFIG_KEYS` and listed in the
 README.  A --seed on the command line overrides the config's seed.  The
 error's type sets the exit code (`errors`): 0 success, 1 a violation or a
-failed self-check, 2 a config error, 3 the resource cap.
+failed self-check, 2 a config error, 3 the resource cap, 4 a program fault
+(any other exception, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 _RUNNERS = {
     "fig1": experiments.run_fig1,
@@ -149,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     except QscError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except Exception:
+        import traceback  # only a fault loads it
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
     if args.experiment == "bounds" and summary.get("violations_found"):
         print("bound violations found; dumps written", file=sys.stderr)

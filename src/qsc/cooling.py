@@ -8,9 +8,12 @@ Three protocols share the machinery here:
   * the probabilistic qutrit scheme, which trades spectral knowledge for
     random evolution times plus a verification oscillation.
 
-Density-matrix propagation of the exact conditional-evolution map is the
-primary mode: its output is deterministic.  Trajectory mode samples the
-measurement record instead and must agree within Monte-Carlo error.
+One record engine runs both modes of a ladder.  The ladder measures the
+bath after every step and evolves conditionally on the outcome, so its
+state is the probability-weighted mixture of the states its measurement
+records leave.  Density mode, the primary mode, weighs those record
+states exactly, so its output is deterministic; trajectory mode samples
+them per shot and must agree within Monte-Carlo error.
 
 One engine runs every setup, on the system space the setup declares.  The
 ladders run on exact band blocks: the search model's setup is its
@@ -33,17 +36,17 @@ pulse time off its eigen-splitting, refused when lost in roundoff
 (`_exact_step`), and the schedule keeps only that time; a run builds and
 diagonalizes each step it propagates again.  The ladder's step norm is
 priced once, at its largest bath energy, on the connected blocks of H* + V
-(`_step_norm`).  A run propagates the ladder once, and a density-mode
-report carries the final state for readouts.  Trajectory shots take all
-their uniforms (one per step, one for the final readout) up front, each
-shot's from its own spawned stream, drawn for every shot at once
-(`trial_uniforms`).  A shot's state is fixed by its measurement record,
-so shots with the same record share one propagated state: a ladder of L'
-steps propagates L' + 1 states (the record still measuring down, and one
-up record per step, which measures up again with probability 1 up to
-rounding) however many shots it samples.  The qubit bath is the last
-tensor factor, so bath projections select the even (down) and odd (up)
-composite indices.
+(`_step_norm`).  A run propagates the ladder once, one `cooling_step` per
+step on a column per record: a ladder of L' steps has L' + 1 records (the
+one still measuring down, and one up record per step, which measures up
+again with probability 1 up to rounding), however many shots it samples.
+Density mode weights each record by its probability and forms one
+`DensityMatrix`, the final state a report carries for readouts, at the
+end.  Trajectory shots take all their uniforms (one per step, one for the
+final readout) up front, each shot's from its own spawned stream, drawn
+for every shot at once (`trial_uniforms`), and shots with the same record
+share its column.  The qubit bath is the last tensor factor, so bath
+projections select the even (down) and odd (up) composite indices.
 
 The probabilistic scheme runs on the same setup as the ladder, the
 clock's band block included (`extension_gap` reads the H_S spectrum of
@@ -256,7 +259,9 @@ def _rabi_rate(h: np.ndarray, a: np.ndarray, b: np.ndarray, where: str, name: st
     top = np.argsort(-(np.abs(bras @ a) ** 2 + np.abs(bras @ b) ** 2))[:2]
     splitting = float(abs(w[top[0]] - w[top[1]]))
     _check_resolved(splitting, w, f"{where}: exact splitting", name,
-                    "no pulse time can be read off it; raise the coupling")
+                    "no pulse time can be read off it; raise the coupling ratio r "
+                    "(below its 1/8 cap) or the gap Delta that Omega_0 = r Delta "
+                    "scales (a clock's penalty h)")
     return splitting / 2.0, w, v
 
 
@@ -321,40 +326,37 @@ def build_schedule(
 
 
 # ---------------------------------------------------------------------------
-# The conditional-evolution map and deterministic runs
+# The record engine and deterministic runs
 # ---------------------------------------------------------------------------
 
-def cooling_step(rho: DensityMatrix, step: ScheduleStep,
-                 eig: tuple[np.ndarray, np.ndarray]) -> DensityMatrix:
-    """One application of the measure-then-conditionally-evolve map:
+def cooling_step(psi: np.ndarray, p_up: np.ndarray, branches: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """One ladder step on measurement-record states: measure the bath,
+    then evolve conditionally on the outcome.
 
-        E_j(rho) = U_j D rho D U_j^+  +  P_up rho P_up
-
-    with D = 1 (x) |down><down| and U_j the evolution under the step
-    Hamiltonian H_j + V, given by its eigendecomposition `eig` =
-    np.linalg.eigh(H_j + V), for the step's pulse time.  Trace-preserving
-    and completely positive by construction.
+    Column r of `psi` is the state of record r and p_up[r] its up
+    probability, the squared norm of its odd rows (the bath is the last
+    tensor factor: down rows even, up rows odd).  Branch b continues
+    record b // 2 with outcome b % 2 (1 = up): it keeps that outcome's
+    rows, is divided by the square root of the outcome's probability (a
+    down outcome's floored at 1e-300), and a down branch is evolved by the
+    step unitary `u`.  Returns one column per branch, in branch order.
     """
-    u = evolve(*eig, step.tau)
-    down, up = _bath_masks(rho.dim)
-    m = rho.entries
-    out = u @ (m * np.outer(down, down)) @ u.conj().T + m * np.outer(up, up)
-    out = (out + out.conj().T) / 2
-    return DensityMatrix(out)
+    parent, up = branches // 2, branches % 2 == 1
+    psi, p_up = psi[:, parent], p_up[parent]
+    psi[0::2, up] = 0.0
+    psi[1::2, ~up] = 0.0
+    psi /= np.sqrt(np.where(up, p_up, np.maximum(1e-300, 1.0 - p_up)))
+    psi[:, ~up] = u @ psi[:, ~up]
+    return psi
 
 
-def _bath_masks(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 masks of the composite indices with the qubit bath down (even)
-    and up (odd); the bath is the last tensor factor."""
-    up = np.arange(dim) % 2
-    return 1 - up, up
-
-
-def _step_spectra(setup: CoolingSetup, schedule: CoolingSchedule):
-    """Each schedule step with the eigendecomposition (w, v) of its
-    Hamiltonian H_j + V, built and diagonalized here."""
+def _step_unitaries(setup: CoolingSetup, schedule: CoolingSchedule):
+    """Each schedule step with its unitary exp(-i tau (H_j + V)), the step
+    Hamiltonian built and diagonalized here."""
     for step in schedule.steps:
-        yield step, np.linalg.eigh(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
+        eig = np.linalg.eigh(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
+        yield step, evolve(*eig, step.tau)
 
 
 def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
@@ -537,19 +539,24 @@ def run_deterministic(
     shots: int = 2000,
     seed: int = 0,
 ) -> RunReport:
-    """Run the cooling ladder end to end.
+    """Run the cooling ladder end to end on its measurement-record states,
+    one `cooling_step` per step in either mode.
 
-    Density mode composes the exact conditional-evolution maps (the output
-    is a deterministic number) and returns the final state with the report.
-    Trajectory mode samples the bath measurement record per shot, then
-    samples a final ground-vs-not outcome per shot so the fidelity estimate
-    carries plain binomial statistics.  Shot t's uniforms are the stream of
-    its own generator, spawned as `SeedSequence(seed, spawn_key=(t,))`;
-    `trial_uniforms` draws every shot's stream at once, bit for bit,
-    without building a generator per shot.  Shots with the same
-    measurement record share one propagated state, so the work per step
-    grows with the number of distinct records (one per step, plus one),
-    not with the shots.
+    The ladder's state is the mixture of its record states, each weighted
+    by its record's probability (the quantum-jump unravelling;
+    Dalibard-Castin-Molmer 1992, Plenio-Knight 1998).  Density mode weighs
+    the records exactly: the all-down record branches both ways, every up
+    record up only (its down rows are exact zeros), an outcome of
+    probability 0 (step 1's up outcome) is dropped, and a weight is
+    multiplied by its outcome's probability.  Its up probabilities, band
+    retentions and trace residual |sum_r w_r |psi_r|^2 - 1| are sums over
+    the records, and one `DensityMatrix` sum_r w_r |psi_r><psi_r| is formed
+    at the end for the final state, its ground fidelity and its minimum
+    eigenvalue.  Trajectory mode samples the records per shot, then a
+    ground-vs-not outcome per shot, so the fidelity estimate carries plain
+    binomial statistics; shot t's uniforms are the stream of its own
+    generator, spawned as `SeedSequence(seed, spawn_key=(t,))`, all drawn
+    at once (`trial_uniforms`).
 
     `h_norm` (and `cost` = h_norm * total_time) is the largest step norm
     ||H_j + V|| of the ladder (`_step_norm`, on the connected blocks of
@@ -560,97 +567,69 @@ def run_deterministic(
         raise ValueError("mode must be 'density' or 'trajectory'")
     if mode == "trajectory" and shots < 1:
         raise ValueError(f"trajectory mode needs shots >= 1, got {shots}")
+    density = mode == "density"
     # the composite ground space: the ground space of H_S with either bath state
     ground = np.kron(setup.ground_basis, np.eye(2, dtype=complex))
     h_norm = _step_norm(setup.dense or setup, schedule)
-    total_time = schedule.total_time
-
-    if mode == "density":
-        psi0 = np.kron(setup.fiducial, KET_DOWN)
-        rho = DensityMatrix(np.outer(psi0, psi0.conj()))
-        # the band manifold of step j is span{|k,down>}_{k<=j} + |0,up>: the
-        # first j+1 columns and the last; its weight in rho is the sum of
-        # <b|rho|b> over those columns b
+    n_steps = len(schedule.steps)
+    psi = np.kron(setup.fiducial, KET_DOWN)[:, None]
+    up_weights = np.zeros(n_steps)
+    if density:
+        # the band manifold of step j is span{|k,down>}_{k<=j} + |0,up>:
+        # the first j+1 rows and the last
         manifold = np.column_stack(
             [np.kron(setup.band.vector(k), KET_DOWN) for k in range(setup.n_bands)]
             + [np.kron(setup.band.vector(0), KET_UP)]
-        )
-
-        def column_weights(state: DensityMatrix) -> np.ndarray:
-            return np.sum(manifold.conj() * (state.entries @ manifold), axis=0).real
-
-        up = _bath_masks(rho.dim)[1]
-        up_probs, retentions = [], []
-        trace_residual = abs(rho.trace() - 1.0)
-        min_eig = rho.min_eigenvalue()
-        weights = column_weights(rho)
-        for step, eig in _step_spectra(setup, schedule):
-            before = float(np.sum(weights[: step.j + 1]) + weights[-1])
-            rho = cooling_step(rho, step, eig)
-            weights = column_weights(rho)
-            after = float(np.sum(weights[: step.j]) + weights[-1])
-            retentions.append(min(1.0, after / before) if before > 0 else 1.0)
-            up_probs.append(float(np.sum(np.diagonal(rho.entries) * up).real))
-            trace_residual = max(trace_residual, abs(rho.trace() - 1.0))
-            min_eig = min(min_eig, rho.min_eigenvalue())
-        fidelity = float(np.sum(ground.conj() * (rho.entries @ ground)).real)
-        retention_product = float(np.prod(retentions)) if retentions else 1.0
-        return RunReport(
-            ground_fidelity=fidelity,
-            per_step_up_probability=tuple(up_probs),
-            per_step_retention=tuple(retentions),
-            trace_residual=trace_residual,
-            min_eigenvalue=min_eig,
-            total_time=total_time,
-            h_norm=h_norm,
-            cost=h_norm * total_time,
-            error_budget=1.0 - retention_product,
-            mode="density",
-            label=setup.label,
-            final_state=rho,
-        )
-
-    # trajectory mode: pure-state shots through the measurement record.  A
-    # shot's uniforms are one per step and one for the final readout, from
-    # its own stream.  A shot's state depends only on its record of
-    # bath outcomes so far, so shots with the same record share one column
-    # of psi (`record` maps shot to column).  Each step measures every
-    # column once: a column splits into its up rows (odd indices) and U
-    # times its down rows, for the outcomes some shot of it drew.
-    unitaries = [evolve(*eig, step.tau) for step, eig in _step_spectra(setup, schedule)]
-    n_steps = len(unitaries)
-    draws = trial_uniforms(seed, shots, n_steps + 1)
-    psi = np.kron(setup.fiducial, KET_DOWN)[:, None]
-    record = np.zeros(shots, dtype=np.intp)
-    up_weights = np.zeros(n_steps)
-    for i, u in enumerate(unitaries):
+        ).conj().T
+        weights = np.ones(1)
+        held = np.abs(manifold @ psi) ** 2 @ weights
+        traces = [weights @ _squared_norms(psi)]
+        retentions = []
+    else:
+        draws = trial_uniforms(seed, shots, n_steps + 1)
+        record = np.zeros(shots, dtype=np.intp)
+    for i, (step, u) in enumerate(_step_unitaries(setup, schedule)):
         p_up = _squared_norms(psi[1::2])
-        went_up = draws[:, i] < p_up[record]
-        branches, record = np.unique(2 * record + went_up, return_inverse=True)
-        parent, up = branches // 2, branches % 2 == 1
-        psi, p_up = psi[:, parent], p_up[parent]
-        psi[0::2, up] = 0.0
-        psi[1::2, ~up] = 0.0
-        psi /= np.sqrt(np.where(up, p_up, np.maximum(1e-300, 1.0 - p_up)))
-        psi[:, ~up] = u @ psi[:, ~up]
-        # post-step pumped weight, comparable to the density-mode trace
-        up_weights[i] = np.bincount(record, minlength=len(branches)) @ _squared_norms(psi[1::2])
-    p_ground = _squared_norms(ground.conj().T @ psi)
-    successes = int(np.count_nonzero(draws[:, -1] < np.clip(p_ground, 0.0, 1.0)[record]))
-    return RunReport(
-        ground_fidelity=successes / shots,
-        per_step_up_probability=tuple(up_weights / shots),
-        per_step_retention=(),
-        trace_residual=0.0,
-        min_eigenvalue=0.0,
-        total_time=total_time,
-        h_norm=h_norm,
-        cost=h_norm * total_time,
-        error_budget=float("nan"),
-        mode="trajectory",
-        shots=shots,
-        label=setup.label,
-    )
+        if density:
+            # 0, 1, 3, 5, ...: the all-down record (column 0) both ways,
+            # each up record up only
+            branches = np.arange(-1, 2 * psi.shape[1], 2)
+            branches[0] = 0
+            parent = branches // 2
+            outcome = np.where(branches % 2 == 1, p_up[parent], 1.0 - p_up[parent])
+            branches = branches[outcome > 0]
+            weights = weights[branches // 2] * outcome[outcome > 0]
+        else:
+            went_up = draws[:, i] < p_up[record]
+            branches, record = np.unique(2 * record + went_up, return_inverse=True)
+        psi = cooling_step(psi, p_up, branches, u)
+        # post-step pumped weight
+        counts = weights if density else np.bincount(record, minlength=len(branches))
+        up_weights[i] = counts @ _squared_norms(psi[1::2])
+        if density:
+            before = float(np.sum(held[: step.j + 1]) + held[-1])
+            held = np.abs(manifold @ psi) ** 2 @ weights
+            after = float(np.sum(held[: step.j]) + held[-1])
+            retentions.append(min(1.0, after / before) if before > 0 else 1.0)
+            traces.append(weights @ _squared_norms(psi))
+    if density:
+        final_state = DensityMatrix((psi * weights) @ psi.conj().T)
+        # the sum of <g|rho|g> over the ground columns g, as a readout reads it
+        fidelity = float(np.sum(ground.conj() * (final_state.entries @ ground)).real)
+        stats = dict(per_step_retention=tuple(retentions),
+                     trace_residual=float(np.max(np.abs(np.array(traces) - 1.0))),
+                     min_eigenvalue=final_state.min_eigenvalue(),
+                     error_budget=1.0 - float(np.prod(retentions)), final_state=final_state)
+    else:
+        p_ground = _squared_norms(ground.conj().T @ psi)
+        successes = np.count_nonzero(draws[:, -1] < np.clip(p_ground, 0.0, 1.0)[record])
+        fidelity = int(successes) / shots
+        up_weights /= shots
+        stats = dict(per_step_retention=(), trace_residual=0.0, min_eigenvalue=0.0,
+                     error_budget=float("nan"), shots=shots)
+    return RunReport(ground_fidelity=fidelity, per_step_up_probability=tuple(up_weights),
+                     total_time=schedule.total_time, h_norm=h_norm,
+                     cost=h_norm * schedule.total_time, mode=mode, label=setup.label, **stats)
 
 
 def run_reduced(setup: CoolingSetup, schedule: CoolingSchedule, eta: float) -> RunReport:

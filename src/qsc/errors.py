@@ -3,8 +3,8 @@
 An error's type alone sets the command line's exit code (`cli.main`):
 `ConfigError` and its subclasses exit 2, `DimensionTooLarge` exits 3, any
 other `QscError` exits 1, and any other exception is a program fault that
-ends the run with its traceback.  A `ConfigError` is also a `ValueError`,
-as a library caller expects of a refused argument.
+exits 4 with its traceback.  A `ConfigError` is also a `ValueError`, as a
+library caller expects of a refused argument.
 """
 
 

@@ -216,14 +216,17 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
 
 def half_width(detunings: np.ndarray, fidelities: np.ndarray):
     """Half of the full width at half maximum of (fidelity - scan minimum)
-    around the global peak, with linear interpolation at the crossings."""
+    around the global peak, with linear interpolation at the crossings.  A
+    curve that does not fall below its half level on both sides of the
+    peak within the scan has no half-width to report: a ConfigError that
+    names `scan_factor`, the scan's width."""
     fmin = float(np.min(fidelities))
     ipk = int(np.argmax(fidelities))
     level = 0.5 * (fidelities[ipk] + fmin)
 
-    def _cross(i_from, i_to, step):
-        prev = i_from
-        i = i_from + step
+    def _cross(step):
+        prev = ipk
+        i = ipk + step
         while 0 <= i < len(fidelities):
             if fidelities[i] < level:
                 f1, f2 = fidelities[prev], fidelities[i]
@@ -231,10 +234,12 @@ def half_width(detunings: np.ndarray, fidelities: np.ndarray):
                 return d1 + (level - f1) * (d2 - d1) / (f2 - f1)
             prev = i
             i += step
-        return detunings[i_to]
+        raise ConfigError(f"the fidelity curve does not fall to its half level within the "
+                          f"scan (detunings {detunings[0]:.3e} to {detunings[-1]:.3e}), so it "
+                          f"has no half-width; raise scan_factor")
 
-    left = _cross(ipk, 0, -1)
-    right = _cross(ipk, len(fidelities) - 1, +1)
+    left = _cross(-1)
+    right = _cross(+1)
     return 0.5 * float(right - left), float(detunings[ipk]), float(fidelities[ipk])
 
 

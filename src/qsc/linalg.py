@@ -19,8 +19,8 @@ plain array and is not tested again:
 
 Eigendecompositions (`np.linalg.eigh` pairs), unitaries, subspace bases
 and states are plain arrays: every setup builds its fiducial as a complex
-unit vector, and a density run meets it again at its first
-`DensityMatrix`, which refuses a wrong trace.  Evolution is by exact
+unit vector, and a density run, whose ladder keeps the trace, meets it
+again at its final `DensityMatrix`, which refuses a wrong trace.  Evolution is by exact
 eigendecomposition; there is no Trotterization in the package.
 """
 
@@ -157,8 +157,8 @@ class DensityMatrix(_Frozen):
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 
     Positivity is enforced down to the configured eigenvalue floor so that
-    exact arithmetic noise from long map compositions does not reject
-    physically valid states.  The minimum eigenvalue that validation
+    the roundoff of a long ladder does not reject physically valid
+    states.  The minimum eigenvalue that validation
     computes is kept for `min_eigenvalue`.  The entries are taken, and
     tested for Hermiticity, as `Operator` takes its matrix.
     """

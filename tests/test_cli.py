@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qsc import __version__, bounds, cli, config, experiments
 from qsc.cli import (
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VIOLATION,
@@ -526,6 +527,13 @@ MISREAD = [
     ("clock", {"h": 1e-20}, "is not resolved; raise h = 1e-20"),
     # an underflowed scan width gives no half-width, and no curve is written
     ("fig1", {"scan_factor": 5e-324, "points": 20}, "the scan width scan_factor * omega0_rel"),
+    # a scan narrower than the curve's resolution stays above the half
+    # level: no half-width, not the scan's edge as one
+    ("fig1", {"scan_factor": 1e-300, "points": 20}, "has no half-width; raise scan_factor"),
+    # a Rabi splitting still lost in roundoff at r = 0.12, under the 1/8
+    # cap: the advice names the gap (through h), not only r
+    ("clock", {"h": 1e-12, "r": 0.12},
+     "raise the coupling ratio r (below its 1/8 cap) or the gap Delta"),
 ]
 
 
@@ -644,36 +652,45 @@ def test_a_failed_fig1_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def test_an_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+def _assert_a_program_fault(code, err, exception, message):
+    """Exit 4 with the fault's traceback on stderr, never a config error
+    (2) or a violation (1)."""
+    assert code == EXIT_INTERNAL
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().splitlines()[-1].startswith(f"{exception}: ")
+    assert message in err and "config error" not in err
+
+
+def test_an_internal_key_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     # no config path raises KeyError (a misspelt key is a ConfigError), so
-    # one from a run is the program's bug: it propagates, it is never exit 2
+    # one from a run is the program's bug: exit 4 with its traceback
     def broken(cfg, out_dir):
         return cfg["no such key"]
 
     monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
-    with pytest.raises(KeyError, match="no such key"):
-        run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+    code = run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+    _assert_a_program_fault(code, capsys.readouterr().err, "KeyError", "no such key")
 
 
-def test_an_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
-    # a ValueError that no config check raised is the program's bug: it
-    # propagates with its traceback, it is never exit 2
+def test_an_internal_value_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # a ValueError that no config check raised is the program's bug: exit
+    # 4 with its traceback, never exit 2
     def broken(cfg, out_dir):
         raise ValueError("an internal fault")
 
     monkeypatch.setitem(cli._RUNNERS, "spectrum", broken)
-    with pytest.raises(ValueError, match="an internal fault"):
-        run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+    code = run_cli(tmp_path, "spectrum", SMALL["spectrum"])
+    _assert_a_program_fault(code, capsys.readouterr().err, "ValueError", "an internal fault")
 
 
 def test_a_refused_valid_state_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     # a positivity floor above every eigenvalue makes DensityMatrix refuse
     # the run's own (valid) state: a program fault, never "config error"
     monkeypatch.setattr(config, "POSITIVITY_FLOOR", 1.0)
-    with pytest.raises(ValueError, match="density matrix minimum eigenvalue") as caught:
-        run_cli(tmp_path, "clock", SMALL["clock"])
-    assert not isinstance(caught.value, ConfigError)
-    assert "config error" not in capsys.readouterr().err
+    code = run_cli(tmp_path, "clock", SMALL["clock"])
+    _assert_a_program_fault(code, capsys.readouterr().err, "ValueError",
+                            "density matrix minimum eigenvalue")
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_max_dim_that_is_no_integer_is_a_config_error(tmp_path, capsys, monkeypatch):
@@ -686,14 +703,15 @@ def test_a_max_dim_that_is_no_integer_is_a_config_error(tmp_path, capsys, monkey
 
 
 def test_the_error_type_sets_the_exit_code():
-    # main catches exactly the three types that set exit 2, 3 and 1; the
-    # errors that exit 2 are ConfigErrors, and a ConfigError is a ValueError
+    # main catches exactly the three types that set exit 2, 3 and 1, then
+    # any other exception, a program fault (exit 4); the errors that exit 2
+    # are ConfigErrors, and a ConfigError is a ValueError
     tree = ast.parse(Path(cli.__file__).read_text())
     main_def = next(f for f in tree.body if getattr(f, "name", None) == "main")
     handlers = [h for node in ast.walk(main_def) if isinstance(node, ast.Try)
                 for h in node.handlers]
     assert [ast.unparse(h.type) for h in handlers] == ["ConfigError", "DimensionTooLarge",
-                                                      "QscError"]
+                                                      "QscError", "Exception"]
     assert issubclass(ConfigError, QscError) and issubclass(ConfigError, ValueError)
     for error in (ParseError, CouplingTooLarge, UnresolvedSplitting):
         assert issubclass(error, ConfigError)

@@ -1,5 +1,5 @@
-"""Cooling-engine tests: schedules, the conditional-evolution map, the
-deterministic and reduced ladders, the probabilistic qutrit scheme, cost
+"""Cooling-engine tests: schedules, the record step against the
+conditional-evolution map, the deterministic and reduced ladders, the probabilistic qutrit scheme, cost
 accounting, and the oracles' error injection against the engine's clean
 runs."""
 
@@ -123,50 +123,75 @@ def _step_eig(setup, sched, step):
     return np.linalg.eigh(_step_hamiltonian(setup, sched.omega0, step.omega_b))
 
 
+def _step_unitary(setup, sched, step):
+    return evolve(*_step_eig(setup, sched, step), step.tau)
+
+
+def _branch_every_record(psi, weights, u):
+    """One step of the record states `psi` (one per column, with weights)
+    through `cooling_step`, every record branching both ways and each
+    branch weighted by its outcome's probability; an outcome of
+    probability 0 is dropped.  Returns the branches' states and weights."""
+    p_up = np.sum(np.abs(psi[1::2]) ** 2, axis=0)
+    branches = np.arange(2 * psi.shape[1])
+    parent, up = branches // 2, branches % 2 == 1
+    outcome = np.where(up, p_up[parent], 1.0 - p_up[parent])
+    branches = branches[outcome > 0]
+    return cooling_step(psi, p_up, branches, u), weights[branches // 2] * outcome[outcome > 0]
+
+
+def _mixture(psi, weights):
+    """sum_r w_r |psi_r><psi_r|."""
+    return (psi * weights) @ psi.conj().T
+
+
 class TestCoolingStep:
+    """`cooling_step` on measurement-record states: weighted by their
+    outcomes' probabilities, a step's branches mix to the
+    conditional-evolution map U D rho D U^+ + P_up rho P_up of the
+    records' mixture rho."""
+
     def test_pumped_state_fixed(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
-        step = sched.steps[0]
-        eig = _step_eig(grover6, sched, step)
-        up_state = np.kron(grover6.band.vector(0), KET_UP)
-        rho = DensityMatrix(np.outer(up_state, up_state.conj()))
-        out = cooling_step(rho, step, eig)
-        assert np.max(np.abs(out.entries - rho.entries)) < 1e-12
+        u = _step_unitary(grover6, sched, sched.steps[0])
+        up_state = np.kron(grover6.band.vector(0), KET_UP)[:, None]
+        out = cooling_step(up_state, np.ones(1), np.array([1]), u)
+        assert np.max(np.abs(out - up_state)) < 1e-12
 
     def test_trace_and_positivity(self, clock12):
         sched = build_schedule(clock12, eps=0.1)
-        psi = np.kron(clock12.fiducial, KET_DOWN)
-        rho = DensityMatrix(np.outer(psi, psi.conj()))
+        psi = np.kron(clock12.fiducial, KET_DOWN)[:, None]
+        weights = np.ones(1)
         for step in sched.steps:
-            rho = cooling_step(rho, step, _step_eig(clock12, sched, step))
+            psi, weights = _branch_every_record(psi, weights,
+                                                _step_unitary(clock12, sched, step))
+            rho = DensityMatrix(_mixture(psi, weights))
             assert abs(rho.trace() - 1.0) < 1e-10
             assert rho.min_eigenvalue() > -1e-9
 
     def test_matches_dense_projector_map(self, clock12, rng):
-        # bath masks in place of dense 1 (x) |down><down| / |up><up| products
+        # bath selections on record states, weighted, in place of dense
+        # 1 (x) |down><down| / |up><up| products on their mixture
         sched = build_schedule(clock12, eps=0.1)
         dim = 2 * clock12.dim_s
         for step in sched.steps:
-            eig = _step_eig(clock12, sched, step)
-            u = evolve(*eig, step.tau)
+            u = _step_unitary(clock12, sched, step)
             for _ in range(3):
-                z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                rho = z @ z.conj().T
-                rho /= np.trace(rho).real
-                out = cooling_step(DensityMatrix(rho), step, eig)
-                assert np.max(np.abs(out.entries - cooling_map_dense(rho, u))) <= 1e-15
+                psi = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+                psi /= np.linalg.norm(psi, axis=0)
+                weights = rng.dirichlet(np.ones(3))
+                out, out_weights = _branch_every_record(psi, weights, u)
+                expected = cooling_map_dense(_mixture(psi, weights), u)
+                assert np.max(np.abs(_mixture(out, out_weights) - expected)) <= 1e-15
 
     def test_ground_band_retention(self, grover6):
         # a state already in the lower manifold leaks only ~r amplitude
         sched = build_schedule(grover6, omega0=0.02)
-        step = sched.steps[0]
-        eig = _step_eig(grover6, sched, step)
+        u = _step_unitary(grover6, sched, sched.steps[0])
         down = np.kron(grover6.band.vector(0), KET_DOWN)
-        rho = DensityMatrix(np.outer(down, down.conj()))
-        out = cooling_step(rho, step, eig)
-        keep = float(np.real(down.conj() @ out.entries @ down))
-        r = sched.r
-        assert keep > 1 - 10 * r ** 2
+        out, weights = _branch_every_record(down[:, None], np.ones(1), u)
+        keep = float(weights @ np.abs(down.conj() @ out) ** 2)
+        assert keep > 1 - 10 * sched.r ** 2
 
     def test_single_step_up_probability(self):
         # one pulse moves the excited-band weight onto the pumped state
@@ -188,15 +213,14 @@ class TestCoolingStep:
             sched = build_schedule(setup, omega0=r * setup.band.delta)
             step = sched.steps[0]
             j = step.j
-            eig = _step_eig(setup, sched, step)
-            psi = np.kron(setup.fiducial, KET_DOWN)
-            rho = DensityMatrix(np.outer(psi, psi.conj()))
-            out = cooling_step(rho, step, eig)
+            psi = np.kron(setup.fiducial, KET_DOWN)[:, None]
+            out = _mixture(*_branch_every_record(psi, np.ones(1),
+                                                 _step_unitary(setup, sched, step)))
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
             cols.append(np.kron(setup.band.vector(0), KET_UP))
             b = np.column_stack(cols)
             m_prev = b @ b.conj().T
-            resid = out.entries - m_prev @ out.entries @ m_prev
+            resid = out - m_prev @ out @ m_prev
             norm = np.linalg.norm(resid, 2)
             trace = abs(np.trace(resid).real)
             assert norm <= 3 * math.sqrt(j) * r
@@ -365,6 +389,35 @@ class TestTrajectoryRecords:
         setup, sched = _ladder(*ladder)
         steps = tuple(s._replace(tau=s.tau * tau_scale) for s in sched.steps)
         _assert_matches_per_shot(setup, sched._replace(steps=steps), shots, seed)
+
+
+class TestDensityRecords:
+    """Density mode weighs the record states that trajectory mode samples:
+    the weighted mixture of the L' + 1 records is the ladder of
+    dense-projector maps, each step built afresh
+    (`oracles.ladder_by_fresh_build`)."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(gates=st.lists(st.sampled_from("HSTXYZ"), min_size=1, max_size=5).map(tuple),
+           dense=st.booleans(), tau_scale=st.sampled_from([1.0, 0.5, 0.3]))
+    @example(gates=("H", "T", "X", "S", "Y"), dense=False, tau_scale=1.0)
+    def test_matches_the_fresh_ladder(self, gates, dense, tau_scale):
+        # the clock block the lab runs, or the dense setup it is cut from;
+        # short pulses leave weight on every record
+        block = clock_block(ClockModel(circuit=parse_circuit(
+            "".join(f"G {g} 1\n" for g in gates), 1)))
+        setup = block.dense if dense else block
+        sched = build_schedule(setup, eps=0.1)
+        sched = sched._replace(steps=tuple(s._replace(tau=s.tau * tau_scale)
+                                           for s in sched.steps))
+        report = run_deterministic(setup, sched)
+        fidelity, up_probs, rho = ladder_by_fresh_build(setup, sched)
+        assert abs(report.ground_fidelity - fidelity) <= 1e-14
+        np.testing.assert_allclose(report.per_step_up_probability, up_probs, rtol=0, atol=1e-14)
+        assert np.max(np.abs(report.final_state.entries - rho)) <= 1e-14
+        # criterion 7's hygiene, read off the records and the final state
+        assert report.trace_residual <= 1e-10
+        assert report.min_eigenvalue >= -1e-9
 
 
 def _marked_strings(n: int, count: int) -> frozenset[int]:

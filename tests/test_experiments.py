@@ -275,8 +275,10 @@ class TestCountedWork:
     """A cooling run's work is counted, not timed: per step, one bath
     assembly, one step Hamiltonian and one eigendecomposition in the
     exact-tau schedule (for the splitting) and the same three in the run
-    (for the propagation), a single pass over the ladder, no eigvalsh
-    beyond state validation and norms, one search model per setup, and
+    (for the propagation), a single pass over the ladder (one
+    `cooling_step` per step in either mode), a `DensityMatrix` only for a
+    density run's final state and its readout, no eigvalsh beyond state
+    validation and norms, one search model per setup, and
     trajectory products that do not grow with the shots.  Both ladders
     stay in their band blocks, and no clock run forms a matrix of the
     composite size: the clock meets its dense space only in H_S's band
@@ -320,8 +322,9 @@ class TestCountedWork:
         # Hamiltonians and the step-norm blocks are sums of kron products
         # of those validated terms, not checked again
         assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2}
-        # the initial state, one state per step and the band state read out
-        assert counts.count("density_matrix") == length + 2
+        # the boundary checks alone: the final state and the band state
+        # read out of it; the ladder propagates plain record states
+        assert counts.count("density_matrix") == 2
         assert counts.count("eigvalsh") == (counts.count("density_matrix")
                                             + counts.count("operator_norm"))
 
@@ -357,7 +360,8 @@ class TestCountedWork:
         assert sum(norm_blocks) == dim_s
         assert sorted(len(h) for h in counts.calls["build_bath_and_couplings"]) == sorted(
             [length + 1] * (length + kept) + norm_blocks)
-        assert counts.count("density_matrix") <= steps + 2
+        assert steps == kept
+        assert counts.count("density_matrix") == (0 if mode == "trajectory" else 2)
         assert ("readout" in summary) == (mode != "trajectory")
 
     def test_grover_trajectory_builds_the_bath_once_per_use(self, tmp_path, monkeypatch):

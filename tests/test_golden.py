@@ -15,43 +15,19 @@ come from the band block, whose digits do not depend on the thread count.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from refresh_golden import CONFIGS, GOLDEN, MANIFEST, ROOT, environment, run_config, sha256
+from refresh_golden import (CONFIGS, GOLDEN, MANIFEST, ROOT, environment, mismatches,
+                            run_config, sha256)
 
 MANIFEST_DATA = json.loads(MANIFEST.read_text())
 # fields whose value is roundoff, not physics: compared to an absolute bound
 ROUNDOFF_ATOL = {"trace_residual": 1e-12, "min_eigenvalue": 1e-12}
 FLOAT_RTOL = 1e-9
-
-
-def mismatches(golden, fresh, path: str = "") -> list[str]:
-    """Where `fresh` differs from `golden` beyond its field's tolerance."""
-    if isinstance(golden, dict):
-        if not isinstance(fresh, dict) or golden.keys() != fresh.keys():
-            return [f"{path}: keys {sorted(golden)} != {sorted(fresh or {})}"]
-        return [m for key in golden for m in mismatches(golden[key], fresh[key],
-                                                        f"{path}.{key}")]
-    if isinstance(golden, list):
-        if not isinstance(fresh, list) or len(golden) != len(fresh):
-            return [f"{path}: {golden!r} != {fresh!r}"]
-        return [m for i, (g, f) in enumerate(zip(golden, fresh))
-                for m in mismatches(g, f, f"{path}[{i}]")]
-    if type(golden) is float and type(fresh) is float:
-        field = path.rsplit(".", 1)[-1].split("[", 1)[0]
-        if field in ROUNDOFF_ATOL:
-            close = abs(golden - fresh) <= ROUNDOFF_ATOL[field]
-        else:
-            close = math.isclose(golden, fresh, rel_tol=FLOAT_RTOL, abs_tol=0.0)
-        return [] if close else [f"{path}: {golden!r} != {fresh!r}"]
-    if type(golden) is not type(fresh) or golden != fresh:
-        return [f"{path}: {golden!r} != {fresh!r}"]
-    return []
 
 
 def test_the_goldens_cover_every_shipped_config():
@@ -76,21 +52,37 @@ def test_shipped_config_reproduces_its_golden_outputs(tmp_path, config):
         if exact:
             assert data == golden, f"{config.stem}/{name} is not byte-identical"
         else:
-            diffs = mismatches(json.loads(golden), json.loads(data))
+            diffs = mismatches(json.loads(golden), json.loads(data), FLOAT_RTOL, ROUNDOFF_ATOL)
             assert not diffs, f"{config.stem}/{name}: {diffs[:5]}"
 
 
 def test_mismatches_applies_each_fields_tolerance():
     golden = {"a": 1.0, "n": 3, "ok": True, "s": "x", "none": None,
               "trace_residual": 1e-15, "xs": [1.0, 2.0]}
-    assert mismatches(golden, dict(golden, a=1.0 + 1e-12, trace_residual=5e-13)) == []
-    assert mismatches(golden, dict(golden, a=1.0 + 1e-8)) == [".a: 1.0 != 1.00000001"]
-    assert mismatches(golden, dict(golden, trace_residual=2e-12))
-    assert mismatches(golden, dict(golden, n=3.0))  # an int stays an int
-    assert mismatches(golden, dict(golden, ok=1))
-    assert mismatches(golden, dict(golden, xs=[1.0]))
-    assert mismatches(golden, dict(golden, none=0.0))
-    assert mismatches(golden, {k: v for k, v in golden.items() if k != "s"})
+
+    def check(fresh):
+        return mismatches(golden, fresh, FLOAT_RTOL, ROUNDOFF_ATOL)
+
+    assert check(dict(golden, a=1.0 + 1e-12, trace_residual=5e-13)) == []
+    assert check(dict(golden, a=1.0 + 1e-8)) == [".a: 1.0 -> 1.00000001 |delta| 1.00e-08"]
+    assert check(dict(golden, trace_residual=2e-12))
+    assert check(dict(golden, n=3.0))  # an int stays an int
+    assert check(dict(golden, ok=1))
+    assert check(dict(golden, xs=[1.0]))
+    assert check(dict(golden, none=0.0))
+    assert check({k: v for k, v in golden.items() if k != "s"})
+
+
+def test_mismatches_with_no_tolerance_lists_every_moved_field():
+    # the refresh's report: every field that moved at all, with its |delta|
+    golden = {"r": {"f": 0.5, "xs": [1.0, 2.0], "n": 1}, "trace_residual": 1e-15}
+    fresh = {"r": {"f": 0.5 + 2 ** -53, "xs": [1.0, 2.0], "n": 2}, "trace_residual": 2e-15}
+    assert mismatches(golden, fresh) == [
+        ".r.f: 0.5 -> 0.5000000000000001 |delta| 1.11e-16",
+        ".r.n: 1 -> 2",
+        ".trace_residual: 1e-15 -> 2e-15 |delta| 1.00e-15",
+    ]
+    assert mismatches(golden, golden) == []
 
 
 # Runs every shipped config in one process and prints its environment and
