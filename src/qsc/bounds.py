@@ -5,7 +5,8 @@ bound: instances failing the hypotheses raise HypothesisUnmet and are
 recorded as vacuous by the suite runner, never as passes.  Randomized
 instance generators draw Gaussian Hermitian matrices and then move
 eigenvalue clusters to enforce the required windows and gaps, so the main
-suites satisfy hypotheses by construction.
+suites satisfy hypotheses by construction.  Each instance draws from its
+own `models.Stream`, seeded by word i of the master seed's stream.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import config
 from .errors import HypothesisUnmet
 from .levelshift import make_context, self_energy, self_energy_grid, solve_detuning
 from .linalg import Operator, _Frozen, _setattr, evolve, operator_norm
-from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel
+from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel, Stream
 from .cooling import (
     CoolingSetup,
     clock_setup,
@@ -388,14 +389,14 @@ def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
 # Instance generators
 # ---------------------------------------------------------------------------
 
-def gaussian_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def gaussian_hermitian(stream: Stream, dim: int, scale: float = 1.0) -> np.ndarray:
     """A Gaussian Hermitian matrix, as a plain array."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    z = stream.normal(dim * dim).reshape(dim, dim)
     return scale * (z + z.conj().T) / 2
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def haar_unitary(stream: Stream, dim: int) -> np.ndarray:
+    z = stream.normal(dim * dim).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
@@ -405,12 +406,17 @@ def _scaled_to(norm: float, m: np.ndarray) -> Operator:
     return Operator((norm / operator_norm(m)) * m)
 
 
-def _surgery_instance(rng, evals, v_norm: float, window, gap: float) -> BoundInstance:
+def _between(lo: float, hi: float, u) -> np.ndarray:
+    """Uniforms u in [0, 1) moved to [lo, hi)."""
+    return lo + (hi - lo) * u
+
+
+def _surgery_instance(stream: Stream, evals, v_norm: float, window, gap: float) -> BoundInstance:
     """H with the given spectrum in a Haar-random eigenbasis and a
     Gaussian V of norm v_norm."""
-    u = haar_unitary(rng, len(evals))
+    u = haar_unitary(stream, len(evals))
     h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T)
-    v = _scaled_to(v_norm, gaussian_hermitian(rng, len(evals)))
+    v = _scaled_to(v_norm, gaussian_hermitian(stream, len(evals)))
     return BoundInstance(h=h, v=v, window=window, gap=gap)
 
 
@@ -424,38 +430,38 @@ def make_windowed_instance(
     pushed beyond the collars at gap 1, eigenvectors Haar random.  The
     perturbation norm is v_scale * gap/2 (hypothesis-satisfying for
     v_scale < 1)."""
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     gap = 1.0
     lam_lo, lam_hi = -1.0, 1.0
     inner_lo, inner_hi = lam_lo + gap / 2, lam_hi - gap / 2
-    inner = rng.uniform(inner_lo + 0.05 * gap, inner_hi - 0.05 * gap, size=p_rank)
-    n_out = dim - p_rank
-    lows = rng.uniform(lam_lo - gap / 2 - 2.0, lam_lo - gap / 2 - 0.05 * gap,
-                       size=n_out // 2)
-    highs = rng.uniform(lam_hi + gap / 2 + 0.05 * gap, lam_hi + gap / 2 + 2.0,
-                        size=n_out - n_out // 2)
-    evals = np.concatenate([inner, lows, highs])
-    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
+    inner, lows, highs = np.split(stream.uniform(dim), [p_rank, p_rank + (dim - p_rank) // 2])
+    evals = np.concatenate([
+        _between(inner_lo + 0.05 * gap, inner_hi - 0.05 * gap, inner),
+        _between(lam_lo - gap / 2 - 2.0, lam_lo - gap / 2 - 0.05 * gap, lows),
+        _between(lam_hi + gap / 2 + 0.05 * gap, lam_hi + gap / 2 + 2.0, highs),
+    ])
+    return _surgery_instance(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
 def make_multiband_instance(seed: int, dim: int = 14) -> BoundInstance:
     """Three tight bands of rank 2 inside the window, gap-separated (gap
     0.6) from each other and from the outside spectrum; the perturbation
     norm is 0.15 * gap/2."""
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     n_bands, band_rank, gap, v_scale = 3, 2, 0.6, 0.15
     centers = np.linspace(-1.0, 1.0, n_bands)
     width = min(0.05, gap / 10)
-    evals = []
-    for c in centers:
-        evals.extend(rng.uniform(c - width, c + width, size=band_rank))
     lam_lo = centers[0] - gap / 2 - width
     lam_hi = centers[-1] + gap / 2 + width
-    n_out = dim - n_bands * band_rank
-    lows = rng.uniform(lam_lo - gap - 2.0, lam_lo - gap, size=n_out // 2)
-    highs = rng.uniform(lam_hi + gap, lam_hi + gap + 2.0, size=n_out - n_out // 2)
-    evals = np.concatenate([np.array(evals), lows, highs])
-    return _surgery_instance(rng, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
+    n_in = n_bands * band_rank
+    inner, lows, highs = np.split(stream.uniform(dim), [n_in, n_in + (dim - n_in) // 2])
+    evals = np.concatenate([
+        _between(np.repeat(centers - width, band_rank), np.repeat(centers + width, band_rank),
+                 inner),
+        _between(lam_lo - gap - 2.0, lam_lo - gap, lows),
+        _between(lam_hi + gap, lam_hi + gap + 2.0, highs),
+    ])
+    return _surgery_instance(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -678,36 +684,36 @@ class SuiteReport(_Frozen):
 
 
 def _weyl_arguments(seed: int, dim: int) -> dict:
-    rng = np.random.default_rng(seed)
-    h = gaussian_hermitian(rng, dim)
-    h_tilde = h + gaussian_hermitian(rng, dim, scale=rng.uniform(0.01, 1.0))
+    stream = Stream(seed)
+    h = gaussian_hermitian(stream, dim)
+    h_tilde = h + gaussian_hermitian(stream, dim, scale=_between(0.01, 1.0, stream.uniform(1)[0]))
     return {"h": Operator(h), "h_tilde": Operator(h_tilde)}
 
 
 def _sylvester_arguments(seed: int, dim: int) -> dict:
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     m = max(2, dim // 2)
-    a = Operator(gaussian_hermitian(rng, m))
+    a = Operator(gaussian_hermitian(stream, m))
     alpha = operator_norm(a)
-    beta = rng.uniform(0.1, 1.0)
+    beta = _between(0.1, 1.0, stream.uniform(1)[0])
     # B with singular values above alpha + beta by construction
-    w, vb = np.linalg.eigh(gaussian_hermitian(rng, dim - m))
+    w, vb = np.linalg.eigh(gaussian_hermitian(stream, dim - m))
     shifted = np.sign(w + 1e-12) * (np.abs(w) + alpha + beta)
     b = Operator(vb @ np.diag(shifted.astype(complex)) @ vb.conj().T)
-    x = rng.normal(size=(m, dim - m)) + 1j * rng.normal(size=(m, dim - m))
+    x = stream.normal(m * (dim - m)).reshape(m, dim - m)
     return {"a": a, "b": b, "x": x}
 
 
 def _block_resolvent_arguments(seed: int, dim: int) -> dict:
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     split = max(2, dim // 2)
     a = np.zeros((dim, dim), dtype=complex)
     for block in (slice(0, split), slice(split, dim)):
-        w, vb = np.linalg.eigh(gaussian_hermitian(rng, block.stop - block.start))
+        w, vb = np.linalg.eigh(gaussian_hermitian(stream, block.stop - block.start))
         lifted = np.sign(w + 1e-12) * (np.abs(w) + 1.0)  # G_i >= 1
         a[block, block] = vb @ np.diag(lifted.astype(complex)) @ vb.conj().T
-    b = gaussian_hermitian(rng, dim)
-    b = _scaled_to(rng.uniform(0.05, 0.4), b)  # under every half-gap
+    b = gaussian_hermitian(stream, dim)
+    b = _scaled_to(_between(0.05, 0.4, stream.uniform(1)[0]), b)  # under every half-gap
     return {"a": Operator(a), "b": b, "split": split}
 
 
@@ -733,12 +739,14 @@ SUITES = {
 
 def run_suite(name: str, instances: int, master_seed: int, out_dir: Path) -> SuiteReport:
     """Run one randomized suite at its table dim; violations are dumped
-    into `out_dir` for replay."""
+    into `out_dir` for replay.  Instance i is made from seed word i of the
+    stream of `master_seed`."""
     make, check, dim = SUITES[name]
     passes = vacuous = 0
     violations: list[str] = []
+    seeds = Stream(master_seed).words(instances)
     for i in range(instances):
-        seed = int(np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(1)[0])
+        seed = int(seeds[i])
         try:
             args = make(seed, dim)
             result = check(**args)

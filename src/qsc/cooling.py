@@ -85,6 +85,7 @@ from .models import (
     BandStructure,
     ClockModel,
     GroverModel,
+    _check_entries,
     _unit_vector,
     build_bath_and_couplings,
     build_clock,
@@ -491,13 +492,15 @@ def trial_uniforms(master_seed: int, trials: int, k: int) -> np.ndarray:
       * each uniform steps the LCG, rotates the XOR of the state's halves
         right by its top 6 bits, and keeps the top 53 bits times 2^-53.
     A negative seed, or a trial index beyond one 32-bit spawn word, is a
-    ValueError.
+    ValueError; more than cap^2 uniforms in all is refused before any is
+    drawn (`models._check_entries`).
     """
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError(f"the master seed must be >= 0, got {master_seed}")
     if trials > 2 ** 32:
         raise ValueError(f"trial indices must be < 2^32, got {trials} trials")
+    _check_entries(trials * k)
     # the seed's little-endian 32-bit words; a spawned sequence pads them
     # to the pool size of four
     n_words = max(4, -(-master_seed.bit_length() // 32))

@@ -39,6 +39,7 @@ from .models import (
     KET_DOWN,
     ClockModel,
     GroverModel,
+    Stream,
     band_profile,
     build_clock,
     build_grover,
@@ -94,15 +95,16 @@ CONFIG_KEYS = {
 }
 
 # The least and the greatest value of a numeric config key, in every
-# experiment that has the key (a shot or trial index is one 32-bit spawn
-# word; a target infidelity and an overlap floor are at most 1; the run
-# squares an energy scale and an overlap floor, and 4 / f1_lower^2 stays
-# finite): `cli.resolve_config` refuses one outside them before the run.
+# experiment that has the key (a master seed is one 64-bit stream seed,
+# `models.Stream`; a shot or trial index is one 32-bit spawn word; a target
+# infidelity and an overlap floor are at most 1; the run squares an energy
+# scale and an overlap floor, and 4 / f1_lower^2 stays finite):
+# `cli.resolve_config` refuses one outside them before the run.
 CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
                    "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10,
                    "f1_lower": 1e-150}
-CONFIG_MAXIMUMS = {"shots": 2 ** 32, "trials": 2 ** 32, "eps": 1, "f1_lower": 1,
-                   "omega": 1e150, "omega1": 1e150}
+CONFIG_MAXIMUMS = {"seed": 2 ** 64 - 1, "shots": 2 ** 32, "trials": 2 ** 32, "eps": 1,
+                   "f1_lower": 1, "omega": 1e150, "omega1": 1e150}
 
 # The float config keys that must be > 0, in every experiment that has the
 # key (a coupling ratio or its scale, a pulse-time target, a scan width, a
@@ -334,11 +336,11 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
             "xs": [float(x) for x in setup.xs]}
 
     if draws:
-        rng = np.random.default_rng(seed)
+        stream = Stream(seed)
         eigenspaces = build_grover(model)
         inv_rates = []
         for _ in range(draws):
-            f = random_state(n, rng)
+            f = random_state(n, stream)
             try:
                 xs = grover_band_structure(f, eigenspaces)
             except ValueError:

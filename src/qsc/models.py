@@ -22,6 +22,7 @@ from __future__ import annotations
 import ast
 import cmath
 import math
+import operator
 from pathlib import Path
 from typing import Sequence
 
@@ -544,14 +545,67 @@ def build_bath_and_couplings(h_s: np.ndarray, t: np.ndarray, omega_b: float):
 # Random states
 # ---------------------------------------------------------------------------
 
+# SplitMix64's counter increment (the golden ratio times 2^64) and the
+# multipliers of its output mix (Steele-Lea-Flood 2014), as uint64 scalars
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+
+
+class Stream(_Frozen):
+    """A counter-based random stream (Salmon et al. 2011): word k of the
+    stream of seed s (k = 0, 1, ...) is the SplitMix64 output mix of
+    s + (k + 1) * 0x9E3779B97F4A7C15 mod 2^64, which is the k-th output of
+    Steele-Lea-Flood's SplitMix64 seeded with s.  A word is a pure
+    function of (s, k), so draws do not depend on how they are grouped,
+    and each call hashes all its counters at once.
+
+    A uniform is a word's top 53 bits times 2^-53, in [0, 1); a complex
+    normal (real and imaginary parts iid N(0, 1)) is the Box-Muller
+    transform of two consecutive uniforms, sqrt(-2 ln(1 - u0)) *
+    exp(2 pi i u1).  The seed is fixed; `_drawn`, the count of words
+    given so far, is the one slot a draw advances.  A seed outside
+    [0, 2^64) is a ValueError.
+    """
+
+    __slots__ = ("seed", "_drawn")
+
+    def __post_init__(self):
+        _setattr(self, "seed", operator.index(self.seed))
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"a stream seed must lie in [0, 2^64), got {self.seed}")
+        _setattr(self, "_drawn", 0)
+
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` words, as uint64."""
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        _setattr(self, "_drawn", self._drawn + count)
+        z *= _GOLDEN_GAMMA
+        z += np.uint64(self.seed)
+        z ^= z >> 30
+        z *= _MIX_A
+        z ^= z >> 27
+        z *= _MIX_B
+        z ^= z >> 31
+        return z
+
+    def uniform(self, count: int) -> np.ndarray:
+        """The next `count` uniforms in [0, 1)."""
+        return (self.words(count) >> 11) * 2.0 ** -53
+
+    def normal(self, count: int) -> np.ndarray:
+        """The next `count` standard complex normals, two uniforms each."""
+        u = self.uniform(2 * count)
+        return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.exp(2j * math.pi * u[1::2])
+
+
 def random_state(n: int, seed) -> np.ndarray:
-    """Haar-random state on n qubits, a complex unit vector, reproducible
-    from the seed.
+    """Haar-random state on n qubits, a complex unit vector: 2^n complex
+    normals of the stream `seed` (a `Stream`, or the seed of a new one),
+    normalized.
 
     A normalized vector of iid complex Gaussians is exactly Haar
     distributed; this replaces approximate-design circuit sampling.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dim = 2 ** n
-    z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    stream = seed if isinstance(seed, Stream) else Stream(seed)
+    z = stream.normal(2 ** n)
     return z / np.linalg.norm(z)

@@ -17,6 +17,7 @@ from qsc.linalg import Operator, operator_norm
 from qsc.models import (
     ClockModel,
     GroverModel,
+    Stream,
     band_energies,
     overlap_coefficients,
     parse_circuit,
@@ -495,6 +496,22 @@ class TestSuiteTable:
             result = replay_instance(payload)
             assert not result.passed
             assert list(result.margins) == payload["margins"]
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_a_dump_seed_is_its_stream_word_and_remakes_the_instance(self, name, tmp_path,
+                                                                    monkeypatch):
+        # instance i is made from word i of the master seed's stream, and
+        # that seed, written into its dump, makes the dumped matrices again
+        monkeypatch.setattr(bounds, "CheckResult", _AlwaysFails)
+        rep = run_suite(name, 3, master_seed=404, out_dir=tmp_path)
+        words = Stream(404).words(3)
+        make, _, dim = SUITES[name]
+        assert rep.violations
+        for path in rep.violations:
+            payload = json.loads(Path(path).read_text())
+            assert payload["seed"] == int(words[int(Path(path).stem.rsplit("_", 1)[1])])
+            remade = json.loads(json.dumps(bounds._payload(make(payload["seed"], dim))))
+            assert remade.items() <= payload.items()
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_clean_run_validates_each_handed_matrix_once(self, name, tmp_path, monkeypatch):

@@ -191,6 +191,23 @@ def test_the_cap_bounds_the_largest_array(tmp_path, monkeypatch, experiment, cfg
     assert (tmp_path / "out").exists() == (code == EXIT_OK)
 
 
+@pytest.mark.parametrize("experiment,cfg,code", [
+    # trajectory mode draws shots x (steps + 1) uniforms: 2 per shot here
+    ("grover", {"n": 3, "marked": [1], "mode": "trajectory", "shots": 32}, EXIT_OK),
+    ("grover", {"n": 3, "marked": [1], "mode": "trajectory", "shots": 50}, EXIT_RESOURCE),
+    # the qutrit scheme draws 3 uniforms per trial
+    ("prob", {"n": 1, "circuit": ["G I 1", "G I 1"], "trials": 21}, EXIT_OK),
+    ("prob", {"n": 1, "circuit": ["G I 1", "G I 1"], "trials": 30}, EXIT_RESOURCE),
+])
+def test_the_cap_bounds_the_shot_and_trial_uniforms(tmp_path, monkeypatch, experiment, cfg,
+                                                    code):
+    # the uniforms of every shot or trial are one array, refused past cap^2
+    # entries before it is allocated
+    monkeypatch.setenv("QSC_MAX_DIM", "8")
+    assert run_cli(tmp_path, experiment, dict(cfg, seed=0)) == code
+    assert (tmp_path / "out").exists() == (code == EXIT_OK)
+
+
 def test_self_check_failure_is_reported_not_raised(tmp_path, monkeypatch, capsys):
     # a residual self-check that fails is an error line and exit 1, not a
     # traceback
@@ -449,6 +466,9 @@ MISREAD = [
     ("grover", {"mode": "trajectory", "shots": 20, "seed": -1}, "'seed' must be >= 0, got -1"),
     ("prob", {"seed": -3}, "'seed' must be >= 0, got -3"),
     ("bounds", {"seed": -1}, "'seed' must be >= 0, got -1"),
+    # and one 64-bit stream seed: named here, not by the stream inside the run
+    ("bounds", {"seed": 2 ** 64}, f"'seed' must be <= {2 ** 64 - 1}, got {2 ** 64}"),
+    ("grover", {"fiducial": "haar", "seed": 2 ** 64}, f"'seed' must be <= {2 ** 64 - 1}"),
     # a coupling ratio, pulse-time target, Rabi-rate fraction or overlap
     # floor is positive: named as the config key, not as the coupling
     # omega0 = r * Delta or the library parameter it becomes, before a run
@@ -556,6 +576,18 @@ def test_an_energy_scale_at_its_cap_runs(tmp_path, experiment, key):
     # squares of it that the run takes, and its dense eighs, stay finite
     cfg = dict(SMALL[experiment], **{key: experiments.CONFIG_MAXIMUMS[key]})
     assert run_cli(tmp_path, experiment, cfg) == EXIT_OK
+
+
+@pytest.mark.parametrize("experiment,cfg", [
+    ("bounds", {"instances": 2, "protocol": False}),
+    ("grover", {"n": 3, "marked": [1], "fiducial": "haar", "ensemble_draws": 3,
+                "mode": "trajectory", "shots": 20}),
+    ("prob", {"n": 1, "circuit": ["G I 1", "G I 1"], "trials": 20}),
+])
+def test_the_greatest_seed_runs(tmp_path, experiment, cfg):
+    # the last 64-bit seed seeds the stream and the shot and trial uniforms
+    seed = experiments.CONFIG_MAXIMUMS["seed"]
+    assert run_cli(tmp_path, experiment, dict(cfg, seed=seed)) == EXIT_OK
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from qsc.models import (
     _NAMED_GATES,
     ClockModel,
     GroverModel,
+    Stream,
     band_energies,
     build_bath_and_couplings,
     build_clock,
@@ -449,11 +450,11 @@ class TestFiducials:
     def test_haar_mean_ground_weight(self):
         # E[x_0^2] = N0/N for Haar fiducials
         model = GroverModel(n=3, marked=frozenset({2}))
-        rng = np.random.default_rng(7)
+        stream = Stream(7)
         eigenspaces = build_grover(model)
         vals = []
         for _ in range(500):
-            f = random_state(3, rng)
+            f = random_state(3, stream)
             xs = grover_band_structure(f, eigenspaces)
             vals.append(xs[0] ** 2)
         mean = np.mean(vals)
@@ -472,11 +473,91 @@ class TestRandomState:
         assert v.dtype == complex and abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_haar_first_moment(self):
-        rng = np.random.default_rng(11)
-        vals = [abs(random_state(3, rng)[0]) ** 2 for _ in range(10000)]
+        stream = Stream(11)
+        vals = [abs(random_state(3, stream)[0]) ** 2 for _ in range(10000)]
         mean = np.mean(vals)
         se = np.std(vals) / math.sqrt(len(vals))
         assert abs(mean - 1 / 8) < 3 * se
+
+    def test_a_seed_starts_a_stream_that_later_draws_continue(self):
+        stream = Stream(42)
+        first, second = random_state(3, stream), random_state(3, stream)
+        assert np.array_equal(first, random_state(3, 42))
+        z = Stream(42).normal(16)
+        assert np.allclose(second, z[8:] / np.linalg.norm(z[8:]), rtol=0, atol=1e-15)
+
+    def test_a_generator_is_not_a_seed(self):
+        with pytest.raises(TypeError):
+            random_state(3, np.random.default_rng(0))
+
+
+# Steele-Lea-Flood SplitMix64 outputs for seeds 0 and 1234567
+SPLITMIX64_VECTORS = {
+    0: [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F],
+    1234567: [6457827717110365317, 3203168211198807973, 9817491932198370423],
+}
+
+
+class TestStream:
+    """The counter-based stream: published SplitMix64 words, draws that do
+    not depend on their grouping, and uniforms and complex normals whose
+    low moments and lag-1 correlation sit within 5 sigma of their laws on
+    10^5 draws."""
+
+    N = 10 ** 5
+
+    @pytest.mark.parametrize("seed", sorted(SPLITMIX64_VECTORS))
+    def test_published_splitmix64_vectors(self, seed):
+        assert Stream(seed).words(3).tolist() == SPLITMIX64_VECTORS[seed]
+
+    def test_a_uniform_is_the_top_53_bits_of_its_word(self):
+        u = Stream(0).uniform(3)
+        assert u.tolist() == [(w >> 11) * 2.0 ** -53 for w in SPLITMIX64_VECTORS[0]]
+
+    @pytest.mark.parametrize("draw", ["words", "uniform", "normal"])
+    def test_draws_do_not_depend_on_their_grouping(self, draw):
+        grouped = Stream(2024)
+        parts = [getattr(grouped, draw)(3), getattr(grouped, draw)(5)]
+        assert np.array_equal(np.concatenate(parts), getattr(Stream(2024), draw)(8))
+        # and a later draw continues from the same counter either way
+        whole = Stream(2024)
+        getattr(whole, draw)(8)
+        assert np.array_equal(grouped.words(2), whole.words(2))
+
+    def test_a_word_is_a_function_of_seed_and_counter(self):
+        # word k of seed s is SplitMix64's mix of s + (k + 1) * gamma: the
+        # stream of s + gamma is the stream of s, one word on
+        gamma = 0x9E3779B97F4A7C15
+        assert np.array_equal(Stream(5 + gamma).words(4), Stream(5).words(5)[1:])
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match="2\\^64"):
+            Stream(seed)
+
+    def test_the_last_64_bit_seed_draws(self):
+        assert np.all(np.isfinite(Stream(2 ** 64 - 1).normal(1000)))
+
+    def test_uniform_moments(self):
+        u = Stream(99).uniform(self.N)
+        assert u.min() >= 0.0 and u.max() < 1.0
+        c = u - 0.5
+        n = self.N
+        assert abs(c.mean()) < 5 * math.sqrt(1 / 12 / n)
+        # the variance 1/12, whose estimate has variance (1/80 - 1/144)/n
+        assert abs(np.mean(c ** 2) - 1 / 12) < 5 * math.sqrt((1 / 80 - 1 / 144) / n)
+        assert abs(np.mean(c[1:] * c[:-1])) < 5 * (1 / 12) / math.sqrt(n)
+
+    def test_normal_moments(self):
+        z = Stream(98).normal(self.N)
+        x, y = z.real, z.imag
+        n = self.N
+        for part in (x, y):
+            assert abs(part.mean()) < 5 / math.sqrt(n)
+            assert abs(np.mean(part ** 2) - 1) < 5 * math.sqrt(2 / n)
+            assert abs(np.mean(part ** 4) - 3) < 5 * math.sqrt(96 / n)
+        assert abs(np.mean(x * y)) < 5 / math.sqrt(n)
+        assert abs(np.mean(x[1:] * x[:-1])) < 5 / math.sqrt(n)
 
 
 class TestPadding:

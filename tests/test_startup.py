@@ -2,11 +2,12 @@
 fresh interpreter, on a small config, and reads the modules it loaded and
 the garbage collector's state after it returned.
 
-`qsc.bounds` is the bounds lab, imported only by `qsc bounds`;
-`numpy.random` is loaded on first use, which no ladder run makes (its
-shot and trial uniforms are replayed by `cooling.trial_uniforms`); and
-no command loads `dataclasses`, whose frozen classes generate and compile
-their methods at import (the value types are plain `__slots__` classes)."""
+`qsc.bounds` is the bounds lab, imported only by `qsc bounds`; no command
+loads `numpy.random` (bounds instances and Haar states come from
+`models.Stream`, and shot and trial uniforms are replayed by
+`cooling.trial_uniforms`); and no command loads `dataclasses`, whose
+frozen classes generate and compile their methods at import (the value
+types are plain `__slots__` classes)."""
 
 import json
 import os
@@ -30,10 +31,17 @@ print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
                   "dataclasses": "dataclasses" in sys.modules}))
 """
 
+# every command, each on a config that takes every path that draws random
+# numbers: Haar fiducial and ensemble draws, shots, trials, every bounds
+# suite and the protocol fits
 SMALL = {
     "clock": {"n": 1, "circuit": ["G H 1", "G T 1"], "eps": 0.1},
-    "grover": {"n": 3, "marked": [1], "mode": "trajectory", "shots": 50},
-    "bounds": {"suites": ["weyl"], "instances": 2, "protocol": False},
+    "grover": {"n": 3, "marked": [1], "mode": "trajectory", "shots": 50, "fiducial": "haar",
+               "ensemble_draws": 5},
+    "prob": {"n": 1, "circuit": ["G I 1", "G I 1"], "trials": 20},
+    "spectrum": {"n": 1, "L_min": 2, "L_max": 3},
+    "fig1": {"n_min": 4, "n_max": 5, "points": 60},
+    "bounds": {"suites": "all", "instances": 2, "protocol": True},
 }
 
 
@@ -51,22 +59,32 @@ def _run(tmp_path: Path, experiment: str) -> dict:
     return state
 
 
-@pytest.mark.parametrize("experiment", ["clock", "grover"])
-def test_a_ladder_run_loads_neither_the_bounds_lab_nor_numpy_random(tmp_path, experiment):
-    state = _run(tmp_path, experiment)
-    assert not state["bounds"]
-    assert not state["random"]
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory) -> dict:
+    """The state after one run of each command."""
+    return {experiment: _run(tmp_path_factory.mktemp(experiment), experiment)
+            for experiment in SMALL}
 
 
-def test_a_bounds_run_loads_the_bounds_lab(tmp_path):
-    assert _run(tmp_path, "bounds")["bounds"]
+@pytest.mark.parametrize("experiment", ["clock", "grover", "prob", "spectrum", "fig1"])
+def test_a_ladder_run_loads_neither_the_bounds_lab_nor_numpy_random(loaded, experiment):
+    assert not loaded[experiment]["bounds"]
+    assert not loaded[experiment]["random"]
 
 
-@pytest.mark.parametrize("experiment", ["clock", "bounds"])
-def test_the_import_time_heap_is_frozen(tmp_path, experiment):
-    assert _run(tmp_path, experiment)["frozen"] > 0
+def test_a_bounds_run_loads_the_bounds_lab(loaded):
+    assert loaded["bounds"]["bounds"]
 
 
-@pytest.mark.parametrize("experiment", ["clock", "grover", "bounds"])
-def test_no_command_loads_dataclasses(tmp_path, experiment):
-    assert not _run(tmp_path, experiment)["dataclasses"]
+def test_a_bounds_run_does_not_load_numpy_random(loaded):
+    assert not loaded["bounds"]["random"]
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_the_import_time_heap_is_frozen(loaded, experiment):
+    assert loaded[experiment]["frozen"] > 0
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_no_command_loads_dataclasses(loaded, experiment):
+    assert not loaded[experiment]["dataclasses"]

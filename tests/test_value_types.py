@@ -26,7 +26,7 @@ from qsc.cooling import (
 from qsc.errors import ConfigError
 from qsc.levelshift import make_context
 from qsc.linalg import DensityMatrix, Operator, _Frozen
-from qsc.models import ClockModel, Gate, GroverModel, parse_circuit
+from qsc.models import ClockModel, Gate, GroverModel, Stream, parse_circuit
 
 MODULES = ("linalg", "levelshift", "models", "cooling", "bounds")
 
@@ -60,6 +60,7 @@ def _instances() -> dict:
         "CheckResult": (weyl, "passed"),
         "BoundInstance": (make_windowed_instance(0, dim=8), "gap"),
         "SuiteReport": (SuiteReport(instances=1, passes=1, vacuous=0, violations=()), "passes"),
+        "Stream": (Stream(0), "seed"),
     }
 
 
