@@ -39,7 +39,6 @@ from .models import (
     KET_DOWN,
     ClockModel,
     GroverModel,
-    Stream,
     band_profile,
     build_clock,
     build_grover,
@@ -49,7 +48,7 @@ from .models import (
     overlap_coefficients,
     pad_with_identities,
     parse_circuit,
-    random_state,
+    random_states,
     register_history,
     shift_factors,
 )
@@ -336,11 +335,9 @@ def run_grover(cfg: dict, out_dir: Path) -> dict:
             "xs": [float(x) for x in setup.xs]}
 
     if draws:
-        stream = Stream(seed)
         eigenspaces = build_grover(model)
         inv_rates = []
-        for _ in range(draws):
-            f = random_state(n, stream)
+        for f in random_states(n, seed, draws):
             try:
                 xs = grover_band_structure(f, eigenspaces)
             except ValueError:

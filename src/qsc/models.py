@@ -598,14 +598,21 @@ class Stream(_Frozen):
         return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.exp(2j * math.pi * u[1::2])
 
 
-def random_state(n: int, seed) -> np.ndarray:
-    """Haar-random state on n qubits, a complex unit vector: 2^n complex
-    normals of the stream `seed` (a `Stream`, or the seed of a new one),
-    normalized.
-
+def random_states(n: int, seed, count: int):
+    """`count` Haar-random states on n qubits, complex unit vectors, one
+    after another: 2^n complex normals each of the stream `seed` (a
+    `Stream`, or the seed of a new one), each state normalized by its own
+    `np.linalg.norm`.  Normals are drawn in batches of about 2^16 (at least
+    one state); stream words are consecutive, so batching moves no state.
     A normalized vector of iid complex Gaussians is exactly Haar
-    distributed; this replaces approximate-design circuit sampling.
-    """
+    distributed."""
     stream = seed if isinstance(seed, Stream) else Stream(seed)
-    z = stream.normal(2 ** n)
-    return z / np.linalg.norm(z)
+    batch = max(1, 2 ** 16 >> n)
+    for start in range(0, count, batch):
+        z = stream.normal(min(batch, count - start) << n).reshape(-1, 2 ** n)
+        yield from z / np.array([np.linalg.norm(row) for row in z])[:, None]
+
+
+def random_state(n: int, seed) -> np.ndarray:
+    """The first of `random_states(n, seed, 1)`."""
+    return next(random_states(n, seed, 1))

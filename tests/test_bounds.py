@@ -161,45 +161,49 @@ class TestSpectralCorrespondence:
             ref = closeness_radius_pointwise(inst)
             assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
 
-    @pytest.mark.parametrize("make_instance", [
-        lambda seed: make_windowed_instance(seed),
-        lambda seed: make_windowed_instance(seed, p_rank=1),
-        lambda seed: make_multiband_instance(seed),
-    ], ids=["windowed", "rank-one", "multiband"])
-    def test_pruned_grid_is_the_full_batch_bit_for_bit(self, monkeypatch, make_instance):
-        # every sweep of the closeness radius, pruned and as one batched
-        # eigvalsh of the whole grid
-        pruned = bounds._sigma_grid_bound
+    @given(seed=st.integers(0, 2 ** 32 - 1), multiband=st.booleans(), p_rank=st.integers(1, 4),
+           v_scale=st.floats(0.05, 0.9))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_the_two_ends_are_every_sweeps_supremum(self, seed, multiband, p_rank, v_scale):
+        # each sweep's two ends, against the batched 64-point grid the
+        # radius was once read off, and a 1025-point grid
+        inst = (make_multiband_instance(seed) if multiband
+                else make_windowed_instance(seed, p_rank=p_rank, v_scale=v_scale))
+        ends = bounds._sigma_grid_bound
         sweeps = []
 
-        def both(sigma_at, h_eff, lo, hi, points=64):
-            diffs = sigma_at(np.linspace(lo, hi, points)) - h_eff
-            full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
-            sweeps.append((pruned(sigma_at, h_eff, lo, hi, points), full))
+        def compared(sigma_at, h_eff, lo, hi):
+            grids = [float(np.max(np.abs(np.linalg.eigvalsh(
+                sigma_at(np.linspace(lo, hi, points)) - h_eff)))) for points in (64, 1025)]
+            sweeps.append((ends(sigma_at, h_eff, lo, hi), *grids))
             return sweeps[-1][0]
 
-        monkeypatch.setattr(bounds, "_sigma_grid_bound", both)
-        for k in range(40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "_sigma_grid_bound", compared)
             try:
-                bounds._effective_hamiltonian_with_gamma(make_instance(7000 + k))
+                bounds._effective_hamiltonian_with_gamma(inst)
             except HypothesisUnmet:
                 pass
-        assert len(sweeps) >= 40
-        assert all(got == full for got, full in sweeps)
+        assert sweeps
+        for got, grid64, grid1025 in sweeps:
+            assert got == grid64
+            assert grid1025 <= got
 
-    def test_pruned_grid_with_a_non_finite_point(self):
-        # a non-finite Frobenius norm orders nothing: the whole grid is
-        # evaluated, as one batch
-        def sigma_at(zs):
-            sigma = np.zeros((len(zs), 2, 2), dtype=complex)
-            sigma[:, 0, 1] = sigma[:, 1, 0] = zs
-            sigma[3, 1, 1] = np.inf
-            return sigma
-
-        h_eff = np.zeros((2, 2), dtype=complex)
-        diffs = sigma_at(np.linspace(0.0, 1.0, 8)) - h_eff
-        full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
-        np.testing.assert_equal(bounds._sigma_grid_bound(sigma_at, h_eff, 0.0, 1.0, 8), full)
+    def test_an_interval_holding_a_pole_is_refused_not_swept(self, monkeypatch):
+        # |V| = 0.6 >= gap/2 moves Q's eigenvalue -1.2 to a pole of Sigma_P
+        # at -0.6, inside [c, d], the spread of H_eff's spectrum around
+        # P's eigenvalues -0.8 and 0.8
+        h = Operator(np.diag([-0.8, 0.8, -1.2, 2.0]).astype(complex))
+        v = np.zeros((4, 4), dtype=complex)
+        v[2, 2] = 0.6
+        v[0, 2] = v[2, 0] = 0.05
+        inst = BoundInstance(h=h, v=Operator(v), window=(-1.0, 1.0), gap=0.2)
+        pole = np.linalg.eigvalsh((h.matrix + v)[2:, 2:])[0]
+        assert -0.8 < pole < 0.8
+        monkeypatch.setattr(bounds, "_sigma_grid_bound",
+                            lambda *args: pytest.fail("an interval was swept"))
+        with pytest.raises(HypothesisUnmet, match="gap/2"):
+            bounds._effective_hamiltonian_with_gamma(inst)
 
     def test_collar_gate(self):
         inst = make_windowed_instance(seed=6)
@@ -225,27 +229,15 @@ class TestSpectralCorrespondence:
 
 
 class TestCountedWork:
-    """Work per instance is counted, not timed: the closeness-radius grid
-    costs one eigendecomposition of Q(H+V)Q, an eigvalsh of fewer grid
-    points than the grid has per sweep, and no solve, condition number or
-    SVD norm per grid point."""
+    """Work per instance is counted, not timed: the closeness radius costs
+    one eigendecomposition of Q(H+V)Q and one eigvalsh of a sweep's two
+    ends per sweep, and no solve, condition number or SVD norm per
+    sweep."""
 
     def test_spectral_correspondence_counts(self, monkeypatch):
         inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
-        per_sweep = []
-        grid_bound = bounds._sigma_grid_bound
-
-        def counted_sweep(*args, **kwargs):
-            # the grid matrices handed to eigvalsh: a batch counts each
-            before = len(counts.calls.get("eigvalsh", []))
-            result = grid_bound(*args, **kwargs)
-            shapes = counts.calls["eigvalsh"][before:]
-            per_sweep.append(sum(s[0] if len(s) == 3 else 1 for s in shapes))
-            return result
-
-        monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
         assert check_spectral_correspondence(inst).passed
         assert counts.count("solve") == 1   # H_eff at the window center
         assert counts.count("cond") == 1    # its reference resolvent check
@@ -256,19 +248,24 @@ class TestCountedWork:
         assert counts.sizes("eigh")[12] == 2
         eigs = [a for a in counts.calls["eigh_args"] if a.shape[-1] == 12]
         assert {id(a) for a in eigs} == {id(inst.h.matrix), id(inst.h_tilde)}
-        assert 2 <= len(per_sweep) <= 9 and all(1 <= k < 64 for k in per_sweep)
 
-    def test_counts_do_not_grow_with_the_grid(self, monkeypatch):
-        per_grid = {}
-        for points in (8, 64):
-            inst = make_windowed_instance(seed=22)
-            counts = CountingLinalg(monkeypatch)
-            bounds._effective_hamiltonian_with_gamma(inst, grid_points=points)
-            per_grid[points] = {key: counts.count(key)
-                                for key in ("solve", "cond", "svd", "norm2", "eigh")}
-            monkeypatch.undo()
-        assert per_grid[8] == per_grid[64]
-        assert per_grid[64]["solve"] == 1
+    def test_each_sweep_is_one_eigvalsh_of_its_two_ends(self, monkeypatch):
+        inst = make_windowed_instance(seed=22)  # P rank 3
+        counts = CountingLinalg(monkeypatch)
+        ends = bounds._sigma_grid_bound
+        per_sweep = []
+
+        def counted_sweep(*args):
+            before = counts.count("eigvalsh")
+            result = ends(*args)
+            per_sweep.append(counts.calls["eigvalsh"][before:])
+            return result
+
+        monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
+        bounds._effective_hamiltonian_with_gamma(inst)
+        assert 2 <= len(per_sweep) <= 9
+        assert all(shapes == [(2, 3, 3)] for shapes in per_sweep)
+        assert counts.count("solve") == 1
 
     def test_corollaries_share_one_eigendecomposition_each(self, monkeypatch):
         inst = make_multiband_instance(seed=23)  # dim 14, P rank 6, Q rank 8
@@ -556,6 +553,14 @@ class TestProtocolScaling:
         assert rep["clock"]["leakage_exponent"] >= 0.9
         assert rep["clock"]["oscillation_exponent"] >= 0.9
         assert rep["clock"]["verification_exponent"] >= 1.8
+
+    @given(residuals=st.lists(st.floats(1e-12, 1.0), min_size=len(LAB_R_GRID),
+                              max_size=len(LAB_R_GRID)))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_exponent_is_the_least_squares_slope(self, residuals):
+        fitted = np.polyfit(np.log(LAB_R_GRID), np.log(residuals), 1)[0]
+        got = bounds._loglog_exponent(LAB_R_GRID, residuals)
+        assert got == pytest.approx(fitted, rel=1e-12, abs=1e-12)
 
     def test_a_splitting_lost_in_roundoff_is_refused(self):
         # at r = 1e-16 the splittings lie below one ulp of the Hamiltonians'

@@ -33,6 +33,7 @@ from qsc.models import (
     pad_with_identities,
     parse_circuit,
     random_state,
+    random_states,
     shift_factors,
 )
 
@@ -485,6 +486,16 @@ class TestRandomState:
         assert np.array_equal(first, random_state(3, 42))
         z = Stream(42).normal(16)
         assert np.allclose(second, z[8:] / np.linalg.norm(z[8:]), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_batched_states_are_the_per_draw_states_bit_for_bit(self, n):
+        # at n = 12 a batch holds 16 states, so 40 states cross two batch ends
+        stream = Stream(5)
+        per_draw = [random_state(n, stream) for _ in range(40)]
+        batched = list(random_states(n, 5, 40))
+        assert len(batched) == 40
+        for a, b in zip(per_draw, batched):
+            assert np.array_equal(a, b)
 
     def test_a_generator_is_not_a_seed(self):
         with pytest.raises(TypeError):
