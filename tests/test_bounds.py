@@ -161,6 +161,32 @@ class TestSpectralCorrespondence:
             ref = closeness_radius_pointwise(inst)
             assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
 
+    @pytest.mark.parametrize("make_instance", [
+        lambda seed: make_windowed_instance(seed),
+        lambda seed: make_windowed_instance(seed, p_rank=1),
+        lambda seed: make_multiband_instance(seed),
+    ], ids=["windowed", "rank-one", "multiband"])
+    def test_pruned_grid_is_the_full_batch_bit_for_bit(self, monkeypatch, make_instance):
+        # every sweep of the closeness radius, the grid pruned to its two
+        # ends and as one batched eigvalsh of the whole 64-point grid
+        pruned = bounds._sigma_grid_bound
+        sweeps = []
+
+        def both(sigma_at, h_eff, lo, hi):
+            diffs = sigma_at(np.linspace(lo, hi, 64)) - h_eff
+            full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
+            sweeps.append((pruned(sigma_at, h_eff, lo, hi), full))
+            return sweeps[-1][0]
+
+        monkeypatch.setattr(bounds, "_sigma_grid_bound", both)
+        for k in range(40):
+            try:
+                bounds._effective_hamiltonian_with_gamma(make_instance(7000 + k))
+            except HypothesisUnmet:
+                pass
+        assert len(sweeps) >= 40
+        assert all(got == full for got, full in sweeps)
+
     @given(seed=st.integers(0, 2 ** 32 - 1), multiband=st.booleans(), p_rank=st.integers(1, 4),
            v_scale=st.floats(0.05, 0.9))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
