@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config
 from .errors import HypothesisUnmet
-from .levelshift import make_context, self_energy, self_energy_grid, solve_detuning
+from .levelshift import make_context, self_energy, solve_detuning
 from .linalg import Operator, _Frozen, _setattr, evolve, operator_norm
 from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel, Stream
 from .cooling import (
@@ -182,16 +182,18 @@ def _sigma_grid_bound(sigma_at, h_eff, lo: float, hi: float) -> float:
     """sup over z in [lo, hi] of |Sigma_P(z) - H_eff|, for an interval that
     holds no pole w of Sigma_P (an eigenvalue of Q(H+V)Q).  There D(z) =
     Sigma_P(z) - H_eff has derivative -C diag((z - w)^-2) C^dagger <= 0
-    (C = PVQ U), so D decreases in the Loewner order: lambda_max(D) falls,
-    -lambda_min(D) rises, and the supremum of |D| = max(lambda_max,
-    -lambda_min) is max(|D(lo)|, |D(hi)|), one eigvalsh of the two ends."""
+    (C = PVQ U, U the eigenvectors of Q(H+V)Q), so D decreases in the
+    Loewner order: lambda_max(D) falls, -lambda_min(D) rises, and the
+    supremum of |D| = max(lambda_max, -lambda_min) is max(|D(lo)|,
+    |D(hi)|), one eigvalsh of the two ends."""
     return float(np.max(np.abs(np.linalg.eigvalsh(sigma_at([lo, hi]) - h_eff))))
 
 
 def _effective_hamiltonian_with_gamma(inst: BoundInstance):
-    """Self-energy at the window center, with a self-consistent closeness
-    radius gamma: gamma bounds |Sigma_P(z) - H_eff| over [c-gamma, d+gamma],
-    [c, d] the span of H_eff's spectrum.
+    """Self-energy at the window center, its spectrum (ascending), and a
+    self-consistent closeness radius gamma: gamma bounds
+    |Sigma_P(z) - H_eff| over [c-gamma, d+gamma], [c, d] the span of
+    H_eff's spectrum.
 
     The self-energy theorem's hypotheses (`_theorem1_hypotheses`) come
     first, and every swept interval must lie strictly inside the window,
@@ -207,8 +209,8 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance):
         raise HypothesisUnmet("window contains no eigenvalues of H")
     ctx = make_context(inst.h, inside, evecs[:, ~mask], inst.gap)
     z0 = float(np.mean(evals[mask]))
-    h_eff = self_energy(ctx, inst.v, z0)
-    sigma_at = self_energy_grid(ctx, inst.v)
+    sigma_at = self_energy(ctx, inst.v)
+    h_eff = sigma_at(z0)
     spec = np.linalg.eigvalsh(h_eff)
     c, d = float(spec[0]), float(spec[-1])
 
@@ -224,7 +226,7 @@ def _effective_hamiltonian_with_gamma(inst: BoundInstance):
             gamma = max(gamma, new)
             break
         gamma = new
-    return ctx, h_eff, float(gamma), (c, d)
+    return ctx, h_eff, float(gamma), spec
 
 
 def _theorem1_hypotheses(inst: BoundInstance):
@@ -242,11 +244,8 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     """Pairwise eigenvalue correspondence: the self-energy's spectrum tracks
     the perturbed Hamiltonian's window spectrum to within the closeness
     radius gamma."""
-    ctx, h_eff, gamma, (c, d) = _effective_hamiltonian_with_gamma(inst)
-    tilde_inside, _ = _window(inst.h_tilde_eig, *inst.window)
-    eff_vals = np.linalg.eigvalsh(h_eff)  # eigvalsh sorts ascending
-    tilde_vals = (np.linalg.eigvalsh(tilde_inside.conj().T @ inst.h_tilde @ tilde_inside)
-                  if tilde_inside.shape[1] else np.array([]))
+    _, _, gamma, eff_vals = _effective_hamiltonian_with_gamma(inst)
+    tilde_vals = inst.h_tilde_eig[0][_window(inst.h_tilde_eig, *inst.window)[1]]
     if len(eff_vals) != len(tilde_vals):
         return CheckResult(
             False, (-1.0,),
@@ -257,19 +256,16 @@ def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     return CheckResult(
         passed=bool(np.all(margins >= -_SLACK * (1 + gamma))),
         margins=tuple(float(m) for m in margins),
-        details={"gamma": gamma, "spec_range": (c, d)},
+        details={"gamma": gamma, "spec_range": (float(eff_vals[0]), float(eff_vals[-1]))},
     )
 
 
 def _mutual_overlap_margins(a: np.ndarray, b: np.ndarray, bound: float) -> tuple:
     """<v|P_b|v> - bound for each column v of a, then <v|P_a|v> - bound for
-    each column v of b, with P_a, P_b the projectors onto the columns'
-    spans."""
-    p_a = a @ a.conj().T
-    p_b = b @ b.conj().T
-    margins = [float(np.real(v.conj() @ p_b @ v)) - bound for v in a.T]
-    margins += [float(np.real(v.conj() @ p_a @ v)) - bound for v in b.T]
-    return tuple(margins)
+    each column v of b, with P_a, P_b the projectors onto the orthonormal
+    columns' spans: the row sums, then the column sums, of |a^+ b|^2."""
+    overlaps = np.abs(a.conj().T @ b) ** 2
+    return tuple(float(m) - bound for m in np.concatenate([overlaps.sum(1), overlaps.sum(0)]))
 
 
 def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
@@ -320,18 +316,14 @@ def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
     eta = float(eff_vals[-1] - eff_vals[-2]) if len(eff_vals) > 1 else float("inf")
     if eta <= gamma:
         raise HypothesisUnmet(f"eigenspace resolution eta={eta:.3e} <= gamma={gamma:.3e}")
-    p_prime_small = eff_vecs[:, -1:]
-    p_prime = (ctx.p @ p_prime_small) @ (ctx.p @ p_prime_small).conj().T
-    tilde_inside, _ = _window(inst.h_tilde_eig, *inst.window)
-    tvals, tvecs = np.linalg.eigh(
-        tilde_inside.conj().T @ inst.h_tilde @ tilde_inside
-    )
-    # eigenvalue correspondence pairs the largest with the largest
-    v_top = tilde_inside @ tvecs[:, -1]
+    # eigenvalue correspondence pairs the largest with the largest: H_eff's
+    # top eigenvector, lifted by P, against H~'s top window eigenvector
+    u_top = ctx.p @ eff_vecs[:, -1]
+    v_top = _window(inst.h_tilde_eig, *inst.window)[0][:, -1]
     bound = (1 - (2 * inst.v_norm / inst.gap) ** 2) * (
         1 - ((2 * gamma + nu) / (eta - gamma)) ** 2
     )
-    overlap = float(np.real(v_top.conj() @ p_prime @ v_top))
+    overlap = float(np.abs(u_top.conj() @ v_top) ** 2)
     margin = overlap - bound
     return CheckResult(
         passed=bool(margin >= -_SLACK),

@@ -6,9 +6,9 @@ The central object is the self-energy of a near-resonant subspace P:
     Sigma_P(z) = P H P + P V P + P V Q (z - Q(H+V)Q)^{-1} Q V P
 
 evaluated at real z away from the complement's spectrum.  `self_energy`
-evaluates it at one z with a linear solve (the reference path);
-`self_energy_grid` diagonalizes Q(H+V)Q once and returns an evaluator for a
-whole array of z.  When P is the whole space there is no complement and
+returns its one evaluator: the same linear solve at one z or a whole array
+of z, refused near a pole by one condition rule read off the spectrum of
+Q(H+V)Q.  When P is the whole space there is no complement and
 Sigma_P(z) = P(H+V)P.
 
 For the cooling protocols, P is the two-dimensional span of the addressed
@@ -67,47 +67,26 @@ def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> Level
     return LevelShiftContext(h=h, p=p, q=q)
 
 
-def self_energy(ctx: LevelShiftContext, v: Operator, z: float) -> np.ndarray:
-    """Self-energy of P at z as a matrix on the P basis `ctx.p`,
-    symmetrized to (sigma + sigma^+)/2, so exactly Hermitian.  It takes the
-    exact resolvent of Q(H+V)Q: one linear solve, refused
-    (SingularResolvent) when the resolvent's condition number is
-    non-finite or above MAX_RESOLVENT_COND."""
-    bp, bq = ctx.p, ctx.q
-    sigma = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
-    if bq.shape[1]:  # an empty complement has no resolvent
-        vpq = bp.conj().T @ v.matrix @ bq
-        m = z * np.eye(bq.shape[1]) - bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
-        try:
-            cond = np.linalg.cond(m)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SingularResolvent(str(exc)) from exc
-        if not np.isfinite(cond) or cond > MAX_RESOLVENT_COND:
-            raise SingularResolvent(f"resolvent condition number {cond:.3e}")
-        sigma = sigma + vpq @ np.linalg.solve(m, vpq.conj().T)
-    return (sigma + sigma.conj().T) / 2
+def self_energy(ctx: LevelShiftContext, v: Operator):
+    """The self-energy of P as `sigma_at`, which maps a real z to its
+    matrix on the P basis `ctx.p`, or an array of z to the stack of them.
 
-
-def self_energy_grid(ctx: LevelShiftContext, v: Operator):
-    """Closed-form self-energy of P for a whole array of real z.
-
-    Diagonalizes Q(H+V)Q = U diag(w) U^dagger once and returns `sigma_at`,
-    which maps an array of z to the stack of P-basis matrices
-
-        Sigma_P(z) = P(H+V)P + C diag(1/(z - w)) C^dagger,   C = PVQ U,
-
-    symmetrized as in `self_energy`.  A z whose resolvent has condition
-    number max|z - w| / min|z - w| above MAX_RESOLVENT_COND (or non-finite)
-    raises SingularResolvent, the criterion `self_energy` applies with an SVD.
+    PHP + PVP, M = Q(H+V)Q, M's spectrum w and PVQ are formed once; each call
+    takes one batched linear solve of (z - M) X = QVP and symmetrizes the
+    result to (sigma + sigma^+)/2, so exactly Hermitian.  A z whose
+    resolvent has condition number max|z - w| / min|z - w| (the 2-norm
+    condition number of the Hermitian z - M) above MAX_RESOLVENT_COND, or
+    non-finite, raises SingularResolvent.
     """
     bp, bq = ctx.p, ctx.q
     base = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
-    if bq.shape[1]:
-        w, u = np.linalg.eigh(bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq)
-        c = (bp.conj().T @ v.matrix @ bq) @ u
+    if bq.shape[1]:  # an empty complement has no resolvent
+        m = bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
+        w = np.linalg.eigvalsh(m)
+        vpq = bp.conj().T @ v.matrix @ bq
 
-    def sigma_at(zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=float).reshape(-1)
+    def sigma_at(z) -> np.ndarray:
+        zs = np.asarray(z, dtype=float).reshape(-1)
         sigma = np.broadcast_to(base, (zs.size,) + base.shape)
         if bq.shape[1]:
             dist = np.abs(zs[:, None] - w)
@@ -119,8 +98,10 @@ def self_energy_grid(ctx: LevelShiftContext, v: Operator):
                 raise SingularResolvent(
                     f"resolvent condition number {cond[k]:.3e} at z={zs[k]}"
                 )
-            sigma = sigma + np.einsum("ik,zk,jk->zij", c, 1.0 / (zs[:, None] - w), c.conj())
-        return (sigma + sigma.conj().transpose(0, 2, 1)) / 2
+            shifted = zs[:, None, None] * np.eye(bq.shape[1]) - m
+            sigma = sigma + vpq @ np.linalg.solve(shifted, vpq.conj().T)
+        sigma = (sigma + sigma.conj().transpose(0, 2, 1)) / 2
+        return sigma if np.ndim(z) else sigma[0]
 
     return sigma_at
 

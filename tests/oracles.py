@@ -473,24 +473,43 @@ def self_energy_by_series(ctx, v, z: float, order: int, gap: float) -> np.ndarra
     return (sigma + sigma.conj().T) / 2
 
 
+def self_energy_spectral(ctx, v, zs) -> np.ndarray:
+    """The self-energy of P for an array of real z by the eigen-expansion
+    of the complement: with Q(H+V)Q = U diag(w) U^dagger,
+
+        Sigma_P(z) = P(H+V)P + C diag(1/(z - w)) C^dagger,   C = PVQ U,
+
+    as a stack of symmetrized P-basis matrices.  It shares no resolvent code
+    with `levelshift.self_energy` (one eigh here, a linear solve per z
+    there) and checks no pole."""
+    bp, bq = ctx.p, ctx.q
+    zs = np.asarray(zs, dtype=float).reshape(-1)
+    sigma = np.broadcast_to(bp.conj().T @ (ctx.h.matrix + v.matrix) @ bp,
+                            (zs.size, bp.shape[1], bp.shape[1]))
+    if bq.shape[1]:
+        w, u = np.linalg.eigh(bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq)
+        c = (bp.conj().T @ v.matrix @ bq) @ u
+        sigma = sigma + np.einsum("ik,zk,jk->zij", c, 1.0 / (zs[:, None] - w), c.conj())
+    return (sigma + sigma.conj().transpose(0, 2, 1)) / 2
+
+
 def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
     """The closeness radius gamma of a window instance, computed one z at a
-    time: a closed-form `self_energy` (condition check and linear solve) and
-    an SVD 2-norm per grid point, with the same self-consistent sweeps as
-    the bounds lab."""
+    time: the eigen-expansion `self_energy_spectral` and an SVD 2-norm per
+    grid point, with the same self-consistent sweeps as the bounds lab."""
     from qsc.errors import HypothesisUnmet
-    from qsc.levelshift import make_context, self_energy
+    from qsc.levelshift import make_context
 
     lam_lo, lam_hi = inst.window
     w, vecs = np.linalg.eigh(inst.h.matrix)
     mask = (w > lam_lo) & (w < lam_hi)
     ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
-    h_eff = self_energy(ctx, inst.v, float(np.mean(w[mask])))
+    h_eff = self_energy_spectral(ctx, inst.v, [float(np.mean(w[mask]))])[0]
 
     def grid_bound(lo, hi):
         worst = 0.0
         for z in np.linspace(lo, hi, grid_points):
-            sig = self_energy(ctx, inst.v, float(z))
+            sig = self_energy_spectral(ctx, inst.v, [float(z)])[0]
             worst = max(worst, float(np.linalg.norm(sig - h_eff, 2)))
         return worst
 
@@ -944,7 +963,7 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
     m_sys = (bra @ g @ ket).reshape(dim_s, dim_s)
     b_green_norm = float(np.linalg.norm(m_sys, 2))
 
-    h_eff = self_energy(ctx, v, omega1)
+    h_eff = self_energy(ctx, v)(omega1)
     c0 = p.conj().T @ np.kron(ground, KET_B)
     c1 = p.conj().T @ np.kron(band[:, 0], KET_C)
     rabi = float(np.abs(c1.conj() @ h_eff @ c0))

@@ -255,54 +255,77 @@ class TestSpectralCorrespondence:
 
 
 class TestCountedWork:
-    """Work per instance is counted, not timed: the closeness radius costs
-    one eigendecomposition of Q(H+V)Q and one eigvalsh of a sweep's two
-    ends per sweep, and no solve, condition number or SVD norm per
-    sweep."""
+    """Work per instance is counted, not timed.  Sigma_P is one evaluator:
+    per context one eigvalsh of Q(H+V)Q (its spectrum, for the condition
+    rule) and no eigh of it, no condition number and no SVD; per evaluation
+    one solve, batched over its z.  H_eff is the first evaluation, and each
+    sweep of the closeness radius is one more: one solve on a (2, q, q)
+    stack and one eigvalsh on a (2, p, p) stack, its two ends.  Nothing
+    decomposes H_eff again after the sweeps."""
+
+    @staticmethod
+    def _count_sweeps(monkeypatch, counts):
+        """Record, per sweep, the solve and eigvalsh shapes it takes."""
+        ends = bounds._sigma_grid_bound
+        per_sweep = []
+
+        def counted_sweep(*args):
+            before = counts.count("solve"), counts.count("eigvalsh")
+            result = ends(*args)
+            per_sweep.append((counts.calls["solve"][before[0]:],
+                              counts.calls["eigvalsh"][before[1]:]))
+            return result
+
+        monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
+        return per_sweep
 
     def test_spectral_correspondence_counts(self, monkeypatch):
         inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
+        sweeps = self._count_sweeps(monkeypatch, counts)
         assert check_spectral_correspondence(inst).passed
-        assert counts.count("solve") == 1   # H_eff at the window center
-        assert counts.count("cond") == 1    # its reference resolvent check
+        assert counts.count("cond") == 0
         assert counts.count("svd") == 0
         assert counts.count("norm2") == 0   # H + V is a plain array, not checked
-        assert counts.sizes("eigh")[9] == 1  # Q(H+V)Q, once
-        # H and H + V only: Q's basis is the rest of H's eigenbasis
-        assert counts.sizes("eigh")[12] == 2
+        # H and H + V only, at full size; Q's basis is the rest of H's
+        # eigenbasis, and Q(H+V)Q is never diagonalized with vectors
+        assert counts.sizes("eigh") == {12: 2}
         eigs = [a for a in counts.calls["eigh_args"] if a.shape[-1] == 12]
         assert {id(a) for a in eigs} == {id(inst.h.matrix), id(inst.h_tilde)}
+        # |V| for the hypotheses, make_context's P and Q spectra, Q(H+V)Q's
+        # spectrum, H_eff's spectrum, then one per sweep and none after them
+        assert 2 <= len(sweeps) <= 9
+        assert counts.calls["eigvalsh"] == (
+            [(12, 12), (3, 3), (9, 9), (9, 9), (3, 3)] + [(2, 3, 3)] * len(sweeps))
+        # one solve per evaluation: H_eff at the window center, then the sweeps
+        assert counts.calls["solve"] == [(1, 9, 9)] + [(2, 9, 9)] * len(sweeps)
 
     def test_each_sweep_is_one_eigvalsh_of_its_two_ends(self, monkeypatch):
-        inst = make_windowed_instance(seed=22)  # P rank 3
+        inst = make_windowed_instance(seed=22)  # dim 12, P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
-        ends = bounds._sigma_grid_bound
-        per_sweep = []
-
-        def counted_sweep(*args):
-            before = counts.count("eigvalsh")
-            result = ends(*args)
-            per_sweep.append(counts.calls["eigvalsh"][before:])
-            return result
-
-        monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
+        per_sweep = self._count_sweeps(monkeypatch, counts)
         bounds._effective_hamiltonian_with_gamma(inst)
         assert 2 <= len(per_sweep) <= 9
-        assert all(shapes == [(2, 3, 3)] for shapes in per_sweep)
-        assert counts.count("solve") == 1
+        assert all(solves == [(2, 9, 9)] for solves, _ in per_sweep)
+        assert all(shapes == [(2, 3, 3)] for _, shapes in per_sweep)
+        assert counts.count("solve") == 1 + len(per_sweep)
 
     def test_corollaries_share_one_eigendecomposition_each(self, monkeypatch):
         inst = make_multiband_instance(seed=23)  # dim 14, P rank 6, Q rank 8
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
+        sweeps = self._count_sweeps(monkeypatch, counts)
         check_corollaries(inst)
         eigs = [a for a in counts.calls["eigh_args"] if a.shape[-1] == 14]
         assert {id(a) for a in eigs} == {id(inst.h.matrix), id(inst.h_tilde)}
-        assert counts.sizes("eigh")[8] == 1
-        assert counts.sizes("eigh")[14] == 2
-        assert counts.count("solve") == 1
+        # H and H + V at full size, and H_eff's eigenvectors for its top
+        # eigenspace; the window of H + V is read off its cached eigh
+        assert counts.sizes("eigh") == {14: 2, 6: 1}
+        assert counts.count("cond") == 0
+        assert counts.count("svd") == 0
+        assert counts.sizes("eigvalsh")[8] == 2  # make_context's Q spectrum, Q(H+V)Q's
+        assert counts.count("solve") == 1 + len(sweeps)
 
     def test_protocol_clock_diagonalizes_h_s_twice(self, monkeypatch):
         # once for the setup's band structure and once for the verification

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsc import config
 from qsc.errors import DimensionMismatch, NoSignChange, SingularResolvent
-from qsc.levelshift import make_context, self_energy, self_energy_grid, solve_detuning
+from qsc.levelshift import make_context, self_energy, solve_detuning
 from qsc.linalg import Operator, operator_norm
 from qsc.models import (
     ClockModel,
@@ -36,6 +38,7 @@ from oracles import (
     green_function,
     qutrit_truncation_check,
     self_energy_by_series,
+    self_energy_spectral,
 )
 
 from conftest import random_hermitian
@@ -118,7 +121,7 @@ class TestSelfEnergy:
     def test_zero_perturbation(self):
         ctx, _ = two_level_context()
         v = Operator(np.zeros((2, 2), dtype=complex))
-        sigma = self_energy(ctx, v, 0.4)
+        sigma = self_energy(ctx, v)(0.4)
         assert sigma[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_closed_form_two_level_block(self):
@@ -137,7 +140,7 @@ class TestSelfEnergy:
                 [omega0 * x0 * x1 / denom, omega_b + omega0 ** 2 * x0 ** 2 * g_j / denom],
             ]
         )
-        sigma = self_energy(ctx, v, z)
+        sigma = self_energy(ctx, v)(z)
         assert np.max(np.abs(sigma - expected)) < 1e-9
 
     def test_matches_closed_form_clock_block(self):
@@ -158,7 +161,7 @@ class TestSelfEnergy:
         up = np.array([0, 1], dtype=complex)
         p = np.column_stack([np.kron(band.vector(j), down), np.kron(band.vector(0), up)])
         ctx = make_context(Operator(h_full), p, complement(p), band.delta / 2)
-        sigma = self_energy(ctx, Operator(v), omega_b)
+        sigma = self_energy(ctx, Operator(v))(omega_b)
         g_j, g_0 = g_sums(xs, band.omegas, omega_b, j, omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
@@ -177,7 +180,7 @@ class TestSelfEnergy:
         omega1, omega0 = 1.0, 0.02
         x0, x1 = 0.3, math.sqrt(1 - 0.09)
         ctx, v, gap = grover_block_context(omega1, omega1 * 1.001, omega0, x0, x1)
-        closed = self_energy(ctx, v, omega1)
+        closed = self_energy(ctx, v)(omega1)
         r = omega0 / gap
         prev_err = None
         for order in (2, 4, 6):
@@ -209,11 +212,11 @@ class TestSelfEnergy:
             mask = (w > lam_lo) & (w < lam_hi)
             ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
             z0 = float(np.mean(w[mask]))
-            sigma0 = self_energy(ctx, inst.v, z0)
+            sigma0 = self_energy(ctx, inst.v)(z0)
             factor = (4 * operator_norm(inst.v) / inst.gap) ** 2
             for dz in (-0.2, -0.05, 0.03, 0.11):
                 z = z0 + dz * inst.gap / 4
-                sigma = self_energy(ctx, inst.v, z)
+                sigma = self_energy(ctx, inst.v)(z)
                 diff = np.linalg.norm(sigma - sigma0, 2)
                 assert diff <= abs(z - z0) * factor * (1 + 1e-6) + 1e-12
                 checked += 1
@@ -234,11 +237,11 @@ class TestSelfEnergy:
             assert given.q is q
             zs = float(np.mean(w[mask])) + np.linspace(-0.1, 0.1, 5) * inst.gap
             for z in zs:
-                a = self_energy(given, inst.v, z)
-                b = self_energy(computed, inst.v, z)
+                a = self_energy(given, inst.v)(z)
+                b = self_energy(computed, inst.v)(z)
                 assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(b)))
-            grid_a = self_energy_grid(given, inst.v)(zs)
-            grid_b = self_energy_grid(computed, inst.v)(zs)
+            grid_a = self_energy(given, inst.v)(zs)
+            grid_b = self_energy(computed, inst.v)(zs)
             assert np.max(np.abs(grid_a - grid_b)) <= 1e-12 * (1 + np.max(np.abs(grid_b)))
 
     def test_given_complement_must_be_orthogonal_to_p(self):
@@ -285,6 +288,9 @@ def diagonal_context():
 
 
 class TestSelfEnergyGrid:
+    """`self_energy`'s evaluator on arrays of z: against the eigen-expansion
+    oracle, row by row against smaller calls, and its condition rule."""
+
     @pytest.mark.parametrize("make_instance", [
         lambda seed: make_windowed_instance(seed, dim=12, p_rank=3, v_scale=0.5),
         lambda seed: make_multiband_instance(seed),
@@ -297,26 +303,79 @@ class TestSelfEnergyGrid:
             lam_lo, lam_hi = inst.window
             zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
             assert lam_lo < zs[0] and zs[-1] < lam_hi
-            stack = self_energy_grid(ctx, inst.v)(zs)
+            stack = self_energy(ctx, inst.v)(zs)
             assert stack.shape == (64, ctx.p.shape[1], ctx.p.shape[1])
-            for z, sigma in zip(zs, stack):
-                ref = self_energy(ctx, inst.v, float(z))
+            for sigma, ref in zip(stack, self_energy_spectral(ctx, inst.v, zs)):
                 err = np.linalg.norm(sigma - ref, 2) / np.linalg.norm(ref, 2)
                 worst = max(worst, err)
                 assert np.array_equal(sigma, sigma.conj().T)
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("make_instance", [
+        lambda seed: make_windowed_instance(seed),
+        lambda seed: make_windowed_instance(seed, p_rank=1),
+        lambda seed: make_multiband_instance(seed),
+    ], ids=["windowed", "rank-one", "multiband"])
+    def test_rows_of_a_batch_are_the_single_calls_bit_for_bit(self, make_instance):
+        # the closeness radius's two-end sweeps and the 64-point grids they
+        # are tested against read the same numbers only if batching does
+        # not move a bit
+        for k in range(10):
+            inst = make_instance(4100 + k)
+            ctx, p_vals = window_context(inst)
+            sigma_at = self_energy(ctx, inst.v)
+            zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
+            stack = sigma_at(zs)
+            for i, z in enumerate(zs):
+                assert np.array_equal(stack[i], sigma_at(z))
+                assert np.array_equal(stack[i], sigma_at([z])[0])
+            for i in range(0, 64, 7):
+                pair = sigma_at(zs[[i, 63 - i]])
+                assert np.array_equal(pair, stack[[i, 63 - i]])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), q_rank=st.integers(1, 6),
+           k=st.integers(0, 5), offset=st.floats(0.01, 3.0), below=st.booleans())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_condition_rule_is_the_2_norm_condition_number(self, seed, q_rank, k, offset, below):
+        # the rule reads max|z - w| / min|z - w| off M's spectrum w; it is
+        # cond(zI - M) to 1e-12: a bound just below the SVD's value refuses
+        # z, one just above accepts it, and z on M's spectrum or NaN is refused
+        rng = np.random.default_rng(seed)
+        dim = q_rank + 1
+        h = Operator(np.diag(np.concatenate([[0.0], 1.0 + rng.random(q_rank)])).astype(complex))
+        v = random_hermitian(rng, dim)
+        v = Operator(0.3 / operator_norm(v) * v)
+        basis = np.eye(dim, dtype=complex)
+        ctx = make_context(h, basis[:, :1], basis[:, 1:], 0.5)
+        m = ctx.q.conj().T @ (ctx.h.matrix + v.matrix) @ ctx.q
+        w = np.linalg.eigvalsh(m)
+        z = w[min(k, q_rank - 1)] + (-offset if below else offset) * (w[-1] - w[0] + 0.1)
+        cond = np.linalg.cond(z * np.eye(q_rank) - m)
+        sigma_at = self_energy(ctx, v)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(levelshift, "MAX_RESOLVENT_COND", cond * (1 - 1e-12))
+            with pytest.raises(SingularResolvent):
+                sigma_at(z)
+            mp.setattr(levelshift, "MAX_RESOLVENT_COND", cond * (1 + 1e-12))
+            sigma_at(z)
+        for bad in (*w, float("nan")):
+            with pytest.raises(SingularResolvent):
+                sigma_at(bad)
+            with pytest.raises(SingularResolvent):
+                sigma_at([z, bad])
+
     def test_z_on_complement_eigenvalue_raises_on_both_paths(self):
+        # a single z and an array holding it are refused alike
         ctx, v = diagonal_context()
         for z in (2.0, 3.0):
             with pytest.raises(SingularResolvent):
-                self_energy(ctx, v, z)
+                self_energy(ctx, v)(z)
             with pytest.raises(SingularResolvent):
-                self_energy_grid(ctx, v)([0.5, z, 1.0])
-        # away from Spec(Q(H+V)Q) both paths give the same number
-        sigma = self_energy_grid(ctx, v)([0.5])[0]
+                self_energy(ctx, v)([0.5, z, 1.0])
+        # away from Spec(Q(H+V)Q) both give the two-pole closed form
+        sigma = self_energy(ctx, v)([0.5])[0]
         assert sigma[0, 0].real == pytest.approx(0.01 / (0.5 - 2) + 0.04 / (0.5 - 3), abs=1e-15)
-        assert sigma == pytest.approx(self_energy(ctx, v, 0.5), abs=1e-15)
+        assert np.array_equal(sigma, self_energy(ctx, v)(0.5))
 
     def test_empty_complement_is_the_compressed_hamiltonian(self):
         # P spans the whole space: no resolvent, Sigma_P(z) = P(H+V)P
@@ -326,8 +385,8 @@ class TestSelfEnergyGrid:
         ctx = make_context(h, np.eye(3, dtype=complex), np.zeros((3, 0)), 1.0)
         assert ctx.q.shape[1] == 0
         expected = h.matrix + v.matrix
-        assert np.max(np.abs(self_energy(ctx, v, 0.0) - expected)) < 1e-15
-        stack = self_energy_grid(ctx, v)(np.linspace(-0.5, 0.5, 5))
+        assert np.max(np.abs(self_energy(ctx, v)(0.0) - expected)) < 1e-15
+        stack = self_energy(ctx, v)(np.linspace(-0.5, 0.5, 5))
         assert stack.shape == (5, 3, 3)
         assert np.max(np.abs(stack - expected)) < 1e-15
 
@@ -335,8 +394,8 @@ class TestSelfEnergyGrid:
         h = Operator(np.diag([0.0, 2.0]).astype(complex))
         ctx = make_context(h, np.zeros((2, 0)), np.eye(2, dtype=complex), 1.0)
         v = Operator(np.zeros((2, 2), dtype=complex))
-        assert self_energy(ctx, v, 0.5).shape == (0, 0)
-        assert self_energy_grid(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)
+        assert self_energy(ctx, v)(0.5).shape == (0, 0)
+        assert self_energy(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)
 
 
 class TestNormOnlyWhenNeeded:
