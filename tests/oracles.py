@@ -480,8 +480,8 @@ def self_energy_spectral(ctx, v, zs) -> np.ndarray:
         Sigma_P(z) = P(H+V)P + C diag(1/(z - w)) C^dagger,   C = PVQ U,
 
     as a stack of symmetrized P-basis matrices.  It shares no resolvent code
-    with `levelshift.self_energy` (one eigh here, a linear solve per z
-    there) and checks no pole."""
+    with `levelshift.self_energy` (one eigh here, linear solves there) and
+    checks no pole."""
     bp, bq = ctx.p, ctx.q
     zs = np.asarray(zs, dtype=float).reshape(-1)
     sigma = np.broadcast_to(bp.conj().T @ (ctx.h.matrix + v.matrix) @ bp,
