@@ -478,7 +478,7 @@ def _pulse_residuals(setup: CoolingSetup, omega0: float, j: int) -> tuple[float,
     omega_b = solve_detuning(setup.xs, setup.band.omegas, j, omega0, setup.band.delta)
     step, w, vecs = _exact_step(setup, omega0, j, omega_b)
     down, up = setup.transition(j)
-    out = evolve(w, vecs, step.tau) @ down
+    out = evolve(w, vecs, step.tau, down[:, None])[:, 0]
     transfer = math.sqrt(max(0.0, 2.0 - 2.0 * abs(np.vdot(up, out))))
 
     cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
@@ -531,12 +531,11 @@ def _oscillation_residual(setup: CoolingSetup, h_drive: np.ndarray) -> float:
     target = np.kron(setup.band.vector(0), KET_B)
     rabi, w, vecs = _rabi_rate(h_drive, start, target, "qutrit oscillation", "H + X")
     half_period = math.pi / (2 * rabi)
-    start_eig = vecs.conj().T @ start
     worst = 0.0
     for frac in np.linspace(1.0 / 17, 1.0, 17):
         tau = frac * half_period
         phi = rabi * tau
-        out = vecs @ (np.exp(-1j * tau * w) * start_eig)
+        out = evolve(w, vecs, tau, start[:, None])[:, 0]
         model = math.cos(phi) * start - 1j * math.sin(phi) * target
         overlap = abs(np.vdot(model, out))
         worst = max(worst, math.sqrt(max(0.0, 2.0 - 2.0 * overlap)))

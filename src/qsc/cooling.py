@@ -40,6 +40,8 @@ priced once, at its largest bath energy, on the connected blocks of H* + V
 step on a column per record: a ladder of L' steps has L' + 1 records (the
 one still measuring down, and one up record per step, which measures up
 again with probability 1 up to rounding), however many shots it samples.
+A step evolves only its down columns (`linalg.evolve`) and forms no step
+unitary; a roundoff-level down draw of an up record evolves like any other.
 Density mode weights each record by its probability and forms one
 `DensityMatrix`, the final state a report carries for readouts, at the
 end.  Trajectory shots take all their uniforms (one per step, one for the
@@ -331,7 +333,7 @@ def build_schedule(
 # ---------------------------------------------------------------------------
 
 def cooling_step(psi: np.ndarray, p_up: np.ndarray, branches: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
+                 eig: tuple[np.ndarray, np.ndarray], tau: float) -> np.ndarray:
     """One ladder step on measurement-record states: measure the bath,
     then evolve conditionally on the outcome.
 
@@ -340,24 +342,18 @@ def cooling_step(psi: np.ndarray, p_up: np.ndarray, branches: np.ndarray,
     tensor factor: down rows even, up rows odd).  Branch b continues
     record b // 2 with outcome b % 2 (1 = up): it keeps that outcome's
     rows, is divided by the square root of the outcome's probability (a
-    down outcome's floored at 1e-300), and a down branch is evolved by the
-    step unitary `u`.  Returns one column per branch, in branch order.
+    down outcome's floored at 1e-300), and a down branch is evolved for
+    the pulse time `tau` under the step Hamiltonian with eigendecomposition
+    `eig` = (w, v) (`linalg.evolve`).  Returns one column per branch, in
+    branch order.
     """
     parent, up = branches // 2, branches % 2 == 1
     psi, p_up = psi[:, parent], p_up[parent]
     psi[0::2, up] = 0.0
     psi[1::2, ~up] = 0.0
     psi /= np.sqrt(np.where(up, p_up, np.maximum(1e-300, 1.0 - p_up)))
-    psi[:, ~up] = u @ psi[:, ~up]
+    psi[:, ~up] = evolve(*eig, tau, psi[:, ~up])
     return psi
-
-
-def _step_unitaries(setup: CoolingSetup, schedule: CoolingSchedule):
-    """Each schedule step with its unitary exp(-i tau (H_j + V)), the step
-    Hamiltonian built and diagonalized here."""
-    for step in schedule.steps:
-        eig = np.linalg.eigh(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
-        yield step, evolve(*eig, step.tau)
 
 
 def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
@@ -591,7 +587,8 @@ def run_deterministic(
     else:
         draws = trial_uniforms(seed, shots, n_steps + 1)
         record = np.zeros(shots, dtype=np.intp)
-    for i, (step, u) in enumerate(_step_unitaries(setup, schedule)):
+    for i, step in enumerate(schedule.steps):
+        eig = np.linalg.eigh(_step_hamiltonian(setup, schedule.omega0, step.omega_b))
         p_up = _squared_norms(psi[1::2])
         if density:
             # 0, 1, 3, 5, ...: the all-down record (column 0) both ways,
@@ -605,7 +602,7 @@ def run_deterministic(
         else:
             went_up = draws[:, i] < p_up[record]
             branches, record = np.unique(2 * record + went_up, return_inverse=True)
-        psi = cooling_step(psi, p_up, branches, u)
+        psi = cooling_step(psi, p_up, branches, eig, step.tau)
         # post-step pumped weight
         counts = weights if density else np.bincount(record, minlength=len(branches))
         up_weights[i] = counts @ _squared_norms(psi[1::2])
@@ -765,12 +762,13 @@ def run_probabilistic(
 
     dim_s = setup.dim_s
     h_drive, h_verify = _qutrit_hamiltonians(setup, omega0)
-    wt, vt = np.linalg.eigh(h_drive)
+    drive = np.linalg.eigh(h_drive)
     tau_v = math.pi / (2 * omega0)
-    # the verify evolution from bath level L to level R
-    u_rl = evolve(*np.linalg.eigh(h_verify), tau_v)[1::3, 2::3]
+    # the verify evolution of the bath's L-level columns, on their R rows
+    l_columns = np.kron(np.eye(dim_s), KET_L[:, None])
+    u_rl = evolve(*np.linalg.eigh(h_verify), tau_v, l_columns)[1::3]
     ground = setup.band.vector(0)
-    psi_init_t = vt.conj().T @ np.kron(setup.fiducial, KET_C)
+    psi_init = np.kron(setup.fiducial, KET_C)[:, None]
 
     doubling_threshold = max(1, math.ceil(4.0 / f1_lower ** 2))
     current_star = omega_star
@@ -788,7 +786,7 @@ def run_probabilistic(
         tau_lo = math.pi / current_star
         tau = tau_lo + (2 * math.pi / current_star - tau_lo) * u_tau
         total_sim_time += tau
-        psi = (vt @ (np.exp(-1j * tau * wt) * psi_init_t)).reshape(dim_s, 3)
+        psi = evolve(*drive, tau, psi_init).reshape(dim_s, 3)
         b = (psi[:, 2] + psi[:, 1]) / math.sqrt(2)
         p_b = float(np.vdot(b, b).real)
         accepted = False

@@ -34,7 +34,7 @@ from .cooling import (
     run_probabilistic,
     run_reduced,
 )
-from .linalg import PROJ1, DensityMatrix, partial_trace
+from .linalg import PROJ1, DensityMatrix, evolve, partial_trace
 from .models import (
     KET_DOWN,
     ClockModel,
@@ -101,7 +101,7 @@ CONFIG_KEYS = {
 # `cli.resolve_config` refuses one outside them before the run.
 CONFIG_MINIMUMS = {"seed": 0, "n": 1, "n_min": 1, "L_min": 1, "padding": 0, "instances": 1,
                    "shots": 1, "trials": 1, "ensemble_draws": 0, "points": 10,
-                   "f1_lower": 1e-150}
+                   "f1_lower": 1e-150, "max_rounds": 1}
 CONFIG_MAXIMUMS = {"seed": 2 ** 64 - 1, "shots": 2 ** 32, "trials": 2 ** 32, "eps": 1,
                    "f1_lower": 1, "omega": 1e150, "omega1": 1e150}
 
@@ -207,9 +207,7 @@ def fidelity_vs_detuning(n: int, omega0_rel: float, points: int, scan_factor: fl
     shifts = omega1 * (1 + detunings) - step.omega_b
     up = np.kron(np.eye(setup.dim_s), PROJ1)
     w, v = np.linalg.eigh(h + shifts[:, None, None] * up)
-    psi0 = np.kron(setup.fiducial, KET_DOWN)
-    amps = np.exp(-1j * step.tau * w) * (v.conj().transpose(0, 2, 1) @ psi0)
-    psi = (v @ amps[..., None])[..., 0]
+    psi = evolve(w, v, step.tau, np.kron(setup.fiducial, KET_DOWN)[:, None])[..., 0]
     # the ground band e0 with either bath state: the block's first two rows
     fids = np.abs(psi[:, 0]) ** 2 + np.abs(psi[:, 1]) ** 2
     return detunings, fids, step.omega_b, step.tau

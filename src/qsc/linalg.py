@@ -17,11 +17,12 @@ plain array and is not tested again:
     sum of their deviations, plus one rounding (eps/2 of the modulus) of
     each of the two mirrored entries.
 
-Eigendecompositions (`np.linalg.eigh` pairs), unitaries, subspace bases
-and states are plain arrays: every setup builds its fiducial as a complex
-unit vector, and a density run, whose ladder keeps the trace, meets it
-again at its final `DensityMatrix`, which refuses a wrong trace.  Evolution is by exact
-eigendecomposition; there is no Trotterization in the package.
+Eigendecompositions (`np.linalg.eigh` pairs), subspace bases and states
+are plain arrays: every setup builds its fiducial as a complex unit
+vector, and a density run, whose ladder keeps the trace, meets it again at
+its final `DensityMatrix`, which refuses a wrong trace.  Evolution applies
+exact eigendecompositions to the states it moves (`evolve`): no exp(-i t h)
+is formed, and there is no Trotterization in the package.
 """
 
 from __future__ import annotations
@@ -242,11 +243,13 @@ def connected_blocks(*matrices: np.ndarray) -> list[np.ndarray]:
     return [np.array(b) for b in blocks.values()]
 
 
-def evolve(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """Exact unitary exp(-i t h) of a Hermitian h, from its
-    eigendecomposition (w, v) = np.linalg.eigh(h)."""
-    phases = np.exp(-1j * t * w)
-    return v @ (phases[:, None] * v.conj().T)
+def evolve(w: np.ndarray, v: np.ndarray, t: float, psi: np.ndarray) -> np.ndarray:
+    """exp(-i t h) psi on the columns of psi, from the eigendecomposition
+    (w, v) = np.linalg.eigh(h) of a Hermitian h, or from a stack of them
+    slice by slice: v (e^{-i t w} o (v^+ psi)), with v^+ psi taken as
+    (psi^+ v)^+, so no array of h's size (the unitary, v^+) is formed."""
+    amps = (psi.conj().swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
+    return v @ (np.exp(-1j * t * w)[..., None] * amps)
 
 
 def partial_trace(rho: DensityMatrix, traced_dim: int) -> DensityMatrix:

@@ -4,9 +4,10 @@ Each oracle computes a quantity by a route disjoint from the production
 path it checks: eigenvalues by inertia bisection on the characteristic
 polynomial's root counts, operator norms by power iteration, partial
 traces by raw index summation, matrix exponentials via scipy's Pade
-implementation, the cooling map and the qutrit scheme's trials through
-dense bath projectors, the qutrit scheme's gap one eigenvalue at a time,
-the bounds lab's closeness radius by one linear solve and one SVD norm
+implementation, evolution as the full unitary (`unitary`) where the
+package evolves columns, the cooling map and the qutrit scheme's trials
+through dense bath projectors, the qutrit scheme's gap one eigenvalue at
+a time, the bounds lab's closeness radius by one linear solve and one SVD norm
 per grid point, the self-energy by its series in powers of V, gate
 embedding one basis column at a time, the clock Hamiltonian by the kron
 chains of its three parts (`build_clock_parts`) and its hopping by the
@@ -147,6 +148,13 @@ def expm_oracle(h: np.ndarray, t: float) -> np.ndarray:
     return scipy.linalg.expm(-1j * t * np.asarray(h, dtype=complex))
 
 
+def unitary(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
+    """The full unitary exp(-i t h) = v diag(e^{-i t w}) v^+ from the
+    eigendecomposition (w, v) = np.linalg.eigh(h): the matrix form of the
+    column evolution `linalg.evolve`, which never forms it."""
+    return v @ (np.exp(-1j * t * w)[:, None] * v.conj().T)
+
+
 def cooling_map_dense(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The conditional-evolution map U D rho D U^+ + P_up rho P_up with the
     bath projectors as dense products D = 1 (x) |down><down| and
@@ -192,14 +200,13 @@ def _fresh_unitaries(setup, schedule, delta_ops=None) -> list:
     """Each step's evolution, from H_j + V (+ the error for band j) built
     and diagonalized here, never from a decomposition the schedule holds."""
     from qsc.cooling import _step_hamiltonian
-    from qsc.linalg import evolve
 
     unitaries = []
     for step in schedule.steps:
         h = _step_hamiltonian(setup, schedule.omega0, step.omega_b)
         if delta_ops and step.j in delta_ops:
             h = h + delta_ops[step.j].matrix
-        unitaries.append(evolve(*np.linalg.eigh(h), step.tau))
+        unitaries.append(unitary(*np.linalg.eigh(h), step.tau))
     return unitaries
 
 
@@ -326,7 +333,6 @@ def probabilistic_by_dense_projectors(setup, omega0, omega_star, f1_lower, trial
     A static Hermitian `delta_op` on the composite space is added to both
     evolutions.  Returns (accept count, B-outcome count, conditional
     success)."""
-    from qsc.linalg import evolve
     from qsc.models import KET_B, KET_C
 
     omega1 = float(setup.band.omegas[1])
@@ -336,7 +342,7 @@ def probabilistic_by_dense_projectors(setup, omega0, omega_star, f1_lower, trial
         h_full = h_full + delta_op.matrix
     wt, vt = np.linalg.eigh(h_full + x_op)
     tau_v = math.pi / (2 * omega0)
-    u_verify = evolve(*np.linalg.eigh(h_full + y_op), tau_v)
+    u_verify = unitary(*np.linalg.eigh(h_full + y_op), tau_v)
     eye_s = np.eye(setup.dim_s, dtype=complex)
     proj_b = np.kron(eye_s, np.outer(KET_B, KET_B.conj()))
     proj_r = np.kron(eye_s, np.outer(KET_R, KET_R.conj()))

@@ -457,6 +457,10 @@ MISREAD = [
     ("clock", {"mode": "trajectory", "shots": 0}, "'shots' must be >= 1, got 0"),
     ("grover", {"shots": 0}, "'shots' must be >= 1, got 0"),
     ("prob", {"trials": 0}, "'trials' must be >= 1, got 0"),
+    # a round limit below 1 is hit at once: it would reset the sampling
+    # window on every failure, so no tau doubling is ever made
+    ("prob", {"max_rounds": 0}, "'max_rounds' must be >= 1, got 0"),
+    ("prob", {"max_rounds": -1}, "'max_rounds' must be >= 1, got -1"),
     ("grover", {"ensemble_draws": -5}, "'ensemble_draws' must be >= 0, got -5"),
     ("fig1", {"points": 9}, "'points' must be >= 10, got 9"),
     # the eta reduction runs the density ladder, which a trajectory config

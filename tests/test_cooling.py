@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qsc import config, cooling
 from qsc.errors import CouplingTooLarge, NonHermitianInput, UnresolvedSplitting
-from qsc.linalg import DensityMatrix, Operator, connected_blocks, evolve, operator_norm
+from qsc.linalg import DensityMatrix, Operator, connected_blocks, operator_norm
 from qsc.models import (
     CircuitSpec,
     ClockModel,
@@ -58,6 +58,7 @@ from oracles import (
     qutrit_bath_by_kron,
     trajectory_by_shot,
     trial_rng,
+    unitary,
 )
 
 
@@ -123,13 +124,10 @@ def _step_eig(setup, sched, step):
     return np.linalg.eigh(_step_hamiltonian(setup, sched.omega0, step.omega_b))
 
 
-def _step_unitary(setup, sched, step):
-    return evolve(*_step_eig(setup, sched, step), step.tau)
-
-
-def _branch_every_record(psi, weights, u):
+def _branch_every_record(psi, weights, eig, tau):
     """One step of the record states `psi` (one per column, with weights)
-    through `cooling_step`, every record branching both ways and each
+    through `cooling_step`, evolving for `tau` under the step's
+    eigendecomposition `eig`, every record branching both ways and each
     branch weighted by its outcome's probability; an outcome of
     probability 0 is dropped.  Returns the branches' states and weights."""
     p_up = np.sum(np.abs(psi[1::2]) ** 2, axis=0)
@@ -137,7 +135,8 @@ def _branch_every_record(psi, weights, u):
     parent, up = branches // 2, branches % 2 == 1
     outcome = np.where(up, p_up[parent], 1.0 - p_up[parent])
     branches = branches[outcome > 0]
-    return cooling_step(psi, p_up, branches, u), weights[branches // 2] * outcome[outcome > 0]
+    return (cooling_step(psi, p_up, branches, eig, tau),
+            weights[branches // 2] * outcome[outcome > 0])
 
 
 def _mixture(psi, weights):
@@ -153,9 +152,10 @@ class TestCoolingStep:
 
     def test_pumped_state_fixed(self, grover6):
         sched = build_schedule(grover6, omega0=0.02)
-        u = _step_unitary(grover6, sched, sched.steps[0])
+        step = sched.steps[0]
         up_state = np.kron(grover6.band.vector(0), KET_UP)[:, None]
-        out = cooling_step(up_state, np.ones(1), np.array([1]), u)
+        out = cooling_step(up_state, np.ones(1), np.array([1]),
+                           _step_eig(grover6, sched, step), step.tau)
         assert np.max(np.abs(out - up_state)) < 1e-12
 
     def test_trace_and_positivity(self, clock12):
@@ -164,7 +164,7 @@ class TestCoolingStep:
         weights = np.ones(1)
         for step in sched.steps:
             psi, weights = _branch_every_record(psi, weights,
-                                                _step_unitary(clock12, sched, step))
+                                                _step_eig(clock12, sched, step), step.tau)
             rho = DensityMatrix(_mixture(psi, weights))
             assert abs(rho.trace() - 1.0) < 1e-10
             assert rho.min_eigenvalue() > -1e-9
@@ -175,21 +175,22 @@ class TestCoolingStep:
         sched = build_schedule(clock12, eps=0.1)
         dim = 2 * clock12.dim_s
         for step in sched.steps:
-            u = _step_unitary(clock12, sched, step)
+            eig = _step_eig(clock12, sched, step)
             for _ in range(3):
                 psi = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
                 psi /= np.linalg.norm(psi, axis=0)
                 weights = rng.dirichlet(np.ones(3))
-                out, out_weights = _branch_every_record(psi, weights, u)
-                expected = cooling_map_dense(_mixture(psi, weights), u)
+                out, out_weights = _branch_every_record(psi, weights, eig, step.tau)
+                expected = cooling_map_dense(_mixture(psi, weights), unitary(*eig, step.tau))
                 assert np.max(np.abs(_mixture(out, out_weights) - expected)) <= 1e-15
 
     def test_ground_band_retention(self, grover6):
         # a state already in the lower manifold leaks only ~r amplitude
         sched = build_schedule(grover6, omega0=0.02)
-        u = _step_unitary(grover6, sched, sched.steps[0])
+        step = sched.steps[0]
         down = np.kron(grover6.band.vector(0), KET_DOWN)
-        out, weights = _branch_every_record(down[:, None], np.ones(1), u)
+        out, weights = _branch_every_record(down[:, None], np.ones(1),
+                                            _step_eig(grover6, sched, step), step.tau)
         keep = float(weights @ np.abs(down.conj() @ out) ** 2)
         assert keep > 1 - 10 * sched.r ** 2
 
@@ -215,7 +216,7 @@ class TestCoolingStep:
             j = step.j
             psi = np.kron(setup.fiducial, KET_DOWN)[:, None]
             out = _mixture(*_branch_every_record(psi, np.ones(1),
-                                                 _step_unitary(setup, sched, step)))
+                                                 _step_eig(setup, sched, step), step.tau))
             cols = [np.kron(setup.band.vector(k), KET_DOWN) for k in range(j)]
             cols.append(np.kron(setup.band.vector(0), KET_UP))
             b = np.column_stack(cols)

@@ -276,14 +276,15 @@ class TestCountedWork:
     assembly, one step Hamiltonian and one eigendecomposition in the
     exact-tau schedule (for the splitting) and the same three in the run
     (for the propagation), a single pass over the ladder (one
-    `cooling_step` per step in either mode), a `DensityMatrix` only for a
-    density run's final state and its readout, no eigvalsh beyond state
-    validation and norms, one search model per setup, and
-    trajectory products that do not grow with the shots.  Both ladders
-    stay in their band blocks, and no clock run forms a matrix of the
-    composite size: the clock meets its dense space only in H_S's band
-    structure and the validation of H_S and the coupling, prices the step
-    norm on the connected blocks of H* + V and reads out the band state.
+    `cooling_step` per step in either mode, which evolves one column, the
+    all-down record's, however many shots there are), a `DensityMatrix`
+    only for a density run's final state and its readout, no eigvalsh
+    beyond state validation and norms, and one search model per setup.
+    Both ladders stay in their band blocks, and no clock run forms a
+    matrix of the composite size: the clock meets its dense space only in
+    H_S's band structure and the validation of H_S and the coupling,
+    prices the step norm on the connected blocks of H* + V and reads out
+    the band state.
     A run whose steps differ from the schedule's (another detuning,
     analytic tau) must match a ladder built afresh."""
 
@@ -294,6 +295,13 @@ class TestCountedWork:
         counts.track(models, "build_bath_and_couplings")
         counts.track(linalg, "operator_norm")
         counts.track(linalg.DensityMatrix, "__post_init__", "density_matrix")
+        evolve = cooling.evolve
+
+        def evolving(w, v, t, psi):
+            counts.calls.setdefault("evolve", []).append(np.shape(psi))
+            return evolve(w, v, t, psi)
+
+        monkeypatch.setattr(cooling, "evolve", evolving)
         return counts
 
     def test_clock_density_ladder(self, tmp_path, monkeypatch):
@@ -305,6 +313,8 @@ class TestCountedWork:
         assert "readout" in summary
         assert counts.count("cooling_step") == length
         dim_s, block = 2 ** (1 + length), 2 * (length + 1)
+        # each step evolves one block column, the all-down record's
+        assert counts.calls["evolve"] == [(block, 1)] * length
         # one dense band-structure eigh of H_S, then two block eigh per
         # step: the schedule's splitting and the run's propagation
         assert counts.sizes("eigh") == {dim_s: 1, block: 2 * length}
@@ -361,6 +371,7 @@ class TestCountedWork:
         assert sorted(len(h) for h in counts.calls["build_bath_and_couplings"]) == sorted(
             [length + 1] * (length + kept) + norm_blocks)
         assert steps == kept
+        assert counts.calls["evolve"] == [(block, 1)] * kept
         assert counts.count("density_matrix") == (0 if mode == "trajectory" else 2)
         assert ("readout" in summary) == (mode != "trajectory")
 
@@ -390,6 +401,7 @@ class TestCountedWork:
         for key in ("solve", "cond", "svd", "eigh", "eigvalsh", "norm2"):
             assert max(counts.sizes(key), default=0) <= 4, key
         assert counts.count("eigh") == 2
+        assert counts.calls["evolve"] == [(4, 1)]
 
     def test_one_search_model_per_setup(self, tmp_path, monkeypatch):
         counts = CountingLinalg(monkeypatch)
@@ -412,24 +424,16 @@ class TestCountedWork:
             setup = cooling.clock_setup(models.ClockModel(
                 circuit=models.parse_circuit("G H 1\nG T 1\nG X 1\n", 1)))
             sched = build_schedule(setup, eps=0.1)
-        widths = []
-
-        class Unitary(np.ndarray):
-            """A step unitary that records the width of each product."""
-
-            def __matmul__(self, other):
-                widths.append(np.shape(other)[-1])
-                return np.asarray(self) @ other
-
-        evolve = cooling.evolve
-        monkeypatch.setattr(cooling, "evolve", lambda w, v, t: evolve(w, v, t).view(Unitary))
-        products = {}
-        for shots in (10, 1000):
-            widths.clear()
-            run_deterministic(setup, sched, mode="trajectory", shots=shots, seed=0)
-            products[shots] = list(widths)
-        # one product per step, on the one record still measuring down
-        assert products[10] == products[1000] == [1] * len(sched.steps)
+        counts = self._counting(monkeypatch)
+        evolved = {}
+        for mode, shots in (("trajectory", 10), ("trajectory", 1000), ("density", 1)):
+            counts.calls.clear()
+            run_deterministic(setup, sched, mode=mode, shots=shots, seed=0)
+            evolved[mode, shots] = counts.calls["evolve"]
+        # one evolved column per step, the one record still measuring
+        # down, in either mode and however many shots there are
+        column = (2 * setup.dim_s, 1)
+        assert all(shapes == [column] * len(sched.steps) for shapes in evolved.values())
 
     @pytest.mark.parametrize("shots", [10, 1000])
     def test_no_generator_per_shot(self, monkeypatch, shots):

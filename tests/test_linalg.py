@@ -143,29 +143,54 @@ class TestHermitianEig:
 
 
 class TestEvolve:
+    """`evolve` applies exp(-i t h) to columns, never forming the unitary."""
+
     def test_zero_time_is_identity(self, rng):
         eig = np.linalg.eigh(random_hermitian(rng, 5))
-        assert np.allclose(evolve(*eig, 0.0), np.eye(5), atol=1e-12)
+        psi = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
+        assert np.allclose(evolve(*eig, 0.0, psi), psi, atol=1e-12)
 
     def test_diagonal_phases(self):
         omega = 0.7
-        u = evolve(*np.linalg.eigh(np.diag([0.0, omega]).astype(complex)), 1.3)
-        assert abs(u[0, 0] - 1.0) < 1e-12
-        assert abs(u[1, 1] - np.exp(-1j * omega * 1.3)) < 1e-12
+        eig = np.linalg.eigh(np.diag([0.0, omega]).astype(complex))
+        out = evolve(*eig, 1.3, np.eye(2, dtype=complex))
+        assert abs(out[0, 0] - 1.0) < 1e-12 and abs(out[1, 0]) < 1e-12
+        assert abs(out[1, 1] - np.exp(-1j * omega * 1.3)) < 1e-12 and abs(out[0, 1]) < 1e-12
 
     def test_against_pade_oracle(self, rng):
+        # a block of columns under one decomposition, and one column
+        # under a stack of them
         h = random_hermitian(rng, 8)
-        u = evolve(*np.linalg.eigh(h), 0.83)
-        assert np.linalg.norm(u - expm_oracle(h, 0.83), 2) < 1e-10
+        psi = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        out = evolve(*np.linalg.eigh(h), 0.83, psi)
+        assert np.linalg.norm(out - expm_oracle(h, 0.83) @ psi, 2) < 1e-10
+        hs = np.stack([random_hermitian(rng, 8) for _ in range(4)])
+        out = evolve(*np.linalg.eigh(hs), 0.83, psi[:, :1])
+        assert out.shape == (4, 8, 1)
+        for h, column in zip(hs, out):
+            assert np.linalg.norm(column - expm_oracle(h, 0.83) @ psi[:, :1], 2) < 1e-10
 
     def test_unitarity_and_group_property(self, rng):
         for _ in range(20):
             dim = int(rng.integers(2, 33))
             eig = np.linalg.eigh(random_hermitian(rng, dim))
+            psi = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
             s, t = rng.normal(), rng.normal()
-            us, ut, ust = evolve(*eig, s), evolve(*eig, t), evolve(*eig, s + t)
-            assert np.linalg.norm(us @ ut - ust, 2) < 1e-9
-            assert np.linalg.norm(evolve(*eig, -t) @ ut - np.eye(dim), 2) < 1e-9
+            out = evolve(*eig, s + t, psi)
+            assert np.allclose(np.linalg.norm(out, axis=0), np.linalg.norm(psi, axis=0),
+                               rtol=1e-12, atol=0)
+            assert np.linalg.norm(evolve(*eig, s, evolve(*eig, t, psi)) - out, 2) < 1e-9
+            assert np.linalg.norm(evolve(*eig, -t, evolve(*eig, t, psi)) - psi, 2) < 1e-9
+
+    def test_stack_is_the_slices_bit_for_bit(self, rng):
+        # fig1's batched detuning scan relies on it: the stack form makes
+        # each slice's products as a call on that slice does
+        for dim in (4, 9):
+            w, v = np.linalg.eigh(np.stack([random_hermitian(rng, dim) for _ in range(6)]))
+            psi = rng.normal(size=(dim, 1)) + 1j * rng.normal(size=(dim, 1))
+            stacked = evolve(w, v, 0.61, psi)
+            for i in range(len(w)):
+                assert np.array_equal(stacked[i], evolve(w[i], v[i], 0.61, psi))
 
 
 class TestOperatorNorm:
