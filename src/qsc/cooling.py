@@ -28,10 +28,10 @@ lemmas run on it, and a ladder run on it is the oracle of the block's.
 A schedule carries only what a run plays: per step the band j, the bath
 energy omega_b (`solve_detuning`) and the pulse time tau, with Omega_0
 and r; Omega_0 is the schedule's, set and checked by `build_schedule`.
-The setup's H_S and coupling are the one validated operators of a step:
-H_j + V is a plain array built from them by the one qubit-bath helper,
-`models.build_bath_and_couplings` (`_step_hamiltonian`), as Hermitian as
-they are (`linalg`'s docstring).  An exact-tau step reads the
+The setup's H_S is the one validated operator of a step, and its coupling
+is built exact: H_j + V is a plain array built from them by the one
+qubit-bath helper, `models.build_bath_and_couplings` (`_step_hamiltonian`),
+as Hermitian as they are (`linalg`'s docstring).  An exact-tau step reads the
 pulse time off its eigen-splitting, refused when lost in roundoff
 (`_exact_step`), and the schedule keeps only that time; a run builds and
 diagonalizes each step it propagates again.  The ladder's step norm is
@@ -106,8 +106,8 @@ from .models import (
 class CoolingSetup(_Frozen):
     """Everything the deterministic ladder needs about one system.
 
-    `coupling` is the unit-norm coupling direction; the schedule scales it
-    by Omega_0.  Within the band, coupling acts as |F><F| with overlaps xs.
+    `coupling` is the unit-norm coupling direction, a plain array built
+    exact; Omega_0 scales it.  In the band it acts as |F><F| with overlaps xs.
     `fiducial` is F, a complex unit vector on the system space.
     `ground_basis` holds orthonormal columns spanning the (possibly
     degenerate) ground space of H_S.  `dense` is the setup a band block was
@@ -136,13 +136,16 @@ class CoolingSetup(_Frozen):
 
 def _band_block(omegas: np.ndarray, xs: np.ndarray, delta: float, label: str,
                 dense: CoolingSetup | None = None) -> CoolingSetup:
-    """The setup of an exact band block: H_S = diag(omegas), coupling
-    x x^T, fiducial x, identity band vectors and ground space e0, with the
-    `dense` setup it was cut from, if any."""
+    """The setup of an exact band block: H_S = diag(omegas), coupling x x^T
+    (exactly symmetric: x_i x_j and x_j x_i are one IEEE product), fiducial
+    x, identity band vectors and ground space e0, with the `dense` setup it
+    was cut from, if any.  Overlaps not all finite and > 0 are a ValueError."""
+    if not (np.isfinite(xs) & (xs > 0)).all():
+        raise ValueError(f"the fiducial must overlap every band finitely, got xs = {xs}")
     size = len(omegas)
     return CoolingSetup(
         h_s=Operator(np.diag(omegas).astype(complex)),
-        coupling=Operator(np.outer(xs, xs).astype(complex)),
+        coupling=np.outer(xs, xs).astype(complex),
         band=BandStructure(omegas=omegas, vectors=np.eye(size, dtype=complex), delta=delta),
         xs=xs,
         fiducial=xs.astype(complex),
@@ -173,7 +176,7 @@ def grover_setup(model: GroverModel, fiducial: np.ndarray | None = None,
     a diagonal entry of the block, and a Hermitian matrix's norm bounds
     the modulus of each of its diagonal entries, so the step norm
     (`h_norm`) is the block's.  Only the 2^n fiducial is formed, to read
-    x off; a given `fiducial` is a complex unit vector on the 2^n space.
+    x off; a given `fiducial` is a complex unit vector that overlaps both bands.
     """
     if fiducial is None:
         fiducial = grover_fiducial(model, kind=kind, seed=seed)
@@ -271,9 +274,9 @@ def _rabi_rate(h: np.ndarray, a: np.ndarray, b: np.ndarray, where: str, name: st
 def _step_hamiltonian(setup: CoolingSetup, omega0: float, omega_b: float) -> np.ndarray:
     """H_j + V: the system with the bath detuned to omega_b, plus the
     coupling V = Omega_0 * coupling (x) sigma_x, as a plain array.  It is a
-    sum of kron products of the validated H_S and coupling with real
+    sum of kron products of the validated H_S and exact coupling with real
     symmetric bath factors, so it is not tested again (see `linalg`)."""
-    h, v = build_bath_and_couplings(setup.h_s.matrix, omega0 * setup.coupling.matrix, omega_b)
+    h, v = build_bath_and_couplings(setup.h_s.matrix, omega0 * setup.coupling, omega_b)
     h += v  # in place: one composite-size array fewer alive for the eigh
     return h
 
@@ -382,14 +385,14 @@ def _step_norm(setup: CoolingSetup, schedule: CoolingSchedule) -> float:
     gives an invariant subspace S (x) bath, and ||H* + V|| is the largest
     norm of its blocks: one eigvalsh per block, each block a plain-array
     sum built from the principal submatrices H_S[S, S] and C[S, S] of the
-    validated H_S and C, and so Hermitian.  A search block is one
+    validated H_S and exact C, and so Hermitian.  A search block is one
     component; the largest block of an n = 1, L = 6 clock has 36 rows
     against the composite 256.
     """
     if not schedule.steps:
         return 0.0
     omega_b = max(s.omega_b for s in schedule.steps)
-    h_s, c = setup.h_s.matrix, setup.coupling.matrix
+    h_s, c = setup.h_s.matrix, setup.coupling
     norm = 0.0
     for block in connected_blocks(h_s, c):
         h, v = build_bath_and_couplings(h_s[block][:, block],
@@ -671,7 +674,7 @@ def extension_gap(setup: CoolingSetup) -> float:
 def extension_rabi(setup: CoolingSetup, omega0: float) -> float:
     """Band coupling rate |<1| Omega_0 T |0>| of the drive evolution."""
     return float(np.abs(
-        setup.band.vector(1).conj() @ (omega0 * setup.coupling.matrix) @ setup.band.vector(0)
+        setup.band.vector(1).conj() @ (omega0 * setup.coupling) @ setup.band.vector(0)
     ))
 
 
@@ -684,12 +687,12 @@ def _qutrit_hamiltonians(setup: CoolingSetup, omega0: float):
 
     the bath's displaced levels at band 1's omega1, C the setup's coupling:
     plain arrays built, like a step Hamiltonian, from the setup's validated
-    H_S and coupling with real symmetric bath factors."""
+    H_S and exact coupling with real symmetric bath factors."""
     eye = np.eye(setup.dim_s, dtype=complex)
     proj_c, proj_r, proj_l = (np.outer(k, k) for k in (KET_C, KET_R, KET_L))
     h = (np.kron(setup.h_s.matrix, proj_c + proj_r - proj_l)
          + float(setup.band.omegas[1]) * np.kron(eye, proj_r + proj_l))
-    x = np.kron(omega0 * setup.coupling.matrix, np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C))
+    x = np.kron(omega0 * setup.coupling, np.outer(KET_C, KET_B) + np.outer(KET_B, KET_C))
     y = omega0 * np.kron(eye, np.outer(KET_L, KET_R) + np.outer(KET_R, KET_L))
     return h + x, h + y
 

@@ -3,10 +3,9 @@ last factor is the one a partial trace removes (a run's bath).
 
 Value types (operators, density matrices) are immutable after
 construction and validate their own invariants.  `Operator` is the type of
-a Hermitian matrix where it enters a run (a model builder's output, a band
-block, a bound checker's generated input, a replayed dump), tested once,
-when it is built.  A Hamiltonian derived from validated operators is a
-plain array and is not tested again:
+a Hamiltonian where it enters a run (an H_S, a bound checker's generated
+input, a replayed dump), tested once, when built; a coupling is built exact.
+A Hamiltonian derived from them is a plain array and is not tested again:
 
   * kron products with real symmetric bath factors, real scalings and
     sums of exactly Hermitian operators are exactly Hermitian: an entry

@@ -109,15 +109,16 @@ def grover_fiducial(model: GroverModel, kind: str = "uniform", seed: int | None 
 
 def grover_band_structure(fiducial: np.ndarray, eigenspaces) -> np.ndarray:
     """Overlaps xs = (|P0 F|, |P1 F|) of the fiducial with the two
-    eigenspaces, the (marked, unmarked) index arrays of `build_grover`.
+    eigenspaces, the (marked, unmarked) index arrays of `build_grover`; of
+    a stack of fiducials (..., 2^n) row by row, as (..., 2).
 
     These are the band overlaps of the search model in the gauge where
-    each band vector P_k F / |P_k F| has a real non-negative overlap.
+    each band vector P_k F / |P_k F| has a real non-negative overlap.  A
+    zero one is kept: a band block refuses it (`cooling._band_block`).
     """
-    xs = np.array([np.linalg.norm(fiducial[idx]) for idx in eigenspaces])
-    if xs[0] == 0.0 or xs[1] == 0.0:
-        raise ValueError("fiducial must overlap both bands")
-    return xs
+    # `take` keeps each row contiguous, so a row sums as a lone fiducial does
+    return np.stack([np.linalg.norm(np.take(fiducial, idx, axis=-1), axis=-1)
+                     for idx in eigenspaces], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -513,13 +514,13 @@ def clock_band_structure(model: ClockModel, h_s: Operator) -> BandStructure:
     return BandStructure(omegas=omegas, vectors=vectors, delta=delta, spectrum=evals)
 
 
-def clock_coupling_direction(model: ClockModel) -> Operator:
-    """Unit-norm coupling operator: the |0><0| projector on the first
-    clock qubit, the diagonal mask of the basis states whose clock qubit 1
-    reads 0.  Within the low band it acts as the rank-one projector onto
-    the all-zeros product state."""
+def clock_coupling_direction(model: ClockModel) -> np.ndarray:
+    """Unit-norm coupling direction, a plain array (exactly Hermitian): the
+    |0><0| projector on the first clock qubit, the 0/1 diagonal mask of the
+    basis states whose clock qubit 1 reads 0.  Within the low band it acts
+    as the rank-one projector onto the all-zeros product state."""
     clock = np.arange(2 ** (model.n + model.length)) % 2 ** model.length
-    return Operator(np.diag((clock >> (model.length - 1) == 0).astype(complex)))
+    return np.diag((clock >> (model.length - 1) == 0).astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +533,10 @@ def build_bath_and_couplings(h_s: np.ndarray, t: np.ndarray, omega_b: float):
         H = H_S (x) 1 + omega_b * 1 (x) |up><up|,   V = T (x) sigma_x,
 
     with T the coupling already scaled by Omega_0.  H_S and T are plain
-    arrays cut from validated operators (a setup's H_S and coupling, or
-    their principal submatrices); H and V are built with real symmetric
-    bath factors and returned as plain arrays, so they and what a caller
-    sums from them (typically H + V) are not tested again (see `linalg`).
+    arrays cut from a setup's validated H_S and exact coupling (or their
+    principal submatrices); H and V are built with real symmetric bath
+    factors and returned as plain arrays, so they and what a caller sums
+    from them (typically H + V) are not tested again (see `linalg`).
     """
     eye = np.eye(len(h_s), dtype=complex)
     return np.kron(h_s, np.eye(2)) + omega_b * np.kron(eye, PROJ1), np.kron(t, SIGMA_X)
@@ -602,17 +603,17 @@ def random_states(n: int, seed, count: int):
     """`count` Haar-random states on n qubits, complex unit vectors, one
     after another: 2^n complex normals each of the stream `seed` (a
     `Stream`, or the seed of a new one), each state normalized by its own
-    `np.linalg.norm`.  Normals are drawn in batches of about 2^16 (at least
-    one state); stream words are consecutive, so batching moves no state.
-    A normalized vector of iid complex Gaussians is exactly Haar
-    distributed."""
+    `np.linalg.norm`.  The states are yielded in batches, (k, 2^n) arrays
+    of about 2^16 normals (at least one state); stream words are
+    consecutive, so batching moves no state.  A normalized vector of iid
+    complex Gaussians is exactly Haar distributed."""
     stream = seed if isinstance(seed, Stream) else Stream(seed)
     batch = max(1, 2 ** 16 >> n)
     for start in range(0, count, batch):
         z = stream.normal(min(batch, count - start) << n).reshape(-1, 2 ** n)
-        yield from z / np.array([np.linalg.norm(row) for row in z])[:, None]
+        yield z / np.array([np.linalg.norm(row) for row in z])[:, None]
 
 
 def random_state(n: int, seed) -> np.ndarray:
-    """The first of `random_states(n, seed, 1)`."""
-    return next(random_states(n, seed, 1))
+    """The first row of the first batch of `random_states(n, seed, 1)`."""
+    return next(random_states(n, seed, 1))[0]

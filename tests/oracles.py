@@ -246,7 +246,7 @@ def step_norm_on_composite(setup, schedule) -> float:
         return 0.0
     setup = setup.dense or setup
     omega_b = max(s.omega_b for s in schedule.steps)
-    h, v = qubit_bath_by_kron(setup.h_s.matrix, schedule.omega0 * setup.coupling.matrix,
+    h, v = qubit_bath_by_kron(setup.h_s.matrix, schedule.omega0 * setup.coupling,
                               omega_b)
     return operator_norm(h + v)
 
@@ -336,7 +336,7 @@ def probabilistic_by_dense_projectors(setup, omega0, omega_star, f1_lower, trial
     from qsc.models import KET_B, KET_C
 
     omega1 = float(setup.band.omegas[1])
-    h_full, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling.matrix, omega1,
+    h_full, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling, omega1,
                                              omega0)
     if delta_op is not None:
         h_full = h_full + delta_op.matrix
@@ -403,7 +403,7 @@ def dense_grover_setup(model, fiducial=None, kind="uniform", seed=None):
     h_s = np.diag(np.where(marked, 0.0, model.omega1)).astype(complex)
     return CoolingSetup(
         h_s=Operator(h_s),
-        coupling=Operator(np.outer(f, f.conj())),
+        coupling=np.outer(f, f.conj()),
         band=BandStructure(omegas=np.array([0.0, model.omega1]),
                            vectors=np.column_stack([comp0 / x0, comp1 / x1]),
                            delta=model.omega1),
@@ -780,7 +780,7 @@ def inject_errors(setup, schedule, injection: ErrorInjection) -> ErrorBudgetRepo
     )
     s1 = band_bath @ band_bath.conj().T
     delta = setup.band.delta
-    t_full = np.kron(schedule.omega0 * setup.coupling.matrix, SIGMA_X)
+    t_full = np.kron(schedule.omega0 * setup.coupling, SIGMA_X)
     rows = []
     ok = True
     for step in schedule.steps:
@@ -808,13 +808,13 @@ def extension_error_budget(setup, omega0: float, delta_op=None) -> ErrorBudgetRe
     b = np.kron(setup.band.vectors[:, :2], np.eye(3, dtype=complex))
     s1 = b @ b.conj().T
     omega1 = float(setup.band.omegas[1])
-    _, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling.matrix, omega1, omega0)
+    _, x_op, y_op = qutrit_bath_by_kron(setup.h_s.matrix, setup.coupling, omega1, omega0)
     dmat = delta_op.matrix if delta_op is not None else np.zeros_like(s1)
     delta = extension_gap(setup)
     r = omega0 / delta
     rabi = extension_rabi(setup, omega0)
     ground = setup.band.vector(0)
-    ground_shift = float(np.abs(ground.conj() @ (omega0 * setup.coupling.matrix) @ ground)) ** 2
+    ground_shift = float(np.abs(ground.conj() @ (omega0 * setup.coupling) @ ground)) ** 2
     rows = []
     ok = r < config.MAX_COUPLING_RATIO
     for name, v_mat, rate in (("drive", x_op, rabi), ("verification", y_op, omega0)):

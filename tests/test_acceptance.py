@@ -181,7 +181,7 @@ def _band1_problem(setup, r):
     """qutrit_truncation_check's arguments for band 1 of a clock setup,
     with the coupling at r times the extension gap."""
     delta = extension_gap(setup)
-    t_s = Operator(r * delta * setup.coupling.matrix)
+    t_s = Operator(r * delta * setup.coupling)
     return (setup.h_s, setup.band.vector(0), setup.band.vectors[:, 1:2],
             float(setup.band.omegas[1]), delta, t_s)
 

@@ -463,6 +463,8 @@ MISREAD = [
     ("prob", {"max_rounds": -1}, "'max_rounds' must be >= 1, got -1"),
     ("grover", {"ensemble_draws": -5}, "'ensemble_draws' must be >= 0, got -5"),
     ("fig1", {"points": 9}, "'points' must be >= 10, got 9"),
+    # an inset outside the n grid is refused, not replaced by the grid's last n
+    ("fig1", {"inset_n": 12}, "'inset_n' must lie in [n_min, n_max] = [4, 5], got 12"),
     # the eta reduction runs the density ladder, which a trajectory config
     # did not ask for
     ("clock", {"eta": 0.3, "mode": "trajectory", "shots": 50}, "'eta' and 'mode'"),

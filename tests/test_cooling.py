@@ -473,16 +473,17 @@ def _clock_circuits(n: int):
     return st.lists(gates, min_size=1, max_size=5).map("\n".join)
 
 
-def _derived_setups(data) -> tuple:
+def _derived_setups(data, max_length: int = 5) -> tuple:
     """Setups drawn for the derived-Hamiltonian tests: a random clock's
-    dense setup and the band block cut from it (n + L <= 6, some with a
-    Haar gate), or a search block with random n <= 6, marked set and
-    fiducial kind."""
+    dense setup (`clock_setup`) and the band block cut from it (n + L <= 6
+    and L <= max_length, some with a Haar gate), or a search block with
+    random n <= 6, marked set and fiducial kind."""
     if data.draw(st.booleans(), label="clock"):
         n = data.draw(st.integers(1, 2), label="n")
-        text = data.draw(_clock_circuits(n).filter(lambda t: t.count("G") <= 6 - n))
+        most = min(6 - n, max_length)
+        text = data.draw(_clock_circuits(n).filter(lambda t: t.count("G") <= most))
         circuit = parse_circuit(text, n)
-        if circuit.length < 6 - n and data.draw(st.booleans(), label="haar"):
+        if circuit.length < most and data.draw(st.booleans(), label="haar"):
             seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
             haar = Gate(haar_gate(np.random.default_rng(seed), 2), (1,))
             circuit = CircuitSpec(n, circuit.gates + (haar,))
@@ -526,7 +527,7 @@ class TestDerivedHamiltonians:
         omega_b = data.draw(st.floats(-10.0, 10.0), label="omega_b")
         omega0 = data.draw(st.floats(1e-8, 10.0), label="omega0")
         for setup in setups:
-            h_s, c = setup.h_s.matrix, setup.coupling.matrix
+            h_s, c = setup.h_s.matrix, setup.coupling
             h, v = qubit_bath_by_kron(h_s, omega0 * c, omega_b)
             assert np.array_equal(_step_hamiltonian(setup, omega0, omega_b), h + v)
             h, x, y = qutrit_bath_by_kron(h_s, c, float(setup.band.omegas[1]), omega0)
@@ -541,6 +542,32 @@ class TestDerivedHamiltonians:
                 h, v = qubit_bath_by_kron(h_s[block][:, block], omega0 * c[block][:, block],
                                           omega_b)
                 assert np.array_equal(call.args[0], h + v)
+
+
+class TestCouplingDirection:
+    """Every setup's coupling direction is a plain complex array, built
+    exactly Hermitian (bit for bit, so no `Operator` checks it) with unit
+    2-norm: the 0/1 mask of a dense clock setup, x x^T of real overlaps x
+    on the clock and search blocks."""
+
+    @staticmethod
+    def _check(setup):
+        c = setup.coupling
+        assert type(c) is np.ndarray and c.dtype == complex
+        assert np.array_equal(c, c.conj().T)
+        assert abs(np.linalg.norm(c, 2) - 1.0) <= 1e-15
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_every_setup(self, data):
+        # clocks with n in {1, 2} and L <= 4, random gates; search blocks
+        for setup in _derived_setups(data, max_length=4):
+            self._check(setup)
+
+    @pytest.mark.parametrize("kind", ["uniform", "haar"])
+    @pytest.mark.parametrize("n,marked", [(3, {5}), (3, {0, 2, 7}), (6, {9}), (6, {1, 8, 40, 63})])
+    def test_search_blocks(self, kind, n, marked):
+        self._check(grover_setup(GroverModel(n=n, marked=frozenset(marked)), kind=kind, seed=n))
 
 
 class TestClockBlock:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qsc.bounds import check_protocol_lemmas
 from qsc.cli import _RUNNERS, resolve_config
 from qsc.experiments import _clock_readout, fidelity_vs_detuning, half_width
-from qsc import cooling, linalg, models
+from qsc import cooling, experiments, linalg, models
 from qsc.models import CircuitSpec, ClockModel, Gate, GroverModel, parse_circuit
 from qsc.cooling import (
     _step_norm,
@@ -92,6 +92,18 @@ class TestDetuningCurve:
             assert abs(peak - best) <= spacing + 2 * resolution
             assert abs(omega_b - best) <= 2 * resolution
 
+    @pytest.mark.parametrize("n_max,inset_n,expected", [(5, None, 5), (8, None, 7), (8, 4, 4)])
+    def test_inset_is_the_given_n_else_seven_else_the_last(self, tmp_path, n_max, inset_n,
+                                                          expected):
+        cfg = {"n_min": 4, "n_max": n_max, "points": 60}
+        if inset_n is not None:
+            cfg["inset_n"] = inset_n
+        summary = run("fig1", cfg, tmp_path)
+        assert summary["config"].get("inset_n") == inset_n
+        assert summary["inset"]["n"] == expected
+        per_n = {p["n"]: p for p in summary["per_n"]}
+        assert summary["inset"]["half_width"] == per_n[expected]["half_width"]
+
     def test_curve_is_the_dense_search_model(self):
         # each point is the n-qubit search ladder on its full composite
         # space with the bath moved to the scanned energy, at the same pulse
@@ -117,6 +129,27 @@ class TestGroverEnsemble:
             ens = summary["ensemble"]
             ratio = ens["mean_inverse_rate"] / ens["sqrt_n_over_n0"]
             assert 0.5 <= ratio <= 2.0
+
+    @pytest.mark.parametrize("n,draws", [(3, 5), (12, 40)])
+    def test_mean_is_over_the_draws_one_by_one(self, tmp_path, n, draws):
+        # at n = 12 a batch holds 16 states, so the draws cross two batch ends
+        summary = run("grover", {"n": n, "marked": [1, 2], "r": 0.02, "seed": 4,
+                                 "ensemble_draws": draws}, tmp_path)
+        eigenspaces = models.build_grover(GroverModel(n=n, marked=frozenset({1, 2})))
+        stream = models.Stream(4)
+        xs = [models.grover_band_structure(models.random_state(n, stream), eigenspaces)
+              for _ in range(draws)]
+        assert summary["ensemble"]["mean_inverse_rate"] == float(
+            np.mean([1.0 / (x[0] * x[1]) for x in xs]))
+
+    def test_a_zero_overlap_draw_is_left_out(self, tmp_path, monkeypatch):
+        # a draw on the marked string alone carries no pulse time
+        uniform, marked_only = np.full(4, 0.5, dtype=complex), np.eye(4, dtype=complex)[1]
+        monkeypatch.setattr(experiments, "random_states",
+                            lambda n, seed, count: iter([np.array([uniform, marked_only])]))
+        summary = run("grover", {"n": 2, "marked": [1], "r": 0.02, "ensemble_draws": 2},
+                      tmp_path)
+        assert summary["ensemble"]["mean_inverse_rate"] == 1.0 / (0.5 * math.sqrt(0.75))
 
 
 class TestSpectrumTrend:
@@ -282,9 +315,10 @@ class TestCountedWork:
     beyond state validation and norms, and one search model per setup.
     Both ladders stay in their band blocks, and no clock run forms a
     matrix of the composite size: the clock meets its dense space only in
-    H_S's band structure and the validation of H_S and the coupling,
-    prices the step norm on the connected blocks of H* + V and reads out
-    the band state.
+    H_S's band structure and the validation of H_S, prices the step norm
+    on the connected blocks of H* + V and reads out the band state.  A
+    setup validates its H_S alone: its coupling direction is built exactly
+    Hermitian, a plain array.
     A run whose steps differ from the schedule's (another detuning,
     analytic tau) must match a ladder built afresh."""
 
@@ -327,11 +361,11 @@ class TestCountedWork:
         # size), then one per block step in the run: none on the dense space
         assert [len(h) for h in counts.calls["build_bath_and_couplings"]] == (
             [length + 1] * length + [size // 2 for size in norm_sizes] + [length + 1] * length)
-        # the Hermiticity scales: dense H_S and coupling, and the block's
-        # H_S and coupling, each where it enters the run; the step
-        # Hamiltonians and the step-norm blocks are sums of kron products
-        # of those validated terms, not checked again
-        assert counts.sizes("norm2") == {dim_s: 2, length + 1: 2}
+        # the Hermiticity scales: the dense H_S and the block's H_S, each
+        # where it enters the run; the couplings are built exact, and the
+        # step Hamiltonians and the step-norm blocks are sums of kron
+        # products of those terms, not checked again
+        assert counts.sizes("norm2") == {dim_s: 1, length + 1: 1}
         # the boundary checks alone: the final state and the band state
         # read out of it; the ladder propagates plain record states
         assert counts.count("density_matrix") == 2
@@ -342,8 +376,8 @@ class TestCountedWork:
     def test_clock_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
         # n = 1, L = 5: no decomposition, eigenvalue solve or 2-norm sees the
         # composite size 2 dim_s; the dense space is met only by H_S's one
-        # eigh for the band structure and the validation of H_S and the
-        # coupling.  The ladder's decompositions (the schedule's, one per
+        # eigh for the band structure and the validation of H_S.  The
+        # ladder's decompositions (the schedule's, one per
         # step, and the run's, one per kept step) are of the block's size
         length = 5
         cfg = {"n": 1, "circuit": ["G H 1", "G T 1", "G X 1", "G S 1", "G Y 1"],
@@ -363,7 +397,7 @@ class TestCountedWork:
             assert max(counts.sizes(key), default=0) <= block, key
         for key in ("eigh", "eigvalsh", "norm2"):
             assert max(counts.sizes(key), default=0) <= dim_s, key
-        assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 2
+        assert max(counts.sizes("norm2")) == dim_s and counts.sizes("norm2")[dim_s] == 1
         # bath assemblies: the block steps' and the step norm's connected
         # blocks, which partition the dense system space
         norm_blocks = [np.shape(h)[0] // 2 for h in counts.calls["operator_norm"]]
@@ -387,9 +421,9 @@ class TestCountedWork:
         assert counts.count("build_bath_and_couplings") == 3
         assert counts.count("eigh") == 2
         assert counts.sizes("eigvalsh") == {4: 1}
-        # the block's H_S and coupling (2 x 2) only: the step H_j + V is
-        # built from them and not checked again
-        assert counts.sizes("norm2") == {2: 2}
+        # the block's H_S (2 x 2) only: its coupling is built exact, and
+        # the step H_j + V is built from the two and not checked again
+        assert counts.sizes("norm2") == {2: 1}
 
     @pytest.mark.parametrize("mode", ["density", "trajectory"])
     def test_search_ladder_stays_in_its_block(self, tmp_path, monkeypatch, mode):
@@ -402,6 +436,19 @@ class TestCountedWork:
             assert max(counts.sizes(key), default=0) <= 4, key
         assert counts.count("eigh") == 2
         assert counts.calls["evolve"] == [(4, 1)]
+
+    def test_a_setup_validates_its_h_s_alone(self, monkeypatch):
+        # a clock block validates two H_S, the dense one and its own, and a
+        # search block its one; no coupling direction is an Operator
+        counts = CountingLinalg(monkeypatch)
+        counts.track(linalg.Operator, "__post_init__", "operator")
+        block = clock_block(ClockModel(circuit=parse_circuit("G H 1\nG T 1\nG X 1", 1)))
+        assert counts.count("operator") == 2
+        counts.calls.clear()
+        search = grover_setup(GroverModel(n=4, marked=frozenset({0})))
+        assert counts.count("operator") == 1
+        for setup in (block, block.dense, search):
+            assert type(setup.h_s) is linalg.Operator and type(setup.coupling) is np.ndarray
 
     def test_one_search_model_per_setup(self, tmp_path, monkeypatch):
         counts = CountingLinalg(monkeypatch)

@@ -155,7 +155,7 @@ class TestSelfEnergy:
         j = model.length
         omega0 = 0.02 * band.delta
         omega_b = solve_detuning(xs, band.omegas, j, omega0, band.delta)
-        t_s = Operator(omega0 * clock_coupling_direction(model).matrix)
+        t_s = Operator(omega0 * clock_coupling_direction(model))
         h_full, v = build_bath_and_couplings(h_s.matrix, t_s.matrix, omega_b)
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
@@ -568,7 +568,7 @@ class TestQutritTruncation:
 
         setup = clock_setup(ClockModel(circuit=load_circuit(circuits_dir / gates, n)))
         delta = extension_gap(setup)
-        t_s = Operator(0.01 * delta * setup.coupling.matrix)
+        t_s = Operator(0.01 * delta * setup.coupling)
         report = qutrit_truncation_check(*self._band1(setup), delta, t_s)
         assert report.b_green_norm <= 1e-9
         assert report.passed

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qsc import config
 from qsc.errors import ParseError, QscError, SelfCheckFailed, UnresolvedSplitting
-from qsc.cooling import _qutrit_hamiltonians, clock_setup
+from qsc.cooling import _qutrit_hamiltonians, clock_setup, grover_setup
 from qsc.linalg import DensityMatrix, operator_norm, partial_trace
 from qsc.models import (
     _NAMED_GATES,
@@ -101,9 +101,31 @@ class TestGrover:
         assert xs[0] ** 2 + xs[1] ** 2 == pytest.approx(1.0)
 
     def test_fiducial_without_both_bands_is_rejected(self):
+        # the overlaps read zero; the band block that runs on them refuses it
         model = GroverModel(n=2, marked=frozenset({1}))
-        with pytest.raises(ValueError):
-            grover_band_structure(np.eye(4, dtype=complex)[1], build_grover(model))
+        fiducial = np.eye(4, dtype=complex)[1]
+        assert grover_band_structure(fiducial, build_grover(model)).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="overlap every band"):
+            grover_setup(model, fiducial)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_fiducial_is_rejected(self, entry):
+        model = GroverModel(n=2, marked=frozenset({1}))
+        fiducial = np.full(4, 0.5, dtype=complex)
+        fiducial[2] = entry
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="overlap every band"):
+            grover_setup(model, fiducial)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_stack_of_fiducials_is_read_row_by_row(self, n):
+        model = GroverModel(n=n, marked=frozenset({0, 5}))
+        eigenspaces = build_grover(model)
+        stack = np.concatenate(list(random_states(n, 9, 30)))
+        xs = grover_band_structure(stack, eigenspaces)
+        assert xs.shape == (30, 2)
+        for row, f in zip(xs, stack):
+            one = grover_band_structure(f, eigenspaces)
+            assert one.shape == (2,) and np.array_equal(row, one)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -275,7 +297,7 @@ class TestClockPinned:
         model = ClockModel(circuit=parse_circuit("\n".join(lines), n), omega=omega, h=h)
         assert build_clock(model).matrix.tobytes() == clock_hamiltonian_by_parts(model).tobytes()
         projector = _site_projector(n + length, {n + 1: PROJ0})
-        assert clock_coupling_direction(model).matrix.tobytes() == projector.tobytes()
+        assert clock_coupling_direction(model).tobytes() == projector.tobytes()
 
     @pytest.mark.parametrize("text,n", [
         ("G H 1\nG T 1\nG X 1\nG S 1\nG Y 1\nG Z 1", 1),
@@ -413,7 +435,7 @@ class TestBathsAndCouplings:
         model = ClockModel(circuit=random_circuit(rng, 1, 3))
         h_s = build_clock(model)
         band = clock_band_structure(model, h_s)
-        c = clock_coupling_direction(model).matrix
+        c = clock_coupling_direction(model)
         xs = overlap_coefficients(model.length)
         g = np.zeros(h_s.dim, dtype=complex)
         g[0] = 1.0
@@ -427,7 +449,7 @@ class TestBathsAndCouplings:
         model = ClockModel(circuit=random_circuit(rng, 2, 3))
         h_s = build_clock(model)
         band = clock_band_structure(model, h_s)
-        c = clock_coupling_direction(model).matrix
+        c = clock_coupling_direction(model)
         s1 = band.vectors @ band.vectors.conj().T
         s2 = np.eye(h_s.dim) - s1
         assert np.linalg.norm(s1 @ c @ s2, 2) < 1e-12
@@ -492,7 +514,7 @@ class TestRandomState:
         # at n = 12 a batch holds 16 states, so 40 states cross two batch ends
         stream = Stream(5)
         per_draw = [random_state(n, stream) for _ in range(40)]
-        batched = list(random_states(n, 5, 40))
+        batched = np.concatenate(list(random_states(n, 5, 40)))
         assert len(batched) == 40
         for a, b in zip(per_draw, batched):
             assert np.array_equal(a, b)
