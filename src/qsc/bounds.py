@@ -5,8 +5,19 @@ bound: instances failing the hypotheses raise HypothesisUnmet and are
 recorded as vacuous by the suite runner, never as passes.  Randomized
 instance generators draw Gaussian Hermitian matrices and then move
 eigenvalue clusters to enforce the required windows and gaps, so the main
-suites satisfy hypotheses by construction.  Each instance draws from its
-own `models.Stream`, seeded by word i of the master seed's stream.
+suites satisfy hypotheses by construction.
+
+A suite runs in blocks of instances, each one stack: its instances are
+drawn, built and checked as (k, n, n) arrays, with one batched LAPACK call
+per step for the whole block.  Instance i draws from its own
+`models.Stream`, seeded by word i of the master seed's stream; a block
+draws its own seed words, and its instances' streams as one stack.  In a
+stack, an instance whose hypothesis fails is set aside with the
+HypothesisUnmet its own check would raise, and takes no later step.  The
+public checkers take one instance and run it as a stack of one, so one
+path serves both.  Generated matrices are plain arrays built exactly
+Hermitian (`linalg`); an `Operator` is what a caller of the
+single-instance API, or a replayed dump, hands in.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +33,7 @@ import numpy as np
 from . import config
 from .errors import HypothesisUnmet
 from .levelshift import make_context, self_energy, solve_detuning
-from .linalg import Operator, _Frozen, _setattr, evolve, operator_norm
+from .linalg import Operator, _Frozen, _hermitian_part, _matrix, _setattr, evolve, operator_norm
 from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel, Stream
 from .cooling import (
     CoolingSetup,
@@ -51,31 +62,82 @@ class CheckResult(_Frozen):
 
 class BoundInstance(_Frozen):
     """A random instance for the window-based checks: a Hamiltonian, a
-    perturbation, the spectral window, and the protecting gap.
+    perturbation, the spectral window, and the protecting gap; or a stack
+    of such instances on one window and gap.
 
-    H + V (`h_tilde`, a plain array as Hermitian as H and V are, see
-    `linalg`), |V| and the eigendecompositions of H and H + V
-    (`np.linalg.eigh` pairs) are computed once per instance and shared by
-    every checker that reads them (cached in the instance's `__dict__`).
+    One instance holds H and V as `Operator`s, a stack as (k, n, n)
+    arrays, each matrix Hermitian.  H + V (`h_tilde`, a plain array as
+    Hermitian as H and V are, see `linalg`), |V| and the eigendecompositions
+    of H and H + V (`np.linalg.eigh` pairs) are computed once per instance
+    or stack, a stack's each by one batched call, and shared by every
+    checker that reads them (cached in the `__dict__`); indexing a stack
+    (`inst[rows]`) hands what is computed on to the sub-stack.  A checker
+    runs one instance as a stack of one.
     """
 
     __slots__ = ("h", "v", "window", "gap", "__dict__")
 
     @cached_property
     def h_tilde(self) -> np.ndarray:
-        return self.h.matrix + self.v.matrix
+        return _matrix(self.h) + _matrix(self.v)
 
     @cached_property
-    def v_norm(self) -> float:
+    def v_norm(self):
         return operator_norm(self.v)
 
     @cached_property
     def h_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(self.h.matrix)
+        return np.linalg.eigh(_matrix(self.h))
 
     @cached_property
     def h_tilde_eig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(self.h_tilde)
+
+    def __getitem__(self, rows) -> BoundInstance:
+        """The sub-stack of the instances of a stack that `rows` selects (an
+        index array or a mask), with everything already computed for
+        them."""
+        sub = BoundInstance(h=self.h[rows], v=self.v[rows], window=self.window, gap=self.gap)
+        for key, value in self.__dict__.items():
+            sub.__dict__[key] = (tuple(a[rows] for a in value) if isinstance(value, tuple)
+                                 else value[rows])
+        return sub
+
+
+def _stack_of(inst: BoundInstance) -> BoundInstance:
+    """One instance as a stack of one."""
+    return BoundInstance(h=inst.h.matrix[None], v=inst.v.matrix[None], window=inst.window,
+                         gap=inst.gap)
+
+
+def _one(outcomes: list) -> CheckResult:
+    """The outcome of a stack of one: its CheckResult, or its
+    HypothesisUnmet raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, HypothesisUnmet):
+        raise outcome
+    return outcome
+
+
+def _set_aside(outcomes: list, rows: np.ndarray, unmet: np.ndarray, reason, *arrays) -> tuple:
+    """Record HypothesisUnmet(reason) as the outcome of each instance
+    rows[j] with unmet[j] (`reason` is the message, or a function of j that
+    gives it).  Returns the rows that go on, then each of `arrays` (one
+    entry per row, a stack among them) cut to them."""
+    for j in np.flatnonzero(unmet):
+        outcomes[rows[j]] = HypothesisUnmet(reason(j) if callable(reason) else reason)
+    return tuple(a[~unmet] for a in (rows, *arrays))
+
+
+def _record(outcomes: list, rows: np.ndarray, passed, margins, **details) -> None:
+    """Record the CheckResult of each instance rows[j]: passed[j], the
+    margins margins[j] (a number or a row) and the j-th entry of each
+    detail."""
+    for j, i in enumerate(rows):
+        outcomes[i] = CheckResult(
+            passed=bool(passed[j]), margins=tuple(np.ravel(margins[j]).tolist()),
+            details={key: value[j].item() for key, value in details.items()},
+        )
 
 
 def _window(eig: tuple[np.ndarray, np.ndarray], lo: float, hi: float):
@@ -86,6 +148,18 @@ def _window(eig: tuple[np.ndarray, np.ndarray], lo: float, hi: float):
     return v[:, mask], mask
 
 
+def _by_pattern(masks: np.ndarray):
+    """The rows of a stack of masks grouped by their mask, as (rows, mask)
+    pairs: a group's bases gather the same columns, so they stack."""
+    patterns, which = np.unique(masks, axis=0, return_inverse=True)
+    return [(np.flatnonzero(which == g), pattern) for g, pattern in enumerate(patterns)]
+
+
+def _norm2(m: np.ndarray) -> np.ndarray:
+    """The spectral norm of each matrix of a stack (0 for empty ones)."""
+    return np.linalg.norm(m, 2, axis=(-2, -1)) if m.size else np.zeros(m.shape[:-2])
+
+
 # ---------------------------------------------------------------------------
 # Elementary checkers
 # ---------------------------------------------------------------------------
@@ -93,171 +167,209 @@ def _window(eig: tuple[np.ndarray, np.ndarray], lo: float, hi: float):
 def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
     """Sorted eigenvalues of two Hermitian operators never differ by more
     than the norm of their difference."""
-    mu = np.linalg.eigvalsh(h.matrix)
-    sigma = np.linalg.eigvalsh(h_tilde.matrix)
-    bound = operator_norm(h.matrix - h_tilde.matrix)
-    margins = bound - np.abs(mu - sigma)
-    return CheckResult(
-        passed=bool(np.all(margins >= -1e-10 * (1 + bound))),
-        margins=tuple(float(m) for m in margins),
-        details={"norm_diff": float(bound)},
-    )
+    return _one(_weyl(h.matrix[None], h_tilde.matrix[None]))
+
+
+def _weyl(h: np.ndarray, h_tilde: np.ndarray) -> list:
+    """`check_weyl` on stacks of H and H~."""
+    outcomes = [None] * len(h)
+    shifts = np.abs(np.linalg.eigvalsh(h) - np.linalg.eigvalsh(h_tilde))
+    bound = operator_norm(h - h_tilde)[:, None]
+    margins = bound - shifts
+    _record(outcomes, np.arange(len(h)), np.all(margins >= -1e-10 * (1 + bound), axis=-1),
+            margins, norm_diff=bound[:, 0])
+    return outcomes
 
 
 def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
     """|X| <= |AX - XB| / beta for Hermitian A, B whose spectra are
     separated: |A| <= alpha and |B^{-1}| <= 1/(alpha + beta), beta > 0."""
+    return _one(_sylvester(a.matrix[None], b.matrix[None], np.asarray(x, dtype=complex)[None]))
+
+
+def _sylvester(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> list:
+    """`check_sylvester` on stacks of A, B and X."""
+    outcomes = [None] * len(a)
     alpha = operator_norm(a)
-    sv = np.linalg.svd(b.matrix, compute_uv=False)
-    if sv[-1] <= 0:
-        raise HypothesisUnmet("B is singular")
-    beta = float(sv[-1]) - alpha
-    if beta <= 0:
-        raise HypothesisUnmet(
-            f"spectral separation fails: min sv(B) = {sv[-1]:.3e} <= |A| = {alpha:.3e}"
-        )
-    x = np.asarray(x, dtype=complex)
-    lhs = float(np.linalg.norm(x, 2)) if x.size else 0.0
-    rhs = float(np.linalg.norm(a.matrix @ x - x @ b.matrix, 2)) / beta if x.size else 0.0
-    margin = rhs - lhs
-    scale = 1 + lhs
-    return CheckResult(
-        passed=bool(margin >= -_SLACK * scale),
-        margins=(float(margin),),
-        details={"alpha": alpha, "beta": beta},
-    )
+    sv = np.linalg.svd(b, compute_uv=False)[:, -1]
+    rows, a, b, x, alpha, sv = _set_aside(outcomes, np.arange(len(a)), sv <= 0, "B is singular",
+                                          a, b, x, alpha, sv)
+    beta = sv - alpha
+    rows, a, b, x, alpha, beta = _set_aside(outcomes, rows, beta <= 0, lambda j: (
+        f"spectral separation fails: min sv(B) = {sv[j]:.3e} <= |A| = {alpha[j]:.3e}"),
+        a, b, x, alpha, beta)
+    lhs = _norm2(x)
+    margin = _norm2(a @ x - x @ b) / beta - lhs
+    _record(outcomes, rows, margin >= -_SLACK * (1 + lhs), margin, alpha=alpha, beta=beta)
+    return outcomes
 
 
 def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
     """Invertibility of A - B and the three block-norm bounds on its
     inverse, for A block-diagonal across a split of the space."""
-    dim = a.dim
+    return _one(_block_resolvent(a.matrix[None], b.matrix[None], split))
+
+
+def _block_resolvent(a: np.ndarray, b: np.ndarray, split: int) -> list:
+    """`check_block_resolvent` on stacks of A and B, one split."""
+    dim = a.shape[-1]
     if not (0 < split < dim):
         raise ValueError("split must cut the space into two nonempty blocks")
     s1 = slice(0, split)
     s2 = slice(split, dim)
-    am = a.matrix
-    if np.max(np.abs(am[s1, s2])) > config.HERMITICITY_ATOL * (1 + operator_norm(a)):
-        raise HypothesisUnmet("A is not block-diagonal across the split")
-    sv1 = np.linalg.svd(am[s1, s1], compute_uv=False)
-    sv2 = np.linalg.svd(am[s2, s2], compute_uv=False)
-    if sv1[-1] <= 0 or sv2[-1] <= 0:
-        raise HypothesisUnmet("a diagonal block of A is singular")
-    g1, g2 = float(sv1[-1]), float(sv2[-1])
-    bm = b.matrix
-    b11 = float(np.linalg.norm(bm[s1, s1], 2))
-    b22 = float(np.linalg.norm(bm[s2, s2], 2))
-    b12 = float(np.linalg.norm(bm[s1, s2], 2))
-    if not (b11 < g1 / 2 and b22 < g2 / 2 and b12 < min(g1, g2) / 2):
-        raise HypothesisUnmet(
-            f"block norms exceed half-gaps: b11={b11:.3e}, b22={b22:.3e}, "
-            f"b12={b12:.3e} vs G1={g1:.3e}, G2={g2:.3e}"
-        )
-    diff = am - bm
-    sv = np.linalg.svd(diff, compute_uv=False)
-    if sv[-1] <= 0:
-        return CheckResult(False, (-1.0,),
-                           details={"reason": "A - B singular despite hypotheses"})
+    outcomes = [None] * len(a)
+    off = np.max(np.abs(a[:, s1, s2]), axis=(-2, -1))
+    rows, a, b = _set_aside(outcomes, np.arange(len(a)),
+                            off > config.HERMITICITY_ATOL * (1 + operator_norm(a)),
+                            "A is not block-diagonal across the split", a, b)
+    g1, g2 = (np.linalg.svd(a[:, s, s], compute_uv=False)[:, -1] for s in (s1, s2))
+    rows, a, b, g1, g2 = _set_aside(outcomes, rows, (g1 <= 0) | (g2 <= 0),
+                                    "a diagonal block of A is singular", a, b, g1, g2)
+    b11, b22, b12 = (_norm2(b[:, s, t]) for s, t in ((s1, s1), (s2, s2), (s1, s2)))
+    fits = (b11 < g1 / 2) & (b22 < g2 / 2) & (b12 < np.minimum(g1, g2) / 2)
+    rows, a, b, g1, g2, b11, b22, b12 = _set_aside(outcomes, rows, ~fits, lambda j: (
+        f"block norms exceed half-gaps: b11={b11[j]:.3e}, b22={b22[j]:.3e}, "
+        f"b12={b12[j]:.3e} vs G1={g1[j]:.3e}, G2={g2[j]:.3e}"), a, b, g1, g2, b11, b22, b12)
+    diff = a - b
+    singular = np.linalg.svd(diff, compute_uv=False)[:, -1] <= 0
+    for i in rows[singular]:
+        outcomes[i] = CheckResult(False, (-1.0,),
+                                  details={"reason": "A - B singular despite hypotheses"})
+    rows, diff, g1, g2, b11, b22, b12 = (v[~singular] for v in (rows, diff, g1, g2, b11, b22, b12))
     inv = np.linalg.inv(diff)
-    n12 = float(np.linalg.norm(inv[s1, s2], 2))
-    n11 = float(np.linalg.norm(inv[s1, s1], 2))
-    n22 = float(np.linalg.norm(inv[s2, s2], 2))
-    bound12 = b12 / ((g1 - b11) * (g2 - b22) - b12 ** 2)
-    bound11 = (1 + b12 * n12) / (g1 - b11)
-    bound22 = (1 + b12 * n12) / (g2 - b22)
-    margins = (bound12 - n12, bound11 - n11, bound22 - n22)
-    scale = 1 + max(n11, n22, n12)
-    return CheckResult(
-        passed=bool(all(m >= -_SLACK * scale for m in margins)),
-        margins=tuple(float(m) for m in margins),
-        details={"G1": g1, "G2": g2, "b11": b11, "b22": b22, "b12": b12},
-    )
+    n12, n11, n22 = (_norm2(inv[:, s, t]) for s, t in ((s1, s2), (s1, s1), (s2, s2)))
+    margins = np.stack([b12 / ((g1 - b11) * (g2 - b22) - b12 ** 2) - n12,
+                        (1 + b12 * n12) / (g1 - b11) - n11,
+                        (1 + b12 * n12) / (g2 - b22) - n22], axis=-1)
+    scale = 1 + np.maximum(np.maximum(n11, n22), n12)
+    _record(outcomes, rows, np.all(margins >= -_SLACK * scale[:, None], axis=-1), margins,
+            G1=g1, G2=g2, b11=b11, b22=b22, b12=b12)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # Window-based checkers
 # ---------------------------------------------------------------------------
 
-def _sigma_grid_bound(sigma_at, h_eff, lo: float, hi: float) -> float:
+def _sigma_grid_bound(sigma_at, h_eff, lo, hi):
     """sup over z in [lo, hi] of |Sigma_P(z) - H_eff|, for an interval that
-    holds no pole w of Sigma_P (an eigenvalue of Q(H+V)Q).  There D(z) =
-    Sigma_P(z) - H_eff has derivative -C diag((z - w)^-2) C^dagger <= 0
-    (C = PVQ U, U the eigenvectors of Q(H+V)Q), so D decreases in the
-    Loewner order: lambda_max(D) falls, -lambda_min(D) rises, and the
-    supremum of |D| = max(lambda_max, -lambda_min) is max(|D(lo)|,
-    |D(hi)|), one eigvalsh of the two ends."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(sigma_at([lo, hi]) - h_eff))))
+    holds no pole w of Sigma_P (an eigenvalue of Q(H+V)Q); of a stack of
+    contexts, with H_eff, lo and hi stacked alike, one sup per context.
+    There D(z) = Sigma_P(z) - H_eff has derivative -C diag((z - w)^-2)
+    C^dagger <= 0 (C = PVQ U, U the eigenvectors of Q(H+V)Q), so D
+    decreases in the Loewner order: lambda_max(D) falls, -lambda_min(D)
+    rises, and the supremum of |D| = max(lambda_max, -lambda_min) is
+    max(|D(lo)|, |D(hi)|), one eigvalsh of the two ends of every context."""
+    ends = sigma_at(np.stack([lo, hi], axis=-1)) - h_eff[..., None, :, :]
+    return np.max(np.abs(np.linalg.eigvalsh(ends)), axis=(-2, -1))
 
 
-def _effective_hamiltonian_with_gamma(inst: BoundInstance):
-    """Self-energy at the window center, its spectrum (ascending), and a
-    self-consistent closeness radius gamma: gamma bounds
-    |Sigma_P(z) - H_eff| over [c-gamma, d+gamma], [c, d] the span of
-    H_eff's spectrum.
+def _closeness_radius(sigma_at, h_eff: np.ndarray, spec: np.ndarray, window):
+    """Per context of a stack, a self-consistent closeness radius gamma:
+    gamma bounds |Sigma_P(z) - H_eff| over [c-gamma, d+gamma], [c, d] the
+    span of H_eff's spectrum `spec`.  Each sweep is one `_sigma_grid_bound`
+    of the contexts still iterating, and a context stops where its own run
+    would: when its radius settles, after 8 sweeps, or when its swept
+    interval does not lie strictly inside the window.  Returns the radii
+    and the mask of the contexts whose interval escaped."""
+    lam_lo, lam_hi = window
+    c, d = spec[:, 0], spec[:, -1]
+    gamma = np.zeros(len(spec))
+    escaped = np.zeros(len(spec), dtype=bool)
 
-    The self-energy theorem's hypotheses (`_theorem1_hypotheses`) come
-    first, and every swept interval must lie strictly inside the window,
-    else HypothesisUnmet.  Then no swept interval holds a pole: H's spectrum
-    outside the window lies beyond the collars, more than gap/2 away, and
-    |QVQ| <= |V| < gap/2, so by Weyl's inequality no eigenvalue of Q(H+V)Q
-    lies inside the window."""
-    _theorem1_hypotheses(inst)
-    lam_lo, lam_hi = inst.window
-    evals, evecs = inst.h_eig
-    inside, mask = _window(inst.h_eig, lam_lo, lam_hi)
-    if inside.shape[1] == 0:
-        raise HypothesisUnmet("window contains no eigenvalues of H")
-    ctx = make_context(inst.h, inside, evecs[:, ~mask], inst.gap)
-    z0 = float(np.mean(evals[mask]))
-    sigma_at = self_energy(ctx, inst.v)
-    h_eff = sigma_at(z0)
-    spec = np.linalg.eigvalsh(h_eff)
-    c, d = float(spec[0]), float(spec[-1])
+    def sweep(rows, lo, hi):
+        out = (lo <= lam_lo) | (hi >= lam_hi)
+        escaped[rows[out]] = True
+        rows = rows[~out]
+        if not rows.size:
+            return rows, np.zeros(0)
+        return rows, _sigma_grid_bound(partial(sigma_at, rows=rows), h_eff[rows],
+                                       lo[~out], hi[~out])
 
-    def sweep(lo: float, hi: float) -> float:
-        if lo <= lam_lo or hi >= lam_hi:
-            raise HypothesisUnmet("closeness interval escapes the window")
-        return _sigma_grid_bound(sigma_at, h_eff, lo, hi)
-
-    gamma = max(1e-15, sweep(c, d))
+    rows, bound = sweep(np.arange(len(spec)), c, d)
+    gamma[rows] = np.maximum(1e-15, bound)
     for _ in range(8):
-        new = sweep(c - gamma, d + gamma) * (1.0 + 1e-6)  # strict inequality headroom
-        if new <= gamma * (1 + 1e-9):
-            gamma = max(gamma, new)
-            break
-        gamma = new
-    return ctx, h_eff, float(gamma), spec
+        rows, bound = sweep(rows, c[rows] - gamma[rows], d[rows] + gamma[rows])
+        new = bound * (1.0 + 1e-6)  # strict inequality headroom
+        settled = new <= gamma[rows] * (1 + 1e-9)
+        gamma[rows] = np.where(settled, np.maximum(gamma[rows], new), new)
+        rows = rows[~settled]
+    return gamma, escaped
 
 
-def _theorem1_hypotheses(inst: BoundInstance):
+def _effective_hamiltonians(inst: BoundInstance, outcomes: list) -> list:
+    """Self-energies at the window centers, their spectra (ascending), and
+    the closeness radii gamma (`_closeness_radius`), for the instances of a
+    stack that meet the hypotheses; the rest get their HypothesisUnmet in
+    `outcomes`.
+
+    The self-energy theorem's hypotheses come first: no eigenvalue of H in
+    a window collar, then |V| < gap/2; and every swept interval must lie
+    strictly inside the window.  Then no swept interval holds a pole: H's
+    spectrum outside the window lies beyond the collars, more than gap/2
+    away, and |QVQ| <= |V| < gap/2, so by Weyl's inequality no eigenvalue
+    of Q(H+V)Q lies inside the window.
+
+    Returns one tuple (rows, sub, p, h_eff, gamma, spec) per window pattern
+    of H (`_by_pattern`): the instances' rows in the stack, their
+    sub-stack, P bases, H_eff, radii and spectra."""
     lam_lo, lam_hi = inst.window
     gap = inst.gap
     evals = inst.h_eig[0]
+    collar = np.zeros(len(evals), dtype=bool)
     for edge in (lam_lo, lam_hi):
-        if np.any((evals >= edge - gap / 2) & (evals <= edge + gap / 2)):
-            raise HypothesisUnmet("H has eigenvalues inside a window collar")
-    if inst.v_norm >= gap / 2:
-        raise HypothesisUnmet("|V| >= gap/2")
+        collar |= np.any((evals >= edge - gap / 2) & (evals <= edge + gap / 2), axis=-1)
+    rows, inst = _set_aside(outcomes, np.arange(len(evals)), collar,
+                            "H has eigenvalues inside a window collar", inst)
+    rows, inst = _set_aside(outcomes, rows, inst.v_norm >= gap / 2, "|V| >= gap/2", inst)
+    masks = (inst.h_eig[0] > lam_lo) & (inst.h_eig[0] < lam_hi)
+    rows, inst, masks = _set_aside(outcomes, rows, ~masks.any(axis=-1),
+                                   "window contains no eigenvalues of H", inst, masks)
+    groups = []
+    for sel, mask in _by_pattern(masks):
+        sub = inst[sel]
+        vecs = sub.h_eig[1]
+        ctx = make_context(sub.h, vecs[..., mask], vecs[..., ~mask], gap)
+        sigma_at = self_energy(ctx, sub.v)
+        h_eff = sigma_at(np.mean(sub.h_eig[0][:, mask], axis=-1))
+        spec = np.linalg.eigvalsh(h_eff)
+        gamma, escaped = _closeness_radius(sigma_at, h_eff, spec, inst.window)
+        groups.append(_set_aside(outcomes, rows[sel], escaped,
+                                 "closeness interval escapes the window",
+                                 sub, ctx.p, h_eff, gamma, spec))
+    return groups
 
 
 def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
     """Pairwise eigenvalue correspondence: the self-energy's spectrum tracks
     the perturbed Hamiltonian's window spectrum to within the closeness
     radius gamma."""
-    _, _, gamma, eff_vals = _effective_hamiltonian_with_gamma(inst)
-    tilde_vals = inst.h_tilde_eig[0][_window(inst.h_tilde_eig, *inst.window)[1]]
-    if len(eff_vals) != len(tilde_vals):
-        return CheckResult(
-            False, (-1.0,),
-            details={"reason": "window eigenvalue count mismatch",
-                     "dim_eff": len(eff_vals), "dim_tilde": len(tilde_vals)},
-        )
-    margins = gamma - np.abs(eff_vals - tilde_vals)
-    return CheckResult(
-        passed=bool(np.all(margins >= -_SLACK * (1 + gamma))),
-        margins=tuple(float(m) for m in margins),
-        details={"gamma": gamma, "spec_range": (float(eff_vals[0]), float(eff_vals[-1]))},
-    )
+    return _one(_spectral_correspondence(_stack_of(inst)))
+
+
+def _spectral_correspondence(inst: BoundInstance) -> list:
+    """`check_spectral_correspondence` on a stack."""
+    outcomes = [None] * len(inst.h)
+    for rows, sub, _, _, gamma, spec in _effective_hamiltonians(inst, outcomes):
+        w = sub.h_tilde_eig[0]
+        masks = (w > inst.window[0]) & (w < inst.window[1])
+        for j, i in enumerate(rows):
+            eff_vals, tilde_vals = spec[j], w[j][masks[j]]
+            if len(eff_vals) != len(tilde_vals):
+                outcomes[i] = CheckResult(
+                    False, (-1.0,),
+                    details={"reason": "window eigenvalue count mismatch",
+                             "dim_eff": len(eff_vals), "dim_tilde": len(tilde_vals)},
+                )
+                continue
+            margins = gamma[j] - np.abs(eff_vals - tilde_vals)
+            outcomes[i] = CheckResult(
+                passed=bool(np.all(margins >= -_SLACK * (1 + gamma[j]))),
+                margins=tuple(margins.tolist()),
+                details={"gamma": float(gamma[j]),
+                         "spec_range": (float(eff_vals[0]), float(eff_vals[-1]))},
+            )
+    return outcomes
 
 
 def _mutual_overlap_margins(a: np.ndarray, b: np.ndarray, bound: float) -> tuple:
@@ -271,24 +383,34 @@ def _mutual_overlap_margins(a: np.ndarray, b: np.ndarray, bound: float) -> tuple
 def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
     """Eigenvectors of the perturbed Hamiltonian stay in the unperturbed
     window subspace up to (2|H - H~|/Delta)^2, in both directions."""
+    return _one(_subspace_overlap(_stack_of(inst)))
+
+
+def _subspace_overlap(inst: BoundInstance) -> list:
+    """`check_subspace_overlap` on a stack."""
+    outcomes = [None] * len(inst.h)
     lam_lo, lam_hi = inst.window
     gap = inst.gap
     evals = inst.h_eig[0]
     in_win = (evals >= lam_lo + gap / 2) & (evals <= lam_hi - gap / 2)
     out_win = (evals <= lam_lo - gap / 2) | (evals >= lam_hi + gap / 2)
-    if not np.any(in_win):
-        raise HypothesisUnmet("no spectrum in the inner window")
-    if not np.all(in_win | out_win):
-        raise HypothesisUnmet("spectrum found inside a window collar")
-    inside, _ = _window(inst.h_eig, lam_lo, lam_hi)
-    tilde_inside, _ = _window(inst.h_tilde_eig, lam_lo, lam_hi)
+    rows, inst, in_win, out_win = _set_aside(
+        outcomes, np.arange(len(evals)), ~in_win.any(axis=-1), "no spectrum in the inner window",
+        inst, in_win, out_win)
+    rows, inst = _set_aside(outcomes, rows, ~(in_win | out_win).all(axis=-1),
+                            "spectrum found inside a window collar", inst)
     bound = 1.0 - (2 * inst.v_norm / gap) ** 2
-    margins = _mutual_overlap_margins(tilde_inside, inside, bound)
-    return CheckResult(
-        passed=bool(all(m >= -_SLACK for m in margins)),
-        margins=margins,
-        details={"bound": float(bound)},
-    )
+    (w, v), (w_tilde, v_tilde) = inst.h_eig, inst.h_tilde_eig
+    for j, i in enumerate(rows):
+        inside, _ = _window((w[j], v[j]), lam_lo, lam_hi)
+        tilde_inside, _ = _window((w_tilde[j], v_tilde[j]), lam_lo, lam_hi)
+        margins = _mutual_overlap_margins(tilde_inside, inside, float(bound[j]))
+        outcomes[i] = CheckResult(
+            passed=bool(all(m >= -_SLACK for m in margins)),
+            margins=margins,
+            details={"bound": float(bound[j])},
+        )
+    return outcomes
 
 
 def check_corollaries(inst: BoundInstance) -> CheckResult:
@@ -299,37 +421,45 @@ def check_corollaries(inst: BoundInstance) -> CheckResult:
     resolved Hamiltonian the window subspaces capture each other's vectors
     with an extra factor of the band count.
     """
-    res1 = _check_isolated_eigenspace_overlap(inst)
-    res2 = _check_multiband_overlap(inst)
-    return CheckResult(
-        passed=res1.passed and res2.passed,
-        margins=res1.margins + res2.margins,
-        details={"isolated": res1.details, "multiband": res2.details},
-    )
+    return _one(_corollaries(_stack_of(inst)))
 
 
-def _check_isolated_eigenspace_overlap(inst: BoundInstance) -> CheckResult:
-    ctx, h_eff, gamma, _ = _effective_hamiltonian_with_gamma(inst)
-    eff_vals, eff_vecs = np.linalg.eigh(h_eff)
-    # isolate the top eigenvalue of H_eff (nu = 0 for a single vector)
-    nu = 0.0
-    eta = float(eff_vals[-1] - eff_vals[-2]) if len(eff_vals) > 1 else float("inf")
-    if eta <= gamma:
-        raise HypothesisUnmet(f"eigenspace resolution eta={eta:.3e} <= gamma={gamma:.3e}")
-    # eigenvalue correspondence pairs the largest with the largest: H_eff's
-    # top eigenvector, lifted by P, against H~'s top window eigenvector
-    u_top = ctx.p @ eff_vecs[:, -1]
-    v_top = _window(inst.h_tilde_eig, *inst.window)[0][:, -1]
-    bound = (1 - (2 * inst.v_norm / inst.gap) ** 2) * (
-        1 - ((2 * gamma + nu) / (eta - gamma)) ** 2
-    )
-    overlap = float(np.abs(u_top.conj() @ v_top) ** 2)
-    margin = overlap - bound
-    return CheckResult(
-        passed=bool(margin >= -_SLACK),
-        margins=(margin,),
-        details={"gamma": gamma, "eta": eta, "bound": float(bound)},
-    )
+def _corollaries(inst: BoundInstance) -> list:
+    """`check_corollaries` on a stack: the isolated-eigenspace overlap,
+    then, for the instances it does not set aside, the multiband one."""
+    outcomes = [None] * len(inst.h)
+    lam_lo, lam_hi = inst.window
+    for rows, sub, p, h_eff, gamma, _ in _effective_hamiltonians(inst, outcomes):
+        eff_vals, eff_vecs = np.linalg.eigh(h_eff)
+        # isolate the top eigenvalue of H_eff (nu = 0 for a single vector)
+        nu = 0.0
+        eta = (eff_vals[:, -1] - eff_vals[:, -2] if eff_vals.shape[-1] > 1
+               else np.full(len(rows), np.inf))
+        rows, sub, p, eff_vecs, eta, gamma = _set_aside(outcomes, rows, eta <= gamma, lambda j: (
+            f"eigenspace resolution eta={eta[j]:.3e} <= gamma={gamma[j]:.3e}"),
+            sub, p, eff_vecs, eta, gamma)
+        bound = (1 - (2 * sub.v_norm / sub.gap) ** 2) * (
+            1 - ((2 * gamma + nu) / (eta - gamma)) ** 2
+        )
+        w_tilde, v_tilde = sub.h_tilde_eig
+        multiband = _multiband_overlap(sub)
+        for j, i in enumerate(rows):
+            if isinstance(multiband[j], HypothesisUnmet):
+                outcomes[i] = multiband[j]
+                continue
+            # eigenvalue correspondence pairs the largest with the largest:
+            # H_eff's top eigenvector, lifted by P, against H~'s top window
+            # eigenvector
+            u_top = p[j] @ eff_vecs[j][:, -1]
+            v_top = _window((w_tilde[j], v_tilde[j]), lam_lo, lam_hi)[0][:, -1]
+            margin = float(np.abs(u_top.conj() @ v_top) ** 2) - float(bound[j])
+            isolated = {"gamma": float(gamma[j]), "eta": float(eta[j]), "bound": float(bound[j])}
+            outcomes[i] = CheckResult(
+                passed=bool(margin >= -_SLACK) and multiband[j].passed,
+                margins=(margin,) + multiband[j].margins,
+                details={"isolated": isolated, "multiband": multiband[j].details},
+            )
+    return outcomes
 
 
 def _band_windows(evals: np.ndarray, gap: float):
@@ -343,53 +473,75 @@ def _band_windows(evals: np.ndarray, gap: float):
     return bands
 
 
-def _check_multiband_overlap(inst: BoundInstance) -> CheckResult:
+def _multiband_overlap(inst: BoundInstance) -> list:
+    """The second corollary on a stack."""
+    outcomes = [None] * len(inst.h)
     lam_lo, lam_hi = inst.window
     gap = inst.gap
-    evals = inst.h_eig[0]
-    inside, mask = _window(inst.h_eig, lam_lo, lam_hi)
-    if inside.shape[1] == 0:
-        raise HypothesisUnmet("no spectrum in the window")
-    in_vals = evals[mask]
-    out_vals = evals[~mask]
-    if out_vals.size and np.min(
-        np.abs(in_vals[:, None] - out_vals[None, :])
-    ) < gap * (1 - config.RESIDUAL_RTOL):
-        raise HypothesisUnmet("window spectrum not gap-separated from the rest")
-    bands = _band_windows(in_vals, gap)
-    n_bands = len(bands)
-    bound = 1.0 - n_bands * (2 * inst.v_norm / gap) ** 2
-    # perturbed band subspaces from per-band windows
-    tilde = np.column_stack([
-        _window(inst.h_tilde_eig, band[0] - gap / 2, band[-1] + gap / 2)[0] for band in bands
-    ])
-    margins = _mutual_overlap_margins(inside, tilde, bound)
-    return CheckResult(
-        passed=bool(all(m >= -_SLACK for m in margins)),
-        margins=margins,
-        details={"bands": n_bands, "bound": float(bound)},
-    )
+    evals, evecs = inst.h_eig
+    masks = (evals > lam_lo) & (evals < lam_hi)
+    # the least distance from a window eigenvalue to one outside it
+    across = masks[:, :, None] & ~masks[:, None, :]
+    sep = np.min(np.where(across, np.abs(evals[:, :, None] - evals[:, None, :]), np.inf),
+                 axis=(-2, -1))
+    rows, inst, masks, evals, evecs, sep = _set_aside(
+        outcomes, np.arange(len(evals)), ~masks.any(axis=-1), "no spectrum in the window",
+        inst, masks, evals, evecs, sep)
+    rows, inst, masks, evals, evecs = _set_aside(
+        outcomes, rows, sep < gap * (1 - config.RESIDUAL_RTOL),
+        "window spectrum not gap-separated from the rest", inst, masks, evals, evecs)
+    w_tilde, v_tilde = inst.h_tilde_eig
+    for j, i in enumerate(rows):
+        bands = _band_windows(evals[j][masks[j]], gap)
+        bound = 1.0 - len(bands) * (2 * float(inst.v_norm[j]) / gap) ** 2
+        # perturbed band subspaces from per-band windows
+        tilde = np.column_stack([
+            _window((w_tilde[j], v_tilde[j]), band[0] - gap / 2, band[-1] + gap / 2)[0]
+            for band in bands
+        ])
+        margins = _mutual_overlap_margins(evecs[j][:, masks[j]], tilde, bound)
+        outcomes[i] = CheckResult(
+            passed=bool(all(m >= -_SLACK for m in margins)),
+            margins=margins,
+            details={"bands": len(bands), "bound": float(bound)},
+        )
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
 # Instance generators
 # ---------------------------------------------------------------------------
+#
+# Each draws from a `Stream`, or from a stack of them: then every matrix is
+# a stack with one matrix per stream, bit for bit the matrix that stream
+# alone gives.
 
-def gaussian_hermitian(stream: Stream, dim: int, scale: float = 1.0) -> np.ndarray:
-    """A Gaussian Hermitian matrix, as a plain array."""
-    z = stream.normal(dim * dim).reshape(dim, dim)
-    return scale * (z + z.conj().T) / 2
+def gaussian_hermitian(stream: Stream, dim: int, scale=1.0) -> np.ndarray:
+    """A Gaussian Hermitian matrix, as a plain array (exactly Hermitian);
+    `scale` is a number, or an array that broadcasts against the stack."""
+    z = stream.normal(dim * dim).reshape(np.shape(stream.seed) + (dim, dim))
+    return scale * (z + z.conj().mT) / 2
 
 
 def haar_unitary(stream: Stream, dim: int) -> np.ndarray:
-    z = stream.normal(dim * dim).reshape(dim, dim)
+    z = stream.normal(dim * dim).reshape(np.shape(stream.seed) + (dim, dim))
     q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def _scaled_to(norm: float, m: np.ndarray) -> Operator:
-    """The Hermitian array m rescaled to the given 2-norm, validated."""
-    return Operator((norm / operator_norm(m)) * m)
+def _spectral_product(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u diag(w) u^+ (each of a stack), made exactly Hermitian.  u diag(w)
+    is formed as the column scaling u * w: an entry of the matrix product
+    is the one product u_ij w_j plus exact zeros, so the two agree bit for
+    bit."""
+    return _hermitian_part((u * w[..., None, :]) @ u.conj().mT)
+
+
+def _scaled_to(norm, m: np.ndarray) -> np.ndarray:
+    """The Hermitian array m (or each of a stack) rescaled to the given
+    2-norm."""
+    return np.expand_dims(norm / operator_norm(m), (-2, -1)) * m
 
 
 def _between(lo: float, hi: float, u) -> np.ndarray:
@@ -397,17 +549,21 @@ def _between(lo: float, hi: float, u) -> np.ndarray:
     return lo + (hi - lo) * u
 
 
-def _surgery_instance(stream: Stream, evals, v_norm: float, window, gap: float) -> BoundInstance:
-    """H with the given spectrum in a Haar-random eigenbasis and a
-    Gaussian V of norm v_norm."""
-    u = haar_unitary(stream, len(evals))
-    h = Operator(u @ np.diag(evals.astype(complex)) @ u.conj().T)
-    v = _scaled_to(v_norm, gaussian_hermitian(stream, len(evals)))
+def _surgery(stream: Stream, evals, v_norm: float, window, gap: float) -> BoundInstance:
+    """H with the given spectrum in a Haar-random eigenbasis and a Gaussian
+    V of norm v_norm: one instance from a stream, whose matrices enter as
+    `Operator`s, or a stack from a stack of streams."""
+    dim = evals.shape[-1]
+    u = haar_unitary(stream, dim)
+    h = _spectral_product(u, evals)
+    v = _scaled_to(v_norm, gaussian_hermitian(stream, dim))
+    if h.ndim == 2:
+        h, v = Operator(h), Operator(v)
     return BoundInstance(h=h, v=v, window=window, gap=gap)
 
 
 def make_windowed_instance(
-    seed: int,
+    seed: int | np.ndarray,
     dim: int = 12,
     p_rank: int = 3,
     v_scale: float = 0.2,
@@ -415,24 +571,27 @@ def make_windowed_instance(
     """Spectral surgery: p_rank eigenvalues in the inner window, the rest
     pushed beyond the collars at gap 1, eigenvectors Haar random.  The
     perturbation norm is v_scale * gap/2 (hypothesis-satisfying for
-    v_scale < 1)."""
+    v_scale < 1).  A seed gives one instance; a 1-D uint64 array of seeds
+    the stack of their instances (see `Stream`)."""
     stream = Stream(seed)
     gap = 1.0
     lam_lo, lam_hi = -1.0, 1.0
     inner_lo, inner_hi = lam_lo + gap / 2, lam_hi - gap / 2
-    inner, lows, highs = np.split(stream.uniform(dim), [p_rank, p_rank + (dim - p_rank) // 2])
+    inner, lows, highs = np.split(stream.uniform(dim), [p_rank, p_rank + (dim - p_rank) // 2],
+                                  axis=-1)
     evals = np.concatenate([
         _between(inner_lo + 0.05 * gap, inner_hi - 0.05 * gap, inner),
         _between(lam_lo - gap / 2 - 2.0, lam_lo - gap / 2 - 0.05 * gap, lows),
         _between(lam_hi + gap / 2 + 0.05 * gap, lam_hi + gap / 2 + 2.0, highs),
-    ])
-    return _surgery_instance(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
+    ], axis=-1)
+    return _surgery(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
-def make_multiband_instance(seed: int, dim: int = 14) -> BoundInstance:
+def make_multiband_instance(seed: int | np.ndarray, dim: int = 14) -> BoundInstance:
     """Three tight bands of rank 2 inside the window, gap-separated (gap
     0.6) from each other and from the outside spectrum; the perturbation
-    norm is 0.15 * gap/2."""
+    norm is 0.15 * gap/2.  A seed gives one instance; a 1-D uint64 array of
+    seeds the stack of their instances."""
     stream = Stream(seed)
     n_bands, band_rank, gap, v_scale = 3, 2, 0.6, 0.15
     centers = np.linspace(-1.0, 1.0, n_bands)
@@ -440,14 +599,15 @@ def make_multiband_instance(seed: int, dim: int = 14) -> BoundInstance:
     lam_lo = centers[0] - gap / 2 - width
     lam_hi = centers[-1] + gap / 2 + width
     n_in = n_bands * band_rank
-    inner, lows, highs = np.split(stream.uniform(dim), [n_in, n_in + (dim - n_in) // 2])
+    inner, lows, highs = np.split(stream.uniform(dim), [n_in, n_in + (dim - n_in) // 2],
+                                  axis=-1)
     evals = np.concatenate([
         _between(np.repeat(centers - width, band_rank), np.repeat(centers + width, band_rank),
                  inner),
         _between(lam_lo - gap - 2.0, lam_lo - gap, lows),
         _between(lam_hi + gap, lam_hi + gap + 2.0, highs),
-    ])
-    return _surgery_instance(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
+    ], axis=-1)
+    return _surgery(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -613,18 +773,17 @@ def _matrix_from_payload(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
-def _payload(args: dict) -> dict:
-    """A checker's keyword arguments as dump entries: every matrix as
-    [re, im] rows, a BoundInstance as its h, v, window and gap."""
+def _payload(args: dict, row: int) -> dict:
+    """Instance `row` of a stacked checker's keyword arguments as dump
+    entries: every matrix as [re, im] rows, an instance of a window stack
+    as its h, v, window and gap."""
     payload = {}
     for key, value in args.items():
         if isinstance(value, BoundInstance):
-            payload.update(h=_matrix_payload(value.h.matrix), v=_matrix_payload(value.v.matrix),
+            payload.update(h=_matrix_payload(value.h[row]), v=_matrix_payload(value.v[row]),
                            window=list(value.window), gap=value.gap)
-        elif isinstance(value, Operator):
-            payload[key] = _matrix_payload(value.matrix)
         elif isinstance(value, np.ndarray):
-            payload[key] = _matrix_payload(value)
+            payload[key] = _matrix_payload(value[row])
         else:
             payload[key] = value
     return payload
@@ -659,7 +818,7 @@ def replay_instance(payload: dict) -> CheckResult:
     suite = payload["suite"]
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    _, check, _ = SUITES[suite]
+    check = SUITES[suite][2]
     return check(**_arguments(check, payload))
 
 
@@ -669,84 +828,97 @@ class SuiteReport(_Frozen):
     __slots__ = ("instances", "passes", "vacuous", "violations")
 
 
-def _weyl_arguments(seed: int, dim: int) -> dict:
-    stream = Stream(seed)
-    h = gaussian_hermitian(stream, dim)
-    h_tilde = h + gaussian_hermitian(stream, dim, scale=_between(0.01, 1.0, stream.uniform(1)[0]))
-    return {"h": Operator(h), "h_tilde": Operator(h_tilde)}
+# The draws of a suite's block, each from the block's seed words, give the
+# stacked checker's keyword arguments: matrices as stacks, a split or a
+# window stack whole.
+
+def _weyl_arguments(seeds: np.ndarray, dim: int) -> dict:
+    streams = Stream(seeds)
+    h = gaussian_hermitian(streams, dim)
+    scale = _between(0.01, 1.0, streams.uniform(1))[..., None]
+    return {"h": h, "h_tilde": h + gaussian_hermitian(streams, dim, scale=scale)}
 
 
-def _sylvester_arguments(seed: int, dim: int) -> dict:
-    stream = Stream(seed)
+def _sylvester_arguments(seeds: np.ndarray, dim: int) -> dict:
+    streams = Stream(seeds)
     m = max(2, dim // 2)
-    a = Operator(gaussian_hermitian(stream, m))
+    a = gaussian_hermitian(streams, m)
     alpha = operator_norm(a)
-    beta = _between(0.1, 1.0, stream.uniform(1)[0])
+    beta = _between(0.1, 1.0, streams.uniform(1))
     # B with singular values above alpha + beta by construction
-    w, vb = np.linalg.eigh(gaussian_hermitian(stream, dim - m))
-    shifted = np.sign(w + 1e-12) * (np.abs(w) + alpha + beta)
-    b = Operator(vb @ np.diag(shifted.astype(complex)) @ vb.conj().T)
-    x = stream.normal(m * (dim - m)).reshape(m, dim - m)
-    return {"a": a, "b": b, "x": x}
+    w, vb = np.linalg.eigh(gaussian_hermitian(streams, dim - m))
+    shifted = np.sign(w + 1e-12) * (np.abs(w) + alpha[:, None] + beta)
+    x = streams.normal(m * (dim - m)).reshape(len(seeds), m, dim - m)
+    return {"a": a, "b": _spectral_product(vb, shifted), "x": x}
 
 
-def _block_resolvent_arguments(seed: int, dim: int) -> dict:
-    stream = Stream(seed)
+def _block_resolvent_arguments(seeds: np.ndarray, dim: int) -> dict:
+    streams = Stream(seeds)
     split = max(2, dim // 2)
-    a = np.zeros((dim, dim), dtype=complex)
+    a = np.zeros((len(seeds), dim, dim), dtype=complex)
     for block in (slice(0, split), slice(split, dim)):
-        w, vb = np.linalg.eigh(gaussian_hermitian(stream, block.stop - block.start))
+        w, vb = np.linalg.eigh(gaussian_hermitian(streams, block.stop - block.start))
         lifted = np.sign(w + 1e-12) * (np.abs(w) + 1.0)  # G_i >= 1
-        a[block, block] = vb @ np.diag(lifted.astype(complex)) @ vb.conj().T
-    b = gaussian_hermitian(stream, dim)
-    b = _scaled_to(_between(0.05, 0.4, stream.uniform(1)[0]), b)  # under every half-gap
-    return {"a": Operator(a), "b": b, "split": split}
+        a[:, block, block] = _spectral_product(vb, lifted)
+    b = gaussian_hermitian(streams, dim)
+    b = _scaled_to(_between(0.05, 0.4, streams.uniform(1)[:, 0]), b)  # under every half-gap
+    return {"a": a, "b": b, "split": split}
 
 
-def _windowed_arguments(seed: int, dim: int) -> dict:
-    return {"inst": make_windowed_instance(seed, dim=dim)}
+def _windowed_arguments(seeds: np.ndarray, dim: int) -> dict:
+    return {"inst": make_windowed_instance(seeds, dim=dim)}
 
 
-def _multiband_arguments(seed: int, dim: int) -> dict:
-    return {"inst": make_multiband_instance(seed, dim=dim)}
+def _multiband_arguments(seeds: np.ndarray, dim: int) -> dict:
+    return {"inst": make_multiband_instance(seeds, dim=dim)}
 
 
-# name -> (make(seed, dim) -> the checker's keyword arguments, checker,
-# dim).  Runs and replays both call the checker through this table.
+# name -> (draw(seeds, dim) -> the stacked checker's keyword arguments,
+# stacked checker, checker, dim).  Runs call the stacked checker on each
+# block, replays the checker on one instance.
 SUITES = {
-    "weyl": (_weyl_arguments, check_weyl, 32),
-    "sylvester": (_sylvester_arguments, check_sylvester, 16),
-    "block_resolvent": (_block_resolvent_arguments, check_block_resolvent, 16),
-    "spectral_correspondence": (_windowed_arguments, check_spectral_correspondence, 10),
-    "subspace_overlap": (_windowed_arguments, check_subspace_overlap, 12),
-    "corollaries": (_multiband_arguments, check_corollaries, 14),
+    "weyl": (_weyl_arguments, _weyl, check_weyl, 32),
+    "sylvester": (_sylvester_arguments, _sylvester, check_sylvester, 16),
+    "block_resolvent": (_block_resolvent_arguments, _block_resolvent, check_block_resolvent, 16),
+    "spectral_correspondence": (_windowed_arguments, _spectral_correspondence,
+                                check_spectral_correspondence, 10),
+    "subspace_overlap": (_windowed_arguments, _subspace_overlap, check_subspace_overlap, 12),
+    "corollaries": (_multiband_arguments, _corollaries, check_corollaries, 14),
 }
+
+# A block holds as many instances as keeps one stack of their matrices
+# (k x dim x dim) within this many entries, and at least one: larger
+# blocks save little more time, and their temporaries raise peak RSS.
+_BLOCK_ENTRIES = 2 ** 12
 
 
 def run_suite(name: str, instances: int, master_seed: int, out_dir: Path) -> SuiteReport:
     """Run one randomized suite at its table dim; violations are dumped
     into `out_dir` for replay.  Instance i is made from seed word i of the
-    stream of `master_seed`."""
-    make, check, dim = SUITES[name]
+    stream of `master_seed`.  The instances run in blocks of at most
+    `_BLOCK_ENTRIES` / dim^2 (at least one): a block draws its own seed
+    words, then draws, builds and checks its instances as one stack (the
+    seeds' streams drawn as one `Stream`)."""
+    draw, check, _, dim = SUITES[name]
+    block = max(1, _BLOCK_ENTRIES // dim ** 2)
+    master = Stream(master_seed)
     passes = vacuous = 0
     violations: list[str] = []
-    seeds = Stream(master_seed).words(instances)
-    for i in range(instances):
-        seed = int(seeds[i])
-        try:
-            args = make(seed, dim)
-            result = check(**args)
-        except HypothesisUnmet:
-            vacuous += 1
-            continue
-        if result.passed:
-            passes += 1
-            continue
-        payload = _payload(args) | {
-            "suite": name, "seed": seed, "margins": list(result.margins),
-            "details": {k: str(v) for k, v in result.details.items()},
-        }
-        dump = dump_violation(out_dir / f"violation_{name}_{i}.json", payload)
-        violations.append(str(dump))
+    for start in range(0, instances, block):
+        seeds = master.words(min(block, instances - start))
+        args = draw(seeds, dim)
+        for j, outcome in enumerate(check(**args)):
+            if isinstance(outcome, HypothesisUnmet):
+                vacuous += 1
+                continue
+            if outcome.passed:
+                passes += 1
+                continue
+            payload = _payload(args, j) | {
+                "suite": name, "seed": int(seeds[j]), "margins": list(outcome.margins),
+                "details": {k: str(v) for k, v in outcome.details.items()},
+            }
+            dump = dump_violation(out_dir / f"violation_{name}_{start + j}.json", payload)
+            violations.append(str(dump))
     return SuiteReport(instances=instances, passes=passes, vacuous=vacuous,
                        violations=tuple(violations))

@@ -51,6 +51,7 @@ from .models import (
     random_states,
     register_history,
     shift_factors,
+    _check_entries,
 )
 
 # Each experiment's config keys: key -> (JSON type, default).  A type is
@@ -479,12 +480,14 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     """Run the randomized bound suites; any violation is dumped and flips
     the exit status.  The protocol lemmas' `r_grid` is checked first: at
     least two distinct ratios, each with 0 < r < 1/8, the hypothesis every
-    schedule enforces.  The bounds lab is imported here, so no other command
-    loads it."""
+    schedule enforces.  Then more than cap^2 `instances`, one seed word
+    each, are refused (`models._check_entries`), before any suite runs.
+    The bounds lab is imported here, so no other command loads it."""
     r_grid = cfg["r_grid"]
     if len(set(r_grid)) < 2 or not all(0 < r < config.MAX_COUPLING_RATIO for r in r_grid):
         raise ConfigError(f"bounds config key 'r_grid' must hold at least two distinct "
                           f"ratios r with 0 < r < {config.MAX_COUPLING_RATIO}, got {r_grid}")
+    _check_entries(cfg["instances"], "the seed words of config key 'instances'")
     from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 
     names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
-from .linalg import Operator, _Frozen, operator_norm
+from .linalg import Operator, _Frozen, _hermitian_part, _matrix, operator_norm
 
 # Largest resolvent condition number a closed-form self-energy accepts.
 MAX_RESOLVENT_COND = 1e14
@@ -32,42 +32,52 @@ MAX_RESOLVENT_COND = 1e14
 class LevelShiftContext(_Frozen):
     """A Hamiltonian resolved into a near-resonant subspace P and its
     complement Q, each given by an orthonormal basis (the columns of `p`
-    and `q`)."""
+    and `q`), or a stack of them: then `h` is a stack of matrices (an
+    array with a leading axis) and `p` and `q` are stacks of bases of one
+    rank each."""
 
     __slots__ = ("h", "p", "q")
 
 
-def make_context(h: Operator, p: np.ndarray, q: np.ndarray, gap: float) -> LevelShiftContext:
+def make_context(h: Operator | np.ndarray, p: np.ndarray, q: np.ndarray,
+                 gap: float) -> LevelShiftContext:
     """Build and validate a context from orthonormal bases of P and Q (say,
     the eigenvectors of H inside and outside a window): both with one row
     per basis state of H, P and Q orthogonal and filling the space, H
-    block-diagonal across them, spectra separated by at least the gap."""
+    block-diagonal across them, spectra separated by at least the gap.
+
+    H is an `Operator`, or a stack of Hermitian matrices (a (k, n, n)
+    array) with stacks of bases (k, n, rank); every test then holds for
+    each matrix of the stack, from one batched product or eigvalsh each,
+    and one that fails for any matrix fails the whole context."""
     if gap <= 0:
         raise ValueError("gap must be positive")
-    dim = h.dim
+    hm = _matrix(h)
+    dim = hm.shape[-1]
     for name, basis in (("P", p), ("Q", q)):
-        if basis.ndim != 2 or basis.shape[0] != dim:
-            raise DimensionMismatch(f"{name} basis shape {basis.shape} vs dim {dim}")
-    rank_p, rank_q = p.shape[1], q.shape[1]
-    if rank_p and rank_q and np.max(np.abs(p.conj().T @ q)) > config.GRAM_ATOL:
+        if basis.shape[:-1] != hm.shape[:-1]:
+            raise DimensionMismatch(f"{name} basis shape {basis.shape} vs H {hm.shape}")
+    rank_p, rank_q = p.shape[-1], q.shape[-1]
+    if rank_p and rank_q and np.max(np.abs(p.conj().mT @ q)) > config.GRAM_ATOL:
         raise ValueError("P and Q are not orthogonal")
     if rank_p + rank_q != dim:
         raise DimensionMismatch("P and Q do not fill the space")
-    cross = p.conj().T @ h.matrix @ q
-    dev = np.max(np.abs(cross)) if cross.size else 0.0
-    # 1 + |H| >= 1: the norm is needed only when the unscaled test fails
-    if dev > config.PROJECTOR_ATOL and dev > config.PROJECTOR_ATOL * (1 + operator_norm(h)):
+    cross = p.conj().mT @ hm @ q
+    dev = np.max(np.abs(cross), axis=(-2, -1), initial=0.0)
+    # 1 + |H| >= 1: the norm is needed only where the unscaled test fails
+    over = dev > config.PROJECTOR_ATOL
+    if np.any(over) and np.any(dev[over] > config.PROJECTOR_ATOL * (1 + operator_norm(hm[over]))):
         raise ValueError("H is not block-diagonal across P and Q")
-    spec_p = np.linalg.eigvalsh(p.conj().T @ h.matrix @ p) if rank_p else np.array([])
-    spec_q = np.linalg.eigvalsh(q.conj().T @ h.matrix @ q) if rank_q else np.array([])
-    if spec_p.size and spec_q.size:
-        sep = np.min(np.abs(spec_p[:, None] - spec_q[None, :]))
+    if rank_p and rank_q:
+        spec_p = np.linalg.eigvalsh(p.conj().mT @ hm @ p)
+        spec_q = np.linalg.eigvalsh(q.conj().mT @ hm @ q)
+        sep = np.min(np.abs(spec_p[..., :, None] - spec_q[..., None, :]))
         if sep < gap * (1 - config.RESIDUAL_RTOL):
             raise ValueError(f"P/Q spectra separated by {sep:.3e} < gap {gap:.3e}")
     return LevelShiftContext(h=h, p=p, q=q)
 
 
-def self_energy(ctx: LevelShiftContext, v: Operator):
+def self_energy(ctx: LevelShiftContext, v: Operator | np.ndarray):
     """The self-energy of P as `sigma_at`, which maps a real z to its
     matrix on the P basis `ctx.p`, or an array of z to the stack of them.
 
@@ -77,31 +87,39 @@ def self_energy(ctx: LevelShiftContext, v: Operator):
     resolvent has condition number max|z - w| / min|z - w| (the 2-norm
     condition number of the Hermitian z - M) above MAX_RESOLVENT_COND, or
     non-finite, raises SingularResolvent.
+
+    On a stacked context, V is a stack of the same shape, and z holds one
+    z per context (shape (k,)) or one row of them per context (shape
+    (k, m)); `sigma_at(z, rows)` evaluates the contexts `rows` alone (an
+    index array into the stack), with z shaped for them.
     """
     bp, bq = ctx.p, ctx.q
-    base = bp.conj().T @ ctx.h.matrix @ bp + bp.conj().T @ v.matrix @ bp
-    if bq.shape[1]:  # an empty complement has no resolvent
-        m = bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq
+    hm, vm = _matrix(ctx.h), _matrix(v)
+    base = bp.conj().mT @ hm @ bp + bp.conj().mT @ vm @ bp
+    if bq.shape[-1]:  # an empty complement has no resolvent
+        m = bq.conj().mT @ (hm + vm) @ bq
         w = np.linalg.eigvalsh(m)
-        vpq = bp.conj().T @ v.matrix @ bq
+        vpq = bp.conj().mT @ vm @ bq
 
-    def sigma_at(z) -> np.ndarray:
-        zs = np.asarray(z, dtype=float).reshape(-1)
-        sigma = np.broadcast_to(base, (zs.size,) + base.shape)
-        if bq.shape[1]:
-            dist = np.abs(zs[:, None] - w)
+    def sigma_at(z, rows=...) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        b = base[rows]
+        zs = z.reshape(b.shape[:-2] + (-1,))
+        sigma = np.broadcast_to(b[..., None, :, :], zs.shape + b.shape[-2:])
+        if bq.shape[-1]:
+            dist = np.abs(zs[..., None] - w[rows][..., None, :])
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond = dist.max(axis=1) / dist.min(axis=1)
+                cond = dist.max(axis=-1) / dist.min(axis=-1)
             bad = ~(cond <= MAX_RESOLVENT_COND)  # also catches nan
             if np.any(bad):
-                k = int(np.argmax(bad))
+                at = np.unravel_index(np.argmax(bad), bad.shape)
                 raise SingularResolvent(
-                    f"resolvent condition number {cond[k]:.3e} at z={zs[k]}"
+                    f"resolvent condition number {cond[at]:.3e} at z={zs[at]}"
                 )
-            shifted = zs[:, None, None] * np.eye(bq.shape[1]) - m
-            sigma = sigma + vpq @ np.linalg.solve(shifted, vpq.conj().T)
-        sigma = (sigma + sigma.conj().transpose(0, 2, 1)) / 2
-        return sigma if np.ndim(z) else sigma[0]
+            coupling = vpq[rows][..., None, :, :]
+            shifted = zs[..., None, None] * np.eye(bq.shape[-1]) - m[rows][..., None, :, :]
+            sigma = sigma + coupling @ np.linalg.solve(shifted, coupling.conj().mT)
+        return _hermitian_part(sigma).reshape(z.shape + b.shape[-2:])
 
     return sigma_at
 

@@ -3,18 +3,28 @@ last factor is the one a partial trace removes (a run's bath).
 
 Value types (operators, density matrices) are immutable after
 construction and validate their own invariants.  `Operator` is the type of
-a Hamiltonian where it enters a run (an H_S, a bound checker's generated
-input, a replayed dump), tested once, when built; a coupling is built exact.
-A Hamiltonian derived from them is a plain array and is not tested again:
+a Hamiltonian where it enters a run from outside the code that built it
+(an H_S, a replayed dump, a matrix handed to a bound checker's
+single-instance API), tested once, when built; a coupling, and a bound
+suite's generated input, are built exact.  A Hamiltonian derived from them
+is a plain array and is not tested again:
 
   * kron products with real symmetric bath factors, real scalings and
     sums of exactly Hermitian operators are exactly Hermitian: an entry
     z c (c real) and its mirror conj(z) c round to conjugates, since
     complex times real rounds the real and imaginary parts apart and
     rounding commutes with negation; so do a + b and conj(a) + conj(b);
+  * a product p (say u diag(w) u^+) is made exactly Hermitian as
+    (p + p^+)/2 (`_hermitian_part`): its mirrored entries are the sums
+    p_ij + conj(p_ji) and p_ji + conj(p_ij), whose real parts add the
+    same two numbers and whose imaginary parts subtract them in the two
+    orders, so they round to conjugates, and halving is exact;
   * a sum of validated operators deviates from Hermitian by at most the
     sum of their deviations, plus one rounding (eps/2 of the modulus) of
     each of the two mirrored entries.
+
+A function that takes a matrix takes a stack of them, an array with
+leading axes, where it says so; a single matrix is then a stack of none.
 
 Eigendecompositions (`np.linalg.eigh` pairs), subspace bases and states
 are plain arrays: every setup builds its fiducial as a complex unit
@@ -192,11 +202,24 @@ class DensityMatrix(_Frozen):
         return self._min_eig
 
 
-def operator_norm(op: Operator | np.ndarray) -> float:
+def _matrix(op: Operator | np.ndarray) -> np.ndarray:
+    """The entries of an `Operator`, or the plain array (or stack) itself."""
+    return op.matrix if isinstance(op, Operator) else op
+
+
+def _hermitian_part(p: np.ndarray) -> np.ndarray:
+    """(p + p^+)/2 of a square matrix or of each of a stack: exactly
+    Hermitian (see the module docstring)."""
+    return (p + p.conj().mT) / 2
+
+
+def operator_norm(op: Operator | np.ndarray) -> float | np.ndarray:
     """Operator 2-norm of a Hermitian operator, or of an array the caller
-    knows to be Hermitian: its largest |eigenvalue|."""
-    m = op.matrix if isinstance(op, Operator) else op
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
+    knows to be Hermitian: its largest |eigenvalue|.  Of a stack, the
+    array of the norms of its matrices, from one batched eigvalsh."""
+    m = _matrix(op)
+    norms = np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+    return norms if m.ndim > 2 else float(norms)
 
 
 def _check_resolved(gap: float, w: np.ndarray, what: str, name: str, advice: str) -> None:

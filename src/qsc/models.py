@@ -43,13 +43,13 @@ KET_DOWN = np.array([1, 0], dtype=complex)
 KET_UP = np.array([0, 1], dtype=complex)
 
 
-def _check_entries(entries: int):
+def _check_entries(entries: int, what: str = "the largest array"):
     """Refuse a largest array of more than cap^2 entries (cap =
     `config.max_dimension()`): the clock's dense H_S, 4^(n+L) entries, or
-    the search path's vectors of 2^n."""
+    the search path's vectors of 2^n; the message names `what` holds them."""
     cap = config.max_dimension()
     if entries > cap ** 2:
-        raise DimensionTooLarge(f"the largest array would hold {entries} entries, "
+        raise DimensionTooLarge(f"{what} would hold {entries} entries, "
                                 f"over the cap {cap}^2 = {cap ** 2}")
 
 
@@ -566,22 +566,35 @@ class Stream(_Frozen):
     exp(2 pi i u1).  The seed is fixed; `_drawn`, the count of words
     given so far, is the one slot a draw advances.  A seed outside
     [0, 2^64) is a ValueError.
+
+    The seed may also be a 1-D uint64 array: a stack of streams drawn in
+    step, whose draws have one row per seed, row i bit for bit the draw of
+    `Stream(seed[i])`, all hashed in one pass.
     """
 
     __slots__ = ("seed", "_drawn")
 
     def __post_init__(self):
-        _setattr(self, "seed", operator.index(self.seed))
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"a stream seed must lie in [0, 2^64), got {self.seed}")
+        if isinstance(self.seed, np.ndarray):
+            if self.seed.dtype != np.uint64 or self.seed.ndim != 1:
+                raise ValueError(f"a stack of stream seeds must be a 1-D uint64 array, got "
+                                 f"{self.seed.dtype} of shape {self.seed.shape}")
+            seeds = self.seed.copy()
+            seeds.setflags(write=False)
+            _setattr(self, "seed", seeds)
+        else:
+            _setattr(self, "seed", operator.index(self.seed))
+            if not 0 <= self.seed < 2 ** 64:
+                raise ValueError(f"a stream seed must lie in [0, 2^64), got {self.seed}")
         _setattr(self, "_drawn", 0)
 
     def words(self, count: int) -> np.ndarray:
-        """The next `count` words, as uint64."""
+        """The next `count` words, as uint64 (one row of them per seed of a
+        stack)."""
         z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         _setattr(self, "_drawn", self._drawn + count)
         z *= _GOLDEN_GAMMA
-        z += np.uint64(self.seed)
+        z = z + np.asarray(self.seed, dtype=np.uint64)[..., None]
         z ^= z >> 30
         z *= _MIX_A
         z ^= z >> 27
@@ -596,22 +609,25 @@ class Stream(_Frozen):
     def normal(self, count: int) -> np.ndarray:
         """The next `count` standard complex normals, two uniforms each."""
         u = self.uniform(2 * count)
-        return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.exp(2j * math.pi * u[1::2])
+        return np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2])) * np.exp(2j * math.pi * u[..., 1::2])
 
 
 def random_states(n: int, seed, count: int):
     """`count` Haar-random states on n qubits, complex unit vectors, one
     after another: 2^n complex normals each of the stream `seed` (a
-    `Stream`, or the seed of a new one), each state normalized by its own
-    `np.linalg.norm`.  The states are yielded in batches, (k, 2^n) arrays
-    of about 2^16 normals (at least one state); stream words are
-    consecutive, so batching moves no state.  A normalized vector of iid
-    complex Gaussians is exactly Haar distributed."""
+    `Stream`, or the seed of a new one), each state divided by its norm
+    sqrt(re.re + im.im), the two dot products `np.linalg.norm` takes of a
+    complex vector, here one `np.vecdot` per batch, so each state is bit
+    for bit the one a per-row norm gives.  The states are
+    yielded in batches, (k, 2^n) arrays of about 2^16 normals (at least one
+    state); stream words are consecutive, so batching moves no state.  A
+    normalized vector of iid complex Gaussians is exactly Haar
+    distributed."""
     stream = seed if isinstance(seed, Stream) else Stream(seed)
     batch = max(1, 2 ** 16 >> n)
     for start in range(0, count, batch):
         z = stream.normal(min(batch, count - start) << n).reshape(-1, 2 ** n)
-        yield z / np.array([np.linalg.norm(row) for row in z])[:, None]
+        yield z / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[:, None]
 
 
 def random_state(n: int, seed) -> np.ndarray:

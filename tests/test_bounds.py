@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from qsc import bounds, experiments
 from qsc.errors import HypothesisUnmet
+from qsc.levelshift import make_context, self_energy
 from qsc.linalg import Operator, operator_norm
 from qsc.models import (
     ClockModel,
@@ -44,6 +45,47 @@ from oracles import CountingLinalg, closeness_radius_pointwise
 
 # The r grid a `qsc bounds` run hands the protocol lemmas by default.
 LAB_R_GRID = tuple(experiments.CONFIG_KEYS["bounds"]["r_grid"][1])
+
+
+def _effective(inst: BoundInstance):
+    """The self-energy step of the window checks on one instance, run as a
+    stack of one: its P basis, H_eff, closeness radius and H_eff spectrum,
+    or its HypothesisUnmet raised."""
+    outcomes = [None]
+    groups = bounds._effective_hamiltonians(bounds._stack_of(inst), outcomes)
+    if outcomes[0] is not None:
+        raise outcomes[0]
+    ((_, _, p, h_eff, gamma, spec),) = groups
+    return p[0], h_eff[0], float(gamma[0]), spec[0]
+
+
+def _seeds(master: int, count: int) -> np.ndarray:
+    return Stream(master).words(count)
+
+
+def _sweeps_alone(inst: BoundInstance) -> int:
+    """How many sweeps the closeness radius of one instance takes, by the
+    one-instance loop: sweep [c, d], then [c - gamma, d + gamma] until the
+    radius settles, at most 8 times more."""
+    w, vecs = np.linalg.eigh(inst.h.matrix)
+    lam_lo, lam_hi = inst.window
+    mask = (w > lam_lo) & (w < lam_hi)
+    sigma_at = self_energy(make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap), inst.v)
+    h_eff = sigma_at(float(np.mean(w[mask])))
+    spec = np.linalg.eigvalsh(h_eff)
+    c, d = spec[0], spec[-1]
+
+    def sweep(lo, hi):
+        assert lam_lo < lo and hi < lam_hi
+        return float(np.max(np.abs(np.linalg.eigvalsh(sigma_at([lo, hi]) - h_eff))))
+
+    gamma, count = max(1e-15, sweep(c, d)), 1
+    for _ in range(8):
+        new, count = sweep(c - gamma, d + gamma) * (1.0 + 1e-6), count + 1
+        if new <= gamma * (1 + 1e-9):
+            break
+        gamma = new
+    return count
 
 
 class TestWeyl:
@@ -157,7 +199,7 @@ class TestSpectralCorrespondence:
     def test_gamma_matches_pointwise_reference(self, make_instance):
         for k in range(8):
             inst = make_instance(5000 + k)
-            _, _, gamma, _ = bounds._effective_hamiltonian_with_gamma(inst)
+            _, _, gamma, _ = _effective(inst)
             ref = closeness_radius_pointwise(inst)
             assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
 
@@ -168,24 +210,25 @@ class TestSpectralCorrespondence:
     ], ids=["windowed", "rank-one", "multiband"])
     def test_pruned_grid_is_the_full_batch_bit_for_bit(self, monkeypatch, make_instance):
         # every sweep of the closeness radius, the grid pruned to its two
-        # ends and as one batched eigvalsh of the whole 64-point grid
+        # ends and as one batched eigvalsh of the whole 64-point grid, each
+        # instance alone (a stack of one)
         pruned = bounds._sigma_grid_bound
         sweeps = []
 
         def both(sigma_at, h_eff, lo, hi):
-            diffs = sigma_at(np.linspace(lo, hi, 64)) - h_eff
-            full = float(np.max(np.abs(np.linalg.eigvalsh(diffs))))
+            diffs = sigma_at(np.linspace(lo, hi, 64, axis=-1)) - h_eff[..., None, :, :]
+            full = np.max(np.abs(np.linalg.eigvalsh(diffs)), axis=(-2, -1))
             sweeps.append((pruned(sigma_at, h_eff, lo, hi), full))
             return sweeps[-1][0]
 
         monkeypatch.setattr(bounds, "_sigma_grid_bound", both)
         for k in range(40):
             try:
-                bounds._effective_hamiltonian_with_gamma(make_instance(7000 + k))
+                _effective(make_instance(7000 + k))
             except HypothesisUnmet:
                 pass
         assert len(sweeps) >= 40
-        assert all(got == full for got, full in sweeps)
+        assert all(np.array_equal(got, full) for got, full in sweeps)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), multiband=st.booleans(), p_rank=st.integers(1, 4),
            v_scale=st.floats(0.05, 0.9))
@@ -199,21 +242,22 @@ class TestSpectralCorrespondence:
         sweeps = []
 
         def compared(sigma_at, h_eff, lo, hi):
-            grids = [float(np.max(np.abs(np.linalg.eigvalsh(
-                sigma_at(np.linspace(lo, hi, points)) - h_eff)))) for points in (64, 1025)]
+            grids = [np.max(np.abs(np.linalg.eigvalsh(
+                sigma_at(np.linspace(lo, hi, points, axis=-1)) - h_eff[..., None, :, :])),
+                axis=(-2, -1)) for points in (64, 1025)]
             sweeps.append((ends(sigma_at, h_eff, lo, hi), *grids))
             return sweeps[-1][0]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bounds, "_sigma_grid_bound", compared)
             try:
-                bounds._effective_hamiltonian_with_gamma(inst)
+                _effective(inst)
             except HypothesisUnmet:
                 pass
         assert sweeps
         for got, grid64, grid1025 in sweeps:
-            assert got == grid64
-            assert grid1025 <= got
+            assert np.array_equal(got, grid64)
+            assert np.all(grid1025 <= got)
 
     def test_an_interval_holding_a_pole_is_refused_not_swept(self, monkeypatch):
         # |V| = 0.6 >= gap/2 moves Q's eigenvalue -1.2 to a pole of Sigma_P
@@ -229,7 +273,7 @@ class TestSpectralCorrespondence:
         monkeypatch.setattr(bounds, "_sigma_grid_bound",
                             lambda *args: pytest.fail("an interval was swept"))
         with pytest.raises(HypothesisUnmet, match="gap/2"):
-            bounds._effective_hamiltonian_with_gamma(inst)
+            _effective(inst)
 
     def test_collar_gate(self):
         inst = make_windowed_instance(seed=6)
@@ -255,13 +299,16 @@ class TestSpectralCorrespondence:
 
 
 class TestCountedWork:
-    """Work per instance is counted, not timed.  Sigma_P is one evaluator:
-    per context one eigvalsh of Q(H+V)Q (its spectrum, for the condition
-    rule) and no eigh of it, no condition number and no SVD; per evaluation
-    one solve, batched over its z.  H_eff is the first evaluation, and each
-    sweep of the closeness radius is one more: one solve on a (2, q, q)
-    stack and one eigvalsh on a (2, p, p) stack, its two ends.  Nothing
-    decomposes H_eff again after the sweeps."""
+    """Work per stack is counted, not timed.  H and H + V are each
+    diagonalized once per stack, by one batched eigh.  Sigma_P is one
+    evaluator: per stacked context one eigvalsh of the Q(H+V)Q stack (their
+    spectra, for the condition rule) and no eigh of it, no condition number
+    and no SVD; per evaluation one solve, batched over the stack and its z.
+    H_eff is the first evaluation, and each sweep of the closeness radius
+    is one more: one solve on a (k, 2, q, q) stack and one eigvalsh on a
+    (k, 2, p, p) stack, the two ends of the k contexts still iterating,
+    which never grow in number.  Nothing decomposes H_eff again after the
+    sweeps."""
 
     @staticmethod
     def _count_sweeps(monkeypatch, counts):
@@ -279,53 +326,77 @@ class TestCountedWork:
         monkeypatch.setattr(bounds, "_sigma_grid_bound", counted_sweep)
         return per_sweep
 
-    def test_spectral_correspondence_counts(self, monkeypatch):
-        inst = make_windowed_instance(seed=21)  # dim 12, P rank 3, Q rank 9
+    @staticmethod
+    def _stacks_shrink(per_sweep, k: int, q: int, p: int) -> None:
+        sizes = [solves[0][0] for solves, _ in per_sweep]
+        assert sizes[0] == k and sizes == sorted(sizes, reverse=True)
+        for (solves, shapes), size in zip(per_sweep, sizes):
+            assert solves == [(size, 2, q, q)]
+            assert shapes == [(size, 2, p, p)]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_spectral_correspondence_counts(self, monkeypatch, k):
+        # dim 12, P rank 3, Q rank 9
+        inst = bounds._windowed_arguments(_seeds(21, k), 12)["inst"]
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
         sweeps = self._count_sweeps(monkeypatch, counts)
-        assert check_spectral_correspondence(inst).passed
+        assert all(r.passed for r in bounds._spectral_correspondence(inst))
         assert counts.count("cond") == 0
         assert counts.count("svd") == 0
         assert counts.count("norm2") == 0   # H + V is a plain array, not checked
-        # H and H + V only, at full size; Q's basis is the rest of H's
-        # eigenbasis, and Q(H+V)Q is never diagonalized with vectors
-        assert counts.sizes("eigh") == {12: 2}
-        eigs = [a for a in counts.calls["eigh_args"] if a.shape[-1] == 12]
-        assert {id(a) for a in eigs} == {id(inst.h.matrix), id(inst.h_tilde)}
+        # H and H + V only, once each for the stack; Q's basis is the rest
+        # of H's eigenbasis, and Q(H+V)Q is never diagonalized with vectors
+        assert counts.calls["eigh"] == [(k, 12, 12)] * 2
+        h_arg, h_tilde_arg = counts.calls["eigh_args"]
+        assert h_arg is inst.h
+        assert np.array_equal(h_tilde_arg, inst.h + inst.v)
         # |V| for the hypotheses, make_context's P and Q spectra, Q(H+V)Q's
         # spectrum, H_eff's spectrum, then one per sweep and none after them
         assert 2 <= len(sweeps) <= 9
-        assert counts.calls["eigvalsh"] == (
-            [(12, 12), (3, 3), (9, 9), (9, 9), (3, 3)] + [(2, 3, 3)] * len(sweeps))
-        # one solve per evaluation: H_eff at the window center, then the sweeps
-        assert counts.calls["solve"] == [(1, 9, 9)] + [(2, 9, 9)] * len(sweeps)
+        assert counts.calls["eigvalsh"][:5] == [(k, 12, 12), (k, 3, 3), (k, 9, 9), (k, 9, 9),
+                                                (k, 3, 3)]
+        assert len(counts.calls["eigvalsh"]) == 5 + len(sweeps)
+        # one solve per evaluation: H_eff at the window centers, then the sweeps
+        assert counts.calls["solve"][0] == (k, 1, 9, 9)
+        assert counts.count("solve") == 1 + len(sweeps)
+        self._stacks_shrink(sweeps, k, 9, 3)
 
     def test_each_sweep_is_one_eigvalsh_of_its_two_ends(self, monkeypatch):
-        inst = make_windowed_instance(seed=22)  # dim 12, P rank 3, Q rank 9
+        inst = bounds._windowed_arguments(_seeds(22, 7), 12)["inst"]  # P rank 3, Q rank 9
         counts = CountingLinalg(monkeypatch)
         per_sweep = self._count_sweeps(monkeypatch, counts)
-        bounds._effective_hamiltonian_with_gamma(inst)
+        outcomes = [None] * 7
+        bounds._effective_hamiltonians(inst, outcomes)
+        assert outcomes == [None] * 7
         assert 2 <= len(per_sweep) <= 9
-        assert all(solves == [(2, 9, 9)] for solves, _ in per_sweep)
-        assert all(shapes == [(2, 3, 3)] for _, shapes in per_sweep)
+        self._stacks_shrink(per_sweep, 7, 9, 3)
         assert counts.count("solve") == 1 + len(per_sweep)
+        # sweep t holds exactly the instances whose own runs sweep t times
+        # or more: each stops where it would alone
+        alone = [_sweeps_alone(BoundInstance(h=Operator(h), v=Operator(v), window=inst.window,
+                                             gap=inst.gap)) for h, v in zip(inst.h, inst.v)]
+        assert [solves[0][0] for solves, _ in per_sweep] == [
+            sum(own >= t for own in alone) for t in range(1, max(alone) + 1)]
 
     def test_corollaries_share_one_eigendecomposition_each(self, monkeypatch):
-        inst = make_multiband_instance(seed=23)  # dim 14, P rank 6, Q rank 8
+        # dim 14, P rank 6, Q rank 8
+        inst = bounds._multiband_arguments(_seeds(23, 5), 14)["inst"]
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
         sweeps = self._count_sweeps(monkeypatch, counts)
-        check_corollaries(inst)
-        eigs = [a for a in counts.calls["eigh_args"] if a.shape[-1] == 14]
-        assert {id(a) for a in eigs} == {id(inst.h.matrix), id(inst.h_tilde)}
-        # H and H + V at full size, and H_eff's eigenvectors for its top
-        # eigenspace; the window of H + V is read off its cached eigh
-        assert counts.sizes("eigh") == {14: 2, 6: 1}
+        outcomes = bounds._corollaries(inst)
+        assert not any(isinstance(r, HypothesisUnmet) for r in outcomes)
+        # H and H + V of the stack, and the H_eff stack's eigenvectors for
+        # its top eigenspaces; the windows of H + V are read off its eigh
+        assert counts.calls["eigh"] == [(5, 14, 14), (5, 6, 6), (5, 14, 14)]
+        assert counts.calls["eigh_args"][0] is inst.h
+        assert np.array_equal(counts.calls["eigh_args"][2], inst.h + inst.v)
         assert counts.count("cond") == 0
         assert counts.count("svd") == 0
-        assert counts.sizes("eigvalsh")[8] == 2  # make_context's Q spectrum, Q(H+V)Q's
+        assert counts.sizes("eigvalsh")[8] == 2  # make_context's Q spectra, Q(H+V)Q's
         assert counts.count("solve") == 1 + len(sweeps)
+        self._stacks_shrink(sweeps, 5, 8, 6)
 
     def test_protocol_clock_diagonalizes_h_s_twice(self, monkeypatch):
         # once for the setup's band structure and once for the verification
@@ -433,8 +504,6 @@ class TestCorollaries:
     def test_clock_band_block(self):
         # the composite band block of a clock model under its coupling:
         # every detuned band vector stays in its window subspace
-        from qsc.bounds import _check_multiband_overlap
-
         length = 3
         omegas = band_energies(length)
         xs = overlap_coefficients(length)
@@ -452,7 +521,7 @@ class TestCorollaries:
             h=h, v=v, window=(float(diag.min() - gap / 2), float(diag.max() + gap / 2)),
             gap=gap * 0.99,
         )
-        res = _check_multiband_overlap(inst)
+        res = bounds._one(bounds._multiband_overlap(bounds._stack_of(inst)))
         assert res.passed
         assert res.details["bands"] == 8
 
@@ -515,18 +584,6 @@ class _AlwaysFails(bounds.CheckResult):
         object.__setattr__(self, "passed", False)
 
 
-def _operators(args: dict) -> list:
-    """The Operators among a checker's arguments, with a BoundInstance's
-    h and v (its h_tilde is a plain array)."""
-    ops = []
-    for value in args.values():
-        if isinstance(value, BoundInstance):
-            ops += [value.h, value.v]
-        elif isinstance(value, Operator):
-            ops.append(value)
-    return ops
-
-
 class TestSuiteTable:
     @pytest.mark.parametrize("name", list(SUITES))
     def test_every_dump_replays_to_its_margins(self, name, tmp_path, monkeypatch):
@@ -551,18 +608,21 @@ class TestSuiteTable:
         monkeypatch.setattr(bounds, "CheckResult", _AlwaysFails)
         rep = run_suite(name, 3, master_seed=404, out_dir=tmp_path)
         words = Stream(404).words(3)
-        make, _, dim = SUITES[name]
+        draw, _, _, dim = SUITES[name]
         assert rep.violations
         for path in rep.violations:
             payload = json.loads(Path(path).read_text())
             assert payload["seed"] == int(words[int(Path(path).stem.rsplit("_", 1)[1])])
-            remade = json.loads(json.dumps(bounds._payload(make(payload["seed"], dim))))
+            alone = np.array([payload["seed"]], dtype=np.uint64)
+            remade = json.loads(json.dumps(bounds._payload(draw(alone, dim), 0)))
             assert remade.items() <= payload.items()
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_clean_run_validates_each_handed_matrix_once(self, name, tmp_path, monkeypatch):
-        # no dump payload is built for a passing instance, and the only
-        # Operator validations are of the matrices the checker receives
+        # no dump payload is built for a passing instance, and no matrix a
+        # run hands its stacked checker is an Operator, so none is
+        # validated: each is a generated stack, built exactly Hermitian
+        # (Sylvester's X is not a Hermitian input)
         encoded = []
         monkeypatch.setattr(bounds, "_matrix_payload", encoded.append)
         validated = []
@@ -573,22 +633,157 @@ class TestSuiteTable:
             validate(op)
 
         monkeypatch.setattr(Operator, "__post_init__", counting)
-        make, check, dim = SUITES[name]
+        draw, check, single, dim = SUITES[name]
         handed = []
 
         def recording(**args):
-            try:
-                return check(**args)
-            finally:
-                handed.extend(_operators(args))
+            handed.append(args)
+            return check(**args)
 
-        monkeypatch.setitem(SUITES, name, (make, recording, dim))
+        monkeypatch.setitem(SUITES, name, (draw, recording, single, dim))
         rep = run_suite(name, 4, master_seed=101, out_dir=tmp_path)
         assert not rep.violations and rep.passes + rep.vacuous == 4
         assert encoded == []
-        assert handed
-        assert sorted(map(id, validated)) == sorted(map(id, handed))
-        assert len({id(op) for op in handed}) == len(handed)
+        assert validated == []
+        (args,) = handed
+        matrices = [m for key, value in args.items() if key != "x"
+                    for m in ([value.h, value.v] if isinstance(value, BoundInstance)
+                              else [value] if isinstance(value, np.ndarray) else [])]
+        assert matrices
+        for m in matrices:
+            assert type(m) is np.ndarray and m.shape[0] == 4
+            assert np.array_equal(m, m.conj().mT)
+
+
+def _outcome(result) -> tuple:
+    """A check's verdict and margins, or its vacuous flag and reason."""
+    if isinstance(result, HypothesisUnmet):
+        return ("vacuous", str(result))
+    return (result.passed, result.margins)
+
+
+def _alone(name: str, seed: int) -> tuple:
+    """The outcome of one suite instance checked by itself through the
+    public API: its matrices drawn as a stack of one, dumped and replayed
+    through `replay_instance` (as `Operator`s); a window instance also made
+    by its public generator, which must agree."""
+    draw, _, check, dim = SUITES[name]
+    payload = bounds._payload(draw(np.array([seed], dtype=np.uint64), dim), 0)
+    payload = json.loads(json.dumps(payload | {"suite": name}))
+    try:
+        replayed = _outcome(replay_instance(payload))
+    except HypothesisUnmet as exc:
+        replayed = _outcome(exc)
+    if name in ("spectral_correspondence", "subspace_overlap", "corollaries"):
+        make = make_multiband_instance if name == "corollaries" else make_windowed_instance
+        try:
+            made = _outcome(check(make(seed, dim=dim)))
+        except HypothesisUnmet as exc:
+            made = _outcome(exc)
+        assert made == replayed
+    return replayed
+
+
+def _recorded_run(monkeypatch, name: str, instances: int, master_seed: int, tmp_path) -> list:
+    """The outcomes of a suite run, instance by instance, in order."""
+    draw, check, single, dim = SUITES[name]
+    outcomes = []
+
+    def recording(**args):
+        results = check(**args)
+        outcomes.extend(map(_outcome, results))
+        return results
+
+    monkeypatch.setitem(SUITES, name, (draw, recording, single, dim))
+    rep = run_suite(name, instances, master_seed=master_seed, out_dir=tmp_path)
+    assert len(outcomes) == rep.instances == instances
+    return outcomes
+
+
+def _collar_broken(inst: BoundInstance, row: int) -> BoundInstance:
+    """A copy of a window stack whose instance `row` has an eigenvalue of
+    H moved onto the window's lower edge, inside its collar."""
+    h = inst.h.copy()
+    w, u = np.linalg.eigh(h[row])
+    w[0] = inst.window[0]
+    h[row] = bounds._spectral_product(u, w)
+    return BoundInstance(h=h, v=inst.v, window=inst.window, gap=inst.gap)
+
+
+def _broken(name: str, args: dict, row: int) -> dict:
+    """The stacked arguments with instance `row` made to fail a
+    hypothesis: B singular, A coupled across the split, or an eigenvalue
+    of H in a window collar."""
+    args = dict(args)
+    if name == "sylvester":
+        args["b"] = args["b"].copy()
+        args["b"][row] = 0
+    elif name == "block_resolvent":
+        args["a"] = args["a"].copy()
+        args["a"][row, 0, -1] = args["a"][row, -1, 0] = 1.0
+    else:
+        args["inst"] = _collar_broken(args["inst"], row)
+    return args
+
+
+class TestBatchInvariance:
+    """A stack checks each instance as that instance alone: verdicts,
+    vacuous flags and margins of a run, block by block, equal (==) those
+    of its instances checked one at a time through the public API."""
+
+    @pytest.mark.parametrize("instances", [3, 10])
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_blocks_are_the_instances_one_at_a_time(self, name, instances, monkeypatch,
+                                                    tmp_path):
+        # blocks of four instances: a run below the block size, and one
+        # over two whole blocks and part of a third
+        dim = SUITES[name][3]
+        monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 4 * dim ** 2)
+        run = _recorded_run(monkeypatch, name, instances, 31, tmp_path)
+        assert run == [_alone(name, int(seed)) for seed in Stream(31).words(instances)]
+
+    def test_a_block_of_the_table_size(self, monkeypatch, tmp_path):
+        # Weyl's blocks hold 2^12 / 32^2 = 4 instances: 9 make three
+        assert max(1, bounds._BLOCK_ENTRIES // SUITES["weyl"][3] ** 2) == 4
+        run = _recorded_run(monkeypatch, "weyl", 9, 8, tmp_path)
+        assert run == [_alone("weyl", int(seed)) for seed in Stream(8).words(9)]
+
+    @pytest.mark.parametrize("name", [name for name in SUITES if name != "weyl"])
+    def test_a_vacuous_instance_leaves_its_neighbours_alone(self, name):
+        # Weyl's check has no hypothesis to fail
+        draw, check, single, dim = SUITES[name]
+        seeds = _seeds(55, 5)
+        clean = [_outcome(r) for r in check(**draw(seeds, dim))]
+        broken_args = _broken(name, draw(seeds, dim), 2)
+        broken = [_outcome(r) for r in check(**broken_args)]
+        assert clean[2][0] != "vacuous" and broken[2][0] == "vacuous"
+        assert broken[:2] + broken[3:] == clean[:2] + clean[3:]
+        alone = bounds._payload(broken_args, 2) | {"suite": name}
+        with pytest.raises(HypothesisUnmet) as exc:
+            replay_instance(json.loads(json.dumps(alone)))
+        assert str(exc.value) == broken[2][1]
+        # a stack with nothing left after a hypothesis takes no later step
+        for row in (0, 1, 3, 4):
+            broken_args = _broken(name, broken_args, row)
+        assert all(outcome[0] == "vacuous" for outcome in map(_outcome, check(**broken_args)))
+
+    @pytest.mark.parametrize("name", ["spectral_correspondence", "subspace_overlap"])
+    def test_instances_of_two_window_patterns_share_a_stack(self, name):
+        # P ranks 3 and 2 interleaved: H's windows select other columns,
+        # so the self-energies run as two stacks, and each instance still
+        # reads as it does alone
+        three, two = (make_windowed_instance(_seeds(66 + rank, 3), dim=12, p_rank=rank)
+                      for rank in (3, 2))
+        order = [0, 3, 1, 4, 2, 5]
+        mixed = BoundInstance(h=np.concatenate([three.h, two.h])[order],
+                              v=np.concatenate([three.v, two.v])[order],
+                              window=three.window, gap=three.gap)
+        assert len(bounds._by_pattern((mixed.h_eig[0] > -1.0) & (mixed.h_eig[0] < 1.0))) == 2
+        check, single = SUITES[name][1], SUITES[name][2]
+        alone = [_outcome(single(BoundInstance(h=Operator(h), v=Operator(v), window=mixed.window,
+                                               gap=mixed.gap)))
+                 for h, v in zip(mixed.h, mixed.v)]
+        assert [_outcome(r) for r in check(mixed)] == alone
 
 
 class TestProtocolScaling:

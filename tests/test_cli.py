@@ -208,6 +208,18 @@ def test_the_cap_bounds_the_shot_and_trial_uniforms(tmp_path, monkeypatch, exper
     assert (tmp_path / "out").exists() == (code == EXIT_OK)
 
 
+@pytest.mark.parametrize("instances,code", [(16, EXIT_OK), (17, EXIT_RESOURCE)])
+def test_the_cap_bounds_the_bound_instances(tmp_path, monkeypatch, capsys, instances, code):
+    # one seed word per instance: more than cap^2 is refused before any
+    # suite runs, naming the key
+    monkeypatch.setenv("QSC_MAX_DIM", "4")
+    cfg = {"instances": instances, "protocol": False, "seed": 0}
+    assert run_cli(tmp_path, "bounds", cfg) == code
+    assert (tmp_path / "out").exists() == (code == EXIT_OK)
+    if code == EXIT_RESOURCE:
+        assert "'instances' would hold 17 entries" in capsys.readouterr().err
+
+
 def test_self_check_failure_is_reported_not_raised(tmp_path, monkeypatch, capsys):
     # a residual self-check that fails is an error line and exit 1, not a
     # traceback

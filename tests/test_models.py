@@ -523,6 +523,15 @@ class TestRandomState:
         with pytest.raises(TypeError):
             random_state(3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [3, 6, 10, 14])
+    def test_a_state_is_its_normals_over_their_per_row_norm(self, n):
+        # the batched row norms are the per-row np.linalg.norm, bit for bit
+        z = Stream(n).normal(300 << n).reshape(-1, 2 ** n)
+        states = np.concatenate(list(random_states(n, n, 300)))
+        norms = np.array([np.linalg.norm(row) for row in z])
+        assert np.all(np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)) == norms)
+        assert np.all(states == z / norms[:, None])
+
 
 # Steele-Lea-Flood SplitMix64 outputs for seeds 0 and 1234567
 SPLITMIX64_VECTORS = {
@@ -567,6 +576,22 @@ class TestStream:
     def test_a_seed_outside_64_bits_is_refused(self, seed):
         with pytest.raises(ValueError, match="2\\^64"):
             Stream(seed)
+
+    @pytest.mark.parametrize("draw", ["words", "uniform", "normal"])
+    def test_a_stack_of_streams_draws_each_streams_rows(self, draw):
+        # row i of every draw of a stack is the same draw of its seed alone
+        seeds = np.array([0, 1234567, 2 ** 64 - 1, 17], dtype=np.uint64)
+        stack, alone = Stream(seeds), [Stream(int(seed)) for seed in seeds]
+        for count in (3, 5):
+            rows = getattr(stack, draw)(count)
+            assert rows.shape[0] == len(seeds)
+            for row, stream in zip(rows, alone):
+                assert np.array_equal(row, getattr(stream, draw)(count))
+
+    @pytest.mark.parametrize("seeds", [np.array([1, 2]), np.zeros((2, 2), dtype=np.uint64)])
+    def test_a_stack_of_seeds_is_one_row_of_uint64(self, seeds):
+        with pytest.raises(ValueError, match="1-D uint64"):
+            Stream(seeds)
 
     def test_the_last_64_bit_seed_draws(self):
         assert np.all(np.isfinite(Stream(2 ** 64 - 1).normal(1000)))
