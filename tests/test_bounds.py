@@ -334,8 +334,14 @@ class TestCountedWork:
             assert solves == [(size, 2, q, q)]
             assert shapes == [(size, 2, p, p)]
 
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_spectral_correspondence_counts(self, monkeypatch, k):
+    def test_spectral_correspondence_counts(self, monkeypatch):
+        self._spectral_correspondence_counts(monkeypatch, 5)
+
+    def test_single_instance_spectral_correspondence_counts(self, monkeypatch):
+        # a single instance is a stack of one, counted the same way
+        self._spectral_correspondence_counts(monkeypatch, 1)
+
+    def _spectral_correspondence_counts(self, monkeypatch, k):
         # dim 12, P rank 3, Q rank 9
         inst = bounds._windowed_arguments(_seeds(21, k), 12)["inst"]
         counts = CountingLinalg(monkeypatch)
