@@ -13,11 +13,11 @@ per step for the whole block.  Instance i draws from its own
 `models.Stream`, seeded by word i of the master seed's stream; a block
 draws its own seed words, and its instances' streams as one stack.  In a
 stack, an instance whose hypothesis fails is set aside with the
-HypothesisUnmet its own check would raise, and takes no later step.  The
-public checkers take one instance and run it as a stack of one, so one
-path serves both.  Generated matrices are plain arrays built exactly
-Hermitian (`linalg`); an `Operator` is what a caller of the
-single-instance API, or a replayed dump, hands in.
+HypothesisUnmet that is its outcome, and takes no later step.  Each bound
+has one checker: it takes stacks (one instance is a stack of one) of plain
+arrays, built exactly Hermitian (`linalg`), and returns one outcome per
+instance.  Only a replayed dump's matrices come from outside the code
+that built them: `replay_instance` validates each as an `Operator`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import config
 from .errors import HypothesisUnmet
 from .levelshift import make_context, self_energy, solve_detuning
-from .linalg import Operator, _Frozen, _hermitian_part, _matrix, _setattr, evolve, operator_norm
+from .linalg import Operator, _Frozen, _hermitian_part, _setattr, evolve, operator_norm
 from .models import KET_B, KET_C, KET_DOWN, KET_L, ClockModel, GroverModel, Stream
 from .cooling import (
     CoolingSetup,
@@ -61,25 +61,35 @@ class CheckResult(_Frozen):
 
 
 class BoundInstance(_Frozen):
-    """A random instance for the window-based checks: a Hamiltonian, a
-    perturbation, the spectral window, and the protecting gap; or a stack
-    of such instances on one window and gap.
+    """A stack of instances for the window-based checks: Hamiltonians H
+    and perturbations V, as (k, n, n) plain arrays of one shape, each
+    matrix Hermitian, on one spectral window (lo, hi) and one protecting
+    gap.  A stack of other shapes, a window that is not finite with lo <
+    hi, or a gap that is not finite and > 0 is a ValueError.
 
-    One instance holds H and V as `Operator`s, a stack as (k, n, n)
-    arrays, each matrix Hermitian.  H + V (`h_tilde`, a plain array as
-    Hermitian as H and V are, see `linalg`), |V| and the eigendecompositions
-    of H and H + V (`np.linalg.eigh` pairs) are computed once per instance
-    or stack, a stack's each by one batched call, and shared by every
+    H + V (`h_tilde`, as Hermitian as H and V are, see `linalg`), |V| and
+    the eigendecompositions of H and H + V (`np.linalg.eigh` pairs) are
+    computed once per stack, each by one batched call, and shared by every
     checker that reads them (cached in the `__dict__`); indexing a stack
-    (`inst[rows]`) hands what is computed on to the sub-stack.  A checker
-    runs one instance as a stack of one.
+    (`inst[rows]`) hands what is computed on to the sub-stack.
     """
 
     __slots__ = ("h", "v", "window", "gap", "__dict__")
 
+    def __post_init__(self):
+        shape = np.shape(self.h)
+        if not (len(shape) == 3 and shape[1] == shape[2] and np.shape(self.v) == shape):
+            raise ValueError(f"h and v must be (k, n, n) stacks of one shape, got "
+                             f"{shape} and {np.shape(self.v)}")
+        lo, hi = self.window
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"the window must be finite with lo < hi, got {self.window}")
+        if not 0 < self.gap < math.inf:
+            raise ValueError(f"the gap must be finite and > 0, got {self.gap}")
+
     @cached_property
     def h_tilde(self) -> np.ndarray:
-        return _matrix(self.h) + _matrix(self.v)
+        return self.h + self.v
 
     @cached_property
     def v_norm(self):
@@ -87,7 +97,7 @@ class BoundInstance(_Frozen):
 
     @cached_property
     def h_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(_matrix(self.h))
+        return np.linalg.eigh(self.h)
 
     @cached_property
     def h_tilde_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,21 +112,6 @@ class BoundInstance(_Frozen):
             sub.__dict__[key] = (tuple(a[rows] for a in value) if isinstance(value, tuple)
                                  else value[rows])
         return sub
-
-
-def _stack_of(inst: BoundInstance) -> BoundInstance:
-    """One instance as a stack of one."""
-    return BoundInstance(h=inst.h.matrix[None], v=inst.v.matrix[None], window=inst.window,
-                         gap=inst.gap)
-
-
-def _one(outcomes: list) -> CheckResult:
-    """The outcome of a stack of one: its CheckResult, or its
-    HypothesisUnmet raised."""
-    (outcome,) = outcomes
-    if isinstance(outcome, HypothesisUnmet):
-        raise outcome
-    return outcome
 
 
 def _set_aside(outcomes: list, rows: np.ndarray, unmet: np.ndarray, reason, *arrays) -> tuple:
@@ -164,14 +159,9 @@ def _norm2(m: np.ndarray) -> np.ndarray:
 # Elementary checkers
 # ---------------------------------------------------------------------------
 
-def check_weyl(h: Operator, h_tilde: Operator) -> CheckResult:
-    """Sorted eigenvalues of two Hermitian operators never differ by more
-    than the norm of their difference."""
-    return _one(_weyl(h.matrix[None], h_tilde.matrix[None]))
-
-
-def _weyl(h: np.ndarray, h_tilde: np.ndarray) -> list:
-    """`check_weyl` on stacks of H and H~."""
+def check_weyl(h: np.ndarray, h_tilde: np.ndarray) -> list:
+    """Sorted eigenvalues of two Hermitian matrices never differ by more
+    than the norm of their difference: of each pair of stacks of H and H~."""
     outcomes = [None] * len(h)
     shifts = np.abs(np.linalg.eigvalsh(h) - np.linalg.eigvalsh(h_tilde))
     bound = operator_norm(h - h_tilde)[:, None]
@@ -181,14 +171,10 @@ def _weyl(h: np.ndarray, h_tilde: np.ndarray) -> list:
     return outcomes
 
 
-def check_sylvester(a: Operator, b: Operator, x: np.ndarray) -> CheckResult:
+def check_sylvester(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> list:
     """|X| <= |AX - XB| / beta for Hermitian A, B whose spectra are
-    separated: |A| <= alpha and |B^{-1}| <= 1/(alpha + beta), beta > 0."""
-    return _one(_sylvester(a.matrix[None], b.matrix[None], np.asarray(x, dtype=complex)[None]))
-
-
-def _sylvester(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> list:
-    """`check_sylvester` on stacks of A, B and X."""
+    separated: |A| <= alpha and |B^{-1}| <= 1/(alpha + beta), beta > 0; of
+    each instance of stacks of A, B and X."""
     outcomes = [None] * len(a)
     alpha = operator_norm(a)
     sv = np.linalg.svd(b, compute_uv=False)[:, -1]
@@ -204,14 +190,10 @@ def _sylvester(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> list:
     return outcomes
 
 
-def check_block_resolvent(a: Operator, b: Operator, split: int) -> CheckResult:
+def check_block_resolvent(a: np.ndarray, b: np.ndarray, split: int) -> list:
     """Invertibility of A - B and the three block-norm bounds on its
-    inverse, for A block-diagonal across a split of the space."""
-    return _one(_block_resolvent(a.matrix[None], b.matrix[None], split))
-
-
-def _block_resolvent(a: np.ndarray, b: np.ndarray, split: int) -> list:
-    """`check_block_resolvent` on stacks of A and B, one split."""
+    inverse, for A block-diagonal across a split of the space: of each
+    instance of stacks of A and B, on one split."""
     dim = a.shape[-1]
     if not (0 < split < dim):
         raise ValueError("split must cut the space into two nonempty blocks")
@@ -340,15 +322,10 @@ def _effective_hamiltonians(inst: BoundInstance, outcomes: list) -> list:
     return groups
 
 
-def check_spectral_correspondence(inst: BoundInstance) -> CheckResult:
-    """Pairwise eigenvalue correspondence: the self-energy's spectrum tracks
-    the perturbed Hamiltonian's window spectrum to within the closeness
-    radius gamma."""
-    return _one(_spectral_correspondence(_stack_of(inst)))
-
-
-def _spectral_correspondence(inst: BoundInstance) -> list:
-    """`check_spectral_correspondence` on a stack."""
+def check_spectral_correspondence(inst: BoundInstance) -> list:
+    """Pairwise eigenvalue correspondence, for each instance of a stack:
+    the self-energy's spectrum tracks the perturbed Hamiltonian's window
+    spectrum to within the closeness radius gamma."""
     outcomes = [None] * len(inst.h)
     for rows, sub, _, _, gamma, spec in _effective_hamiltonians(inst, outcomes):
         w = sub.h_tilde_eig[0]
@@ -372,22 +349,22 @@ def _spectral_correspondence(inst: BoundInstance) -> list:
     return outcomes
 
 
-def _mutual_overlap_margins(a: np.ndarray, b: np.ndarray, bound: float) -> tuple:
-    """<v|P_b|v> - bound for each column v of a, then <v|P_a|v> - bound for
-    each column v of b, with P_a, P_b the projectors onto the orthonormal
-    columns' spans: the row sums, then the column sums, of |a^+ b|^2."""
+def _mutual_overlap(a: np.ndarray, b: np.ndarray, bound: float, **details) -> CheckResult:
+    """The verdict that two orthonormal column sets capture each other to
+    `bound`: its margins are <v|P_b|v> - bound for each column v of a, then
+    <v|P_a|v> - bound for each column v of b (P_a, P_b the projectors onto
+    the spans), the row sums, then the column sums, of |a^+ b|^2.  Its
+    details are `details` and the bound."""
     overlaps = np.abs(a.conj().T @ b) ** 2
-    return tuple(float(m) - bound for m in np.concatenate([overlaps.sum(1), overlaps.sum(0)]))
+    margins = tuple(float(m) - bound for m in np.concatenate([overlaps.sum(1), overlaps.sum(0)]))
+    return CheckResult(passed=bool(all(m >= -_SLACK for m in margins)), margins=margins,
+                       details={**details, "bound": bound})
 
 
-def check_subspace_overlap(inst: BoundInstance) -> CheckResult:
+def check_subspace_overlap(inst: BoundInstance) -> list:
     """Eigenvectors of the perturbed Hamiltonian stay in the unperturbed
-    window subspace up to (2|H - H~|/Delta)^2, in both directions."""
-    return _one(_subspace_overlap(_stack_of(inst)))
-
-
-def _subspace_overlap(inst: BoundInstance) -> list:
-    """`check_subspace_overlap` on a stack."""
+    window subspace up to (2|H - H~|/Delta)^2, in both directions, for each
+    instance of a stack."""
     outcomes = [None] * len(inst.h)
     lam_lo, lam_hi = inst.window
     gap = inst.gap
@@ -402,31 +379,20 @@ def _subspace_overlap(inst: BoundInstance) -> list:
     bound = 1.0 - (2 * inst.v_norm / gap) ** 2
     (w, v), (w_tilde, v_tilde) = inst.h_eig, inst.h_tilde_eig
     for j, i in enumerate(rows):
-        inside, _ = _window((w[j], v[j]), lam_lo, lam_hi)
-        tilde_inside, _ = _window((w_tilde[j], v_tilde[j]), lam_lo, lam_hi)
-        margins = _mutual_overlap_margins(tilde_inside, inside, float(bound[j]))
-        outcomes[i] = CheckResult(
-            passed=bool(all(m >= -_SLACK for m in margins)),
-            margins=margins,
-            details={"bound": float(bound[j])},
-        )
+        outcomes[i] = _mutual_overlap(_window((w_tilde[j], v_tilde[j]), lam_lo, lam_hi)[0],
+                                      _window((w[j], v[j]), lam_lo, lam_hi)[0], float(bound[j]))
     return outcomes
 
 
-def check_corollaries(inst: BoundInstance) -> CheckResult:
-    """The two band-overlap consequences.
+def check_corollaries(inst: BoundInstance) -> list:
+    """The two band-overlap consequences, for each instance of a stack.
 
     First: a well-resolved eigenspace of the effective Hamiltonian captures
-    the corresponding perturbed eigenvectors.  Second: for a multi-band
-    resolved Hamiltonian the window subspaces capture each other's vectors
-    with an extra factor of the band count.
+    the corresponding perturbed eigenvectors.  Second, for the instances
+    the first does not set aside: for a multi-band resolved Hamiltonian the
+    window subspaces capture each other's vectors with an extra factor of
+    the band count.
     """
-    return _one(_corollaries(_stack_of(inst)))
-
-
-def _corollaries(inst: BoundInstance) -> list:
-    """`check_corollaries` on a stack: the isolated-eigenspace overlap,
-    then, for the instances it does not set aside, the multiband one."""
     outcomes = [None] * len(inst.h)
     lam_lo, lam_hi = inst.window
     for rows, sub, p, h_eff, gamma, _ in _effective_hamiltonians(inst, outcomes):
@@ -499,12 +465,7 @@ def _multiband_overlap(inst: BoundInstance) -> list:
             _window((w_tilde[j], v_tilde[j]), band[0] - gap / 2, band[-1] + gap / 2)[0]
             for band in bands
         ])
-        margins = _mutual_overlap_margins(evecs[j][:, masks[j]], tilde, bound)
-        outcomes[i] = CheckResult(
-            passed=bool(all(m >= -_SLACK for m in margins)),
-            margins=margins,
-            details={"bands": len(bands), "bound": float(bound)},
-        )
+        outcomes[i] = _mutual_overlap(evecs[j][:, masks[j]], tilde, bound, bands=len(bands))
     return outcomes
 
 
@@ -512,9 +473,8 @@ def _multiband_overlap(inst: BoundInstance) -> list:
 # Instance generators
 # ---------------------------------------------------------------------------
 #
-# Each draws from a `Stream`, or from a stack of them: then every matrix is
-# a stack with one matrix per stream, bit for bit the matrix that stream
-# alone gives.
+# Each draws from a stack of streams (a `Stream` of a seed array): one
+# matrix per stream, bit for bit the matrix that stream alone gives.
 
 def gaussian_hermitian(stream: Stream, dim: int, scale=1.0) -> np.ndarray:
     """A Gaussian Hermitian matrix, as a plain array (exactly Hermitian);
@@ -551,29 +511,21 @@ def _between(lo: float, hi: float, u) -> np.ndarray:
 
 def _surgery(stream: Stream, evals, v_norm: float, window, gap: float) -> BoundInstance:
     """H with the given spectrum in a Haar-random eigenbasis and a Gaussian
-    V of norm v_norm: one instance from a stream, whose matrices enter as
-    `Operator`s, or a stack from a stack of streams."""
+    V of norm v_norm, from each of a stack of streams."""
     dim = evals.shape[-1]
-    u = haar_unitary(stream, dim)
-    h = _spectral_product(u, evals)
+    h = _spectral_product(haar_unitary(stream, dim), evals)
     v = _scaled_to(v_norm, gaussian_hermitian(stream, dim))
-    if h.ndim == 2:
-        h, v = Operator(h), Operator(v)
     return BoundInstance(h=h, v=v, window=window, gap=gap)
 
 
-def make_windowed_instance(
-    seed: int | np.ndarray,
-    dim: int = 12,
-    p_rank: int = 3,
-    v_scale: float = 0.2,
-) -> BoundInstance:
+def make_windowed_instance(seeds: np.ndarray, dim: int = 12, p_rank: int = 3,
+                           v_scale: float = 0.2) -> BoundInstance:
     """Spectral surgery: p_rank eigenvalues in the inner window, the rest
     pushed beyond the collars at gap 1, eigenvectors Haar random.  The
     perturbation norm is v_scale * gap/2 (hypothesis-satisfying for
-    v_scale < 1).  A seed gives one instance; a 1-D uint64 array of seeds
-    the stack of their instances (see `Stream`)."""
-    stream = Stream(seed)
+    v_scale < 1).  Makes the stack of the instances of a 1-D uint64 array
+    of seeds (see `Stream`)."""
+    stream = Stream(seeds)
     gap = 1.0
     lam_lo, lam_hi = -1.0, 1.0
     inner_lo, inner_hi = lam_lo + gap / 2, lam_hi - gap / 2
@@ -587,12 +539,12 @@ def make_windowed_instance(
     return _surgery(stream, evals, v_scale * gap / 2, (lam_lo, lam_hi), gap)
 
 
-def make_multiband_instance(seed: int | np.ndarray, dim: int = 14) -> BoundInstance:
+def make_multiband_instance(seeds: np.ndarray, dim: int = 14) -> BoundInstance:
     """Three tight bands of rank 2 inside the window, gap-separated (gap
     0.6) from each other and from the outside spectrum; the perturbation
-    norm is 0.15 * gap/2.  A seed gives one instance; a 1-D uint64 array of
-    seeds the stack of their instances."""
-    stream = Stream(seed)
+    norm is 0.15 * gap/2.  Makes the stack of the instances of a 1-D
+    uint64 array of seeds."""
+    stream = Stream(seeds)
     n_bands, band_rank, gap, v_scale = 3, 2, 0.6, 0.15
     centers = np.linspace(-1.0, 1.0, n_bands)
     width = min(0.05, gap / 10)
@@ -790,18 +742,22 @@ def _payload(args: dict, row: int) -> dict:
 
 
 def _arguments(check, payload: dict) -> dict:
-    """The keyword arguments of `check` read back from a dump, the inverse
-    of `_payload`.  Every matrix but Sylvester's X is outside input for a
-    Hermitian operator and is validated as one here."""
+    """The keyword arguments of `check` for the one instance of a dump, as
+    stacks of one: the inverse of `_payload`.  Every matrix but Sylvester's
+    X is outside input for a Hermitian operator and is validated as one
+    here; a non-finite X is a ValueError."""
     def hermitian(key):
-        return Operator(_matrix_from_payload(payload[key]))
+        return Operator(_matrix_from_payload(payload[key])).matrix[None]
 
     def read(name):
         if name == "inst":
             return BoundInstance(h=hermitian("h"), v=hermitian("v"),
                                  window=tuple(payload["window"]), gap=float(payload["gap"]))
         if name == "x":
-            return _matrix_from_payload(payload["x"])
+            x = _matrix_from_payload(payload["x"])
+            if not np.isfinite(x).all():
+                raise ValueError("Sylvester's X has a non-finite entry")
+            return x[None]
         if name == "split":
             return int(payload["split"])
         return hermitian(name)
@@ -810,16 +766,22 @@ def _arguments(check, payload: dict) -> dict:
 
 
 def replay_instance(payload: dict) -> CheckResult:
-    """Re-run the named suite's checker on a serialized instance.
+    """Re-run the named suite's checker on the one instance of a
+    serialized dump, as a stack of one: its CheckResult, or its
+    HypothesisUnmet raised.
 
-    Malformed payloads (missing keys, non-Hermitian matrices) surface as
-    the exceptions the checkers raise; callers decide how to record them.
+    Malformed payloads (missing keys, non-Hermitian matrices, a bad window
+    or gap, a non-finite X) surface as the exceptions the decoding or the
+    checker raises; callers decide how to record them.
     """
     suite = payload["suite"]
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}")
-    check = SUITES[suite][2]
-    return check(**_arguments(check, payload))
+    check = SUITES[suite][1]
+    (outcome,) = check(**_arguments(check, payload))
+    if isinstance(outcome, HypothesisUnmet):
+        raise outcome
+    return outcome
 
 
 class SuiteReport(_Frozen):
@@ -873,17 +835,15 @@ def _multiband_arguments(seeds: np.ndarray, dim: int) -> dict:
     return {"inst": make_multiband_instance(seeds, dim=dim)}
 
 
-# name -> (draw(seeds, dim) -> the stacked checker's keyword arguments,
-# stacked checker, checker, dim).  Runs call the stacked checker on each
-# block, replays the checker on one instance.
+# name -> (draw(seeds, dim) -> the checker's keyword arguments, checker,
+# dim).  Runs call the checker on each block, replays on a stack of one.
 SUITES = {
-    "weyl": (_weyl_arguments, _weyl, check_weyl, 32),
-    "sylvester": (_sylvester_arguments, _sylvester, check_sylvester, 16),
-    "block_resolvent": (_block_resolvent_arguments, _block_resolvent, check_block_resolvent, 16),
-    "spectral_correspondence": (_windowed_arguments, _spectral_correspondence,
-                                check_spectral_correspondence, 10),
-    "subspace_overlap": (_windowed_arguments, _subspace_overlap, check_subspace_overlap, 12),
-    "corollaries": (_multiband_arguments, _corollaries, check_corollaries, 14),
+    "weyl": (_weyl_arguments, check_weyl, 32),
+    "sylvester": (_sylvester_arguments, check_sylvester, 16),
+    "block_resolvent": (_block_resolvent_arguments, check_block_resolvent, 16),
+    "spectral_correspondence": (_windowed_arguments, check_spectral_correspondence, 10),
+    "subspace_overlap": (_windowed_arguments, check_subspace_overlap, 12),
+    "corollaries": (_multiband_arguments, check_corollaries, 14),
 }
 
 # A block holds as many instances as keeps one stack of their matrices
@@ -899,7 +859,7 @@ def run_suite(name: str, instances: int, master_seed: int, out_dir: Path) -> Sui
     `_BLOCK_ENTRIES` / dim^2 (at least one): a block draws its own seed
     words, then draws, builds and checks its instances as one stack (the
     seeds' streams drawn as one `Stream`)."""
-    draw, check, _, dim = SUITES[name]
+    draw, check, dim = SUITES[name]
     block = max(1, _BLOCK_ENTRIES // dim ** 2)
     master = Stream(master_seed)
     passes = vacuous = 0

@@ -481,13 +481,20 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
     the exit status.  The protocol lemmas' `r_grid` is checked first: at
     least two distinct ratios, each with 0 < r < 1/8, the hypothesis every
     schedule enforces.  Then more than cap^2 `instances`, one seed word
-    each, are refused (`models._check_entries`), before any suite runs.
-    The bounds lab is imported here, so no other command loads it."""
+    each, are refused (`models._check_entries`), and every `replay` file is
+    read (an unreadable one is a ConfigError), before any suite runs; one
+    that does not decode to a valid instance is recorded as a corrupted
+    dump.  The bounds lab is imported here, so no other command loads it."""
     r_grid = cfg["r_grid"]
     if len(set(r_grid)) < 2 or not all(0 < r < config.MAX_COUPLING_RATIO for r in r_grid):
         raise ConfigError(f"bounds config key 'r_grid' must hold at least two distinct "
                           f"ratios r with 0 < r < {config.MAX_COUPLING_RATIO}, got {r_grid}")
     _check_entries(cfg["instances"], "the seed words of config key 'instances'")
+    try:
+        raw_replays = [Path(path).read_bytes() for path in cfg["replay"]]
+    except OSError as exc:
+        raise ConfigError(f"bounds config key 'replay' names a file that cannot be read: "
+                          f"{exc}") from exc
     from .bounds import SUITES, check_protocol_lemmas, dump_violation, replay_instance, run_suite
 
     names = list(SUITES) if cfg["suites"] == "all" else cfg["suites"]
@@ -507,11 +514,11 @@ def run_bounds(cfg: dict, out_dir: Path) -> dict:
         }
         any_violation = any_violation or bool(rep.violations)
     replays = []
-    for path in cfg["replay"]:
+    for path, raw in zip(cfg["replay"], raw_replays):
         entry = {"file": str(path)}
         dump = out_dir / f"violation_replay_{Path(path).stem}.json"
         try:
-            payload = json.loads(Path(path).read_text())
+            payload = json.loads(raw)
             result = replay_instance(payload)
             entry["passed"] = result.passed
             entry["margins"] = list(result.margins)

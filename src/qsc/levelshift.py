@@ -15,6 +15,9 @@ For the cooling protocols, P is the two-dimensional span of the addressed
 band state with the bath down and the ground state with the bath up;
 equalizing the diagonal of Sigma_P at z = omega_B fixes the corrected bath
 detuning.
+
+H and V are plain arrays (stacks where it says so) that the caller knows
+to be Hermitian; no function here takes an `Operator`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NoSignChange, SingularResolvent
-from .linalg import Operator, _Frozen, _hermitian_part, _matrix, operator_norm
+from .linalg import _Frozen, _hermitian_part, operator_norm
 
 # Largest resolvent condition number a closed-form self-energy accepts.
 MAX_RESOLVENT_COND = 1e14
@@ -34,50 +37,49 @@ class LevelShiftContext(_Frozen):
     complement Q, each given by an orthonormal basis (the columns of `p`
     and `q`), or a stack of them: then `h` is a stack of matrices (an
     array with a leading axis) and `p` and `q` are stacks of bases of one
-    rank each."""
+    rank each.  `h` is a plain array."""
 
     __slots__ = ("h", "p", "q")
 
 
-def make_context(h: Operator | np.ndarray, p: np.ndarray, q: np.ndarray,
+def make_context(h: np.ndarray, p: np.ndarray, q: np.ndarray,
                  gap: float) -> LevelShiftContext:
     """Build and validate a context from orthonormal bases of P and Q (say,
     the eigenvectors of H inside and outside a window): both with one row
     per basis state of H, P and Q orthogonal and filling the space, H
     block-diagonal across them, spectra separated by at least the gap.
 
-    H is an `Operator`, or a stack of Hermitian matrices (a (k, n, n)
-    array) with stacks of bases (k, n, rank); every test then holds for
-    each matrix of the stack, from one batched product or eigvalsh each,
-    and one that fails for any matrix fails the whole context."""
+    H is a Hermitian matrix, or a stack of them (a (k, n, n) array) with
+    stacks of bases (k, n, rank); every test then holds for each matrix of
+    the stack, from one batched product or eigvalsh each, and one that
+    fails for any matrix fails the whole context."""
     if gap <= 0:
         raise ValueError("gap must be positive")
-    hm = _matrix(h)
-    dim = hm.shape[-1]
+    dim = h.shape[-1]
     for name, basis in (("P", p), ("Q", q)):
-        if basis.shape[:-1] != hm.shape[:-1]:
-            raise DimensionMismatch(f"{name} basis shape {basis.shape} vs H {hm.shape}")
+        if basis.shape[:-1] != h.shape[:-1]:
+            raise DimensionMismatch(f"{name} basis shape {basis.shape} vs H {h.shape}")
     rank_p, rank_q = p.shape[-1], q.shape[-1]
     if rank_p and rank_q and np.max(np.abs(p.conj().mT @ q)) > config.GRAM_ATOL:
         raise ValueError("P and Q are not orthogonal")
     if rank_p + rank_q != dim:
         raise DimensionMismatch("P and Q do not fill the space")
-    cross = p.conj().mT @ hm @ q
+    cross = p.conj().mT @ h @ q
     dev = np.max(np.abs(cross), axis=(-2, -1), initial=0.0)
     # 1 + |H| >= 1: the norm is needed only where the unscaled test fails
     over = dev > config.PROJECTOR_ATOL
-    if np.any(over) and np.any(dev[over] > config.PROJECTOR_ATOL * (1 + operator_norm(hm[over]))):
+    if np.any(over) and np.any(dev[over] > config.PROJECTOR_ATOL * (1 + operator_norm(h[over]))):
         raise ValueError("H is not block-diagonal across P and Q")
     if rank_p and rank_q:
-        spec_p = np.linalg.eigvalsh(p.conj().mT @ hm @ p)
-        spec_q = np.linalg.eigvalsh(q.conj().mT @ hm @ q)
+        spec_p = np.linalg.eigvalsh(p.conj().mT @ h @ p)
+        spec_q = np.linalg.eigvalsh(q.conj().mT @ h @ q)
         sep = np.min(np.abs(spec_p[..., :, None] - spec_q[..., None, :]))
         if sep < gap * (1 - config.RESIDUAL_RTOL):
             raise ValueError(f"P/Q spectra separated by {sep:.3e} < gap {gap:.3e}")
     return LevelShiftContext(h=h, p=p, q=q)
 
 
-def self_energy(ctx: LevelShiftContext, v: Operator | np.ndarray):
+def self_energy(ctx: LevelShiftContext, v: np.ndarray):
     """The self-energy of P as `sigma_at`, which maps a real z to its
     matrix on the P basis `ctx.p`, or an array of z to the stack of them.
 
@@ -93,13 +95,12 @@ def self_energy(ctx: LevelShiftContext, v: Operator | np.ndarray):
     (k, m)); `sigma_at(z, rows)` evaluates the contexts `rows` alone (an
     index array into the stack), with z shaped for them.
     """
-    bp, bq = ctx.p, ctx.q
-    hm, vm = _matrix(ctx.h), _matrix(v)
-    base = bp.conj().mT @ hm @ bp + bp.conj().mT @ vm @ bp
+    h, bp, bq = ctx.h, ctx.p, ctx.q
+    base = bp.conj().mT @ h @ bp + bp.conj().mT @ v @ bp
     if bq.shape[-1]:  # an empty complement has no resolvent
-        m = bq.conj().mT @ (hm + vm) @ bq
+        m = bq.conj().mT @ (h + v) @ bq
         w = np.linalg.eigvalsh(m)
-        vpq = bp.conj().mT @ vm @ bq
+        vpq = bp.conj().mT @ v @ bq
 
     def sigma_at(z, rows=...) -> np.ndarray:
         z = np.asarray(z, dtype=float)

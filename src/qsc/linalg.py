@@ -4,10 +4,10 @@ last factor is the one a partial trace removes (a run's bath).
 Value types (operators, density matrices) are immutable after
 construction and validate their own invariants.  `Operator` is the type of
 a Hamiltonian where it enters a run from outside the code that built it
-(an H_S, a replayed dump, a matrix handed to a bound checker's
-single-instance API), tested once, when built; a coupling, and a bound
-suite's generated input, are built exact.  A Hamiltonian derived from them
-is a plain array and is not tested again:
+(an H_S, a replayed dump's matrix), tested once, when built; a coupling,
+and a bound suite's generated input, are built exact.  No function takes
+an `Operator`: its caller hands in the `matrix`.  A Hamiltonian derived
+from them is a plain array and is not tested again:
 
   * kron products with real symmetric bath factors, real scalings and
     sums of exactly Hermitian operators are exactly Hermitian: an entry
@@ -191,9 +191,6 @@ class DensityMatrix(_Frozen):
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of the Hermitian part, computed at most once."""
         if self._min_eig is None:
@@ -202,22 +199,16 @@ class DensityMatrix(_Frozen):
         return self._min_eig
 
 
-def _matrix(op: Operator | np.ndarray) -> np.ndarray:
-    """The entries of an `Operator`, or the plain array (or stack) itself."""
-    return op.matrix if isinstance(op, Operator) else op
-
-
 def _hermitian_part(p: np.ndarray) -> np.ndarray:
     """(p + p^+)/2 of a square matrix or of each of a stack: exactly
     Hermitian (see the module docstring)."""
     return (p + p.conj().mT) / 2
 
 
-def operator_norm(op: Operator | np.ndarray) -> float | np.ndarray:
-    """Operator 2-norm of a Hermitian operator, or of an array the caller
-    knows to be Hermitian: its largest |eigenvalue|.  Of a stack, the
-    array of the norms of its matrices, from one batched eigvalsh."""
-    m = _matrix(op)
+def operator_norm(m: np.ndarray) -> float | np.ndarray:
+    """Operator 2-norm of a matrix the caller knows to be Hermitian: its
+    largest |eigenvalue|.  Of a stack, the array of the norms of its
+    matrices, from one batched eigvalsh."""
     norms = np.max(np.abs(np.linalg.eigvalsh(m)), axis=-1)
     return norms if m.ndim > 2 else float(norms)
 

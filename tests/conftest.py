@@ -23,6 +23,12 @@ def random_hermitian(rng, dim, scale=1.0):
     return scale * (z + z.conj().T) / 2
 
 
+def seed_array(*seeds) -> np.ndarray:
+    """The seeds as a 1-D uint64 array, the form the bound instance makers
+    take: one instance per seed."""
+    return np.array(seeds, dtype=np.uint64)
+
+
 def haar_gate(rng, dim):
     """A Haar-random dim x dim unitary (QR of a complex Gaussian matrix,
     phases fixed by R's diagonal)."""

@@ -471,11 +471,11 @@ def self_energy_by_series(ctx, v, z: float, order: int, gap: float) -> np.ndarra
     bp = ctx.p
     gq = green_function(ctx, z, gap).matrix
     sigma_full = np.zeros_like(gq)
-    term = gq @ v.matrix @ (bp @ bp.conj().T)  # G_Q V P
+    term = gq @ v @ (bp @ bp.conj().T)  # G_Q V P
     for _ in range(2, order + 1):
-        sigma_full += v.matrix @ term  # V (G_Q V)^k P pieces projected below
-        term = gq @ (v.matrix @ term)
-    sigma = bp.conj().T @ (sigma_full + ctx.h.matrix + v.matrix) @ bp
+        sigma_full += v @ term  # V (G_Q V)^k P pieces projected below
+        term = gq @ (v @ term)
+    sigma = bp.conj().T @ (sigma_full + ctx.h + v) @ bp
     return (sigma + sigma.conj().T) / 2
 
 
@@ -490,32 +490,34 @@ def self_energy_spectral(ctx, v, zs) -> np.ndarray:
     checks no pole."""
     bp, bq = ctx.p, ctx.q
     zs = np.asarray(zs, dtype=float).reshape(-1)
-    sigma = np.broadcast_to(bp.conj().T @ (ctx.h.matrix + v.matrix) @ bp,
+    sigma = np.broadcast_to(bp.conj().T @ (ctx.h + v) @ bp,
                             (zs.size, bp.shape[1], bp.shape[1]))
     if bq.shape[1]:
-        w, u = np.linalg.eigh(bq.conj().T @ (ctx.h.matrix + v.matrix) @ bq)
-        c = (bp.conj().T @ v.matrix @ bq) @ u
+        w, u = np.linalg.eigh(bq.conj().T @ (ctx.h + v) @ bq)
+        c = (bp.conj().T @ v @ bq) @ u
         sigma = sigma + np.einsum("ik,zk,jk->zij", c, 1.0 / (zs[:, None] - w), c.conj())
     return (sigma + sigma.conj().transpose(0, 2, 1)) / 2
 
 
 def closeness_radius_pointwise(inst, grid_points: int = 64) -> float:
-    """The closeness radius gamma of a window instance, computed one z at a
-    time: the eigen-expansion `self_energy_spectral` and an SVD 2-norm per
-    grid point, with the same self-consistent sweeps as the bounds lab."""
+    """The closeness radius gamma of a window instance (a stack of one),
+    computed one z at a time: the eigen-expansion `self_energy_spectral`
+    and an SVD 2-norm per grid point, with the same self-consistent sweeps
+    as the bounds lab."""
     from qsc.errors import HypothesisUnmet
     from qsc.levelshift import make_context
 
     lam_lo, lam_hi = inst.window
-    w, vecs = np.linalg.eigh(inst.h.matrix)
+    h, v = inst.h[0], inst.v[0]
+    w, vecs = np.linalg.eigh(h)
     mask = (w > lam_lo) & (w < lam_hi)
-    ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
-    h_eff = self_energy_spectral(ctx, inst.v, [float(np.mean(w[mask]))])[0]
+    ctx = make_context(h, vecs[:, mask], vecs[:, ~mask], inst.gap)
+    h_eff = self_energy_spectral(ctx, v, [float(np.mean(w[mask]))])[0]
 
     def grid_bound(lo, hi):
         worst = 0.0
         for z in np.linspace(lo, hi, grid_points):
-            sig = self_energy_spectral(ctx, inst.v, [float(z)])[0]
+            sig = self_energy_spectral(ctx, v, [float(z)])[0]
             worst = max(worst, float(np.linalg.norm(sig - h_eff, 2)))
         return worst
 
@@ -858,7 +860,7 @@ def green_function(ctx, z: float, gap: float):
     from qsc.linalg import Operator
 
     bq = ctx.q
-    hq = bq.conj().T @ ctx.h.matrix @ bq
+    hq = bq.conj().T @ ctx.h @ bq
     w, v = np.linalg.eigh(hq)
     guard = gap * config.POLE_GUARD_FRACTION
     if w.size and np.min(np.abs(z - w)) < guard * (1 - config.RESIDUAL_RTOL):
@@ -948,7 +950,7 @@ def qutrit_truncation_check(h_s, ground, band_vectors: np.ndarray, omega1: float
 
     h_full, v, _ = qutrit_bath_by_kron(h_s.matrix, t_s.matrix, omega1, 1.0)
     # both terms enter the self-energy separately, so both are checked
-    h_full, v = Operator(h_full), Operator(v)
+    h_full, v = Operator(h_full).matrix, Operator(v).matrix
     dim_s = h_s.dim
     band = np.asarray(band_vectors, dtype=complex)
     if band.ndim == 1:

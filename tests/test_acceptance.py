@@ -248,48 +248,49 @@ def test_criterion_6_bound_suites(tmp_path):
         counts[name] = (rep.passes, rep.vacuous, len(rep.violations))
         clean = clean and not rep.violations and (rep.passes + rep.vacuous == 100)
 
+    # each negative control is a stack of one, whose one outcome is vacuous
     gates_fired = 0
-    with pytest.raises(HypothesisUnmet):
-        check_sylvester(
-            Operator(np.eye(2, dtype=complex)),
-            Operator(0.5 * np.eye(2, dtype=complex)),
-            np.ones((2, 2)),
-        )
+    (res,) = check_sylvester(
+        np.eye(2, dtype=complex)[None],
+        0.5 * np.eye(2, dtype=complex)[None],
+        np.ones((1, 2, 2)),
+    )
+    assert isinstance(res, HypothesisUnmet)
     gates_fired += 1
-    with pytest.raises(HypothesisUnmet):
-        check_block_resolvent(
-            Operator(np.ones((4, 4), dtype=complex) + np.eye(4)),
-            Operator(np.zeros((4, 4), dtype=complex)),
-            2,
-        )
+    (res,) = check_block_resolvent(
+        (np.ones((4, 4), dtype=complex) + np.eye(4))[None],
+        np.zeros((1, 4, 4), dtype=complex),
+        2,
+    )
+    assert isinstance(res, HypothesisUnmet)
     gates_fired += 1
-    inst = make_windowed_instance(seed=1)
-    big_v = Operator(inst.gap / 1.9 / np.linalg.norm(inst.v.matrix, 2) * 1.9 * inst.v.matrix)
-    with pytest.raises(HypothesisUnmet):
-        check_spectral_correspondence(
-            BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap)
-        )
+    inst = make_windowed_instance(np.array([1], dtype=np.uint64))
+    big_v = inst.gap / 1.9 / np.linalg.norm(inst.v[0], 2) * 1.9 * inst.v
+    (res,) = check_spectral_correspondence(
+        BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap)
+    )
+    assert isinstance(res, HypothesisUnmet)
     gates_fired += 1
-    collar_h = Operator(np.diag([0.0, 0.25]).astype(complex))
-    with pytest.raises(HypothesisUnmet):
-        check_subspace_overlap(
-            BoundInstance(
-                h=collar_h,
-                v=Operator(np.zeros((2, 2), dtype=complex)),
-                window=(-0.5, 0.5), gap=1.0,
-            )
+    collar_h = np.diag([0.0, 0.25]).astype(complex)[None]
+    (res,) = check_subspace_overlap(
+        BoundInstance(
+            h=collar_h,
+            v=np.zeros((1, 2, 2), dtype=complex),
+            window=(-0.5, 0.5), gap=1.0,
         )
+    )
+    assert isinstance(res, HypothesisUnmet)
     gates_fired += 1
-    degenerate = Operator(np.diag([0.0, 0.0, 2.0, -2.0]).astype(complex))
-    vm = np.zeros((4, 4), dtype=complex)
-    vm[2:, 2:] = 0.05 * np.array([[0, 1], [1, 0]])
-    with pytest.raises(HypothesisUnmet):
-        check_corollaries(
-            BoundInstance(
-                h=degenerate, v=Operator(vm),
-                window=(-1.0, 1.0), gap=1.0,
-            )
+    degenerate = np.diag([0.0, 0.0, 2.0, -2.0]).astype(complex)[None]
+    v = np.zeros((1, 4, 4), dtype=complex)
+    v[0, 2:, 2:] = 0.05 * np.array([[0, 1], [1, 0]])
+    (res,) = check_corollaries(
+        BoundInstance(
+            h=degenerate, v=v,
+            window=(-1.0, 1.0), gap=1.0,
         )
+    )
+    assert isinstance(res, HypothesisUnmet)
     gates_fired += 1
 
     ok = clean and gates_fired == 5

@@ -2,6 +2,7 @@
 suites, hypothesis gates (negative controls), violation dumps, and the
 protocol residual-scaling report."""
 
+import inspect
 import json
 import math
 from pathlib import Path
@@ -40,7 +41,7 @@ from qsc.bounds import (
     run_suite,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, seed_array
 from oracles import CountingLinalg, closeness_radius_pointwise
 
 # The r grid a `qsc bounds` run hands the protocol lemmas by default.
@@ -48,11 +49,11 @@ LAB_R_GRID = tuple(experiments.CONFIG_KEYS["bounds"]["r_grid"][1])
 
 
 def _effective(inst: BoundInstance):
-    """The self-energy step of the window checks on one instance, run as a
-    stack of one: its P basis, H_eff, closeness radius and H_eff spectrum,
-    or its HypothesisUnmet raised."""
+    """The self-energy step of the window checks on a stack of one: its P
+    basis, H_eff, closeness radius and H_eff spectrum, or its
+    HypothesisUnmet raised."""
     outcomes = [None]
-    groups = bounds._effective_hamiltonians(bounds._stack_of(inst), outcomes)
+    groups = bounds._effective_hamiltonians(inst, outcomes)
     if outcomes[0] is not None:
         raise outcomes[0]
     ((_, _, p, h_eff, gamma, spec),) = groups
@@ -64,13 +65,14 @@ def _seeds(master: int, count: int) -> np.ndarray:
 
 
 def _sweeps_alone(inst: BoundInstance) -> int:
-    """How many sweeps the closeness radius of one instance takes, by the
+    """How many sweeps the closeness radius of a stack of one takes, by the
     one-instance loop: sweep [c, d], then [c - gamma, d + gamma] until the
     radius settles, at most 8 times more."""
-    w, vecs = np.linalg.eigh(inst.h.matrix)
+    h, v = inst.h[0], inst.v[0]
+    w, vecs = np.linalg.eigh(h)
     lam_lo, lam_hi = inst.window
     mask = (w > lam_lo) & (w < lam_hi)
-    sigma_at = self_energy(make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap), inst.v)
+    sigma_at = self_energy(make_context(h, vecs[:, mask], vecs[:, ~mask], inst.gap), v)
     h_eff = sigma_at(float(np.mean(w[mask])))
     spec = np.linalg.eigvalsh(h_eff)
     c, d = spec[0], spec[-1]
@@ -90,15 +92,15 @@ def _sweeps_alone(inst: BoundInstance) -> int:
 
 class TestWeyl:
     def test_identical_pair_zero_margins(self, rng):
-        h = Operator(random_hermitian(rng, 5))
-        res = check_weyl(h, h)
+        h = random_hermitian(rng, 5)[None]
+        (res,) = check_weyl(h, h)
         assert res.passed
         assert max(abs(m) for m in res.margins) < 1e-12
 
     def test_commuting_shift_saturates(self):
-        h = Operator(np.diag([0.0, 1.0]).astype(complex))
-        ht = Operator(np.diag([0.1, 1.1]).astype(complex))
-        res = check_weyl(h, ht)
+        h = np.diag([0.0, 1.0]).astype(complex)[None]
+        ht = np.diag([0.1, 1.1]).astype(complex)[None]
+        (res,) = check_weyl(h, ht)
         assert res.passed
         assert res.details["norm_diff"] == pytest.approx(0.1)
         assert min(res.margins) == pytest.approx(0.0, abs=1e-12)
@@ -106,32 +108,32 @@ class TestWeyl:
 
 class TestSylvester:
     def test_zero_map(self):
-        a = Operator(np.diag([0.3, -0.2]).astype(complex))
-        b = Operator(np.diag([2.0, 3.0]).astype(complex))
-        res = check_sylvester(a, b, np.zeros((2, 2)))
+        a = np.diag([0.3, -0.2]).astype(complex)[None]
+        b = np.diag([2.0, 3.0]).astype(complex)[None]
+        (res,) = check_sylvester(a, b, np.zeros((1, 2, 2)))
         assert res.passed
 
     def test_pure_scaling_saturates(self, rng):
         beta = 1.7
-        a = Operator(np.zeros((3, 3), dtype=complex))
-        b = Operator(beta * np.eye(3, dtype=complex))
-        x = rng.normal(size=(3, 3))
-        res = check_sylvester(a, b, x)
+        a = np.zeros((1, 3, 3), dtype=complex)
+        b = beta * np.eye(3, dtype=complex)[None]
+        x = rng.normal(size=(1, 3, 3))
+        (res,) = check_sylvester(a, b, x)
         assert res.passed
         assert min(res.margins) == pytest.approx(0.0, abs=1e-9)
 
     def test_hypothesis_gate(self, rng):
-        a = Operator(np.eye(2, dtype=complex))
-        b = Operator(0.5 * np.eye(2, dtype=complex))
-        with pytest.raises(HypothesisUnmet):
-            check_sylvester(a, b, rng.normal(size=(2, 2)))
+        a = np.eye(2, dtype=complex)[None]
+        b = 0.5 * np.eye(2, dtype=complex)[None]
+        (res,) = check_sylvester(a, b, rng.normal(size=(1, 2, 2)))
+        assert isinstance(res, HypothesisUnmet)
 
 
 class TestBlockResolvent:
     def test_zero_perturbation(self):
-        a = Operator(np.diag([2.0, 2.0, 3.0, 3.0]).astype(complex))
-        b = Operator(np.zeros((4, 4), dtype=complex))
-        res = check_block_resolvent(a, b, split=2)
+        a = np.diag([2.0, 2.0, 3.0, 3.0]).astype(complex)[None]
+        b = np.zeros((1, 4, 4), dtype=complex)
+        (res,) = check_block_resolvent(a, b, split=2)
         assert res.passed
         # inverse block norms are exactly 1/G_i; cross-block norm is 0
         assert res.margins[0] == pytest.approx(0.0, abs=1e-12)
@@ -140,61 +142,61 @@ class TestBlockResolvent:
         # with vanishing diagonal blocks the closed 2x2 inverse saturates
         # the cross-block bound exactly
         g1, g2, b12 = 2.0, 3.0, 0.5
-        a = Operator(np.diag([g1, g2]).astype(complex))
-        b = Operator(np.array([[0, b12], [b12, 0]], dtype=complex))
-        res = check_block_resolvent(a, b, split=1)
+        a = np.diag([g1, g2]).astype(complex)
+        b = np.array([[0, b12], [b12, 0]], dtype=complex)
+        (res,) = check_block_resolvent(a[None], b[None], split=1)
         assert res.passed
-        inv = np.linalg.inv(a.matrix - b.matrix)
+        inv = np.linalg.inv(a - b)
         assert abs(inv[0, 1]) == pytest.approx(b12 / (g1 * g2 - b12 ** 2), abs=1e-12)
         assert res.margins[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_not_block_diagonal_gate(self, rng):
-        a = Operator(random_hermitian(rng, 4))
-        b = Operator(np.zeros((4, 4), dtype=complex))
-        with pytest.raises(HypothesisUnmet):
-            check_block_resolvent(a, b, split=2)
+        a = random_hermitian(rng, 4)[None]
+        b = np.zeros((1, 4, 4), dtype=complex)
+        (res,) = check_block_resolvent(a, b, split=2)
+        assert isinstance(res, HypothesisUnmet)
 
     def test_oversized_perturbation_gate(self):
-        a = Operator(np.diag([1.0, 1.0]).astype(complex))
-        b = Operator(np.diag([0.9, 0.0]).astype(complex))
-        with pytest.raises(HypothesisUnmet):
-            check_block_resolvent(a, b, split=1)
+        a = np.diag([1.0, 1.0]).astype(complex)[None]
+        b = np.diag([0.9, 0.0]).astype(complex)[None]
+        (res,) = check_block_resolvent(a, b, split=1)
+        assert isinstance(res, HypothesisUnmet)
 
 
 class TestSpectralCorrespondence:
     def test_unperturbed_exact(self):
-        inst = make_windowed_instance(seed=5)
+        inst = make_windowed_instance(seed_array(5))
         exact = BoundInstance(
             h=inst.h,
-            v=Operator(np.zeros_like(inst.v.matrix)),
+            v=np.zeros_like(inst.v),
             window=inst.window, gap=inst.gap,
         )
-        res = check_spectral_correspondence(exact)
+        (res,) = check_spectral_correspondence(exact)
         assert res.passed
         assert min(res.margins) >= -1e-12
 
     def test_full_window_empty_complement(self):
         # every eigenvalue of H lies in the window, so P is the whole space
         # and Sigma_P(z) = P(H+V)P has no resolvent part
-        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex))
+        h = np.diag([-0.2, 0.1, 0.3]).astype(complex)
         v = random_hermitian(np.random.default_rng(9), 3)
-        v = Operator(0.05 / operator_norm(v) * v)
-        inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=1.0)
-        res = check_spectral_correspondence(inst)
+        v = 0.05 / operator_norm(v) * v
+        inst = BoundInstance(h=h[None], v=v[None], window=(-1.0, 1.0), gap=1.0)
+        (res,) = check_spectral_correspondence(inst)
         assert res.passed
         assert len(res.margins) == 3
         payload = {
             "suite": "spectral_correspondence",
-            "h": [[[float(x.real), float(x.imag)] for x in row] for row in h.matrix],
-            "v": [[[float(x.real), float(x.imag)] for x in row] for row in v.matrix],
+            "h": [[[float(x.real), float(x.imag)] for x in row] for row in h],
+            "v": [[[float(x.real), float(x.imag)] for x in row] for row in v],
             "window": [-1.0, 1.0], "gap": 1.0,
         }
         assert replay_instance(json.loads(json.dumps(payload))).passed
 
     @pytest.mark.parametrize("make_instance", [
-        lambda seed: make_windowed_instance(seed),
-        lambda seed: make_windowed_instance(seed, dim=16, p_rank=4, v_scale=0.6),
-        lambda seed: make_multiband_instance(seed),
+        lambda seed: make_windowed_instance(seed_array(seed)),
+        lambda seed: make_windowed_instance(seed_array(seed), dim=16, p_rank=4, v_scale=0.6),
+        lambda seed: make_multiband_instance(seed_array(seed)),
     ], ids=["windowed", "windowed-strong", "multiband"])
     def test_gamma_matches_pointwise_reference(self, make_instance):
         for k in range(8):
@@ -204,9 +206,9 @@ class TestSpectralCorrespondence:
             assert gamma == pytest.approx(ref, rel=1e-10, abs=0)
 
     @pytest.mark.parametrize("make_instance", [
-        lambda seed: make_windowed_instance(seed),
-        lambda seed: make_windowed_instance(seed, p_rank=1),
-        lambda seed: make_multiband_instance(seed),
+        lambda seed: make_windowed_instance(seed_array(seed)),
+        lambda seed: make_windowed_instance(seed_array(seed), p_rank=1),
+        lambda seed: make_multiband_instance(seed_array(seed)),
     ], ids=["windowed", "rank-one", "multiband"])
     def test_pruned_grid_is_the_full_batch_bit_for_bit(self, monkeypatch, make_instance):
         # every sweep of the closeness radius, the grid pruned to its two
@@ -236,8 +238,8 @@ class TestSpectralCorrespondence:
     def test_the_two_ends_are_every_sweeps_supremum(self, seed, multiband, p_rank, v_scale):
         # each sweep's two ends, against the batched 64-point grid the
         # radius was once read off, and a 1025-point grid
-        inst = (make_multiband_instance(seed) if multiband
-                else make_windowed_instance(seed, p_rank=p_rank, v_scale=v_scale))
+        inst = (make_multiband_instance(seed_array(seed)) if multiband
+                else make_windowed_instance(seed_array(seed), p_rank=p_rank, v_scale=v_scale))
         ends = bounds._sigma_grid_bound
         sweeps = []
 
@@ -263,12 +265,12 @@ class TestSpectralCorrespondence:
         # |V| = 0.6 >= gap/2 moves Q's eigenvalue -1.2 to a pole of Sigma_P
         # at -0.6, inside [c, d], the spread of H_eff's spectrum around
         # P's eigenvalues -0.8 and 0.8
-        h = Operator(np.diag([-0.8, 0.8, -1.2, 2.0]).astype(complex))
+        h = np.diag([-0.8, 0.8, -1.2, 2.0]).astype(complex)
         v = np.zeros((4, 4), dtype=complex)
         v[2, 2] = 0.6
         v[0, 2] = v[2, 0] = 0.05
-        inst = BoundInstance(h=h, v=Operator(v), window=(-1.0, 1.0), gap=0.2)
-        pole = np.linalg.eigvalsh((h.matrix + v)[2:, 2:])[0]
+        inst = BoundInstance(h=h[None], v=v[None], window=(-1.0, 1.0), gap=0.2)
+        pole = np.linalg.eigvalsh((h + v)[2:, 2:])[0]
         assert -0.8 < pole < 0.8
         monkeypatch.setattr(bounds, "_sigma_grid_bound",
                             lambda *args: pytest.fail("an interval was swept"))
@@ -276,26 +278,24 @@ class TestSpectralCorrespondence:
             _effective(inst)
 
     def test_collar_gate(self):
-        inst = make_windowed_instance(seed=6)
+        inst = make_windowed_instance(seed_array(6))
         lam_lo, _ = inst.window
-        dim = inst.h.dim
         # move one eigenvalue into the lower collar
-        w, v = np.linalg.eigh(inst.h.matrix)
+        w, v = np.linalg.eigh(inst.h[0])
         w[0] = lam_lo
-        bad = Operator(v @ np.diag(w.astype(complex)) @ v.conj().T)
-        with pytest.raises(HypothesisUnmet):
-            check_spectral_correspondence(
-                BoundInstance(h=bad, v=inst.v, window=inst.window, gap=inst.gap)
-            )
+        bad = bounds._spectral_product(v, w)[None]
+        (res,) = check_spectral_correspondence(
+            BoundInstance(h=bad, v=inst.v, window=inst.window, gap=inst.gap)
+        )
+        assert isinstance(res, HypothesisUnmet)
 
     def test_oversized_coupling_gate(self):
-        inst = make_windowed_instance(seed=7)
-        big_v = Operator(inst.gap / operator_norm(inst.v) * inst.v.matrix)
-        with pytest.raises(HypothesisUnmet):
-            check_spectral_correspondence(
-                BoundInstance(h=inst.h, v=big_v, window=inst.window,
-                              gap=inst.gap)
-            )
+        inst = make_windowed_instance(seed_array(7))
+        big_v = inst.gap / operator_norm(inst.v[0]) * inst.v
+        (res,) = check_spectral_correspondence(
+            BoundInstance(h=inst.h, v=big_v, window=inst.window, gap=inst.gap)
+        )
+        assert isinstance(res, HypothesisUnmet)
 
 
 class TestCountedWork:
@@ -347,7 +347,7 @@ class TestCountedWork:
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
         sweeps = self._count_sweeps(monkeypatch, counts)
-        assert all(r.passed for r in bounds._spectral_correspondence(inst))
+        assert all(r.passed for r in check_spectral_correspondence(inst))
         assert counts.count("cond") == 0
         assert counts.count("svd") == 0
         assert counts.count("norm2") == 0   # H + V is a plain array, not checked
@@ -380,7 +380,7 @@ class TestCountedWork:
         assert counts.count("solve") == 1 + len(per_sweep)
         # sweep t holds exactly the instances whose own runs sweep t times
         # or more: each stops where it would alone
-        alone = [_sweeps_alone(BoundInstance(h=Operator(h), v=Operator(v), window=inst.window,
+        alone = [_sweeps_alone(BoundInstance(h=h[None], v=v[None], window=inst.window,
                                              gap=inst.gap)) for h, v in zip(inst.h, inst.v)]
         assert [solves[0][0] for solves, _ in per_sweep] == [
             sum(own >= t for own in alone) for t in range(1, max(alone) + 1)]
@@ -391,7 +391,7 @@ class TestCountedWork:
         counts = CountingLinalg(monkeypatch)
         counts.track(np.linalg, "eigh", "eigh_args")
         sweeps = self._count_sweeps(monkeypatch, counts)
-        outcomes = bounds._corollaries(inst)
+        outcomes = check_corollaries(inst)
         assert not any(isinstance(r, HypothesisUnmet) for r in outcomes)
         # H and H + V of the stack, and the H_eff stack's eigenvectors for
         # its top eigenspaces; the windows of H + V are read off its eigh
@@ -414,42 +414,82 @@ class TestCountedWork:
 
 
 def _deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
+    return float(np.max(np.abs(m - m.conj().mT)))
 
 
 class TestHTilde:
-    """H + V is a plain array, not a validated operator: it deviates from
-    Hermitian by at most H's deviation plus V's, plus one rounding of each
-    of two mirrored entries (eps/2 of each modulus)."""
+    """H + V is a plain array, not a validated operator: for H and V that
+    entered as validated operators, it deviates from Hermitian by at most
+    H's deviation plus V's, plus one rounding of each of two mirrored
+    entries (eps/2 of each modulus)."""
 
     @given(seed=st.integers(0, 2 ** 32 - 1), multiband=st.booleans(), dim=st.integers(6, 16),
            skew=st.sampled_from([0.0, 1e-14, 1e-12]))
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_deviation_is_at_most_the_terms(self, seed, multiband, dim, skew):
-        inst = (make_multiband_instance if multiband else make_windowed_instance)(seed, dim=dim)
+        make = make_multiband_instance if multiband else make_windowed_instance
+        inst = make(seed_array(seed), dim=dim)
         if skew:
             # terms off Hermitian by up to about `skew`, inside the check
             rng = np.random.default_rng(seed)
-            h, v = (Operator(op.matrix + skew * random_hermitian(rng, dim) * 1j)
-                    for op in (inst.h, inst.v))
+            h, v = (Operator(m[0] + skew * random_hermitian(rng, dim) * 1j).matrix[None]
+                    for m in (inst.h, inst.v))
             inst = BoundInstance(h=h, v=v, window=inst.window, gap=inst.gap)
         h_tilde = inst.h_tilde
         assert type(h_tilde) is np.ndarray
-        assert np.array_equal(h_tilde, inst.h.matrix + inst.v.matrix)
+        assert np.array_equal(h_tilde, inst.h + inst.v)
         eps = np.finfo(float).eps
-        bound = (_deviation(inst.h.matrix) + _deviation(inst.v.matrix)
+        bound = (_deviation(inst.h) + _deviation(inst.v)
                  + eps * np.max(np.abs(h_tilde))) * (1 + 4 * eps)
         assert _deviation(h_tilde) <= bound
 
 
+class TestBoundInstance:
+    """A window stack holds (k, n, n) plain arrays of one shape, a finite
+    window lo < hi and a finite gap > 0; anything else is a ValueError
+    when it is built, so no checker reads it."""
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda inst: {"h": inst.h[0], "v": inst.v[0]}, "stacks of one shape"),
+        (lambda inst: {"v": inst.v[:, :-1, :-1]}, "stacks of one shape"),
+        (lambda inst: {"h": inst.h[:, :, :-1], "v": inst.v[:, :, :-1]}, "stacks of one shape"),
+        (lambda inst: {"h": Operator(inst.h[0])}, "stacks of one shape"),
+        (lambda inst: {"window": (1.0, -1.0)}, "window"),
+        (lambda inst: {"window": (0.5, 0.5)}, "window"),
+        (lambda inst: {"window": (math.nan, 1.0)}, "window"),
+        (lambda inst: {"window": (-1.0, math.inf)}, "window"),
+        (lambda inst: {"gap": math.nan}, "gap"),
+        (lambda inst: {"gap": -1.0}, "gap"),
+        (lambda inst: {"gap": 0.0}, "gap"),
+        (lambda inst: {"gap": math.inf}, "gap"),
+    ], ids=["single-matrices", "v-shape", "not-square", "operator", "reversed-window",
+            "empty-window", "nan-window", "infinite-window", "nan-gap", "negative-gap",
+            "zero-gap", "infinite-gap"])
+    def test_a_bad_stack_window_or_gap_is_refused(self, change, message):
+        inst = make_windowed_instance(seed_array(5))
+        fields = {"h": inst.h, "v": inst.v, "window": inst.window, "gap": inst.gap}
+        with pytest.raises(ValueError, match=message):
+            BoundInstance(**(fields | change(inst)))
+
+    @pytest.mark.parametrize("entry", [[math.nan, 0.0], [0.0, math.inf]], ids=["nan", "inf"])
+    def test_a_replayed_sylvester_x_must_be_finite(self, entry):
+        draw, _, dim = SUITES["sylvester"]
+        payload = bounds._payload(draw(seed_array(5), dim), 0) | {"suite": "sylvester"}
+        payload = json.loads(json.dumps(payload))
+        assert replay_instance(payload).passed
+        payload["x"][0][0] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            replay_instance(payload)
+
+
 class TestSubspaceOverlap:
     def test_identical_overlaps_one(self):
-        inst = make_windowed_instance(seed=8)
+        inst = make_windowed_instance(seed_array(8))
         same = BoundInstance(
-            h=inst.h, v=Operator(np.zeros_like(inst.v.matrix)),
+            h=inst.h, v=np.zeros_like(inst.v),
             window=inst.window, gap=inst.gap,
         )
-        res = check_subspace_overlap(same)
+        (res,) = check_subspace_overlap(same)
         assert res.passed
         bound = res.details["bound"]
         assert min(res.margins) == pytest.approx(1.0 - bound, abs=1e-9)
@@ -457,10 +497,10 @@ class TestSubspaceOverlap:
     def test_rank_one_rotation_closed_form(self):
         gap = 1.0
         eps = 0.1
-        h = Operator(np.diag([0.0, gap]).astype(complex))
-        v = Operator(np.array([[0, eps], [eps, 0]], dtype=complex))
+        h = np.diag([0.0, gap]).astype(complex)[None]
+        v = np.array([[0, eps], [eps, 0]], dtype=complex)[None]
         inst = BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap)
-        res = check_subspace_overlap(inst)
+        (res,) = check_subspace_overlap(inst)
         assert res.passed
         theta = 0.5 * math.atan2(2 * eps, gap)
         overlap = math.cos(theta) ** 2
@@ -469,18 +509,18 @@ class TestSubspaceOverlap:
 
     def test_collar_gate(self):
         gap = 1.0
-        h = Operator(np.diag([0.0, gap / 4]).astype(complex))
-        v = Operator(np.zeros((2, 2), dtype=complex))
-        with pytest.raises(HypothesisUnmet):
-            check_subspace_overlap(
-                BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap)
-            )
+        h = np.diag([0.0, gap / 4]).astype(complex)[None]
+        v = np.zeros((1, 2, 2), dtype=complex)
+        (res,) = check_subspace_overlap(
+            BoundInstance(h=h, v=v, window=(-gap / 2, gap / 2), gap=gap)
+        )
+        assert isinstance(res, HypothesisUnmet)
 
 
 class TestCorollaries:
     def test_multiband_random(self):
-        inst = make_multiband_instance(seed=12)
-        res = check_corollaries(inst)
+        inst = make_multiband_instance(seed_array(12))
+        (res,) = check_corollaries(inst)
         assert res.passed
 
     def test_degenerate_effective_spectrum_gate(self):
@@ -488,24 +528,23 @@ class TestCorollaries:
         # Hamiltonian exactly degenerate: eta <= gamma must be refused
         gap = 1.0
         evals = np.array([0.0, 0.0, 2.0, -2.0, 2.5])
-        h = Operator(np.diag(evals.astype(complex)))
+        h = np.diag(evals.astype(complex))[None]
         rng = np.random.default_rng(3)
-        vm = np.zeros((5, 5), dtype=complex)
-        vm[2:, 2:] = random_hermitian(rng, 3, scale=0.05)
-        v = Operator(vm)
+        v = np.zeros((1, 5, 5), dtype=complex)
+        v[0, 2:, 2:] = random_hermitian(rng, 3, scale=0.05)
         inst = BoundInstance(h=h, v=v, window=(-1.0, 1.0), gap=gap)
-        with pytest.raises(HypothesisUnmet):
-            check_corollaries(inst)
+        (res,) = check_corollaries(inst)
+        assert isinstance(res, HypothesisUnmet)
 
     def test_band_gap_gate(self):
         # an outside eigenvalue closer than the declared gap is refused
         gap = 0.6
         evals = np.array([0.0, 1.0, 1.0 + gap / 3, 4.0])
-        h = Operator(np.diag(evals.astype(complex)))
-        v = Operator(np.zeros((4, 4), dtype=complex))
+        h = np.diag(evals.astype(complex))[None]
+        v = np.zeros((1, 4, 4), dtype=complex)
         inst = BoundInstance(h=h, v=v, window=(-0.3, 1.3), gap=gap)
-        with pytest.raises(HypothesisUnmet):
-            check_corollaries(inst)
+        (res,) = check_corollaries(inst)
+        assert isinstance(res, HypothesisUnmet)
 
     def test_clock_band_block(self):
         # the composite band block of a clock model under its coupling:
@@ -515,11 +554,11 @@ class TestCorollaries:
         xs = overlap_coefficients(length)
         omega_b = 0.37
         diag = np.concatenate([omegas, omegas + omega_b])
-        h = Operator(np.diag(diag.astype(complex)))
+        h = np.diag(diag.astype(complex))[None]
         rank_one = np.outer(xs, xs)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         omega0 = 0.003
-        v = Operator(omega0 * np.kron(sx, rank_one))
+        v = (omega0 * np.kron(sx, rank_one))[None]
         # band ordering after the kron: (down block, up block)
         gaps = np.abs(np.subtract.outer(diag, diag))
         gap = float(np.min(gaps[gaps > 1e-12]))
@@ -527,7 +566,7 @@ class TestCorollaries:
             h=h, v=v, window=(float(diag.min() - gap / 2), float(diag.max() + gap / 2)),
             gap=gap * 0.99,
         )
-        res = bounds._one(bounds._multiband_overlap(bounds._stack_of(inst)))
+        (res,) = bounds._multiband_overlap(inst)
         assert res.passed
         assert res.details["bands"] == 8
 
@@ -614,7 +653,7 @@ class TestSuiteTable:
         monkeypatch.setattr(bounds, "CheckResult", _AlwaysFails)
         rep = run_suite(name, 3, master_seed=404, out_dir=tmp_path)
         words = Stream(404).words(3)
-        draw, _, _, dim = SUITES[name]
+        draw, _, dim = SUITES[name]
         assert rep.violations
         for path in rep.violations:
             payload = json.loads(Path(path).read_text())
@@ -626,11 +665,13 @@ class TestSuiteTable:
     @pytest.mark.parametrize("name", list(SUITES))
     def test_clean_run_validates_each_handed_matrix_once(self, name, tmp_path, monkeypatch):
         # no dump payload is built for a passing instance, and no matrix a
-        # run hands its stacked checker is an Operator, so none is
-        # validated: each is a generated stack, built exactly Hermitian
-        # (Sylvester's X is not a Hermitian input)
+        # run hands its checker is an Operator, so none is validated: each
+        # is a generated stack, built exactly Hermitian (Sylvester's X is
+        # not a Hermitian input).  A replay of one of those instances
+        # validates each Hermitian matrix it decodes, once
         encoded = []
-        monkeypatch.setattr(bounds, "_matrix_payload", encoded.append)
+        encode = bounds._matrix_payload
+        monkeypatch.setattr(bounds, "_matrix_payload", lambda m: encoded.append(m) or encode(m))
         validated = []
         validate = Operator.__post_init__
 
@@ -639,14 +680,14 @@ class TestSuiteTable:
             validate(op)
 
         monkeypatch.setattr(Operator, "__post_init__", counting)
-        draw, check, single, dim = SUITES[name]
+        draw, check, dim = SUITES[name]
         handed = []
 
         def recording(**args):
             handed.append(args)
             return check(**args)
 
-        monkeypatch.setitem(SUITES, name, (draw, recording, single, dim))
+        monkeypatch.setitem(SUITES, name, (draw, recording, dim))
         rep = run_suite(name, 4, master_seed=101, out_dir=tmp_path)
         assert not rep.violations and rep.passes + rep.vacuous == 4
         assert encoded == []
@@ -659,6 +700,15 @@ class TestSuiteTable:
         for m in matrices:
             assert type(m) is np.ndarray and m.shape[0] == 4
             assert np.array_equal(m, m.conj().mT)
+        # the replay of instance 1: its h and v, or each Hermitian argument
+        monkeypatch.setitem(SUITES, name, (draw, check, dim))
+        payload = json.loads(json.dumps(bounds._payload(args, 1) | {"suite": name}))
+        keys = [key for param in inspect.signature(check).parameters if param not in ("x", "split")
+                for key in (("h", "v") if param == "inst" else (param,))]
+        _replayed(payload)
+        assert len(validated) == len(keys) == 2
+        for op, key in zip(validated, keys):
+            assert np.array_equal(op.matrix, bounds._matrix_from_payload(payload[key]))
 
 
 def _outcome(result) -> tuple:
@@ -668,40 +718,61 @@ def _outcome(result) -> tuple:
     return (result.passed, result.margins)
 
 
-def _alone(name: str, seed: int) -> tuple:
-    """The outcome of one suite instance checked by itself through the
-    public API: its matrices drawn as a stack of one, dumped and replayed
-    through `replay_instance` (as `Operator`s); a window instance also made
-    by its public generator, which must agree."""
-    draw, _, check, dim = SUITES[name]
-    payload = bounds._payload(draw(np.array([seed], dtype=np.uint64), dim), 0)
-    payload = json.loads(json.dumps(payload | {"suite": name}))
+def _replayed(payload: dict) -> tuple:
+    """The outcome of a dump's replay (`replay_instance` raises a vacuous
+    one)."""
     try:
-        replayed = _outcome(replay_instance(payload))
+        return _outcome(replay_instance(payload))
     except HypothesisUnmet as exc:
-        replayed = _outcome(exc)
+        return _outcome(exc)
+
+
+def _dump_replayed(name: str, args: dict, row: int) -> tuple:
+    """The outcome of instance `row` of a suite's stacked arguments,
+    dumped and replayed (its matrices validated as `Operator`s)."""
+    return _replayed(json.loads(json.dumps(bounds._payload(args, row) | {"suite": name})))
+
+
+def _row(args: dict, row: int) -> dict:
+    """Instance `row` of a checker's stacked arguments, as a stack of one."""
+    return {key: value[[row]] if isinstance(value, (BoundInstance, np.ndarray)) else value
+            for key, value in args.items()}
+
+
+def _alone(name: str, seed: int) -> tuple:
+    """The outcome of one suite instance checked by itself: its matrices
+    drawn as a stack of one, dumped and replayed through `replay_instance`;
+    a window instance also made by its public generator and checked as a
+    stack of one, which must agree."""
+    draw, check, dim = SUITES[name]
+    replayed = _dump_replayed(name, draw(seed_array(seed), dim), 0)
     if name in ("spectral_correspondence", "subspace_overlap", "corollaries"):
         make = make_multiband_instance if name == "corollaries" else make_windowed_instance
-        try:
-            made = _outcome(check(make(seed, dim=dim)))
-        except HypothesisUnmet as exc:
-            made = _outcome(exc)
-        assert made == replayed
+        (made,) = check(make(seed_array(seed), dim=dim))
+        assert _outcome(made) == replayed
     return replayed
 
 
 def _recorded_run(monkeypatch, name: str, instances: int, master_seed: int, tmp_path) -> list:
-    """The outcomes of a suite run, instance by instance, in order."""
-    draw, check, single, dim = SUITES[name]
-    outcomes = []
+    """The outcomes of a suite run, instance by instance, in order.  Each
+    block row's outcome equals the checker's on that row's stack of one
+    (`inst[[i]]`, or each array's row) and its dump's replay."""
+    draw, check, dim = SUITES[name]
+    blocks = []
 
     def recording(**args):
-        results = check(**args)
-        outcomes.extend(map(_outcome, results))
-        return results
+        blocks.append((args, check(**args)))
+        return blocks[-1][1]
 
-    monkeypatch.setitem(SUITES, name, (draw, recording, single, dim))
+    monkeypatch.setitem(SUITES, name, (draw, recording, dim))
     rep = run_suite(name, instances, master_seed=master_seed, out_dir=tmp_path)
+    monkeypatch.setitem(SUITES, name, (draw, check, dim))
+    outcomes = []
+    for args, results in blocks:
+        for row, result in enumerate(results):
+            (single,) = check(**_row(args, row))
+            assert _outcome(single) == _dump_replayed(name, args, row) == _outcome(result)
+            outcomes.append(_outcome(result))
     assert len(outcomes) == rep.instances == instances
     return outcomes
 
@@ -735,7 +806,7 @@ def _broken(name: str, args: dict, row: int) -> dict:
 class TestBatchInvariance:
     """A stack checks each instance as that instance alone: verdicts,
     vacuous flags and margins of a run, block by block, equal (==) those
-    of its instances checked one at a time through the public API."""
+    of its instances checked one at a time, each a stack of one."""
 
     @pytest.mark.parametrize("instances", [3, 10])
     @pytest.mark.parametrize("name", list(SUITES))
@@ -743,21 +814,21 @@ class TestBatchInvariance:
                                                     tmp_path):
         # blocks of four instances: a run below the block size, and one
         # over two whole blocks and part of a third
-        dim = SUITES[name][3]
+        dim = SUITES[name][2]
         monkeypatch.setattr(bounds, "_BLOCK_ENTRIES", 4 * dim ** 2)
         run = _recorded_run(monkeypatch, name, instances, 31, tmp_path)
         assert run == [_alone(name, int(seed)) for seed in Stream(31).words(instances)]
 
     def test_a_block_of_the_table_size(self, monkeypatch, tmp_path):
         # Weyl's blocks hold 2^12 / 32^2 = 4 instances: 9 make three
-        assert max(1, bounds._BLOCK_ENTRIES // SUITES["weyl"][3] ** 2) == 4
+        assert max(1, bounds._BLOCK_ENTRIES // SUITES["weyl"][2] ** 2) == 4
         run = _recorded_run(monkeypatch, "weyl", 9, 8, tmp_path)
         assert run == [_alone("weyl", int(seed)) for seed in Stream(8).words(9)]
 
     @pytest.mark.parametrize("name", [name for name in SUITES if name != "weyl"])
     def test_a_vacuous_instance_leaves_its_neighbours_alone(self, name):
         # Weyl's check has no hypothesis to fail
-        draw, check, single, dim = SUITES[name]
+        draw, check, dim = SUITES[name]
         seeds = _seeds(55, 5)
         clean = [_outcome(r) for r in check(**draw(seeds, dim))]
         broken_args = _broken(name, draw(seeds, dim), 2)
@@ -785,9 +856,9 @@ class TestBatchInvariance:
                               v=np.concatenate([three.v, two.v])[order],
                               window=three.window, gap=three.gap)
         assert len(bounds._by_pattern((mixed.h_eig[0] > -1.0) & (mixed.h_eig[0] < 1.0))) == 2
-        check, single = SUITES[name][1], SUITES[name][2]
-        alone = [_outcome(single(BoundInstance(h=Operator(h), v=Operator(v), window=mixed.window,
-                                               gap=mixed.gap)))
+        check = SUITES[name][1]
+        alone = [_outcome(check(BoundInstance(h=h[None], v=v[None], window=mixed.window,
+                                              gap=mixed.gap))[0])
                  for h, v in zip(mixed.h, mixed.v)]
         assert [_outcome(r) for r in check(mixed)] == alone
 

@@ -10,6 +10,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +279,68 @@ def test_bounds_replay_clean_and_corrupted(tmp_path):
     assert run_cli(sub, "bounds", cfg) == EXIT_VIOLATION
     dumps = list((sub / "out").glob("violation_replay_*.json"))
     assert dumps
+
+
+def _seed_five_dump(suite: str) -> dict:
+    """The dump payload of the seed-5 instance of a suite."""
+    draw, _, dim = bounds.SUITES[suite]
+    return bounds._payload(draw(np.array([5], dtype=np.uint64), dim), 0) | {"suite": suite,
+                                                                            "seed": 5}
+
+
+@pytest.mark.parametrize("suite,change", [
+    ("spectral_correspondence", {"gap": float("nan")}),
+    ("subspace_overlap", {"gap": -1.0}),
+    ("corollaries", {"gap": float("nan")}),
+    ("spectral_correspondence", {"window": [1.0, -1.0]}),
+    ("subspace_overlap", {"window": [-1.0, float("inf")]}),
+    ("corollaries", {"v": [[[0.0, 0.0]]]}),
+    ("sylvester", {"x": [[[float("nan"), 0.0]]]}),
+], ids=["nan-gap", "negative-gap", "corollaries-nan-gap", "reversed-window",
+        "infinite-window", "v-shape", "nan-x"])
+def test_a_replay_with_a_bad_gap_window_shape_or_x_is_a_corrupted_dump(tmp_path, suite, change):
+    # a dump that decodes to no valid instance is recorded like a
+    # non-Hermitian matrix: passed false with the error, and a dump
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_seed_five_dump(suite) | change))
+    cfg = {"suites": ["weyl"], "instances": 1, "protocol": False, "replay": [str(path)]}
+    assert run_cli(tmp_path, "bounds", cfg) == EXIT_VIOLATION
+    summary = json.loads((tmp_path / "out" / "bounds_summary.json").read_text())
+    (entry,) = summary["replays"]
+    assert entry["passed"] is False and entry["error"].startswith("ValueError: ")
+    assert (tmp_path / "out" / "violation_replay_bad.json").exists()
+
+
+def test_an_unreadable_replay_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # every replay path is read before the first suite runs: a missing file
+    # or a directory is refused as a config error naming the key, and
+    # nothing is written; a readable file that holds no JSON stays a
+    # recorded corrupted dump
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_seed_five_dump("weyl")))
+    run_suite = bounds.run_suite
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(bounds, "run_suite", no_run)
+    for unreadable in (tmp_path / "no_such.json", tmp_path):
+        cfg = {"suites": ["weyl"], "instances": 1, "protocol": False,
+               "replay": [str(good), str(unreadable)]}
+        assert run_cli(tmp_path, "bounds", cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'replay'" in err
+        assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(bounds, "run_suite", run_suite)
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff{not json")
+    cfg = {"suites": ["weyl"], "instances": 1, "protocol": False,
+           "replay": [str(good), str(garbled)]}
+    assert run_cli(tmp_path, "bounds", cfg) == EXIT_VIOLATION
+    clean, corrupted = json.loads((tmp_path / "out" / "bounds_summary.json").read_text())[
+        "replays"]
+    assert clean["passed"] is True
+    assert corrupted["passed"] is False and "error" in corrupted
 
 
 def test_unknown_suite_is_config_error(tmp_path, capsys, monkeypatch):

@@ -5,8 +5,9 @@ public method or property, must be referenced somewhere in `src/qsc` or
 `tests/` besides its own definition.  And every module-level
 definition must be reached from the command line: following name
 references from `cli.main` through the module-level definitions of
-`src/qsc` reaches it, so none is there for the tests alone.  And every
-public field of a value type (the `__slots__` of a `_Frozen` class) must
+`src/qsc` reaches it, so none is there for the tests alone.  Likewise
+every public method or property must be read as an attribute somewhere in
+`src/qsc`, not in the tests alone.  And every public field of a value type (the `__slots__` of a `_Frozen` class) must
 be read as an attribute somewhere in `src/qsc`, so none is carried for the
 tests alone.  And every parameter with a default of a module-level
 function in `src/qsc` must be passed by some call in `src/qsc` or
@@ -109,6 +110,16 @@ def _unreferenced(modules: dict[str, str], reference_sources) -> list[str]:
             if attrs[bare] + (0 if is_member else names[bare]) == 0:
                 dead.append(f"{module}.{name}")
     return dead
+
+
+def _unread_members(modules: dict[str, str]) -> list[str]:
+    """`module.Class.member` of each public method or property of a class
+    in `modules` (name -> source) that no source in `modules` reads as an
+    attribute."""
+    _, attrs = _references(modules.values())
+    return [f"{module}.{name}" for module, source in modules.items()
+            for name, is_member in _definitions(source)
+            if is_member and attrs[name.rsplit(".", 1)[-1]] == 0]
 
 
 def _unreached(modules: dict[str, str], root: str) -> list[str]:
@@ -263,6 +274,31 @@ def test_reachability_matching():
     # an outside module's attribute reaches nothing, and a definition only
     # an unreached one reads stays unreached
     assert _unreached({"lab": lab, "tools": tools}, "lab.main") == ["tools.LIMIT", "tools.spare"]
+
+
+def test_every_member_is_read_in_the_program():
+    modules = {path.stem: path.read_text() for path in SOURCES}
+    unread = _unread_members(modules)
+    assert not unread, f"methods or properties no program code reads: {unread}"
+
+
+def test_member_matching():
+    lab = (
+        'import numpy as np\n'
+        'class Box:\n'
+        '    def size(self):\n'
+        '        return 1\n'
+        '    def trace(self):\n'
+        '        return np.trace(self.size())\n'
+        '    def spare(self):\n'
+        '        return 2\n'
+        '    def _hidden(self):\n'
+        '        return 3\n'
+    )
+    tools = 'def use(box):\n    return box.size\n'
+    # read as an attribute in the program counts; an outside module's
+    # attribute of the same name does not, and a private method is not checked
+    assert _unread_members({"lab": lab, "tools": tools}) == ["lab.Box.trace", "lab.Box.spare"]
 
 
 def test_every_value_field_is_read():

@@ -41,12 +41,12 @@ from oracles import (
     self_energy_spectral,
 )
 
-from conftest import random_hermitian
+from conftest import random_hermitian, seed_array
 
 
 def two_level_context(omega1=1.0):
     """The context of diag(0, omega1) with P the ground level, and its gap."""
-    h = Operator(np.diag([0.0, omega1]).astype(complex))
+    h = np.diag([0.0, omega1]).astype(complex)
     basis = np.eye(2, dtype=complex)
     return make_context(h, basis[:, :1], basis[:, 1:], omega1), omega1
 
@@ -66,8 +66,8 @@ def grover_block_context(omega1, omega_b, omega0, x0, x1):
     )
     basis = np.eye(4, dtype=complex)
     gap = min(omega_b, omega1)  # distance from P energies to {0, omega1+omega_b}
-    ctx = make_context(Operator(h), basis[:, [2, 1]], basis[:, [0, 3]], gap * 0.9)
-    return ctx, Operator(v), gap * 0.9
+    ctx = make_context(h, basis[:, [2, 1]], basis[:, [0, 3]], gap * 0.9)
+    return ctx, v, gap * 0.9
 
 
 class TestGreenFunction:
@@ -83,7 +83,7 @@ class TestGreenFunction:
         w, vecs = np.linalg.eigh(h)
         p = vecs[:, :2]
         gap = max(float(w[2] - w[1]), 1e-6)
-        ctx = make_context(Operator(h), p, complement(p), gap)
+        ctx = make_context(h, p, complement(p), gap)
         z = float(np.mean(w[:2]))
         g = green_function(ctx, z, gap)
         pm = p @ p.conj().T
@@ -96,7 +96,7 @@ class TestGreenFunction:
         omega1 = band.omegas[1]
         w, vecs = np.linalg.eigh(h_s.matrix)
         p = vecs[:, (w > omega1 - band.delta / 2) & (w < omega1 + band.delta / 2)]
-        ctx = make_context(h_s, p, complement(p), band.delta)
+        ctx = make_context(h_s.matrix, p, complement(p), band.delta)
         z = omega1 + band.delta * 0.4
         g = green_function(ctx, z, band.delta)
         q = ctx.q @ ctx.q.conj().T
@@ -120,7 +120,7 @@ class TestGreenFunction:
 class TestSelfEnergy:
     def test_zero_perturbation(self):
         ctx, _ = two_level_context()
-        v = Operator(np.zeros((2, 2), dtype=complex))
+        v = np.zeros((2, 2), dtype=complex)
         sigma = self_energy(ctx, v)(0.4)
         assert sigma[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -160,8 +160,8 @@ class TestSelfEnergy:
         down = np.array([1, 0], dtype=complex)
         up = np.array([0, 1], dtype=complex)
         p = np.column_stack([np.kron(band.vector(j), down), np.kron(band.vector(0), up)])
-        ctx = make_context(Operator(h_full), p, complement(p), band.delta / 2)
-        sigma = self_energy(ctx, Operator(v))(omega_b)
+        ctx = make_context(h_full, p, complement(p), band.delta / 2)
+        sigma = self_energy(ctx, v)(omega_b)
         g_j, g_0 = g_sums(xs, band.omegas, omega_b, j, omega_b)
         denom = 1 - omega0 ** 2 * g_j * g_0
         expected = np.array(
@@ -197,8 +197,8 @@ class TestSelfEnergy:
         from qsc.bounds import check_spectral_correspondence
 
         for k in range(5):
-            inst = make_windowed_instance(seed=900 + k, dim=8, p_rank=2)
-            res = check_spectral_correspondence(inst)
+            inst = make_windowed_instance(seed_array(900 + k), dim=8, p_rank=2)
+            (res,) = check_spectral_correspondence(inst)
             assert res.passed
 
     def test_taylor_bound_on_random_contexts(self):
@@ -206,17 +206,18 @@ class TestSelfEnergy:
         # center, for contexts whose complement stays gap-separated
         checked = 0
         for k in range(50):
-            inst = make_windowed_instance(seed=3000 + k, dim=10, p_rank=2, v_scale=0.3)
-            w, vecs = np.linalg.eigh(inst.h.matrix)
+            inst = make_windowed_instance(seed_array(3000 + k), dim=10, p_rank=2, v_scale=0.3)
+            h, v = inst.h[0], inst.v[0]
+            w, vecs = np.linalg.eigh(h)
             lam_lo, lam_hi = inst.window
             mask = (w > lam_lo) & (w < lam_hi)
-            ctx = make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap)
+            ctx = make_context(h, vecs[:, mask], vecs[:, ~mask], inst.gap)
             z0 = float(np.mean(w[mask]))
-            sigma0 = self_energy(ctx, inst.v)(z0)
-            factor = (4 * operator_norm(inst.v) / inst.gap) ** 2
+            sigma0 = self_energy(ctx, v)(z0)
+            factor = (4 * operator_norm(v) / inst.gap) ** 2
             for dz in (-0.2, -0.05, 0.03, 0.11):
                 z = z0 + dz * inst.gap / 4
-                sigma = self_energy(ctx, inst.v)(z)
+                sigma = self_energy(ctx, v)(z)
                 diff = np.linalg.norm(sigma - sigma0, 2)
                 assert diff <= abs(z - z0) * factor * (1 + 1e-6) + 1e-12
                 checked += 1
@@ -227,25 +228,26 @@ class TestSelfEnergy:
         # Q as the complement of P read off I - P: the self-energy does not
         # depend on the basis of Q
         for k in range(10):
-            inst = make_windowed_instance(seed=4000 + k, dim=10, p_rank=3)
-            w, vecs = np.linalg.eigh(inst.h.matrix)
+            inst = make_windowed_instance(seed_array(4000 + k), dim=10, p_rank=3)
+            h, v = inst.h[0], inst.v[0]
+            w, vecs = np.linalg.eigh(h)
             lam_lo, lam_hi = inst.window
             mask = (w > lam_lo) & (w < lam_hi)
             p, q = vecs[:, mask], vecs[:, ~mask]
-            given = make_context(inst.h, p, q, inst.gap)
-            computed = make_context(inst.h, p, complement(p), inst.gap)
+            given = make_context(h, p, q, inst.gap)
+            computed = make_context(h, p, complement(p), inst.gap)
             assert given.q is q
             zs = float(np.mean(w[mask])) + np.linspace(-0.1, 0.1, 5) * inst.gap
             for z in zs:
-                a = self_energy(given, inst.v)(z)
-                b = self_energy(computed, inst.v)(z)
+                a = self_energy(given, v)(z)
+                b = self_energy(computed, v)(z)
                 assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(b)))
-            grid_a = self_energy(given, inst.v)(zs)
-            grid_b = self_energy(computed, inst.v)(zs)
+            grid_a = self_energy(given, v)(zs)
+            grid_b = self_energy(computed, v)(zs)
             assert np.max(np.abs(grid_a - grid_b)) <= 1e-12 * (1 + np.max(np.abs(grid_b)))
 
     def test_given_complement_must_be_orthogonal_to_p(self):
-        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        h = np.diag([0.0, 2.0, 3.0]).astype(complex)
         p = np.eye(3, dtype=complex)[:, :1]
         tilted = np.eye(3, dtype=complex)[:, 1:]
         tilted[:, 0] = np.array([0.1, 1.0, 0.0]) / math.sqrt(1.01)
@@ -253,7 +255,7 @@ class TestSelfEnergy:
             make_context(h, p, tilted, 1.5)
 
     def test_bases_with_the_wrong_row_count_are_refused(self):
-        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        h = np.diag([0.0, 2.0, 3.0]).astype(complex)
         basis = np.eye(3, dtype=complex)
         short = np.eye(2, 1, dtype=complex)
         with pytest.raises(DimensionMismatch, match="P basis"):
@@ -262,29 +264,30 @@ class TestSelfEnergy:
             make_context(h, basis[:, :1], np.eye(4, 2, dtype=complex), 1.5)
 
     def test_bases_that_do_not_fill_the_space_are_refused(self):
-        h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
+        h = np.diag([0.0, 2.0, 3.0]).astype(complex)
         basis = np.eye(3, dtype=complex)
         with pytest.raises(DimensionMismatch, match="do not fill"):
             make_context(h, basis[:, :1], basis[:, 1:2], 1.5)
 
 
 def window_context(inst):
-    """The bounds lab's context for a window instance, and its P spectrum."""
-    w, vecs = np.linalg.eigh(inst.h.matrix)
+    """The bounds lab's context for a window instance (a stack of one), and
+    its P spectrum."""
+    w, vecs = np.linalg.eigh(inst.h[0])
     lam_lo, lam_hi = inst.window
     mask = (w > lam_lo) & (w < lam_hi)
-    return make_context(inst.h, vecs[:, mask], vecs[:, ~mask], inst.gap), w[mask]
+    return make_context(inst.h[0], vecs[:, mask], vecs[:, ~mask], inst.gap), w[mask]
 
 
 def diagonal_context():
     """H = diag(0, 2, 3) with P = span(e0) and a V coupling P to Q only, so
     Q(H+V)Q = diag(2, 3) exactly."""
-    h = Operator(np.diag([0.0, 2.0, 3.0]).astype(complex))
-    vm = np.zeros((3, 3), dtype=complex)
-    vm[0, 1] = vm[1, 0] = 0.1
-    vm[0, 2] = vm[2, 0] = 0.2
+    h = np.diag([0.0, 2.0, 3.0]).astype(complex)
+    v = np.zeros((3, 3), dtype=complex)
+    v[0, 1] = v[1, 0] = 0.1
+    v[0, 2] = v[2, 0] = 0.2
     basis = np.eye(3, dtype=complex)
-    return make_context(h, basis[:, :1], basis[:, 1:], 1.5), Operator(vm)
+    return make_context(h, basis[:, :1], basis[:, 1:], 1.5), v
 
 
 class TestSelfEnergyGrid:
@@ -292,8 +295,8 @@ class TestSelfEnergyGrid:
     oracle, row by row against smaller calls, and its condition rule."""
 
     @pytest.mark.parametrize("make_instance", [
-        lambda seed: make_windowed_instance(seed, dim=12, p_rank=3, v_scale=0.5),
-        lambda seed: make_multiband_instance(seed),
+        lambda seed: make_windowed_instance(seed_array(seed), dim=12, p_rank=3, v_scale=0.5),
+        lambda seed: make_multiband_instance(seed_array(seed)),
     ], ids=["windowed", "multiband"])
     def test_matches_pointwise_self_energy(self, make_instance):
         worst = 0.0
@@ -303,18 +306,18 @@ class TestSelfEnergyGrid:
             lam_lo, lam_hi = inst.window
             zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
             assert lam_lo < zs[0] and zs[-1] < lam_hi
-            stack = self_energy(ctx, inst.v)(zs)
+            stack = self_energy(ctx, inst.v[0])(zs)
             assert stack.shape == (64, ctx.p.shape[1], ctx.p.shape[1])
-            for sigma, ref in zip(stack, self_energy_spectral(ctx, inst.v, zs)):
+            for sigma, ref in zip(stack, self_energy_spectral(ctx, inst.v[0], zs)):
                 err = np.linalg.norm(sigma - ref, 2) / np.linalg.norm(ref, 2)
                 worst = max(worst, err)
                 assert np.array_equal(sigma, sigma.conj().T)
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("make_instance", [
-        lambda seed: make_windowed_instance(seed),
-        lambda seed: make_windowed_instance(seed, p_rank=1),
-        lambda seed: make_multiband_instance(seed),
+        lambda seed: make_windowed_instance(seed_array(seed)),
+        lambda seed: make_windowed_instance(seed_array(seed), p_rank=1),
+        lambda seed: make_multiband_instance(seed_array(seed)),
     ], ids=["windowed", "rank-one", "multiband"])
     def test_rows_of_a_batch_are_the_single_calls_bit_for_bit(self, make_instance):
         # the closeness radius's two-end sweeps and the 64-point grids they
@@ -323,7 +326,7 @@ class TestSelfEnergyGrid:
         for k in range(10):
             inst = make_instance(4100 + k)
             ctx, p_vals = window_context(inst)
-            sigma_at = self_energy(ctx, inst.v)
+            sigma_at = self_energy(ctx, inst.v[0])
             zs = np.linspace(p_vals.min() - 0.2 * inst.gap, p_vals.max() + 0.2 * inst.gap, 64)
             stack = sigma_at(zs)
             for i, z in enumerate(zs):
@@ -342,12 +345,12 @@ class TestSelfEnergyGrid:
         # z, one just above accepts it, and z on M's spectrum or NaN is refused
         rng = np.random.default_rng(seed)
         dim = q_rank + 1
-        h = Operator(np.diag(np.concatenate([[0.0], 1.0 + rng.random(q_rank)])).astype(complex))
+        h = np.diag(np.concatenate([[0.0], 1.0 + rng.random(q_rank)])).astype(complex)
         v = random_hermitian(rng, dim)
-        v = Operator(0.3 / operator_norm(v) * v)
+        v = 0.3 / operator_norm(v) * v
         basis = np.eye(dim, dtype=complex)
         ctx = make_context(h, basis[:, :1], basis[:, 1:], 0.5)
-        m = ctx.q.conj().T @ (ctx.h.matrix + v.matrix) @ ctx.q
+        m = ctx.q.conj().T @ (ctx.h + v) @ ctx.q
         w = np.linalg.eigvalsh(m)
         z = w[min(k, q_rank - 1)] + (-offset if below else offset) * (w[-1] - w[0] + 0.1)
         cond = np.linalg.cond(z * np.eye(q_rank) - m)
@@ -379,21 +382,21 @@ class TestSelfEnergyGrid:
 
     def test_empty_complement_is_the_compressed_hamiltonian(self):
         # P spans the whole space: no resolvent, Sigma_P(z) = P(H+V)P
-        h = Operator(np.diag([-0.2, 0.1, 0.3]).astype(complex))
+        h = np.diag([-0.2, 0.1, 0.3]).astype(complex)
         v = random_hermitian(np.random.default_rng(5), 3)
-        v = Operator(0.05 / operator_norm(v) * v)
+        v = 0.05 / operator_norm(v) * v
         ctx = make_context(h, np.eye(3, dtype=complex), np.zeros((3, 0)), 1.0)
         assert ctx.q.shape[1] == 0
-        expected = h.matrix + v.matrix
+        expected = h + v
         assert np.max(np.abs(self_energy(ctx, v)(0.0) - expected)) < 1e-15
         stack = self_energy(ctx, v)(np.linspace(-0.5, 0.5, 5))
         assert stack.shape == (5, 3, 3)
         assert np.max(np.abs(stack - expected)) < 1e-15
 
     def test_empty_p_gives_empty_matrices(self):
-        h = Operator(np.diag([0.0, 2.0]).astype(complex))
+        h = np.diag([0.0, 2.0]).astype(complex)
         ctx = make_context(h, np.zeros((2, 0)), np.eye(2, dtype=complex), 1.0)
-        v = Operator(np.zeros((2, 2), dtype=complex))
+        v = np.zeros((2, 2), dtype=complex)
         assert self_energy(ctx, v)(0.5).shape == (0, 0)
         assert self_energy(ctx, v)([0.5, 1.0]).shape == (2, 0, 0)
 
@@ -409,7 +412,7 @@ class TestNormOnlyWhenNeeded:
         def h_with(cross):
             m = np.diag([0.0, 5.0, 10.0]).astype(complex)
             m[0, 2] = m[2, 0] = cross
-            return Operator(m)
+            return m
 
         p, q = basis[:, :1], basis[:, 1:]
         make_context(h_with(5 * atol), p, q, 1.0)  # within atol * (1 + 10)
@@ -530,10 +533,10 @@ class TestEffectiveTwoLevel:
         omega_b = solve_detuning([x0, x1], [0.0, omega1], 1, omega0, omega1)
         rabi, _ = effective_two_level([x0, x1], [0.0, omega1], 1, omega0, omega_b)
         ctx, v, _ = grover_block_context(omega1, omega_b, omega0, x0, x1)
-        w = np.linalg.eigvalsh(ctx.h.matrix + v.matrix)
+        w = np.linalg.eigvalsh(ctx.h + v)
         down = np.array([0, 0, 1, 0.0])
         up = np.array([0, 1, 0, 0.0])
-        _, vecs = np.linalg.eigh(ctx.h.matrix + v.matrix)
+        _, vecs = np.linalg.eigh(ctx.h + v)
         weight = np.abs(vecs.conj().T @ down) ** 2 + np.abs(vecs.conj().T @ up) ** 2
         top = np.sort(np.argsort(-weight)[:2])
         exact_split = abs(w[top[1]] - w[top[0]])

@@ -195,17 +195,15 @@ class TestEvolve:
 
 class TestOperatorNorm:
     def test_identity(self):
-        assert operator_norm(Operator(np.eye(7))) == pytest.approx(1.0)
+        assert operator_norm(np.eye(7)) == pytest.approx(1.0)
 
     def test_two_level(self):
         omega = 2.3
-        assert operator_norm(
-            Operator(np.diag([0.0, omega]).astype(complex))
-        ) == pytest.approx(omega)
+        assert operator_norm(np.diag([0.0, omega]).astype(complex)) == pytest.approx(omega)
 
     def test_against_power_iteration(self, rng):
         a = random_hermitian(rng, 5)
-        ours = operator_norm(Operator(a))
+        ours = operator_norm(a)
         oracle = norm_by_power_iteration(a)
         assert abs(ours - oracle) / ours < 1e-8
 
@@ -215,9 +213,9 @@ class TestOperatorNorm:
         for _ in range(100):
             dim = int(rng.integers(2, 9))
             a, b = random_hermitian(rng, dim), random_hermitian(rng, dim)
-            na, nb = operator_norm(Operator(a)), operator_norm(Operator(b))
-            assert operator_norm(Operator(a + b)) <= na + nb + 1e-10
-            assert operator_norm(Operator(a @ b + b @ a)) <= 2 * na * nb + 1e-10
+            na, nb = operator_norm(a), operator_norm(b)
+            assert operator_norm(a + b) <= na + nb + 1e-10
+            assert operator_norm(a @ b + b @ a) <= 2 * na * nb + 1e-10
 
 
 class TestPartialTrace:
@@ -255,7 +253,7 @@ class TestPartialTrace:
             rho = z @ z.conj().T
             rho /= np.trace(rho).real
             out = partial_trace(DensityMatrix(rho), 2)
-            assert abs(out.trace() - 1.0) < 1e-10
+            assert abs(np.trace(out.entries).real - 1.0) < 1e-10
             assert out.min_eigenvalue() > -1e-9
             # the value kept from validation equals a fresh computation
             m = out.entries

@@ -188,7 +188,7 @@ class TestClockConstruction:
         band = clock_band_structure(model, h_s)
         for k in range(band.size):
             res = h_s.matrix @ band.vector(k) - band.omegas[k] * band.vector(k)
-            assert np.linalg.norm(res) < 1e-9 * (1 + operator_norm(h_s))
+            assert np.linalg.norm(res) < 1e-9 * (1 + operator_norm(h_s.matrix))
 
     def test_ground_unique_in_legal_sector(self, rng):
         model = ClockModel(circuit=random_circuit(rng, 1, 2))

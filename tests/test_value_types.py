@@ -41,11 +41,11 @@ def _instances() -> dict:
     schedule = build_schedule(setup, omega0=0.01)
     circuit = parse_circuit("G I 1\nG I 1\n", 1)
     clock = ClockModel(circuit=circuit)
-    weyl = check_weyl(h, h)
+    (weyl,) = check_weyl(h.matrix[None], h.matrix[None])
     return {
         "Operator": (h, "matrix"),
         "DensityMatrix": (DensityMatrix(np.eye(2) / 2), "entries"),
-        "LevelShiftContext": (make_context(h, basis[:, :1], basis[:, 1:], gap=0.5), "p"),
+        "LevelShiftContext": (make_context(h.matrix, basis[:, :1], basis[:, 1:], gap=0.5), "p"),
         "GroverModel": (grover, "n"),
         "Gate": (Gate(np.eye(2), (1,)), "targets"),
         "CircuitSpec": (circuit, "gates"),
@@ -58,7 +58,7 @@ def _instances() -> dict:
         "ProbRunReport": (run_probabilistic(clock_setup(clock), omega0=1e-3, omega_star=1e-3,
                                             f1_lower=0.5, trials=3), "accept_count"),
         "CheckResult": (weyl, "passed"),
-        "BoundInstance": (make_windowed_instance(0, dim=8), "gap"),
+        "BoundInstance": (make_windowed_instance(np.zeros(1, dtype=np.uint64), dim=8), "gap"),
         "SuiteReport": (SuiteReport(instances=1, passes=1, vacuous=0, violations=()), "passes"),
         "Stream": (Stream(0), "seed"),
     }
